@@ -14,11 +14,18 @@ classic answer (Data Domain, ZFS dedup) is reference counting:
 Counts are journaled through the same
 :class:`~repro.kvstore.wal.WriteAheadLog` machinery that makes node
 shards crash-survivable: every mutation appends ``[fingerprint, count,
-seq, tombstone]`` before it is considered applied, periodic snapshots
-bound replay, and a restart replays snapshot+log with last-write-wins —
-so a crash between a recipe delete and its sweep never orphans a chunk
-(the zero count is on disk) and never double-frees one (counts are
-absolute, not deltas, so replay is idempotent).
+seq, tombstone]`` before it is considered applied, snapshots bound
+replay, and a restart replays snapshot+log with last-write-wins — so a
+crash between a recipe delete and its sweep never orphans a chunk (the
+zero count is on disk) and never double-frees one (counts are absolute,
+not deltas, so replay is idempotent).
+
+A snapshot rewrites the whole ledger, so it is taken only once the log
+has grown by at least as many records as the ledger holds (and by at
+least ``snapshot_every``): the rewrite is then paid for by the appends
+since the last one, journaling stays amortised O(1) per reference at any
+ledger size, and a restart reads at most the snapshot plus a log no longer
+than ``max(snapshot_every, ledger)`` — about twice the ledger.
 
 The GC is deliberately *cluster-scoped*, not ring-scoped: the same
 fingerprint can be claimed unique by two different rings (per-ring dedup
@@ -44,7 +51,9 @@ class RefcountGC:
     Args:
         journal_dir: directory for the refcount journal; ``None`` keeps
             the ledger in memory only (simulation runs).
-        snapshot_every: journal appends between snapshots.
+        snapshot_every: fewest journal appends between snapshots (a
+            ledger larger than this waits for as many appends as it has
+            entries).
     """
 
     def __init__(
@@ -76,7 +85,11 @@ class RefcountGC:
             return
         self._seq += 1
         self.wal.append(fingerprint, str(count), self._seq, tombstone)
-        self.wal.maybe_snapshot(self._ledger_view())
+        if (
+            self.wal.due_for_snapshot()
+            and self.wal.appends_since_snapshot >= len(self.counts)
+        ):
+            self.wal.write_snapshot(self._ledger_view())
 
     def _ledger_view(self) -> dict[str, VersionedValue]:
         return {

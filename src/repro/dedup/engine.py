@@ -38,6 +38,12 @@ from repro.obs.histogram import Histogram
 # The chunk's payload is materialized ``bytes`` (sinks may store it).
 UniqueChunkSink = Callable[[Chunk, str], None]
 
+# Called once per lookup batch with (fingerprints, chunks), in stream order,
+# *before* the batch's index round trip — so before any of its chunks can
+# reach the unique sink. The chunks may be views of the caller's buffer,
+# and both lists are reused for the next batch: copy what must be kept.
+BatchObserver = Callable[[list[str], list[Chunk]], None]
+
 # Fingerprints accumulated before one batched index round trip. Against an
 # in-memory index batching only changes call granularity; against a remote
 # (ring or cloud) index it amortizes the round trip over the whole batch.
@@ -119,18 +125,25 @@ class DedupEngine:
         self.lookup_latency = Histogram("engine.lookup_s")
 
     def dedup_bytes(
-        self, data: "bytes | memoryview", source: Optional[str] = None
+        self,
+        data: "bytes | memoryview",
+        source: Optional[str] = None,
+        observer: Optional[BatchObserver] = None,
     ) -> DedupResult:
         """Deduplicate a complete in-memory input.
 
         Args:
             data: the raw input bytes (any contiguous buffer; never copied).
             source: optional label stored as metadata with new fingerprints.
+            observer: sees every lookup batch's fingerprints and chunks
+                before the index does — how a caller builds the file's
+                recipe and takes its refcounts from the pass that dedups,
+                instead of chunking and hashing the input a second time.
 
         Returns:
             Per-call result; cumulative accounting is on :attr:`stats`.
         """
-        return self._run(self.chunker.chunk_views(data), source)
+        return self._run(self.chunker.chunk_views(data), source, observer)
 
     def dedup_stream(
         self, blocks: Iterable["bytes | memoryview"], source: Optional[str] = None
@@ -147,12 +160,19 @@ class DedupEngine:
     # The single chunk → fingerprint → lookup pipeline behind both entry
     # points.
 
-    def _run(self, chunks: Iterator[Chunk], source: Optional[str]) -> DedupResult:
+    def _run(
+        self,
+        chunks: Iterator[Chunk],
+        source: Optional[str],
+        observer: Optional[BatchObserver] = None,
+    ) -> DedupResult:
         call_stats = DedupStats()
         unique: list[str] = []
         if self.batch_size == 1:
             for chunk in chunks:
                 fp = self.fingerprint(chunk.data)
+                if observer is not None:
+                    observer([fp], [chunk])
                 started = time.perf_counter()
                 is_new = self.index.lookup_and_insert(fp, metadata=source)
                 self.lookup_latency.observe(time.perf_counter() - started)
@@ -165,21 +185,25 @@ class DedupEngine:
             for chunk in chunks:
                 pending.append(chunk)
                 if len(pending) >= self.batch_size:
-                    self._flush(pending, self._hash_batch(pending), source, call_stats, unique)
+                    self._flush(
+                        pending, self._hash_batch(pending), source, call_stats, unique, observer
+                    )
                     pending.clear()
             if pending:
-                self._flush(pending, self._hash_batch(pending), source, call_stats, unique)
+                self._flush(
+                    pending, self._hash_batch(pending), source, call_stats, unique, observer
+                )
         else:
             fps: list[str] = []
             for chunk in chunks:
                 pending.append(chunk)
                 fps.append(self.fingerprint(chunk.data))
                 if len(pending) >= self.batch_size:
-                    self._flush(pending, fps, source, call_stats, unique)
+                    self._flush(pending, fps, source, call_stats, unique, observer)
                     pending.clear()
                     fps.clear()
             if pending:
-                self._flush(pending, fps, source, call_stats, unique)
+                self._flush(pending, fps, source, call_stats, unique, observer)
         return DedupResult(stats=call_stats, unique_fingerprints=tuple(unique))
 
     def _hash_batch(self, chunks: list[Chunk]) -> list[str]:
@@ -197,7 +221,10 @@ class DedupEngine:
         source: Optional[str],
         call_stats: DedupStats,
         unique: list[str],
+        observer: Optional[BatchObserver],
     ) -> None:
+        if observer is not None:
+            observer(fps, pending)
         started = time.perf_counter()
         results = self.index.lookup_and_insert_many(fps, metadata=source)
         self.lookup_latency.observe(time.perf_counter() - started)

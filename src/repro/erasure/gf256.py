@@ -1,9 +1,11 @@
 """GF(2⁸) arithmetic for Reed–Solomon coding.
 
 The field is GF(2)[x] / (x⁸ + x⁴ + x³ + x² + 1) — the 0x11D polynomial used
-by most storage systems. Multiplication and division go through exp/log
-tables; vectorized variants operate on whole numpy byte arrays so encoding
-a chunk is a handful of table lookups per shard.
+by most storage systems. Scalar multiplication and division go through
+exp/log tables. The vectorized variants go through :data:`MUL_TABLE`, the
+full 256 × 256 product table (64 KiB): multiplying a byte array by a
+coefficient is one ``take`` against that coefficient's row, with no masking
+of zeros and no log/exp arithmetic per byte.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ for _i in range(255):
         _x ^= _PRIMITIVE_POLY
 for _i in range(255, 512):
     EXP_TABLE[_i] = EXP_TABLE[_i - 255]
+
+# MUL_TABLE[a, b] == gf_mul(a, b); row 0 and column 0 stay zero.
+MUL_TABLE = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
+_logs = LOG_TABLE[1:]
+MUL_TABLE[1:, 1:] = EXP_TABLE[_logs[:, None] + _logs[None, :]]
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -66,10 +73,7 @@ def gf_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
         return np.zeros_like(vec)
     if scalar == 1:
         return vec.copy()
-    out = np.zeros_like(vec)
-    nz = vec != 0
-    out[nz] = EXP_TABLE[LOG_TABLE[scalar] + LOG_TABLE[vec[nz]]]
-    return out
+    return MUL_TABLE[scalar].take(vec)
 
 
 def gf_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
@@ -88,11 +92,12 @@ def gf_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
             f"matrix expects {k} shards, got {shards.shape[0]}"
         )
     out = np.zeros((r, shards.shape[1]), dtype=np.uint8)
-    for i in range(r):
-        acc = np.zeros(shards.shape[1], dtype=np.uint8)
-        for j in range(k):
-            acc ^= gf_mul_vec(int(matrix[i, j]), shards[j])
-        out[i] = acc
+    for acc, coefficients in zip(out, matrix.tolist()):
+        for coefficient, shard in zip(coefficients, shards):
+            if coefficient == 1:
+                acc ^= shard
+            elif coefficient:
+                acc ^= MUL_TABLE[coefficient].take(shard)
     return out
 
 

@@ -84,9 +84,19 @@ class ReedSolomonCode:
         """
         shard_len = max(1, self._shard_length(len(payload)))
         padded = payload + b"\x00" * (shard_len * self.k - len(payload))
+        # Systematic code: the data shards are slices of the payload; only
+        # the m parity rows cost field arithmetic.
+        shards = [
+            Shard(index=i, data=padded[i * shard_len : (i + 1) * shard_len])
+            for i in range(self.k)
+        ]
         data = np.frombuffer(padded, dtype=np.uint8).reshape(self.k, shard_len)
-        coded = gf_matmul(self.encode_matrix, data)
-        return [Shard(index=i, data=coded[i].tobytes()) for i in range(self.total_shards)]
+        parity = gf_matmul(self.encode_matrix[self.k :], data)
+        shards += [
+            Shard(index=self.k + i, data=row.tobytes())
+            for i, row in enumerate(parity)
+        ]
+        return shards
 
     def decode(self, shards: list[Shard], payload_length: int) -> bytes:
         """Reconstruct the payload from any >= k distinct shards.
@@ -112,11 +122,16 @@ class ReedSolomonCode:
         lengths = {len(s.data) for s in chosen}
         if len(lengths) != 1:
             raise ValueError(f"inconsistent shard lengths: {sorted(lengths)!r}")
-        sub_matrix = self.encode_matrix[[s.index for s in chosen], :]
-        inverse = gf_mat_inv(sub_matrix)
-        rows = np.stack([np.frombuffer(s.data, dtype=np.uint8) for s in chosen])
-        data = gf_matmul(inverse, rows)
-        return data.reshape(-1).tobytes()[:payload_length]
+        # Surviving data shards are the payload's own bytes; solve only
+        # for the data rows that are missing.
+        parts = {s.index: s.data for s in chosen if s.index < self.k}
+        missing = [i for i in range(self.k) if i not in parts]
+        if missing:
+            inverse = gf_mat_inv(self.encode_matrix[[s.index for s in chosen], :])
+            rows = np.stack([np.frombuffer(s.data, dtype=np.uint8) for s in chosen])
+            for i, row in zip(missing, gf_matmul(inverse[missing], rows)):
+                parts[i] = row.tobytes()
+        return b"".join(parts[i] for i in range(self.k))[:payload_length]
 
     def reconstruct_shard(self, shards: list[Shard], missing_index: int, payload_length: int) -> Shard:
         """Rebuild one lost shard from any k survivors (repair path)."""

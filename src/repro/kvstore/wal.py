@@ -156,6 +156,11 @@ class WriteAheadLog:
         self.stats.appends += 1
         self._appends_since_snapshot += 1
 
+    @property
+    def appends_since_snapshot(self) -> int:
+        """Records appended by this instance since its last snapshot."""
+        return self._appends_since_snapshot
+
     def due_for_snapshot(self) -> bool:
         return (
             self.snapshot_every > 0

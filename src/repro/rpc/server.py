@@ -15,7 +15,9 @@ Two server-side behaviors make retries safe:
 - **Idempotency cache.** Responses are remembered per correlation id
   (bounded LRU). A retried or duplicated delivery of a request the server
   already executed returns the *original* response instead of re-executing,
-  so a non-idempotent claim is never applied twice.
+  so a non-idempotent claim is never applied twice. Payload-bearing reads
+  (``get_chunks``, ``chunk_dump``) are the exception: they mutate nothing,
+  so a duplicate simply re-executes and their replies are never retained.
 - **Down-state.** ``set_down(True)`` makes data operations fail with
   ``NodeDownError`` (the process answers, the replica refuses — a crashed
   replica is modeled client-side by the coordinator's aliveness set).
@@ -73,6 +75,12 @@ from repro.rpc.overload import CONTROL_METHODS, AdmissionController
 
 # Correlation ids remembered for retry/duplicate suppression.
 DEFAULT_IDEMPOTENCY_CAPACITY = 4096
+
+# Reads whose replies carry chunk payloads. Their responses are not
+# remembered: a replayed read re-executes (it changes nothing, so the answer
+# is as good), whereas retaining it would pin up to a cache-full of payload
+# batches — more memory than the shelf that served them.
+_PAYLOAD_READS = frozenset({"get_chunks", "chunk_dump"})
 
 
 @dataclass
@@ -378,9 +386,10 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
             response = Response.failure(request.msg_id, exc)
-        self._seen[request.msg_id] = response
-        while len(self._seen) > self._idempotency_capacity:
-            self._seen.popitem(last=False)
+        if request.method not in _PAYLOAD_READS:
+            self._seen[request.msg_id] = response
+            while len(self._seen) > self._idempotency_capacity:
+                self._seen.popitem(last=False)
         return response
 
     # ------------------------------------------------------------------ #

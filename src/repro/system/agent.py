@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.chunking.base import Chunker
-from repro.dedup.engine import DedupEngine, DedupResult, UniqueChunkSink
+from repro.dedup.engine import (
+    BatchObserver,
+    DedupEngine,
+    DedupResult,
+    UniqueChunkSink,
+)
 from repro.dedup.index import DedupIndex
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.store import DistributedKVStore
@@ -193,9 +198,20 @@ class DedupAgent:
         """Cumulative dedup accounting for this agent."""
         return self.engine.stats
 
-    def ingest(self, data: bytes, label: Optional[str] = None) -> DedupResult:
-        """Deduplicate one file's bytes (unique chunks flow to the sink)."""
-        return self.engine.dedup_bytes(data, source=label if label is not None else self.node_id)
+    def ingest(
+        self,
+        data: bytes,
+        label: Optional[str] = None,
+        observer: Optional[BatchObserver] = None,
+    ) -> DedupResult:
+        """Deduplicate one file's bytes (unique chunks flow to the sink);
+        ``observer`` sees each lookup batch first (see
+        :meth:`~repro.dedup.engine.DedupEngine.dedup_bytes`)."""
+        return self.engine.dedup_bytes(
+            data,
+            source=label if label is not None else self.node_id,
+            observer=observer,
+        )
 
     def ingest_files(self, files: Iterable[bytes]) -> list[DedupResult]:
         """Deduplicate a sequence of files, in order."""

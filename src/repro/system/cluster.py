@@ -282,20 +282,11 @@ class DurableEFDedupCluster(EFDedupCluster):
 
     def ingest_file(self, node_id: str, file_id: str, data: bytes):
         """Deduplicate ``data`` at ``node_id``, record its recipe in the
-        cluster catalog, and reference-count its chunks."""
-        from repro.dedup.recipes import make_recipe
-
-        ring = self.ring_for(node_id)
-        recipe = make_recipe(
-            file_id, data, chunker=ring.agent(node_id).engine.chunker
+        cluster catalog, and reference-count its chunks — one pass, see
+        :meth:`~repro.system.ring.D2Ring.ingest_file`."""
+        return self.ring_for(node_id).ingest_file(
+            node_id, file_id, data, recipes=self.recipes
         )
-        self.recipes.put(recipe)
-        for entry in recipe.entries:
-            self.gc.incr(entry.fingerprint)
-        report = ring.agent(node_id).ingest(data, label=file_id)
-        if ring.content is not None:
-            ring.content.flush()
-        return report
 
     def restore_file(self, file_id: str) -> bytes:
         """Reassemble a file through the content plane (edge shelves, then

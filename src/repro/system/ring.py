@@ -22,10 +22,17 @@ into hints), and the member catches up on recovery.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from repro.dedup.cache import LRUCacheIndex
-from repro.dedup.recipes import RecipeStore, make_recipe, restore_file
+from repro.dedup.recipes import (
+    FileRecipe,
+    RecipeEntry,
+    RecipeError,
+    RecipeStore,
+    restore_file,
+)
 from repro.dedup.stats import DedupStats
 from repro.kvstore.store import DistributedKVStore
 from repro.obs.histogram import Histogram
@@ -313,13 +320,37 @@ class D2Ring:
             self.content.flush()
         return report
 
-    def ingest_file(self, node_id: str, file_id: str, data: bytes):
-        """Deduplicate ``data`` and record its recipe for later restore.
+    def ingest_file(
+        self,
+        node_id: str,
+        file_id: str,
+        data: bytes,
+        recipes: Optional[RecipeStore] = None,
+    ):
+        """Deduplicate ``data`` and record its recipe for later restore, in
+        one pass: the recipe and the chunk references are taken from the
+        lookup batches of the dedup run itself, so the file is chunked and
+        hashed once.
+
+        Each batch's references are journaled before the batch reaches the
+        index, hence before any of its chunks is stored (count before
+        store: a crash leaves counted-but-unstored references, which a
+        sweep forgets, never stored-but-uncounted chunks, which it would
+        reclaim under a live file). The call is all-or-nothing for the
+        catalog: a ``file_id`` already present is refused before the index
+        is touched, and when the ingest raises part-way no recipe is
+        recorded and exactly the references taken are released — the
+        chunks and index entries it left behind are then zero-ref and go
+        with the next sweep.
 
         Needs somewhere the payload bytes actually live: a content plane,
         or a ring cloud that keeps payloads
         (``CentralCloudStore(keep_payloads=True)``) — otherwise the recipe
         would point at chunks whose bytes were dropped.
+
+        Args:
+            recipes: the catalog the recipe goes into; the ring's own by
+                default (a durable cluster passes its cluster-scoped one).
         """
         if self.content is None and not self.cloud.keep_payloads:
             raise RuntimeError(
@@ -327,16 +358,29 @@ class D2Ring:
                 "CentralCloudStore(keep_payloads=True); this ring's cloud "
                 "only keeps accounting"
             )
-        recipe = make_recipe(
-            file_id, data, chunker=self.agent(node_id).engine.chunker
-        )
-        self.recipes.put(recipe)
-        if self._content_plane is not None:
-            for entry in recipe.entries:
-                self._content_plane.gc.incr(entry.fingerprint)
-        report = self.agent(node_id).ingest(data, label=file_id)
-        if self.content is not None:
-            self.content.flush()
+        recipes = recipes if recipes is not None else self.recipes
+        if file_id in recipes:
+            raise RecipeError(f"recipe for {file_id!r} already stored")
+        gc = self._content_plane.gc if self._content_plane is not None else None
+        entries: list[RecipeEntry] = []
+
+        def record(fingerprints, chunks) -> None:
+            for fingerprint, chunk in zip(fingerprints, chunks):
+                if gc is not None:
+                    gc.incr(fingerprint)
+                entries.append(RecipeEntry(fingerprint, chunk.length))
+
+        try:
+            report = self.agent(node_id).ingest(data, label=file_id, observer=record)
+            if self.content is not None:
+                self.content.flush()
+        except BaseException:
+            if gc is not None:
+                taken = Counter(entry.fingerprint for entry in entries)
+                for fingerprint, refs in taken.items():
+                    gc.decr(fingerprint, refs)
+            raise
+        recipes.put(FileRecipe(file_id=file_id, entries=tuple(entries)))
         return report
 
     def restore_file(self, file_id: str) -> bytes:

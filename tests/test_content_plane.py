@@ -1,6 +1,9 @@
 """Tests for the chunk-payload data plane: ring-local content stores,
 the refcount GC ledger, and the ContentPlane spill/fetch/sweep paths."""
 
+import math
+import shutil
+
 import pytest
 
 from repro.content import (
@@ -186,6 +189,122 @@ class TestRefcountGC:
             assert gc.wal.stats.snapshots >= 1
         with RefcountGC(journal_dir=tmp_path, snapshot_every=8) as reborn:
             assert sum(reborn.counts.values()) == 50
+
+    def test_journaling_cost_does_not_grow_with_the_ledger(self, tmp_path, monkeypatch):
+        # N distinct references: the ledger view (an O(ledger) rebuild) may
+        # be built O(log N + N / snapshot_every) times and the snapshots may
+        # hold O(N) entries in total. The parent rebuilt it on every incr —
+        # N views, O(N^2) entries walked.
+        n, every = 4096, 64
+        views, snapshot_entries = [], []
+        real_view = RefcountGC._ledger_view
+
+        def counting_view(self):
+            view = real_view(self)
+            views.append(len(view))
+            return view
+
+        monkeypatch.setattr(RefcountGC, "_ledger_view", counting_view)
+        with RefcountGC(journal_dir=tmp_path, snapshot_every=every) as gc:
+            real_write = gc.wal.write_snapshot
+
+            def counting_write(data):
+                snapshot_entries.append(len(data))
+                real_write(data)
+
+            monkeypatch.setattr(gc.wal, "write_snapshot", counting_write)
+            for i in range(n):
+                gc.incr(f"fp{i}")
+            assert gc.wal.stats.appends == n
+            expected = dict(gc.counts)
+        assert len(views) <= math.log2(n) + n / every
+        assert sum(snapshot_entries) <= 2 * n
+        with RefcountGC(journal_dir=tmp_path, snapshot_every=every) as reborn:
+            assert reborn.counts == expected
+            # snapshot + log read back: at most about twice the ledger
+            replayed = (
+                reborn.wal.stats.snapshot_entries_loaded
+                + reborn.wal.stats.log_entries_replayed
+            )
+            assert replayed <= 2 * max(n, every)
+
+    def test_small_ledger_still_snapshots_every_snapshot_every(self, tmp_path):
+        # A ledger smaller than snapshot_every keeps the old cadence, so the
+        # log of a hot, small working set stays bounded.
+        with RefcountGC(journal_dir=tmp_path, snapshot_every=8) as gc:
+            for i in range(80):
+                gc.incr(f"fp{i % 4}")
+            assert gc.wal.stats.snapshots == 10
+
+    def test_crash_at_every_journal_prefix_replays_the_counts(self, tmp_path):
+        # Crash after every mutation (snapshots and log truncations
+        # included), and with the last record torn mid-append: a restart
+        # must land on the in-memory counts as of the last whole record.
+        ops = (
+            [("incr", f"fp{i % 7}", 1 + i % 3) for i in range(20)]
+            + [("decr", f"fp{i}", 2) for i in range(7)]
+            + [("forget", "fp3", 0), ("incr", "fp3", 1), ("incr", "new", 4)]
+            + [("decr", f"fp{i % 7}", 1) for i in range(12)]
+        )
+        live = tmp_path / "live"
+        history = [{}]
+        with RefcountGC(journal_dir=live, snapshot_every=5) as gc:
+            for step, (op, fingerprint, n) in enumerate(ops, start=1):
+                if op == "forget":
+                    gc.forget(fingerprint)
+                else:
+                    getattr(gc, op)(fingerprint, n)
+                history.append(dict(gc.counts))
+                crashed = tmp_path / f"crash-{step}"
+                shutil.copytree(live, crashed)
+                with RefcountGC(journal_dir=crashed) as reborn:
+                    assert reborn.counts == history[step], step
+                log = crashed / "refcounts.wal.jsonl"
+                whole = log.read_bytes()
+                if whole:
+                    # tear the final record; the rest of the log is intact
+                    log.write_bytes(whole[:-3])
+                    with RefcountGC(journal_dir=crashed) as torn:
+                        assert torn.wal.stats.torn_records_dropped == 1
+                        assert torn.counts == history[step - 1], step
+            assert gc.wal.stats.snapshots >= 3
+
+    # A journal directory written by the commit before the amortised
+    # snapshot rule (snapshot_every=6; ops below), byte for byte.
+    _PARENT_SNAPSHOT = (
+        '{"aa": ["2", 6, false], "bb": ["4", 6, false], '
+        '"cc": ["1", 6, false], "dd": ["1", 6, false]}'
+    )
+    _PARENT_LOG = (
+        '["aa", "1", 7, false]\n["aa", "0", 8, false]\n["dd", "0", 9, false]\n'
+        '["dd", "0", 10, true]\n["ee", "1", 11, false]\n'
+    )
+
+    def test_parent_commit_journal_loads_unchanged(self, tmp_path):
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "refcounts.snap.json").write_text(self._PARENT_SNAPSHOT)
+        (old / "refcounts.wal.jsonl").write_text(self._PARENT_LOG)
+        with RefcountGC(journal_dir=old, snapshot_every=6) as gc:
+            assert gc.counts == {"aa": 0, "bb": 4, "cc": 1, "ee": 1}
+            assert gc.zero_refs() == ["aa"]
+            assert gc.incr("ee") == 2
+        assert (old / "refcounts.wal.jsonl").read_text() == (
+            self._PARENT_LOG + '["ee", "2", 12, false]\n'
+        )
+        # ... and the same mutations still write the same bytes today.
+        new = tmp_path / "new"
+        with RefcountGC(journal_dir=new, snapshot_every=6) as gc:
+            for fingerprint in ["aa", "bb", "cc", "aa", "dd"]:
+                gc.incr(fingerprint)
+            gc.incr("bb", 3)
+            gc.decr("aa")
+            gc.decr("aa")
+            gc.decr("dd")
+            gc.forget("dd")
+            gc.incr("ee")
+        assert (new / "refcounts.snap.json").read_text() == self._PARENT_SNAPSHOT
+        assert (new / "refcounts.wal.jsonl").read_text() == self._PARENT_LOG
 
 
 class TestContentPlane:

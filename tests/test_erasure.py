@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.erasure.gf256 import (
     EXP_TABLE,
+    MUL_TABLE,
     gf_div,
     gf_inv,
     gf_mat_inv,
@@ -18,6 +19,7 @@ from repro.erasure.gf256 import (
 )
 from repro.erasure.reedsolomon import ReedSolomonCode, Shard
 from repro.erasure.striped_store import ErasureCodedChunkStore, ZoneFailedError
+from tests import gf256_oracle
 
 
 class TestGF256:
@@ -79,6 +81,43 @@ class TestGF256:
         out = gf_mul_vec(scalar, vec)
         for i in range(64):
             assert out[i] == gf_mul(scalar, int(vec[i]))
+
+    def test_mul_table_is_gf_mul_for_every_pair(self):
+        assert MUL_TABLE.shape == (256, 256) and MUL_TABLE.dtype == np.uint8
+        expected = [[gf_mul(a, b) for b in range(256)] for a in range(256)]
+        assert MUL_TABLE.tolist() == expected
+
+    @given(
+        scalar=st.integers(min_value=0, max_value=255),
+        vec=st.binary(max_size=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mul_vec_matches_oracle(self, scalar, vec):
+        vec = np.frombuffer(vec, dtype=np.uint8)
+        assert np.array_equal(
+            gf_mul_vec(scalar, vec), gf256_oracle.gf_mul_vec(scalar, vec)
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_matches_oracle(self, data):
+        r, k, length = (data.draw(st.integers(1, 5)) for _ in range(3))
+        # Small coefficients too, so the skip-0 and XOR-for-1 branches run.
+        coefficient = st.one_of(st.integers(0, 2), st.integers(0, 255))
+        matrix = np.array(
+            data.draw(st.lists(st.lists(coefficient, min_size=k, max_size=k),
+                               min_size=r, max_size=r)),
+            dtype=np.uint8,
+        )
+        shards = np.frombuffer(
+            data.draw(st.binary(min_size=k * length, max_size=k * length)),
+            dtype=np.uint8,
+        ).reshape(k, length)
+        before = shards.copy()
+        assert np.array_equal(
+            gf_matmul(matrix, shards), gf256_oracle.gf_matmul(matrix, shards)
+        )
+        assert np.array_equal(shards, before)  # inputs are never written to
 
     def test_mat_inv_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -187,6 +226,50 @@ class TestReedSolomon:
         chosen = data.draw(st.permutations(range(6)))[:3]
         subset = [s for s in shards if s.index in chosen]
         assert code.decode(subset, len(payload)) == payload
+
+
+class TestKernelMatchesOracle:
+    """The table kernel against the retired log/exp one (tests/gf256_oracle):
+    same shards out of encode, same bytes out of decode for every loss
+    pattern of <= m shards."""
+
+    @given(
+        k=st.integers(min_value=1, max_value=5),
+        m=st.integers(min_value=0, max_value=3),
+        payload=st.one_of(
+            st.sampled_from([b"", b"\x00", b"\xff"]), st.binary(max_size=400)
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_encode_decode_match_oracle(self, k, m, payload):
+        import itertools
+
+        code = ReedSolomonCode(k, m)
+        shards = code.encode(payload)
+        assert shards == gf256_oracle.encode(code, payload)
+        for n_lost in range(m + 1):
+            for lost in itertools.combinations(range(k + m), n_lost):
+                subset = [s for s in shards if s.index not in lost]
+                decoded = code.decode(subset, len(payload))
+                assert decoded == payload, lost
+                assert decoded == gf256_oracle.decode(code, subset, len(payload))
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 8191, 8192, 8193])
+    def test_reference_code_at_chunk_sized_payloads(self, length):
+        code = ReedSolomonCode(3, 2)
+        payload = np.random.default_rng(length).integers(
+            0, 256, length, dtype=np.uint8
+        ).tobytes()
+        shards = code.encode(payload)
+        assert shards == gf256_oracle.encode(code, payload)
+        assert code.decode(shards[2:], length) == payload
+        assert gf256_oracle.decode(code, shards[2:], length) == payload
+
+    def test_decode_accepts_shards_in_any_order(self):
+        code = ReedSolomonCode(3, 2)
+        payload = bytes(range(200))
+        shards = code.encode(payload)
+        assert code.decode([shards[4], shards[0], shards[3]], 200) == payload
 
 
 class TestErasureCodedChunkStore:

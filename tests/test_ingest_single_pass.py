@@ -1,0 +1,248 @@
+"""``ingest_file`` pays each cost once, and is all-or-nothing.
+
+One body (``D2Ring.ingest_file``) serves the ring and the durable cluster:
+the recipe and the refcounts come from the lookup batches of the dedup
+pass itself, so a file is chunked and hashed once; each batch's
+references are journaled before any of its chunks is stored; a duplicate
+``file_id`` or a mid-file failure leaves the catalog and the ledger as
+they were.
+"""
+
+import numpy as np
+import pytest
+
+from repro.chunking.fastcdc import FastCDCChunker
+from repro.dedup.recipes import RecipeError, make_recipe
+from repro.kvstore.errors import UnavailableError
+from repro.system.cloud import CentralCloudStore
+from repro.system.config import EFDedupConfig
+from repro.system.ring import D2Ring
+from tests.test_restore_durability import make_cluster
+
+LOOKUP_BATCH = 16  # make_cluster's lookup_batch
+
+
+def payload(seed: int, kb: int = 96) -> bytes:
+    """Random bytes with an internal repeat, so a file holds duplicate
+    chunks of its own (refcounts count occurrences, not fingerprints)."""
+    block = np.random.default_rng(seed).integers(
+        0, 256, kb * 1024 // 2, dtype=np.uint8
+    ).tobytes()
+    return block + block
+
+
+def durable(tmp_path, transport="inproc", **extra):
+    return make_cluster(tmp_path, transport=transport, **extra)
+
+
+class TestRecipeComesFromTheDedupPass:
+    @pytest.mark.parametrize("algo", ["fixed", "gear", "fastcdc", "ae", "ram"])
+    def test_recipe_equals_make_recipe_for_every_production_chunker(
+        self, tmp_path, algo
+    ):
+        cluster = durable(tmp_path, chunking_algo=algo)
+        try:
+            data = payload(1)
+            cluster.ingest_file("edge-0", "f", data)
+            chunker = cluster.config.make_chunker()
+            assert cluster.recipes.get("f") == make_recipe("f", data, chunker=chunker)
+            assert cluster.restore_file("f") == data
+        finally:
+            cluster.shutdown()
+
+    @pytest.mark.parametrize(
+        "transport,extra,hash_workers",
+        [
+            ("inproc", {"lookup_batch": 1}, 0),
+            ("inproc", {}, 2),
+            ("inproc", {"secure": True}, 0),
+            ("asyncio", {"brownout": True}, 0),
+        ],
+        ids=["lookup_batch=1", "hash_workers=2", "secure", "brownout"],
+    )
+    def test_recipe_equals_make_recipe_on_every_engine_path(
+        self, tmp_path, transport, extra, hash_workers
+    ):
+        cluster = durable(tmp_path, transport, chunking_algo="fastcdc", **extra)
+        try:
+            ring = cluster.ring_for("edge-0")
+            engine = ring.agent("edge-0").engine
+            engine.hash_workers = hash_workers
+            files = {f"f{i}": payload(10 + i) for i in range(2)}
+            files["again"] = files["f0"]  # an all-duplicate file
+            for file_id, data in files.items():
+                cluster.ingest_file("edge-0", file_id, data)
+            engine.close()
+            for file_id, data in files.items():
+                expected = make_recipe(file_id, data, chunker=engine.chunker)
+                assert cluster.recipes.get(file_id) == expected
+                assert cluster.restore_file(file_id) == data
+            # one reference per recipe entry, duplicates within a file included
+            expected_refs: dict[str, int] = {}
+            for file_id in files:
+                for entry in cluster.recipes.get(file_id).entries:
+                    expected_refs[entry.fingerprint] = (
+                        expected_refs.get(entry.fingerprint, 0) + 1
+                    )
+            assert cluster.gc.live_refs() == expected_refs
+        finally:
+            cluster.shutdown()
+
+    def test_ring_ingest_file_shares_the_body(self):
+        # The payload-keeping ring (no content plane, no ledger) runs the
+        # same single pass.
+        ring = D2Ring(
+            "ring-0",
+            ["a", "b"],
+            cloud=CentralCloudStore(keep_payloads=True),
+            config=EFDedupConfig(chunk_size=4096, chunking_algo="fastcdc", lookup_batch=8),
+        )
+        data = payload(3)
+        ring.ingest_file("a", "f", data)
+        assert ring.recipes.get("f") == make_recipe(
+            "f", data, chunker=ring.agent("a").engine.chunker
+        )
+        assert ring.restore_file("f") == data
+        with pytest.raises(RecipeError, match="already stored"):
+            ring.ingest_file("b", "f", data)
+
+    def test_cut_points_runs_once_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        real = FastCDCChunker.cut_points
+
+        def counting(self, data):
+            calls.append(len(data))
+            return real(self, data)
+
+        monkeypatch.setattr(FastCDCChunker, "cut_points", counting)
+        cluster = durable(tmp_path, chunking_algo="fastcdc")
+        try:
+            data = payload(4)
+            cluster.ingest_file("edge-0", "f", data)
+            assert calls == [len(data)]
+        finally:
+            cluster.shutdown()
+
+    def test_batch_refcounts_are_journaled_before_its_chunks_are_stored(
+        self, tmp_path, monkeypatch
+    ):
+        cluster = durable(tmp_path, chunking_algo="fastcdc")
+        try:
+            ring = cluster.ring_for("edge-0")
+            events: list[tuple[str, str]] = []
+
+            def tap(owner, name, label):
+                real = getattr(owner, name)
+
+                def tapped(fingerprint, *args, **kwargs):
+                    events.append((label, fingerprint))
+                    return real(fingerprint, *args, **kwargs)
+
+                monkeypatch.setattr(owner, name, tapped)
+
+            tap(cluster.gc, "incr", "incr")
+            tap(ring.content, "put_chunk", "store")
+            tap(cluster.content_plane, "spill", "store")
+            data = payload(5, kb=256)
+            cluster.ingest_file("edge-0", "f", data)
+            entries = cluster.recipes.get("f").entries
+            assert len(entries) > 2 * LOOKUP_BATCH
+            assert [fp for kind, fp in events if kind == "incr"] == [
+                e.fingerprint for e in entries
+            ]
+            first_position = {}
+            for position, entry in enumerate(entries):
+                first_position.setdefault(entry.fingerprint, position)
+            incrs = 0
+            stores = 0
+            for kind, fingerprint in events:
+                if kind == "incr":
+                    incrs += 1
+                    continue
+                stores += 1
+                batch_end = min(
+                    len(entries),
+                    (first_position[fingerprint] // LOOKUP_BATCH + 1) * LOOKUP_BATCH,
+                )
+                assert incrs >= batch_end, (fingerprint, incrs, batch_end)
+            assert stores > 0
+        finally:
+            cluster.shutdown()
+
+
+class TestIngestIsAllOrNothing:
+    def _state(self, cluster):
+        ring = cluster.ring_for("edge-0")
+        return {
+            "recipes": cluster.recipes.file_ids(),
+            "live_refs": cluster.gc.live_refs(),
+            "tracked": cluster.gc.tracked(),
+            "tier": set(cluster.tier.fingerprints()),
+            "shelves": set(ring.content.fingerprints()),
+            "index": set(ring.store.unique_keys()),
+            "cloud": set(cluster.cloud.fingerprints()),
+        }
+
+    def test_failure_mid_file_leaves_no_recipe_and_no_refs(self, tmp_path, monkeypatch):
+        cluster = durable(tmp_path, chunking_algo="fastcdc")
+        try:
+            ring = cluster.ring_for("edge-0")
+            kept = payload(6)
+            cluster.ingest_file("edge-0", "kept", kept)
+            before = self._state(cluster)
+
+            # Shares its first half with "kept" (references taken on
+            # already-counted chunks must be released too), then new data.
+            doomed = kept[: len(kept) // 2] + payload(7, kb=256)
+            real_claims = ring.store.put_if_absent_many
+            rounds = []
+
+            def claims_then_outage(*args, **kwargs):
+                rounds.append(1)
+                if len(rounds) == 4:  # mid-file: every replica goes away
+                    for member in ring.members:
+                        ring.fail_node(member)
+                return real_claims(*args, **kwargs)
+
+            monkeypatch.setattr(ring.store, "put_if_absent_many", claims_then_outage)
+            with pytest.raises(UnavailableError):
+                cluster.ingest_file("edge-0", "doomed", doomed)
+            assert len(rounds) == 4
+            monkeypatch.undo()
+            for member in ring.members:
+                ring.recover_node(member)
+
+            assert cluster.recipes.file_ids() == before["recipes"]
+            assert cluster.gc.live_refs() == before["live_refs"]
+            assert cluster.gc.underflows == 0
+            # What the aborted call stored is zero-ref: the sweep takes
+            # exactly that and the cluster is as if the call never happened.
+            report = cluster.gc_sweep()
+            assert report.swept > 0
+            assert report.orphans_adopted == 0
+            assert self._state(cluster) == before
+            assert cluster.restore_file("kept") == kept
+
+            cluster.ingest_file("edge-0", "doomed", doomed)
+            assert cluster.restore_file("doomed") == doomed
+            assert cluster.restore_file("kept") == kept
+        finally:
+            cluster.shutdown()
+
+    def test_duplicate_file_id_is_refused_before_the_index_is_touched(self, tmp_path):
+        cluster = durable(tmp_path, chunking_algo="fastcdc")
+        try:
+            ring = cluster.ring_for("edge-0")
+            data = payload(8)
+            cluster.ingest_file("edge-0", "f", data)
+            before = self._state(cluster)
+            rounds = ring.ring_indexes["edge-0"].lookups.batch_rounds
+            appends = cluster.gc.wal.stats.appends
+            with pytest.raises(RecipeError, match="already stored"):
+                cluster.ingest_file("edge-0", "f", payload(9))
+            assert ring.ring_indexes["edge-0"].lookups.batch_rounds == rounds
+            assert cluster.gc.wal.stats.appends == appends
+            assert self._state(cluster) == before
+            assert cluster.restore_file("f") == data
+        finally:
+            cluster.shutdown()

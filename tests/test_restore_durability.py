@@ -42,10 +42,10 @@ def make_cluster(tmp_path, transport="asyncio", spill_mode="sync", nodes=NODES, 
         gamma=2,
         alpha=50.0,
     )
+    extra.setdefault("lookup_batch", 16)
     config = EFDedupConfig(
         chunk_size=4096,
         replication_factor=2,
-        lookup_batch=16,
         transport=transport,
         rpc_timeout_s=0.5,
         rpc_attempts=5,

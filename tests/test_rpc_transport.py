@@ -248,6 +248,33 @@ class TestRetriesAndFaults:
             assert replays > 0  # duplicates arrived and were answered from cache
             assert cluster.store.unique_keys() == {f"k{i}" for i in range(10)}
 
+    def test_payload_reads_are_not_retained_for_replay(self):
+        """The idempotency cache remembers replies so a retried *write* is
+        never applied twice. A chunk read changes nothing, so its reply —
+        the payload bytes — must not sit in that cache: on a long-lived
+        node every restore would otherwise pin its bytes a second time."""
+        injector = FaultInjector()
+        with live_cluster(fault_injector=injector) as cluster:
+            store = cluster.store
+            chunks = [(f"fp{i}", bytes([i]) * 2048) for i in range(8)]
+            assert store.scatter_put_chunks({"n0": chunks}) == {"n0": None}
+            server = cluster.servers["n0"]
+            cached_writes = len(server._seen)
+            assert cached_writes >= 1  # put_chunks is a write: exact replay kept
+            wanted = [fp for fp, _ in chunks]
+            for _ in range(20):
+                assert store.scatter_get_chunks({"n0": wanted})["n0"] == dict(chunks)
+            assert store.node_chunk_dump("n0") == dict(chunks)
+            assert len(server._seen) == cached_writes
+            for response in server._seen.values():
+                assert "chunks" not in (response.result or {})
+            # A duplicated delivery of a read re-executes and answers the same.
+            injector.duplicate_requests()
+            replays = server.stats.replays
+            assert store.scatter_get_chunks({"n0": wanted})["n0"] == dict(chunks)
+            assert server.stats.replays == replays
+            assert server.stats.by_method["get_chunks"] >= 22
+
     def test_partition_exhausts_retries_into_typed_timeout(self):
         injector = FaultInjector()
         with live_cluster(
