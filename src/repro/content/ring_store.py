@@ -11,11 +11,11 @@ erasure-coded cloud tier behind
 
 Writes are buffered and flushed as **one batched message per target
 node** (the payload sibling of ``put_if_absent_many``): over the live
-transport that is a single ``put_chunks`` RPC with base64 payloads in
-the length-prefixed framing; in-process it is a dict update on the
-member's shelf. Reads scatter one batched ``get_chunks`` to every alive
-member and take the first copy found. Down or unreachable members are
-misses, never errors.
+transport that is a single ``put_chunks`` RPC whose payloads ride raw in
+the frame's blob section (:mod:`repro.rpc.framing`); in-process it is a
+dict update on the member's shelf. Reads scatter one batched
+``get_chunks`` to every alive member and take the first copy found. Down
+or unreachable members are misses, never errors.
 
 The store speaks to both backends through duck typing: a
 :class:`~repro.kvstore.store.DistributedKVStore` (shelves held here,
@@ -26,6 +26,7 @@ since in-process nodes have no server) or a
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from repro.content.base import ContentStats
@@ -165,11 +166,10 @@ class RingContentStore:
                     for n in alive
                 }
             for fingerprint in wanted:
-                # Placement order first so the primary's copy wins.
-                ordered = [
-                    n for n in self.store.replicas_for(fingerprint) if n in by_node
-                ] + [n for n in alive if n not in self.store.replicas_for(fingerprint)]
-                for node_id in ordered:
+                # Placement order first so the primary's copy wins, then
+                # any other alive holder.
+                replicas = self.store.replicas_for(fingerprint)
+                for node_id in chain(replicas, (n for n in alive if n not in replicas)):
                     data = by_node.get(node_id, {}).get(fingerprint)
                     if data is not None:
                         found[fingerprint] = data

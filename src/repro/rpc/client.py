@@ -42,7 +42,7 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, SendPlan
-from repro.rpc.framing import default_codec_name, encode_frame, get_codec, read_frame
+from repro.rpc.framing import default_codec_name, frame_parts, get_codec, read_frame
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.overload import CONTROL_METHODS, BreakerBoard, Deadline, RetryBudget
 from repro.rpc.retry import RetryPolicy
@@ -134,20 +134,21 @@ class _Connection:
 
     # -- sending -------------------------------------------------------- #
 
-    def send_soon(self, frame: bytes, delay_s: float = 0.0, duplicate: bool = False) -> None:
-        """Schedule the frame write without blocking the caller's attempt —
-        a delayed frame races the per-attempt timeout, as on a real wire."""
+    def send_soon(self, frame: list, delay_s: float = 0.0, duplicate: bool = False) -> None:
+        """Schedule the write of a frame (its ``frame_parts`` buffers) without
+        blocking the caller's attempt — a delayed frame races the
+        per-attempt timeout, as on a real wire."""
         task = asyncio.create_task(self._send(frame, delay_s, duplicate))
         self._send_tasks.add(task)
         task.add_done_callback(self._send_tasks.discard)
 
-    async def _send(self, frame: bytes, delay_s: float, duplicate: bool) -> None:
+    async def _send(self, frame: list, delay_s: float, duplicate: bool) -> None:
         try:
             if delay_s:
                 await asyncio.sleep(delay_s)
             if self.closed:
                 return
-            self._writer.write(frame if not duplicate else frame + frame)
+            self._writer.writelines(frame if not duplicate else frame + frame)
             await self._writer.drain()
         except (OSError, asyncio.CancelledError):
             # A failed write surfaces as a timeout/connection error on the
@@ -302,6 +303,12 @@ class RpcClient:
     # -- calls ----------------------------------------------------------- #
 
     async def call(
+        self, dst: str, method: str, params: Optional[dict[str, Any]] = None, **kwargs
+    ) -> Any:
+        """:meth:`request` for callers that only want the reply's result."""
+        return (await self.request(dst, method, params, **kwargs)).result
+
+    async def request(
         self,
         dst: str,
         method: str,
@@ -309,9 +316,12 @@ class RpcClient:
         src: Optional[str] = None,
         timeout_s: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-    ) -> Any:
+        blobs: tuple = (),
+    ) -> Response:
         """One logical call: send, await the correlated response, retry on
         silence, raise :class:`RpcTimeoutError` when the budget is spent.
+        ``blobs`` ride in the frame's blob section on every attempt; the
+        returned :class:`Response` carries the reply's ``result`` and ``blobs``.
 
         Remote application errors are re-raised typed (never retried — they
         are deterministic); transport silence and dead connections are
@@ -337,7 +347,7 @@ class RpcClient:
         request = Request(msg_id, method, params or {}, src=src, dst=dst)
         # Without a deadline the frame is immutable across attempts and
         # encoded once; with one, each attempt re-stamps the remainder.
-        frame = encode_frame(request.to_wire(), self.codec) if deadline is None else b""
+        frame = frame_parts(request.to_wire(), self.codec, blobs) if deadline is None else []
         self.stats.calls += 1
         self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
         backoffs = self.retry.backoff_delays(self._rng)
@@ -385,12 +395,13 @@ class RpcClient:
                         conn.pending[msg_id] = _Pending(future, src)
                         last_conn = conn
                         if deadline is not None:
-                            frame = encode_frame(
+                            frame = frame_parts(
                                 Request(
                                     msg_id, method, request.params, src=src, dst=dst,
                                     deadline_s=max(deadline.remaining(), 0.0),
                                 ).to_wire(),
                                 self.codec,
+                                blobs,
                             )
                         conn.send_soon(frame, delay_s=plan.delay_s, duplicate=plan.duplicate)
                     attempt_timeout = timeout
@@ -426,7 +437,7 @@ class RpcClient:
                             breaker.record_success()
                         if self.retry_budget is not None:
                             self.retry_budget.on_success()
-                        return response.result
+                        return response
                     try:
                         raise_remote_error(response.error)
                     except RpcOverloadError:

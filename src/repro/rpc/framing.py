@@ -1,4 +1,4 @@
-"""Length-prefixed wire framing with pluggable codecs.
+"""Length-prefixed wire framing with pluggable codecs and raw blob sections.
 
 A frame on the wire is::
 
@@ -12,12 +12,29 @@ exactly two ``readexactly`` calls per frame. Every frame names its own
 codec, which lets a server answer msgpack and JSON clients on the same
 port and lets a deployment upgrade codecs without a flag day.
 
-Two codecs ship:
+Chunk payloads travel raw, once, never inside the codec: a frame that
+carries them sets the high bit of the codec byte (:data:`BLOB_FLAG`) and
+its payload is a header plus a **blob section**::
+
+    +--------+------------+---------------+------------------+--------+--------+
+    | length | codec|0x80 | 4-byte header | header: message  | blob 0 | blob 1 | ...
+    |        |            | length        | + "blobs": [len] |        |        |
+    +--------+------------+---------------+------------------+--------+--------+
+
+The blobs follow back to back and must fill the frame exactly; the
+receiver gets the message with ``"blobs"`` replaced by a tuple of
+``bytes`` cut from the one read buffer through a ``memoryview`` (one copy
+per blob). :data:`MAX_FRAME_BYTES` bounds the whole frame, blob section
+included. A frame without the flag is byte-for-byte what it always was,
+so index, claim and control traffic is untouched and old and new peers
+interoperate on it.
+
+Two codecs ship, and both use the same blob section:
 
 - ``json`` — always available; fingerprints and metadata are strings, so
   UTF-8 JSON round-trips every message the store sends.
-- ``msgpack`` — used when the ``msgpack`` package is importable; smaller
-  and faster but never required (the container image may not carry it).
+- ``msgpack`` — used when the ``msgpack`` package is importable (the
+  ``fast`` extra); smaller and faster but never required.
 
 ``default_codec_name()`` picks msgpack when present, else JSON.
 """
@@ -25,6 +42,7 @@ Two codecs ship:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import struct
 from typing import Any, Optional
@@ -34,6 +52,13 @@ from repro.rpc.errors import FrameError
 # A frame larger than this is a protocol violation, not a big message —
 # reject it instead of letting a corrupt length prefix allocate gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+# Payload ops stop filling a frame at this many blob bytes, so a shelf of
+# any size moves in several frames, none near the limit.
+BLOB_BUDGET_BYTES = MAX_FRAME_BYTES // 4
+
+# High bit of the codec byte: the payload is a header plus a blob section.
+BLOB_FLAG = 0x80
 
 _LEN = struct.Struct(">I")
 
@@ -111,20 +136,73 @@ def get_codec(name: str):
         ) from None
 
 
-def encode_frame(obj: Any, codec=JsonCodec) -> bytes:
-    """Serialize ``obj`` into one complete wire frame."""
-    payload = codec.encode(obj)
-    body_len = 1 + len(payload)
+def frame_parts(obj: Any, codec=JsonCodec, blobs=()) -> list:
+    """One wire frame as the buffers to hand to ``writelines``: the head,
+    then each blob as given — the sender never concatenates a second copy.
+
+    Raises:
+        FrameError: the frame (blob section included) exceeds the limit.
+    """
+    if not blobs:
+        payload = codec.encode(obj)
+        body_len = 1 + len(payload)
+        flag, prefix = 0, b""
+    else:
+        lengths = [len(blob) for blob in blobs]
+        payload = codec.encode({**obj, "blobs": lengths})
+        body_len = 1 + _LEN.size + len(payload) + sum(lengths)
+        flag, prefix = BLOB_FLAG, _LEN.pack(len(payload))
     if body_len > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {body_len} bytes exceeds limit {MAX_FRAME_BYTES}")
-    return _LEN.pack(body_len) + bytes([codec.wire_id]) + payload
+    head = _LEN.pack(body_len) + bytes([codec.wire_id | flag]) + prefix + payload
+    return [head, *blobs]
+
+
+def encode_frame(obj: Any, codec=JsonCodec, blobs=()) -> bytes:
+    """Serialize ``obj`` (a dict when ``blobs`` are given) into one
+    complete wire frame."""
+    return b"".join(frame_parts(obj, codec, blobs))
+
+
+def _decode_payload(codec, payload: bytes) -> Any:
+    try:
+        return codec.decode(payload)
+    except Exception as exc:  # whatever the codec raises on garbage
+        raise FrameError(f"undecodable {codec.name} frame: {exc}") from None
+
+
+def _decode_body(body: memoryview) -> Any:
+    """Decode a frame body (codec byte onward) into its message."""
+    codec = _CODECS_BY_ID.get(body[0] & ~BLOB_FLAG)
+    if codec is None:
+        raise FrameError(f"unknown codec id {body[0] & ~BLOB_FLAG} in frame")
+    if not body[0] & BLOB_FLAG:
+        return _decode_payload(codec, bytes(body[1:]))
+    if len(body) < 1 + _LEN.size:
+        raise FrameError("blob frame is too short for its header length")
+    start = 1 + _LEN.size + _LEN.unpack_from(body, 1)[0]
+    if start > len(body):
+        raise FrameError("blob frame header overruns the frame")
+    message = _decode_payload(codec, bytes(body[1 + _LEN.size : start]))
+    lengths = message.get("blobs") if isinstance(message, dict) else None
+    if (
+        not isinstance(lengths, list)
+        or any(type(n) is not int or n < 0 for n in lengths)
+        or start + sum(lengths) != len(body)
+    ):
+        raise FrameError("blob lengths do not match the frame's blob section")
+    ends = list(itertools.accumulate(lengths, initial=start))
+    message["blobs"] = tuple(bytes(body[a:b]) for a, b in zip(ends, ends[1:]))
+    return message
 
 
 def decode_frame(frame: bytes) -> tuple[Any, int]:
     """Decode one complete frame; returns ``(message, bytes_consumed)``.
+    A blob frame's message carries its blobs under ``"blobs"``.
 
     Raises:
-        FrameError: short buffer, oversize length, or unknown codec id.
+        FrameError: short buffer, oversize length, unknown codec id,
+            undecodable payload, or a blob section that does not add up.
     """
     if len(frame) < _LEN.size:
         raise FrameError(f"frame header needs {_LEN.size} bytes, got {len(frame)}")
@@ -136,16 +214,14 @@ def decode_frame(frame: bytes) -> tuple[Any, int]:
     end = _LEN.size + body_len
     if len(frame) < end:
         raise FrameError(f"truncated frame: need {end} bytes, got {len(frame)}")
-    codec_id = frame[_LEN.size]
-    codec = _CODECS_BY_ID.get(codec_id)
-    if codec is None:
-        raise FrameError(f"unknown codec id {codec_id} in frame")
-    return codec.decode(frame[_LEN.size + 1 : end]), end
+    return _decode_body(memoryview(frame)[_LEN.size : end]), end
 
 
-async def write_frame(writer: asyncio.StreamWriter, obj: Any, codec=JsonCodec) -> None:
+async def write_frame(
+    writer: asyncio.StreamWriter, obj: Any, codec=JsonCodec, blobs=()
+) -> None:
     """Write one framed message and drain the transport."""
-    writer.write(encode_frame(obj, codec))
+    writer.writelines(frame_parts(obj, codec, blobs))
     await writer.drain()
 
 
@@ -153,7 +229,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     """Read one framed message; returns None on clean EOF at a frame boundary.
 
     Raises:
-        FrameError: corrupt header/codec, or EOF inside a frame.
+        FrameError: corrupt header/codec/blob section, or EOF inside a frame.
     """
     try:
         header = await reader.readexactly(_LEN.size)
@@ -172,7 +248,4 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
         raise FrameError(
             f"connection closed mid-frame ({len(exc.partial)} of {body_len} bytes)"
         ) from None
-    codec = _CODECS_BY_ID.get(body[0])
-    if codec is None:
-        raise FrameError(f"unknown codec id {body[0]} in frame")
-    return codec.decode(body[1:])
+    return _decode_body(memoryview(body))

@@ -40,6 +40,9 @@ class Request:
     re-stamps it per attempt with what is left; the server drops work
     whose local queue wait exceeds it. ``None`` (and its absence on old
     frames) means unbounded, so mixed-version peers interoperate.
+
+    ``blobs`` are raw chunk payloads riding in the frame's blob section
+    (see :mod:`repro.rpc.framing`); they never enter :meth:`to_wire`.
     """
 
     msg_id: str
@@ -48,6 +51,7 @@ class Request:
     src: Optional[str] = None
     dst: Optional[str] = None
     deadline_s: Optional[float] = None
+    blobs: tuple = ()
 
     def to_wire(self) -> dict[str, Any]:
         wire = {
@@ -75,6 +79,7 @@ class Request:
                 src=obj.get("src"),
                 dst=obj.get("dst"),
                 deadline_s=None if deadline_s is None else float(deadline_s),
+                blobs=tuple(obj.get("blobs") or ()),
             )
         except (KeyError, TypeError) as exc:
             raise FrameError(f"malformed request frame: {obj!r}") from exc
@@ -85,17 +90,19 @@ class Response:
     """The reply to one request, matched by ``msg_id``.
 
     Exactly one of ``result`` (ok) or ``error`` (a ``{"type", "message"}``
-    dict naming the remote exception) is meaningful.
+    dict naming the remote exception) is meaningful. ``blobs`` are raw
+    chunk payloads from the frame's blob section, outside :meth:`to_wire`.
     """
 
     msg_id: str
     ok: bool
     result: Any = None
     error: Optional[dict[str, str]] = None
+    blobs: tuple = ()
 
     @staticmethod
-    def success(msg_id: str, result: Any) -> "Response":
-        return Response(msg_id=msg_id, ok=True, result=result)
+    def success(msg_id: str, result: Any, blobs: tuple = ()) -> "Response":
+        return Response(msg_id=msg_id, ok=True, result=result, blobs=blobs)
 
     @staticmethod
     def failure(msg_id: str, exc: BaseException) -> "Response":
@@ -124,6 +131,7 @@ class Response:
                 ok=bool(obj["ok"]),
                 result=obj.get("result"),
                 error=obj.get("error"),
+                blobs=tuple(obj.get("blobs") or ()),
             )
         except (KeyError, TypeError) as exc:
             raise FrameError(f"malformed response frame: {obj!r}") from exc

@@ -37,7 +37,6 @@ Divergence from the in-process store, by design:
 from __future__ import annotations
 
 import asyncio
-import base64
 import itertools
 import threading
 import time
@@ -55,6 +54,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcError
+from repro.rpc.framing import BLOB_BUDGET_BYTES
 
 # Hints replayed per multi_put during recovery: bounded so one failed
 # frame forfeits at most this much progress (the rest is re-buffered).
@@ -512,6 +512,10 @@ class RemoteKVStore:
                 node_id, "multi_put", {"entries": entries}, src=coordinator
             )
 
+        return await self._gather_acks(groups, one)
+
+    @staticmethod
+    async def _gather_acks(groups: dict, one) -> dict[str, Optional[Exception]]:
         outcomes = await asyncio.gather(
             *(one(n, es) for n, es in groups.items()), return_exceptions=True
         )
@@ -530,42 +534,42 @@ class RemoteKVStore:
     # chunk payloads (content plane)
     # ------------------------------------------------------------------ #
     #
-    # Payload bytes travel base64-encoded inside the framed params so the
-    # JSON codec (which has no bytes type) round-trips them. Unreachable or
-    # down replicas are tolerated — the edge copy is a locality cache and
-    # the erasure-coded cloud tier is the durable tier, so a skipped node
-    # is a miss, not a failure.
+    # Payload bytes travel raw in the frame's blob section (see
+    # repro.rpc.framing): the params name the fingerprints, the blobs
+    # follow in the same order. Unreachable or down replicas are
+    # tolerated — the edge copy is a locality cache and the
+    # erasure-coded cloud tier is the durable tier, so a skipped node is
+    # a miss, not a failure.
 
     def scatter_put_chunks(
         self, groups: dict[str, list[tuple[str, bytes]]]
     ) -> dict[str, Optional[Exception]]:
         """One batched ``put_chunks`` message per target node (the payload
-        sibling of the ``put_if_absent_many`` scatter); returns node id →
-        error-or-None."""
+        sibling of the ``put_if_absent_many`` scatter; a batch above the
+        frame budget goes as several); returns node id → error-or-None."""
         return self._sync(self._a_scatter_put_chunks(groups))
 
     async def _a_scatter_put_chunks(
         self, groups: dict[str, list[tuple[str, bytes]]]
     ) -> dict[str, Optional[Exception]]:
         async def one(node_id: str, entries: list[tuple[str, bytes]]):
-            wire = [
-                [fp, base64.b64encode(data).decode("ascii")] for fp, data in entries
-            ]
-            await self._client.call(node_id, "put_chunks", {"entries": wire})
+            start, size = 0, 0
+            for end, (_, data) in enumerate(entries):
+                if end > start and size + len(data) > BLOB_BUDGET_BYTES:
+                    await put(node_id, entries[start:end])
+                    start, size = end, 0
+                size += len(data)
+            await put(node_id, entries[start:])
 
-        outcomes = await asyncio.gather(
-            *(one(n, es) for n, es in groups.items()), return_exceptions=True
-        )
-        acked: dict[str, Optional[Exception]] = {}
-        for node_id, outcome in zip(groups, outcomes):
-            if isinstance(outcome, BaseException) and not isinstance(
-                outcome, (RpcError, NodeDownError)
-            ):
-                raise outcome
-            acked[node_id] = (
-                outcome if isinstance(outcome, (RpcError, NodeDownError)) else None
+        async def put(node_id: str, entries: list[tuple[str, bytes]]):
+            await self._client.call(
+                node_id,
+                "put_chunks",
+                {"fingerprints": [fp for fp, _ in entries]},
+                blobs=tuple(data for _, data in entries),
             )
-        return acked
+
+        return await self._gather_acks(groups, one)
 
     def scatter_get_chunks(
         self, groups: dict[str, list[str]]
@@ -579,17 +583,29 @@ class RemoteKVStore:
     ) -> dict[str, dict[str, Optional[bytes]]]:
         async def one(node_id: str, fingerprints: list[str]):
             try:
-                result = await self._client.call(
-                    node_id, "get_chunks", {"fingerprints": fingerprints}
+                return node_id, await self._fetch_chunks(
+                    node_id, "get_chunks", fingerprints
                 )
             except (RpcError, NodeDownError):
                 return node_id, {}
-            return node_id, {
-                fp: None if row is None else base64.b64decode(row)
-                for fp, row in result["chunks"].items()
-            }
 
         return dict(await asyncio.gather(*(one(n, fs) for n, fs in groups.items())))
+
+    async def _fetch_chunks(
+        self, node_id: str, method: str, fingerprints: list[str]
+    ) -> dict[str, Optional[bytes]]:
+        """Fingerprint → payload (None when absent) from one node. A reply
+        stops at the server's frame budget and says how far down the list
+        it got; the rest is asked for again, so one call is the rule and a
+        shelf of any size still arrives."""
+        out: dict[str, Optional[bytes]] = dict.fromkeys(fingerprints)
+        while fingerprints:
+            reply = await self._client.request(
+                node_id, method, {"fingerprints": fingerprints}
+            )
+            out.update(zip(reply.result["found"], reply.blobs))
+            fingerprints = fingerprints[reply.result["scanned"] :]
+        return out
 
     def scatter_delete_chunks(
         self, node_ids: "Iterable[str]", fingerprints: "Iterable[str]"
@@ -631,15 +647,17 @@ class RemoteKVStore:
         return self._sync(go())
 
     def node_chunk_dump(self, node_id: str) -> dict[str, bytes]:
-        """Full payload shelf of one node (operator flow for rehoming and
-        migration carry; {} when the process is unreachable)."""
+        """Full payload shelf of one node, paged under the frame limit
+        (operator flow for rehoming and migration carry: served while the
+        replica is down; {} when the process is unreachable)."""
 
         async def go():
             try:
-                result = await self._client.call(node_id, "chunk_dump")
+                keys = (await self._client.call(node_id, "chunk_keys"))["fingerprints"]
+                shelf = await self._fetch_chunks(node_id, "chunk_dump", keys)
             except RpcError:
                 return {}
-            return {fp: base64.b64decode(row) for fp, row in result["chunks"].items()}
+            return {fp: data for fp, data in shelf.items() if data is not None}
 
         return self._sync(go())
 

@@ -15,9 +15,10 @@ Two server-side behaviors make retries safe:
 - **Idempotency cache.** Responses are remembered per correlation id
   (bounded LRU). A retried or duplicated delivery of a request the server
   already executed returns the *original* response instead of re-executing,
-  so a non-idempotent claim is never applied twice. Payload-bearing reads
-  (``get_chunks``, ``chunk_dump``) are the exception: they mutate nothing,
-  so a duplicate simply re-executes and their replies are never retained.
+  so a non-idempotent claim is never applied twice. Reads of the chunk
+  shelf (``get_chunks``, ``chunk_dump``, ``chunk_keys``) are the exception:
+  they mutate nothing, so a duplicate simply re-executes and their replies
+  — payloads, or the key list of a whole shelf — are never retained.
 - **Down-state.** ``set_down(True)`` makes data operations fail with
   ``NodeDownError`` (the process answers, the replica refuses — a crashed
   replica is modeled client-side by the coordinator's aliveness set).
@@ -50,13 +51,15 @@ not, so each connection serializes writes behind a lock.
 Wire value encoding: a stored entry travels as ``[value, timestamp,
 tombstone]``; ``multi_put`` takes ``[key, value, timestamp, tombstone]``
 rows. Fingerprints and metadata are strings, so both codecs round-trip
-them losslessly.
+them losslessly. Chunk payloads never enter the codec: ``put_chunks``
+names its fingerprints in the params and carries the bytes in the
+frame's blob section, and ``get_chunks`` / ``chunk_dump`` answer the same
+way (see :mod:`repro.rpc.framing`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -69,18 +72,21 @@ from repro.obs.histogram import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import get_codec, read_frame, write_frame
+from repro.rpc.framing import BLOB_BUDGET_BYTES, get_codec, read_frame, write_frame
 from repro.rpc.messages import Request, Response
 from repro.rpc.overload import CONTROL_METHODS, AdmissionController
 
 # Correlation ids remembered for retry/duplicate suppression.
 DEFAULT_IDEMPOTENCY_CAPACITY = 4096
 
-# Reads whose replies carry chunk payloads. Their responses are not
-# remembered: a replayed read re-executes (it changes nothing, so the answer
-# is as good), whereas retaining it would pin up to a cache-full of payload
-# batches — more memory than the shelf that served them.
-_PAYLOAD_READS = frozenset({"get_chunks", "chunk_dump"})
+# Handlers that take the request's blobs and return ``(result, blobs)``.
+_BLOB_METHODS = frozenset({"put_chunks", "get_chunks", "chunk_dump"})
+
+# Reads of the chunk shelf. Their responses are not remembered: a replayed
+# read re-executes (it changes nothing, so the answer is as good), whereas
+# retaining it would pin up to a cache-full of payload batches or key
+# lists — more memory than the shelf that served them.
+_SHELF_READS = frozenset({"get_chunks", "chunk_dump", "chunk_keys"})
 
 
 @dataclass
@@ -93,6 +99,7 @@ class ServerStats:
     connections: int = 0
     shed: int = 0  # refused at admission (RpcOverloadError)
     deadline_drops: int = 0  # expired in queue, dropped unexecuted
+    frame_errors: int = 0  # malformed frames; each one cost its connection
     by_method: dict[str, int] = field(default_factory=dict)
 
     def snapshot(self) -> dict[str, Any]:
@@ -103,6 +110,7 @@ class ServerStats:
             "server.connections": self.connections,
             "server.shed": self.shed,
             "server.deadline_drops": self.deadline_drops,
+            "server.frame_errors": self.frame_errors,
             "server.by_method": dict(self.by_method),
         }
 
@@ -245,11 +253,12 @@ class NodeServer:
             while True:
                 try:
                     obj = await read_frame(reader)
+                    if obj is None:
+                        break
+                    request = Request.from_wire(obj)
                 except FrameError:
+                    self.stats.frame_errors += 1
                     break  # protocol violation: drop the connection
-                if obj is None:
-                    break
-                request = Request.from_wire(obj)
                 received = time.perf_counter()
                 await self._serve(request, writer, write_lock, received)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -347,7 +356,13 @@ class NodeServer:
     ) -> None:
         try:
             async with write_lock:
-                await write_frame(writer, response.to_wire(), self.codec)
+                try:
+                    await write_frame(writer, response.to_wire(), self.codec, response.blobs)
+                except FrameError as exc:
+                    # Nothing was written: the reply is over the frame limit.
+                    # The caller gets a typed error, not a dead connection.
+                    failure = Response.failure(response.msg_id, exc)
+                    await write_frame(writer, failure.to_wire(), self.codec)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # peer went away; its retry will reconnect
 
@@ -380,13 +395,17 @@ class NodeServer:
         try:
             if handler is None:
                 raise FrameError(f"unknown method {request.method!r}")
-            response = Response.success(request.msg_id, handler(self, request.params))
+            if request.method in _BLOB_METHODS:
+                result, blobs = handler(self, request.params, request.blobs)
+            else:
+                result, blobs = handler(self, request.params), ()
+            response = Response.success(request.msg_id, result, blobs)
         except (KVStoreError, ValueError, TypeError, KeyError) as exc:
             self.stats.errors += 1
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
             response = Response.failure(request.msg_id, exc)
-        if request.method not in _PAYLOAD_READS:
+        if request.method not in _SHELF_READS:
             self._seen[request.msg_id] = response
             while len(self._seen) > self._idempotency_capacity:
                 self._seen.popitem(last=False)
@@ -418,17 +437,19 @@ class NodeServer:
         if not self.node.is_up:
             raise NodeDownError(f"node {self.node_id!r} is down")
 
-    def _op_put_chunks(self, params: dict) -> dict:
-        """Batched payload writes: ``entries`` is [[fingerprint, b64], ...].
-
-        Payloads travel base64-encoded so both codecs (JSON has no bytes
-        type) round-trip them losslessly.
-        """
+    def _op_put_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
+        """Batched payload writes: ``fingerprints`` names the request's
+        blobs, in order. A count mismatch stores nothing."""
         self._require_up()
+        fingerprints = params["fingerprints"]
+        if len(fingerprints) != len(blobs):
+            raise ValueError(
+                f"put_chunks names {len(fingerprints)} fingerprints "
+                f"but carries {len(blobs)} blobs"
+            )
         stored = 0
         stored_bytes = 0
-        for fingerprint, encoded in params["entries"]:
-            data = base64.b64decode(encoded)
+        for fingerprint, data in zip(fingerprints, blobs):
             if fingerprint not in self.chunks:
                 self.chunk_bytes += len(data)
                 stored += 1
@@ -436,17 +457,34 @@ class NodeServer:
             else:
                 self.chunk_bytes += len(data) - len(self.chunks[fingerprint])
             self.chunks[fingerprint] = data
-        return {"stored": stored, "bytes": stored_bytes}
+        return {"stored": stored, "bytes": stored_bytes}, ()
 
-    def _op_get_chunks(self, params: dict) -> dict:
-        """Batched payload reads; a missing fingerprint maps to None (the
-        caller treats it as a cache miss, not an error)."""
+    def _op_get_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
         self._require_up()
-        out: dict[str, Optional[str]] = {}
+        return self._op_chunk_dump(params, blobs)
+
+    def _op_chunk_dump(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
+        """Batched payload reads: ``found`` names the reply's blobs, in
+        order. The reply stops filling at ``BLOB_BUDGET_BYTES``;
+        ``scanned`` says how many of the asked fingerprints it covers — of
+        those, one not ``found`` is absent (a cache miss, not an error) —
+        and the caller asks again for the rest. ``get_chunks`` is the data
+        op; under this name it is the operator's (served while down, like
+        ``chunk_keys``, so a refusing replica's shelf can be rehomed)."""
+        found: list[str] = []
+        out: list[bytes] = []
+        budget = BLOB_BUDGET_BYTES
+        scanned = 0
         for fingerprint in params["fingerprints"]:
             data = self.chunks.get(fingerprint)
-            out[fingerprint] = None if data is None else base64.b64encode(data).decode("ascii")
-        return {"chunks": out}
+            if data is not None:
+                if out and len(data) > budget:
+                    break  # full; a lone oversize blob still travels alone
+                found.append(fingerprint)
+                out.append(data)
+                budget -= len(data)
+            scanned += 1
+        return {"found": found, "scanned": scanned}, tuple(out)
 
     def _op_delete_chunks(self, params: dict) -> dict:
         self._require_up()
@@ -464,14 +502,6 @@ class NodeServer:
         # Operator view like dump: works while down, so a decommission or
         # GC sweep can still enumerate what a refusing replica holds.
         return {"fingerprints": sorted(self.chunks)}
-
-    def _op_chunk_dump(self, params: dict) -> dict:
-        return {
-            "chunks": {
-                fp: base64.b64encode(data).decode("ascii")
-                for fp, data in self.chunks.items()
-            }
-        }
 
     # ------------------------------------------------------------------ #
     # operations — control plane (always served)

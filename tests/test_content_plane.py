@@ -410,3 +410,34 @@ class TestContentPlane:
     def test_invalid_spill_mode_rejected(self):
         with pytest.raises(ValueError):
             ContentPlane(ErasureCodedChunkStore(2, 1), spill_mode="maybe")
+
+
+class TestGetManyPlacement:
+    def test_placement_resolved_once_per_wanted_fingerprint(self):
+        """``get_many`` used to ask ``replicas_for`` twice per fingerprint
+        (22 % of a healthy restore after the payload frames went raw)."""
+        ring = make_ring(n=3, rf=2, batch=64)
+        for i in range(20):
+            ring.content.put_chunk(f"fp{i}", bytes([i]) * 3)
+        ring.content.flush()
+        calls = []
+        real = ring.store.replicas_for
+        ring.store.replicas_for = lambda key: calls.append(key) or real(key)
+        wanted = [f"fp{i}" for i in range(20)] + ["absent", "fp3", "fp3"]
+        found = ring.content.get_many(wanted)
+        assert found == {f"fp{i}": bytes([i]) * 3 for i in range(20)}
+        assert sorted(calls) == sorted(set(wanted))  # once each, repeats folded
+
+    def test_primary_copy_wins_then_any_alive_holder(self):
+        ring = make_ring(n=3, rf=2)
+        primary, secondary = ring.store.replicas_for("fp")
+        (outsider,) = set(ring.store.nodes) - {primary, secondary}
+        shelves = ring.content._shelves
+        shelves[outsider]["fp"] = b"outsider"
+        assert ring.content.get_many(["fp"]) == {"fp": b"outsider"}
+        shelves[secondary]["fp"] = b"secondary"
+        assert ring.content.get_many(["fp"]) == {"fp": b"secondary"}
+        shelves[primary]["fp"] = b"primary"
+        assert ring.content.get_many(["fp"]) == {"fp": b"primary"}
+        ring.store.mark_down(primary)
+        assert ring.content.get_many(["fp"]) == {"fp": b"secondary"}

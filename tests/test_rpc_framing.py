@@ -3,17 +3,24 @@ retry schedules, and the fault injector's rule engine."""
 
 import asyncio
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rpc.errors import FrameError
 from repro.rpc.faults import FaultInjector, FaultRule
 from repro.rpc.framing import (
+    BLOB_BUDGET_BYTES,
+    BLOB_FLAG,
+    MAX_FRAME_BYTES,
     JsonCodec,
     available_codecs,
     decode_frame,
     default_codec_name,
     encode_frame,
+    frame_parts,
     get_codec,
     read_frame,
 )
@@ -237,3 +244,219 @@ class TestFaultInjector:
         inj = FaultInjector()
         with pytest.raises(ValueError):
             inj.heal("a")
+
+
+# --------------------------------------------------------------------- #
+# Blob frames: raw payload section behind the BLOB_FLAG bit
+# --------------------------------------------------------------------- #
+
+CODECS = sorted(available_codecs())
+
+# Captured from the parent commit (PR 13): the index plane's wire bytes.
+GOLDEN_MULTI_PUT_REQUEST = (
+    b'\x00\x00\x00\x8c\x00{"kind":"req","id":"c0ffee-7","method":"multi_put",'
+    b'"params":{"entries":[["fp-a","meta",3,false],["fp-b","",4,true]]},'
+    b'"src":"n0","dst":"n2"}'
+)
+GOLDEN_DEADLINE_REQUEST = (
+    b'\x00\x00\x00\x8a\x00{"kind":"req","id":"c0ffee-8","method":"multi_put",'
+    b'"params":{"entries":[["fp-a","meta",3,false]]},'
+    b'"src":"n0","dst":"n2","deadline_s":0.5}'
+)
+GOLDEN_PING_RESPONSE = (
+    b'\x00\x00\x00X\x00{"kind":"resp","id":"c0ffee-9","ok":true,'
+    b'"result":{"node":"n1","up":true},"error":null}'
+)
+
+
+def blob_frame(header: bytes, section: bytes = b"", codec_byte: int = 0x80) -> bytes:
+    """A hand-built blob frame, for feeding the decoder things the
+    encoder would never write."""
+    body = bytes([codec_byte]) + struct.pack(">I", len(header)) + header + section
+    return struct.pack(">I", len(body)) + body
+
+
+def read_all(data: bytes) -> list:
+    """Every message ``read_frame`` yields from a stream holding ``data``."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        out = []
+        while (obj := await read_frame(reader)) is not None:
+            out.append(obj)
+        return out
+
+    return asyncio.run(run())
+
+
+class TestGoldenBytes:
+    """Frames without blobs are byte-for-byte the parent commit's."""
+
+    def test_multi_put_request(self):
+        request = Request(
+            "c0ffee-7", "multi_put",
+            {"entries": [["fp-a", "meta", 3, False], ["fp-b", "", 4, True]]},
+            src="n0", dst="n2",
+        )
+        assert encode_frame(request.to_wire()) == GOLDEN_MULTI_PUT_REQUEST
+        assert frame_parts(request.to_wire()) == [GOLDEN_MULTI_PUT_REQUEST]
+        assert Request.from_wire(decode_frame(GOLDEN_MULTI_PUT_REQUEST)[0]) == request
+
+    def test_deadline_request(self):
+        request = Request(
+            "c0ffee-8", "multi_put", {"entries": [["fp-a", "meta", 3, False]]},
+            src="n0", dst="n2", deadline_s=0.5,
+        )
+        assert encode_frame(request.to_wire()) == GOLDEN_DEADLINE_REQUEST
+
+    def test_ping_response(self):
+        response = Response.success("c0ffee-9", {"node": "n1", "up": True})
+        assert encode_frame(response.to_wire()) == GOLDEN_PING_RESPONSE
+        assert read_all(GOLDEN_PING_RESPONSE) == [response.to_wire()]
+
+    def test_blobs_never_enter_the_envelope(self):
+        request = Request("id-1", "put_chunks", {"fingerprints": ["a"]}, blobs=(b"x",))
+        response = Response.success("id-1", {"found": ["a"]}, blobs=(b"x",))
+        assert "blobs" not in request.to_wire()
+        assert "blobs" not in response.to_wire()
+
+
+class TestBlobFrames:
+    @pytest.mark.parametrize("name", CODECS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blobs=st.lists(st.binary(max_size=300), max_size=6),
+        params=st.dictionaries(st.text(max_size=4), st.integers(-5, 5), max_size=3),
+    )
+    def test_roundtrip_every_codec(self, name, blobs, params):
+        codec = get_codec(name)
+        message = {"kind": "req", "id": "x-1", "params": params}
+        frame = encode_frame(message, codec, blobs)
+        assert frame == b"".join(frame_parts(message, codec, blobs))
+        decoded, consumed = decode_frame(frame + b"trailing")
+        assert consumed == len(frame)
+        assert decoded.pop("blobs", ()) == tuple(blobs)
+        assert decoded == message
+        assert bool(frame[4] & BLOB_FLAG) == bool(blobs)
+        [streamed] = read_all(frame)
+        assert streamed.pop("blobs", ()) == tuple(blobs)
+        assert streamed == message
+
+    @pytest.mark.parametrize("name", CODECS)
+    def test_flagged_frame_with_zero_blobs_decodes(self, name):
+        codec = get_codec(name)
+        frame = blob_frame(codec.encode({"id": "z", "blobs": []}), b"", codec.wire_id | 0x80)
+        assert decode_frame(frame) == ({"id": "z", "blobs": ()}, len(frame))
+        assert read_all(frame) == [{"id": "z", "blobs": ()}]
+
+    @pytest.mark.parametrize("name", CODECS)
+    def test_blob_bytes_on_the_wire_are_the_payload_itself(self, name):
+        payload = bytes(range(256)) * 3
+        frame = encode_frame({"id": "s"}, get_codec(name), [payload])
+        assert frame.endswith(payload) and frame.count(payload) == 1
+
+    def test_sender_hands_blobs_over_uncopied(self):
+        blobs = [b"a" * 100, b"", b"b" * 50]
+        head, *rest = frame_parts({"id": "p"}, JsonCodec, blobs)
+        assert all(sent is given for sent, given in zip(rest, blobs))
+        assert int.from_bytes(head[:4], "big") == len(head) - 4 + 150
+
+    def test_receiver_returns_bytes_not_views_of_the_read_buffer(self):
+        decoded, _ = decode_frame(encode_frame({"id": "p"}, JsonCodec, [b"abc", b"de"]))
+        assert decoded["blobs"] == (b"abc", b"de")
+        assert all(type(blob) is bytes for blob in decoded["blobs"])
+
+    def test_unknown_codec_id_behind_the_flag(self):
+        with pytest.raises(FrameError, match="unknown codec id 122"):
+            decode_frame(blob_frame(b'{"blobs":[]}', codec_byte=0x80 | 122))
+
+    def test_header_length_overrunning_the_frame(self):
+        good = blob_frame(b'{"blobs":[]}')
+        bad = good[:5] + struct.pack(">I", 13) + good[9:]  # header is 12 bytes
+        with pytest.raises(FrameError, match="overruns"):
+            decode_frame(bad)
+        with pytest.raises(FrameError, match="overruns"):
+            read_all(bad)
+        with pytest.raises(FrameError, match="too short"):
+            decode_frame(struct.pack(">I", 3) + b"\x80\x00\x00")
+
+    @pytest.mark.parametrize(
+        "lengths",
+        ["[-1, 4]", "[1.5, 1.5]", "[true, 2]", '["3"]', "[2]", "[4]", "[1, 1]", "null", "3", '{"0": 3}'],
+    )
+    def test_blob_lengths_that_do_not_add_up(self, lengths):
+        frame = blob_frame(b'{"id":"q","blobs":%s}' % lengths.encode(), b"abc")
+        with pytest.raises(FrameError, match="blob lengths"):
+            decode_frame(frame)
+        with pytest.raises(FrameError, match="blob lengths"):
+            read_all(frame)
+
+    def test_header_must_be_a_message_with_blob_lengths(self):
+        for header in (b"[3]", b'"abc"', b'{"id":"q"}'):
+            with pytest.raises(FrameError, match="blob lengths"):
+                decode_frame(blob_frame(header, b"abc"))
+
+    @pytest.mark.parametrize("name", CODECS)
+    def test_wrong_codec_payload_is_a_frame_error(self, name):
+        codec = get_codec(name)
+        garbage = b"\xc1\xff{{{ not a message"
+        with pytest.raises(FrameError, match="undecodable"):
+            decode_frame(blob_frame(garbage, b"", codec.wire_id | 0x80))
+        with pytest.raises(FrameError, match="undecodable"):
+            read_all(struct.pack(">I", 1 + len(garbage)) + bytes([codec.wire_id]) + garbage)
+
+    @pytest.mark.parametrize("name", CODECS)
+    def test_truncation_at_every_byte(self, name):
+        """Mid-header, mid-section, anywhere: a cut frame is a FrameError;
+        only a cut exactly at a frame boundary is a clean EOF."""
+        frame = encode_frame({"id": "t", "n": 1}, get_codec(name), [b"abcd", b"", b"xyz"])
+        for cut in range(1, len(frame)):
+            with pytest.raises(FrameError):
+                decode_frame(frame[:cut])
+            with pytest.raises(FrameError):
+                read_all(frame[:cut])
+            with pytest.raises(FrameError):
+                read_all(frame + frame[:cut])
+        assert read_all(b"") == []
+        assert len(read_all(frame + frame)) == 2
+
+    def test_oversize_refused_on_encode_before_any_join(self):
+        # Two blobs that each fit but together do not: nothing is joined,
+        # nothing near the limit is allocated (bytes(n) is lazily zeroed).
+        half = bytes(MAX_FRAME_BYTES // 2)
+        with pytest.raises(FrameError, match="exceeds limit"):
+            frame_parts({"id": "big"}, JsonCodec, [half, half])
+        with pytest.raises(FrameError, match="exceeds limit"):
+            encode_frame({"id": "big"}, JsonCodec, [half, half])
+        assert BLOB_BUDGET_BYTES * 2 <= MAX_FRAME_BYTES
+
+    def test_oversize_refused_on_read_before_the_body(self):
+        """The length prefix alone condemns the frame: ``read_frame`` never
+        asks the stream for the body, so nothing is allocated for it."""
+
+        class HeaderOnly:
+            asked: list = []
+
+            async def readexactly(self, n):
+                self.asked.append(n)
+                return struct.pack(">I", MAX_FRAME_BYTES + 1)
+
+        stream = HeaderOnly()
+        with pytest.raises(FrameError, match="bad frame body length"):
+            asyncio.run(read_frame(stream))
+        assert stream.asked == [4]
+        with pytest.raises(FrameError, match="exceeds limit"):
+            decode_frame(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"\x80")
+
+    def test_envelopes_pick_the_blobs_up(self):
+        wire = Request("id-1", "put_chunks", {"fingerprints": ["a", "b"]}).to_wire()
+        decoded, _ = decode_frame(encode_frame(wire, JsonCodec, [b"A", b"BB"]))
+        request = Request.from_wire(decoded)
+        assert request.blobs == (b"A", b"BB") and request.params == {"fingerprints": ["a", "b"]}
+        wire = Response.success("id-1", {"found": ["a"]}).to_wire()
+        decoded, _ = decode_frame(encode_frame(wire, JsonCodec, [b"A"]))
+        assert Response.from_wire(decoded) == Response.success("id-1", {"found": ["a"]}, (b"A",))
+        with pytest.raises(FrameError):  # un-flagged frame smuggling a non-sequence
+            Request.from_wire({**wire, "kind": "req", "method": "m", "blobs": 5})
