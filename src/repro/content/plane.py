@@ -234,8 +234,8 @@ class ContentPlane:
         self.stats.edge_hits += len(found)
         if missing:
             self.flush()  # a queued spill may hold the only durable copy
-        for fingerprint in missing:
-            with self._tier_lock:
+        with self._tier_lock:  # one acquisition per batch
+            for fingerprint in missing:
                 try:
                     found[fingerprint] = self.tier.get_chunk(fingerprint)
                 except KeyError:
@@ -243,7 +243,7 @@ class ContentPlane:
                     raise KeyError(
                         f"chunk {fingerprint!r} not found in any content layer"
                     ) from None
-            self.stats.tier_hits += 1
+                self.stats.tier_hits += 1
         return found
 
     # ------------------------------------------------------------------ #

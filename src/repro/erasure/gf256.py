@@ -2,13 +2,17 @@
 
 The field is GF(2)[x] / (x⁸ + x⁴ + x³ + x² + 1) — the 0x11D polynomial used
 by most storage systems. Scalar multiplication and division go through
-exp/log tables. The vectorized variants go through :data:`MUL_TABLE`, the
-full 256 × 256 product table (64 KiB): multiplying a byte array by a
-coefficient is one ``take`` against that coefficient's row, with no masking
-of zeros and no log/exp arithmetic per byte.
+exp/log tables. Everything that multiplies a run of bytes goes through one
+kernel, :func:`gf_dot`: row ``c`` of the 256 × 256 product table is a
+256-byte translate table, so ``c · part`` is ``part.translate(MUL_ROWS[c])``
+— a byte-indexed walk of the table with no index widening, no masking of
+zeros and no log/exp arithmetic per byte — and a parity or recovered shard
+is the XOR of those terms.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,6 +37,9 @@ for _i in range(255, 512):
 MUL_TABLE = np.zeros((FIELD_SIZE, FIELD_SIZE), dtype=np.uint8)
 _logs = LOG_TABLE[1:]
 MUL_TABLE[1:, 1:] = EXP_TABLE[_logs[:, None] + _logs[None, :]]
+
+# MUL_ROWS[c] is row c of MUL_TABLE as a ``bytes.translate`` table.
+MUL_ROWS: tuple[bytes, ...] = tuple(row.tobytes() for row in MUL_TABLE)
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -67,13 +74,28 @@ def gf_inv(a: int) -> int:
     return int(EXP_TABLE[255 - LOG_TABLE[a]])
 
 
-def gf_mul_vec(scalar: int, vec: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``vec`` by ``scalar`` (vectorized)."""
-    if scalar == 0:
-        return np.zeros_like(vec)
-    if scalar == 1:
-        return vec.copy()
-    return MUL_TABLE[scalar].take(vec)
+def gf_dot(coefficients: Sequence[int], parts: Sequence[bytes]) -> bytes:
+    """⊕_j coefficients[j] · parts[j] over equal-length byte strings.
+
+    Zero coefficients contribute nothing and coefficient 1 contributes the
+    part itself; every other term is one translate through its row of
+    :data:`MUL_ROWS`.
+    """
+    terms = [
+        part if coefficient == 1 else part.translate(MUL_ROWS[coefficient])
+        for coefficient, part in zip(coefficients, parts)
+        if coefficient
+    ]
+    if not terms:
+        return bytes(len(parts[0])) if parts else b""
+    if len(terms) == 1:
+        return bytes(terms[0])
+    acc = np.bitwise_xor(
+        np.frombuffer(terms[0], np.uint8), np.frombuffer(terms[1], np.uint8)
+    )
+    for term in terms[2:]:
+        acc ^= np.frombuffer(term, np.uint8)
+    return acc.tobytes()
 
 
 def gf_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
@@ -91,14 +113,9 @@ def gf_matmul(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix expects {k} shards, got {shards.shape[0]}"
         )
-    out = np.zeros((r, shards.shape[1]), dtype=np.uint8)
-    for acc, coefficients in zip(out, matrix.tolist()):
-        for coefficient, shard in zip(coefficients, shards):
-            if coefficient == 1:
-                acc ^= shard
-            elif coefficient:
-                acc ^= MUL_TABLE[coefficient].take(shard)
-    return out
+    parts = [shard.tobytes() for shard in np.asarray(shards, dtype=np.uint8)]
+    rows = b"".join(gf_dot(coefficients, parts) for coefficients in matrix.tolist())
+    return np.frombuffer(rows, dtype=np.uint8).reshape(r, shards.shape[1]).copy()
 
 
 def gf_mat_inv(matrix: np.ndarray) -> np.ndarray:
@@ -110,18 +127,21 @@ def gf_mat_inv(matrix: np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError(f"matrix must be square, got {matrix.shape!r}")
-    aug = np.concatenate(
-        [matrix.astype(np.uint8).copy(), np.eye(n, dtype=np.uint8)], axis=1
-    )
+    # Each row of the augmented matrix [matrix | I] is one byte string, so
+    # scaling and eliminating are the same kernel the shards go through.
+    aug = [
+        row.tobytes()
+        for row in np.concatenate(
+            [matrix.astype(np.uint8), np.eye(n, dtype=np.uint8)], axis=1
+        )
+    ]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r, col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise ValueError("matrix is singular over GF(256)")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        inv_pivot = gf_inv(int(aug[col, col]))
-        aug[col] = gf_mul_vec(inv_pivot, aug[col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = gf_dot((gf_inv(aug[col][col]),), (aug[col],))
         for row in range(n):
-            if row != col and aug[row, col] != 0:
-                aug[row] = aug[row] ^ gf_mul_vec(int(aug[row, col]), aug[col])
-    return aug[:, n:]
+            if row != col and aug[row][col]:
+                aug[row] = gf_dot((1, aug[row][col]), (aug[row], aug[col]))
+    return np.array([list(row[n:]) for row in aug], dtype=np.uint8).reshape(n, n)

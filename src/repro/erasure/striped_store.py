@@ -167,21 +167,26 @@ class ErasureCodedChunkStore:
             KeyError: unknown fingerprint.
             ZoneFailedError: fewer than k shards reachable.
         """
+        meta, available = self._reachable_shards(fingerprint)
+        return self.code.decode(available, meta.payload_length)
+
+    def _reachable_shards(self, fingerprint: str) -> tuple[_StripeMeta, list[Shard]]:
+        """A stripe's metadata and its shards in live zones (at least k,
+        or the same errors as :meth:`get_chunk`)."""
         meta = self._meta.get(fingerprint)
         if meta is None:
             raise KeyError(f"no chunk {fingerprint!r}")
-        available: list[Shard] = []
-        for idx, zone in meta.shard_zone.items():
-            if self._zone_up[zone]:
-                available.append(
-                    Shard(index=idx, data=self._zones[zone][(fingerprint, idx)])
-                )
+        available = [
+            Shard(index=idx, data=self._zones[zone][(fingerprint, idx)])
+            for idx, zone in meta.shard_zone.items()
+            if self._zone_up[zone]
+        ]
         if len(available) < self.code.k:
             raise ZoneFailedError(
                 f"chunk {fingerprint!r}: {len(available)} shards reachable, "
                 f"need {self.code.k}"
             )
-        return self.code.decode(available, meta.payload_length)
+        return meta, available
 
     def delete_chunk(self, fingerprint: str) -> bool:
         """Drop a chunk's stripe from every zone. Returns True if it was
@@ -212,19 +217,17 @@ class ErasureCodedChunkStore:
 
         Covers both loss modes: shards never written (a degraded write)
         and shards marooned in a down zone (re-homed to a live zone; the
-        stale copy is queued for drop when its zone recovers). Returns the
-        number of shards rebuilt.
+        stale copy is queued for drop when its zone recovers). Each missing
+        shard is rebuilt on its own from the reachable ones — the payload
+        is never decoded and the surviving shards are never re-encoded.
+        Returns the number of shards rebuilt.
         """
-        meta = self._meta.get(fingerprint)
-        if meta is None:
-            raise KeyError(f"no chunk {fingerprint!r}")
-        payload = self.get_chunk(fingerprint)
-        shards = self.code.encode(payload)
+        meta, available = self._reachable_shards(fingerprint)
         live_zones = [z for z in range(self.n_zones) if self._zone_up[z]]
         used = {zone for idx, zone in meta.shard_zone.items() if self._zone_up[zone]}
         rebuilt = 0
-        for shard in shards:
-            zone = meta.shard_zone.get(shard.index)
+        for index in range(self.code.total_shards):
+            zone = meta.shard_zone.get(index)
             if zone is not None and self._zone_up[zone]:
                 continue  # shard alive where it should be
             target = next((z for z in live_zones if z not in used), None)
@@ -233,11 +236,12 @@ class ErasureCodedChunkStore:
             if zone is not None:
                 # Re-homing away from a down zone: its copy is stale now.
                 self._pending_drops.setdefault(zone, []).append(
-                    (fingerprint, shard.index)
+                    (fingerprint, index)
                 )
-            self._zones[target][(fingerprint, shard.index)] = shard.data
+            shard = self.code.reconstruct_shard(available, index, meta.payload_length)
+            self._zones[target][(fingerprint, index)] = shard.data
             self.stored_shard_bytes += len(shard.data)
-            meta.shard_zone[shard.index] = target
+            meta.shard_zone[index] = target
             used.add(target)
             rebuilt += 1
         if len(meta.shard_zone) == self.code.total_shards:

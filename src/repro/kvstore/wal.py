@@ -181,7 +181,7 @@ class WriteAheadLog:
         }
         tmp = self.snap_path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh)
+            fh.write(json.dumps(raw))  # one C-encoder call; json.dump streams in Python
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())

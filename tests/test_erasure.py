@@ -1,6 +1,11 @@
 """Tests for the erasure-coding package: GF(256), Reed-Solomon, and the
 zone-striped chunk store."""
 
+import hashlib
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +15,14 @@ from repro.erasure.gf256 import (
     EXP_TABLE,
     MUL_TABLE,
     gf_div,
+    gf_dot,
     gf_inv,
     gf_mat_inv,
     gf_matmul,
     gf_mul,
-    gf_mul_vec,
     gf_pow,
 )
+from repro.erasure import reedsolomon
 from repro.erasure.reedsolomon import ReedSolomonCode, Shard
 from repro.erasure.striped_store import ErasureCodedChunkStore, ZoneFailedError
 from tests import gf256_oracle
@@ -78,7 +84,7 @@ class TestGF256:
         rng = np.random.default_rng(4)
         vec = rng.integers(0, 256, size=64, dtype=np.uint8)
         scalar = 37
-        out = gf_mul_vec(scalar, vec)
+        out = gf_dot((scalar,), (vec.tobytes(),))
         for i in range(64):
             assert out[i] == gf_mul(scalar, int(vec[i]))
 
@@ -93,10 +99,35 @@ class TestGF256:
     )
     @settings(max_examples=60, deadline=None)
     def test_mul_vec_matches_oracle(self, scalar, vec):
-        vec = np.frombuffer(vec, dtype=np.uint8)
-        assert np.array_equal(
-            gf_mul_vec(scalar, vec), gf256_oracle.gf_mul_vec(scalar, vec)
+        expected = gf256_oracle.gf_mul_vec(scalar, np.frombuffer(vec, dtype=np.uint8))
+        assert gf_dot((scalar,), (vec,)) == expected.tobytes()
+
+    def test_dot_matches_oracle_for_every_coefficient(self):
+        rng = np.random.default_rng(6)
+        vec = np.concatenate(
+            [np.arange(256, dtype=np.uint8), rng.integers(0, 256, 777, dtype=np.uint8)]
         )
+        part = vec.tobytes()
+        for coefficient in range(256):
+            expected = gf256_oracle.gf_mul_vec(coefficient, vec).tobytes()
+            assert gf_dot((coefficient,), (part,)) == expected, coefficient
+        assert part == vec.tobytes()  # the input is never written to
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dot_matches_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        length = data.draw(st.sampled_from([0, 1, 2, 7, 64, 300]))
+        coefficient = st.one_of(st.integers(0, 2), st.integers(0, 255))
+        coefficients = data.draw(st.lists(coefficient, min_size=n, max_size=n))
+        parts = [
+            data.draw(st.binary(min_size=length, max_size=length)) for _ in range(n)
+        ]
+        rows = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, length)
+        expected = gf256_oracle.gf_matmul(np.array([coefficients], dtype=np.uint8), rows)
+        out = gf_dot(coefficients, parts)
+        assert isinstance(out, bytes)
+        assert out == expected.tobytes()
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -189,6 +220,21 @@ class TestReedSolomon:
         with pytest.raises(ValueError, match="lengths"):
             code.decode([Shard(0, b"aa"), Shard(1, b"bbb")], 4)
 
+    def test_payload_length_beyond_shards_rejected(self):
+        code = ReedSolomonCode(3, 2)
+        shards = code.encode(b"x" * 10)  # 3 data shards of 4 bytes
+        assert len(code.decode(shards, 12)) == 12  # padding included: allowed
+        for survivors in (shards, shards[2:]):
+            with pytest.raises(ValueError, match="payload_length"):
+                code.decode(survivors, 13)
+        with pytest.raises(ValueError, match="payload_length"):
+            code.reconstruct_shard(shards[1:], 0, 13)
+
+    def test_negative_payload_length_rejected(self):
+        code = ReedSolomonCode(2, 1)
+        with pytest.raises(ValueError, match="payload_length"):
+            code.decode(code.encode(b"data"), -1)
+
     def test_empty_payload(self):
         code = ReedSolomonCode(3, 2)
         shards = code.encode(b"")
@@ -201,6 +247,13 @@ class TestReedSolomon:
         survivors = [s for s in shards if s.index != 2]
         rebuilt = code.reconstruct_shard(survivors, 2, len(payload))
         assert rebuilt == shards[2]
+
+    def test_reconstruct_shard_bad_index_rejected(self):
+        code = ReedSolomonCode(2, 1)
+        shards = code.encode(b"data")
+        for index in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                code.reconstruct_shard(shards, index, 4)
 
     def test_storage_overhead(self):
         assert ReedSolomonCode(4, 2).storage_overhead == pytest.approx(1.5)
@@ -242,8 +295,6 @@ class TestKernelMatchesOracle:
     )
     @settings(max_examples=60, deadline=None)
     def test_encode_decode_match_oracle(self, k, m, payload):
-        import itertools
-
         code = ReedSolomonCode(k, m)
         shards = code.encode(payload)
         assert shards == gf256_oracle.encode(code, payload)
@@ -270,6 +321,181 @@ class TestKernelMatchesOracle:
         payload = bytes(range(200))
         shards = code.encode(payload)
         assert code.decode([shards[4], shards[0], shards[3]], 200) == payload
+
+
+# Parity shards of GOLDEN_PAYLOAD as the kernel before this one wrote them:
+# what is stored in zones must stay readable, so these bytes never change.
+GOLDEN_PAYLOAD = b"".join(hashlib.sha256(bytes([i])).digest() for i in range(32))
+GOLDEN_PARITY = {
+    (3, 2): (
+        "bcfd5abac95332b7db9c47eb211e15b700a4e4960481f4c0204276dd2d344907"
+        "0ad9dc8d537a07bf6493bb89cbeef0d146392d50d3f37ae603987675678a2b51"
+        "4c2391a25926ced7b60f93006492f1948ead42aa9f8f73170f10c9a52d617049"
+        "06a9497dedc9135d385bf325d0006df97d0c01c80ea425858ffe1bc058ae8cb2"
+        "1668fe373e640ab9b9ab79d79aa18e9c8a62f861c0d45128256a2d3ac6b95138"
+        "e551c2d6e3a05992031f125d91887029797da4d5de3ec358a80fd63e40d396a3"
+        "3a105bd0df76a3c97d8cd9c84a95c4ff39e324c4e4705b135f8fbd4def770d60"
+        "70e6efb02b830bd64af735a5c952f5186c7da2aa572ac3a9701b0206582db1e2"
+        "970394cc92f757d09871ebf6900f9ef5fcacfad5e869898d589188343fd35e4e"
+        "935158a740f0d6aca01b4127f8e6ad71980a62e88df1ad341e60c38ccbaa03b2"
+        "3cad206f9b42254b24b8112338314a560b71ca19047cbf255f725738d80759b2"
+        "55985d64b5e9bbab9f95260ccf8014b2abbb454da531a3d90e03521a046e5cfd"
+        "de6cd87f7eb376385724da717339e93e4332294c3429ca4df4e2d73698a35bd7"
+        "3d5197d7beab646b1133c946588a7352dca2cf217c3544b0ccb281f687f8ca76"
+        "fe4efa0949020c187e15be3c76134d0eb6ed2120ac6fb64cca5c689f8743e979"
+        "bd0145e74a31b24c057cda5739e1b9dde72a91842e40afac5f5efd1c087c52f3"
+        "b9784f79879c994e3e69a4d61554155aa3787975217eabff480135c42239e27c"
+        "cb1d28e2cf481efe2b62975307faeda564e1e980e916b16dfe5249810d49706a"
+        "6c50b70da91f56f5edd438b63deb4d7e86f0ae603ac6eaf84e6b24a21be05731"
+        "b72757d74540ede0049be55186c267fb8475ab0ba977dc99cc89380cc1af011c"
+        "bae9693addfebd6c34193c4fc046b2caf583f019e28bffa9d645f3cb3bdf0806"
+        "817fe6809b6fd78542957052"
+    ),
+    (4, 2): (
+        "247d9a027bbf1d115c0688b315150f19e2a8b138cc12a81e54b630d98c476304"
+        "47ccdad93e4407514dc107c7ee6c71bbe13172ffecfd994fc8c5cebd12cea670"
+        "49edc83c55d75e4adebc46e7dc16eaaf85798aaaa0bae286628c0a8ed69ee55b"
+        "e4ebb21f67feaa136176077faab7e9c1f8de252c40dcadd765abe34c7f8e9a9d"
+        "285ee683e8201591ff96a5eb158d186c8823abac7745be9c558c204aee6dcc1d"
+        "a06323d4c4f0b979d31288711da4bbbf3eb6117d66f2d240cc40dc0fc86f51fe"
+        "a41c79d7b86835c37ce28d328096639db046fe82dc4ccb9561541b9a875571cd"
+        "4c9ca7b41792ba986b02d8de470679df6e8bffc5de3e26038adf3bad70bb5dd7"
+        "c06c4ac3aa2ef992e4180e5b62cc16db29cd63aceb9dca120fe877c97a9dece7"
+        "bbe93e7aa0f4f67ef862043d72a60d2615b51bbbb7277fd7014a16deffe9607d"
+        "4ae4b76e170400e51f92dd2b7f079693509b2229119a878345926b0377451b54"
+        "a86bf7845bb06b427874b6c5cb4f330bc8849e6ee6496a31abecc0e9bb7cc4b6"
+        "cdeade018554b475eaa869e30549dd0a3f78e7d754cf4fee05c6e203aed63c0d"
+        "c0d2e3e18b08dca46fcbc1687ef61bace8f1b72d875b10d4d15a6e3c7060ac02"
+        "882680eee94a1907e716624f3c1a3555907da606bb83c3a801bdc041aac6e8e8"
+        "876d45126fa8b7fe73f737accc1d81e60a27c56ef39b5a46ac97bb96a6868f9c"
+    ),
+}
+
+
+class TestStoredShardFormat:
+    @pytest.mark.parametrize("k,m", sorted(GOLDEN_PARITY))
+    def test_golden_parity_bytes(self, k, m):
+        assert len(GOLDEN_PAYLOAD) == 1024
+        shards = ReedSolomonCode(k, m).encode(GOLDEN_PAYLOAD)
+        assert b"".join(s.data for s in shards[:k])[:1024] == GOLDEN_PAYLOAD
+        parity = b"".join(s.data for s in shards[k:])
+        assert parity.hex() == GOLDEN_PARITY[(k, m)]
+
+
+def _survivor_sets(code):
+    return itertools.combinations(range(code.total_shards), code.k)
+
+
+class TestSurvivorSets:
+    """Decode and single-shard repair from every k-subset of the stripe,
+    through the per-code cache of solved rows."""
+
+    @pytest.mark.parametrize("k,m", [(3, 2), (4, 2), (10, 4)])
+    def test_every_k_subset_decodes_within_cache_bound(self, k, m):
+        code = ReedSolomonCode(k, m)
+        payload = np.random.default_rng(k + m).integers(
+            0, 256, 1001, dtype=np.uint8
+        ).tobytes()
+        shards = code.encode(payload)
+        for chosen in _survivor_sets(code):
+            subset = [shards[i] for i in chosen]
+            assert code.decode(subset, len(payload)) == payload, chosen
+            assert len(code._solved) <= reedsolomon.SOLVE_CACHE_MAX
+        if k == 10:
+            # 1001 survivor sets went through a cache of SOLVE_CACHE_MAX.
+            assert len(code._solved) == reedsolomon.SOLVE_CACHE_MAX
+
+    def test_cold_and_warm_cache_decode_the_same_bytes(self):
+        warm = ReedSolomonCode(4, 2)
+        payload = bytes(range(256)) * 5 + b"tail"
+        shards = warm.encode(payload)
+        for _ in range(2):  # second pass: every survivor set is cached
+            for chosen in _survivor_sets(warm):
+                subset = [shards[i] for i in chosen]
+                cold = ReedSolomonCode(4, 2)
+                assert not cold._solved
+                decoded = warm.decode(subset, len(payload))
+                assert decoded == cold.decode(subset, len(payload)) == payload
+        assert len(warm._solved) == 14  # 15 survivor sets, one all-data (never solved)
+
+    def test_eviction_keeps_results_correct(self, monkeypatch):
+        monkeypatch.setattr(reedsolomon, "SOLVE_CACHE_MAX", 3)
+        code = ReedSolomonCode(3, 2)
+        payload = b"evict me " * 50
+        shards = code.encode(payload)
+        for _ in range(2):
+            for chosen in _survivor_sets(code):
+                subset = [shards[i] for i in chosen]
+                assert code.decode(subset, len(payload)) == payload
+                assert len(code._solved) <= 3
+
+    @pytest.mark.parametrize("k,m", [(3, 2), (4, 2), (2, 3)])
+    def test_reconstruct_every_shard_from_every_survivor_set(self, k, m):
+        code = ReedSolomonCode(k, m)
+        for length in (0, 1, k, 997):
+            payload = np.random.default_rng(length).integers(
+                0, 256, length, dtype=np.uint8
+            ).tobytes()
+            shards = code.encode(payload)
+            assert shards == gf256_oracle.encode(code, payload)
+            for chosen in _survivor_sets(code):
+                subset = [shards[i] for i in chosen]
+                for index in range(code.total_shards):
+                    rebuilt = code.reconstruct_shard(subset, index, length)
+                    assert rebuilt == shards[index], (chosen, index)
+
+    def test_solve_cache_shared_between_threads(self, monkeypatch):
+        monkeypatch.setattr(reedsolomon, "SOLVE_CACHE_MAX", 4)
+        code = ReedSolomonCode(4, 2)
+        payload = bytes(range(251)) * 3
+        shards = code.encode(payload)
+        subsets = [[shards[i] for i in chosen] for chosen in _survivor_sets(code)]
+        failures: list[object] = []
+
+        def worker(seed: int) -> None:
+            order = np.random.default_rng(seed).permutation(len(subsets))
+            try:
+                for _ in range(20):
+                    for i in order:
+                        if code.decode(subsets[i], len(payload)) != payload:
+                            failures.append(i)
+                        if len(code._solved) > 4:
+                            failures.append("bound")
+            except Exception as exc:  # surfaced by the assert below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+
+def _assert_stripes_match_fresh_encode(store, payloads):
+    """Every stripe holds all k+m shards, one per zone, byte-identical to a
+    fresh ``encode`` of its payload — and the zones hold nothing else."""
+    held = {}
+    for zone in store._zones:
+        held.update(zone)
+    assert sum(len(zone) for zone in store._zones) == len(held)
+    expected = {}
+    for fingerprint, payload in payloads.items():
+        placement = store._meta[fingerprint].shard_zone
+        assert sorted(placement) == list(range(store.code.total_shards))
+        assert len(set(placement.values())) == store.code.total_shards
+        for shard in store.code.encode(payload):
+            assert (fingerprint, shard.index) in store._zones[placement[shard.index]]
+            expected[(fingerprint, shard.index)] = shard.data
+    assert held == expected
+    assert store.stored_shard_bytes == sum(len(data) for data in held.values())
+    assert store.payload_bytes == sum(len(payload) for payload in payloads.values())
 
 
 class TestErasureCodedChunkStore:
@@ -346,6 +572,11 @@ class TestErasureCodedChunkStore:
         store.fail_zone(1)
         store.fail_zone(2)
         assert store.get_chunk("fp") == payload
+        for zone in (0, 1, 2):
+            store.recover_zone(zone)
+        # The re-homed shard is the one encode would write; the stale copy
+        # in zone 0 went when the zone came back.
+        _assert_stripes_match_fresh_encode(store, {"fp": payload})
 
     def test_zone_bounds_checked(self):
         store = ErasureCodedChunkStore(2, 1)
@@ -358,8 +589,6 @@ class TestLossPatternsExhaustive:
 
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (3, 3)])
     def test_all_loss_patterns_up_to_m(self, k, m):
-        import itertools
-
         code = ReedSolomonCode(k, m)
         payload = np.random.default_rng(k * 10 + m).integers(
             0, 256, 257, dtype=np.uint8
@@ -372,8 +601,6 @@ class TestLossPatternsExhaustive:
 
     @pytest.mark.parametrize("k,m", [(1, 1), (2, 2), (4, 2)])
     def test_one_byte_payload_all_patterns(self, k, m):
-        import itertools
-
         code = ReedSolomonCode(k, m)
         shards = code.encode(b"\x7f")
         for lost in itertools.combinations(range(k + m), m):
@@ -402,10 +629,55 @@ class TestZoneRecoveryBackfill:
         rebuilt = store.recover_zone(1)
         assert rebuilt >= 1
         assert store.under_replicated_stripes == 0
+        _assert_stripes_match_fresh_encode(store, {"fp": b"d" * 3000})
         # Full redundancy restored: any m zones may now die.
         store.fail_zone(0)
         store.fail_zone(1)
         assert store.get_chunk("fp") == b"d" * 3000
+
+    @pytest.mark.parametrize("n_zones", [5, 7])
+    def test_mixed_outage_backfills_byte_identical_shards(self, n_zones):
+        """Healthy writes, then writes with one and two zones down, deletes
+        and a mid-outage repair: after both zones return, every stripe is
+        what a fresh encode would have written."""
+        store = ErasureCodedChunkStore(3, 2, n_zones=n_zones)
+        rng = np.random.default_rng(n_zones)
+        payloads = {}
+
+        def put(tag, count):
+            for i in range(count):
+                size = int(rng.integers(0, 5000))
+                payloads[f"{tag}{i}"] = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+                assert store.put_chunk(f"{tag}{i}", payloads[f"{tag}{i}"])
+
+        put("healthy", 2 * n_zones)
+        store.fail_zone(0)
+        put("one-down", 2 * n_zones)
+        store.fail_zone(1)
+        put("two-down", 2 * n_zones)
+        assert store.under_replicated_stripes > 0
+        for doomed in ("healthy1", "one-down2", "two-down3"):
+            assert store.delete_chunk(doomed)
+            del payloads[doomed]
+        # Spare live zones (n_zones=7) take re-homed shards now; with none
+        # (n_zones=5) the repair finds nowhere to write and waits.
+        for fingerprint in ("healthy0", "one-down0", "two-down0"):
+            store.repair_chunk(fingerprint)
+        for fingerprint, payload in payloads.items():
+            assert store.get_chunk(fingerprint) == payload
+        store.recover_zone(0)
+        store.recover_zone(1)
+        assert store.under_replicated_stripes == 0
+        assert store.zones_down == []
+        _assert_stripes_match_fresh_encode(store, payloads)
+        # Full redundancy: any m zones may die and every chunk still reads.
+        for down in itertools.combinations(range(n_zones), 2):
+            for zone in down:
+                store.fail_zone(zone)
+            for fingerprint, payload in payloads.items():
+                assert store.get_chunk(fingerprint) == payload
+            for zone in down:
+                assert store.recover_zone(zone) == 0  # nothing left to backfill
 
     def test_healthy_writes_never_under_replicated(self):
         store = ErasureCodedChunkStore(3, 2)

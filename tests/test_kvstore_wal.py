@@ -1,5 +1,6 @@
 """Tests for the per-node write-ahead log + snapshot durability layer."""
 
+import io
 import json
 
 import pytest
@@ -59,6 +60,30 @@ def test_snapshot_truncates_log_and_loads(tmp_path):
     assert len(restored) == 4
     assert fresh.stats.snapshot_entries_loaded == 3
     assert fresh.stats.log_entries_replayed == 1
+
+
+def test_snapshot_file_is_the_json_dump_form(tmp_path):
+    """write_snapshot encodes in one C-encoder call; the file must stay
+    byte-identical to what ``json.dump`` streamed, and load() reads it back."""
+    data = {
+        "plain": VersionedValue("v", 1, False),
+        "gone": VersionedValue("", 2**40, True),
+        'quote"\\back\nslash': VersionedValue("ünï\u2603cödé \U0001f600", 3, False),
+        "": VersionedValue("empty key", 0, False),
+    }
+    wal = WriteAheadLog(tmp_path, "n0")
+    wal.write_snapshot(data)
+    wal.close()
+    expected = io.StringIO()
+    json.dump({k: [v.value, v.timestamp, v.tombstone] for k, v in data.items()}, expected)
+    assert wal.snap_path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert WriteAheadLog(tmp_path, "n0").load() == data
+
+    wal = WriteAheadLog(tmp_path, "empty")
+    wal.write_snapshot({})
+    wal.close()
+    assert wal.snap_path.read_bytes() == b"{}"
+    assert WriteAheadLog(tmp_path, "empty").load() == {}
 
 
 def test_torn_final_record_dropped(tmp_path):
