@@ -62,7 +62,7 @@ def main() -> None:
             if node != "cam-3" or t < 10:  # cam-3 stops beating at t=10
                 monitor.observe(node, float(t))
     monitor.sweep(40.0)
-    print(f"  detector verdicts: down={[n for n in ring.members if not ring.store.nodes[n].is_up]}")
+    print(f"  detector verdicts: down={[n for n in ring.members if not ring.store.is_up(n)]}")
 
     # The ring keeps working while cam-3 is out.
     result = ring.ingest("cam-0", cameras[0].generate_file(99).data)

@@ -14,14 +14,16 @@ The checks encode what "survived the chaos" means for a dedup system:
 - **replicas converged** — after heal + repair, no key is under-replicated
   on alive nodes and a fresh anti-entropy pass streams zero keys.
 
-Works against both transports (the live path verifies over RPC with
-:class:`~repro.rpc.repair.RemoteReplicaRepairer`).
+Works against both transports (the one
+:class:`~repro.kvstore.repair.ReplicaRepairer` verifies through whichever
+the ring's store runs on).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.kvstore.repair import ReplicaRepairer
 from repro.system.ring import D2Ring
 
 
@@ -47,16 +49,6 @@ class InvariantReport:
             "checks": dict(self.checks),
             "violations": list(self.violations),
         }
-
-
-def _make_repairer(ring: D2Ring):
-    if ring.is_live:
-        from repro.rpc.repair import RemoteReplicaRepairer
-
-        return RemoteReplicaRepairer(ring.store)
-    from repro.kvstore.repair import ReplicaRepairer
-
-    return ReplicaRepairer(ring.store)
 
 
 def check_invariants(ring: D2Ring) -> InvariantReport:
@@ -102,9 +94,9 @@ def check_invariants(ring: D2Ring) -> InvariantReport:
 
     # Convergence: one pass to mop up, then a second pass must find every
     # pair of replicas already identical.
-    repairer = _make_repairer(ring)
+    repairer = ReplicaRepairer(ring.store)
     repairer.repair_all()
-    verify = _make_repairer(ring)
+    verify = ReplicaRepairer(ring.store)
     second = verify.repair_all()
     report._record(
         "replicas_converged",

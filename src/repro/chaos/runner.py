@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from repro.chaos.invariants import InvariantReport, check_invariants
 from repro.chaos.scenarios import ChaosScenario, FaultEvent, get_scenario
+from repro.kvstore.repair import ReplicaRepairer
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 
@@ -205,9 +206,7 @@ class _EventDriver:
                     self.injector.heal(node, peer)
             started = time.perf_counter()
             self.ring.store.mark_up(node)
-            from repro.rpc.repair import RemoteReplicaRepairer
-
-            RemoteReplicaRepairer(self.ring.store).repair_node(node)
+            ReplicaRepairer(self.ring.store).repair_node(node)
             self.recovery_times_s.append(time.perf_counter() - started)
             self.isolated.discard(node)
         elif event.action == "slow":

@@ -10,18 +10,16 @@ erasure-coded cloud tier behind
 :class:`~repro.content.plane.ContentPlane`.
 
 Writes are buffered and flushed as **one batched message per target
-node** (the payload sibling of ``put_if_absent_many``): over the live
-transport that is a single ``put_chunks`` RPC whose payloads ride raw in
-the frame's blob section (:mod:`repro.rpc.framing`); in-process it is a
-dict update on the member's shelf. Reads scatter one batched
-``get_chunks`` to every alive member and take the first copy found. Down
-or unreachable members are misses, never errors.
+node** (the payload sibling of ``put_if_absent_many``). Reads scatter one
+batched ``get_chunks`` to every alive member and take the first copy
+found. Down or unreachable members are misses, never errors.
 
-The store speaks to both backends through duck typing: a
-:class:`~repro.kvstore.store.DistributedKVStore` (shelves held here,
-since in-process nodes have no server) or a
-:class:`~repro.rpc.remote_store.RemoteKVStore` (shelves live in each
-:class:`~repro.rpc.server.NodeServer`; this class only routes).
+This class only routes. The shelves belong to the members' replicas
+(:class:`~repro.kvstore.replica.Replica`) and are reached through the
+index store's chunk scatters, which every
+:class:`~repro.kvstore.coordinator.QuorumCoordinator` has — over a live
+ring a ``put_chunks`` is one RPC whose payloads ride raw in the frame's
+blob section (:mod:`repro.rpc.framing`), in-process it is a method call.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ class RingContentStore:
     Args:
         ring_id: owning ring (labels metrics).
         store: the ring's fingerprint-index store; provides placement
-            (``replicas_for``), membership (``nodes``) and — when it is a
-            ``RemoteKVStore`` — the chunk RPC surface.
+            (``replicas_for``), membership (``nodes``, ``is_up``) and the
+            chunk scatters.
         batch_size: buffered puts per automatic flush.
     """
 
@@ -50,13 +48,7 @@ class RingContentStore:
         self.store = store
         self.batch_size = batch_size
         self.stats = ContentStats()
-        self._live = hasattr(store, "scatter_put_chunks")
         self._pending: dict[str, bytes] = {}
-        # In-process backend: per-member shelves live client-side (there
-        # is no server process to hold them).
-        self._shelves: Optional[dict[str, dict[str, bytes]]] = (
-            None if self._live else {nid: {} for nid in store.nodes}
-        )
 
     # ------------------------------------------------------------------ #
     # placement
@@ -64,9 +56,6 @@ class RingContentStore:
 
     def members(self) -> list[str]:
         return list(self.store.nodes)
-
-    def _is_up(self, node_id: str) -> bool:
-        return self.store.nodes[node_id].is_up
 
     def _target(self, fingerprint: str, exclude: Optional[str] = None) -> Optional[str]:
         """First alive replica in placement order (primary-first), or None
@@ -77,13 +66,27 @@ class RingContentStore:
         for node_id in self.store.replicas_for(fingerprint):
             if node_id == exclude:
                 continue
-            if self._is_up(node_id):
+            if self.store.is_up(node_id):
                 return node_id
         if exclude is not None:
-            for node_id in self.members():
-                if node_id != exclude and self._is_up(node_id):
+            for node_id in self.store.alive_nodes():
+                if node_id != exclude:
                     return node_id
         return None
+
+    def _by_target(
+        self, payloads: dict[str, bytes], exclude: Optional[str] = None
+    ) -> dict[str, list[tuple[str, bytes]]]:
+        """Payloads grouped by the member that should shelve them; one with
+        no alive target is counted in ``dropped_puts`` and left out."""
+        groups: dict[str, list[tuple[str, bytes]]] = {}
+        for fingerprint, data in payloads.items():
+            target = self._target(fingerprint, exclude)
+            if target is None:
+                self.stats.dropped_puts += 1
+            else:
+                groups.setdefault(target, []).append((fingerprint, data))
+        return groups
 
     # ------------------------------------------------------------------ #
     # writes
@@ -107,34 +110,18 @@ class RingContentStore:
         if not self._pending:
             return 0
         pending, self._pending = self._pending, {}
-        groups: dict[str, list[tuple[str, bytes]]] = {}
-        for fingerprint, data in pending.items():
-            target = self._target(fingerprint)
-            if target is None:
-                self.stats.dropped_puts += 1
-                continue
-            groups.setdefault(target, []).append((fingerprint, data))
+        groups = self._by_target(pending)
         flushed = 0
-        if self._live:
-            failures = self.store.scatter_put_chunks(groups)
-            for node_id, entries in groups.items():
-                if failures.get(node_id) is None:
-                    for _, data in entries:
-                        self.stats.puts += 1
-                        self.stats.put_bytes += len(data)
-                        flushed += 1
-                else:
-                    self.stats.dropped_puts += len(entries)
-        else:
-            for node_id, entries in groups.items():
-                shelf = self._shelves.setdefault(node_id, {})
-                for fingerprint, data in entries:
-                    shelf[fingerprint] = data
+        failures = self.store.scatter_put_chunks(groups)
+        for node_id, entries in groups.items():
+            if failures.get(node_id) is None:
+                for _, data in entries:
                     self.stats.puts += 1
                     self.stats.put_bytes += len(data)
                     flushed += 1
-        if groups:
-            self.stats.batch_flushes += len(groups)
+            else:
+                self.stats.dropped_puts += len(entries)
+        self.stats.batch_flushes += len(groups)
         return flushed
 
     # ------------------------------------------------------------------ #
@@ -155,16 +142,10 @@ class RingContentStore:
         self.flush()
         wanted = list(dict.fromkeys(fingerprints))
         self.stats.gets += len(wanted)
-        alive = [nid for nid in self.members() if self._is_up(nid)]
+        alive = self.store.alive_nodes()
         found: dict[str, bytes] = {}
         if alive and wanted:
-            if self._live:
-                by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
-            else:
-                by_node = {
-                    n: {fp: self._shelves.get(n, {}).get(fp) for fp in wanted}
-                    for n in alive
-                }
+            by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
             for fingerprint in wanted:
                 # Placement order first so the primary's copy wins, then
                 # any other alive holder.
@@ -197,19 +178,7 @@ class RingContentStore:
         self.flush()
         for fingerprint in fingerprints:
             self._pending.pop(fingerprint, None)
-        copies = 0
-        freed = 0
-        if self._live:
-            copies, freed = self.store.scatter_delete_chunks(
-                self.members(), list(fingerprints)
-            )
-        else:
-            for shelf in self._shelves.values():
-                for fingerprint in fingerprints:
-                    data = shelf.pop(fingerprint, None)
-                    if data is not None:
-                        copies += 1
-                        freed += len(data)
+        copies, freed = self.store.scatter_delete_chunks(self.members(), fingerprints)
         self.stats.deletes += copies
         self.stats.deleted_bytes += freed
         return copies, freed
@@ -219,25 +188,16 @@ class RingContentStore:
         path through k-of-n reconstruction at the cloud tier)."""
         self.flush()
         evicted = 0
-        if self._live:
-            for node_id in self.members():
-                keys = self.store.node_chunk_keys(node_id)
-                if keys:
-                    copies, _ = self.store.scatter_delete_chunks([node_id], keys)
-                    evicted += copies
-        else:
-            for shelf in self._shelves.values():
-                evicted += len(shelf)
-                shelf.clear()
+        for node_id in self.members():
+            keys = self.store.node_chunk_keys(node_id)
+            if keys:
+                copies, _ = self.store.scatter_delete_chunks([node_id], keys)
+                evicted += copies
         return evicted
 
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
-
-    def add_member(self, node_id: str) -> None:
-        if self._shelves is not None:
-            self._shelves.setdefault(node_id, {})
 
     def rehome_member(self, node_id: str) -> int:
         """Move a departing member's payloads to their new owners (called
@@ -245,25 +205,9 @@ class RingContentStore:
         it). Unreachable member → nothing to move; the cloud tier covers
         its chunks."""
         self.flush()
-        if self._live:
-            moving = self.store.node_chunk_dump(node_id)
-        else:
-            moving = self._shelves.pop(node_id, {})
-        rehomed = 0
-        groups: dict[str, list[tuple[str, bytes]]] = {}
-        for fingerprint, data in moving.items():
-            target = self._target(fingerprint, exclude=node_id)
-            if target is None:
-                self.stats.dropped_puts += 1
-                continue
-            groups.setdefault(target, []).append((fingerprint, data))
-            rehomed += 1
-        if self._live:
-            if groups:
-                self.store.scatter_put_chunks(groups)
-        else:
-            for target, entries in groups.items():
-                self._shelves.setdefault(target, {}).update(dict(entries))
+        groups = self._by_target(self.store.node_chunk_dump(node_id), exclude=node_id)
+        rehomed = sum(len(entries) for entries in groups.values())
+        self.store.scatter_put_chunks(groups)
         self.stats.rehomed_chunks += rehomed
         return rehomed
 
@@ -271,18 +215,12 @@ class RingContentStore:
         """Every member's shelf contents (operator flow; migration carry
         uses it to move a dissolving ring's payloads to the new topology)."""
         self.flush()
-        if self._live:
-            return {nid: self.store.node_chunk_dump(nid) for nid in self.members()}
-        return {nid: dict(shelf) for nid, shelf in self._shelves.items()}
+        return {nid: self.store.node_chunk_dump(nid) for nid in self.members()}
 
     def fingerprints(self) -> frozenset[str]:
         out: set[str] = set(self._pending)
-        if self._live:
-            for node_id in self.members():
-                out.update(self.store.node_chunk_keys(node_id))
-        else:
-            for shelf in self._shelves.values():
-                out.update(shelf)
+        for node_id in self.members():
+            out.update(self.store.node_chunk_keys(node_id))
         return frozenset(out)
 
     def snapshot(self) -> dict[str, float]:

@@ -2,10 +2,14 @@
 
 Consistent-hash ring with virtual nodes, MD5 random partitioner, γ-way
 replication, tunable consistency, failure injection, and hinted handoff —
-the index backbone of each D2-ring.
+the index backbone of each D2-ring. Three layers: the coordinator
+(``coordinator.py``, every protocol decision) reaches each member's replica
+(``replica.py``, shard + chunk shelf) through a replica transport
+(``transport.py``: method call here, framed RPC in :mod:`repro.rpc`).
 """
 
 from repro.kvstore.consistency import ConsistencyLevel
+from repro.kvstore.coordinator import StoreStats
 from repro.kvstore.errors import (
     KVStoreError,
     NoSuchNodeError,
@@ -27,7 +31,7 @@ from repro.kvstore.repair import (
     merkle_from_items,
 )
 from repro.kvstore.replication import SimpleReplicationStrategy
-from repro.kvstore.store import DistributedKVStore, StoreStats
+from repro.kvstore.store import DistributedKVStore
 from repro.kvstore.topology_strategy import CloudAwareReplicationStrategy
 from repro.kvstore.tokens import TOKEN_SPACE, key_token, node_token, token_distance
 from repro.kvstore.wal import WalStats, WriteAheadLog

@@ -1,0 +1,830 @@
+"""The quorum coordinator: one copy of routing, acks, hints and repair.
+
+Ties together the ring, replica placement, consistency levels and hinted
+handoff into the client-facing API. Any cluster member can coordinate any
+request (as in Cassandra); the EF-dedup agent on node X always coordinates
+from X, which is what makes the local/remote lookup split of Eq. 2
+observable in :class:`StoreStats`.
+
+The coordinator reaches replicas only through a
+:class:`~repro.kvstore.transport.ReplicaTransport`, so the same code — and
+therefore the same counters — runs whether a replica is an object in this
+process or a socket. Its core is ordinary ``async def`` code; each public
+verb is that coroutine behind :func:`driven`, and the two concrete stores
+differ only in how they drive it (``drive``):
+:class:`~repro.kvstore.store.DistributedKVStore` steps the coroutine to
+completion in the caller, :class:`~repro.rpc.remote_store.RemoteKVStore`
+runs it on the transport's event-loop thread. All coordinator state is
+mutated by whichever thread drives.
+
+Failure semantics:
+
+- A write succeeds if at least ``consistency.required_acks(rf)`` replicas
+  acknowledged it; replicas that are down, or whose ack was missed, receive
+  hints — buffered only once the level is met, so a failed write can be
+  retried without double-buffering — replayed when they recover.
+- A read succeeds under the same aliveness rule and returns the
+  newest-timestamp value among the replicas consulted (last-write-wins).
+- If too few replicas are alive, :class:`UnavailableError` is raised —
+  callers see an explicit failure, never silent data loss. A batched
+  check-and-set routes every key before it writes any: a batch with one
+  unavailable key applies nothing.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import time
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterable, Optional
+
+from repro.kvstore.consistency import ConsistencyLevel
+from repro.kvstore.errors import NoSuchNodeError, UnavailableError
+from repro.kvstore.hashring import ConsistentHashRing
+from repro.kvstore.hints import Hint, HintBuffer
+from repro.kvstore.node import Row, VersionedValue, merge_newest
+from repro.kvstore.replication import SimpleReplicationStrategy
+from repro.kvstore.transport import ReplicaTransport
+from repro.obs.histogram import Histogram
+from repro.obs.trace import NULL_TRACER, Tracer
+
+# Hints replayed per multi_put during recovery: bounded so one failed
+# message forfeits at most this much progress (the rest is re-buffered).
+_HINT_REPLAY_BATCH = 256
+
+
+@dataclass
+class StoreStats:
+    """Operation counters, split by whether the coordinator held a replica."""
+
+    reads: int = 0
+    writes: int = 0
+    local_reads: int = 0
+    remote_reads: int = 0
+    hints_stored: int = 0
+    hints_replayed: int = 0
+    replay_failures: int = 0
+    unavailable_errors: int = 0
+    remote_contacts: int = 0
+    batch_rounds: int = 0
+    read_repairs: int = 0
+    recovery_repairs: int = 0
+    per_pair_contacts: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    def record_contact(self, coordinator: str, replica: str) -> None:
+        """Count one coordinator→replica message (for network-cost accounting)."""
+        if coordinator == replica:
+            return
+        self.remote_contacts += 1
+        pair = (coordinator, replica)
+        self.per_pair_contacts[pair] = self.per_pair_contacts.get(pair, 0) + 1
+
+    def snapshot(self) -> dict[str, float]:
+        """Scalar counters with bare keys (no prefix): the MetricsHub joins
+        the registration name on, so the same snapshot serves ``kvstore.*``
+        on a ring and any other mount point. Per-pair contacts are a
+        labeled series, not a scalar, so they are not exported here."""
+        return {
+            f.name: float(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "per_pair_contacts"
+        }
+
+
+def driven(coro_fn):
+    """The synchronous face of a coroutine method: same signature and
+    docstring, run to completion by ``self.drive``. The coroutine itself
+    stays reachable as ``.coro`` for callers already inside one."""
+
+    @functools.wraps(coro_fn)
+    def sync(self, *args, **kwargs):
+        return self.drive(coro_fn(self, *args, **kwargs))
+
+    sync.coro = coro_fn
+    return sync
+
+
+def _newest_of(
+    by_node: dict[str, dict[str, Optional[VersionedValue]]],
+    nodes: Iterable[str],
+    key: str,
+    ts_bound: Optional[int] = None,
+) -> Optional[VersionedValue]:
+    """Last-write-wins among the named nodes' answers for ``key`` (only
+    versions stamped at or before ``ts_bound``, when given)."""
+    best: Optional[VersionedValue] = None
+    for node_id in nodes:
+        found = by_node[node_id].get(key)
+        if (
+            found is not None
+            and found.newer_than(best)
+            and (ts_bound is None or found.timestamp <= ts_bound)
+        ):
+            best = found
+    return best
+
+
+class QuorumCoordinator:
+    """A replicated, partitioned key-value store over a replica transport.
+
+    Args:
+        transport: how replicas are reached.
+        nodes: ordered membership, member id → the concrete store's handle
+            for it (the coordinator only uses the ids). Placement comes
+            from token hashing, so the same ids always give the same layout.
+        replication_factor: γ — copies of each key.
+        vnodes: virtual nodes per member (load-smoothing).
+        default_consistency: level used when an operation names none.
+        strategy: replica-placement override (e.g.
+            :class:`~repro.kvstore.topology_strategy.CloudAwareReplicationStrategy`);
+            defaults to SimpleStrategy at ``replication_factor``.
+        max_hints_per_node: hinted-handoff window per down replica.
+        tracer: optional :class:`~repro.obs.trace.Tracer`; each batched
+            check-and-set opens a coordinator-side ``store.put_if_absent_many``
+            span whose scatter-gather transport spans nest underneath.
+    """
+
+    def __init__(
+        self,
+        transport: ReplicaTransport,
+        nodes: dict[str, Any],
+        replication_factor: int = 2,
+        vnodes: int = 16,
+        default_consistency: ConsistencyLevel = ConsistencyLevel.ONE,
+        strategy=None,
+        max_hints_per_node: int = 100_000,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        if not nodes:
+            raise ValueError("a KV store needs at least one node")
+        self.transport = transport
+        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.strategy = (
+            strategy if strategy is not None else SimpleReplicationStrategy(replication_factor)
+        )
+        self.default_consistency = default_consistency
+        self.nodes = nodes
+        for node_id in nodes:
+            self.ring.add_node(node_id)
+        self.hints = HintBuffer(max_hints_per_node=max_hints_per_node)
+        self.stats = StoreStats()
+        # One batched check-and-set round, whatever the transport.
+        self.batch_latency = Histogram("kvstore.batch_s")
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self._timestamps = itertools.count(1)
+        # The coordinator's aliveness verdicts (what routing and hints key
+        # off), not a probe of the replica.
+        self._down: set[str] = set()
+        # Keys routed while one of their replicas was down ("served below
+        # full replication"): on that replica's recovery they get a
+        # targeted read-repair pass, covering writes the hint window
+        # dropped or that pre-date this coordinator. Bounded per node by
+        # the hint window.
+        self._degraded: dict[str, set[str]] = {}
+
+    def drive(self, coro):
+        """Run one coordinator coroutine to completion from synchronous
+        code and return its result (each concrete store knows how)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # membership and failure injection
+    # ------------------------------------------------------------------ #
+
+    def _check_member(self, node_id: str) -> None:
+        if node_id not in self.nodes:
+            raise NoSuchNodeError(f"node {node_id!r} is not in the cluster")
+
+    def is_up(self, node_id: str) -> bool:
+        """The coordinator's aliveness verdict for one member."""
+        self._check_member(node_id)
+        return node_id not in self._down
+
+    def alive_nodes(self) -> list[str]:
+        return [nid for nid in self.nodes if nid not in self._down]
+
+    @driven
+    async def mark_down(self, node_id: str) -> None:
+        """Fail ``node_id``: the replica refuses data ops and the
+        coordinator turns its writes into hints.
+
+        Telling the replica is best-effort: a node that is marked down
+        because it *crashed* is unreachable by definition, and the
+        coordinator-side flip is the part that matters.
+        """
+        self._check_member(node_id)
+        self._down.add(node_id)
+        try:
+            await self.transport.set_down(node_id, True)
+        except self.transport.missed_ack:
+            pass  # unreachable (crashed / partitioned): local flip suffices
+
+    @driven
+    async def mark_up(self, node_id: str) -> None:
+        """Recover ``node_id``: replay its buffered hints, then read-repair
+        every key that was served below full replication while it was down
+        (``stats.recovery_repairs`` counts the entries actually pushed).
+
+        Hints are replayed in bounded batches and only consumed once their
+        delivery was confirmed: if a batch is a missed ack, the undelivered
+        tail is re-buffered (counted in ``stats.replay_failures``) and the
+        error raised, so the next recovery retries it instead of silently
+        losing the writes the hints were buffering.
+        """
+        self._check_member(node_id)
+        await self.transport.set_down(node_id, False)
+        self._down.discard(node_id)
+        hints = self.hints.take_for(node_id)
+        delivered = 0
+        try:
+            while delivered < len(hints):
+                batch = hints[delivered : delivered + _HINT_REPLAY_BATCH]
+                await self.transport.multi_put(
+                    node_id, [(h.key, h.value, h.timestamp, h.tombstone) for h in batch]
+                )
+                delivered += len(batch)
+                self.stats.hints_replayed += len(batch)
+        except self.transport.missed_ack:
+            self.hints.restore(node_id, hints[delivered:])
+            self.stats.replay_failures += 1
+            raise
+        await self._recovery_repair(node_id)
+
+    async def _recovery_repair(self, node_id: str) -> None:
+        """Push the newest copy of each degraded-read key to the recovered
+        replica. Hints cover writes this coordinator *saw* while the node
+        was down; this pass covers keys it merely *served* under-replicated
+        (hint-window overflow, pre-existing data). Only entries the node's
+        own copy is missing or older than are pushed."""
+        keys = [
+            k
+            for k in sorted(self._degraded.pop(node_id, ()))
+            if node_id in self.replicas_for(k)
+        ]
+        if not keys:
+            return
+        groups: dict[str, list[str]] = {node_id: list(keys)}
+        for key in keys:
+            for replica in self.replicas_for(key):
+                if replica != node_id and replica not in self._down:
+                    groups.setdefault(replica, []).append(key)
+        by_node = await self._scatter_get(groups, None)
+        own = by_node.pop(node_id)
+        rows: list[Row] = []
+        for key in keys:
+            best = _newest_of(by_node, by_node, key)
+            if best is not None and best.newer_than(own.get(key)):
+                rows.append(best.row(key))
+        if rows:
+            await self.transport.multi_put(node_id, rows)
+            self.stats.recovery_repairs += len(rows)
+
+    async def _join(self, node_id: str, handle: Any) -> None:
+        """Add ``node_id`` (already reachable through the transport) and
+        stream it every key whose replica set now includes it, newest
+        version across the reachable peers (Cassandra's bootstrap). The
+        concrete store's ``add_node`` makes it reachable first."""
+        peers = self.alive_nodes()
+        self.ring.add_node(node_id)
+        self.nodes[node_id] = handle
+        shards = await self.transport.gather(*(self.transport.dump(n) for n in peers))
+        rows = [
+            stored.row(key)
+            for key, stored in sorted(merge_newest(shards).items())
+            if node_id in self.replicas_for(key)
+        ]
+        if rows:
+            await self.transport.multi_put(node_id, rows)
+
+    @driven
+    async def remove_node(self, node_id: str) -> None:
+        """Decommission ``node_id``, streaming its keys to their new
+        replicas. An unreachable member is dropped without streaming
+        (anti-entropy restores replication from the survivors); the last
+        member cannot leave."""
+        self._check_member(node_id)
+        if len(self.nodes) <= 1:
+            raise ValueError("cannot remove the last member of the ring")
+        departing: dict[str, VersionedValue] = {}
+        if node_id not in self._down:
+            try:
+                departing = await self.transport.dump(node_id)
+            except self.transport.missed_ack:
+                pass  # crashed mid-decommission: survivors repair later
+        rows = [stored.row(key) for key, stored in sorted(departing.items())]
+        self.ring.remove_node(node_id)
+        del self.nodes[node_id]
+        self._down.discard(node_id)
+        self._degraded.pop(node_id, None)
+        self.hints.take_for(node_id)  # hints for a gone member are void
+        await self._place(rows, hint_down=False)
+
+    @driven
+    async def probe_members(self) -> dict[str, Optional[bool]]:
+        """Ping every member once, concurrently: node id → the replica's
+        own up flag, or None when it did not answer (liveness evidence for
+        a failure detector)."""
+        return await self._gather_or(None, {n: self.transport.ping(n) for n in self.nodes})
+
+    # ------------------------------------------------------------------ #
+    # migration streaming (operator flow)
+    # ------------------------------------------------------------------ #
+
+    @driven
+    async def stream_ranges(self, ranges: Iterable[tuple[int, int]]) -> list[Row]:
+        """Collect every entry whose key token falls in the half-open
+        ``[lo, hi)`` token ``ranges``, newest version winning across the
+        reachable members (an unreachable one is skipped: its replicas
+        cover it).
+
+        This is the unit live ring migration streams between D2-rings: the
+        caller computes a moved node's primary ranges with
+        :meth:`~repro.kvstore.hashring.ConsistentHashRing.primary_token_ranges`
+        and feeds the rows to the destination store's
+        :meth:`ingest_entries`.
+        """
+        ranges = list(ranges)
+        shards = await self._gather_or(
+            {}, {n: self.transport.fetch_range(n, ranges) for n in self.alive_nodes()}
+        )
+        return [stored.row(key) for key, stored in sorted(merge_newest(shards.values()).items())]
+
+    @driven
+    async def ingest_entries(self, entries: Iterable[Row]) -> int:
+        """Apply migrated entries (rows from another ring's
+        :meth:`stream_ranges`) to their replica sets at the original
+        timestamps; down replicas receive hints. The local timestamp clock
+        is advanced past the ingested entries so later writes still win
+        last-write-wins against them. Returns the number of rows applied.
+        """
+        rows = [(key, value, int(ts), bool(tombstone)) for key, value, ts, tombstone in entries]
+        await self._place(rows, hint_down=True)
+        if rows:
+            tick = next(self._timestamps)
+            self._timestamps = itertools.count(max(tick, 1 + max(ts for _, _, ts, _ in rows)))
+        return len(rows)
+
+    async def _place(self, rows: list[Row], hint_down: bool) -> None:
+        """Write ``rows`` to the alive members of their replica sets, one
+        message per member."""
+        groups: dict[str, list[Row]] = {}
+        for entry in rows:
+            for replica in self.replicas_for(entry[0]):
+                if replica not in self._down:
+                    groups.setdefault(replica, []).append(entry)
+                elif hint_down:
+                    self._hint(replica, *entry)
+        await self.transport.gather(
+            *(self.transport.multi_put(n, entries) for n, entries in groups.items())
+        )
+
+    # ------------------------------------------------------------------ #
+    # placement and routing
+    # ------------------------------------------------------------------ #
+
+    def replicas_for(self, key: str) -> list[str]:
+        """Ordered replica list for ``key`` (primary first)."""
+        return self.strategy.replicas_for_key(self.ring, key)
+
+    def is_local(self, key: str, node_id: str) -> bool:
+        """True when ``node_id`` holds a replica of ``key`` — i.e. a lookup
+        coordinated from that node needs no network hop."""
+        return node_id in self.replicas_for(key)
+
+    def _required_acks(self, consistency: Optional[ConsistencyLevel]) -> int:
+        level = consistency if consistency is not None else self.default_consistency
+        return level.required_acks(self.strategy.effective_factor(self.ring))
+
+    def _route(
+        self, key: str, consistency: Optional[ConsistencyLevel], coordinator: Optional[str]
+    ) -> tuple[list[str], list[str], list[str]]:
+        """(replicas, alive, consulted) for one key; raises UnavailableError.
+
+        Reads prefer the coordinator's own replica, then ring order: at
+        level ONE a coordinator that holds a replica is served locally —
+        the γ/|P| fast path of Eq. 2.
+        """
+        replicas = self.replicas_for(key)
+        required = self._required_acks(consistency)
+        alive = replicas
+        if self._down:
+            alive = [r for r in replicas if r not in self._down]
+        if len(alive) < required:
+            self.stats.unavailable_errors += 1
+            raise UnavailableError(required=required, alive=len(alive), key=key)
+        if len(alive) < len(replicas):
+            for replica in replicas:
+                if replica in self._down:
+                    bucket = self._degraded.setdefault(replica, set())
+                    if len(bucket) < self.hints.max_hints_per_node:
+                        bucket.add(key)
+        ordered = alive
+        if coordinator is not None and coordinator in alive:
+            ordered = [coordinator] + [r for r in alive if r != coordinator]
+        return replicas, alive, ordered[:required]
+
+    def _hint(self, replica: str, key: str, value: str, timestamp: int, tombstone: bool) -> None:
+        if self.hints.add(Hint(replica, key, value, timestamp, tombstone)):
+            self.stats.hints_stored += 1
+
+    def _count_read(self, coordinator: Optional[str], consulted: list[str]) -> None:
+        self.stats.reads += 1
+        if coordinator is not None:
+            if coordinator in consulted:
+                self.stats.local_reads += 1
+            else:
+                self.stats.remote_reads += 1
+
+    def _record_contacts(self, contacts: set[tuple[str, str]]) -> None:
+        """Batched accounting: one contact per distinct coordinator→replica
+        pair of the round, however many keys rode in each message."""
+        for coordinator, replica in sorted(contacts):
+            self.stats.record_contact(coordinator, replica)
+        self.stats.batch_rounds += 1
+
+    # ------------------------------------------------------------------ #
+    # scatter-gather primitives — one message per contacted node
+    # ------------------------------------------------------------------ #
+
+    async def _gather_or(self, default: Any, calls: dict[str, Any]) -> dict[str, Any]:
+        """One call per node; a missed ack reads as ``default``."""
+        outcomes = await self.transport.gather_outcomes(calls)
+        return {
+            n: default if isinstance(outcome, BaseException) else outcome
+            for n, outcome in outcomes.items()
+        }
+
+    async def _scatter_get(
+        self, groups: dict[str, list[str]], coordinator: Optional[str]
+    ) -> dict[str, dict[str, Optional[VersionedValue]]]:
+        shards = await self.transport.gather(
+            *(self.transport.multi_get(n, keys, coordinator) for n, keys in groups.items())
+        )
+        return dict(zip(groups, shards))
+
+    async def _write(
+        self,
+        routes: dict[str, tuple[list[str], list[str], list[str]]],
+        stamped: dict[str, int],
+        value: str,
+        tombstone: bool,
+        consistency: Optional[ConsistencyLevel],
+        coordinator: Optional[str],
+    ) -> None:
+        """The write half of every client operation: send each stamped
+        key (key → timestamp) to the alive members of its replica set, one
+        message per member, and count acks per key. A key below its level
+        raises :class:`UnavailableError` with **no hint buffered for any
+        key** — the routing check passed but the transport lost acks, and
+        an unacknowledged write must not be handed off, so the caller can
+        retry the whole call without double-buffering. Only once every key
+        met its level do down replicas and missed acks get their hints."""
+        if not stamped:
+            return  # an all-duplicates batch writes nothing
+        groups: dict[str, list[Row]] = {}
+        for key, ts in stamped.items():
+            for replica in routes[key][1]:
+                groups.setdefault(replica, []).append((key, value, ts, tombstone))
+        outcomes = await self.transport.gather_outcomes(
+            {n: self.transport.multi_put(n, rows, coordinator) for n, rows in groups.items()}
+        )
+        missed = {n for n, outcome in outcomes.items() if outcome is not None}
+        if missed:
+            required = self._required_acks(consistency)
+            for key in stamped:
+                acked = sum(1 for r in routes[key][1] if r not in missed)
+                if acked < required:
+                    self.stats.unavailable_errors += 1
+                    raise UnavailableError(required=required, alive=acked, key=key)
+        if missed or self._down:
+            for key, ts in stamped.items():
+                for replica in routes[key][0]:
+                    if replica in self._down or replica in missed:
+                        self._hint(replica, key, value, ts, tombstone)
+
+    # ------------------------------------------------------------------ #
+    # chunk payloads (content plane)
+    # ------------------------------------------------------------------ #
+    #
+    # Unreachable or down replicas are tolerated — the edge copy is a
+    # locality cache and the erasure-coded cloud tier is the durable tier,
+    # so a skipped node is a miss, not a failure.
+
+    @driven
+    async def scatter_put_chunks(
+        self, groups: dict[str, list[tuple[str, bytes]]]
+    ) -> dict[str, Optional[Exception]]:
+        """One batched ``put_chunks`` message per target node (the payload
+        sibling of the ``put_if_absent_many`` scatter); returns node id →
+        error-or-None."""
+        return await self.transport.gather_outcomes(
+            {n: self.transport.put_chunks(n, entries) for n, entries in groups.items()}
+        )
+
+    @driven
+    async def scatter_get_chunks(
+        self, groups: dict[str, list[str]]
+    ) -> dict[str, dict[str, Optional[bytes]]]:
+        """One batched ``get_chunks`` per node; an unreachable node yields
+        an empty mapping (every fingerprint a miss)."""
+        return await self._gather_or(
+            {}, {n: self.transport.get_chunks(n, fps) for n, fps in groups.items()}
+        )
+
+    @driven
+    async def scatter_delete_chunks(
+        self, node_ids: Iterable[str], fingerprints: Iterable[str]
+    ) -> tuple[int, int]:
+        """Drop fingerprints from every named node; returns (copies
+        deleted, bytes freed) across reachable nodes."""
+        fingerprints = list(fingerprints)
+        done = await self._gather_or(
+            (0, 0), {n: self.transport.delete_chunks(n, fingerprints) for n in node_ids}
+        )
+        return sum(d for d, _ in done.values()), sum(b for _, b in done.values())
+
+    @driven
+    async def node_chunk_keys(self, node_id: str) -> list[str]:
+        """Fingerprints shelved on one node (control-plane: served while
+        the replica is down; [] when it is unreachable)."""
+        try:
+            return list(await self.transport.chunk_keys(node_id))
+        except self.transport.missed_ack:
+            return []
+
+    @driven
+    async def node_chunk_dump(self, node_id: str) -> dict[str, bytes]:
+        """Full payload shelf of one node (operator flow for rehoming and
+        migration carry: served while the replica is down; {} when it is
+        unreachable)."""
+        try:
+            keys = await self.transport.chunk_keys(node_id)
+            shelf = await self.transport.chunk_dump(node_id, keys)
+        except self.transport.missed_ack:
+            return {}
+        return {fp: data for fp, data in shelf.items() if data is not None}
+
+    # ------------------------------------------------------------------ #
+    # client operations
+    # ------------------------------------------------------------------ #
+
+    @driven
+    async def put(
+        self,
+        key: str,
+        value: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> None:
+        """Write ``key`` to its replica set (hints for down replicas).
+
+        Raises:
+            UnavailableError: if fewer replicas than the level requires are
+                alive, or acknowledged.
+        """
+        route = self._route(key, consistency, coordinator)
+        self.stats.writes += 1
+        if coordinator is not None:
+            for replica in route[1]:
+                self.stats.record_contact(coordinator, replica)
+        await self._write(
+            {key: route}, {key: next(self._timestamps)}, value, False, consistency, coordinator
+        )
+
+    @driven
+    async def get(
+        self,
+        key: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> Optional[str]:
+        """Read ``key``; returns the newest value among the consulted
+        replicas, or None if unset. A read that consulted several replicas
+        and saw them diverge repairs the stale ones (read repair)."""
+        _, _, consulted = self._route(key, consistency, coordinator)
+        self._count_read(coordinator, consulted)
+        if coordinator is not None:
+            for replica in consulted:
+                self.stats.record_contact(coordinator, replica)
+        best, repaired = await self.read_repairing(key, consulted, coordinator)
+        self.stats.read_repairs += repaired
+        if best is None or best.tombstone:
+            return None
+        return best.value
+
+    async def read_repairing(
+        self, key: str, consulted: list[str], coordinator: Optional[str]
+    ) -> tuple[Optional[VersionedValue], int]:
+        """The newest version of ``key`` among ``consulted`` and how many of
+        them were repaired: the winner is pushed to every consulted replica
+        that returned a stale or missing copy. Best-effort — a failed push
+        is not counted and does not fail the read."""
+        by_node = await self._scatter_get({n: [key] for n in consulted}, coordinator)
+        best = _newest_of(by_node, consulted, key)
+        if best is None or len(consulted) == 1:
+            return best, 0
+        outcomes = await self.transport.gather_outcomes(
+            {
+                n: self.transport.multi_put(n, [best.row(key)], coordinator)
+                for n in consulted
+                if best.newer_than(by_node[n].get(key))
+            }
+        )
+        return best, sum(1 for outcome in outcomes.values() if outcome is None)
+
+    # For verbs that read or write from inside their own coroutine.
+    _get, _put = get.coro, put.coro
+
+    def contains(
+        self,
+        key: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> bool:
+        """Membership test (a get that discards the value)."""
+        return self.get(key, consistency=consistency, coordinator=coordinator) is not None
+
+    def clock_now(self) -> int:
+        """Advance and return the store's logical write clock.
+
+        Every write issued after this call is stamped strictly later, so the
+        returned tick is a clean boundary: the migration cutover records it
+        to separate old-topology claims from writes the ring keeps accepting
+        afterwards (see :meth:`contains_many`'s ``ts_bound``).
+        """
+        return next(self._timestamps)
+
+    async def _read_round(
+        self,
+        keys: list[str],
+        consistency: Optional[ConsistencyLevel],
+        coordinator: Optional[str],
+        ts_bound: Optional[int] = None,
+    ) -> tuple[dict, dict[str, bool], set[tuple[str, str]]]:
+        """The read half of a batch: route every distinct key (so nothing
+        happens if any is unavailable), send one ``multi_get`` per
+        consulted node, count one read per requested key. Returns (routes,
+        key → present, contacts)."""
+        routes = {key: self._route(key, consistency, coordinator) for key in dict.fromkeys(keys)}
+        if ts_bound is not None:
+            # Exactness over the fast path: consult every alive replica.
+            routes = {
+                key: (replicas, alive, alive) for key, (replicas, alive, _) in routes.items()
+            }
+        read_groups: dict[str, list[str]] = {}
+        for key, (_, _, consulted) in routes.items():
+            for node_id in consulted:
+                read_groups.setdefault(node_id, []).append(key)
+        by_node = await self._scatter_get(read_groups, coordinator)
+        present: dict[str, bool] = {}
+        for key, (_, _, consulted) in routes.items():
+            best = _newest_of(by_node, consulted, key, ts_bound)
+            present[key] = best is not None and not best.tombstone
+        contacts: set[tuple[str, str]] = set()
+        for key in keys:
+            consulted = routes[key][2]
+            self._count_read(coordinator, consulted)
+            if coordinator is not None:
+                contacts.update((coordinator, node_id) for node_id in consulted)
+        return routes, present, contacts
+
+    @driven
+    async def contains_many(
+        self,
+        keys: Iterable[str],
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+        ts_bound: Optional[int] = None,
+    ) -> list[bool]:
+        """Batched membership check: one ``multi_get`` per consulted node,
+        no writes, no read repair. The read-only sibling of
+        :meth:`put_if_absent_many` (the migration dual-lookup window uses it
+        to probe the old ring without mutating it); contacts are recorded
+        once per distinct coordinator→replica pair and ``batch_rounds``
+        grows by one.
+
+        With ``ts_bound``, a key only counts when some alive replica holds a
+        non-tombstone version stamped at or before the bound, and every
+        alive replica is consulted — the exactness contract of the cutover
+        window (claims the source ring accepts *after* the cutover belong
+        to its own new topology and must not leak into the destination's
+        verdicts).
+        """
+        keys = list(keys)
+        _, present, contacts = await self._read_round(keys, consistency, coordinator, ts_bound)
+        self._record_contacts(contacts)
+        return [present[key] for key in keys]
+
+    @driven
+    async def put_if_absent(
+        self,
+        key: str,
+        value: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> bool:
+        """Insert ``key`` unless present; returns True if it was new.
+
+        This is the dedup hot path: one logical round covers the lookup and
+        (when new) the insert.
+        """
+        if await self._get(key, consistency, coordinator) is not None:
+            return False
+        await self._put(key, value, consistency, coordinator)
+        return True
+
+    @driven
+    async def put_if_absent_many(
+        self,
+        keys: Iterable[str],
+        value: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> list[bool]:
+        """Batched :meth:`put_if_absent`: one scatter-gather round trip.
+
+        Key-level results are identical to calling ``put_if_absent`` once
+        per key in order (intra-batch repeats and per-key read/write
+        counters included), but the *network* accounting is per round trip,
+        not per key: each contacted node gets one ``multi_get`` for every
+        key it is consulted for and one ``multi_put`` for every new key it
+        owns, so ``remote_contacts``/``per_pair_contacts`` grow by the
+        number of distinct coordinator→replica pairs in the batch — not by
+        the number of keys. ``batch_rounds`` counts these calls. Every key
+        is routed before any is written: a batch with one unavailable key
+        applies nothing.
+
+        Returns:
+            One ``True`` (inserted) / ``False`` (already present) per key,
+            in input order.
+        """
+        keys = list(keys)
+        started = time.perf_counter()
+        # The transport's per-call spans nest under this one: a scatter
+        # creates its tasks while the context points here.
+        with self.tracer.span("store.put_if_absent_many", node=coordinator, keys=len(keys)):
+            try:
+                routes, present, contacts = await self._read_round(
+                    keys, consistency, coordinator
+                )
+                # Per-key decisions in input order.
+                inserted: dict[str, int] = {}  # key → timestamp of its write
+                results: list[bool] = []
+                for key in keys:
+                    new = not present[key] and key not in inserted
+                    results.append(new)
+                    if new:
+                        inserted[key] = next(self._timestamps)
+                        self.stats.writes += 1
+                        if coordinator is not None:
+                            contacts.update((coordinator, r) for r in routes[key][1])
+                await self._write(routes, inserted, value, False, consistency, coordinator)
+                self._record_contacts(contacts)
+                return results
+            finally:
+                self.batch_latency.observe(time.perf_counter() - started)
+
+    @driven
+    async def delete(
+        self,
+        key: str,
+        consistency: Optional[ConsistencyLevel] = None,
+        coordinator: Optional[str] = None,
+    ) -> bool:
+        """Delete ``key`` by writing a tombstone to its replica set.
+
+        The tombstone's timestamp supersedes earlier writes everywhere —
+        including replicas that are down right now, which receive the
+        tombstone as a hint — so a delete can never be undone by a stale
+        hint replay or anti-entropy sync. Returns True if the key was live
+        before the delete. Only the embedded read is counted in the stats,
+        not the tombstone scatter or its contacts.
+        """
+        was_live = await self._get(key, consistency, coordinator) is not None
+        route = self._route(key, consistency, coordinator)
+        await self._write(
+            {key: route}, {key: next(self._timestamps)}, "", True, consistency, coordinator
+        )
+        return was_live
+
+    # ------------------------------------------------------------------ #
+    # introspection
+    # ------------------------------------------------------------------ #
+
+    @driven
+    async def unique_keys(self) -> set[str]:
+        """The logical (live) key set: keys whose newest version across all
+        members — up or down; this is an operator view — is not a tombstone."""
+        shards = await self.transport.gather(*(self.transport.dump(n) for n in self.nodes))
+        return {key for key, stored in merge_newest(shards).items() if not stored.tombstone}
+
+    @driven
+    async def total_stored_entries(self) -> int:
+        """Sum of per-node entry counts (≈ unique_keys · γ when healthy)."""
+        return sum(
+            await self.transport.gather(*(self.transport.key_count(n) for n in self.nodes))
+        )
+
+    def __len__(self) -> int:
+        return len(self.unique_keys())

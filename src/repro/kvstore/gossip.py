@@ -113,11 +113,12 @@ class HeartbeatMonitor:
     Glue between the detector and a store: call :meth:`observe` whenever a
     node proves liveness (e.g. served a request, answered a ping) and
     :meth:`sweep` periodically to mark suspected nodes down / recovered
-    nodes up. Works against any store exposing ``nodes`` (id → handle with
-    ``is_up``), ``mark_down`` and ``mark_up`` — both the in-process
-    :class:`~repro.kvstore.store.DistributedKVStore` (simulated clock) and
-    the live transport's :class:`~repro.rpc.remote_store.RemoteKVStore`
-    (wall clock, driven by :class:`~repro.rpc.heartbeat.HeartbeatService`).
+    nodes up. Works against any
+    :class:`~repro.kvstore.coordinator.QuorumCoordinator` (``nodes``,
+    ``is_up``, ``mark_down``, ``mark_up``): the in-process
+    :class:`~repro.kvstore.store.DistributedKVStore` on a simulated clock,
+    the live :class:`~repro.rpc.remote_store.RemoteKVStore` on the wall
+    clock (driven by :class:`~repro.rpc.heartbeat.HeartbeatService`).
     """
 
     def __init__(self, store, detector: PhiAccrualDetector | None = None) -> None:
@@ -132,14 +133,13 @@ class HeartbeatMonitor:
 
     def sweep(self, now: float) -> None:
         """Reconcile store liveness with the detector's verdicts."""
-        # Index lookups (not .items()) so RemoteKVStore's nodes view can
-        # materialize per-node handles carrying the coordinator's aliveness.
         for node_id in list(self.store.nodes):
             available = self.detector.is_available(node_id, now)
-            if self.store.nodes[node_id].is_up and not available:
+            up = self.store.is_up(node_id)
+            if up and not available:
                 self.store.mark_down(node_id)
                 self.transitions.append((now, node_id, "down"))
-            elif not self.store.nodes[node_id].is_up and available:
+            elif available and not up:
                 self.store.mark_up(node_id)
                 self.transitions.append((now, node_id, "up"))
 

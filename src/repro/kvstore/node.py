@@ -8,9 +8,13 @@ so replicas can reconcile with last-write-wins, Cassandra-style.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.kvstore.errors import NodeDownError
+
+
+# One index entry as it is written: (key, value, timestamp, tombstone).
+Row = tuple[str, str, int, bool]
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,21 @@ class VersionedValue:
 
     def newer_than(self, other: Optional["VersionedValue"]) -> bool:
         return other is None or self.timestamp > other.timestamp
+
+    def row(self, key: str) -> Row:
+        return (key, self.value, self.timestamp, self.tombstone)
+
+
+def merge_newest(
+    shards: Iterable[dict[str, VersionedValue]],
+) -> dict[str, VersionedValue]:
+    """Last-write-wins union of per-replica shards."""
+    newest: dict[str, VersionedValue] = {}
+    for shard in shards:
+        for key, stored in shard.items():
+            if stored.newer_than(newest.get(key)):
+                newest[key] = stored
+    return newest
 
 
 class StorageNode:

@@ -11,95 +11,41 @@ silently. Cassandra closes the gap with two mechanisms reproduced here:
   diffing entire datasets.
 
 A D2-ring that has been through failures runs ``repair_all`` to restore the
-γ-copies invariant before, e.g., decommissioning a node.
+γ-copies invariant before, e.g., decommissioning a node; a member that
+rejoins after a crash is caught up with ``repair_node`` — hinted handoff
+replays what the coordinator saw while it was down, the Merkle pass closes
+whatever the hint window dropped.
+
+The pairwise protocol moves only summaries and dirty buckets between
+replicas:
+
+1. ask both for their fixed-depth Merkle trees;
+2. diff the leaf hashes (:func:`differing_buckets`);
+3. fetch just the mismatching buckets from both sides;
+4. push each side's strictly-newer rows to the other, filtered to keys the
+   receiver is actually responsible for.
+
+Trees and bucket reads are control-plane replica verbs (they read the shard
+directly), so a replica that is still marked down can be *compared*; pushes
+go through the data plane and therefore land in the receiver's WAL.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import itertools
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.kvstore.node import StorageNode, VersionedValue
-from repro.kvstore.store import DistributedKVStore
-
-
-@dataclass(frozen=True)
-class MerkleTree:
-    """A fixed-depth hash tree over a node's key range.
-
-    Keys are bucketed by the leading bits of their MD5 token; leaf hashes
-    cover the sorted (key, value, timestamp, tombstone) tuples in the bucket
-    and internal hashes combine children, so equal subtrees guarantee equal
-    bucket contents.
-    """
-
-    depth: int
-    leaves: tuple[str, ...]  # 2**depth leaf hashes
-    root: str
-
-    @property
-    def n_buckets(self) -> int:
-        return len(self.leaves)
-
-
-_EMPTY_LEAF = hashlib.sha256(b"empty").hexdigest()
-
-
-def _bucket_of(key: str, depth: int) -> int:
-    digest = hashlib.md5(key.encode("utf-8")).digest()
-    prefix = int.from_bytes(digest[:4], "big")
-    return prefix >> (32 - depth)
-
-
-def merkle_from_items(
-    items: Iterable[tuple[str, str, int, bool]], depth: int = 6
-) -> MerkleTree:
-    """Build a Merkle tree from raw ``(key, value, timestamp, tombstone)``
-    rows — the operator view a node server exposes over RPC, which must
-    work regardless of the replica's up/down flag."""
-    if not 1 <= depth <= 16:
-        raise ValueError(f"depth must be in [1, 16], got {depth!r}")
-    buckets: list[list[tuple[str, str, int, bool]]] = [[] for _ in range(2**depth)]
-    for key, value, ts, tombstone in items:
-        buckets[_bucket_of(key, depth)].append((key, value, ts, tombstone))
-    leaves = []
-    for bucket in buckets:
-        if not bucket:
-            leaves.append(_EMPTY_LEAF)
-            continue
-        h = hashlib.sha256()
-        for key, value, ts, tombstone in sorted(bucket):
-            h.update(f"{key}\x00{value}\x00{ts}\x00{int(tombstone)}\x01".encode("utf-8"))
-        leaves.append(h.hexdigest())
-    level = leaves
-    while len(level) > 1:
-        level = [
-            hashlib.sha256((level[i] + level[i + 1]).encode()).hexdigest()
-            for i in range(0, len(level), 2)
-        ]
-    return MerkleTree(depth=depth, leaves=tuple(leaves), root=level[0])
-
-
-def build_merkle_tree(node: StorageNode, depth: int = 6) -> MerkleTree:
-    """Build the Merkle tree of ``node``'s local data (node must be up)."""
-    return merkle_from_items(
-        (
-            (key, stored.value, stored.timestamp, stored.tombstone)
-            for key in node.local_keys()
-            if (stored := node.local_get(key)) is not None
-        ),
-        depth,
-    )
-
-
-def differing_buckets(a: MerkleTree, b: MerkleTree) -> list[int]:
-    """Bucket indexes whose contents differ between two trees."""
-    if a.depth != b.depth:
-        raise ValueError(f"tree depths differ: {a.depth} vs {b.depth}")
-    if a.root == b.root:
-        return []
-    return [i for i, (la, lb) in enumerate(zip(a.leaves, b.leaves)) if la != lb]
+from repro.kvstore.coordinator import driven
+from repro.kvstore.errors import NoSuchNodeError
+from repro.kvstore.merkle import (  # noqa: F401  (the tree algebra is re-exported here)
+    MerkleTree,
+    _bucket_of,
+    build_merkle_tree,
+    differing_buckets,
+    merkle_from_items,
+)
+from repro.kvstore.node import merge_newest
 
 
 @dataclass
@@ -111,14 +57,23 @@ class RepairStats:
     buckets_compared: int = 0
     buckets_streamed: int = 0
     pairs_checked: int = 0
-    per_key_details: dict[str, int] = field(default_factory=dict)
 
 
 class ReplicaRepairer:
-    """Read repair and Merkle anti-entropy over a :class:`DistributedKVStore`."""
+    """Read repair and pairwise Merkle anti-entropy over a coordinator's
+    replicas, on whichever transport it runs.
 
-    def __init__(self, store: DistributedKVStore, merkle_depth: int = 6) -> None:
+    Args:
+        store: the :class:`~repro.kvstore.coordinator.QuorumCoordinator`
+            whose membership, placement, and transport the repairer reuses.
+        merkle_depth: tree depth (2**depth buckets).
+    """
+
+    def __init__(self, store, merkle_depth: int = 6) -> None:
+        if not 1 <= merkle_depth <= 16:
+            raise ValueError(f"merkle_depth must be in [1, 16], got {merkle_depth!r}")
         self.store = store
+        self.drive = store.drive
         self.merkle_depth = merkle_depth
         self.stats = RepairStats()
 
@@ -126,80 +81,86 @@ class ReplicaRepairer:
     # read repair
     # ------------------------------------------------------------------ #
 
-    def read_with_repair(self, key: str, coordinator: Optional[str] = None) -> Optional[str]:
+    @driven
+    async def read_with_repair(self, key: str, coordinator: Optional[str] = None) -> Optional[str]:
         """Read ``key`` from all alive replicas, repair stale ones, return
         the newest value."""
-        replicas = [
-            r for r in self.store.replicas_for(key) if self.store.nodes[r].is_up
-        ]
-        newest: Optional[VersionedValue] = None
-        holders: dict[str, Optional[VersionedValue]] = {}
-        for replica in replicas:
-            found = self.store.nodes[replica].local_get(key)
-            holders[replica] = found
-            if found is not None and found.newer_than(newest):
-                newest = found
-        if newest is None:
-            return None
-        for replica, found in holders.items():
-            if found is None or newest.newer_than(found):
-                self.store.nodes[replica].local_put(
-                    key, newest.value, newest.timestamp, tombstone=newest.tombstone
-                )
-                self.stats.read_repairs += 1
-        return None if newest.tombstone else newest.value
+        alive = [r for r in self.store.replicas_for(key) if self.store.is_up(r)]
+        newest, repaired = await self.store.read_repairing(key, alive, coordinator)
+        self.stats.read_repairs += repaired
+        return None if newest is None or newest.tombstone else newest.value
 
     # ------------------------------------------------------------------ #
     # anti-entropy
     # ------------------------------------------------------------------ #
 
-    def _sync_pair(self, a: StorageNode, b: StorageNode) -> None:
+    async def _sync_pair(self, a: str, b: str) -> None:
         """Merkle-diff two replicas and exchange keys in differing buckets."""
-        tree_a = build_merkle_tree(a, self.merkle_depth)
-        tree_b = build_merkle_tree(b, self.merkle_depth)
+        transport = self.store.transport
+        tree_a, tree_b = await transport.gather(
+            transport.merkle_tree(a, self.merkle_depth),
+            transport.merkle_tree(b, self.merkle_depth),
+        )
         self.stats.pairs_checked += 1
         self.stats.buckets_compared += tree_a.n_buckets
-        dirty = set(differing_buckets(tree_a, tree_b))
+        dirty = differing_buckets(tree_a, tree_b)
         if not dirty:
             return
         self.stats.buckets_streamed += len(dirty)
-        for src, dst in ((a, b), (b, a)):
-            for key in list(src.local_keys()):
-                if _bucket_of(key, self.merkle_depth) not in dirty:
-                    continue
-                stored = src.local_get(key)
-                assert stored is not None
-                existing = dst.local_get(key)
-                if stored.newer_than(existing):
-                    # Only stream keys this replica is actually responsible for.
-                    if dst.node_id in self.store.replicas_for(key):
-                        dst.local_put(
-                            key, stored.value, stored.timestamp, tombstone=stored.tombstone
-                        )
-                        self.stats.synced_keys += 1
+        entries_a, entries_b = await transport.gather(
+            transport.repair_range(a, self.merkle_depth, dirty),
+            transport.repair_range(b, self.merkle_depth, dirty),
+        )
+        for src_entries, dst, dst_entries in (
+            (entries_a, b, entries_b),
+            (entries_b, a, entries_a),
+        ):
+            rows = [
+                stored.row(key)
+                for key, stored in sorted(src_entries.items())
+                if stored.newer_than(dst_entries.get(key))
+                # Only stream keys this replica is actually responsible for.
+                and dst in self.store.replicas_for(key)
+            ]
+            if rows:
+                await transport.multi_put(dst, rows)
+                self.stats.synced_keys += len(rows)
 
-    def repair_all(self) -> RepairStats:
-        """Run anti-entropy between every pair of alive replicas that share
-        responsibility for some range (all-pairs is exact and fine at ring
-        sizes here)."""
-        alive = [self.store.nodes[nid] for nid in self.store.alive_nodes()]
-        for i in range(len(alive)):
-            for j in range(i + 1, len(alive)):
-                self._sync_pair(alive[i], alive[j])
+    @driven
+    async def repair_node(self, node_id: str) -> RepairStats:
+        """Catch ``node_id`` up: sync it pairwise against every other
+        alive member (the rejoin path after a crash-restart)."""
+        if node_id not in self.store.nodes:
+            raise NoSuchNodeError(f"node {node_id!r} is not in the cluster")
+        for peer in self.store.alive_nodes():
+            if peer != node_id:
+                await self._sync_pair(node_id, peer)
         return self.stats
 
-    def verify_replication(self) -> list[str]:
-        """Keys currently under-replicated on alive nodes (diagnostic)."""
+    @driven
+    async def repair_all(self) -> RepairStats:
+        """Run anti-entropy between every pair of alive replicas (all-pairs
+        is exact and fine at the ring sizes here)."""
+        for a, b in itertools.combinations(self.store.alive_nodes(), 2):
+            await self._sync_pair(a, b)
+        return self.stats
+
+    @driven
+    async def verify_replication(self) -> list[str]:
+        """Keys currently under-replicated on alive nodes (diagnostic; empty
+        once a repair pass has converged the ring)."""
+        transport = self.store.transport
+        members = list(self.store.nodes)
+        shards = dict(
+            zip(members, await transport.gather(*(transport.dump(n) for n in members)))
+        )
         missing: list[str] = []
-        for key in self.store.unique_keys():
-            alive_replicas = [
-                r
-                for r in self.store.replicas_for(key)
-                if self.store.nodes[r].is_up
-            ]
-            holders = [
-                r for r in alive_replicas if self.store.nodes[r].local_contains(key)
-            ]
-            if len(holders) < len(alive_replicas):
-                missing.append(key)
+        for key, stored in sorted(merge_newest(shards.values()).items()):
+            if stored.tombstone:
+                continue
+            for replica in self.store.replicas_for(key):
+                found = shards[replica].get(key)
+                if self.store.is_up(replica) and (found is None or found.tombstone):
+                    missing.append(key)
+                    break
         return missing

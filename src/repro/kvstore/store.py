@@ -1,95 +1,41 @@
-"""The distributed KV store coordinator.
+"""DistributedKVStore: the quorum coordinator over in-process replicas.
 
-Ties together the ring, replica placement, consistency levels, node-local
-stores, and hinted handoff into the client-facing API. Any cluster member
-can coordinate any request (as in Cassandra); the EF-dedup agent on node X
-always coordinates from X, which is what makes the local/remote lookup split
-of Eq. 2 observable.
+The store models a ring's index inside one process: every member's
+:class:`~repro.kvstore.replica.Replica` is an object, reached through a
+:class:`~repro.kvstore.transport.DirectTransport`. All coordination —
+routing, ack counting, hints, repair, the ``StoreStats`` the paper's Eq. 2
+split is read from — is
+:class:`~repro.kvstore.coordinator.QuorumCoordinator`'s; this class adds
+construction, membership bootstrap, the simulated-clock failure detector,
+and the drive.
 
-Failure semantics:
-- A write succeeds if at least ``consistency.required_acks(rf)`` replicas
-  are alive; down replicas receive hints, replayed when they recover.
-- A read succeeds under the same aliveness rule and returns the
-  newest-timestamp value among the replicas consulted (last-write-wins).
-- If too few replicas are alive, :class:`UnavailableError` is raised —
-  callers see an explicit failure, never silent data loss.
+The drive is a single ``coro.send(None)``: the coordinator's core is
+``async def`` so it can also run over sockets, but a direct transport never
+suspends, so stepping the coroutine once runs it to completion in the
+caller — no event loop, no thread, nothing to schedule.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.kvstore.consistency import ConsistencyLevel
-from repro.kvstore.errors import NoSuchNodeError, UnavailableError
-from repro.kvstore.hashring import ConsistentHashRing
-from repro.kvstore.hints import Hint, HintBuffer
-from repro.kvstore.node import StorageNode, VersionedValue
-from repro.kvstore.replication import SimpleReplicationStrategy
-from repro.obs.histogram import Histogram
+from repro.kvstore.coordinator import QuorumCoordinator, StoreStats  # noqa: F401  (re-export)
+from repro.kvstore.replica import Replica
+from repro.kvstore.transport import DirectTransport
 
 
-@dataclass
-class StoreStats:
-    """Operation counters, split by whether the coordinator held a replica."""
-
-    reads: int = 0
-    writes: int = 0
-    local_reads: int = 0
-    remote_reads: int = 0
-    hints_stored: int = 0
-    hints_replayed: int = 0
-    replay_failures: int = 0
-    unavailable_errors: int = 0
-    remote_contacts: int = 0
-    batch_rounds: int = 0
-    read_repairs: int = 0
-    recovery_repairs: int = 0
-    per_pair_contacts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def record_contact(self, coordinator: str, replica: str) -> None:
-        """Count one coordinator→replica message (for network-cost accounting)."""
-        if coordinator == replica:
-            return
-        self.remote_contacts += 1
-        pair = (coordinator, replica)
-        self.per_pair_contacts[pair] = self.per_pair_contacts.get(pair, 0) + 1
-
-    def snapshot(self) -> dict[str, float]:
-        """Scalar counters with bare keys (no prefix): the MetricsHub joins
-        the registration name on, so the same snapshot serves ``kvstore.*``
-        on a ring and any other mount point. Per-pair contacts are a
-        labeled series, not a scalar, so they are not exported here."""
-        return {
-            "reads": float(self.reads),
-            "writes": float(self.writes),
-            "local_reads": float(self.local_reads),
-            "remote_reads": float(self.remote_reads),
-            "hints_stored": float(self.hints_stored),
-            "hints_replayed": float(self.hints_replayed),
-            "replay_failures": float(self.replay_failures),
-            "unavailable_errors": float(self.unavailable_errors),
-            "remote_contacts": float(self.remote_contacts),
-            "batch_rounds": float(self.batch_rounds),
-            "read_repairs": float(self.read_repairs),
-            "recovery_repairs": float(self.recovery_repairs),
-        }
-
-
-class DistributedKVStore:
+class DistributedKVStore(QuorumCoordinator):
     """A replicated, partitioned key-value store over in-process nodes.
 
     Args:
         node_ids: cluster members; order is irrelevant (placement comes from
             token hashing, so the same ids always give the same layout).
-        replication_factor: γ — copies of each key.
-        vnodes: virtual nodes per member (load-smoothing).
-        default_consistency: level used when an operation does not specify one.
-        strategy: replica-placement override (e.g.
-            :class:`~repro.kvstore.topology_strategy.CloudAwareReplicationStrategy`);
-            defaults to SimpleStrategy at ``replication_factor``.
+        replication_factor, vnodes, default_consistency, strategy: as for
+            :class:`~repro.kvstore.coordinator.QuorumCoordinator`.
+
+    ``nodes`` maps each member id to its
+    :class:`~repro.kvstore.replica.Replica` (a ``StorageNode``).
     """
 
     def __init__(
@@ -101,65 +47,51 @@ class DistributedKVStore:
         strategy=None,
     ) -> None:
         ids = list(node_ids)
-        if not ids:
-            raise ValueError("a KV store needs at least one node")
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate node ids in {ids!r}")
-        self.ring = ConsistentHashRing(vnodes=vnodes)
-        self.strategy = (
-            strategy if strategy is not None else SimpleReplicationStrategy(replication_factor)
+        replicas = {node_id: Replica(node_id) for node_id in ids}
+        super().__init__(
+            DirectTransport(replicas),
+            replicas,  # one dict: leaving the membership drops the replica
+            replication_factor=replication_factor,
+            vnodes=vnodes,
+            default_consistency=default_consistency,
+            strategy=strategy,
         )
-        self.default_consistency = default_consistency
-        self.nodes: dict[str, StorageNode] = {}
-        for node_id in ids:
-            self.ring.add_node(node_id)
-            self.nodes[node_id] = StorageNode(node_id)
-        self.hints = HintBuffer()
-        self.stats = StoreStats()
-        # Same metric as RemoteKVStore.batch_latency, so "kvstore.batch_s"
-        # means one batched check-and-set round in both transports.
-        self.batch_latency = Histogram("kvstore.batch_s")
-        self._timestamps = itertools.count(1)
         self.monitor = None  # set by enable_failure_detection()
 
-    # ------------------------------------------------------------------ #
-    # membership and failure injection
-    # ------------------------------------------------------------------ #
-
-    def _node(self, node_id: str) -> StorageNode:
+    def drive(self, coro):
         try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise NoSuchNodeError(f"node {node_id!r} is not in the cluster") from None
+            coro.send(None)
+        except StopIteration as done:
+            return done.value
+        coro.close()
+        raise RuntimeError(
+            "the direct transport suspended; DistributedKVStore has no event loop to resume it"
+        )
 
-    def mark_down(self, node_id: str) -> None:
-        """Fail ``node_id``; subsequent writes to it become hints."""
-        self._node(node_id).mark_down()
+    # The perf ledger's outside-in tracer attributes this entry point to the
+    # "kvstore" layer by patching it on the class that owns it, so it must
+    # be an attribute of this class itself, not only inherited.
+    put_if_absent_many = QuorumCoordinator.put_if_absent_many
 
-    def mark_up(self, node_id: str) -> None:
-        """Recover ``node_id`` and replay any hints buffered for it.
+    # ------------------------------------------------------------------ #
+    # membership
+    # ------------------------------------------------------------------ #
 
-        Hints are only consumed once their delivery succeeded: if a replay
-        fails partway, the undelivered tail is re-buffered (counted in
-        ``stats.replay_failures``) so a later recovery can retry it instead
-        of silently losing the buffered writes.
+    def add_node(self, node_id: str) -> None:
+        """Grow the cluster by one member.
+
+        Keys whose replica set changes are re-streamed to the new owner so
+        reads keep finding them (Cassandra's bootstrap streaming).
         """
-        node = self._node(node_id)
-        node.mark_up()
-        hints = self.hints.take_for(node_id)
-        for i, hint in enumerate(hints):
-            try:
-                node.local_put(
-                    hint.key, hint.value, hint.timestamp, tombstone=hint.tombstone
-                )
-            except Exception:
-                self.hints.restore(node_id, hints[i:])
-                self.stats.replay_failures += 1
-                raise
-            self.stats.hints_replayed += 1
+        if node_id in self.nodes:
+            raise ValueError(f"node {node_id!r} already in the cluster")
+        self.drive(self._join(node_id, Replica(node_id)))
 
-    def alive_nodes(self) -> list[str]:
-        return [nid for nid, node in self.nodes.items() if node.is_up]
+    # ------------------------------------------------------------------ #
+    # failure detection on a simulated clock
+    # ------------------------------------------------------------------ #
 
     def enable_failure_detection(self, detector=None):
         """Attach a :class:`~repro.kvstore.gossip.HeartbeatMonitor` so node
@@ -192,424 +124,3 @@ class DistributedKVStore:
             raise RuntimeError("call enable_failure_detection() first")
         self.monitor.sweep(now)
         return self.monitor.transitions
-
-    def add_node(self, node_id: str) -> None:
-        """Grow the cluster by one member.
-
-        Keys whose replica set changes are re-streamed to the new owner so
-        reads keep finding them (Cassandra's bootstrap streaming).
-        """
-        if node_id in self.nodes:
-            raise ValueError(f"node {node_id!r} already in the cluster")
-        self.ring.add_node(node_id)
-        newcomer = StorageNode(node_id)
-        self.nodes[node_id] = newcomer
-        for other in self.nodes.values():
-            if other is newcomer or not other.is_up:
-                continue
-            for key in other.local_keys():
-                if node_id in self.replicas_for(key):
-                    stored = other.local_get(key)
-                    if stored is not None:
-                        newcomer.local_put(
-                            key, stored.value, stored.timestamp, tombstone=stored.tombstone
-                        )
-
-    def remove_node(self, node_id: str) -> None:
-        """Decommission ``node_id``, streaming its keys to their new replicas."""
-        departing = self._node(node_id)
-        keys: list[tuple[str, VersionedValue]] = []
-        if departing.is_up:
-            keys = [
-                (k, v)
-                for k in departing.local_keys()
-                if (v := departing.local_get(k)) is not None
-            ]
-        self.ring.remove_node(node_id)
-        del self.nodes[node_id]
-        for key, stored in keys:
-            for replica in self.replicas_for(key):
-                node = self.nodes[replica]
-                if node.is_up:
-                    node.local_put(
-                        key, stored.value, stored.timestamp, tombstone=stored.tombstone
-                    )
-
-    # ------------------------------------------------------------------ #
-    # placement queries
-    # ------------------------------------------------------------------ #
-
-    def replicas_for(self, key: str) -> list[str]:
-        """Ordered replica list for ``key`` (primary first)."""
-        return self.strategy.replicas_for_key(self.ring, key)
-
-    def is_local(self, key: str, node_id: str) -> bool:
-        """True when ``node_id`` holds a replica of ``key`` — i.e. a lookup
-        coordinated from that node needs no network hop."""
-        return node_id in self.replicas_for(key)
-
-    # ------------------------------------------------------------------ #
-    # client operations
-    # ------------------------------------------------------------------ #
-
-    def _required_acks(self, consistency: Optional[ConsistencyLevel]) -> int:
-        level = consistency if consistency is not None else self.default_consistency
-        return level.required_acks(self.strategy.effective_factor(self.ring))
-
-    def put(
-        self,
-        key: str,
-        value: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        _contacts: Optional[set[tuple[str, str]]] = None,
-    ) -> None:
-        """Write ``key`` to its replica set.
-
-        ``_contacts`` is the internal batching hook: when given, coordinator
-        contacts are collected into it (to be recorded once per batch)
-        instead of counted immediately.
-
-        Raises:
-            UnavailableError: if fewer alive replicas than the level requires.
-        """
-        replicas = self.replicas_for(key)
-        required = self._required_acks(consistency)
-        alive = [r for r in replicas if self.nodes[r].is_up]
-        if len(alive) < required:
-            self.stats.unavailable_errors += 1
-            raise UnavailableError(required=required, alive=len(alive), key=key)
-        ts = next(self._timestamps)
-        self.stats.writes += 1
-        for replica in replicas:
-            node = self.nodes[replica]
-            if node.is_up:
-                node.local_put(key, value, ts)
-                if coordinator is not None:
-                    if _contacts is not None:
-                        _contacts.add((coordinator, replica))
-                    else:
-                        self.stats.record_contact(coordinator, replica)
-            else:
-                if self.hints.add(Hint(target_node=replica, key=key, value=value, timestamp=ts)):
-                    self.stats.hints_stored += 1
-
-    def get(
-        self,
-        key: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        _contacts: Optional[set[tuple[str, str]]] = None,
-    ) -> Optional[str]:
-        """Read ``key``; returns the newest value or None if unset.
-
-        At level ONE with a coordinator that holds a replica, the read is
-        served locally (this is the γ/|P| fast path of Eq. 2).
-        ``_contacts`` is the internal batching hook: when given, coordinator
-        contacts are collected into it (to be recorded once per batch)
-        instead of counted immediately.
-        """
-        replicas = self.replicas_for(key)
-        required = self._required_acks(consistency)
-        alive = [r for r in replicas if self.nodes[r].is_up]
-        if len(alive) < required:
-            self.stats.unavailable_errors += 1
-            raise UnavailableError(required=required, alive=len(alive), key=key)
-        # Prefer the coordinator's own replica, then ring order.
-        ordered = alive
-        if coordinator is not None and coordinator in alive:
-            ordered = [coordinator] + [r for r in alive if r != coordinator]
-        consulted = ordered[:required]
-        self.stats.reads += 1
-        if coordinator is not None:
-            if coordinator in consulted:
-                self.stats.local_reads += 1
-            else:
-                self.stats.remote_reads += 1
-            for replica in consulted:
-                if _contacts is not None:
-                    _contacts.add((coordinator, replica))
-                else:
-                    self.stats.record_contact(coordinator, replica)
-        best: Optional[VersionedValue] = None
-        holders: dict[str, Optional[VersionedValue]] = {}
-        for replica in consulted:
-            found = self.nodes[replica].local_get(key)
-            holders[replica] = found
-            if found is not None and found.newer_than(best):
-                best = found
-        # Read repair: a quorum read that saw divergent replicas fixes the
-        # stale ones in the background (consulted == 1 reads never diverge).
-        if best is not None and len(consulted) > 1:
-            for replica, found in holders.items():
-                if found is None or best.newer_than(found):
-                    self.nodes[replica].local_put(
-                        key, best.value, best.timestamp, tombstone=best.tombstone
-                    )
-                    self.stats.read_repairs += 1
-        if best is None or best.tombstone:
-            return None
-        return best.value
-
-    def contains(
-        self,
-        key: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-    ) -> bool:
-        """Membership test (a get that discards the value)."""
-        return self.get(key, consistency=consistency, coordinator=coordinator) is not None
-
-    def clock_now(self) -> int:
-        """Advance and return the store's logical write clock.
-
-        Every write issued after this call is stamped strictly later, so the
-        returned tick is a clean boundary: the migration cutover records it
-        to separate old-topology claims from writes the ring keeps accepting
-        afterwards (see :meth:`contains_many`'s ``ts_bound``).
-        """
-        return next(self._timestamps)
-
-    def contains_many(
-        self,
-        keys: Iterable[str],
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        ts_bound: Optional[int] = None,
-    ) -> list[bool]:
-        """Batched membership check — the read-only sibling of
-        :meth:`put_if_absent_many`: contacts are recorded once per distinct
-        coordinator→replica pair and ``batch_rounds`` grows by one.
-
-        With ``ts_bound``, a key only counts as present when some alive
-        replica holds a non-tombstone version stamped at or before the
-        bound. The migration dual-lookup window probes this way: claims the
-        source ring accepted *after* the cutover belong to its own new
-        topology and must not leak into the destination's verdicts. The
-        bounded probe consults every alive replica (exactness over the
-        γ/|P| fast path).
-        """
-        if ts_bound is not None:
-            results = []
-            for key in keys:
-                best = None
-                for replica in self.replicas_for(key):
-                    node = self.nodes[replica]
-                    if not node.is_up:
-                        continue
-                    found = node.local_get(key)
-                    if (
-                        found is not None
-                        and found.timestamp <= ts_bound
-                        and found.newer_than(best)
-                    ):
-                        best = found
-                results.append(best is not None and not best.tombstone)
-                self.stats.reads += 1
-            self.stats.batch_rounds += 1
-            return results
-        contacts: set[tuple[str, str]] = set()
-        results = [
-            self.get(
-                key,
-                consistency=consistency,
-                coordinator=coordinator,
-                _contacts=contacts,
-            )
-            is not None
-            for key in keys
-        ]
-        for pair_coordinator, replica in sorted(contacts):
-            self.stats.record_contact(pair_coordinator, replica)
-        self.stats.batch_rounds += 1
-        return results
-
-    def put_if_absent(
-        self,
-        key: str,
-        value: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-    ) -> bool:
-        """Insert ``key`` unless present; returns True if it was new.
-
-        This is the dedup hot path: one logical round covers the lookup and
-        (when new) the insert.
-        """
-        if self.get(key, consistency=consistency, coordinator=coordinator) is not None:
-            return False
-        self.put(key, value, consistency=consistency, coordinator=coordinator)
-        return True
-
-    def put_if_absent_many(
-        self,
-        keys: Iterable[str],
-        value: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-    ) -> list[bool]:
-        """Batched :meth:`put_if_absent`: one scatter-gather round trip.
-
-        Key-level semantics are identical to calling ``put_if_absent`` once
-        per key in order (per-key read/write counters included), but the
-        *network* accounting is per round trip, not per key: the coordinator
-        groups the batch's keys by replica node and sends each contacted
-        node one message, so ``remote_contacts``/``per_pair_contacts`` grow
-        by the number of distinct coordinator→replica pairs in the batch —
-        not by the number of keys. ``batch_rounds`` counts these calls.
-
-        Returns:
-            One ``True`` (inserted) / ``False`` (already present) per key,
-            in input order.
-        """
-        started = time.perf_counter()
-        contacts: set[tuple[str, str]] = set()
-        results: list[bool] = []
-        for key in keys:
-            present = (
-                self.get(
-                    key,
-                    consistency=consistency,
-                    coordinator=coordinator,
-                    _contacts=contacts,
-                )
-                is not None
-            )
-            if present:
-                results.append(False)
-            else:
-                self.put(
-                    key,
-                    value,
-                    consistency=consistency,
-                    coordinator=coordinator,
-                    _contacts=contacts,
-                )
-                results.append(True)
-        for pair_coordinator, replica in sorted(contacts):
-            self.stats.record_contact(pair_coordinator, replica)
-        self.stats.batch_rounds += 1
-        self.batch_latency.observe(time.perf_counter() - started)
-        return results
-
-    def delete(
-        self,
-        key: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-    ) -> bool:
-        """Delete ``key`` by writing a tombstone to its replica set.
-
-        The tombstone's timestamp supersedes earlier writes everywhere —
-        including replicas that are down right now, which receive the
-        tombstone as a hint — so a delete can never be undone by a stale
-        hint replay or anti-entropy sync. Returns True if the key was live
-        before the delete.
-        """
-        was_live = self.get(key, consistency=consistency, coordinator=coordinator) is not None
-        replicas = self.replicas_for(key)
-        required = self._required_acks(consistency)
-        alive = [r for r in replicas if self.nodes[r].is_up]
-        if len(alive) < required:
-            self.stats.unavailable_errors += 1
-            raise UnavailableError(required=required, alive=len(alive), key=key)
-        ts = next(self._timestamps)
-        for replica in replicas:
-            node = self.nodes[replica]
-            if node.is_up:
-                node.local_put(key, "", ts, tombstone=True)
-            else:
-                if self.hints.add(
-                    Hint(target_node=replica, key=key, value="", timestamp=ts, tombstone=True)
-                ):
-                    self.stats.hints_stored += 1
-        return was_live
-
-    # ------------------------------------------------------------------ #
-    # migration streaming (operator flow)
-    # ------------------------------------------------------------------ #
-
-    def stream_ranges(
-        self, ranges: Iterable[tuple[int, int]]
-    ) -> list[tuple[str, str, int, bool]]:
-        """Collect every entry whose key token falls in the half-open
-        ``[lo, hi)`` token ``ranges``, newest version winning across all
-        shards (up or down — an operator view, like :meth:`unique_keys`).
-
-        This is the unit live ring migration streams between D2-rings: the
-        caller computes a moved node's primary ranges with
-        :meth:`~repro.kvstore.hashring.ConsistentHashRing.primary_token_ranges`
-        and feeds the rows to the destination store's
-        :meth:`ingest_entries`.
-        """
-        from repro.kvstore.tokens import key_token
-
-        bounds = list(ranges)
-        newest: dict[str, VersionedValue] = {}
-        tokens: dict[str, int] = {}
-        for node in self.nodes.values():
-            for key, stored in node._data.items():
-                token = tokens.get(key)
-                if token is None:
-                    token = tokens[key] = key_token(key)
-                if any(lo <= token < hi for lo, hi in bounds) and stored.newer_than(
-                    newest.get(key)
-                ):
-                    newest[key] = stored
-        return [
-            (key, e.value, e.timestamp, e.tombstone)
-            for key, e in sorted(newest.items())
-        ]
-
-    def ingest_entries(self, entries: Iterable[tuple[str, str, int, bool]]) -> int:
-        """Apply migrated entries (rows from another ring's
-        :meth:`stream_ranges`) to their replica sets at the original
-        timestamps; down replicas receive hints. The local timestamp clock
-        is advanced past the ingested entries so later writes still win
-        last-write-wins against them. Returns the number of rows applied.
-        """
-        applied = 0
-        max_ts = 0
-        for key, value, timestamp, tombstone in entries:
-            timestamp = int(timestamp)
-            max_ts = max(max_ts, timestamp)
-            for replica in self.replicas_for(key):
-                node = self.nodes[replica]
-                if node.is_up:
-                    node.local_put(key, value, timestamp, tombstone=bool(tombstone))
-                elif self.hints.add(
-                    Hint(
-                        target_node=replica,
-                        key=key,
-                        value=value,
-                        timestamp=timestamp,
-                        tombstone=bool(tombstone),
-                    )
-                ):
-                    self.stats.hints_stored += 1
-            applied += 1
-        if applied:
-            tick = next(self._timestamps)
-            self._timestamps = itertools.count(max(tick, max_ts + 1))
-        return applied
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    def unique_keys(self) -> set[str]:
-        """The logical (live) key set: keys whose newest version across all
-        nodes — up or down; this is an operator view — is not a tombstone."""
-        newest: dict[str, VersionedValue] = {}
-        for node in self.nodes.values():
-            for key, stored in node._data.items():
-                if stored.newer_than(newest.get(key)):
-                    newest[key] = stored
-        return {key for key, stored in newest.items() if not stored.tombstone}
-
-    def total_stored_entries(self) -> int:
-        """Sum of per-node entry counts (≈ unique_keys · γ when healthy)."""
-        return sum(node.key_count() for node in self.nodes.values())
-
-    def __len__(self) -> int:
-        return len(self.unique_keys())

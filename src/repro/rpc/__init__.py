@@ -2,11 +2,14 @@
 
 The in-process :class:`~repro.kvstore.store.DistributedKVStore` models a
 ring's index analytically; this package runs it for real: each member's
-:class:`~repro.kvstore.node.StorageNode` shard behind a TCP
+:class:`~repro.kvstore.replica.Replica` behind a TCP
 :class:`~repro.rpc.server.NodeServer`, a multiplexing
 :class:`~repro.rpc.client.RpcClient` with per-call timeouts and bounded
-jittered retries, and a :class:`~repro.rpc.remote_store.RemoteKVStore`
-coordinator that keeps the in-process store's exact operation surface and
+jittered retries, an :class:`~repro.rpc.transport.AsyncioTransport` that
+carries the replica verbs over it, and a
+:class:`~repro.rpc.remote_store.RemoteKVStore` that runs the one
+:class:`~repro.kvstore.coordinator.QuorumCoordinator` on top — the same
+coordination code, and therefore the same operation surface and
 accounting. :class:`~repro.rpc.faults.FaultInjector` makes drops, delays,
 duplicates, and partitions injectable per node pair, so the robustness
 story is testable from day one. Boot everything with

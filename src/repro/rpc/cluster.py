@@ -21,7 +21,8 @@ from typing import Iterable, Optional, Union
 
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.gossip import PhiAccrualDetector
-from repro.kvstore.node import StorageNode
+from repro.kvstore.repair import ReplicaRepairer
+from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
 from repro.obs.trace import Tracer
 from repro.rpc.client import RpcClient
@@ -209,7 +210,7 @@ class LiveKVCluster:
                 seed=self._seed * 1_000_003 + zlib.crc32(node_id.encode()),
             )
         return NodeServer(
-            node=StorageNode(node_id, wal=self._open_wal(node_id)),
+            node=Replica(node_id, wal=self._open_wal(node_id)),
             codec=self._codec,
             tracer=self._tracer,
             admission=admission,
@@ -283,9 +284,7 @@ class LiveKVCluster:
         self._killed.discard(node_id)
         self.store.mark_up(node_id)
         if repair:
-            from repro.rpc.repair import RemoteReplicaRepairer
-
-            RemoteReplicaRepairer(self.store).repair_node(node_id)
+            ReplicaRepairer(self.store).repair_node(node_id)
 
     # ------------------------------------------------------------------ #
     # live membership (ring-migration support)

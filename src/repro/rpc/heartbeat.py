@@ -5,14 +5,14 @@ from a simulated clock; a live ring has to earn its liveness evidence from
 the network. :class:`HeartbeatService` runs a daemon thread that, every
 ``interval_s`` seconds:
 
-1. pings every member over the normal RPC transport (one concurrent round);
+1. pings every member through the store's transport (one concurrent round);
 2. feeds each successful reply to the shared phi-accrual detector — a reply
    from an administratively-downed replica (``up: False``) is *not*
    counted, so an operator's ``mark_down`` isn't fought by the sweeper;
 3. sweeps: members whose φ crosses the threshold are marked down on the
    coordinator (writes become hints), and suspected members that answer
    again are marked up (hints replay + recovery read-repair run as part of
-   :meth:`~repro.rpc.remote_store.RemoteKVStore.mark_up`).
+   :meth:`~repro.kvstore.coordinator.QuorumCoordinator.mark_up`).
 
 The service must run in its own thread — never on the transport's event
 loop — because the sweep calls the store's synchronous facade
@@ -21,13 +21,11 @@ loop — because the sweep calls the store's synchronous facade
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import Optional
 
 from repro.kvstore.gossip import HeartbeatMonitor, PhiAccrualDetector
-from repro.rpc.errors import RpcError
 from repro.rpc.remote_store import RemoteKVStore
 
 
@@ -106,25 +104,15 @@ class HeartbeatService:
     def poll_once(self, now: Optional[float] = None) -> list[tuple[float, str, str]]:
         """Ping every member, feed the detector, sweep. Returns the
         monitor's cumulative (time, node, state) transition log."""
-        node_ids = list(self.store.nodes)
-
-        async def ping_round():
-            return await asyncio.gather(
-                *(self.store._client.call(n, "ping") for n in node_ids),
-                return_exceptions=True,
-            )
-
-        results = self.store._sync(ping_round())
+        answers = self.store.probe_members()
         if now is None:
             now = time.monotonic()
-        for node_id, result in zip(node_ids, results):
-            if isinstance(result, BaseException):
-                if not isinstance(result, RpcError):
-                    raise result
+        for node_id, up in answers.items():
+            if up is None:
                 self.ping_failures += 1
                 continue
             self.pings += 1
-            if result.get("up", True):
+            if up:
                 self.monitor.observe(node_id, now)
         self.monitor.sweep(now)
         return self.monitor.transitions

@@ -1,174 +1,12 @@
 """Merkle anti-entropy over the wire: catch-up for rejoining replicas.
 
-The live twin of :class:`~repro.kvstore.repair.ReplicaRepairer`. The
-protocol mirrors the in-process flow but moves only summaries and dirty
-buckets across the network:
-
-1. ask two replicas for their fixed-depth Merkle trees (``merkle_tree``);
-2. diff the leaf hashes (:func:`~repro.kvstore.repair.differing_buckets`);
-3. fetch just the mismatching buckets from both sides (``repair_range``);
-4. push each side's strictly-newer rows to the other with ``multi_put``,
-   filtered to keys the receiver is actually responsible for.
-
-Tree building and bucket reads are control-plane server operations (they
-read the shard directly, like ``dump``), so a replica that is still
-marked down can be *compared*; pushes go through the normal data plane
-and therefore land in the receiver's WAL.
-
-This is the anti-entropy half of crash recovery: hinted handoff replays
-what the coordinator saw while a node was down, and a
-:meth:`RemoteReplicaRepairer.repair_node` pass afterwards closes whatever
-the hint window dropped.
+There is one repairer, :class:`~repro.kvstore.repair.ReplicaRepairer`,
+written against the replica transport; over a live ring's
+:class:`~repro.rpc.remote_store.RemoteKVStore` its tree, bucket and push
+steps are ``merkle_tree`` / ``repair_range`` / ``multi_put`` RPCs. This
+module keeps the name live-ring callers import.
 """
 
-from __future__ import annotations
+from repro.kvstore.repair import ReplicaRepairer as RemoteReplicaRepairer
 
-import asyncio
-
-from repro.kvstore.node import VersionedValue
-from repro.kvstore.repair import MerkleTree, RepairStats, differing_buckets
-from repro.rpc.remote_store import RemoteKVStore
-
-
-class RemoteReplicaRepairer:
-    """Pairwise Merkle repair across a live ring's node servers.
-
-    Args:
-        store: the coordinator whose membership, placement, and client
-            transport the repairer reuses.
-        merkle_depth: tree depth (2**depth buckets), as in the in-process
-            repairer.
-    """
-
-    def __init__(self, store: RemoteKVStore, merkle_depth: int = 6) -> None:
-        if not 1 <= merkle_depth <= 16:
-            raise ValueError(f"merkle_depth must be in [1, 16], got {merkle_depth!r}")
-        self.store = store
-        self.merkle_depth = merkle_depth
-        self.stats = RepairStats()
-
-    # ------------------------------------------------------------------ #
-    # wire helpers
-    # ------------------------------------------------------------------ #
-
-    async def _a_tree(self, node_id: str) -> MerkleTree:
-        result = await self.store._client.call(
-            node_id, "merkle_tree", {"depth": self.merkle_depth}
-        )
-        return MerkleTree(
-            depth=int(result["depth"]),
-            leaves=tuple(result["leaves"]),
-            root=result["root"],
-        )
-
-    async def _a_fetch(self, node_id: str, buckets: list[int]) -> dict[str, VersionedValue]:
-        result = await self.store._client.call(
-            node_id,
-            "repair_range",
-            {"depth": self.merkle_depth, "buckets": buckets},
-        )
-        return {
-            key: VersionedValue(
-                value=value, timestamp=int(ts), tombstone=bool(tombstone)
-            )
-            for key, value, ts, tombstone in result["entries"]
-        }
-
-    # ------------------------------------------------------------------ #
-    # pairwise sync
-    # ------------------------------------------------------------------ #
-
-    async def _a_sync_pair(self, a: str, b: str) -> None:
-        tree_a, tree_b = await asyncio.gather(self._a_tree(a), self._a_tree(b))
-        self.stats.pairs_checked += 1
-        self.stats.buckets_compared += tree_a.n_buckets
-        dirty = differing_buckets(tree_a, tree_b)
-        if not dirty:
-            return
-        self.stats.buckets_streamed += len(dirty)
-        entries_a, entries_b = await asyncio.gather(
-            self._a_fetch(a, dirty), self._a_fetch(b, dirty)
-        )
-        for src_entries, dst_id, dst_entries in (
-            (entries_a, b, entries_b),
-            (entries_b, a, entries_a),
-        ):
-            rows: list[list] = []
-            for key in sorted(src_entries):
-                stored = src_entries[key]
-                if not stored.newer_than(dst_entries.get(key)):
-                    continue
-                # Only stream keys this replica is actually responsible for.
-                if dst_id in self.store.replicas_for(key):
-                    rows.append([key, stored.value, stored.timestamp, stored.tombstone])
-            if rows:
-                await self.store._client.call(dst_id, "multi_put", {"entries": rows})
-                self.stats.synced_keys += len(rows)
-
-    # ------------------------------------------------------------------ #
-    # public API (synchronous facade, like RemoteKVStore)
-    # ------------------------------------------------------------------ #
-
-    def repair_node(self, node_id: str) -> RepairStats:
-        """Catch ``node_id`` up: sync it pairwise against every other
-        alive member (the rejoin path after a crash-restart)."""
-        self.store._check_member(node_id)
-
-        async def run():
-            for peer in self.store.alive_nodes():
-                if peer != node_id:
-                    await self._a_sync_pair(node_id, peer)
-            return self.stats
-
-        return self.store._sync(run())
-
-    def repair_all(self) -> RepairStats:
-        """Anti-entropy between every pair of alive members (all-pairs is
-        exact and fine at the ring sizes here)."""
-
-        async def run():
-            alive = self.store.alive_nodes()
-            for i in range(len(alive)):
-                for j in range(i + 1, len(alive)):
-                    await self._a_sync_pair(alive[i], alive[j])
-            return self.stats
-
-        return self.store._sync(run())
-
-    def verify_replication(self) -> list[str]:
-        """Keys under-replicated on alive nodes (diagnostic; empty once a
-        repair pass has converged the ring)."""
-
-        async def shard(node_id: str):
-            result = await self.store._client.call(node_id, "dump")
-            return node_id, {
-                key: VersionedValue(value=row[0], timestamp=int(row[1]), tombstone=bool(row[2]))
-                for key, row in result["entries"].items()
-                if row is not None
-            }
-
-        async def run():
-            shards = dict(
-                await asyncio.gather(*(shard(n) for n in self.store.nodes))
-            )
-            newest: dict[str, VersionedValue] = {}
-            for entries in shards.values():
-                for key, stored in entries.items():
-                    if stored.newer_than(newest.get(key)):
-                        newest[key] = stored
-            alive = set(self.store.alive_nodes())
-            missing: list[str] = []
-            for key, stored in sorted(newest.items()):
-                if stored.tombstone:
-                    continue
-                alive_replicas = [r for r in self.store.replicas_for(key) if r in alive]
-                holders = [
-                    r
-                    for r in alive_replicas
-                    if (found := shards[r].get(key)) is not None and not found.tombstone
-                ]
-                if len(holders) < len(alive_replicas):
-                    missing.append(key)
-            return missing
-
-        return self.store._sync(run())
+__all__ = ["RemoteReplicaRepairer"]

@@ -4,11 +4,11 @@ Each edge node of a live D2-ring runs one :class:`NodeServer` on
 127.0.0.1 (port assigned by the OS). The server speaks the framed
 request/response protocol of :mod:`repro.rpc.framing` /
 :mod:`repro.rpc.messages` and exposes the *replica-local* operation
-surface — batched gets and puts against the node's
-:class:`~repro.kvstore.node.StorageNode` shard. Coordination (replica
-placement, consistency, hint buffering, last-write-wins merges) stays
-client-side in :class:`~repro.rpc.remote_store.RemoteKVStore`, exactly
-where :class:`~repro.kvstore.store.DistributedKVStore` keeps it.
+surface: every handler is wire decode/encode around one verb of the
+member's :class:`~repro.kvstore.replica.Replica` (index shard plus chunk
+shelf). Coordination (replica placement, consistency, hint buffering,
+last-write-wins merges) stays client-side in the
+:class:`~repro.kvstore.coordinator.QuorumCoordinator`.
 
 Two server-side behaviors make retries safe:
 
@@ -65,9 +65,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.kvstore.errors import KVStoreError, NodeDownError
-from repro.kvstore.node import StorageNode
-from repro.kvstore.repair import _bucket_of, merkle_from_items
+from repro.kvstore.errors import KVStoreError
+from repro.kvstore.replica import Replica
 from repro.obs.histogram import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
@@ -121,11 +120,16 @@ def _entry_to_wire(stored) -> Optional[list]:
     return [stored.value, stored.timestamp, stored.tombstone]
 
 
+def _rows_to_wire(entries) -> dict:
+    return {"entries": [stored.row(key) for key, stored in entries.items()]}
+
+
 class NodeServer:
     """One replica's network face.
 
     Args:
-        node: the storage shard this server fronts (created if omitted).
+        node: the replica (shard + chunk shelf) this server fronts (created
+            if omitted).
         node_id: required when ``node`` is omitted.
         codec: codec name used for *outgoing* frames (incoming frames name
             their own codec, so mixed-codec clients are fine).
@@ -145,7 +149,7 @@ class NodeServer:
 
     def __init__(
         self,
-        node: Optional[StorageNode] = None,
+        node: Optional[Replica] = None,
         node_id: Optional[str] = None,
         codec: Optional[str] = None,
         idempotency_capacity: int = DEFAULT_IDEMPOTENCY_CAPACITY,
@@ -156,19 +160,13 @@ class NodeServer:
     ) -> None:
         if node is None:
             if node_id is None:
-                raise ValueError("give either a StorageNode or a node_id")
-            node = StorageNode(node_id)
+                raise ValueError("give either a Replica or a node_id")
+            node = Replica(node_id)
         if idempotency_capacity < 1:
             raise ValueError(
                 f"idempotency_capacity must be >= 1, got {idempotency_capacity!r}"
             )
         self.node = node
-        # Chunk-payload shelf for the content plane: fingerprint → raw
-        # bytes. In-memory on purpose — the edge copy is a locality cache;
-        # the erasure-coded cloud tier is the durable tier, so a crashed
-        # node losing its shelf is recoverable by reconstruction.
-        self.chunks: dict[str, bytes] = {}
-        self.chunk_bytes = 0
         from repro.rpc.framing import default_codec_name
 
         self.codec = get_codec(codec if codec is not None else default_codec_name())
@@ -412,176 +410,89 @@ class NodeServer:
         return response
 
     # ------------------------------------------------------------------ #
-    # operations — data plane (refused while the replica is down)
+    # operations — wire decode/encode around the Replica's verbs
     # ------------------------------------------------------------------ #
+    #
+    # Data-plane verbs (multi_get, multi_put, put_chunks, get_chunks,
+    # delete_chunks) are refused by the replica while it is down; the rest
+    # are operator views that keep working, so a down replica can still be
+    # inspected, compared and drained.
 
     def _op_ping(self, params: dict) -> dict:
         return {"node": self.node_id, "up": self.node.is_up}
 
     def _op_multi_get(self, params: dict) -> dict:
-        keys = params["keys"]
-        # local_get raises NodeDownError when the replica is down.
-        return {"entries": {key: _entry_to_wire(self.node.local_get(key)) for key in keys}}
+        found = self.node.multi_get(params["keys"])
+        return {"entries": {key: _entry_to_wire(stored) for key, stored in found.items()}}
 
     def _op_multi_put(self, params: dict) -> dict:
         entries = params["entries"]
-        for key, value, timestamp, tombstone in entries:
-            self.node.local_put(key, value, int(timestamp), tombstone=bool(tombstone))
+        self.node.multi_put(
+            (key, value, int(timestamp), bool(tombstone))
+            for key, value, timestamp, tombstone in entries
+        )
         return {"stored": len(entries)}
 
-    # ------------------------------------------------------------------ #
-    # operations — chunk payloads (content plane)
-    # ------------------------------------------------------------------ #
-
-    def _require_up(self) -> None:
-        if not self.node.is_up:
-            raise NodeDownError(f"node {self.node_id!r} is down")
-
     def _op_put_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        """Batched payload writes: ``fingerprints`` names the request's
-        blobs, in order. A count mismatch stores nothing."""
-        self._require_up()
+        """``fingerprints`` names the request's blobs, in order. A count
+        mismatch stores nothing."""
         fingerprints = params["fingerprints"]
         if len(fingerprints) != len(blobs):
             raise ValueError(
                 f"put_chunks names {len(fingerprints)} fingerprints "
                 f"but carries {len(blobs)} blobs"
             )
-        stored = 0
-        stored_bytes = 0
-        for fingerprint, data in zip(fingerprints, blobs):
-            if fingerprint not in self.chunks:
-                self.chunk_bytes += len(data)
-                stored += 1
-                stored_bytes += len(data)
-            else:
-                self.chunk_bytes += len(data) - len(self.chunks[fingerprint])
-            self.chunks[fingerprint] = data
+        stored, stored_bytes = self.node.put_chunks(zip(fingerprints, blobs))
         return {"stored": stored, "bytes": stored_bytes}, ()
 
     def _op_get_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        self._require_up()
-        return self._op_chunk_dump(params, blobs)
+        """``found`` names the reply's blobs, in order. The reply stops
+        filling at ``BLOB_BUDGET_BYTES``; ``scanned`` says how many of the
+        asked fingerprints it covers, and the caller asks again for the rest."""
+        found, scanned = self.node.get_chunks(params["fingerprints"], BLOB_BUDGET_BYTES)
+        return {"found": list(found), "scanned": scanned}, tuple(found.values())
 
     def _op_chunk_dump(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        """Batched payload reads: ``found`` names the reply's blobs, in
-        order. The reply stops filling at ``BLOB_BUDGET_BYTES``;
-        ``scanned`` says how many of the asked fingerprints it covers — of
-        those, one not ``found`` is absent (a cache miss, not an error) —
-        and the caller asks again for the rest. ``get_chunks`` is the data
-        op; under this name it is the operator's (served while down, like
-        ``chunk_keys``, so a refusing replica's shelf can be rehomed)."""
-        found: list[str] = []
-        out: list[bytes] = []
-        budget = BLOB_BUDGET_BYTES
-        scanned = 0
-        for fingerprint in params["fingerprints"]:
-            data = self.chunks.get(fingerprint)
-            if data is not None:
-                if out and len(data) > budget:
-                    break  # full; a lone oversize blob still travels alone
-                found.append(fingerprint)
-                out.append(data)
-                budget -= len(data)
-            scanned += 1
-        return {"found": found, "scanned": scanned}, tuple(out)
+        found, scanned = self.node.chunk_dump(params["fingerprints"], BLOB_BUDGET_BYTES)
+        return {"found": list(found), "scanned": scanned}, tuple(found.values())
 
     def _op_delete_chunks(self, params: dict) -> dict:
-        self._require_up()
-        deleted = 0
-        freed = 0
-        for fingerprint in params["fingerprints"]:
-            data = self.chunks.pop(fingerprint, None)
-            if data is not None:
-                deleted += 1
-                freed += len(data)
-                self.chunk_bytes -= len(data)
+        deleted, freed = self.node.delete_chunks(params["fingerprints"])
         return {"deleted": deleted, "bytes": freed}
 
     def _op_chunk_keys(self, params: dict) -> dict:
-        # Operator view like dump: works while down, so a decommission or
-        # GC sweep can still enumerate what a refusing replica holds.
-        return {"fingerprints": sorted(self.chunks)}
-
-    # ------------------------------------------------------------------ #
-    # operations — control plane (always served)
-    # ------------------------------------------------------------------ #
+        return {"fingerprints": self.node.chunk_keys()}
 
     def _op_set_down(self, params: dict) -> dict:
-        if params["down"]:
-            self.node.mark_down()
-        else:
-            self.node.mark_up()
+        self.node.set_down(bool(params["down"]))
         return {"node": self.node_id, "up": self.node.is_up}
 
     def _op_dump(self, params: dict) -> dict:
-        # Operator view: reads the shard directly, works while down
-        # (mirrors DistributedKVStore.unique_keys() reading node._data).
         return {
-            "entries": {key: _entry_to_wire(stored) for key, stored in self.node._data.items()}
+            "entries": {
+                key: _entry_to_wire(stored) for key, stored in self.node.dump().items()
+            }
         }
 
     def _op_key_count(self, params: dict) -> dict:
-        return {"count": len(self.node._data)}
+        return {"count": self.node.key_count()}
 
     def _op_stats(self, params: dict) -> dict:
         return self.stats.snapshot()
 
     def _op_merkle_tree(self, params: dict) -> dict:
-        # Anti-entropy is an operator flow like dump: it reads the shard
-        # directly so a recovering (still-down) replica can be compared.
-        depth = int(params.get("depth", 6))
-        tree = merkle_from_items(
-            (
-                (key, stored.value, stored.timestamp, stored.tombstone)
-                for key, stored in self.node._data.items()
-            ),
-            depth,
-        )
+        tree = self.node.merkle_tree(int(params.get("depth", 6)))
         return {"depth": tree.depth, "leaves": list(tree.leaves), "root": tree.root}
 
     def _op_repair_range(self, params: dict) -> dict:
-        depth = int(params["depth"])
-        buckets = set(params["buckets"])
-        entries = [
-            [key, stored.value, stored.timestamp, stored.tombstone]
-            for key, stored in self.node._data.items()
-            if _bucket_of(key, depth) in buckets
-        ]
-        return {"entries": entries}
+        return _rows_to_wire(self.node.repair_range(int(params["depth"]), params["buckets"]))
 
     def _op_fetch_range(self, params: dict) -> dict:
-        """Token-range scan — the ring-migration sibling of ``repair_range``.
+        # Bounds travel as decimal strings: tokens live in [0, 2**127),
+        # which overflows msgpack's 64-bit integers.
+        return _rows_to_wire(
+            self.node.fetch_range((int(lo), int(hi)) for lo, hi in params["ranges"])
+        )
 
-        Bounds travel as decimal strings: tokens live in [0, 2**127), which
-        overflows msgpack's 64-bit integers. Reads the shard directly
-        (operator flow like ``dump``), so a down replica can still be
-        drained.
-        """
-        from repro.kvstore.tokens import key_token
-
-        ranges = [(int(lo), int(hi)) for lo, hi in params["ranges"]]
-        entries = []
-        for key, stored in self.node._data.items():
-            token = key_token(key)
-            if any(lo <= token < hi for lo, hi in ranges):
-                entries.append([key, stored.value, stored.timestamp, stored.tombstone])
-        return {"entries": entries}
-
-    _HANDLERS = {
-        "ping": _op_ping,
-        "multi_get": _op_multi_get,
-        "multi_put": _op_multi_put,
-        "put_chunks": _op_put_chunks,
-        "get_chunks": _op_get_chunks,
-        "delete_chunks": _op_delete_chunks,
-        "chunk_keys": _op_chunk_keys,
-        "chunk_dump": _op_chunk_dump,
-        "set_down": _op_set_down,
-        "dump": _op_dump,
-        "key_count": _op_key_count,
-        "stats": _op_stats,
-        "merkle_tree": _op_merkle_tree,
-        "repair_range": _op_repair_range,
-        "fetch_range": _op_fetch_range,
-    }
+    # Every ``_op_<method>`` above serves the wire method of that name.
+    _HANDLERS = {name[4:]: op for name, op in vars().items() if name.startswith("_op_")}

@@ -696,8 +696,6 @@ class D2Ring:
         else:
             self.store.add_node(node_id)
         self.members.append(node_id)
-        if self.content is not None:
-            self.content.add_member(node_id)
         self._make_agent(node_id)
 
     def remove_member(self, node_id: str) -> None:

@@ -81,7 +81,7 @@ class TestRingContentStore:
         ring.content.put_chunk("fp", b"x")
         ring.content.flush()
         primary = ring.store.replicas_for("fp")[0]
-        assert "fp" in ring.content._shelves[primary]
+        assert "fp" in ring.store.node_chunk_keys(primary)
 
     def test_down_primary_falls_to_next_replica(self):
         ring = make_ring()
@@ -89,7 +89,7 @@ class TestRingContentStore:
         ring.store.mark_down(primary)
         ring.content.put_chunk("fp", b"x")
         ring.content.flush()
-        assert "fp" not in ring.content._shelves[primary]
+        assert "fp" not in ring.store.node_chunk_keys(primary)
         assert ring.content.get_chunk("fp") == b"x"
 
     def test_all_replicas_down_drops_put(self):
@@ -114,15 +114,15 @@ class TestRingContentStore:
         for i in range(12):
             ring.content.put_chunk(f"fp{i}", bytes([i]))
         ring.content.flush()
-        victim = max(
-            ring.content._shelves, key=lambda n: len(ring.content._shelves[n])
-        )
-        held = len(ring.content._shelves[victim])
+        shelves = ring.content.drain_by_member()
+        victim = max(shelves, key=lambda n: len(shelves[n]))
+        held = len(shelves[victim])
         assert held > 0
         moved = ring.content.rehome_member(victim)
         assert moved == held
+        ring.store.remove_node(victim)
         # Every chunk still readable, none left on the departed member.
-        assert victim not in ring.content._shelves
+        assert victim not in ring.content.drain_by_member()
         for i in range(12):
             assert ring.content.get_chunk(f"fp{i}") == bytes([i])
 
@@ -432,12 +432,12 @@ class TestGetManyPlacement:
         ring = make_ring(n=3, rf=2)
         primary, secondary = ring.store.replicas_for("fp")
         (outsider,) = set(ring.store.nodes) - {primary, secondary}
-        shelves = ring.content._shelves
-        shelves[outsider]["fp"] = b"outsider"
+        shelve = ring.store.scatter_put_chunks
+        shelve({outsider: [("fp", b"outsider")]})
         assert ring.content.get_many(["fp"]) == {"fp": b"outsider"}
-        shelves[secondary]["fp"] = b"secondary"
+        shelve({secondary: [("fp", b"secondary")]})
         assert ring.content.get_many(["fp"]) == {"fp": b"secondary"}
-        shelves[primary]["fp"] = b"primary"
+        shelve({primary: [("fp", b"primary")]})
         assert ring.content.get_many(["fp"]) == {"fp": b"primary"}
         ring.store.mark_down(primary)
         assert ring.content.get_many(["fp"]) == {"fp": b"secondary"}

@@ -18,14 +18,13 @@ from repro.kvstore.store import DistributedKVStore
 
 
 def desynced_store(n=4, rf=2, lost_range=(0, 50)) -> tuple[DistributedKVStore, str]:
-    """A store where one node missed writes and its hints were lost."""
+    """A store where one node silently missed writes (no hints, no
+    degraded-key record: nothing but anti-entropy can find the gap)."""
     store = DistributedKVStore([f"n{i}" for i in range(n)], replication_factor=rf)
     victim = "n1"
-    store.mark_down(victim)
     for i in range(*lost_range):
         store.put(f"k{i}", str(i))
-    store.hints.take_for(victim)  # hints lost (e.g. overflow / coordinator crash)
-    store.nodes[victim].mark_up()  # back up without replay
+    store.nodes[victim]._data.clear()
     return store, victim
 
 
@@ -262,7 +261,7 @@ class TestMerkleEdgeCases:
 
     def test_repair_with_replica_down_mid_session(self):
         """A replica that goes down between repair passes is skipped, and a
-        later pass (after it recovers, hints lost) still converges."""
+        later pass (after it recovers) still converges."""
         store, victim = desynced_store()
         store.mark_down(victim)
         repairer = ReplicaRepairer(store)
@@ -270,8 +269,7 @@ class TestMerkleEdgeCases:
         repairer.repair_all()  # victim down: only alive pairs compared
         assert len(store.nodes[victim]._data) == shard_size  # gained nothing
         before = repairer.stats.synced_keys
-        store.hints.take_for(victim)  # recovery loses the hints again
-        store.nodes[victim].mark_up()
+        store.mark_up(victim)  # nothing was hinted or served degraded meanwhile
         repairer.repair_all()
         assert repairer.stats.synced_keys > before
         assert ReplicaRepairer(store).verify_replication() == []

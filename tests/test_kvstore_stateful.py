@@ -1,9 +1,12 @@
 """Model-based stateful tests for the distributed KV store.
 
 Hypothesis drives random operation sequences — writes, reads, deletes,
-failures, recoveries — against the store and a reference model (a plain
-dict plus an up/down set), checking after every step that the store agrees
-with the model wherever the consistency contract promises agreement.
+batched claims and probes, failures, recoveries — against the store and a
+reference model (a plain dict plus an up/down set), checking after every
+step that the store agrees with the model wherever the consistency
+contract promises agreement. The machine runs over both replica
+transports: the contract belongs to the one coordinator, not to how its
+replicas are reached.
 """
 
 from hypothesis import settings
@@ -13,7 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import UnavailableError
 from repro.kvstore.repair import ReplicaRepairer
-from repro.kvstore.store import DistributedKVStore
+from tests.test_store_protocol import make_ring, shards
 
 NODES = ["n0", "n1", "n2", "n3"]
 KEYS = [f"key-{i}" for i in range(8)]
@@ -22,12 +25,27 @@ KEYS = [f"key-{i}" for i in range(8)]
 class KVStoreMachine(RuleBasedStateMachine):
     """The store must track a dict, modulo unavailability errors."""
 
+    transport = "direct"
+
     def __init__(self) -> None:
         super().__init__()
-        self.store = DistributedKVStore(NODES, replication_factor=2)
+        self.ring = make_ring(self.transport, n=len(NODES), rf=2)
+        self.store = self.ring.store
         self.model: dict[str, str] = {}
         self.down: set[str] = set()
         self.counter = 0
+        # True verdicts each key earned since it last was absent.
+        self.new_verdicts: dict[str, int] = {}
+        self.claimed: set[str] = set()  # live keys that entered by a claim
+
+    def teardown(self) -> None:
+        self.ring.close()
+
+    def _assert_unroutable(self, keys) -> None:
+        """UnavailableError is legal only when some key has no alive replica."""
+        assert any(
+            all(r in self.down for r in self.store.replicas_for(key)) for key in keys
+        )
 
     # -- operations ------------------------------------------------------ #
 
@@ -39,17 +57,14 @@ class KVStoreMachine(RuleBasedStateMachine):
             self.store.put(key, value, consistency=ConsistencyLevel.ONE)
             self.model[key] = value
         except UnavailableError:
-            # Legal only when every replica of the key is down.
-            replicas = self.store.replicas_for(key)
-            assert all(r in self.down for r in replicas)
+            self._assert_unroutable([key])
 
     @rule(key=st.sampled_from(KEYS))
     def read(self, key: str) -> None:
         try:
             value = self.store.get(key, consistency=ConsistencyLevel.ONE)
         except UnavailableError:
-            replicas = self.store.replicas_for(key)
-            assert all(r in self.down for r in replicas)
+            self._assert_unroutable([key])
             return
         if key in self.model:
             # With hinted handoff active and no lost hints, a ONE read may
@@ -67,9 +82,38 @@ class KVStoreMachine(RuleBasedStateMachine):
             # Deletes write tombstones (hinted to down replicas), so a
             # delete is final regardless of failures at delete time.
             self.model.pop(key, None)
+            self.new_verdicts.pop(key, None)
+            self.claimed.discard(key)
         except UnavailableError:
-            replicas = self.store.replicas_for(key)
-            assert all(r in self.down for r in replicas)
+            self._assert_unroutable([key])
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=6))
+    def claim_many(self, keys: list[str]) -> None:
+        try:
+            verdicts = self.store.put_if_absent_many(keys, "claimed", coordinator=NODES[0])
+        except UnavailableError:
+            self._assert_unroutable(keys)
+            return  # routed whole before any write: nothing was applied
+        for key, new in zip(keys, verdicts):
+            assert new == (key not in self.model), (key, new)
+            if new:
+                self.model[key] = "claimed"
+                self.claimed.add(key)
+                self.new_verdicts[key] = self.new_verdicts.get(key, 0) + 1
+
+    @rule(
+        keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=6),
+        level=st.sampled_from([ConsistencyLevel.ONE, ConsistencyLevel.QUORUM]),
+    )
+    def probe_many(self, keys: list[str], level: ConsistencyLevel) -> None:
+        before = shards(self.ring)
+        try:
+            present = self.store.contains_many(keys, consistency=level)
+        except UnavailableError:
+            present = None
+        assert shards(self.ring) == before  # a probe never writes
+        if present is not None and not self.down:
+            assert present == [key in self.model for key in keys]
 
     @rule(node=st.sampled_from(NODES))
     def fail_node(self, node: str) -> None:
@@ -99,13 +143,16 @@ class KVStoreMachine(RuleBasedStateMachine):
     @invariant()
     def replica_counts_bounded(self) -> None:
         # Never more copies than γ plus hint-replay writes cannot duplicate.
+        held = shards(self.ring)
         for key in self.store.unique_keys():
-            holders = [
-                nid
-                for nid, node in self.store.nodes.items()
-                if key in node._data
-            ]
-            assert len(holders) <= len(NODES)
+            assert sum(key in shard for shard in held.values()) <= len(NODES)
+
+    @invariant()
+    def one_new_verdict_per_live_key(self) -> None:
+        # A chunk is announced as new exactly once per lifetime, or two
+        # agents upload it (or none does).
+        assert all(count == 1 for count in self.new_verdicts.values())
+        assert self.claimed == set(self.new_verdicts)
 
     @invariant()
     def healthy_cluster_reads_match_model(self) -> None:
@@ -118,4 +165,16 @@ class KVStoreMachine(RuleBasedStateMachine):
 TestKVStoreStateful = KVStoreMachine.TestCase
 TestKVStoreStateful.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
+)
+
+
+class AsyncioKVStoreMachine(KVStoreMachine):
+    transport = "asyncio"
+
+
+# Every example boots a real TCP ring: a smoke-depth run here, the
+# nightly-depth one is ROADMAP item 3.
+TestKVStoreStatefulAsyncio = AsyncioKVStoreMachine.TestCase
+TestKVStoreStatefulAsyncio.settings = settings(
+    max_examples=5, stateful_step_count=20, deadline=None
 )

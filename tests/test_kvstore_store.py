@@ -368,10 +368,11 @@ class TestTombstones:
         store = make_store(n=4, rf=2)
         store.put("k", "v")
         victim = store.replicas_for("k")[0]
-        store.mark_down(victim)  # victim still holds the live value locally
+        stale = store.nodes[victim].local_get("k")
         store.delete("k")
-        store.hints.take_for(victim)  # lose the tombstone hint
-        store.nodes[victim].mark_up()  # recover without replay
+        # The victim silently missed the tombstone: it still holds the
+        # live value, and no hint or degraded-key record knows.
+        store.nodes[victim]._data["k"] = stale
         ReplicaRepairer(store).repair_all()  # tombstone wins the sync
         assert store.get("k") is None
 

@@ -472,7 +472,7 @@ class TestLivenessUnderOverload:
             assert detector.phi("n1", now) < detector.threshold
             assert all(state != "down" for _, _, state in
                        heartbeats.monitor.transitions)
-            assert cluster.store.nodes["n1"].is_up
+            assert cluster.store.is_up("n1")
 
     def test_admin_down_outlives_half_open_probes_and_pings(self):
         with live_cluster(
@@ -496,7 +496,7 @@ class TestLivenessUnderOverload:
             # node answers every ping — but the admin mark still wins: the
             # sweeper must not resurrect what an operator took down.
             assert breaker.allow() is True
-            assert not cluster.store.nodes["n1"].is_up
+            assert not cluster.store.is_up("n1")
             assert all(state != "up" for _, _, state in
                        heartbeats.monitor.transitions)
 

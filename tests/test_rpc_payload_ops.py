@@ -54,8 +54,8 @@ class TestPayloadOps:
                 "n0": None,
                 "n1": None,
             }
-            assert cluster.servers["n0"].chunks == dict(CHUNKS)
-            assert cluster.servers["n0"].chunk_bytes == sum(len(d) for _, d in CHUNKS)
+            assert cluster.servers["n0"].node.chunks == dict(CHUNKS)
+            assert cluster.servers["n0"].node.chunk_bytes == sum(len(d) for _, d in CHUNKS)
             got = store.scatter_get_chunks(
                 {"n0": WANTED + ["absent"], "n1": WANTED[:4], "n2": ["absent"]}
             )
@@ -94,14 +94,14 @@ class TestPayloadOps:
                     )
                 assert excinfo.value.error_type == "ValueError"
             server = cluster.servers["n0"]
-            assert server.chunks == {} and server.chunk_bytes == 0
+            assert server.node.chunks == {} and server.node.chunk_bytes == 0
             assert server.stats.errors == 3
             # The old {"entries": [[fp, b64], ...]} shape has no handler left.
             with pytest.raises(RemoteCallError):
                 on_loop(
                     cluster, cluster.client.call("n0", "put_chunks", {"entries": [["a", "QQ=="]]})
                 )
-            assert server.chunks == {}
+            assert server.node.chunks == {}
 
     def test_duplicate_put_applies_once_and_seen_keeps_no_payload(self, codec):
         injector = FaultInjector()
@@ -110,8 +110,8 @@ class TestPayloadOps:
             store = cluster.store
             assert store.scatter_put_chunks({"n0": CHUNKS}) == {"n0": None}
             server = cluster.servers["n0"]
-            assert server.chunks == dict(CHUNKS)
-            assert server.chunk_bytes == sum(len(d) for _, d in CHUNKS)
+            assert server.node.chunks == dict(CHUNKS)
+            assert server.node.chunk_bytes == sum(len(d) for _, d in CHUNKS)
             executed = server.stats.by_method["put_chunks"] - server.stats.replays
             assert executed == 1  # delivered twice, applied once
             assert server.stats.replays >= 1
@@ -133,7 +133,7 @@ class TestPayloadOps:
             assert store.scatter_put_chunks({"n0": CHUNKS}) == {"n0": None}
             assert store.scatter_get_chunks({"n0": WANTED})["n0"] == dict(CHUNKS)
             assert cluster.client.stats.retries >= 2
-            assert cluster.servers["n0"].chunks == dict(CHUNKS)
+            assert cluster.servers["n0"].node.chunks == dict(CHUNKS)
 
     def test_round_trips_under_drop_first_retries(self, codec):
         injector = FaultInjector()
@@ -188,7 +188,7 @@ class TestHostileFramesAtTheServer:
                     Response.success("h-1", {"node": "n0", "up": True}).to_wire()
                 )
                 assert server.stats.frame_errors == n
-            assert server.chunks == {}
+            assert server.node.chunks == {}
             assert on_loop(cluster, self._send(server.address, b"")) == b""  # clean EOF
             assert server.stats.frame_errors == len(hostile)
             assert cluster.server_stats()["n0"]["server.frame_errors"] == len(hostile)
@@ -233,7 +233,7 @@ class TestShelvesLargerThanAFrame:
             content = RingContentStore("ring-0", store, batch_size=64)
             assert store.scatter_put_chunks({"n0": list(blobs.items())}) == {"n0": None}
             server = cluster.servers["n0"]
-            assert server.chunk_bytes == 7 * blob_bytes > MAX_FRAME_BYTES
+            assert server.node.chunk_bytes == 7 * blob_bytes > MAX_FRAME_BYTES
             store.mark_down("n0")  # a refusing replica is still dumped
             drained = content.drain_by_member()
             assert set(drained["n0"]) == set(blobs)
@@ -243,10 +243,10 @@ class TestShelvesLargerThanAFrame:
             assert content.rehome_member("n0") == len(blobs)
             assert content.stats.rehomed_chunks == len(blobs)
             for node_id in ("n1", "n2"):
-                shelf = cluster.servers[node_id].chunks
+                shelf = cluster.servers[node_id].node.chunks
                 for fingerprint, data in shelf.items():
                     assert data == blobs[fingerprint]
-            moved = set(cluster.servers["n1"].chunks) | set(cluster.servers["n2"].chunks)
+            moved = set(cluster.servers["n1"].node.chunks) | set(cluster.servers["n2"].node.chunks)
             assert moved == set(blobs)
             assert cluster.client.stats.failed_calls == 0
             assert cluster.client.stats.retries == 0
@@ -272,9 +272,9 @@ class TestShelvesLargerThanAFrame:
             assert store.node_chunk_dump("n0") == dict(chunks + [lone])
 
     def test_put_batches_split_at_the_budget(self, monkeypatch):
-        from repro.rpc import remote_store as remote_store_module
+        from repro.rpc import transport as transport_module
 
-        monkeypatch.setattr(remote_store_module, "BLOB_BUDGET_BYTES", 4096)
+        monkeypatch.setattr(transport_module, "BLOB_BUDGET_BYTES", 4096)
         with live_cluster() as cluster:
             store = cluster.store
             chunks = [(f"p{i}", bytes([i]) * 1500) for i in range(5)] + [("lone", b"L" * 9000)]
@@ -282,8 +282,8 @@ class TestShelvesLargerThanAFrame:
                 "n0": None,
                 "n1": None,
             }
-            assert cluster.servers["n0"].chunks == dict(chunks)
-            by_method = {n: s.stats.by_method["put_chunks"] for n, s in cluster.servers.items() if s.chunks}
+            assert cluster.servers["n0"].node.chunks == dict(chunks)
+            by_method = {n: s.stats.by_method["put_chunks"] for n, s in cluster.servers.items() if s.node.chunks}
             assert by_method == {"n0": 4, "n1": 1}  # [p0 p1] [p2 p3] [p4] [lone]; one as ever
 
     def test_a_blob_that_fits_no_frame_fails_that_node_only(self):
@@ -293,7 +293,7 @@ class TestShelvesLargerThanAFrame:
             )
             assert isinstance(failures["n0"], FrameError) and isinstance(failures["n0"], RpcError)
             assert failures["n1"] is None
-            assert cluster.servers["n0"].chunks == {}
+            assert cluster.servers["n0"].node.chunks == {}
 
 
 def test_request_returns_the_replys_blobs_and_call_its_result():

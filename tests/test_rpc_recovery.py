@@ -1,6 +1,8 @@
 """Tests for live-ring crash recovery: kill/restart lifecycle, WAL-backed
-durability, wire-level heartbeat detection, remote Merkle anti-entropy, and
-the repair metrics a recovered replica earns on the way back."""
+durability, wire-level heartbeat detection, and Merkle anti-entropy under
+its live-ring import name. The coordinator's own recovery protocol (hint
+replay, degraded-key repair, read repair) is transport-independent and
+lives in ``test_store_protocol.py``, which runs it over this transport too."""
 
 import pytest
 
@@ -13,8 +15,6 @@ from repro.rpc import (
     LiveKVCluster,
     RemoteReplicaRepairer,
     RetryPolicy,
-    RpcError,
-    RpcTimeoutError,
 )
 
 NODE_IDS = ["n0", "n1", "n2"]
@@ -103,47 +103,6 @@ class TestCrashRestartLifecycle:
                 cluster.restart_node("n0")
             with pytest.raises(KeyError):
                 cluster.kill_node("ghost")
-
-
-class TestHintReplayFailure:
-    def test_failed_wire_replay_rebuffers_hints_for_next_recovery(self):
-        """Regression: a hint replay whose multi_put dies on the wire used to
-        lose every undelivered hint (take_for had already popped them). The
-        tail must be re-buffered and delivered by the next recovery."""
-        with live_cluster() as cluster:
-            store = cluster.store
-            victim = "n2"
-            store.mark_down(victim)
-            keys = keys_on(store, victim, n=4)
-            for k in keys:
-                store.put(k, "while-down")
-            assert store.hints.pending_for(victim) == len(keys)
-
-            real_call = store._client.call
-            state = {"failed": False}
-
-            async def flaky_call(node_id, method, params, **kwargs):
-                if method == "multi_put" and not state["failed"]:
-                    state["failed"] = True
-                    raise RpcTimeoutError(method, node_id, attempts=1, timeout_s=0.0)
-                return await real_call(node_id, method, params, **kwargs)
-
-            store._client.call = flaky_call
-            try:
-                with pytest.raises(RpcError):
-                    store.mark_up(victim)
-                # Nothing was confirmed delivered: every hint must survive.
-                assert store.hints.pending_for(victim) == len(keys)
-                assert store.stats.replay_failures == 1
-                assert store.stats.hints_replayed == 0
-                # The next recovery attempt replays the rebuffered tail.
-                store.mark_up(victim)
-            finally:
-                store._client.call = real_call
-            assert store.hints.pending_for(victim) == 0
-            assert store.stats.hints_replayed == len(keys)
-            for k in keys:
-                assert cluster.servers[victim].node.local_get(k).value == "while-down"
 
 
 class TestRemoteAntiEntropy:
@@ -247,41 +206,6 @@ class TestHeartbeatDetection:
             assert cluster.heartbeats.running
             snap = cluster.heartbeats.snapshot()
             assert "pings" in snap and "suspicions" in snap
-
-
-class TestRecoveryRepairMetrics:
-    def test_mark_up_read_repairs_degraded_keys_beyond_hints(self):
-        """Hints lost while a replica was down (window overflow, coordinator
-        crash): mark_up's recovery pass must still push the keys the ring
-        served under-replicated, and count them."""
-        with live_cluster() as cluster:
-            store = cluster.store
-            victim = "n1"
-            keys = keys_on(store, victim, n=4)
-            for k in keys:
-                store.put(k, "pre")
-            store.mark_down(victim)
-            for k in keys:
-                store.put(k, "while-down")  # hinted AND recorded as degraded
-            store.hints.take_for(victim)  # simulate hint loss
-            store.mark_up(victim)
-            assert store.stats.hints_replayed == 0
-            assert store.stats.recovery_repairs == len(keys)
-            for k in keys:
-                assert cluster.servers[victim].node.local_get(k).value == "while-down"
-
-    def test_live_quorum_read_repairs_stale_replica(self):
-        with live_cluster(default_consistency=ConsistencyLevel.QUORUM) as cluster:
-            store = cluster.store
-            store.put("k", "old")
-            holders = [
-                nid for nid in NODE_IDS
-                if "k" in cluster.servers[nid].node._data
-            ]
-            cluster.servers[holders[0]].node.local_put("k", "newer", 10**15)
-            assert store.get("k") == "newer"
-            assert store.stats.read_repairs >= 1
-            assert cluster.servers[holders[1]].node.local_get("k").value == "newer"
 
 
 class TestPartialQuorumAudit:
