@@ -35,23 +35,21 @@ def bench_scenario(
     report = run_scenario(
         name, nodes=3, files_per_node=files_per_node, file_kb=file_kb, seed=seed
     )
-    restored = sum(
-        s.get("log_entries_replayed", 0) + s.get("snapshot_entries_loaded", 0)
-        for s in report.wal_stats.values()
-    )
+    measured = report.measurements
+    recovery_times_s = measured["recovery_times_s"]
     return {
         "scenario": name,
         "passed": report.passed,
-        "violations": list(report.invariants.violations),
+        "violations": list(report.violations),
         "dedup_ratio": round(report.dedup_ratio, 6),
         "baseline_ratio": round(report.baseline_ratio, 6),
-        "recovery_times_ms": [round(t * 1e3, 2) for t in report.recovery_times_s],
-        "worst_recovery_ms": round(max(report.recovery_times_s) * 1e3, 2)
-        if report.recovery_times_s else 0.0,
-        "degraded_throughput_mb_s": round(report.degraded_throughput_mb_s, 2),
-        "healthy_throughput_mb_s": round(report.healthy_throughput_mb_s, 2),
-        "hints_replayed": report.store_stats.get("hints_replayed", 0),
-        "wal_entries_restored": restored,
+        "recovery_times_ms": [round(t * 1e3, 2) for t in recovery_times_s],
+        "worst_recovery_ms": round(max(recovery_times_s) * 1e3, 2)
+        if recovery_times_s else 0.0,
+        "degraded_throughput_mb_s": round(measured["degraded_throughput_mb_s"], 2),
+        "healthy_throughput_mb_s": round(measured["healthy_throughput_mb_s"], 2),
+        "hints_replayed": measured["store_stats"].get("hints_replayed", 0),
+        "wal_entries_restored": measured["wal_entries_restored"],
     }
 
 

@@ -40,19 +40,20 @@ def run_overload(quick: bool, seed: int) -> dict:
         duration_s=0.3 if quick else 0.6,
         files_per_node=3 if quick else 4,
     )
-    knee, over = report.knee_step, report.overload_step
+    measured = report.measurements
+    knee, over = measured["knee_step"], measured["overload_step"]
     print(
-        f"knee   @ {report.knee_rps:7.0f} req/s: "
-        f"completed={knee.completed} shed={knee.shed} "
-        f"failed={knee.failed} p99={knee.p99_s * 1e3:7.2f}ms"
+        f"knee   @ {measured['knee_rps']:7.0f} req/s: "
+        f"completed={knee['completed']} shed={knee['shed']} "
+        f"failed={knee['failed']} p99={knee['latency_p99_s'] * 1e3:7.2f}ms"
     )
     print(
-        f"beyond @ {report.overload_rps:7.0f} req/s: "
-        f"completed={over.completed} shed={over.shed} "
-        f"failed={over.failed} p99={over.p99_s * 1e3:7.2f}ms "
-        f"(shed fraction {report.shed_fraction:.2f})"
+        f"beyond @ {measured['overload_rps']:7.0f} req/s: "
+        f"completed={over['completed']} shed={over['shed']} "
+        f"failed={over['failed']} p99={over['latency_p99_s'] * 1e3:7.2f}ms "
+        f"(shed fraction {measured['shed_fraction']:.2f})"
     )
-    b = report.brownout
+    b = measured["brownout"]
     print(
         f"brownout: trips={b.get('brownout.trips', 0)} "
         f"journaled={b.get('brownout.journaled', 0)} "
@@ -63,25 +64,6 @@ def run_overload(quick: bool, seed: int) -> dict:
     for name, ok in report.checks.items():
         print(f"  {'ok ' if ok else 'FAIL'} {name}")
     return report.as_dict()
-
-
-def check_gates(report: dict) -> list[str]:
-    """Regression gates over an overload report; returns failure messages."""
-    failures = []
-    for name, ok in report.get("checks", {}).items():
-        if not ok:
-            failures.append(f"check failed: {name}")
-    failures.extend(report.get("violations", []))
-    if report.get("shed_fraction", 0.0) <= 0.0:
-        failures.append("no work shed beyond the knee")
-    if not report.get("ratio_matches_baseline", False):
-        failures.append(
-            f"reconciled ratio {report.get('dedup_ratio')} != unloaded "
-            f"baseline {report.get('baseline_ratio')}"
-        )
-    # dict.fromkeys dedups while keeping first-seen order (violations
-    # repeat the failed checks' details).
-    return list(dict.fromkeys(failures))
 
 
 def main() -> None:
@@ -98,9 +80,10 @@ def main() -> None:
     args = parser.parse_args()
 
     report = run_overload(quick=args.quick, seed=args.seed)
-    failures = check_gates(report)
-    if failures:
-        raise SystemExit("benchmark regression:\n  " + "\n  ".join(failures))
+    if report["violations"]:
+        raise SystemExit(
+            "benchmark regression:\n  " + "\n  ".join(report["violations"])
+        )
 
     out = args.out
     if out is None and not args.quick:
@@ -121,8 +104,6 @@ def test_overload_scenario_quick(benchmark):
 
     report = benchmark.pedantic(one_run, rounds=1, iterations=1)
     assert report.passed, report.violations
-    assert report.overload_step.shed > 0
-    assert report.ratio_matches_baseline
 
 
 if __name__ == "__main__":

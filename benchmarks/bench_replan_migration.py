@@ -26,13 +26,12 @@ from pathlib import Path
 
 from repro.chaos import run_migration_scenario
 from repro.chaos.migration_scenario import default_migration_partitions
-from repro.chaos.runner import _round_robin, seeded_pool_workload
-from repro.core.costs import SNOD2Problem
-from repro.core.model import ChunkPoolModel, grouped_sources
-from repro.network.costmatrix import latency_cost_matrix
-from repro.network.topology import build_testbed
 from repro.system.cluster import EFDedupCluster
-from repro.system.config import EFDedupConfig
+from repro.system.reference import (
+    reference_cluster,
+    round_robin,
+    seeded_pool_workload,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,30 +54,17 @@ def bench_live_migration(
 ) -> dict:
     """One seeded ingest → migrate → window → commit pass, phase-timed."""
     old, new = default_migration_partitions(nodes)
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topo = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model, nu=latency_cost_matrix(topo), duration=2.0,
-        gamma=gamma, alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096, replication_factor=gamma, lookup_batch=16,
-        transport="asyncio", rpc_timeout_s=0.5, rpc_attempts=5,
+    live = dict(
+        replication_factor=gamma, transport="asyncio",
+        rpc_timeout_s=0.5, rpc_attempts=5,
     )
 
     def segment(offset: int):
-        return _round_robin(
+        return round_robin(
             seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed + offset)
         )
 
-    with EFDedupCluster(topo, problem, config=config) as cluster:
-        cluster.partition = old
-        cluster.deploy()
+    with reference_cluster(nodes, old, **live) as cluster:
         pre_s, pre_b = _timed_ingest(cluster, segment(0))
         migrator = cluster.migrate(new)
         at_cutover = cluster.combined_stats()
@@ -95,9 +81,7 @@ def bench_live_migration(
     # exactly as a fresh deployment of the new plan would. (Pre-migration
     # traffic deduped under the old plan by design — rings differ, so the
     # all-time totals legitimately do too.)
-    with EFDedupCluster(topo, problem, config=config) as fresh:
-        fresh.partition = new
-        fresh.deploy()
+    with reference_cluster(nodes, new, **live) as fresh:
         for offset in (1, 2):
             for node_id, data in segment(offset):
                 fresh.ingest(node_id, data)
@@ -149,15 +133,15 @@ def run(nodes: int, files_per_node: int, file_kb: int, seed: int) -> dict:
     )
     chaos_row = {
         "passed": chaos.passed,
-        "recovery_time_ms": round(chaos.recovery_time_s * 1e3, 2),
+        "recovery_time_ms": round(chaos.measurements["recovery_time_s"] * 1e3, 2),
         "dedup_ratio": round(chaos.dedup_ratio, 6),
         "baseline_ratio": round(chaos.baseline_ratio, 6),
         "dual_lookup_probes": int(
-            chaos.migration.get("migration.dual_lookup_probes", 0)
+            chaos.measurements["migration"].get("migration.dual_lookup_probes", 0)
         ),
     }
     print(f"under-faults    : recovery {chaos_row['recovery_time_ms']:7.1f}ms  "
-          f"{'PASS' if chaos.passed else 'FAIL'}")
+          f"{'PASS' if chaos.passed else 'FAIL — ' + '; '.join(chaos.violations)}")
     return {
         "nodes": nodes,
         "replication_factor": 2,
@@ -189,7 +173,7 @@ def main() -> None:
     if not report["live_migration"]["exact"]:
         problems.append("live migration diverged from a fresh deployment")
     if not report["migrate_under_faults"]["passed"]:
-        problems.append("migrate-under-faults lost exactness or never committed")
+        problems.append("migrate-under-faults failed (its FAIL line says why)")
     if problems:
         raise SystemExit(f"benchmark regression: {'; '.join(problems)}")
 

@@ -31,13 +31,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
-from repro.core.costs import SNOD2Problem
-from repro.core.model import ChunkPoolModel, grouped_sources
-from repro.network.costmatrix import latency_cost_matrix
-from repro.network.topology import build_testbed
-from repro.system.cluster import DurableEFDedupCluster
-from repro.system.config import EFDedupConfig
+from repro.system.reference import (
+    reference_cluster,
+    round_robin,
+    seeded_pool_workload,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,39 +43,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # so CI flags a collapsed read path without flaking on slow runners.
 QUICK_HEALTHY_FLOOR_MB_S = 1.0
 QUICK_DEGRADED_FLOOR_MB_S = 0.5
-
-
-def _build_cluster(nodes: int, gamma: int, k: int, m: int, journal_dir: str):
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topo = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topo),
-        duration=2.0,
-        gamma=gamma,
-        alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096,
-        replication_factor=gamma,
-        lookup_batch=16,
-        transport="asyncio",
-        rpc_timeout_s=0.5,
-        rpc_attempts=5,
-        ec_data_shards=k,
-        ec_parity_shards=m,
-    )
-    cluster = DurableEFDedupCluster(
-        topo, problem, config=config, journal_dir=journal_dir
-    )
-    cluster.partition = [list(range(nodes))]
-    cluster.deploy()
-    return cluster
 
 
 def _timed_restore_pass(cluster, files: dict[str, bytes]) -> tuple[float, int]:
@@ -99,7 +64,18 @@ def run(
     k: int = 3, m: int = 2, gamma: int = 2,
 ) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        cluster = _build_cluster(nodes, gamma, k, m, tmp)
+        cluster = reference_cluster(
+            nodes,
+            [range(nodes)],
+            durable=True,
+            journal_dir=tmp,
+            replication_factor=gamma,
+            transport="asyncio",
+            rpc_timeout_s=0.5,
+            rpc_attempts=5,
+            ec_data_shards=k,
+            ec_parity_shards=m,
+        )
         try:
             # Two segments from *different* pools: "hot" files share chunks
             # with each other (the dedup-friendly working set) while "cold"
@@ -109,7 +85,7 @@ def run(
             doomed: list[str] = []
             t0 = time.perf_counter()
             for tag, seg_seed in (("hot", seed), ("cold", seed + 1)):
-                schedule = _round_robin(
+                schedule = round_robin(
                     seeded_pool_workload(
                         nodes, files_per_node, file_kb, seed=seg_seed
                     )

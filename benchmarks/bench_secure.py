@@ -38,6 +38,11 @@ from statistics import median
 
 from repro.chaos import run_hotindex_scenario
 from repro.secure import HotIndexManager, SecureCloudIndex, encrypt_convergent
+from repro.system.reference import (
+    reference_cluster,
+    round_robin,
+    seeded_pool_workload,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,43 +107,18 @@ def bench_hot_latency(
 
 def bench_crypto_overhead(files_per_node: int, file_kb: int, seed: int) -> dict:
     """End-to-end ingest MB/s, plain vs secure cluster, plus raw seal rate."""
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.network.topology import build_testbed
-    from repro.system.cluster import DurableEFDedupCluster
-    from repro.system.config import EFDedupConfig
-
     nodes = 4
     results = {}
     for mode in ("plain", "secure"):
-        model = ChunkPoolModel(
-            [150.0, 150.0],
-            grouped_sources(
-                [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-            ),
-        )
-        topo = build_testbed(nodes, 3)
-        problem = SNOD2Problem(
-            model=model,
-            nu=latency_cost_matrix(topo),
-            duration=2.0,
-            gamma=2,
-            alpha=50.0,
-        )
-        config = EFDedupConfig(
-            chunk_size=4096,
-            replication_factor=2,
-            lookup_batch=16,
+        cluster = reference_cluster(
+            nodes,
+            [[0, 1], [2, 3]],
+            durable=True,
             secure=(mode == "secure"),
             hot_index_size=64 if mode == "secure" else 0,
         )
-        cluster = DurableEFDedupCluster(topo, problem, config=config)
-        cluster.partition = [[0, 1], [2, 3]]
-        cluster.deploy()
         try:
-            schedule = _round_robin(
+            schedule = round_robin(
                 seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed)
             )
             total_mb = sum(len(d) for _, d in schedule) / 1e6
@@ -183,10 +163,11 @@ def run_secure(quick: bool, seed: int) -> dict:
         wan_rtt_ms=0.2 if quick else 1.0,
         seed=seed,
     )
-    scenario = run_hotindex_scenario(seed=seed, skip_baseline=False)
+    scenario = run_hotindex_scenario(seed=seed)
+    measured = scenario.measurements
     print(
-        f"scenario: state={scenario.state} edge_hits={scenario.edge_hits} "
-        f"delta={scenario.entries_restreamed} "
+        f"scenario: state={measured['state']} edge_hits={measured['edge_hits']} "
+        f"delta={measured['entries_restreamed']} "
         f"ratio={scenario.dedup_ratio:.6f} "
         f"baseline={scenario.baseline_ratio:.6f} "
         f"match={scenario.ratio_matches_baseline}"
@@ -218,14 +199,7 @@ def check_gates(report: dict) -> list[str]:
         )
     if lat["edge_hot"]["edge_hits"] <= 0:
         failures.append("no lookup was answered by the edge hot index")
-    scenario = report["scenario"]
-    if not scenario["ratio_matches_baseline"]:
-        failures.append(
-            f"post-migration ratio {scenario['dedup_ratio']} != "
-            f"migration-free baseline {scenario['baseline_ratio']}"
-        )
-    if not scenario["passed"]:
-        failures.append("hot-index chaos scenario failed")
+    failures.extend(report["scenario"]["violations"])
     crypto = report["crypto"]
     if crypto["secure_ingest_mb_s"] < 1.0:
         failures.append(

@@ -7,25 +7,21 @@ given seed), :func:`~repro.chaos.runner.run_scenario` drives a real
 asyncio ring through the schedule while deduplicating a seeded workload,
 and :func:`~repro.chaos.invariants.check_invariants` verifies afterwards
 that no unique chunk was lost, dedup accounting is conserved, and the
-replicas converged. Exposed as ``repro chaos`` on the CLI and measured by
+replicas converged. Four ladder scenarios (migration, restore, overload,
+hot-index) stress one protocol each the same way.
+:data:`~repro.chaos.table.SCENARIO_TABLE` names all nine, and every one
+returns a :class:`~repro.chaos.report.ScenarioReport` whose named checks
+are the verdict. Exposed as ``repro chaos`` on the CLI and measured by
 ``benchmarks/bench_chaos_recovery.py``.
 """
 
-from repro.chaos.hotindex_scenario import (
-    HotIndexChaosReport,
-    run_hotindex_scenario,
-)
-from repro.chaos.invariants import InvariantReport, check_invariants
-from repro.chaos.migration_scenario import (
-    MigrationChaosReport,
-    run_migration_scenario,
-)
-from repro.chaos.overload_scenario import OverloadReport, run_overload_scenario
-from repro.chaos.restore_scenario import (
-    RestoreChaosReport,
-    run_restore_scenario,
-)
-from repro.chaos.runner import ChaosReport, run_scenario, seeded_pool_workload
+from repro.chaos.hotindex_scenario import run_hotindex_scenario
+from repro.chaos.invariants import check_invariants
+from repro.chaos.migration_scenario import run_migration_scenario
+from repro.chaos.overload_scenario import run_overload_scenario
+from repro.chaos.report import ScenarioReport
+from repro.chaos.restore_scenario import run_restore_scenario
+from repro.chaos.runner import run_scenario
 from repro.chaos.scenarios import (
     SCENARIOS,
     ChaosScenario,
@@ -37,17 +33,15 @@ from repro.chaos.scenarios import (
     rolling_restart,
     slow_node,
 )
+from repro.chaos.table import SCENARIO_TABLE, Scenario
 
 __all__ = [
-    "ChaosReport",
     "ChaosScenario",
     "FaultEvent",
-    "HotIndexChaosReport",
-    "InvariantReport",
-    "MigrationChaosReport",
-    "OverloadReport",
-    "RestoreChaosReport",
     "SCENARIOS",
+    "SCENARIO_TABLE",
+    "Scenario",
+    "ScenarioReport",
     "check_invariants",
     "crash_restart",
     "flapping",
@@ -59,6 +53,5 @@ __all__ = [
     "run_overload_scenario",
     "run_restore_scenario",
     "run_scenario",
-    "seeded_pool_workload",
     "slow_node",
 ]

@@ -21,60 +21,37 @@ the ring's store runs on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.chaos.report import ScenarioReport
 from repro.kvstore.repair import ReplicaRepairer
 from repro.system.ring import D2Ring
 
 
-@dataclass
-class InvariantReport:
-    """Outcome of one invariant sweep."""
-
-    checks: dict[str, bool] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def _record(self, name: str, ok: bool, detail: str) -> None:
-        self.checks[name] = ok
-        if not ok:
-            self.violations.append(f"{name}: {detail}")
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": dict(self.checks),
-            "violations": list(self.violations),
-        }
-
-
-def check_invariants(ring: D2Ring) -> InvariantReport:
+def check_invariants(ring: D2Ring) -> ScenarioReport:
     """Verify the post-heal safety invariants of ``ring``.
 
     Call after every injected fault has healed (all members up); the
     convergence check runs its own anti-entropy pass first, so the caller
-    does not need to repair beforehand.
+    does not need to repair beforehand. A scenario that runs the sweep as
+    one of its steps :meth:`~ScenarioReport.merge`\\ s the result into its
+    own report.
     """
-    report = InvariantReport()
+    report = ScenarioReport("ring-invariants", nodes=len(ring.members))
     stats = ring.combined_stats()
     cloud = ring.cloud
 
-    report._record(
+    report.record(
         "chunk_claims_conserved",
         stats.raw_chunks == stats.unique_chunks + stats.duplicate_chunks,
         f"raw={stats.raw_chunks} != unique={stats.unique_chunks} "
         f"+ duplicate={stats.duplicate_chunks}",
     )
-    report._record(
+    report.record(
         "byte_claims_conserved",
         stats.unique_bytes <= stats.raw_bytes and stats.lookups == stats.raw_chunks,
         f"unique_bytes={stats.unique_bytes} > raw_bytes={stats.raw_bytes} "
         f"or lookups={stats.lookups} != raw_chunks={stats.raw_chunks}",
     )
-    report._record(
+    report.record(
         "uploads_match_unique_claims",
         stats.unique_chunks == cloud.received_chunks,
         f"unique claims={stats.unique_chunks} but cloud received "
@@ -85,7 +62,7 @@ def check_invariants(ring: D2Ring) -> InvariantReport:
     cloud_keys = cloud.fingerprints()
     dangling = index_keys - cloud_keys
     dropped = cloud_keys - index_keys
-    report._record(
+    report.record(
         "no_unique_chunk_lost",
         not dangling and not dropped,
         f"{len(dangling)} index keys missing from the cloud, "
@@ -98,13 +75,13 @@ def check_invariants(ring: D2Ring) -> InvariantReport:
     repairer.repair_all()
     verify = ReplicaRepairer(ring.store)
     second = verify.repair_all()
-    report._record(
+    report.record(
         "replicas_converged",
         second.synced_keys == 0,
         f"second anti-entropy pass still streamed {second.synced_keys} keys",
     )
     missing = verify.verify_replication()
-    report._record(
+    report.record(
         "fully_replicated",
         not missing,
         f"{len(missing)} keys under-replicated on alive nodes "

@@ -20,15 +20,13 @@ by ``benchmarks/bench_replan_migration.py``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
-from repro.core.costs import SNOD2Problem
-from repro.core.model import ChunkPoolModel, grouped_sources
-from repro.network.costmatrix import latency_cost_matrix
-from repro.network.topology import build_testbed
-from repro.system.cluster import EFDedupCluster
-from repro.system.config import EFDedupConfig
+from repro.chaos.report import ScenarioReport
+from repro.system.reference import (
+    reference_cluster,
+    round_robin,
+    seeded_pool_workload,
+)
 
 
 def default_migration_partitions(nodes: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -45,51 +43,6 @@ def default_migration_partitions(nodes: int) -> tuple[list[list[int]], list[list
     return old, new
 
 
-@dataclass
-class MigrationChaosReport:
-    """Outcome of one migrate-under-faults run vs its fault-free twin."""
-
-    seed: int
-    nodes: int
-    total_files: int
-    events_fired: list[str]
-    dedup_ratio: float
-    baseline_ratio: float
-    state: str
-    recovery_time_s: float
-    migration: dict[str, float] = field(default_factory=dict)
-    baseline_migration: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def ratio_matches_baseline(self) -> bool:
-        return abs(self.dedup_ratio - self.baseline_ratio) < 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.ratio_matches_baseline
-            and self.state == "COMMITTED"
-            and self.migration.get("migration.nodes_moved", 0.0) > 0
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": "migrate-under-faults",
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "total_files": self.total_files,
-            "passed": self.passed,
-            "events_fired": list(self.events_fired),
-            "dedup_ratio": self.dedup_ratio,
-            "baseline_ratio": self.baseline_ratio,
-            "ratio_matches_baseline": self.ratio_matches_baseline,
-            "state": self.state,
-            "recovery_time_s": self.recovery_time_s,
-            "migration": dict(self.migration),
-            "baseline_migration": dict(self.baseline_migration),
-        }
-
-
 def _run_migration(
     nodes: int,
     files_per_node: int,
@@ -97,42 +50,35 @@ def _run_migration(
     seed: int,
     gamma: int,
     lookup_batch: int,
-    old: list[list[int]],
-    new: list[list[int]],
     inject: bool,
-    kill_node: str,
     events: list[str],
-) -> tuple[float, dict[str, float], str, float]:
-    """One full ingest → migrate → (maybe crash) → commit pass."""
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topo = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topo),
-        duration=2.0,
-        gamma=gamma,
-        alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096,
+) -> tuple[float, dict]:
+    """One full ingest → migrate → (maybe crash) → commit pass; returns the
+    final dedup ratio and what the pass measured.
+
+    The kill target is the first member of the ring that loses a node
+    (a *surviving* source-ring member, so its store keeps serving
+    timestamp-bounded dual-lookup probes while one replica is dark).
+    """
+    old, new = default_migration_partitions(nodes)
+    kill_node = f"edge-{old[0][0]}"
+
+    def segment(offset: int):
+        return round_robin(
+            seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed + offset)
+        )
+
+    recovery_s = 0.0
+    with reference_cluster(
+        nodes,
+        old,
         replication_factor=gamma,
         lookup_batch=lookup_batch,
         transport="asyncio",
         rpc_timeout_s=0.5,
         rpc_attempts=5,
-    )
-    recovery_s = 0.0
-    with EFDedupCluster(topo, problem, config=config) as cluster:
-        cluster.partition = old
-        cluster.deploy()
-        for nid, data in _round_robin(
-            seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed)
-        ):
+    ) as cluster:
+        for nid, data in segment(0):
             cluster.ingest(nid, data)
 
         migrator = cluster.migrate(new)
@@ -141,9 +87,7 @@ def _run_migration(
             ring.crash_node(kill_node)
             events.append(f"kill:{kill_node}@window-open")
 
-        window = _round_robin(
-            seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed + 1)
-        )
+        window = segment(1)
         restart_at = len(window) // 2
         for i, (nid, data) in enumerate(window):
             if inject and i == restart_at:
@@ -154,13 +98,14 @@ def _run_migration(
             cluster.ingest(nid, data)
         migrator.close_window()
 
-        for nid, data in _round_robin(
-            seeded_pool_workload(nodes, files_per_node, file_kb, seed=seed + 2)
-        ):
+        for nid, data in segment(2):
             cluster.ingest(nid, data)
 
-        ratio = cluster.combined_stats().dedup_ratio
-        return ratio, migrator.report.as_metrics(), migrator.state, recovery_s
+        return cluster.combined_stats().dedup_ratio, {
+            "state": migrator.state,
+            "recovery_time_s": recovery_s,
+            "migration": migrator.report.as_metrics(),
+        }
 
 
 def run_migration_scenario(
@@ -170,42 +115,28 @@ def run_migration_scenario(
     seed: int = 7,
     gamma: int = 2,
     lookup_batch: int = 16,
-    skip_baseline: bool = False,
-) -> MigrationChaosReport:
-    """Run the migrate-under-faults scenario and its fault-free twin.
-
-    The kill target is the first member of the ring that loses a node
-    (a *surviving* source-ring member, so its store keeps serving
-    timestamp-bounded dual-lookup probes while one replica is dark).
-    """
+) -> ScenarioReport:
+    """Run the migrate-under-faults scenario and its fault-free twin."""
     if gamma < 2:
         raise ValueError(
             f"migrate-under-faults needs gamma >= 2 to survive the crash, "
             f"got {gamma}"
         )
-    old, new = default_migration_partitions(nodes)
-    kill_node = f"edge-{old[0][0]}"
-    events: list[str] = []
-    ratio, migration, state, recovery_s = _run_migration(
-        nodes, files_per_node, file_kb, seed, gamma, lookup_batch,
-        old, new, True, kill_node, events,
+    shape = (nodes, files_per_node, file_kb, seed, gamma, lookup_batch)
+    report = ScenarioReport(
+        "migrate-under-faults", seed, nodes, nodes * files_per_node * 3
     )
-    if skip_baseline:
-        baseline, base_migration = ratio, dict(migration)
-    else:
-        baseline, base_migration, _, _ = _run_migration(
-            nodes, files_per_node, file_kb, seed, gamma, lookup_batch,
-            old, new, False, kill_node, [],
-        )
-    return MigrationChaosReport(
-        seed=seed,
-        nodes=nodes,
-        total_files=nodes * files_per_node * 3,
-        events_fired=events,
-        dedup_ratio=ratio,
-        baseline_ratio=baseline,
-        state=state,
-        recovery_time_s=recovery_s,
-        migration=migration,
-        baseline_migration=base_migration,
+    ratio, measured = _run_migration(*shape, True, report.events_fired)
+    baseline, twin = _run_migration(*shape, False, [])
+    report.record_ratio(ratio, baseline, "fault-free migration")
+    report.record(
+        "committed",
+        measured["state"] == "COMMITTED",
+        f"migration ended in state {measured['state']}, not COMMITTED",
     )
+    moved = measured["migration"].get("migration.nodes_moved", 0.0)
+    report.record(
+        "nodes_moved", moved > 0, f"migration.nodes_moved={moved:g}: no node moved"
+    )
+    report.measurements.update(measured, baseline_migration=twin["migration"])
+    return report

@@ -36,16 +36,20 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import replace
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
+from repro.chaos.report import ScenarioReport
 from repro.loadgen.arrivals import make_arrivals
 from repro.loadgen.identity import IdentityPool
 from repro.loadgen.runner import OpenLoopRunner, StepResult
 from repro.loadgen.seeding import derive_seed
 from repro.loadgen.workload import ZipfWorkload
 from repro.system.config import EFDedupConfig
+from repro.system.reference import (
+    reference_ring,
+    round_robin,
+    seeded_pool_workload,
+)
 from repro.system.ring import D2Ring
 
 # Loadgen key namespaces start with this marker; ring-index fingerprints are
@@ -53,78 +57,36 @@ from repro.system.ring import D2Ring
 # checking the index-vs-cloud invariant.
 _LOAD_KEY_PREFIX = "fp-"
 
+# The beyond-knee step offers knee_rps x this.
+OVERLOAD_FACTOR = 2.0
+# Fingerprints claimed per generated request.
+LOAD_BATCH = 4
+
+# The service-plane protection under test.
+ADMISSION_QUEUE = 12
+SERVICE_WORKERS = 2
+DEADLINE_S = 0.2
+BREAKER_FAILURES = 5
+RETRY_BUDGET = 10.0
+
+# Gate: p99-of-admitted at the overload step must stay within this factor
+# of the (floored) at-knee p99.
+LATENCY_BOUND_FACTOR = 10.0
+
+# The beyond-knee window also inflates every member's service time by this
+# constant (a fleet-wide gray failure via FaultInjector.slow_serves with
+# sigma 0). This pins per-node capacity at roughly
+# SERVICE_WORKERS / SLOW_MEDIAN_S messages/s regardless of host speed, so
+# the overload step is *actually* past the knee on any machine — without
+# it, a fast host can swallow the nominal 2x rate and nothing sheds.
+SLOW_MEDIAN_S = 0.004
+
 # The at-knee p99 reference is floored before the bound multiplies it: on a
 # fast machine the unloaded p99 can be a few milliseconds, and 10x of almost
 # nothing would gate on scheduler jitter rather than on queueing behavior.
 # 10ms ~ the smallest reference where the bound still dominates the bounded
-# queue's worst-case wait (admission_queue x slow_median_s / workers per hop).
+# queue's worst-case wait (ADMISSION_QUEUE x SLOW_MEDIAN_S / workers per hop).
 MIN_REFERENCE_P99_S = 10e-3
-
-
-@dataclass
-class OverloadReport:
-    """Outcome of one overload run vs its unloaded in-process baseline."""
-
-    seed: int
-    nodes: int
-    knee_rps: float
-    overload_rps: float
-    total_files: int
-    knee_step: StepResult
-    overload_step: StepResult
-    latency_bound_factor: float
-    dedup_ratio: float
-    baseline_ratio: float
-    brownout: dict[str, int] = field(default_factory=dict)
-    reconcile: dict[str, int] = field(default_factory=dict)
-    checks: dict[str, bool] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    server_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    breaker_opens: int = 0
-
-    @property
-    def shed_fraction(self) -> float:
-        if not self.overload_step.arrivals:
-            return 0.0
-        return self.overload_step.shed / self.overload_step.arrivals
-
-    @property
-    def ratio_matches_baseline(self) -> bool:
-        return abs(self.dedup_ratio - self.baseline_ratio) < 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": "overload",
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "passed": self.passed,
-            "knee_rps": self.knee_rps,
-            "overload_rps": self.overload_rps,
-            "total_files": self.total_files,
-            "knee_step": self.knee_step.as_dict(),
-            "overload_step": self.overload_step.as_dict(),
-            "shed_fraction": self.shed_fraction,
-            "latency_bound_factor": self.latency_bound_factor,
-            "dedup_ratio": self.dedup_ratio,
-            "baseline_ratio": self.baseline_ratio,
-            "ratio_matches_baseline": self.ratio_matches_baseline,
-            "brownout": dict(self.brownout),
-            "reconcile": dict(self.reconcile),
-            "checks": dict(self.checks),
-            "violations": list(self.violations),
-            "server_stats": {n: dict(s) for n, s in self.server_stats.items()},
-            "breaker_opens": self.breaker_opens,
-        }
-
-
-def _record(report: OverloadReport, name: str, ok: bool, detail: str) -> None:
-    report.checks[name] = bool(ok)
-    if not ok:
-        report.violations.append(f"{name}: {detail}")
 
 
 def _load_step(
@@ -134,7 +96,6 @@ def _load_step(
     duration_s: float,
     seed: int,
     step: int,
-    batch: int,
 ) -> StepResult:
     """One open-loop step against the live ring's KV store, with overload
     pushback (:class:`RpcOverloadError`, :class:`CircuitOpenError`)
@@ -145,7 +106,7 @@ def _load_step(
     pool = IdentityPool(1_000, 16, members, seed=seed)
     workload = ZipfWorkload(
         pool,
-        batch=batch,
+        batch=LOAD_BATCH,
         source_s=1.1,
         key_s=0.8,
         keys_per_source=50_000,
@@ -171,105 +132,62 @@ def run_overload_scenario(
     gamma: int = 2,
     lookup_batch: int = 16,
     knee_rps: float = 400.0,
-    overload_factor: float = 2.0,
     duration_s: float = 0.6,
-    batch: int = 4,
-    admission_queue: int = 12,
-    service_workers: int = 2,
-    deadline_s: float = 0.2,
-    breaker_failures: int = 5,
-    retry_budget: float = 10.0,
-    latency_bound_factor: float = 10.0,
-    slow_median_s: float = 0.004,
-    skip_baseline: bool = False,
-) -> OverloadReport:
+) -> ScenarioReport:
     """Run the overload scenario; see the module docstring.
 
     Args:
         knee_rps: the at-knee offered load (measure it with
             ``benchmarks/bench_loadgen.py`` / ``bench_overload.py`` —
             400 req/s is a conservative 3-node localhost default).
-        overload_factor: the beyond-knee step offers
-            ``knee_rps * overload_factor``.
         duration_s: offered window per step; ring agents ingest their file
             workload concurrently with the beyond-knee step.
-        admission_queue / service_workers / deadline_s / breaker_failures /
-            retry_budget: the service-plane protection knobs under test.
-        latency_bound_factor: gate — p99-of-admitted at the overload step
-            must stay within this factor of the (floored) at-knee p99.
-        slow_median_s: when > 0, the beyond-knee window also inflates every
-            member's service time by this constant (a fleet-wide gray
-            failure via :meth:`~repro.rpc.faults.FaultInjector.slow_serves`
-            with sigma 0). This pins per-node capacity at roughly
-            ``service_workers / slow_median_s`` messages/s regardless of
-            host speed, so the overload step is *actually* past the knee
-            on any machine — without it, a fast host can swallow the
-            nominal 2x rate and nothing sheds.
-        skip_baseline: reuse when the caller already knows the unloaded
-            ratio (baseline_ratio is then copied from the overload run).
     """
     workloads = seeded_pool_workload(nodes, files_per_node, file_kb, seed)
     members = sorted(workloads)
-    schedule = _round_robin(workloads)
-    overload_rps = knee_rps * overload_factor
-
-    def build_config(transport: str) -> EFDedupConfig:
-        protected = transport == "asyncio"
-        return EFDedupConfig(
-            chunk_size=4096,
-            replication_factor=gamma,
-            lookup_batch=lookup_batch,
-            transport=transport,
-            rpc_timeout_s=0.5 if protected else 5.0,
-            rpc_attempts=3,
-            rpc_deadline_s=deadline_s if protected else None,
-            admission_queue=admission_queue if protected else 0,
-            service_workers=service_workers if protected else 1,
-            breaker_failures=breaker_failures if protected else 0,
-            retry_budget=retry_budget if protected else 0.0,
-            brownout=protected,
-        )
-
-    baseline_ratio: Optional[float] = None
-    if not skip_baseline:
-        ref = D2Ring("overload-ref", members, config=build_config("inproc"))
-        for node_id, data in schedule:
-            ref.agent(node_id).ingest(data)
-        baseline_ratio = ref.combined_stats().dedup_ratio
+    schedule = round_robin(workloads)
+    overload_rps = knee_rps * OVERLOAD_FACTOR
+    reference = EFDedupConfig(
+        chunk_size=4096,
+        replication_factor=gamma,
+        lookup_batch=lookup_batch,
+    )
+    baseline_ratio = reference_ring(members, schedule, reference).dedup_ratio
+    protected = replace(
+        reference,
+        transport="asyncio",
+        rpc_timeout_s=0.5,
+        rpc_attempts=3,
+        rpc_deadline_s=DEADLINE_S,
+        admission_queue=ADMISSION_QUEUE,
+        service_workers=SERVICE_WORKERS,
+        breaker_failures=BREAKER_FAILURES,
+        retry_budget=RETRY_BUDGET,
+        brownout=True,
+    )
 
     from repro.rpc.faults import FaultInjector
 
     injector = FaultInjector(seed=seed)
     with D2Ring(
-        "overload-0",
-        members,
-        config=build_config("asyncio"),
-        fault_injector=injector,
+        "overload-0", members, config=protected, fault_injector=injector
     ) as ring:
         # Step 1 — at the knee, unloaded by ingest: the latency reference.
-        knee_step = _load_step(
-            ring, members, knee_rps, duration_s, seed, step=0, batch=batch
-        )
+        knee_step = _load_step(ring, members, knee_rps, duration_s, seed, step=0)
 
         # Step 2 — beyond the knee, with the agents ingesting through the
         # same (now shedding) index servers. The generator runs in a
         # thread so both hit the ring concurrently, like independent edge
         # populations would. A fleet-wide constant service-time inflation
         # pins the knee below the offered rate on any host.
-        slow_rules = []
-        if slow_median_s > 0:
-            slow_rules = [
-                injector.slow_serves(slow_median_s, dst=member)
-                for member in members
-            ]
+        slow_rules = [
+            injector.slow_serves(SLOW_MEDIAN_S, dst=member) for member in members
+        ]
         overload_box: list[StepResult] = []
 
         def drive() -> None:
             overload_box.append(
-                _load_step(
-                    ring, members, overload_rps, duration_s, seed,
-                    step=1, batch=batch,
-                )
+                _load_step(ring, members, overload_rps, duration_s, seed, step=1)
             )
 
         generator = threading.Thread(target=drive, name="overload-loadgen")
@@ -299,38 +217,36 @@ def run_overload_scenario(
 
         brownout = ring.brownout_metrics()
         stats = ring.combined_stats()
-        ratio = stats.dedup_ratio
         cloud = ring.cloud
-        report = OverloadReport(
-            seed=seed,
-            nodes=nodes,
+        report = ScenarioReport("overload", seed, nodes, len(schedule))
+        report.measurements.update(
             knee_rps=knee_rps,
             overload_rps=overload_rps,
-            total_files=len(schedule),
-            knee_step=knee_step,
-            overload_step=overload_step,
-            latency_bound_factor=latency_bound_factor,
-            dedup_ratio=ratio,
-            baseline_ratio=ratio if baseline_ratio is None else baseline_ratio,
-            brownout=brownout,
-            reconcile=reconcile,
-            server_stats=ring.live_cluster.server_stats(),
+            knee_step=knee_step.as_dict(),
+            overload_step=overload_step.as_dict(),
+            shed_fraction=(
+                overload_step.shed / overload_step.arrivals
+                if overload_step.arrivals
+                else 0.0
+            ),
+            latency_bound_factor=LATENCY_BOUND_FACTOR,
             breaker_opens=(
                 ring.live_cluster.breakers.open_count
                 if ring.live_cluster.breakers is not None
                 else 0
             ),
+            brownout=brownout,
+            reconcile=reconcile,
+            server_stats=ring.live_cluster.server_stats(),
         )
 
-        _record(
-            report,
+        report.record(
             "shed_nonzero",
             overload_step.shed > 0,
             f"beyond-knee step at {overload_rps:.0f} req/s shed nothing "
-            f"(queue bound {admission_queue} never filled?)",
+            f"(queue bound {ADMISSION_QUEUE} never filled?)",
         )
-        _record(
-            report,
+        report.record(
             "arrivals_conserved",
             overload_step.arrivals
             == overload_step.completed + overload_step.shed + overload_step.failed
@@ -341,44 +257,31 @@ def run_overload_scenario(
             f"+ failed {overload_step.failed}",
         )
         # The reference is the at-knee p99, floored twice: by the host-
-        # jitter minimum, and — when the synthetic gray failure is on —
-        # by the wait a full admission queue necessarily imposes on every
-        # admitted request (queue depth x inflated service time / drain
+        # jitter minimum, and by the wait a full admission queue
+        # necessarily imposes on every admitted request under the synthetic
+        # gray failure (queue depth x inflated service time / drain
         # workers). Without the second floor the gate would punish the
         # protection for the injected slowness itself; the end-to-end
         # deadline still caps the admitted tail well inside the bound.
-        queue_wait_s = (
-            admission_queue * slow_median_s / max(service_workers, 1)
-            if slow_median_s > 0
-            else 0.0
-        )
+        queue_wait_s = ADMISSION_QUEUE * SLOW_MEDIAN_S / SERVICE_WORKERS
         reference_p99 = max(knee_step.p99_s, MIN_REFERENCE_P99_S, queue_wait_s)
-        _record(
-            report,
+        report.record(
             "admitted_latency_bounded",
             overload_step.completed > 0
-            and overload_step.p99_s <= latency_bound_factor * reference_p99,
+            and overload_step.p99_s <= LATENCY_BOUND_FACTOR * reference_p99,
             f"p99-of-admitted {overload_step.p99_s * 1e3:.1f}ms at "
-            f"{overload_rps:.0f} req/s exceeds {latency_bound_factor:g}x "
+            f"{overload_rps:.0f} req/s exceeds {LATENCY_BOUND_FACTOR:g}x "
             f"the at-knee reference {reference_p99 * 1e3:.1f}ms",
         )
-        _record(
-            report,
-            "ratio_matches_baseline",
-            report.ratio_matches_baseline,
-            f"post-reconcile ratio {ratio!r} != unloaded baseline "
-            f"{report.baseline_ratio!r}",
-        )
-        _record(
-            report,
+        report.record_ratio(stats.dedup_ratio, baseline_ratio, "unloaded")
+        report.record(
             "claims_conserved",
             stats.raw_chunks == stats.unique_chunks + stats.duplicate_chunks,
             f"raw={stats.raw_chunks} != unique={stats.unique_chunks} "
             f"+ duplicate={stats.duplicate_chunks}",
         )
         corrected = brownout.get("brownout.corrected_chunks", 0)
-        _record(
-            report,
+        report.record(
             "redundant_uploads_accounted",
             cloud.received_chunks == stats.unique_chunks + corrected,
             f"cloud received {cloud.received_chunks} uploads but final "
@@ -390,16 +293,14 @@ def run_overload_scenario(
             if not key.startswith(_LOAD_KEY_PREFIX)
         }
         cloud_fps = cloud.fingerprints()
-        _record(
-            report,
+        report.record(
             "no_unique_chunk_lost",
             index_fps == cloud_fps,
             f"{len(index_fps - cloud_fps)} index keys missing from the "
             f"cloud, {len(cloud_fps - index_fps)} cloud chunks missing "
             f"from the index",
         )
-        _record(
-            report,
+        report.record(
             "journal_drained",
             brownout.get("brownout.journal_depth", 0) == 0
             and brownout.get("brownout.active", 0) == 0,

@@ -25,74 +25,19 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
 
-from repro.chaos.invariants import InvariantReport, check_invariants
-from repro.chaos.runner import _round_robin, seeded_pool_workload
-from repro.core.costs import SNOD2Problem
-from repro.core.model import ChunkPoolModel, grouped_sources
-from repro.network.costmatrix import latency_cost_matrix
-from repro.network.topology import build_testbed
-from repro.system.cluster import DurableEFDedupCluster
-from repro.system.config import EFDedupConfig
+from repro.chaos.invariants import check_invariants
+from repro.chaos.report import ScenarioReport
+from repro.system.reference import (
+    reference_cluster,
+    round_robin,
+    seeded_pool_workload,
+)
 
-
-@dataclass
-class RestoreChaosReport:
-    """Outcome of one restore-under-zone-failure run."""
-
-    seed: int
-    nodes: int
-    total_files: int
-    events_fired: list[str]
-    healthy_mismatches: int
-    degraded_mismatches: int
-    post_sweep_mismatches: int
-    premature_deletions: int
-    under_replicated_after_recover: int
-    degraded_stripes_seen: int
-    files_deleted: int
-    chunks_swept: int
-    reclaimed_payload_bytes: int
-    orphans_adopted: int
-    elapsed_s: float
-    invariants: InvariantReport = field(default_factory=InvariantReport)
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.healthy_mismatches == 0
-            and self.degraded_mismatches == 0
-            and self.post_sweep_mismatches == 0
-            and self.premature_deletions == 0
-            and self.under_replicated_after_recover == 0
-            and self.orphans_adopted == 0
-            and self.invariants.passed
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": "restore-under-zone-failure",
-            "passed": self.passed,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "total_files": self.total_files,
-            "events_fired": list(self.events_fired),
-            "healthy_mismatches": self.healthy_mismatches,
-            "degraded_mismatches": self.degraded_mismatches,
-            "post_sweep_mismatches": self.post_sweep_mismatches,
-            "premature_deletions": self.premature_deletions,
-            "under_replicated_after_recover": self.under_replicated_after_recover,
-            "degraded_stripes_seen": self.degraded_stripes_seen,
-            "files_deleted": self.files_deleted,
-            "chunks_swept": self.chunks_swept,
-            "reclaimed_payload_bytes": self.reclaimed_payload_bytes,
-            "orphans_adopted": self.orphans_adopted,
-            "elapsed_s": self.elapsed_s,
-            "invariants": self.invariants.as_dict(),
-            "metrics": dict(self.metrics),
-        }
+# The cloud tier's code, RS(k=3, m=2) as `repro restore` defaults to; the
+# ladder fails m zones — as many as the code tolerates.
+EC_DATA_SHARDS = 3
+EC_PARITY_SHARDS = 2
 
 
 def run_restore_scenario(
@@ -102,136 +47,149 @@ def run_restore_scenario(
     seed: int = 7,
     gamma: int = 2,
     lookup_batch: int = 16,
-    ec_data_shards: int = 3,
-    ec_parity_shards: int = 2,
-    transport: str = "asyncio",
-    journal_dir: str | None = None,
-) -> RestoreChaosReport:
+    data_dir: str | None = None,
+) -> ScenarioReport:
     """Drive one full ingest → zone-failure → restore → GC ladder.
 
-    ``journal_dir`` overrides the refcount journal location (default: a
+    ``data_dir`` overrides the refcount journal location (default: a
     temp dir, removed afterwards). Deterministic for a given seed.
     """
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topo = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topo),
-        duration=2.0,
-        gamma=gamma,
-        alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096,
-        replication_factor=gamma,
-        lookup_batch=lookup_batch,
-        transport=transport,
-        rpc_timeout_s=0.5,
-        rpc_attempts=5,
-        ec_data_shards=ec_data_shards,
-        ec_parity_shards=ec_parity_shards,
-    )
     events: list[str] = []
     started = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        cluster = DurableEFDedupCluster(
-            topo, problem, config=config,
-            journal_dir=journal_dir if journal_dir is not None else tmp,
-        )
-        # One ring: the ladder stresses the payload plane, not partitioning,
-        # and the post-sweep invariant check is ring-scoped.
-        cluster.partition = [list(range(nodes))]
-        cluster.deploy()
-        try:
-            files: dict[str, bytes] = {}
+    # One ring: the ladder stresses the payload plane, not partitioning,
+    # and the post-sweep invariant check is ring-scoped.
+    with tempfile.TemporaryDirectory() as tmp, reference_cluster(
+        nodes,
+        [range(nodes)],
+        durable=True,
+        journal_dir=data_dir if data_dir is not None else tmp,
+        replication_factor=gamma,
+        lookup_batch=lookup_batch,
+        transport="asyncio",
+        rpc_timeout_s=0.5,
+        rpc_attempts=5,
+        ec_data_shards=EC_DATA_SHARDS,
+        ec_parity_shards=EC_PARITY_SHARDS,
+    ) as cluster:
+        files: dict[str, bytes] = {}
 
-            def ingest_segment(tag: str, n_files: int, seg_seed: int) -> None:
-                schedule = _round_robin(
-                    seeded_pool_workload(nodes, n_files, file_kb, seed=seg_seed)
-                )
-                for i, (nid, data) in enumerate(schedule):
-                    fid = f"{tag}-{i}"
-                    files[fid] = data
-                    cluster.ingest_file(nid, fid, data)
-
-            def count_mismatches() -> int:
-                return sum(
-                    1 for fid, data in files.items()
-                    if cluster.restore_file(fid) != data
-                )
-
-            # 1. Healthy: edge shelves serve every restore.
-            ingest_segment("a", files_per_node, seed)
-            healthy_mismatches = count_mismatches()
-            events.append(f"ingest:{len(files)}-files")
-
-            # 2. Fail m zones, ingest more (degraded stripes), evict the
-            # edge, and restore purely from k-of-n reconstruction.
-            down = list(range(ec_parity_shards))
-            for z in down:
-                cluster.fail_zone(z)
-            events.append(f"fail-zones:{down}")
-            ingest_segment("b", max(1, files_per_node // 2), seed + 1)
-            degraded_stripes_seen = cluster.tier.under_replicated_stripes
-            for ring in cluster.rings:
-                ring.content.clear()
-            events.append("evict-edge")
-            degraded_mismatches = count_mismatches()
-
-            # 3. Recover: the backfill must rebuild every degraded stripe.
-            for z in down:
-                cluster.recover_zone(z)
-            events.append(f"recover-zones:{down}")
-            under_replicated = cluster.tier.under_replicated_stripes
-
-            # 4. Delete half, sweep, and the survivors must be untouched.
-            doomed = sorted(files)[: len(files) // 2]
-            for fid in doomed:
-                cluster.delete_file(fid)
-                del files[fid]
-            sweep = cluster.gc_sweep()
-            events.append(f"delete:{len(doomed)}-files+sweep")
-            premature = 0
-            post_sweep_mismatches = 0
-            for fid, data in files.items():
-                try:
-                    if cluster.restore_file(fid) != data:
-                        post_sweep_mismatches += 1
-                except Exception:
-                    premature += 1
-
-            invariants = check_invariants(cluster.rings[0])
-            metrics: dict[str, float] = {}
-            for group, snap in (
-                ("content.cloud_tier", cluster.tier.metrics()),
-                ("content.gc", cluster.gc.metrics()),
-                ("content.plane", cluster.content_plane.metrics()),
-            ):
-                for name, value in snap.items():
-                    metrics[f"{group}.{name}"] = float(value)
-            return RestoreChaosReport(
-                seed=seed,
-                nodes=nodes,
-                total_files=len(files) + len(doomed),
-                events_fired=events,
-                healthy_mismatches=healthy_mismatches,
-                degraded_mismatches=degraded_mismatches,
-                post_sweep_mismatches=post_sweep_mismatches,
-                premature_deletions=premature,
-                under_replicated_after_recover=under_replicated,
-                degraded_stripes_seen=degraded_stripes_seen,
-                files_deleted=len(doomed),
-                chunks_swept=sweep.swept,
-                reclaimed_payload_bytes=sweep.reclaimed_payload_bytes,
-                orphans_adopted=sweep.orphans_adopted,
-                elapsed_s=time.perf_counter() - started,
-                invariants=invariants,
-                metrics=metrics,
+        def ingest_segment(tag: str, n_files: int, seg_seed: int) -> None:
+            schedule = round_robin(
+                seeded_pool_workload(nodes, n_files, file_kb, seed=seg_seed)
             )
-        finally:
-            cluster.shutdown()
+            for i, (nid, data) in enumerate(schedule):
+                fid = f"{tag}-{i}"
+                files[fid] = data
+                cluster.ingest_file(nid, fid, data)
+
+        def count_mismatches() -> int:
+            return sum(
+                1 for fid, data in files.items()
+                if cluster.restore_file(fid) != data
+            )
+
+        # 1. Healthy: edge shelves serve every restore.
+        ingest_segment("a", files_per_node, seed)
+        healthy_mismatches = count_mismatches()
+        events.append(f"ingest:{len(files)}-files")
+
+        # 2. Fail m zones, ingest more (degraded stripes), evict the
+        # edge, and restore purely from k-of-n reconstruction.
+        down = list(range(EC_PARITY_SHARDS))
+        for z in down:
+            cluster.fail_zone(z)
+        events.append(f"fail-zones:{down}")
+        ingest_segment("b", max(1, files_per_node // 2), seed + 1)
+        degraded_stripes_seen = cluster.tier.under_replicated_stripes
+        for ring in cluster.rings:
+            ring.content.clear()
+        events.append("evict-edge")
+        degraded_mismatches = count_mismatches()
+
+        # 3. Recover: the backfill must rebuild every degraded stripe.
+        for z in down:
+            cluster.recover_zone(z)
+        events.append(f"recover-zones:{down}")
+        under_replicated = cluster.tier.under_replicated_stripes
+
+        # 4. Delete half, sweep, and the survivors must be untouched.
+        doomed = sorted(files)[: len(files) // 2]
+        for fid in doomed:
+            cluster.delete_file(fid)
+            del files[fid]
+        sweep = cluster.gc_sweep()
+        events.append(f"delete:{len(doomed)}-files+sweep")
+        premature = 0
+        post_sweep_mismatches = 0
+        for fid, data in files.items():
+            try:
+                if cluster.restore_file(fid) != data:
+                    post_sweep_mismatches += 1
+            except Exception:
+                premature += 1
+
+        report = ScenarioReport(
+            "restore-under-zone-failure", seed, nodes,
+            len(files) + len(doomed), events,
+        )
+        for name, mismatches, served_by in (
+            ("healthy_restores_exact", healthy_mismatches, "the edge shelves"),
+            ("degraded_restores_exact", degraded_mismatches,
+             f"k-of-n reconstruction with zones {down} down"),
+            ("post_sweep_restores_exact", post_sweep_mismatches,
+             "the tier after the GC sweep"),
+        ):
+            report.record(
+                name,
+                mismatches == 0,
+                f"{mismatches} file(s) restored from {served_by} differed "
+                f"from what was ingested",
+            )
+        report.record(
+            "no_premature_deletion",
+            premature == 0,
+            f"{premature} surviving file(s) could not be restored after "
+            f"the sweep: chunks they still reference were reclaimed",
+        )
+        report.record(
+            "ingested_degraded",
+            degraded_stripes_seen > 0,
+            f"no stripe was written degraded with zones {down} down, so "
+            f"the backfill check below proves nothing",
+        )
+        report.record(
+            "backfill_complete",
+            under_replicated == 0,
+            f"{under_replicated} stripe(s) still under-replicated after "
+            f"zones {down} recovered",
+        )
+        report.record(
+            "no_orphans_adopted",
+            sweep.orphans_adopted == 0,
+            f"the sweep found {sweep.orphans_adopted} tier chunk(s) no "
+            f"refcount knew about",
+        )
+        report.merge(check_invariants(cluster.rings[0]))
+        report.measurements.update(
+            healthy_mismatches=healthy_mismatches,
+            degraded_mismatches=degraded_mismatches,
+            post_sweep_mismatches=post_sweep_mismatches,
+            premature_deletions=premature,
+            under_replicated_after_recover=under_replicated,
+            degraded_stripes_seen=degraded_stripes_seen,
+            files_deleted=len(doomed),
+            chunks_swept=sweep.swept,
+            reclaimed_payload_bytes=sweep.reclaimed_payload_bytes,
+            orphans_adopted=sweep.orphans_adopted,
+            elapsed_s=time.perf_counter() - started,
+            metrics={
+                f"{group}.{name}": float(value)
+                for group, snap in (
+                    ("content.cloud_tier", cluster.tier.metrics()),
+                    ("content.gc", cluster.gc.metrics()),
+                    ("content.plane", cluster.content_plane.metrics()),
+                )
+                for name, value in snap.items()
+            },
+        )
+        return report

@@ -3,9 +3,10 @@
 :func:`run_scenario` is the harness entry point: it boots a real asyncio
 ring (WAL-backed nodes), streams a seeded workload through the agents
 round-robin, fires the scenario's fault events at their scheduled ingest
-fractions, heals everything, and returns a :class:`ChaosReport` with
+fractions, heals everything, and returns a
+:class:`~repro.chaos.report.ScenarioReport` with
 
-- the safety-invariant verdict (:mod:`repro.chaos.invariants`),
+- the safety-invariant checks (:mod:`repro.chaos.invariants`),
 - the final dedup ratio versus a fault-free run of the *same seed*
   (the headline acceptance check: faults may cost redundant uploads and
   latency, never dedup correctness),
@@ -21,121 +22,23 @@ but then detection latency depends on wall-clock timing.
 
 from __future__ import annotations
 
-import random
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.chaos.invariants import InvariantReport, check_invariants
+from repro.chaos.invariants import check_invariants
+from repro.chaos.report import ScenarioReport
 from repro.chaos.scenarios import ChaosScenario, FaultEvent, get_scenario
 from repro.kvstore.repair import ReplicaRepairer
 from repro.system.config import EFDedupConfig
+from repro.system.reference import (
+    reference_ring,
+    round_robin,
+    seeded_pool_workload,
+)
 from repro.system.ring import D2Ring
-
-
-def seeded_pool_workload(
-    n_nodes: int,
-    files_per_node: int,
-    file_kb: int,
-    seed: int,
-    block_size: int = 4096,
-    pool_blocks: int = 24,
-) -> dict[str, list[bytes]]:
-    """Deterministic per-node file streams with real cross-node redundancy:
-    files draw blocks from one shared pool, so different nodes hold
-    duplicate chunks — the workload shape collaborative dedup exists for."""
-    rng = random.Random(seed)
-    pool = [rng.randbytes(block_size) for _ in range(pool_blocks)]
-    blocks_per_file = max(1, (file_kb * 1024) // block_size)
-    return {
-        f"edge-{n}": [
-            b"".join(rng.choice(pool) for _ in range(blocks_per_file))
-            for _ in range(files_per_node)
-        ]
-        for n in range(n_nodes)
-    }
-
-
-def _round_robin(workloads: dict[str, list[bytes]]) -> list[tuple[str, bytes]]:
-    """Flatten per-node streams into the interleaved arrival order
-    :meth:`~repro.system.ring.D2Ring.ingest_workloads` uses."""
-    iters = {nid: iter(files) for nid, files in workloads.items()}
-    schedule: list[tuple[str, bytes]] = []
-    while iters:
-        finished = []
-        for nid, it in iters.items():
-            data = next(it, None)
-            if data is None:
-                finished.append(nid)
-            else:
-                schedule.append((nid, data))
-        for nid in finished:
-            del iters[nid]
-    return schedule
-
-
-@dataclass
-class ChaosReport:
-    """Everything a chaos run measured and concluded."""
-
-    scenario: str
-    seed: int
-    nodes: int
-    total_files: int
-    events_fired: list[str]
-    invariants: InvariantReport
-    dedup_ratio: float
-    baseline_ratio: float
-    recovery_times_s: list[float]
-    degraded_seconds: float
-    degraded_bytes: int
-    healthy_seconds: float
-    healthy_bytes: int
-    store_stats: dict[str, float] = field(default_factory=dict)
-    wal_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @property
-    def ratio_matches_baseline(self) -> bool:
-        return abs(self.dedup_ratio - self.baseline_ratio) < 1e-12
-
-    @property
-    def passed(self) -> bool:
-        return self.invariants.passed and self.ratio_matches_baseline
-
-    @property
-    def degraded_throughput_mb_s(self) -> float:
-        if self.degraded_seconds <= 0:
-            return 0.0
-        return self.degraded_bytes / 1e6 / self.degraded_seconds
-
-    @property
-    def healthy_throughput_mb_s(self) -> float:
-        if self.healthy_seconds <= 0:
-            return 0.0
-        return self.healthy_bytes / 1e6 / self.healthy_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "nodes": self.nodes,
-            "total_files": self.total_files,
-            "passed": self.passed,
-            "events_fired": list(self.events_fired),
-            "invariants": self.invariants.as_dict(),
-            "dedup_ratio": self.dedup_ratio,
-            "baseline_ratio": self.baseline_ratio,
-            "ratio_matches_baseline": self.ratio_matches_baseline,
-            "recovery_times_s": list(self.recovery_times_s),
-            "degraded_throughput_mb_s": self.degraded_throughput_mb_s,
-            "healthy_throughput_mb_s": self.healthy_throughput_mb_s,
-            "degraded_seconds": self.degraded_seconds,
-            "healthy_seconds": self.healthy_seconds,
-            "store_stats": dict(self.store_stats),
-            "wal_stats": {n: dict(s) for n, s in self.wal_stats.items()},
-        }
 
 
 def _await_liveness_view(
@@ -173,6 +76,9 @@ class _EventDriver:
         self.killed: set[str] = set()
         self.isolated: set[str] = set()
         self.slowed: dict[str, object] = {}  # node id -> installed SLOW rule
+        # node id -> keys its shard held when it was last killed (what a
+        # restart has to bring back from the WAL).
+        self.held_at_kill: dict[str, int] = {}
         self.recovery_times_s: list[float] = []
         self.log: list[str] = []
 
@@ -187,6 +93,7 @@ class _EventDriver:
         cluster = self.ring.live_cluster
         if event.action == "kill":
             heartbeats = cluster.heartbeats is not None
+            self.held_at_kill[node] = cluster.servers[node].node.key_count()
             cluster.kill_node(node, mark_down=not heartbeats)
             self.killed.add(node)
         elif event.action == "restart":
@@ -246,14 +153,14 @@ def run_scenario(
     data_dir: Optional[Union[str, Path]] = None,
     heartbeat_interval_s: float = 0.0,
     codec: Optional[str] = None,
-    skip_baseline: bool = False,
-) -> ChaosReport:
+) -> ScenarioReport:
     """Run one scenario against a fresh live ring; see the module docstring.
 
     Args:
-        scenario: a built-in name (``crash-restart``, ``rolling-restart``,
-            ``flapping``, ``partition-heal``) or a custom
-            :class:`ChaosScenario`.
+        scenario: a built-in fault schedule (any name in
+            :data:`repro.chaos.scenarios.SCENARIOS`: ``crash-restart``,
+            ``rolling-restart``, ``flapping``, ``partition-heal``,
+            ``slow-node``) or a custom :class:`ChaosScenario`.
         nodes/files_per_node/file_kb/seed: workload shape (deterministic
             per seed).
         gamma: replication factor of the ring index.
@@ -263,8 +170,6 @@ def run_scenario(
             leaves crash *detection* to it (kills stop being explicitly
             marked down).
         codec: wire codec override.
-        skip_baseline: reuse when the caller already knows the fault-free
-            ratio (baseline_ratio is then copied from the chaos run).
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario, nodes)
@@ -275,26 +180,12 @@ def run_scenario(
         )
     workloads = seeded_pool_workload(nodes, files_per_node, file_kb, seed)
     members = sorted(workloads)
-    schedule = _round_robin(workloads)
+    schedule = round_robin(workloads)
     total = len(schedule)
-
-    def build_config(transport: str, wal_dir: Optional[str]) -> EFDedupConfig:
-        return EFDedupConfig(
-            chunk_size=4096,
-            replication_factor=gamma,
-            lookup_batch=lookup_batch,
-            transport=transport,
-            rpc_codec=codec,
-            data_dir=wal_dir,
-            heartbeat_interval_s=heartbeat_interval_s if transport == "asyncio" else 0.0,
-        )
-
-    baseline_ratio: Optional[float] = None
-    if not skip_baseline:
-        ref = D2Ring("chaos-ref", members, config=build_config("inproc", None))
-        for node_id, data in schedule:
-            ref.agent(node_id).ingest(data)
-        baseline_ratio = ref.combined_stats().dedup_ratio
+    reference = EFDedupConfig(
+        chunk_size=4096, replication_factor=gamma, lookup_batch=lookup_batch
+    )
+    baseline_ratio = reference_ring(members, schedule, reference).dedup_ratio
 
     from repro.rpc.faults import FaultInjector
 
@@ -303,12 +194,16 @@ def run_scenario(
     if data_dir is None:
         tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
         data_dir = tmp.name
+    live = replace(
+        reference,
+        transport="asyncio",
+        rpc_codec=codec,
+        data_dir=str(data_dir),
+        heartbeat_interval_s=heartbeat_interval_s,
+    )
     try:
         with D2Ring(
-            "chaos-0",
-            members,
-            config=build_config("asyncio", str(data_dir)),
-            fault_injector=injector,
+            "chaos-0", members, config=live, fault_injector=injector
         ) as ring:
             driver = _EventDriver(ring, members, injector)
             heartbeats = ring.live_cluster.heartbeats is not None
@@ -360,26 +255,68 @@ def run_scenario(
                 ring.agent(node_id).ingest(data)
                 healthy_s += time.perf_counter() - started
                 healthy_b += len(data)
-            invariants = check_invariants(ring)
-            ratio = ring.combined_stats().dedup_ratio
-            report = ChaosReport(
-                scenario=scenario.name,
-                seed=seed,
-                nodes=nodes,
-                total_files=total,
-                events_fired=driver.log,
-                invariants=invariants,
-                dedup_ratio=ratio,
-                baseline_ratio=ratio if baseline_ratio is None else baseline_ratio,
+            report = ScenarioReport(
+                scenario.name, seed, nodes, total, events_fired=driver.log
+            )
+            report.merge(check_invariants(ring))
+            report.record_ratio(
+                ring.combined_stats().dedup_ratio, baseline_ratio, "fault-free"
+            )
+            wal_stats = ring.live_cluster.wal_stats()
+            _record_recovery(report, driver, wal_stats)
+            report.measurements.update(
                 recovery_times_s=driver.recovery_times_s,
                 degraded_seconds=degraded_s,
                 degraded_bytes=degraded_b,
+                degraded_throughput_mb_s=_mb_per_s(degraded_b, degraded_s),
                 healthy_seconds=healthy_s,
                 healthy_bytes=healthy_b,
+                healthy_throughput_mb_s=_mb_per_s(healthy_b, healthy_s),
+                wal_entries_restored=sum(map(_wal_restored, wal_stats.values())),
                 store_stats=ring.store.stats.snapshot(),
-                wal_stats=ring.live_cluster.wal_stats(),
+                wal_stats=wal_stats,
             )
     finally:
         if tmp is not None:
             tmp.cleanup()
     return report
+
+
+def _mb_per_s(nbytes: int, seconds: float) -> float:
+    return nbytes / 1e6 / seconds if seconds > 0 else 0.0
+
+
+def _wal_restored(wal: dict) -> float:
+    """Entries one member's current WAL brought back when it was opened."""
+    return wal.get("log_entries_replayed", 0) + wal.get("snapshot_entries_loaded", 0)
+
+
+def _record_recovery(
+    report: ScenarioReport, driver: _EventDriver, wal_stats: dict[str, dict]
+) -> None:
+    """The recovery path did its work, not just "nothing broke": every
+    rejoin (restart or heal, scheduled or forced) was timed, and every
+    member that died holding keys got them back from its WAL — a restart
+    that came up empty and was refilled by anti-entropy alone would pass
+    the convergence checks while the durability layer did nothing."""
+    rejoins = sum(
+        1 for entry in driver.log
+        if entry.removeprefix("auto-").startswith(("restart:", "heal:"))
+    )
+    times = driver.recovery_times_s
+    report.record(
+        "recoveries_timed",
+        len(times) == rejoins and all(t > 0 for t in times),
+        f"{rejoins} rejoin(s) fired but recovery timings are {times}",
+    )
+    came_back_empty = {
+        node: held
+        for node, held in driver.held_at_kill.items()
+        if held and _wal_restored(wal_stats.get(node, {})) < held
+    }
+    report.record(
+        "wal_reloaded",
+        not came_back_empty,
+        "restarted member(s) reloaded fewer WAL entries than the keys they "
+        f"held when killed: {came_back_empty}",
+    )

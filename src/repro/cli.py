@@ -20,11 +20,16 @@ The subcommands cover the workflows a user runs repeatedly:
                         unified metrics export and a Chrome-trace span dump;
 - ``repro metrics``   — render a ``--metrics-json`` export as a table,
                         Prometheus text, or JSON;
-- ``repro chaos``     — run a seeded fault scenario (crash-restart,
-                        rolling-restart, flapping, partition-heal) against
-                        a live WAL-backed ring and check the recovery
-                        invariants; exit 1 if any is violated or the final
-                        dedup ratio drifts from the fault-free baseline;
+- ``repro chaos``     — run one seeded scenario of the chaos harness
+                        against a live cluster: a fault schedule
+                        (crash-restart, rolling-restart, flapping,
+                        partition-heal, slow-node) or a protocol ladder
+                        (migrate-under-faults, restore-under-zone-failure,
+                        overload, hot-index). Every named check the
+                        scenario recorded is printed; exit 1 if any failed
+                        (stderr says which and why) — e.g. the final dedup
+                        ratio drifting from the undisturbed twin's. A flag
+                        the chosen scenario does not read is an error;
 - ``repro restore``   — the data-plane durability proof: ingest a seeded
                         workload into a durable cluster (ring-local
                         payload shelves + RS(k, m) erasure-coded cloud
@@ -57,7 +62,9 @@ entry point).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from repro.analysis import experiments as _exp
@@ -71,6 +78,12 @@ from repro.core.partitioning import (
 from repro.chunking.fixed import FixedSizeChunker
 from repro.datasets.accelerometer import AccelerometerSource
 from repro.network.topology import build_testbed
+from repro.system.reference import (
+    reference_cluster,
+    reference_ring,
+    round_robin,
+    seeded_pool_workload,
+)
 
 _FIGURES = {
     "fig2": lambda: _exp.fig2_estimation_accuracy(n_files=4),
@@ -84,6 +97,92 @@ _FIGURES = {
     "fig7a": lambda: _exp.fig7a_cost_vs_scale(node_counts=(50, 100, 200)),
     "fig7b": lambda: _exp.fig7b_cost_vs_alpha(n_nodes=100),
 }
+
+
+# The workload flags every cluster-driving command shares: dest -> wording.
+_WORKLOAD_FLAGS = {
+    "nodes": "edge nodes / ring members",
+    "files": "files ingested per node",
+    "file_kb": "file size in KiB",
+    "gamma": "replication factor",
+    "seed": "workload seed",
+    "batch": "fingerprints per batched lookup",
+}
+
+# `repro chaos` flag (argparse dest) -> (run-function keyword it sets, type,
+# wording). Which of them a scenario reads, and with what default, is its
+# table entry's business.
+_CHAOS_FLAGS = {
+    "nodes": ("nodes", int, _WORKLOAD_FLAGS["nodes"]),
+    "files": ("files_per_node", int, _WORKLOAD_FLAGS["files"]),
+    "file_kb": ("file_kb", int, _WORKLOAD_FLAGS["file_kb"]),
+    "seed": ("seed", int, _WORKLOAD_FLAGS["seed"]),
+    "gamma": ("gamma", int, _WORKLOAD_FLAGS["gamma"]),
+    "batch": ("lookup_batch", int, _WORKLOAD_FLAGS["batch"]),
+    "data_dir": ("data_dir", str, "WAL / refcount-journal directory; None "
+                 "is a temp dir, removed afterwards"),
+    "heartbeat_ms": ("heartbeat_interval_s", lambda ms: float(ms) / 1e3,
+                     "period in ms of the phi-accrual heartbeat prober, which "
+                     "then detects the crashes; 0 is explicit mark-down"),
+    "codec": ("codec", str, "wire codec; None is msgpack if installed, else json"),
+    "knee_rps": ("knee_rps", float, "at-knee offered load in req/s; the "
+                 "beyond-knee step offers 2x this"),
+    "duration_s": ("duration_s", float, "offered window per load step, seconds"),
+    "hot_size": ("hot_size", int, "fingerprints migrated to the edge"),
+}
+
+
+def _add_workload_args(parser: argparse.ArgumentParser, **defaults: int) -> None:
+    """Add the shared workload flags ``parser``'s command takes, with that
+    command's defaults (``dest=default``; a flag not named is not added)."""
+    for dest, default in defaults.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=int,
+            default=default,
+            help=f"{_WORKLOAD_FLAGS[dest]} (default {default})",
+        )
+
+
+def _chaos_default(keyword: str) -> str:
+    """Help text for a flag whose default is the chosen scenario's: the
+    most common value across the scenario table, the exceptions, and which
+    scenarios read the flag at all."""
+    from repro.chaos import SCENARIO_TABLE
+
+    values = {
+        name: entry.defaults[keyword]
+        for name, entry in SCENARIO_TABLE.items()
+        if keyword in entry.defaults
+    }
+    others = [name for name in SCENARIO_TABLE if name not in values]
+    usual = Counter(values.values()).most_common(1)[0][0]
+    if not others:
+        scope = "read by every scenario"
+    elif len(others) < len(values):
+        scope = "read by every scenario but " + ", ".join(others)
+    else:
+        scope = "read by " + ", ".join(values) + " only"
+    return "; ".join(
+        [str(usual)]
+        + [f"{value} for {name}" for name, value in values.items() if value != usual]
+        + [scope]
+    )
+
+
+def _write_json(path: Optional[str], source) -> None:
+    """The ``--metrics-json`` / ``--json`` tail of a command: when a path
+    was given, write ``source`` there — a metrics hub as its
+    repro.metrics/v1 export, anything else as its ``as_dict()`` — and say
+    so."""
+    if not path:
+        return
+    if hasattr(source, "dump_json"):
+        print(f"metrics: wrote {source.dump_json(path)} series to {path}")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(source.as_dict(), fh, indent=2, sort_keys=True)
+    print(f"report: wrote {path}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,86 +229,36 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
 
+    from repro.chaos import SCENARIO_TABLE
+
     chaos = sub.add_parser(
         "chaos",
-        help="run a seeded fault scenario against a live ring and check "
-        "the recovery invariants",
+        help="run a seeded chaos scenario against a live cluster and check "
+        "every invariant it names",
     )
+    chaos.set_defaults(parser=chaos)
     chaos.add_argument(
         "scenario",
         nargs="?",
         default="crash-restart",
-        choices=(
-            "crash-restart",
-            "rolling-restart",
-            "flapping",
-            "partition-heal",
-            "slow-node",
-            "migrate-under-faults",
-            "restore-under-zone-failure",
-            "overload",
-            "hot-index",
-        ),
-        help="fault schedule to inject (default: crash-restart); "
-        "slow-node turns one member gray (alive but lognormally slow) "
-        "mid-ingest; migrate-under-faults crashes a source-ring node while "
-        "a live migration's dual-lookup window is open; "
-        "restore-under-zone-failure fails m cloud-tier zones, evicts the "
-        "edge shelves, and requires byte-exact k-of-n restores plus a "
-        "clean GC sweep; overload drives an open-loop generator past the "
-        "knee and requires bounded admitted latency, exact shed "
-        "accounting, and a post-reconciliation ratio equal to the "
-        "unloaded baseline; hot-index migrates the secure tier's hot key "
-        "slice to the edge under live ingest with a GC sweep mid-window "
-        "and requires a ratio exactly equal to the migration-free twin",
+        choices=tuple(SCENARIO_TABLE),
+        help="scenario to run (default: crash-restart) — "
+        + "; ".join(f"{name}: {entry.summary}" for name, entry in SCENARIO_TABLE.items()),
     )
-    chaos.add_argument(
-        "--nodes", type=int, default=None,
-        help="ring members (default 3; 6 for migrate-under-faults)",
-    )
-    chaos.add_argument(
-        "--files", type=int, default=None,
-        help="files ingested per node (default 6; 2 per segment for "
-        "migrate-under-faults)",
-    )
-    chaos.add_argument(
-        "--file-kb", type=int, default=None,
-        help="file size in KiB (default 32; 8 for migrate-under-faults)",
-    )
-    chaos.add_argument("--gamma", type=int, default=2, help="replication factor")
-    chaos.add_argument("--seed", type=int, default=7, help="workload seed")
-    chaos.add_argument(
-        "--batch", type=int, default=16, help="fingerprints per batched lookup"
-    )
-    chaos.add_argument(
-        "--data-dir", default=None, metavar="DIR",
-        help="WAL directory (default: a temp dir, removed afterwards)",
-    )
-    chaos.add_argument(
-        "--heartbeat-ms", type=float, default=0.0,
-        help="run the phi-accrual heartbeat prober at this period and let "
-        "it detect the crashes (default 0: explicit mark-down)",
-    )
-    chaos.add_argument(
-        "--codec", default=None,
-        help="wire codec (default: msgpack if installed, else json)",
-    )
+    # Every flag defaults to None = "not given": the scenario's own default
+    # applies, and _cmd_chaos can tell when a flag the scenario does not
+    # read was passed.
+    for dest, (keyword, kind, what) in _CHAOS_FLAGS.items():
+        chaos.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=kind,
+            default=None,
+            help=f"{what} (default {_chaos_default(keyword)})",
+        )
     chaos.add_argument(
         "--json", default=None, metavar="PATH", dest="report_json",
-        help="also write the full chaos report as JSON",
-    )
-    chaos.add_argument(
-        "--knee-rps", type=float, default=400.0,
-        help="overload only — at-knee offered load; the beyond-knee step "
-        "offers 2x this (default 400)",
-    )
-    chaos.add_argument(
-        "--duration-s", type=float, default=0.6,
-        help="overload only — offered window per load step (default 0.6)",
-    )
-    chaos.add_argument(
-        "--hot-size", type=int, default=64,
-        help="hot-index only — fingerprints migrated to the edge (default 64)",
+        help="also write the full report as JSON (one shape for every "
+        "scenario)",
     )
 
     secure = sub.add_parser(
@@ -217,18 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the secure dedup tier: convergent encryption, "
         "proof-of-ownership claims, and hot-index partial migration",
     )
-    secure.add_argument(
-        "--nodes", type=int, default=4,
-        help="edge nodes, split into two rings (default 4; must be even)",
-    )
-    secure.add_argument(
-        "--files", type=int, default=2, help="files per ring-0 node (default 2)"
-    )
-    secure.add_argument(
-        "--file-kb", type=int, default=16, help="file size in KiB (default 16)"
-    )
-    secure.add_argument("--gamma", type=int, default=2, help="replication factor")
-    secure.add_argument("--seed", type=int, default=7, help="workload seed")
+    # --nodes is split into two rings and must be even.
+    _add_workload_args(secure, nodes=4, files=2, file_kb=16, gamma=2, seed=7)
     secure.add_argument(
         "--hot-size", type=int, default=64,
         help="fingerprints migrated to the edge hot index (default 64)",
@@ -254,17 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ingest a seeded workload into the durable content plane, "
         "optionally fail zones / evict edges / GC, and restore every file",
     )
-    restore.add_argument("--nodes", type=int, default=3, help="ring members (default 3)")
-    restore.add_argument(
-        "--files", type=int, default=4, help="files ingested per node (default 4)"
-    )
-    restore.add_argument(
-        "--file-kb", type=int, default=32, help="file size in KiB (default 32)"
-    )
-    restore.add_argument("--gamma", type=int, default=2, help="replication factor")
-    restore.add_argument("--seed", type=int, default=7, help="workload seed")
-    restore.add_argument(
-        "--batch", type=int, default=16, help="fingerprints per batched lookup"
+    _add_workload_args(
+        restore, nodes=3, files=4, file_kb=32, gamma=2, seed=7, batch=16
     )
     restore.add_argument(
         "--transport", choices=("inproc", "asyncio"), default="asyncio",
@@ -306,24 +336,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fit, deploy, drift, re-fit, and live-migrate a running "
         "cluster to the new plan while ingest continues",
     )
-    replan.add_argument("--nodes", type=int, default=6, help="edge nodes (default 6)")
+    _add_workload_args(replan, nodes=6, files=2, file_kb=8, gamma=2, seed=7)
     replan.add_argument("--rings", type=int, default=2, help="D2-rings M (default 2)")
     replan.add_argument(
         "--alpha", type=float, default=50.0, help="tradeoff factor (default 50)"
-    )
-    replan.add_argument("--gamma", type=int, default=2, help="replication factor")
-    replan.add_argument(
-        "--files", type=int, default=2, help="sample/ingest files per node (default 2)"
-    )
-    replan.add_argument(
-        "--file-kb", type=int, default=8, help="ingest file size in KiB (default 8)"
     )
     replan.add_argument(
         "--sample-kb", type=int, default=64,
         help="estimator sample-file size in KiB (default 64; larger samples "
         "overlap their group pool more, sharpening the fitted vectors)",
     )
-    replan.add_argument("--seed", type=int, default=7, help="workload + fit seed")
     replan.add_argument(
         "--pools", type=int, default=2, help="K pools the estimator fits (default 2)"
     )
@@ -448,18 +470,9 @@ def _build_parser() -> argparse.ArgumentParser:
             name,
             help="boot a D2-ring as a real asyncio cluster and dedup a seeded dataset",
         )
-        live.add_argument("--nodes", type=int, default=3, help="ring members (default 3)")
-        live.add_argument(
-            "--files", type=int, default=4, help="files ingested per node (default 4)"
+        _add_workload_args(
+            live, nodes=3, files=4, file_kb=64, gamma=2, seed=7, batch=16
         )
-        live.add_argument(
-            "--file-kb", type=int, default=64, help="file size in KiB (default 64)"
-        )
-        live.add_argument("--gamma", type=int, default=2, help="replication factor")
-        live.add_argument(
-            "--batch", type=int, default=16, help="fingerprints per batched lookup"
-        )
-        live.add_argument("--seed", type=int, default=7, help="dataset seed")
         live.add_argument(
             "--codec", default=None, help="wire codec (default: msgpack if installed, else json)"
         )
@@ -568,24 +581,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"simulate.{name.lower()}",
                 {k: b[k] for k in ("storage", "network", "aggregate")},
             )
-        count = hub.dump_json(args.metrics_json)
-        print(f"metrics: wrote {count} series to {args.metrics_json}")
+        _write_json(args.metrics_json, hub)
     return 0
-
-
-def _seeded_workload(
-    n_nodes: int, files_per_node: int, file_kb: int, seed: int, block_size: int = 4096
-) -> dict[str, list[bytes]]:
-    """Deterministic per-node file streams with real cross-node redundancy.
-
-    Files are drawn block-wise from a shared pool, so different nodes hold
-    duplicate chunks — the workload shape collaborative dedup exists for.
-    """
-    from repro.chaos.runner import seeded_pool_workload
-
-    return seeded_pool_workload(
-        n_nodes, files_per_node, file_kb, seed, block_size=block_size
-    )
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -593,8 +590,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
     from repro.system.config import EFDedupConfig
     from repro.system.ring import D2Ring
 
-    members = sorted(_seeded_workload(args.nodes, 1, 1, 0))  # just the ids
-    workloads = _seeded_workload(args.nodes, args.files, args.file_kb, args.seed)
+    workloads = seeded_pool_workload(args.nodes, args.files, args.file_kb, args.seed)
+    members = sorted(workloads)
 
     def build_config(transport: str) -> EFDedupConfig:
         return EFDedupConfig(
@@ -649,9 +646,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
         live_ratio = stats.dedup_ratio
         hub = ring.metrics_hub()
         live_names = set(hub.collect())
-        if args.metrics_json:
-            count = hub.dump_json(args.metrics_json)
-            print(f"metrics: wrote {count} series to {args.metrics_json}")
+        _write_json(args.metrics_json, hub)
 
     if tracer is not None:
         count = tracer.dump_chrome_trace(args.trace_json)
@@ -661,8 +656,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     if not args.check:
         return 0
 
-    ref = D2Ring("ref-0", members, config=build_config("inproc"))
-    ref.ingest_workloads(workloads)
+    ref = reference_ring(members, round_robin(workloads), build_config("inproc"))
     ref_stats = ref.combined_stats()
     ref_unique = frozenset(ref.store.unique_keys())
     same_set = live_unique == ref_unique
@@ -683,315 +677,67 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_chaos_migration(args: argparse.Namespace) -> int:
-    from repro.chaos import run_migration_scenario
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.chaos import SCENARIO_TABLE
 
-    nodes = args.nodes if args.nodes is not None else 6
-    files = args.files if args.files is not None else 2
-    file_kb = args.file_kb if args.file_kb is not None else 8
-    print(f"chaos: scenario=migrate-under-faults nodes={nodes} "
-          f"files={files}x{file_kb}KiB/segment seed={args.seed} "
-          f"gamma={args.gamma}")
-    report = run_migration_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-    )
+    entry = SCENARIO_TABLE[args.scenario]
+    settings = entry.defaults
+    for dest, (keyword, _, _) in _CHAOS_FLAGS.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if keyword not in settings:
+            args.parser.error(
+                f"--{dest.replace('_', '-')} is not read by scenario "
+                f"{args.scenario!r}"
+            )
+        settings[keyword] = value
+    print(f"chaos: scenario={args.scenario} "
+          + " ".join(f"{k}={v}" for k, v in settings.items() if v is not None))
+    report = entry.run(**settings)
     print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    mig = report.migration
-    print(f"migration: state={report.state} "
-          f"moved={mig.get('migration.nodes_moved', 0):.0f} "
-          f"streamed={mig.get('migration.entries_streamed', 0):.0f} "
-          f"delta={mig.get('migration.entries_restreamed', 0):.0f} "
-          f"probes={mig.get('migration.dual_lookup_probes', 0):.0f} "
-          f"hits={mig.get('migration.dual_lookup_hits', 0):.0f}")
-    if report.recovery_time_s:
-        print(f"recovery: crashed node rejoined in "
-              f"{report.recovery_time_s * 1e3:.1f}ms mid-window")
-    print(f"dedup_ratio={report.dedup_ratio:.3f} "
-          f"(fault-free migration baseline {report.baseline_ratio:.3f}, "
-          f"match={report.ratio_matches_baseline})")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — migration committed under faults and dedup "
-              "matched the fault-free migration baseline")
-        return 0
-    print("chaos: FAIL — "
-          f"state={report.state}, ratio {report.dedup_ratio} vs "
-          f"baseline {report.baseline_ratio}", file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_restore(args: argparse.Namespace) -> int:
-    from repro.chaos import run_restore_scenario
-
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 4
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario=restore-under-zone-failure nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} gamma={args.gamma}")
-    report = run_restore_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-        journal_dir=args.data_dir,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    print(f"restores: healthy_mismatches={report.healthy_mismatches} "
-          f"degraded_mismatches={report.degraded_mismatches} "
-          f"post_sweep_mismatches={report.post_sweep_mismatches} "
-          f"premature_deletions={report.premature_deletions}")
-    print(f"tier: degraded_stripes_seen={report.degraded_stripes_seen} "
-          f"under_replicated_after_recover={report.under_replicated_after_recover}")
-    print(f"gc: deleted {report.files_deleted} files, swept "
-          f"{report.chunks_swept} chunks, reclaimed "
-          f"{report.reclaimed_payload_bytes} payload bytes, "
-          f"orphans={report.orphans_adopted}")
-    for name, ok in report.invariants.checks.items():
-        print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — every restore was byte-exact through zone "
-              "failure, edge eviction, and the GC sweep")
-        return 0
-    print("chaos: FAIL — "
-          + "; ".join(report.invariants.violations
-                      or ["restore or GC check failed (see counters above)"]),
-          file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_overload(args: argparse.Namespace) -> int:
-    from repro.chaos import run_overload_scenario
-
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 4
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario=overload nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} gamma={args.gamma} "
-          f"knee={args.knee_rps:g}req/s window={args.duration_s:g}s")
-    report = run_overload_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-        knee_rps=args.knee_rps,
-        duration_s=args.duration_s,
-    )
-    knee, over = report.knee_step, report.overload_step
-    print(f"knee   @ {report.knee_rps:7.0f} req/s: "
-          f"arrivals={knee.arrivals} completed={knee.completed} "
-          f"shed={knee.shed} failed={knee.failed} p99={knee.p99_s * 1e3:.1f}ms")
-    print(f"beyond @ {report.overload_rps:7.0f} req/s: "
-          f"arrivals={over.arrivals} completed={over.completed} "
-          f"shed={over.shed} failed={over.failed} p99={over.p99_s * 1e3:.1f}ms "
-          f"(shed fraction {report.shed_fraction:.2f})")
-    b = report.brownout
-    print(f"brownout: trips={b.get('brownout.trips', 0)} "
-          f"write_through={b.get('brownout.write_through', 0)} "
-          f"journaled={b.get('brownout.journaled', 0)} "
-          f"reconciled={b.get('brownout.reconciled', 0)} "
-          f"corrected={b.get('brownout.corrected_chunks', 0)} "
-          f"breaker_opens={report.breaker_opens}")
-    print(f"dedup_ratio={report.dedup_ratio:.6f} "
-          f"(unloaded baseline {report.baseline_ratio:.6f}, "
-          f"match={report.ratio_matches_baseline})")
     for name, ok in report.checks.items():
         print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
+    if report.baseline_ratio is not None:
+        print(f"dedup_ratio={report.dedup_ratio:.6f} "
+              f"(undisturbed twin {report.baseline_ratio:.6f}, "
+              f"match={report.ratio_matches_baseline})")
+    print("measured: " + " ".join(
+        f"{name}={value:.4g}" if isinstance(value, float) else f"{name}={value}"
+        for name, value in report.measurements.items()
+        if isinstance(value, (int, float, str))
+    ))
+    _write_json(args.report_json, report)
     if report.passed:
-        print("chaos: PASS — shedding bounded admitted latency and the "
-              "reconciled ratio matched the unloaded baseline exactly")
+        print(f"chaos: PASS — all {len(report.checks)} checks held")
         return 0
     print("chaos: FAIL — " + "; ".join(report.violations), file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos_hotindex(args: argparse.Namespace) -> int:
-    from repro.chaos import run_hotindex_scenario
-
-    nodes = args.nodes if args.nodes is not None else 4
-    files = args.files if args.files is not None else 2
-    file_kb = args.file_kb if args.file_kb is not None else 8
-    print(f"chaos: scenario=hot-index nodes={nodes} "
-          f"files={files}x{file_kb}KiB/segment seed={args.seed} "
-          f"hot_size={args.hot_size}")
-    report = run_hotindex_scenario(
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        hot_size=args.hot_size,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    print(f"hotindex: state={report.state} "
-          f"streamed={report.entries_streamed} "
-          f"delta={report.entries_restreamed} "
-          f"edge_hits={report.edge_hits}")
-    sec = report.secure
-    print(f"secure: claims={sec.get('claims', 0):.0f} "
-          f"granted={sec.get('granted', 0):.0f} "
-          f"denied={sec.get('denied', 0):.0f} "
-          f"skipped_upload_bytes={sec.get('skipped_upload_bytes', 0):.0f}")
-    print(f"dedup_ratio={report.dedup_ratio:.6f} "
-          f"(migration-free baseline {report.baseline_ratio:.6f}, "
-          f"match={report.ratio_matches_baseline})")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — hot slice committed under ingest and a "
-              "mid-window GC sweep, dedup matched the migration-free twin")
-        return 0
-    print("chaos: FAIL — "
-          f"state={report.state}, edge_hits={report.edge_hits}, "
-          f"delta={report.entries_restreamed}, ratio {report.dedup_ratio} "
-          f"vs baseline {report.baseline_ratio}", file=sys.stderr)
-    return 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import run_scenario
-
-    if args.scenario == "migrate-under-faults":
-        return _cmd_chaos_migration(args)
-    if args.scenario == "restore-under-zone-failure":
-        return _cmd_chaos_restore(args)
-    if args.scenario == "overload":
-        return _cmd_chaos_overload(args)
-    if args.scenario == "hot-index":
-        return _cmd_chaos_hotindex(args)
-    nodes = args.nodes if args.nodes is not None else 3
-    files = args.files if args.files is not None else 6
-    file_kb = args.file_kb if args.file_kb is not None else 32
-    print(f"chaos: scenario={args.scenario} nodes={nodes} "
-          f"files={files}x{file_kb}KiB seed={args.seed} "
-          f"gamma={args.gamma}"
-          + (f" heartbeat={args.heartbeat_ms:g}ms" if args.heartbeat_ms else ""))
-    report = run_scenario(
-        args.scenario,
-        nodes=nodes,
-        files_per_node=files,
-        file_kb=file_kb,
-        seed=args.seed,
-        gamma=args.gamma,
-        lookup_batch=args.batch,
-        data_dir=args.data_dir,
-        heartbeat_interval_s=args.heartbeat_ms / 1e3,
-        codec=args.codec,
-    )
-    print(f"events: {', '.join(report.events_fired) or '(none)'}")
-    for name, ok in report.invariants.checks.items():
-        print(f"  {'ok ' if ok else 'FAIL'} {name}")
-    print(f"dedup_ratio={report.dedup_ratio:.3f} "
-          f"(fault-free baseline {report.baseline_ratio:.3f}, "
-          f"match={report.ratio_matches_baseline})")
-    if report.recovery_times_s:
-        print(f"recovery: {len(report.recovery_times_s)} rejoin(s), "
-              f"worst {max(report.recovery_times_s) * 1e3:.1f}ms")
-    print(f"throughput: degraded {report.degraded_throughput_mb_s:.1f} MB/s "
-          f"over {report.degraded_seconds:.3f}s, "
-          f"healthy {report.healthy_throughput_mb_s:.1f} MB/s "
-          f"over {report.healthy_seconds:.3f}s")
-    hints = report.store_stats
-    print(f"store: hints_stored={hints.get('hints_stored', 0):.0f} "
-          f"hints_replayed={hints.get('hints_replayed', 0):.0f} "
-          f"read_repairs={hints.get('read_repairs', 0):.0f} "
-          f"recovery_repairs={hints.get('recovery_repairs', 0):.0f}")
-    replayed = sum(
-        s.get("log_entries_replayed", 0) + s.get("snapshot_entries_loaded", 0)
-        for s in report.wal_stats.values()
-    )
-    print(f"wal: {replayed:.0f} entries restored across "
-          f"{len(report.wal_stats)} node(s)")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
-    if report.passed:
-        print("chaos: PASS — all invariants held and dedup matched the "
-              "fault-free baseline")
-        return 0
-    print("chaos: FAIL — " + "; ".join(report.invariants.violations or
-          [f"ratio {report.dedup_ratio} != baseline {report.baseline_ratio}"]),
-          file=sys.stderr)
     return 1
 
 
 def _cmd_secure(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.system.cluster import DurableEFDedupCluster
-    from repro.system.config import EFDedupConfig
-
     if args.nodes < 4 or args.nodes % 2:
         print(f"secure: --nodes must be an even count >= 4, got {args.nodes}",
               file=sys.stderr)
         return 2
     nodes, half = args.nodes, args.nodes // 2
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topology = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topology),
-        duration=2.0,
-        gamma=args.gamma,
-        alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096,
+    print(f"secure: nodes={nodes} (2 rings) files={args.files}x"
+          f"{args.file_kb}KiB seed={args.seed} hot_size={args.hot_size} "
+          f"wan_rtt={args.wan_rtt_ms:g}ms")
+    cluster = reference_cluster(
+        nodes,
+        [range(half), range(half, nodes)],
+        durable=True,
         replication_factor=args.gamma,
-        lookup_batch=16,
         secure=True,
         hot_index_size=args.hot_size,
         wan_rtt_s=args.wan_rtt_ms / 1e3,
     )
-    print(f"secure: nodes={nodes} (2 rings) files={args.files}x"
-          f"{args.file_kb}KiB seed={args.seed} hot_size={args.hot_size} "
-          f"wan_rtt={args.wan_rtt_ms:g}ms")
-    cluster = DurableEFDedupCluster(topology, problem, config=config)
-    cluster.partition = [list(range(half)), list(range(half, nodes))]
-    cluster.deploy()
     try:
         files: dict[str, bytes] = {}
-        seg1 = _round_robin(
+        seg1 = round_robin(
             seeded_pool_workload(half, args.files, args.file_kb, seed=args.seed)
         )
         for i, (nid, data) in enumerate(seg1):
@@ -1038,9 +784,7 @@ def _cmd_secure(args: argparse.Namespace) -> int:
         )
         print(f"restore: {len(files)} files decrypted and reassembled, "
               f"mismatches={mismatches}")
-        if args.metrics_json:
-            count = cluster.metrics_hub().dump_json(args.metrics_json)
-            print(f"metrics: wrote {count} series to {args.metrics_json}")
+        _write_json(args.metrics_json, cluster.metrics_hub())
         if not args.check:
             return 0
         committed = cluster.secure.hotindex.state == "COMMITTED"
@@ -1064,55 +808,32 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     import tempfile
     import time as _time
 
-    from repro.chaos.runner import _round_robin, seeded_pool_workload
-    from repro.core.costs import SNOD2Problem
-    from repro.core.model import ChunkPoolModel, grouped_sources
-    from repro.network.costmatrix import latency_cost_matrix
-    from repro.system.cluster import DurableEFDedupCluster
-    from repro.system.config import EFDedupConfig
-
     if args.fail_zones > args.m:
         print(f"restore: --fail-zones {args.fail_zones} exceeds parity m={args.m}; "
               "reconstruction would be impossible", file=sys.stderr)
         return 2
     nodes = args.nodes
-    model = ChunkPoolModel(
-        [150.0, 150.0],
-        grouped_sources(
-            [i % 2 for i in range(nodes)], [[0.9, 0.1], [0.1, 0.9]], 80.0
-        ),
-    )
-    topology = build_testbed(nodes, min(3, nodes))
-    problem = SNOD2Problem(
-        model=model,
-        nu=latency_cost_matrix(topology),
-        duration=2.0,
-        gamma=args.gamma,
-        alpha=50.0,
-    )
-    config = EFDedupConfig(
-        chunk_size=4096,
-        replication_factor=args.gamma,
-        lookup_batch=args.batch,
-        transport=args.transport,
-        rpc_timeout_s=0.5,
-        rpc_attempts=5,
-        ec_data_shards=args.k,
-        ec_parity_shards=args.m,
-    )
     print(f"restore: nodes={nodes} files={args.files}x{args.file_kb}KiB "
           f"seed={args.seed} transport={args.transport} "
           f"RS(k={args.k},m={args.m}) fail_zones={args.fail_zones} "
           f"evict_edge={args.evict_edge} delete={args.delete}")
     with tempfile.TemporaryDirectory() as tmp:
-        cluster = DurableEFDedupCluster(
-            topology, problem, config=config, journal_dir=tmp
+        cluster = reference_cluster(
+            nodes,
+            [range(nodes)],
+            durable=True,
+            journal_dir=tmp,
+            replication_factor=args.gamma,
+            lookup_batch=args.batch,
+            transport=args.transport,
+            rpc_timeout_s=0.5,
+            rpc_attempts=5,
+            ec_data_shards=args.k,
+            ec_parity_shards=args.m,
         )
-        cluster.partition = [list(range(nodes))]
-        cluster.deploy()
         try:
             files: dict[str, bytes] = {}
-            schedule = _round_robin(
+            schedule = round_robin(
                 seeded_pool_workload(nodes, args.files, args.file_kb, seed=args.seed)
             )
             t0 = _time.perf_counter()
@@ -1168,9 +889,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                 print(f"recovery: rebuilt {rebuilt} shards, "
                       f"under_replicated_stripes={under_replicated}")
 
-            if args.metrics_json:
-                count = cluster.metrics_hub().dump_json(args.metrics_json)
-                print(f"metrics: wrote {count} series to {args.metrics_json}")
+            _write_json(args.metrics_json, cluster.metrics_hub())
 
             ok = mismatches == 0 and under_replicated == 0 and swept_ok
             if args.check and not ok:
@@ -1300,7 +1019,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
     cluster.deploy()
     print(f"  deployed: {fmt_plan(cluster.partition)} ({args.transport})")
     try:
-        seg1 = _seeded_workload(args.nodes, args.files, args.file_kb, args.seed)
+        seg1 = seeded_pool_workload(args.nodes, args.files, args.file_kb, args.seed)
         for node_id, files in seg1.items():
             for data in files:
                 cluster.ingest(node_id, data)
@@ -1328,7 +1047,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
 
         # Ingest continues while the dual-lookup window is open: a disjoint
         # pool, so the post-migration segment is exactly separable.
-        seg2 = _seeded_workload(
+        seg2 = seeded_pool_workload(
             args.nodes, args.files, args.file_kb, args.seed + 1000
         )
         pre = cluster.combined_stats()
@@ -1345,9 +1064,7 @@ def _cmd_replan(args: argparse.Namespace) -> int:
               f"delta={rep.entries_restreamed} entries in "
               f"{rep.close_wall_s * 1e3:.1f}ms")
         print(f"  final dedup_ratio={cluster.combined_stats().dedup_ratio:.3f}")
-        if args.metrics_json:
-            count = cluster.metrics_hub().dump_json(args.metrics_json)
-            print(f"metrics: wrote {count} series to {args.metrics_json}")
+        _write_json(args.metrics_json, cluster.metrics_hub())
 
         if not args.check:
             return 0
@@ -1511,18 +1228,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     print(f"knee: offered {report.knee_offered_rps:.0f} req/s -> goodput "
           f"{report.knee_goodput_rps:.1f} req/s "
           f"({'saturated' if report.saturated else 'not saturated — sweep higher'})")
-    if args.report_json:
-        import json
-
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report: wrote {args.report_json}")
+    _write_json(args.report_json, report)
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.hub import SCHEMA, render_prometheus
 
     try:

@@ -1,12 +1,19 @@
 """Tests for the chaos harness: scenario construction, the invariant
-checker, and one full seeded crash-restart run against a live ring."""
+checker, the one report contract every scenario in the table honours, the
+``repro chaos`` command built on it, and full seeded runs against live
+rings."""
+
+import json
 
 import pytest
 
+import repro.cli
 from repro.chaos import (
     ChaosScenario,
     FaultEvent,
     SCENARIOS,
+    SCENARIO_TABLE,
+    ScenarioReport,
     check_invariants,
     crash_restart,
     flapping,
@@ -15,10 +22,11 @@ from repro.chaos import (
     rolling_restart,
     run_migration_scenario,
     run_scenario,
-    seeded_pool_workload,
 )
 from repro.chaos.migration_scenario import default_migration_partitions
+from repro.cli import main as cli_main
 from repro.system.config import EFDedupConfig
+from repro.system.reference import seeded_pool_workload
 from repro.system.ring import D2Ring
 
 
@@ -123,15 +131,17 @@ class TestRunScenario:
             seed=11, data_dir=tmp_path,
         )
         assert report.passed
-        assert report.invariants.violations == []
+        assert report.violations == []
         assert report.dedup_ratio == report.baseline_ratio > 1.0
         assert report.events_fired == [
             "kill:edge-1@0.25", "restart:edge-1@0.60",
         ]
-        assert len(report.recovery_times_s) == 1
+        assert len(report.measurements["recovery_times_s"]) == 1
+        assert report.checks["recoveries_timed"]
         # The killed member really came back from its WAL.
-        wal = report.wal_stats["edge-1"]
+        wal = report.measurements["wal_stats"]["edge-1"]
         assert wal["log_entries_replayed"] + wal["snapshot_entries_loaded"] > 0
+        assert report.checks["wal_reloaded"]
         doc = report.as_dict()
         assert doc["passed"] is True
         assert doc["scenario"] == "crash-restart"
@@ -169,14 +179,16 @@ class TestMigrationScenario:
     def test_migrate_under_faults_matches_fault_free_migration(self):
         report = run_migration_scenario(seed=7)
         assert report.passed
-        assert report.state == "COMMITTED"
+        assert report.measurements["state"] == "COMMITTED"
+        assert report.checks["committed"] and report.checks["nodes_moved"]
         assert report.dedup_ratio == report.baseline_ratio > 1.0
         assert report.events_fired == [
             "kill:edge-0@window-open", "restart:edge-0@window-mid",
         ]
-        assert report.recovery_time_s > 0
-        assert report.migration["migration.nodes_moved"] == 1.0
-        assert report.migration["migration.entries_streamed"] > 0
+        assert report.measurements["recovery_time_s"] > 0
+        migration = report.measurements["migration"]
+        assert migration["migration.nodes_moved"] == 1.0
+        assert migration["migration.entries_streamed"] > 0
         doc = report.as_dict()
         assert doc["passed"] is True
         assert doc["scenario"] == "migrate-under-faults"
@@ -192,11 +204,18 @@ class TestHotIndexScenario:
 
         report = run_hotindex_scenario(seed=7)
         assert report.passed
-        assert report.state == "COMMITTED"
+        measured = report.measurements
+        assert measured["state"] == "COMMITTED"
         assert report.dedup_ratio == report.baseline_ratio > 1.0
-        assert report.edge_hits > 0  # hot claims answered at the edge
-        assert report.entries_streamed > 0
-        assert report.entries_restreamed > 0  # swept-then-reuploaded keys
+        assert measured["edge_hits"] > 0  # hot claims answered at the edge
+        assert measured["entries_streamed"] > 0
+        assert measured["entries_restreamed"] > 0  # swept-then-reuploaded keys
+        assert report.checks == {
+            "ratio_matches_baseline": True,
+            "committed": True,
+            "edge_served_lookups": True,
+            "delta_pass_fired": True,
+        }
         assert report.events_fired == [
             "migrate:window-open",
             "sweep:victim@window-mid",
@@ -212,3 +231,168 @@ class TestHotIndexScenario:
 
         with pytest.raises(ValueError, match="even node count"):
             run_hotindex_scenario(nodes=3)
+
+
+# Small sizes for the sweeps below: every scenario once, in seconds.
+SMALL = {"files_per_node": 2, "file_kb": 8, "seed": 7, "duration_s": 0.3}
+
+
+def run_small(name: str) -> ScenarioReport:
+    entry = SCENARIO_TABLE[name]
+    return entry.run(**{k: v for k, v in SMALL.items() if k in entry.defaults})
+
+
+class TestScenarioTable:
+    def test_table_covers_every_fault_schedule(self):
+        assert set(SCENARIOS) < set(SCENARIO_TABLE)
+        assert len(SCENARIO_TABLE) == 9
+
+    def test_defaults_come_from_the_run_function(self):
+        assert SCENARIO_TABLE["hot-index"].defaults == {
+            "nodes": 4, "files_per_node": 2, "file_kb": 8, "seed": 7,
+            "hot_size": 64,
+        }
+        crash = SCENARIO_TABLE["crash-restart"].defaults
+        assert "scenario" not in crash  # bound by the table row
+        assert (crash["nodes"], crash["files_per_node"], crash["file_kb"]) == (3, 6, 32)
+
+    def test_docs_name_every_scenario(self):
+        """The CLI docstring lists the table; run_scenario's lists the
+        fault schedules it accepts by name."""
+        for name in SCENARIO_TABLE:
+            assert name in repro.cli.__doc__, name
+        for name in SCENARIOS:
+            assert f"``{name}``" in run_scenario.__doc__, name
+
+    @pytest.mark.parametrize("name", list(SCENARIO_TABLE))
+    def test_one_report_contract(self, name):
+        report = run_small(name)
+        assert type(report) is ScenarioReport
+        assert report.scenario == name
+        assert report.seed == 7 and report.total_files > 0
+        doc = json.loads(json.dumps(report.as_dict()))
+        assert set(doc) == {
+            "scenario", "seed", "nodes", "total_files", "events_fired",
+            "passed", "checks", "violations", "dedup_ratio",
+            "baseline_ratio", "ratio_matches_baseline", "measurements",
+        }
+        assert report.passed == (report.violations == []) == doc["passed"]
+        assert report.checks, "a scenario that checks nothing proves nothing"
+        for check, ok in report.checks.items():
+            assert ok or any(v.startswith(f"{check}: ") for v in report.violations)
+        # No twin, no ratio check — never a run compared with itself.
+        assert (report.baseline_ratio is None) == (
+            "ratio_matches_baseline" not in report.checks
+        )
+        # Every verdict is seeded but one: overload's admitted-latency bound
+        # reads the wall clock, so a noisy box may miss it.
+        assert [
+            v for v in report.violations
+            if not v.startswith("admitted_latency_bounded: ")
+        ] == []
+
+
+class TestReport:
+    def test_failed_check_leaves_a_named_violation(self):
+        report = ScenarioReport("demo")
+        report.record("held", True, "never shown")
+        report.record("broke", False, "3 != 4")
+        assert report.checks == {"held": True, "broke": False}
+        assert report.violations == ["broke: 3 != 4"]
+        assert not report.passed
+
+    def test_ratio_check_needs_a_twin(self):
+        report = ScenarioReport("demo")
+        assert report.ratio_matches_baseline is None
+        report.record_ratio(2.0, 2.5, "fault-free")
+        assert report.ratio_matches_baseline is False
+        assert report.violations == [
+            "ratio_matches_baseline: ratio 2.0 != fault-free baseline 2.5"
+        ]
+
+    def test_merge_adopts_checks_and_violations(self):
+        sweep = ScenarioReport("ring-invariants")
+        sweep.record("replicas_converged", False, "7 keys streamed")
+        report = ScenarioReport("demo")
+        report.record("committed", True, "")
+        report.merge(sweep)
+        assert list(report.checks) == ["committed", "replicas_converged"]
+        assert report.violations == ["replicas_converged: 7 keys streamed"]
+
+
+# (scenario, a flag that scenario does not read)
+FOREIGN_FLAGS = [
+    ("hot-index", "--gamma", "3"),
+    ("hot-index", "--batch", "4"),
+    ("hot-index", "--data-dir", "/tmp/x"),
+    ("migrate-under-faults", "--codec", "json"),
+    ("migrate-under-faults", "--data-dir", "/tmp/x"),
+    ("restore-under-zone-failure", "--heartbeat-ms", "50"),
+    ("overload", "--hot-size", "8"),
+    ("overload", "--data-dir", "/tmp/x"),
+    ("crash-restart", "--knee-rps", "9"),
+    ("slow-node", "--duration-s", "1"),
+    ("partition-heal", "--hot-size", "8"),
+]
+
+
+class TestChaosCommand:
+    @pytest.mark.parametrize("scenario,flag,value", FOREIGN_FLAGS)
+    def test_flag_the_scenario_does_not_read_is_rejected(
+        self, capsys, scenario, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["chaos", scenario, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and scenario in err
+
+    def test_prints_every_check_and_one_json_shape(self, capsys, tmp_path):
+        path = tmp_path / "chaos.json"
+        rc = cli_main([
+            "chaos", "partition-heal", "--files", "2", "--file-kb", "8",
+            "--heartbeat-ms", "50", "--json", str(path),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "heartbeat_interval_s=0.05" in out
+        assert "events: isolate:edge-1@0.25, heal:edge-1@0.60" in out
+        doc = json.loads(path.read_text())
+        for check in doc["checks"]:
+            assert f"  ok  {check}\n" in out
+        assert "match=True" in out and "chaos: PASS" in out
+
+    def test_migration_fail_names_the_failed_check(self, capsys, monkeypatch):
+        """A window that never closes: the run ends in DUAL_LOOKUP and the
+        FAIL line says so by check name, not with a generic message."""
+        from repro.system.migration import LiveMigrator
+
+        monkeypatch.setattr(LiveMigrator, "close_window", lambda self: None)
+        rc = cli_main(["chaos", "migrate-under-faults"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "  FAIL committed\n" in captured.out
+        assert "chaos: FAIL" in captured.err
+        assert "committed: migration ended in state DUAL_LOOKUP" in captured.err
+
+    def test_restore_fail_names_the_failed_check(self, capsys, monkeypatch):
+        """One file comes back corrupt once the edge shelves are gone: the
+        FAIL line names the degraded-restore check and its count."""
+        from repro.system.cluster import DurableEFDedupCluster
+
+        real_restore = DurableEFDedupCluster.restore_file
+
+        def corrupt_b0(self, file_id):
+            data = real_restore(self, file_id)
+            return data[:-1] + b"\x00" if file_id == "b-0" else data
+
+        monkeypatch.setattr(DurableEFDedupCluster, "restore_file", corrupt_b0)
+        rc = cli_main([
+            "chaos", "restore-under-zone-failure", "--files", "2",
+            "--file-kb", "8",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "  FAIL degraded_restores_exact\n" in captured.out
+        assert "  ok  healthy_restores_exact\n" in captured.out
+        assert "degraded_restores_exact: 1 file(s) restored from k-of-n" in captured.err

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.chaos.runner import seeded_pool_workload
+from repro.system.reference import seeded_pool_workload
 from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, grouped_sources
 from repro.core.partitioning import SmartPartitioner

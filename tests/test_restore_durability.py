@@ -14,7 +14,7 @@ The claims under test, in increasing order of violence:
 
 import pytest
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
+from repro.system.reference import round_robin, seeded_pool_workload
 from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, grouped_sources
 from repro.dedup.recipes import RecipeError
@@ -64,7 +64,7 @@ def make_cluster(tmp_path, transport="asyncio", spill_mode="sync", nodes=NODES, 
 
 def ingest_files(cluster, files_per_node=2, file_kb=16, seed=7, tag="f"):
     files = {}
-    schedule = _round_robin(
+    schedule = round_robin(
         seeded_pool_workload(NODES, files_per_node, file_kb, seed=seed)
     )
     for i, (nid, data) in enumerate(schedule):
@@ -300,6 +300,7 @@ class TestRestoreChaosScenario:
         from repro.chaos import run_restore_scenario
 
         report = run_restore_scenario(nodes=3, files_per_node=2, file_kb=8)
-        assert report.passed, report.as_dict()
-        assert report.degraded_stripes_seen > 0  # ingest happened degraded
-        assert report.chunks_swept > 0
+        assert report.passed, report.violations
+        assert report.checks["ingested_degraded"]
+        assert report.measurements["degraded_stripes_seen"] > 0
+        assert report.measurements["chunks_swept"] > 0

@@ -5,9 +5,10 @@ engine on the same seeded dataset, with and without injected faults."""
 
 import pytest
 
-from repro.cli import _seeded_workload, main as cli_main
+from repro.cli import main as cli_main
 from repro.rpc import FaultInjector
 from repro.system.config import EFDedupConfig
+from repro.system.reference import seeded_pool_workload
 from repro.system.ring import D2Ring
 
 MEMBERS = ["edge-0", "edge-1", "edge-2"]
@@ -27,7 +28,7 @@ def make_config(transport: str, **overrides) -> EFDedupConfig:
 
 
 def workload(files_per_node: int = 2, file_kb: int = 16, seed: int = 7):
-    return _seeded_workload(len(MEMBERS), files_per_node, file_kb, seed)
+    return seeded_pool_workload(len(MEMBERS), files_per_node, file_kb, seed)
 
 
 def run_ring(config: EFDedupConfig, fault_injector=None, data=None):

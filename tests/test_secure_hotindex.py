@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos.runner import _round_robin, seeded_pool_workload
+from repro.system.reference import round_robin, seeded_pool_workload
 from repro.chunking.hashing import default_fingerprint
 from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, grouped_sources
@@ -225,7 +225,7 @@ class TestSecureClusterIntegration:
     def _ratio_and_cloud_fps(self, migrate: bool):
         cluster = make_secure_cluster(hot_index_size=32)
         try:
-            seg1 = _round_robin(seeded_pool_workload(2, 2, 8, seed=21))
+            seg1 = round_robin(seeded_pool_workload(2, 2, 8, seed=21))
             for i, (nid, data) in enumerate(seg1):  # ring 0 only
                 cluster.ingest_file(nid, f"s1-{i}", data)
             if migrate:
@@ -237,7 +237,7 @@ class TestSecureClusterIntegration:
             if migrate:
                 cluster.close_hot_index_window()
             for i, (nid, data) in enumerate(
-                _round_robin(seeded_pool_workload(NODES, 1, 8, seed=22))
+                round_robin(seeded_pool_workload(NODES, 1, 8, seed=22))
             ):
                 cluster.ingest_file(nid, f"s3-{i}", data)
             ratio = cluster.combined_stats().dedup_ratio
@@ -259,7 +259,7 @@ class TestSecureClusterIntegration:
     def test_hot_claims_skip_cloud_lookups(self):
         cluster = make_secure_cluster(hot_index_size=64)
         try:
-            seg = _round_robin(seeded_pool_workload(2, 2, 8, seed=31))
+            seg = round_robin(seeded_pool_workload(2, 2, 8, seed=31))
             for i, (nid, data) in enumerate(seg):  # ring 0 uploads
                 cluster.ingest_file(nid, f"a-{i}", data)
             cluster.migrate_hot_index()
