@@ -111,11 +111,11 @@ def test_ablation_chunking_schemes(benchmark):
         }
         aligned_ratios, shifted_ratios = [], []
         for chunker in chunkers.values():
-            engine = DedupEngine(chunker=chunker)
+            engine = DedupEngine(chunker=chunker, allow_oracle_chunkers=chunker.oracle_only)
             engine.dedup_bytes(base)
             engine.dedup_bytes(base)
             aligned_ratios.append(engine.stats.dedup_ratio)
-            engine = DedupEngine(chunker=chunker)
+            engine = DedupEngine(chunker=chunker, allow_oracle_chunkers=chunker.oracle_only)
             engine.dedup_bytes(base)
             engine.dedup_bytes(shifted)
             shifted_ratios.append(engine.stats.dedup_ratio)

@@ -48,7 +48,7 @@ def bench_scenario(
         if recovery_times_s else 0.0,
         "degraded_throughput_mb_s": round(measured["degraded_throughput_mb_s"], 2),
         "healthy_throughput_mb_s": round(measured["healthy_throughput_mb_s"], 2),
-        "hints_replayed": measured["store_stats"].get("hints_replayed", 0),
+        "hints_replayed": measured["store_stats"]["hints_replayed"],
         "wal_entries_restored": measured["wal_entries_restored"],
     }
 

@@ -55,9 +55,9 @@ def run_overload(quick: bool, seed: int) -> dict:
     )
     b = measured["brownout"]
     print(
-        f"brownout: trips={b.get('brownout.trips', 0)} "
-        f"journaled={b.get('brownout.journaled', 0)} "
-        f"corrected={b.get('brownout.corrected_chunks', 0)}  "
+        f"brownout: trips={b['trips']} "
+        f"journaled={b['journaled']} "
+        f"corrected={b['corrected_chunks']}  "
         f"ratio={report.dedup_ratio:.6f} "
         f"baseline={report.baseline_ratio:.6f}"
     )

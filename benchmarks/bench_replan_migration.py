@@ -71,7 +71,7 @@ def bench_live_migration(
         window_s, window_b = _timed_ingest(cluster, segment(1))
         migrator.close_window()
         post_s, post_b = _timed_ingest(cluster, segment(2))
-        mig = migrator.report.as_metrics()
+        mig = migrator.report
         ratio = cluster.combined_stats().dedup_ratio
         end = cluster.combined_stats()
         live_unique = end.unique_chunks - at_cutover.unique_chunks
@@ -97,16 +97,14 @@ def bench_live_migration(
     )
     return {
         "nodes": nodes,
-        "nodes_moved": int(mig["migration.nodes_moved"]),
-        "entries_streamed": int(mig["migration.entries_streamed"]),
-        "entries_restreamed": int(mig["migration.entries_restreamed"]),
-        "stream_wall_ms": round(mig["migration.stream_wall_s"] * 1e3, 2),
-        "close_wall_ms": round(mig["migration.close_wall_s"] * 1e3, 2),
-        "migration_wall_ms": round(
-            (mig["migration.stream_wall_s"] + mig["migration.close_wall_s"]) * 1e3, 2
-        ),
-        "dual_lookup_probes": int(mig["migration.dual_lookup_probes"]),
-        "dual_lookup_hits": int(mig["migration.dual_lookup_hits"]),
+        "nodes_moved": mig.n_moved,
+        "entries_streamed": mig.entries_streamed,
+        "entries_restreamed": mig.entries_restreamed,
+        "stream_wall_ms": round(mig.stream_wall_s * 1e3, 2),
+        "close_wall_ms": round(mig.close_wall_s * 1e3, 2),
+        "migration_wall_ms": round((mig.stream_wall_s + mig.close_wall_s) * 1e3, 2),
+        "dual_lookup_probes": mig.dual_lookup_probes,
+        "dual_lookup_hits": mig.dual_lookup_hits,
         "pre_migration_mb_s": round(_mb_s(pre_s, pre_b), 2),
         "window_mb_s": round(window_mb_s, 2),
         "post_commit_mb_s": round(post_mb_s, 2),
@@ -136,9 +134,7 @@ def run(nodes: int, files_per_node: int, file_kb: int, seed: int) -> dict:
         "recovery_time_ms": round(chaos.measurements["recovery_time_s"] * 1e3, 2),
         "dedup_ratio": round(chaos.dedup_ratio, 6),
         "baseline_ratio": round(chaos.baseline_ratio, 6),
-        "dual_lookup_probes": int(
-            chaos.measurements["migration"].get("migration.dual_lookup_probes", 0)
-        ),
+        "dual_lookup_probes": chaos.measurements["migration"]["dual_lookup_probes"],
     }
     print(f"under-faults    : recovery {chaos_row['recovery_time_ms']:7.1f}ms  "
           f"{'PASS' if chaos.passed else 'FAIL — ' + '; '.join(chaos.violations)}")

@@ -104,7 +104,7 @@ def _run_migration(
         return cluster.combined_stats().dedup_ratio, {
             "state": migrator.state,
             "recovery_time_s": recovery_s,
-            "migration": migrator.report.as_metrics(),
+            "migration": cluster.migration_metrics(),
         }
 
 
@@ -134,7 +134,7 @@ def run_migration_scenario(
         measured["state"] == "COMMITTED",
         f"migration ended in state {measured['state']}, not COMMITTED",
     )
-    moved = measured["migration"].get("migration.nodes_moved", 0.0)
+    moved = measured["migration"]["nodes_moved"]
     report.record(
         "nodes_moved", moved > 0, f"migration.nodes_moved={moved:g}: no node moved"
     )

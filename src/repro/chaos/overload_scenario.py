@@ -280,7 +280,7 @@ def run_overload_scenario(
             f"raw={stats.raw_chunks} != unique={stats.unique_chunks} "
             f"+ duplicate={stats.duplicate_chunks}",
         )
-        corrected = brownout.get("brownout.corrected_chunks", 0)
+        corrected = brownout["corrected_chunks"]
         report.record(
             "redundant_uploads_accounted",
             cloud.received_chunks == stats.unique_chunks + corrected,
@@ -302,9 +302,8 @@ def run_overload_scenario(
         )
         report.record(
             "journal_drained",
-            brownout.get("brownout.journal_depth", 0) == 0
-            and brownout.get("brownout.active", 0) == 0,
-            f"journal depth {brownout.get('brownout.journal_depth')} "
-            f"active {brownout.get('brownout.active')} after reconcile",
+            brownout["journal_depth"] == 0 and brownout["active"] == 0,
+            f"journal depth {brownout['journal_depth']} "
+            f"active {brownout['active']} after reconcile",
         )
     return report

@@ -183,13 +183,9 @@ def run_restore_scenario(
             orphans_adopted=sweep.orphans_adopted,
             elapsed_s=time.perf_counter() - started,
             metrics={
-                f"{group}.{name}": float(value)
-                for group, snap in (
-                    ("content.cloud_tier", cluster.tier.metrics()),
-                    ("content.gc", cluster.gc.metrics()),
-                    ("content.plane", cluster.content_plane.metrics()),
-                )
-                for name, value in snap.items()
+                name: value
+                for name, value in cluster.metrics_hub().collect().items()
+                if name.startswith("content.")
             },
         )
         return report

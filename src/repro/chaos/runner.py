@@ -32,6 +32,7 @@ from repro.chaos.invariants import check_invariants
 from repro.chaos.report import ScenarioReport
 from repro.chaos.scenarios import ChaosScenario, FaultEvent, get_scenario
 from repro.kvstore.repair import ReplicaRepairer
+from repro.obs.hub import series
 from repro.system.config import EFDedupConfig
 from repro.system.reference import (
     reference_ring,
@@ -273,7 +274,7 @@ def run_scenario(
                 healthy_bytes=healthy_b,
                 healthy_throughput_mb_s=_mb_per_s(healthy_b, healthy_s),
                 wal_entries_restored=sum(map(_wal_restored, wal_stats.values())),
-                store_stats=ring.store.stats.snapshot(),
+                store_stats=series(ring.store.stats),
                 wal_stats=wal_stats,
             )
     finally:
@@ -286,9 +287,9 @@ def _mb_per_s(nbytes: int, seconds: float) -> float:
     return nbytes / 1e6 / seconds if seconds > 0 else 0.0
 
 
-def _wal_restored(wal: dict) -> float:
+def _wal_restored(wal: dict) -> int:
     """Entries one member's current WAL brought back when it was opened."""
-    return wal.get("log_entries_replayed", 0) + wal.get("snapshot_entries_loaded", 0)
+    return wal["log_entries_replayed"] + wal["snapshot_entries_loaded"]
 
 
 def _record_recovery(
@@ -312,7 +313,8 @@ def _record_recovery(
     came_back_empty = {
         node: held
         for node, held in driver.held_at_kill.items()
-        if held and _wal_restored(wal_stats.get(node, {})) < held
+        if held
+        and (node not in wal_stats or _wal_restored(wal_stats[node]) < held)
     }
     report.record(
         "wal_reloaded",

@@ -586,6 +586,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
+    from repro.obs import series
     from repro.rpc.faults import FaultInjector
     from repro.system.config import EFDedupConfig
     from repro.system.ring import D2Ring
@@ -628,21 +629,22 @@ def _cmd_live(args: argparse.Namespace) -> int:
         ring.ingest_workloads(workloads)
         stats = ring.combined_stats()
         live_unique = frozenset(ring.store.unique_keys())
-        transport = ring.store.transport_snapshot()
+        client = ring.live_cluster.client
+        rtt = client.rtt
         print(f"ingested {stats.raw_chunks} chunks / {stats.raw_bytes / 1e6:.2f} MB "
               f"from {args.nodes * args.files} files")
         print(f"dedup_ratio={stats.dedup_ratio:.3f}  unique_chunks={stats.unique_chunks}  "
               f"local_lookup_fraction={ring.local_lookup_fraction():.3f}")
-        print(f"rpc: calls={transport['rpc.calls']}  retries={transport['rpc.retries']}  "
-              f"timeouts={transport['rpc.timeouts']}  "
-              f"rtt_mean={transport.get('rpc.rtt_mean_s', 0.0) * 1e6:.0f}us  "
-              f"rtt_p99={transport.get('rpc.rtt_p99_s', 0.0) * 1e6:.0f}us")
+        print(f"rpc: calls={client.stats.calls}  retries={client.stats.retries}  "
+              f"timeouts={client.stats.timeouts}  "
+              f"rtt_mean={(rtt.mean if rtt.count else 0.0) * 1e6:.0f}us  "
+              f"rtt_p99={(rtt.percentile(99) if rtt.count else 0.0) * 1e6:.0f}us")
         if injector is not None:
-            for name, count in injector.stats.snapshot().items():
-                print(f"  {name}={count}")
+            for name, count in series(injector.stats).items():
+                print(f"  faults.{name}={count}")
         if args.cache:
             for name, value in sorted(ring.cache_metrics().items()):
-                print(f"  {name}={value:.4g}")
+                print(f"  cache.{name}={value:.4g}")
         live_ratio = stats.dedup_ratio
         hub = ring.metrics_hub()
         live_names = set(hub.collect())
@@ -788,17 +790,22 @@ def _cmd_secure(args: argparse.Namespace) -> int:
         if not args.check:
             return 0
         committed = cluster.secure.hotindex.state == "COMMITTED"
+        edge_hits = cluster.secure.hotindex.edge_hits
         all_proven = stats.granted > 0 and stats.denied == 0
         sealed = stats.sealed_bytes > 0 and wan_skipped > 0
-        ok = committed and all_proven and sealed and mismatches == 0
+        ok = (
+            committed and edge_hits > 0 and all_proven and sealed
+            and mismatches == 0
+        )
         if ok:
             print("secure: PASS — every cross-ring claim was PoW-proven, "
-                  "the hot window committed, and every restore was "
-                  "byte-exact through decryption")
+                  "the hot window committed and the edge served lookups, "
+                  "and every restore was byte-exact through decryption")
             return 0
         print("secure: FAIL — "
-              f"committed={committed} proven={all_proven} "
-              f"sealed={sealed} mismatches={mismatches}", file=sys.stderr)
+              f"committed={committed} edge_hits={edge_hits} "
+              f"proven={all_proven} sealed={sealed} mismatches={mismatches}",
+              file=sys.stderr)
         return 1
     finally:
         cluster.shutdown()
@@ -1079,20 +1086,23 @@ def _cmd_replan(args: argparse.Namespace) -> int:
         finally:
             fresh.shutdown()
         moved = rep.n_moved > 0
+        committed = rep.state == "COMMITTED"
         parity = (
             fstats.unique_chunks == seg2_unique and fstats.raw_chunks == seg2_raw
         )
         print(f"check: post-migration segment {seg2_unique}/{seg2_raw} "
               f"unique/raw chunks vs fresh cluster "
               f"{fstats.unique_chunks}/{fstats.raw_chunks}")
-        if moved and parity:
-            print("check: PASS — live migration preserved dedup exactly "
-                  "(post-migration segment matches a fresh deployment "
-                  "of the new plan)")
+        if moved and committed and parity:
+            print("check: PASS — live migration committed and preserved "
+                  "dedup exactly (post-migration segment matches a fresh "
+                  "deployment of the new plan)")
             return 0
         print("check: FAIL — "
               + ("; ".join(filter(None, [
                   None if moved else "no node actually moved",
+                  None if committed
+                  else f"migration ended {rep.state}, not COMMITTED",
                   None if parity else "post-migration dedup diverged from "
                   "the fresh-deployment baseline",
               ]))), file=sys.stderr)

@@ -53,21 +53,6 @@ class ContentStats:
     batch_flushes: int = 0
     rehomed_chunks: int = 0
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "puts": float(self.puts),
-            "put_bytes": float(self.put_bytes),
-            "dup_puts": float(self.dup_puts),
-            "dropped_puts": float(self.dropped_puts),
-            "gets": float(self.gets),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "deletes": float(self.deletes),
-            "deleted_bytes": float(self.deleted_bytes),
-            "batch_flushes": float(self.batch_flushes),
-            "rehomed_chunks": float(self.rehomed_chunks),
-        }
-
 
 @dataclass
 class InMemoryContentStore:

@@ -41,6 +41,7 @@ from typing import Iterable, Optional
 from repro.content.gc import RefcountGC
 from repro.erasure.striped_store import ZoneFailedError
 from repro.kvstore.errors import KVStoreError
+from repro.obs.hub import series
 from repro.rpc.errors import RpcError
 
 _STOP = object()
@@ -61,21 +62,6 @@ class PlaneStats:
     sweeps: int = 0
     swept_chunks: int = 0
     reclaimed_bytes: int = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "spills": float(self.spills),
-            "spill_bytes": float(self.spill_bytes),
-            "spill_dups": float(self.spill_dups),
-            "deferred_spills": float(self.deferred_spills),
-            "fetches": float(self.fetches),
-            "edge_hits": float(self.edge_hits),
-            "tier_hits": float(self.tier_hits),
-            "fetch_misses": float(self.fetch_misses),
-            "sweeps": float(self.sweeps),
-            "swept_chunks": float(self.swept_chunks),
-            "reclaimed_bytes": float(self.reclaimed_bytes),
-        }
 
 
 @dataclass
@@ -327,11 +313,12 @@ class ContentPlane:
     # observability and lifecycle
     # ------------------------------------------------------------------ #
 
-    def metrics(self) -> dict[str, float]:
-        snap = self.stats.snapshot()
-        snap["deferred_pending"] = float(len(self._deferred))
-        snap["registered_rings"] = float(len(self._rings))
-        return snap
+    def metrics(self) -> dict[str, int]:
+        return {
+            **series(self.stats),
+            "deferred_pending": len(self._deferred),
+            "registered_rings": len(self._rings),
+        }
 
     def close(self) -> None:
         if self._queue is not None and self._worker is not None:

@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Optional
 
 from repro.content.base import ContentStats
+from repro.obs.hub import series
 
 
 class RingContentStore:
@@ -223,7 +224,5 @@ class RingContentStore:
             out.update(self.store.node_chunk_keys(node_id))
         return frozenset(out)
 
-    def snapshot(self) -> dict[str, float]:
-        snap = self.stats.snapshot()
-        snap["pending"] = float(len(self._pending))
-        return snap
+    def snapshot(self) -> dict[str, int]:
+        return {**series(self.stats), "pending": len(self._pending)}

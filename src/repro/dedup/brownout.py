@@ -58,17 +58,6 @@ class BrownoutStats:
     corrected_chunks: int = 0  # false-uniques repaid as duplicates
     corrected_bytes: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "brownout.trips": self.trips,
-            "brownout.probes": self.probes,
-            "brownout.write_through": self.write_through,
-            "brownout.journaled": self.journaled,
-            "brownout.reconciled": self.reconciled,
-            "brownout.corrected_chunks": self.corrected_chunks,
-            "brownout.corrected_bytes": self.corrected_bytes,
-        }
-
 
 class BrownoutIndex(DedupIndex):
     """Write-through fallback around a trippable index.

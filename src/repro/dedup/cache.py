@@ -22,6 +22,7 @@ semantics exactly; they only change *where* positive lookups are answered.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from repro.dedup.index import DedupIndex
@@ -32,39 +33,27 @@ RecurrenceScorer = Callable[[str], float]
 _MISSING = object()  # cache values are None, so pop needs a real sentinel
 
 
+@dataclass(slots=True)
 class CacheStats:
-    """Hit/miss accounting for a cache layer."""
+    """Hit/miss accounting for a cache layer.
 
-    __slots__ = (
-        "hits", "misses", "admissions", "rejections", "evictions", "invalidations",
-    )
+    The fields are the counter series, bare-named; wherever the object is
+    mounted (``cache.*`` on a ring's hub, in the live CLI's printout, in
+    :func:`repro.sim.metrics.export_cache_stats`) adds the prefix, and
+    :attr:`hit_rate` is the one derived gauge exported beside them.
+    """
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.admissions = 0
-        self.rejections = 0
-        self.evictions = 0
-        self.invalidations = 0
+    hits: int = 0
+    misses: int = 0
+    admissions: int = 0
+    rejections: int = 0
+    evictions: int = 0
+    invalidations: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        """Counters as a flat dict under the canonical ``cache.*`` metric
-        names — the same names live runs print and simulated runs export
-        through :func:`repro.sim.metrics.export_cache_stats`."""
-        return {
-            "cache.hits": float(self.hits),
-            "cache.misses": float(self.misses),
-            "cache.admissions": float(self.admissions),
-            "cache.rejections": float(self.rejections),
-            "cache.evictions": float(self.evictions),
-            "cache.invalidations": float(self.invalidations),
-            "cache.hit_rate": self.hit_rate,
-        }
 
 
 class LRUCacheIndex(DedupIndex):

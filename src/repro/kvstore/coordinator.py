@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from repro.kvstore.consistency import ConsistencyLevel
@@ -79,17 +79,6 @@ class StoreStats:
         self.remote_contacts += 1
         pair = (coordinator, replica)
         self.per_pair_contacts[pair] = self.per_pair_contacts.get(pair, 0) + 1
-
-    def snapshot(self) -> dict[str, float]:
-        """Scalar counters with bare keys (no prefix): the MetricsHub joins
-        the registration name on, so the same snapshot serves ``kvstore.*``
-        on a ring and any other mount point. Per-pair contacts are a
-        labeled series, not a scalar, so they are not exported here."""
-        return {
-            f.name: float(getattr(self, f.name))
-            for f in fields(self)
-            if f.name != "per_pair_contacts"
-        }
 
 
 def driven(coro_fn):

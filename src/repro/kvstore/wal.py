@@ -43,15 +43,6 @@ class WalStats:
     log_entries_replayed: int = 0
     torn_records_dropped: int = 0
 
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "appends": float(self.appends),
-            "snapshots": float(self.snapshots),
-            "snapshot_entries_loaded": float(self.snapshot_entries_loaded),
-            "log_entries_replayed": float(self.log_entries_replayed),
-            "torn_records_dropped": float(self.torn_records_dropped),
-        }
-
 
 class WriteAheadLog:
     """Append-only log + snapshot pair for one node's local shard.

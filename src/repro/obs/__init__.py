@@ -7,11 +7,12 @@ One import surface for the three pieces the rest of the system wires in:
 - :class:`Tracer` / :data:`NULL_TRACER` — lightweight spans linked across the
   wire by the RPC correlation id, dumpable as Chrome-trace JSON;
 - :class:`MetricsHub` — the process-wide registry joining every component's
-  counters into one Prometheus-text / JSON export.
+  counters into one Prometheus-text / JSON export, and :func:`series`, the
+  one reading of a stats dataclass as bare-named metric series.
 """
 
 from repro.obs.histogram import DEFAULT_LATENCY_BUCKETS_S, Histogram
-from repro.obs.hub import MetricsHub, prometheus_name, render_prometheus
+from repro.obs.hub import MetricsHub, prometheus_name, render_prometheus, series
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "Tracer",
     "prometheus_name",
     "render_prometheus",
+    "series",
 ]

@@ -1,23 +1,27 @@
 """MetricsHub: one export for every component registry in the process.
 
-Components keep owning their own counters (``CacheStats``, ``StoreStats``,
-``ClientStats``, ``ServerStats``, dedup ``DedupStats``, histograms, …); the
-hub only *names* them. ``register("kvstore", store.stats)`` mounts that
-registry's snapshot under ``kvstore.*`` in the collected view, nested dicts
+One vocabulary rule: a stats object (``CacheStats``, ``StoreStats``,
+``ClientStats``, ``ServerStats``, ``WalStats``, …) is a plain dataclass
+whose *field names are its metric names*, bare — :func:`series` is the one
+function that reads them out — and the mount point is the only place a
+prefix is ever added. ``register("kvstore", store.stats)`` mounts that
+object's fields under ``kvstore.*`` in the collected view, nested dicts
 flatten into dotted names, and the whole tree renders as one JSON document
 (:meth:`MetricsHub.to_json`) or one Prometheus text exposition
 (:meth:`MetricsHub.render_prometheus`) — so a live cluster, the in-process
-engine, benchmarks, and CI all read the same metric names.
+engine, benchmarks, and CI all read the same metric names. A gauge that is
+derived rather than counted (a hit rate, a queue depth, a state's index) is
+an explicit line beside ``series(...)`` in the callable its owner mounts.
 
 Name hygiene is enforced at collect time: if two sources flatten onto the
 same metric name the collect raises instead of silently clobbering one of
-them (the hub-level twin of the ``export_cache_stats`` duplicate guard in
-:mod:`repro.sim.metrics`).
+them.
 
 Sources may be:
 
 - a :class:`~repro.obs.histogram.Histogram` (exported structured, under its
   registered name);
+- a stats dataclass instance (read through :func:`series` per collect);
 - any object with a ``snapshot()`` method returning a mapping;
 - a zero-argument callable returning a mapping (evaluated per collect);
 - a plain mapping (static gauges).
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Mapping, Union
 
 from repro.obs.histogram import Histogram
@@ -45,6 +50,30 @@ _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
 def _is_histogram_snapshot(value: Any) -> bool:
     return isinstance(value, Mapping) and value.get("type") == "histogram"
+
+
+def series(*stats: Any) -> dict[str, Any]:
+    """Stats dataclasses as metric series, bare-named.
+
+    Every numeric field is a series under the field's own name, in the
+    field's own type (an ``int`` counter stays an ``int``); a dict field
+    keyed by strings (``by_method``) nests under its field name; any other
+    field (a state label, a tuple of moves, a dict keyed by node pairs) is
+    not a series. Several objects of one type sum field by field — a ring's
+    view of its per-agent or per-node counters — and none gives ``{}``.
+    """
+    out: dict[str, Any] = {}
+    for obj in stats:
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, dict):
+                if all(isinstance(key, str) for key in value):
+                    nested = out.setdefault(f.name, {})
+                    for key, count in value.items():
+                        nested[key] = nested.get(key, 0) + count
+            elif isinstance(value, (int, float)):
+                out[f.name] = out.get(f.name, 0) + value
+    return out
 
 
 class MetricsHub:
@@ -86,6 +115,8 @@ class MetricsHub:
     def _resolve(source: MetricSource) -> Mapping:
         if isinstance(source, Histogram):
             return source.snapshot()
+        if is_dataclass(source) and not isinstance(source, type):
+            return series(source)
         snapshot = getattr(source, "snapshot", None)
         if callable(snapshot):
             return snapshot()
@@ -94,8 +125,8 @@ class MetricsHub:
         if callable(source):
             return source()
         raise TypeError(
-            f"metric source must be a Histogram, mapping, callable, or expose "
-            f"snapshot(); got {type(source).__name__}"
+            f"metric source must be a Histogram, stats dataclass, mapping, "
+            f"callable, or expose snapshot(); got {type(source).__name__}"
         )
 
     def collect(self) -> dict[str, Any]:

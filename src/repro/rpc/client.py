@@ -89,21 +89,6 @@ class ClientStats:
     retry_budget_denied: int = 0  # retry wanted, token bucket empty
     by_method: dict[str, int] = field(default_factory=dict)
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "rpc.calls": self.calls,
-            "rpc.attempts": self.attempts,
-            "rpc.retries": self.retries,
-            "rpc.timeouts": self.timeouts,
-            "rpc.connection_errors": self.connection_errors,
-            "rpc.failed_calls": self.failed_calls,
-            "rpc.overload_errors": self.overload_errors,
-            "rpc.deadline_expired": self.deadline_expired,
-            "rpc.circuit_open": self.circuit_open,
-            "rpc.retry_budget_denied": self.retry_budget_denied,
-            "rpc.by_method": dict(self.by_method),
-        }
-
 
 class _Pending:
     __slots__ = ("future", "src")

@@ -24,6 +24,7 @@ from repro.kvstore.gossip import PhiAccrualDetector
 from repro.kvstore.repair import ReplicaRepairer
 from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
+from repro.obs.hub import series
 from repro.obs.trace import Tracer
 from repro.rpc.client import RpcClient
 from repro.rpc.faults import FaultInjector
@@ -70,9 +71,8 @@ class LiveKVCluster:
             whose budget expired in queue.
         admission_queue: when > 0, each node server runs a bounded request
             queue of this size with load shedding (``RpcOverloadError``)
-            past ``admission_shed_start`` of it. 0 = legacy inline serve.
-        admission_shed_start: queue fraction where probabilistic shedding
-            begins (RED-style ramp to certain shed at the bound).
+            past the :class:`~repro.rpc.overload.AdmissionController`
+            default of three quarters of it. 0 = legacy inline serve.
         service_workers: queue-draining tasks per node (with admission).
         breaker_failures: consecutive transport failures per (src, dst)
             pair before the client's circuit breaker opens. 0 = disabled.
@@ -102,7 +102,6 @@ class LiveKVCluster:
         heartbeat_detector: Optional[PhiAccrualDetector] = None,
         deadline_s: Optional[float] = None,
         admission_queue: int = 0,
-        admission_shed_start: float = 0.75,
         service_workers: int = 1,
         breaker_failures: int = 0,
         breaker_cooldown_s: float = 0.25,
@@ -124,7 +123,6 @@ class LiveKVCluster:
         self._tracer = tracer
         self._seed = seed
         self._admission_queue = int(admission_queue)
-        self._admission_shed_start = float(admission_shed_start)
         self._service_workers = int(service_workers)
         self.breakers = (
             BreakerBoard(breaker_failures, breaker_cooldown_s)
@@ -206,7 +204,6 @@ class LiveKVCluster:
 
             admission = AdmissionController(
                 max_queue=self._admission_queue,
-                shed_start=self._admission_shed_start,
                 seed=self._seed * 1_000_003 + zlib.crc32(node_id.encode()),
             )
         return NodeServer(
@@ -233,11 +230,11 @@ class LiveKVCluster:
 
     def server_stats(self) -> dict[str, dict]:
         """Per-node server request counters."""
-        return {nid: server.stats.snapshot() for nid, server in self.servers.items()}
+        return {nid: series(server.stats) for nid, server in self.servers.items()}
 
     def wal_stats(self) -> dict[str, dict]:
         """Per-node durability counters (empty without ``data_dir``)."""
-        return {nid: wal.stats.snapshot() for nid, wal in self.wals.items()}
+        return {nid: series(wal.stats) for nid, wal in self.wals.items()}
 
     # ------------------------------------------------------------------ #
     # crash-restart lifecycle

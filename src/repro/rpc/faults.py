@@ -120,16 +120,6 @@ class FaultStats:
     duplicated_requests: int = 0
     slowed_serves: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "faults.dropped_requests": self.dropped_requests,
-            "faults.dropped_responses": self.dropped_responses,
-            "faults.delayed_requests": self.delayed_requests,
-            "faults.delayed_responses": self.delayed_responses,
-            "faults.duplicated_requests": self.duplicated_requests,
-            "faults.slowed_serves": self.slowed_serves,
-        }
-
 
 @dataclass
 class FaultInjector:

@@ -152,12 +152,3 @@ class RemoteKVStore(QuorumCoordinator):
             return dict(zip(self.nodes, rtts))
 
         return self.drive(ping_every())
-
-    def transport_snapshot(self) -> dict:
-        """Client transport counters (calls, retries, timeouts, RTTs)."""
-        client = self.transport.client
-        snap = client.stats.snapshot()
-        if client.rtt.count:
-            snap["rpc.rtt_mean_s"] = client.rtt.mean
-            snap["rpc.rtt_p99_s"] = client.rtt.percentile(99)
-        return snap

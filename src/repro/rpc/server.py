@@ -63,11 +63,12 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.kvstore.errors import KVStoreError
 from repro.kvstore.replica import Replica
 from repro.obs.histogram import Histogram
+from repro.obs.hub import series
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
@@ -100,18 +101,6 @@ class ServerStats:
     deadline_drops: int = 0  # expired in queue, dropped unexecuted
     frame_errors: int = 0  # malformed frames; each one cost its connection
     by_method: dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "server.requests": self.requests,
-            "server.replays": self.replays,
-            "server.errors": self.errors,
-            "server.connections": self.connections,
-            "server.shed": self.shed,
-            "server.deadline_drops": self.deadline_drops,
-            "server.frame_errors": self.frame_errors,
-            "server.by_method": dict(self.by_method),
-        }
 
 
 def _entry_to_wire(stored) -> Optional[list]:
@@ -478,7 +467,7 @@ class NodeServer:
         return {"count": self.node.key_count()}
 
     def _op_stats(self, params: dict) -> dict:
-        return self.stats.snapshot()
+        return series(self.stats)
 
     def _op_merkle_tree(self, params: dict) -> dict:
         tree = self.node.merkle_tree(int(params.get("depth", 6)))

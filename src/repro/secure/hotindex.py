@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+from repro.obs.hub import series
+
 #: Cutover states of one hot-slice migration, in order (mirrors
 #: :data:`repro.system.migration.MIGRATION_STATES`).
 HOT_MIGRATION_STATES = ("PLANNED", "STREAMING", "DUAL_LOOKUP", "COMMITTED")
@@ -157,7 +159,8 @@ class EdgeHotIndex:
 
 @dataclass
 class HotMigrationReport:
-    """What one hot-slice migration did, in ``hotindex.*`` metric units."""
+    """What one hot-slice migration did; the numeric fields are the
+    ``hotindex.*`` series of the same name."""
 
     state: str = "PLANNED"
     planned: int = 0
@@ -166,16 +169,6 @@ class HotMigrationReport:
     cutover_ts: int = 0
     close_ts: int = 0
     planned_fingerprints: tuple[str, ...] = field(default=(), repr=False)
-
-    def as_metrics(self) -> dict[str, float]:
-        return {
-            "hotindex.state": float(HOT_MIGRATION_STATES.index(self.state)),
-            "hotindex.planned": float(self.planned),
-            "hotindex.entries_streamed": float(self.entries_streamed),
-            "hotindex.entries_restreamed": float(self.entries_restreamed),
-            "hotindex.cutover_ts": float(self.cutover_ts),
-            "hotindex.close_ts": float(self.close_ts),
-        }
 
 
 class HotIndexManager:
@@ -303,20 +296,19 @@ class HotIndexManager:
 
     # -- observability ----------------------------------------------------#
 
-    def metrics(self) -> dict[str, float]:
-        """Live counters plus the last migration report, ``hotindex.*``."""
-        out = self.report.as_metrics()
-        out["hotindex.state"] = float(HOT_MIGRATION_STATES.index(self.state))
-        out.update(
-            {
-                "hotindex.hot_size": float(self.hot_size),
-                "hotindex.edge_entries": float(len(self.edge)),
-                "hotindex.cloud_entries": float(len(self.cloud)),
-                "hotindex.tracked": float(len(self.tracker)),
-                "hotindex.edge_hits": float(self.edge_hits),
-                "hotindex.cloud_hits": float(self.cloud_hits),
-                "hotindex.misses": float(self.misses),
-                "hotindex.cloud_lookups": float(self.cloud.lookups),
-            }
-        )
-        return out
+    def metrics(self) -> dict[str, int]:
+        """The last migration report's counters plus the manager's own
+        state, sizes and lookup tallies (bare names; the tier mounts them
+        as ``hotindex.*``)."""
+        return {
+            **series(self.report),
+            "state": HOT_MIGRATION_STATES.index(self.state),
+            "hot_size": self.hot_size,
+            "edge_entries": len(self.edge),
+            "cloud_entries": len(self.cloud),
+            "tracked": len(self.tracker),
+            "edge_hits": self.edge_hits,
+            "cloud_hits": self.cloud_hits,
+            "misses": self.misses,
+            "cloud_lookups": self.cloud.lookups,
+        }

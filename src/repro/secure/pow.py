@@ -47,24 +47,14 @@ def make_proof(challenge: PoWChallenge, key_hex: str) -> str:
     ).hexdigest()
 
 
+@dataclass(slots=True)
 class PoWStats:
     """Challenge/verdict accounting for one verifier."""
 
-    __slots__ = ("challenges", "accepted", "rejected", "unknown_fingerprints")
-
-    def __init__(self) -> None:
-        self.challenges = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.unknown_fingerprints = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "challenges": float(self.challenges),
-            "accepted": float(self.accepted),
-            "rejected": float(self.rejected),
-            "unknown_fingerprints": float(self.unknown_fingerprints),
-        }
+    challenges: int = 0
+    accepted: int = 0
+    rejected: int = 0
+    unknown_fingerprints: int = 0
 
 
 class PoWVerifier:

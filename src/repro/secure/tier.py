@@ -23,8 +23,10 @@ miss (or a failed proof) seals the payload and uploads as usual.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
+from repro.obs.hub import series
 from repro.secure.crypto import (
     KeyVault,
     convergent_key,
@@ -35,41 +37,18 @@ from repro.secure.hotindex import HotIndexManager, HotMigrationReport, SecureClo
 from repro.secure.pow import PoWVerifier, make_proof
 
 
+@dataclass(slots=True)
 class SecureStats:
     """Counters for the tier's hot-path work."""
 
-    __slots__ = (
-        "sealed_chunks",
-        "sealed_bytes",
-        "opened_chunks",
-        "opened_bytes",
-        "claims",
-        "granted",
-        "denied",
-        "skipped_upload_bytes",
-    )
-
-    def __init__(self) -> None:
-        self.sealed_chunks = 0
-        self.sealed_bytes = 0
-        self.opened_chunks = 0
-        self.opened_bytes = 0
-        self.claims = 0
-        self.granted = 0
-        self.denied = 0
-        self.skipped_upload_bytes = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "sealed_chunks": float(self.sealed_chunks),
-            "sealed_bytes": float(self.sealed_bytes),
-            "opened_chunks": float(self.opened_chunks),
-            "opened_bytes": float(self.opened_bytes),
-            "claims": float(self.claims),
-            "granted": float(self.granted),
-            "denied": float(self.denied),
-            "skipped_upload_bytes": float(self.skipped_upload_bytes),
-        }
+    sealed_chunks: int = 0
+    sealed_bytes: int = 0
+    opened_chunks: int = 0
+    opened_bytes: int = 0
+    claims: int = 0
+    granted: int = 0
+    denied: int = 0
+    skipped_upload_bytes: int = 0
 
 
 class SecureTier:
@@ -166,10 +145,15 @@ class SecureTier:
 
     # -- observability -----------------------------------------------------#
 
-    def metrics(self) -> dict[str, float]:
-        out = self.stats.snapshot()
-        out.update(self.hotindex.metrics())
-        out.update({f"pow.{k}": v for k, v in self.pow.stats.snapshot().items()})
-        out["vault.keys"] = float(len(self.vault))
-        out["vault.registrations"] = float(self.vault.registrations)
-        return out
+    def metrics(self) -> dict:
+        """The tier's counters, with its parts mounted beneath them as
+        ``hotindex.*``, ``pow.*`` and ``vault.*``."""
+        return {
+            **series(self.stats),
+            "hotindex": self.hotindex.metrics(),
+            "pow": series(self.pow.stats),
+            "vault": {
+                "keys": len(self.vault),
+                "registrations": self.vault.registrations,
+            },
+        }

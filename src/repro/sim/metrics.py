@@ -14,6 +14,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.obs.hub import series
+
 
 class Counter:
     """A monotonically increasing counter (e.g. chunks processed, bytes sent)."""
@@ -253,15 +255,16 @@ class MetricsRegistry:
 
 
 def export_cache_stats(registry: MetricsRegistry, stats, prefix: str = "") -> dict[str, float]:
-    """Export a :class:`~repro.dedup.cache.CacheStats` snapshot into a
-    registry under the canonical ``cache.*`` metric names.
+    """Mount a :class:`~repro.dedup.cache.CacheStats` on a registry as
+    ``cache.*``: its fields (via :func:`repro.obs.series`) plus ``hit_rate``.
 
-    Live cluster runs print ``CacheStats.snapshot()`` directly and simulated
-    experiment drivers collect ``MetricsRegistry.snapshot()`` — routing the
-    cache counters through here makes both report the *same names* for the
-    same quantities, so dashboards and assertions don't fork per mode.
+    Live rings mount the same object under the same ``cache`` name on their
+    :class:`~repro.obs.MetricsHub` and simulated experiment drivers collect
+    ``MetricsRegistry.snapshot()`` — routing the cache counters through
+    here makes both report the *same names* for the same quantities, so
+    dashboards and assertions don't fork per mode.
 
-    Counts land in counters (set to the snapshot value), the hit rate in a
+    Counts land in counters (set to the field's value), the hit rate in a
     gauge. ``prefix`` namespaces multi-cache components
     (e.g. ``"edge-3."`` → ``edge-3.cache.hits``). Returns the exported
     name → value mapping.
@@ -273,7 +276,8 @@ def export_cache_stats(registry: MetricsRegistry, stats, prefix: str = "") -> di
     a registry without distinct prefixes.
     """
     exported: dict[str, float] = {}
-    snapshot = stats.snapshot()
+    bare = {**series(stats), "hit_rate": stats.hit_rate}
+    snapshot = {f"cache.{name}": value for name, value in bare.items()}
     for name in snapshot:
         full = f"{prefix}{name}"
         owner = registry.export_sources.get(full)

@@ -5,7 +5,7 @@ throughput experiment harness."""
 from repro.system.agent import DedupAgent, LookupRecord, RingIndex
 from repro.system.cloud import CentralCloudStore, CloudDedupService
 from repro.system.cluster import EFDedupCluster, RestorableEFDedupCluster
-from repro.system.des_throughput import DESReport, run_edge_rings_des
+from repro.system.des_throughput import run_edge_rings_des
 from repro.system.config import EFDedupConfig
 from repro.system.migration import (
     PlanDiff,
@@ -29,7 +29,6 @@ __all__ = [
     "CentralCloudStore",
     "CloudDedupService",
     "D2Ring",
-    "DESReport",
     "DedupAgent",
     "EFDedupCluster",
     "EFDedupConfig",

@@ -27,7 +27,7 @@ from repro.core.partitioning.base import Partitioner
 from repro.dedup.engine import DedupResult
 from repro.dedup.stats import DedupStats
 from repro.network.topology import Topology
-from repro.obs.hub import MetricsHub
+from repro.obs.hub import MetricsHub, series
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
@@ -217,18 +217,22 @@ class EFDedupCluster:
                 "stored_chunks": float(cloud.stored_chunks),
             },
         )
-        hub.register(
-            "migration",
-            lambda: (
-                {
-                    k.removeprefix("migration."): v
-                    for k, v in self.last_migration.as_metrics().items()
-                }
-                if self.last_migration is not None
-                else {}
-            ),
-        )
+        hub.register("migration", self.migration_metrics)
         return hub
+
+    def migration_metrics(self) -> dict[str, float]:
+        """The most recent live migration's counters plus its state's index
+        and the number of nodes it moved (empty before any migration)."""
+        from repro.system.migration import MIGRATION_STATES
+
+        report = self.last_migration
+        if report is None:
+            return {}
+        return {
+            **series(report),
+            "state": MIGRATION_STATES.index(report.state),
+            "nodes_moved": report.n_moved,
+        }
 
 
 class DurableEFDedupCluster(EFDedupCluster):
@@ -262,7 +266,6 @@ class DurableEFDedupCluster(EFDedupCluster):
         self.tier = ErasureCodedChunkStore(
             data_shards=cfg.ec_data_shards,
             parity_shards=cfg.ec_parity_shards,
-            n_zones=cfg.ec_zones,
         )
         self.gc = RefcountGC(journal_dir=journal_dir)
         self.content_plane = ContentPlane(

@@ -80,8 +80,6 @@ class EFDedupConfig:
             erasure code (data shards per stripe).
         ec_parity_shards: content plane — m of the code; the tier
             tolerates m simultaneous zone failures.
-        ec_zones: content plane — failure zones at the cloud tier; None
-            means exactly k + m.
         spill_mode: content plane — ``"sync"`` stripes each unique chunk
             to the cloud tier inside the ingest call; ``"async"`` spills
             on a background thread (``ContentPlane.flush()`` joins it).
@@ -93,11 +91,10 @@ class EFDedupConfig:
             budget runs out; servers drop work whose budget expired while
             queued.
         admission_queue: live transport only — bounded request queue per
-            node server; past ``admission_shed_start`` of it, requests are
-            probabilistically shed with a typed ``RpcOverloadError``. 0
-            (default) disables admission control.
-        admission_shed_start: queue fraction where the RED-style shed ramp
-            begins (certain shed at the bound).
+            node server; past three quarters of it (the
+            :class:`~repro.rpc.overload.AdmissionController` default)
+            requests are probabilistically shed with a typed
+            ``RpcOverloadError``. 0 (default) disables admission control.
         service_workers: live transport only — queue-draining tasks per
             node server when admission control is on.
         breaker_failures: live transport only — consecutive transport
@@ -116,8 +113,6 @@ class EFDedupConfig:
             fingerprint journaled) and
             :meth:`~repro.system.ring.D2Ring.reconcile_brownouts` later
             replays the journal to restore exact dedup accounting.
-        brownout_cooldown_s: how long a tripped brownout serves
-            write-through before probing the ring again.
         secure: when True, the cluster grows a
             :class:`~repro.secure.tier.SecureTier`: chunk payloads are
             convergently encrypted before upload, cross-ring dedup hits
@@ -154,18 +149,15 @@ class EFDedupConfig:
     heartbeat_interval_s: float = 0.0
     ec_data_shards: int = 4
     ec_parity_shards: int = 2
-    ec_zones: int | None = None
     spill_mode: str = "sync"
     content_batch: int = 16
     rpc_deadline_s: float | None = None
     admission_queue: int = 0
-    admission_shed_start: float = 0.75
     service_workers: int = 1
     breaker_failures: int = 0
     breaker_cooldown_s: float = 0.25
     retry_budget: float = 0.0
     brownout: bool = False
-    brownout_cooldown_s: float = 0.25
     secure: bool = False
     hot_index_size: int = 0
     wan_rtt_s: float = 0.0
@@ -224,14 +216,6 @@ class EFDedupConfig:
             raise ValueError(
                 f"ec_parity_shards must be >= 0, got {self.ec_parity_shards!r}"
             )
-        if (
-            self.ec_zones is not None
-            and self.ec_zones < self.ec_data_shards + self.ec_parity_shards
-        ):
-            raise ValueError(
-                f"ec_zones must be >= k+m={self.ec_data_shards + self.ec_parity_shards}, "
-                f"got {self.ec_zones!r}"
-            )
         if self.spill_mode not in ("sync", "async"):
             raise ValueError(
                 f"spill_mode must be 'sync' or 'async', got {self.spill_mode!r}"
@@ -248,10 +232,6 @@ class EFDedupConfig:
             raise ValueError(
                 f"admission_queue must be >= 0, got {self.admission_queue!r}"
             )
-        if not 0.0 < self.admission_shed_start <= 1.0:
-            raise ValueError(
-                f"admission_shed_start must be in (0, 1], got {self.admission_shed_start!r}"
-            )
         if self.service_workers < 1:
             raise ValueError(
                 f"service_workers must be >= 1, got {self.service_workers!r}"
@@ -267,10 +247,6 @@ class EFDedupConfig:
         if self.retry_budget < 0:
             raise ValueError(
                 f"retry_budget must be >= 0, got {self.retry_budget!r}"
-            )
-        if self.brownout_cooldown_s <= 0:
-            raise ValueError(
-                f"brownout_cooldown_s must be positive, got {self.brownout_cooldown_s!r}"
             )
         if self.hot_index_size < 0:
             raise ValueError(

@@ -19,101 +19,52 @@ are exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.chunking.base import Chunk
-from repro.chunking.fixed import FixedSizeChunker
-from repro.chunking.hashing import default_fingerprint
-from repro.dedup.stats import DedupStats
 from repro.network.topology import Topology
 from repro.sim.bandwidth import SharedLink
 from repro.sim.events import EventEngine
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
-from repro.system.ring import D2Ring
-from repro.system.throughput import Workloads
-
-
-@dataclass
-class DESNodeResult:
-    """Per-node outcome of the event-driven run."""
-
-    node_id: str
-    raw_bytes: int = 0
-    chunks: int = 0
-    # Lookup batches that crossed the network (>= 1 remote-primary key).
-    # Bounded by ceil(chunks / lookup_batch).
-    round_trips: int = 0
-    uploaded_bytes: int = 0
-    finish_time_s: float = 0.0
-
-    @property
-    def throughput_mb_s(self) -> float:
-        if self.finish_time_s <= 0:
-            return 0.0
-        return self.raw_bytes / 1e6 / self.finish_time_s
-
-
-@dataclass
-class DESReport:
-    """Outcome of one event-driven EF-dedup run."""
-
-    per_node: dict[str, DESNodeResult]
-    dedup_stats: DedupStats
-    makespan_s: float
-    wan_bytes: int
-    events_executed: int
-
-    @property
-    def aggregate_throughput_mb_s(self) -> float:
-        total = sum(r.raw_bytes for r in self.per_node.values())
-        if self.makespan_s <= 0:
-            return 0.0
-        return total / 1e6 / self.makespan_s
+from repro.system.throughput import (
+    NodeClaims,
+    ThroughputReport,
+    Workloads,
+    deploy_rings,
+    finish_report,
+    ring_member_claims,
+)
 
 
 class _NodeProcess:
     """One edge node as a sequential simulation process.
 
-    Per chunk: hashing CPU and lookup service time, then the per-key
-    check-and-set (a batched call is not atomic across its keys — each key
-    races at its own replica, so claims from concurrent nodes interleave at
-    chunk granularity). Every ``lookup_batch`` chunks the open batch closes:
-    if any key's primary replica was remote, the node waits one
-    scatter-gather round trip (the slowest contacted peer), then uploads the
-    batch's unique chunks synchronously, one at a time — each handshake
+    Per chunk: hashing CPU and lookup service time, then the shared claim
+    step (:class:`~repro.system.throughput.NodeClaims` — the same one the
+    analytic run adds up). When the open batch closes the node waits its
+    scatter-gather round trip (the slowest contacted peer), then uploads
+    the batch's unique chunks synchronously, one at a time — each handshake
     costs RTTs and the bytes move through the shared WAN link at whatever
     rate contention leaves.
     """
 
     def __init__(
         self,
-        node_id: str,
-        chunks: Iterator[Chunk],
-        ring: D2Ring,
+        claims: NodeClaims,
         cloud: CentralCloudStore,
         topology: Topology,
         config: EFDedupConfig,
         engine: EventEngine,
         wan: SharedLink,
-        stats: DedupStats,
-        result: DESNodeResult,
     ) -> None:
-        self.node_id = node_id
-        self.chunks = chunks
-        self.ring = ring
+        self.claims = claims
         self.cloud = cloud
         self.topology = topology
         self.config = config
         self.engine = engine
         self.wan = wan
-        self.stats = stats
-        self.result = result
-        # Open-batch state: keys looked up so far, RTT per distinct remote
-        # primary they contacted, and the unique chunks awaiting upload.
-        self._batch_keys = 0
-        self._batch_peer_rtts: dict[str, float] = {}
+        # The open batch's unique chunks, awaiting upload at its close.
         self._batch_uploads: list[tuple[Chunk, str]] = []
 
     def start(self) -> None:
@@ -122,42 +73,29 @@ class _NodeProcess:
     # -- pipeline stages ------------------------------------------------ #
 
     def _next_chunk(self) -> None:
-        chunk = next(self.chunks, None)
+        chunk = next(self.claims.chunks, None)
         if chunk is None:
-            if self._batch_keys:
+            if self.claims.open_keys:
                 self._close_batch(final=True)  # flush the final partial batch
             else:
-                self.result.finish_time_s = self.engine.clock.now
+                self.claims.timing.completion_s = self.engine.clock.now
             return
         delay = self.config.hash_time_s(chunk.length) + self.config.lookup_service_s
         self.engine.schedule_in(delay, lambda: self._after_lookup(chunk))
 
     def _after_lookup(self, chunk: Chunk) -> None:
-        fp = default_fingerprint(chunk.data)
-        replicas = self.ring.store.replicas_for(fp)
-        if self.node_id not in replicas:
-            self._batch_peer_rtts[replicas[0]] = self.topology.rtt_s(
-                self.node_id, replicas[0]
-            )
-        is_new = self.ring.store.put_if_absent(fp, self.node_id, coordinator=self.node_id)
-        self.stats.record_chunk(chunk.length, is_new)
-        self.result.chunks += 1
+        fp, is_new = self.claims.claim(chunk)
         if is_new:
             self._batch_uploads.append((chunk, fp))
-        self._batch_keys += 1
-        if self._batch_keys >= self.config.lookup_batch:
+        if self.claims.batch_full:
             self._close_batch(final=False)
         else:
             self._next_chunk()
 
     def _close_batch(self, final: bool) -> None:
-        """End the open batch: wait the scatter-gather round trip (slowest
-        contacted peer) if any key went remote, then drain its uploads."""
-        wait = max(self._batch_peer_rtts.values()) if self._batch_peer_rtts else 0.0
-        if self._batch_peer_rtts:
-            self.result.round_trips += 1
-        self._batch_keys = 0
-        self._batch_peer_rtts = {}
+        """End the open batch: wait out its round trip if any key went
+        remote, then drain its uploads."""
+        wait = self.claims.close()
         uploads = self._batch_uploads
         self._batch_uploads = []
         if wait > 0.0:
@@ -169,13 +107,12 @@ class _NodeProcess:
         """Synchronously upload the batch's unique chunks, then move on."""
         if not uploads:
             if final:
-                self.result.finish_time_s = self.engine.clock.now
+                self.claims.timing.completion_s = self.engine.clock.now
             else:
                 self._next_chunk()
             return
         chunk, fp = uploads.pop(0)
         self.cloud.receive_chunk(chunk, fp)
-        self.result.uploaded_bytes += chunk.length
         handshake = self.config.upload_rtts * self.topology.wan_rtt_s() / self.config.lookup_batch
         transfer_id = self.wan.start_transfer(self.engine.clock.now, float(chunk.length))
         self.engine.schedule_in(handshake, lambda: self._poll_upload(transfer_id, uploads, final))
@@ -197,56 +134,20 @@ def run_edge_rings_des(
     partition: Sequence[Sequence[str]],
     workloads: Workloads,
     config: Optional[EFDedupConfig] = None,
-) -> DESReport:
+) -> ThroughputReport:
     """Event-driven counterpart of
-    :func:`repro.system.throughput.run_edge_rings` (EF-dedup strategy only).
+    :func:`repro.system.throughput.run_edge_rings` (EF-dedup strategy only):
+    the same validation, rings, chunk streams and claim step, on an event
+    clock. ``extras["events_executed"]`` counts the events the run took.
     """
     config = config if config is not None else EFDedupConfig()
     engine = EventEngine()
     wan = SharedLink(name="wan-uplink", capacity_bytes_per_s=topology.wan_bandwidth_bytes_per_s)
-    cloud = CentralCloudStore()
-    stats = DedupStats()
-
-    rings = [
-        D2Ring(ring_id=f"ring-{i}", members=list(members), cloud=cloud, config=config)
-        for i, members in enumerate(partition)
-        if members
-    ]
-    ring_of = {nid: ring for ring in rings for nid in ring.members}
-    missing = set(workloads) - set(ring_of)
-    if missing:
-        raise ValueError(f"nodes {sorted(missing)!r} have workloads but no ring")
-
-    results: dict[str, DESNodeResult] = {}
-    chunker = FixedSizeChunker(config.chunk_size)
+    cloud, _, ring_of = deploy_rings(topology, partition, workloads, config)
+    report = ThroughputReport("ef-dedup-des")
     for nid, files in workloads.items():
-        result = DESNodeResult(node_id=nid, raw_bytes=sum(len(d) for d in files))
-
-        def chunk_iter(files=files):
-            for data in files:
-                yield from chunker.chunk(data)
-
-        process = _NodeProcess(
-            node_id=nid,
-            chunks=chunk_iter(),
-            ring=ring_of[nid],
-            cloud=cloud,
-            topology=topology,
-            config=config,
-            engine=engine,
-            wan=wan,
-            stats=stats,
-            result=result,
-        )
-        results[nid] = result
-        process.start()
-
+        claims = ring_member_claims(report, topology, ring_of[nid], nid, files)
+        _NodeProcess(claims, cloud, topology, config, engine, wan).start()
     engine.run()
-    makespan = max((r.finish_time_s for r in results.values()), default=0.0)
-    return DESReport(
-        per_node=results,
-        dedup_stats=stats,
-        makespan_s=makespan,
-        wan_bytes=int(sum(r.uploaded_bytes for r in results.values())),
-        events_executed=engine.executed,
-    )
+    report.extras["events_executed"] = float(engine.executed)
+    return finish_report(report, topology)

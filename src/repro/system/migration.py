@@ -197,7 +197,8 @@ class NodeMove:
 
 @dataclass
 class MigrationReport:
-    """What one live migration did, in ``migration.*`` metric units.
+    """What one live migration did; the numeric fields are the
+    ``migration.*`` series of the same name.
 
     ``entries_streamed`` counts carried-shard rows applied at cutover;
     ``entries_restreamed`` counts the delta pass at
@@ -209,7 +210,7 @@ class MigrationReport:
 
     state: str = "PLANNED"
     moves: tuple[NodeMove, ...] = ()
-    migration_cost: float = 0.0
+    cost_estimate: float = 0.0
     rings_created: int = 0
     rings_dissolved: int = 0
     entries_streamed: int = 0
@@ -223,23 +224,6 @@ class MigrationReport:
     @property
     def n_moved(self) -> int:
         return len(self.moves)
-
-    def as_metrics(self) -> dict[str, float]:
-        """Flat counters under the canonical ``migration.*`` names."""
-        return {
-            "migration.state": float(MIGRATION_STATES.index(self.state)),
-            "migration.nodes_moved": float(self.n_moved),
-            "migration.cost_estimate": float(self.migration_cost),
-            "migration.rings_created": float(self.rings_created),
-            "migration.rings_dissolved": float(self.rings_dissolved),
-            "migration.entries_streamed": float(self.entries_streamed),
-            "migration.entries_restreamed": float(self.entries_restreamed),
-            "migration.payloads_carried": float(self.payloads_carried),
-            "migration.dual_lookup_probes": float(self.dual_lookup_probes),
-            "migration.dual_lookup_hits": float(self.dual_lookup_hits),
-            "migration.stream_wall_s": float(self.stream_wall_s),
-            "migration.close_wall_s": float(self.close_wall_s),
-        }
 
 
 class DualLookupIndex(DedupIndex):
@@ -400,7 +384,7 @@ class LiveMigrator:
         ids = cluster.topology.node_ids
         diff = diff_plans(old_partition, new_partition, problem.n_sources)
         priced = getattr(target, "migration_cost", None)
-        self.report.migration_cost = (
+        self.report.cost_estimate = (
             float(priced)
             if priced is not None
             else estimate_migration_cost(problem, old_partition, new_partition)

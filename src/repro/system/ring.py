@@ -36,7 +36,7 @@ from repro.dedup.recipes import (
 from repro.dedup.stats import DedupStats
 from repro.kvstore.store import DistributedKVStore
 from repro.obs.histogram import Histogram
-from repro.obs.hub import MetricsHub
+from repro.obs.hub import MetricsHub, series
 from repro.system.agent import DedupAgent, RingIndex
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
@@ -127,7 +127,6 @@ class D2Ring:
                 heartbeat_interval_s=self.config.heartbeat_interval_s,
                 deadline_s=self.config.rpc_deadline_s,
                 admission_queue=self.config.admission_queue,
-                admission_shed_start=self.config.admission_shed_start,
                 service_workers=self.config.service_workers,
                 breaker_failures=self.config.breaker_failures,
                 breaker_cooldown_s=self.config.breaker_cooldown_s,
@@ -227,7 +226,6 @@ class D2Ring:
                     DeadlineExceededError,
                     UnavailableError,
                 ),
-                cooldown_s=self.config.brownout_cooldown_s,
             )
             self.brownouts[node_id] = brownout
             index = brownout
@@ -442,7 +440,11 @@ class D2Ring:
         An agent's ``engine.index`` may be wrapped arbitrarily deep (cache
         over brownout over ring index, a migration window's
         ``DualLookupIndex`` over all of that), so walk the known wrapper
-        attributes instead of assuming the cache is outermost.
+        attributes instead of assuming the cache is outermost. The step
+        down tests ``is not None``, never truthiness: an index's ``bool`` is
+        its ``__len__``, which on a ring index counts the store's unique
+        keys (a whole-shard dump per member over the wire) and is False
+        while the index is empty.
         """
         agents = (
             [self.agents[node_id]] if node_id is not None else self.agents.values()
@@ -454,11 +456,11 @@ class D2Ring:
                 seen.add(id(index))
                 if isinstance(index, LRUCacheIndex):
                     yield index
-                index = (
-                    getattr(index, "primary", None)
-                    or getattr(index, "backing", None)
-                    or getattr(index, "inner", None)
-                )
+                for wrapped in ("primary", "backing", "inner"):
+                    below = getattr(index, wrapped, None)
+                    if below is not None:
+                        break
+                index = below
 
     def invalidate_cached_presence(self, fingerprints: Iterable[str]) -> int:
         """Drop fingerprints from every agent's presence cache.
@@ -524,19 +526,16 @@ class D2Ring:
         return report
 
     def brownout_metrics(self) -> dict[str, int]:
-        """Merged brownout counters across agents (empty when disabled)."""
-        merged: dict[str, int] = {}
-        for brownout in self.brownouts.values():
-            for name, value in brownout.stats.snapshot().items():
-                merged[name] = merged.get(name, 0) + value
-        if self.brownouts:
-            merged["brownout.active"] = sum(
-                1 for b in self.brownouts.values() if b.active
-            )
-            merged["brownout.journal_depth"] = sum(
-                len(b.journal) for b in self.brownouts.values()
-            )
-        return merged
+        """Brownout counters summed across agents, plus how many wrappers
+        are active and the total journal depth (empty when disabled)."""
+        brownouts = self.brownouts.values()
+        if not brownouts:
+            return {}
+        return {
+            **series(*(b.stats for b in brownouts)),
+            "active": sum(1 for b in brownouts if b.active),
+            "journal_depth": sum(len(b.journal) for b in brownouts),
+        }
 
     def local_lookup_fraction(self) -> float:
         """Observed fraction of lookups served locally — compare with the
@@ -546,20 +545,14 @@ class D2Ring:
         return local / total if total else 0.0
 
     def cache_metrics(self) -> dict[str, float]:
-        """Merged agent-cache counters (empty when ``cache_capacity`` is 0),
-        under the same metric names simulated runs export (see
-        :func:`repro.sim.metrics.export_cache_stats`)."""
-        merged: dict[str, float] = {}
-        for agent in self.agents.values():
-            index = agent.engine.index
-            if isinstance(index, LRUCacheIndex):
-                for name, value in index.stats.snapshot().items():
-                    if name == "cache.hit_rate":
-                        continue  # a ratio; recomputed below
-                    merged[name] = merged.get(name, 0.0) + value
+        """Agent presence-cache counters summed over every cache in the
+        agents' wrapper stacks — wherever it sits, so a migration window's
+        ``DualLookupIndex`` on top hides nothing — plus the ring-wide
+        ``hit_rate`` (empty when ``cache_capacity`` is 0)."""
+        merged = series(*(cache.stats for cache in self._agent_caches()))
         if merged:
-            looked_up = merged["cache.hits"] + merged["cache.misses"]
-            merged["cache.hit_rate"] = merged["cache.hits"] / looked_up if looked_up else 0.0
+            looked_up = merged["hits"] + merged["misses"]
+            merged["hit_rate"] = merged["hits"] / looked_up if looked_up else 0.0
         return merged
 
     # ------------------------------------------------------------------ #
@@ -587,6 +580,11 @@ class D2Ring:
     def register_metrics(self, hub: MetricsHub, prefix: str = "") -> None:
         """Mount every registry of this ring on ``hub``.
 
+        Each mount names a stats dataclass (its fields are the series), a
+        histogram, or a callable that spreads ``series(...)`` beside its
+        component's derived gauges; the prefix is added here and nowhere
+        else.
+
         Transport-independent names (identical for inproc and asyncio rings):
         ``dedup.*`` (merged agent accounting), ``lookups.*`` (locality and
         batching), ``cache.*`` (merged agent presence caches),
@@ -596,8 +594,8 @@ class D2Ring:
         per-replica ``rpc.server.<node>.*`` counters with
         ``rpc.server.<node>.handle_s`` histograms.
 
-        Sources are registered as callables over the live component
-        registries, so each :meth:`MetricsHub.collect` sees current values.
+        Sources are the live component registries themselves (or callables
+        over them), so each :meth:`MetricsHub.collect` sees current values.
         ``prefix`` namespaces multi-ring deployments (e.g. ``"ring-0."``).
 
         Failure-handling series are conditional and live-only (and so stay
@@ -608,15 +606,7 @@ class D2Ring:
         """
         hub.register(f"{prefix}dedup", lambda: self.combined_stats().as_dict())
         hub.register(f"{prefix}lookups", self._lookup_metrics)
-        # cache_metrics() keys carry the canonical "cache." prefix already
-        # (shared with export_cache_stats); strip it so the hub's name join
-        # doesn't double it.
-        hub.register(
-            f"{prefix}cache",
-            lambda: {
-                k.removeprefix("cache."): v for k, v in self.cache_metrics().items()
-            },
-        )
+        hub.register(f"{prefix}cache", self.cache_metrics)
         hub.register(f"{prefix}kvstore", self.store.stats)
         hub.register(f"{prefix}kvstore.batch_s", self.store.batch_latency)
         hub.register(f"{prefix}engine.lookup_s", self._merged_engine_latency)
@@ -625,48 +615,27 @@ class D2Ring:
             # it, and then on both transports identically.
             hub.register(f"{prefix}content", self.content.snapshot)
         if self.brownouts:
-            hub.register(
-                f"{prefix}brownout",
-                lambda: {
-                    k.removeprefix("brownout."): v
-                    for k, v in self.brownout_metrics().items()
-                },
-            )
+            hub.register(f"{prefix}brownout", self.brownout_metrics)
         if self._live is not None:
-            client = self._live.client
-            if self._live.breakers is not None:
-                breakers = self._live.breakers
+            live = self._live
+            client = live.client
+            if live.breakers is not None:
+                breakers = live.breakers
                 hub.register(
                     f"{prefix}rpc.breakers",
                     lambda: {"open": float(breakers.open_count)},
                 )
-            hub.register(
-                f"{prefix}rpc",
-                lambda: {
-                    k.removeprefix("rpc."): v for k, v in client.stats.snapshot().items()
-                },
-            )
+            hub.register(f"{prefix}rpc", client.stats)
             hub.register(f"{prefix}rpc.rtt_s", client.rtt)
-            if self._live.heartbeats is not None:
-                hub.register(f"{prefix}rpc.failure", self._live.heartbeats.snapshot)
-            if self._live.wals:
-                live = self._live
-
-                def _wal_totals() -> dict[str, float]:
-                    totals: dict[str, float] = {}
-                    for stats in live.wal_stats().values():
-                        for name, value in stats.items():
-                            totals[name] = totals.get(name, 0.0) + value
-                    return totals
-
-                hub.register(f"{prefix}rpc.wal", _wal_totals)
-            for node_id, server in self._live.servers.items():
+            if live.heartbeats is not None:
+                hub.register(f"{prefix}rpc.failure", live.heartbeats.snapshot)
+            if live.wals:
                 hub.register(
-                    f"{prefix}rpc.server.{node_id}",
-                    lambda s=server: {
-                        k.removeprefix("server."): v for k, v in s.stats.snapshot().items()
-                    },
+                    f"{prefix}rpc.wal",
+                    lambda: series(*(wal.stats for wal in live.wals.values())),
                 )
+            for node_id, server in live.servers.items():
+                hub.register(f"{prefix}rpc.server.{node_id}", server.stats)
                 hub.register(
                     f"{prefix}rpc.server.{node_id}.handle_s", server.handle_latency
                 )

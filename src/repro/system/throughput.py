@@ -30,13 +30,23 @@ A node's completion is its pipeline time (uploads are synchronous, so they
 are already inside it); for Cloud-only it is the larger of its own stream
 time and the shared-uplink drain. Aggregate throughput = total raw bytes /
 makespan, the paper's "data processed per second" metric.
+
+What happens to a chunk does not depend on the clock, so it is written
+once: :func:`deploy_rings` (validation + one D2-ring per cell) and
+:class:`NodeClaims` (a node's chunk stream from the agents' own chunker and
+its claim step with the open lookup batch). The analytic strategies here
+*add up* the durations the step models;
+:mod:`repro.system.des_throughput` *schedules* the same durations on an
+event clock, and both fill the same :class:`NodeTiming` /
+:class:`ThroughputReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
+from repro.chunking.base import Chunk
 from repro.chunking.hashing import default_fingerprint
 from repro.dedup.stats import DedupStats
 from repro.network.topology import Topology
@@ -50,7 +60,13 @@ Workloads = dict[str, list[bytes]]
 
 @dataclass
 class NodeTiming:
-    """Per-node outcome of a throughput run."""
+    """Per-node outcome of a throughput run.
+
+    ``completion_s`` is on whichever clock ran: the sum of the modeled
+    components for the analytic strategies, the event clock for the
+    discrete-event run (which leaves ``upload_s`` at zero — under link
+    contention an upload's share of the wait is not separable).
+    """
 
     node_id: str
     raw_bytes: int = 0
@@ -79,15 +95,16 @@ class NodeTiming:
 
 @dataclass
 class ThroughputReport:
-    """Outcome of one strategy run."""
+    """Outcome of one strategy run, on either clock. Claim steps fill it
+    as they go; :func:`finish_report` derives the run-level figures."""
 
     strategy: str
-    per_node: dict[str, NodeTiming]
-    dedup_stats: DedupStats
-    wan_bytes: int
-    wan_drain_s: float
-    makespan_s: float
-    network_cost_s: float  # Σ RTT over remote index lookups (empirical V)
+    per_node: dict[str, NodeTiming] = field(default_factory=dict)
+    dedup_stats: DedupStats = field(default_factory=DedupStats)
+    wan_bytes: int = 0
+    wan_drain_s: float = 0.0
+    makespan_s: float = 0.0
+    network_cost_s: float = 0.0  # Σ RTT over remote index lookups (empirical V)
     lookup_latency: Summary = field(default_factory=lambda: Summary("lookup_latency_s"))
     extras: dict[str, float] = field(default_factory=dict)
 
@@ -132,29 +149,15 @@ def _validate_workloads(topology: Topology, workloads: Workloads) -> None:
         raise ValueError("workloads must cover at least one node")
 
 
-def _report(
-    topology: Topology,
-    strategy: str,
-    timings: dict[str, NodeTiming],
-    stats: DedupStats,
-    wan_bytes: int,
-    network_cost_s: float,
-    lookup_latency: Optional[Summary] = None,
-    extras: Optional[dict[str, float]] = None,
-) -> ThroughputReport:
-    wan_drain = wan_bytes / topology.wan_bandwidth_bytes_per_s
-    makespan = max((t.completion_s for t in timings.values()), default=0.0)
-    return ThroughputReport(
-        strategy=strategy,
-        per_node=timings,
-        dedup_stats=stats,
-        wan_bytes=wan_bytes,
-        wan_drain_s=wan_drain,
-        makespan_s=makespan,
-        network_cost_s=network_cost_s,
-        lookup_latency=lookup_latency if lookup_latency is not None else Summary("lookup_latency_s"),
-        extras=extras or {},
-    )
+def finish_report(report: ThroughputReport, topology: Topology) -> ThroughputReport:
+    """Derive the run-level figures once every node's ``completion_s`` is
+    set (every byte a node uploaded crossed the WAN, so ``wan_bytes`` is
+    their sum)."""
+    timings = report.per_node.values()
+    report.wan_bytes = sum(t.uploaded_bytes for t in timings)
+    report.wan_drain_s = report.wan_bytes / topology.wan_bandwidth_bytes_per_s
+    report.makespan_s = max((t.completion_s for t in timings), default=0.0)
+    return report
 
 
 def _upload_time_s(topology: Topology, config: EFDedupConfig) -> float:
@@ -163,13 +166,185 @@ def _upload_time_s(topology: Topology, config: EFDedupConfig) -> float:
     return (config.upload_rtts * topology.wan_rtt_s() + serialization) / config.lookup_batch
 
 
-def _chunk_stream(chunker, files, timing: NodeTiming, config: EFDedupConfig):
-    """Yield a node's chunks across all its files, accounting raw bytes and
-    hashing CPU as each file enters the pipeline."""
-    for data in files:
-        timing.raw_bytes += len(data)
-        timing.cpu_s += config.hash_time_s(len(data))
-        yield from chunker.chunk(data)
+def deploy_rings(
+    topology: Topology,
+    partition: Sequence[Sequence[str]],
+    workloads: Workloads,
+    config: EFDedupConfig,
+) -> tuple[CentralCloudStore, list[D2Ring], dict[str, D2Ring]]:
+    """Validate ``partition`` against ``workloads`` and deploy one D2-ring
+    per non-empty cell onto a fresh cloud; returns the cloud, the rings and
+    the node → ring map."""
+    _validate_workloads(topology, workloads)
+    covered = [nid for ring in partition for nid in ring]
+    if len(set(covered)) != len(covered):
+        raise ValueError("partition assigns a node to more than one ring")
+    missing = set(workloads) - set(covered)
+    if missing:
+        raise ValueError(f"nodes {sorted(missing)!r} have workloads but no ring")
+    cloud = CentralCloudStore()
+    rings = [
+        D2Ring(ring_id=f"ring-{i}", members=list(members), cloud=cloud, config=config)
+        for i, members in enumerate(partition)
+        if members
+    ]
+    return cloud, rings, {nid: ring for ring in rings for nid in ring.members}
+
+
+class NodeClaims:
+    """One node's clock-free claim step and its open lookup batch.
+
+    :meth:`claim` is what happens to a chunk whatever clock is running:
+    fingerprint → locate the key's primary → check-and-set → account.
+    Claims are chunk-grained even when lookups are batched — a batched
+    check-and-set is not atomic across its keys (each key races at its own
+    replica) — while the *latency* is per scatter-gather round:
+    :meth:`close` ends the open batch, in which each distinct remote
+    primary was messaged once; the node waits on the slowest peer and the
+    network pays the sum. Modeled lookup time lands in ``timing.lookup_s``
+    and the report's network cost; the caller's clock adds the rest up
+    (analytic) or schedules the same durations (discrete-event).
+
+    Args:
+        report: the run's report; the node's :class:`NodeTiming` is
+            registered in it and run-wide accounting goes to it.
+        chunker, files: the node's input; chunks stream lazily, accounting
+            raw bytes and hashing CPU as each file enters the pipeline.
+        locate: fingerprint → ``(peer, rtt_s)`` of the remote primary the
+            lookup must reach, or None when the node holds a replica.
+        check_and_set: fingerprint → True when this claim is the first.
+    """
+
+    def __init__(
+        self,
+        report: ThroughputReport,
+        node_id: str,
+        chunker,
+        files: list[bytes],
+        locate: Callable[[str], Optional[tuple[str, float]]],
+        check_and_set: Callable[[str], bool],
+        config: EFDedupConfig,
+    ) -> None:
+        self.timing = report.per_node[node_id] = NodeTiming(node_id=node_id)
+        self.chunks = self._stream(chunker, files)
+        self._report = report
+        self._locate = locate
+        self._check_and_set = check_and_set
+        self._config = config
+        # Open-batch state: keys so far, and RTT per distinct remote
+        # primary those keys contacted.
+        self.open_keys = 0
+        self._peer_rtts: dict[str, float] = {}
+
+    def _stream(self, chunker, files) -> Iterator[Chunk]:
+        for data in files:
+            self.timing.raw_bytes += len(data)
+            self.timing.cpu_s += self._config.hash_time_s(len(data))
+            yield from chunker.chunk(data)
+
+    @property
+    def batch_full(self) -> bool:
+        return self.open_keys >= self._config.lookup_batch
+
+    def claim(self, chunk: Chunk) -> tuple[str, bool]:
+        """Claim one chunk (one lookup's service time); returns its
+        fingerprint and whether it is unique — the caller uploads it."""
+        timing, service_s = self.timing, self._config.lookup_service_s
+        fp = default_fingerprint(chunk.data)
+        remote = self._locate(fp)
+        timing.lookup_s += service_s
+        if remote is None:
+            timing.local_lookups += 1
+            self._report.lookup_latency.observe(service_s)
+        else:
+            peer, rtt = remote
+            timing.remote_lookups += 1
+            self._peer_rtts[peer] = rtt
+            self._report.lookup_latency.observe(service_s + rtt)
+        is_new = self._check_and_set(fp)
+        self._report.dedup_stats.record_chunk(chunk.length, is_new)
+        timing.chunks += 1
+        if is_new:
+            timing.uploaded_bytes += chunk.length
+        self.open_keys += 1
+        return fp, is_new
+
+    def close(self) -> float:
+        """End the open batch; returns how long its scatter-gather round
+        makes the node wait (0.0 when every key was local)."""
+        rtts = self._peer_rtts
+        wait = 0.0
+        if rtts:
+            wait = max(rtts.values())
+            self.timing.lookup_s += wait
+            self.timing.round_trips += 1
+            self._report.network_cost_s += sum(rtts.values())
+            rtts.clear()
+        self.open_keys = 0
+        return wait
+
+
+def ring_member_claims(
+    report: ThroughputReport,
+    topology: Topology,
+    ring: D2Ring,
+    nid: str,
+    files: list[bytes],
+) -> NodeClaims:
+    """Ring member ``nid``'s claim step: a key locates to its primary
+    replica in the ring's store (local when ``nid`` holds one) and claims
+    through the store's check-and-set; chunks come from the member agent's
+    own chunker."""
+
+    def locate(fp: str) -> Optional[tuple[str, float]]:
+        replicas = ring.store.replicas_for(fp)
+        if nid in replicas:
+            return None
+        return replicas[0], topology.rtt_s(nid, replicas[0])
+
+    return NodeClaims(
+        report, nid, ring.agent(nid).engine.chunker, files, locate,
+        lambda fp: ring.store.put_if_absent(fp, nid, coordinator=nid),
+        ring.config,
+    )
+
+
+def _run_claims(
+    report: ThroughputReport,
+    topology: Topology,
+    config: EFDedupConfig,
+    claims: list[NodeClaims],
+    upload: Callable[[Chunk, str], object],
+) -> ThroughputReport:
+    """The analytic clock: per-node time is the sum of what its claim step
+    modeled plus a fixed latency per synchronous upload.
+
+    Nodes deduplicate in parallel in the real system, so chunks are
+    processed round-robin across nodes: without interleaving, the first
+    node of a ring would absorb every upload and the later members none,
+    which no live deployment exhibits.
+    """
+    upload_time = _upload_time_s(topology, config)
+    active = claims
+    while active:
+        unfinished = []
+        for node in active:
+            chunk = next(node.chunks, None)
+            if chunk is None:
+                if node.open_keys:
+                    node.close()  # flush the final partial batch
+                continue
+            fp, is_new = node.claim(chunk)
+            if is_new:
+                upload(chunk, fp)
+                node.timing.upload_s += upload_time
+            if node.batch_full:
+                node.close()
+            unfinished.append(node)
+        active = unfinished
+    for timing in report.per_node.values():
+        timing.completion_s = timing.pipeline_s
+    return finish_report(report, topology)
 
 
 # ---------------------------------------------------------------------- #
@@ -192,107 +367,18 @@ def run_edge_rings(
         workloads: per-node list of file payloads.
     """
     config = config if config is not None else EFDedupConfig()
-    _validate_workloads(topology, workloads)
-    covered = [nid for ring in partition for nid in ring]
-    if len(set(covered)) != len(covered):
-        raise ValueError("partition assigns a node to more than one ring")
-    missing = set(workloads) - set(covered)
-    if missing:
-        raise ValueError(f"nodes {sorted(missing)!r} have workloads but no ring")
-
-    cloud = CentralCloudStore()
-    rings = [
-        D2Ring(ring_id=f"ring-{i}", members=list(members), cloud=cloud, config=config)
-        for i, members in enumerate(partition)
-        if members
-    ]
-    ring_of: dict[str, D2Ring] = {}
-    for ring in rings:
-        for nid in ring.members:
-            ring_of[nid] = ring
-
-    timings = {nid: NodeTiming(node_id=nid) for nid in workloads}
-    stats = DedupStats()
-    network_cost = 0.0
-    wan_bytes = 0
-    upload_time = _upload_time_s(topology, config)
-    lookup_latency = Summary("lookup_latency_s")
-
-    # Nodes deduplicate in parallel in the real system, so chunks are
-    # processed round-robin across nodes: without interleaving, the first
-    # node of a ring would absorb every upload and the later members none,
-    # which no live deployment exhibits. Batching does not change this —
-    # a batched check-and-set is not atomic across its keys (each key races
-    # at its own replica), so claims stay chunk-grained while the *latency*
-    # is charged per scatter-gather round at batch boundaries.
-    streams = {
-        nid: _chunk_stream(ring_of[nid].agent(nid).engine.chunker, files, timings[nid], config)
+    cloud, rings, ring_of = deploy_rings(topology, partition, workloads, config)
+    report = ThroughputReport("ef-dedup")
+    claims = [
+        ring_member_claims(report, topology, ring_of[nid], nid, files)
         for nid, files in workloads.items()
-    }
-    # Open-batch state per node: keys so far, and RTT per distinct remote
-    # primary contacted by those keys.
-    batch_keys = {nid: 0 for nid in workloads}
-    batch_peer_rtts: dict[str, dict[str, float]] = {nid: {} for nid in workloads}
-
-    def _close_batch(nid: str) -> None:
-        nonlocal network_cost
-        timing = timings[nid]
-        peer_rtts = batch_peer_rtts[nid]
-        if peer_rtts:
-            # One scatter-gather round: each distinct remote primary is
-            # messaged once, the batch waits on the slowest.
-            timing.lookup_s += max(peer_rtts.values())
-            network_cost += sum(peer_rtts.values())
-            timing.round_trips += 1
-            peer_rtts.clear()
-        batch_keys[nid] = 0
-
-    while streams:
-        exhausted = []
-        for nid, stream in streams.items():
-            chunk = next(stream, None)
-            if chunk is None:
-                if batch_keys[nid]:
-                    _close_batch(nid)  # flush the final partial batch
-                exhausted.append(nid)
-                continue
-            ring = ring_of[nid]
-            timing = timings[nid]
-            fp = default_fingerprint(chunk.data)
-            replicas = ring.store.replicas_for(fp)
-            timing.lookup_s += config.lookup_service_s
-            if nid in replicas:
-                timing.local_lookups += 1
-                lookup_latency.observe(config.lookup_service_s)
-            else:
-                timing.remote_lookups += 1
-                rtt = topology.rtt_s(nid, replicas[0])
-                batch_peer_rtts[nid][replicas[0]] = rtt
-                lookup_latency.observe(config.lookup_service_s + rtt)
-            is_new = ring.store.put_if_absent(fp, nid, coordinator=nid)
-            stats.record_chunk(chunk.length, is_new)
-            timing.chunks += 1
-            if is_new:
-                cloud.receive_chunk(chunk, fp)
-                timing.uploaded_bytes += chunk.length
-                timing.upload_s += upload_time
-                wan_bytes += chunk.length
-            batch_keys[nid] += 1
-            if batch_keys[nid] >= config.lookup_batch:
-                _close_batch(nid)
-        for nid in exhausted:
-            del streams[nid]
-    for timing in timings.values():
-        timing.completion_s = timing.pipeline_s
-
-    extras = {
-        "n_rings": float(len(rings)),
-        "stored_index_entries": float(sum(r.store.total_stored_entries() for r in rings)),
-    }
-    return _report(
-        topology, "ef-dedup", timings, stats, wan_bytes, network_cost,
-        lookup_latency=lookup_latency, extras=extras,
+    ]
+    _run_claims(report, topology, config, claims, cloud.receive_chunk)
+    report.extras.update(
+        n_rings=float(len(rings)),
+        stored_index_entries=float(sum(r.store.total_stored_entries() for r in rings)),
     )
+    return report
 
 
 # ---------------------------------------------------------------------- #
@@ -306,68 +392,27 @@ def run_cloud_assisted(
     config: Optional[EFDedupConfig] = None,
 ) -> ThroughputReport:
     """Cloud-assisted baseline: edges chunk and hash locally but every index
-    lookup crosses the WAN to the central cloud; only unique chunks upload."""
+    lookup crosses the WAN to the central cloud; only unique chunks upload.
+
+    The same claim step with the cloud as every key's only peer: each
+    batch of ``lookup_batch`` keys shares one WAN round trip to the cloud
+    index, and concurrent nodes still race there key by key.
+    """
     config = config if config is not None else EFDedupConfig()
     _validate_workloads(topology, workloads)
     service = CloudDedupService()
     chunker = config.make_chunker()
-    timings = {nid: NodeTiming(node_id=nid) for nid in workloads}
-    stats = DedupStats()
-    network_cost = 0.0
-    wan_bytes = 0
-    wan_rtt = topology.wan_rtt_s()
-    upload_time = _upload_time_s(topology, config)
-    lookup_latency = Summary("lookup_latency_s")
-
-    streams = {
-        nid: _chunk_stream(chunker, files, timings[nid], config)
+    via_wan = ("cloud", topology.wan_rtt_s())
+    report = ThroughputReport("cloud-assisted")
+    claims = [
+        NodeClaims(
+            report, nid, chunker, files, lambda fp: via_wan,
+            lambda fp: not service.lookup(fp), config,
+        )
         for nid, files in workloads.items()
-    }
-    # Claims stay chunk-grained (concurrent nodes race at the cloud index
-    # key by key); every key pays the service time, and each batch of
-    # ``lookup_batch`` keys shares one WAN round trip to the cloud index.
-    batch_keys = {nid: 0 for nid in workloads}
-
-    def _close_batch(nid: str) -> None:
-        nonlocal network_cost
-        timings[nid].lookup_s += wan_rtt
-        network_cost += wan_rtt
-        timings[nid].round_trips += 1
-        batch_keys[nid] = 0
-
-    while streams:
-        exhausted = []
-        for nid, stream in streams.items():
-            chunk = next(stream, None)
-            if chunk is None:
-                if batch_keys[nid]:
-                    _close_batch(nid)  # flush the final partial batch
-                exhausted.append(nid)
-                continue
-            timing = timings[nid]
-            fp = default_fingerprint(chunk.data)
-            timing.remote_lookups += 1
-            timing.lookup_s += config.lookup_service_s
-            lookup_latency.observe(config.lookup_service_s + wan_rtt)
-            present = service.lookup(fp)
-            timing.chunks += 1
-            stats.record_chunk(chunk.length, not present)
-            if not present:
-                service.ingest_unique_chunk(chunk, fp)
-                timing.uploaded_bytes += chunk.length
-                timing.upload_s += upload_time
-                wan_bytes += chunk.length
-            batch_keys[nid] += 1
-            if batch_keys[nid] >= config.lookup_batch:
-                _close_batch(nid)
-        for nid in exhausted:
-            del streams[nid]
-    for timing in timings.values():
-        timing.completion_s = timing.pipeline_s
-
-    return _report(
-        topology, "cloud-assisted", timings, stats, wan_bytes, network_cost,
-        lookup_latency=lookup_latency,
+    ]
+    return _run_claims(
+        report, topology, config, claims, service.ingest_unique_chunk
     )
 
 
@@ -416,4 +461,6 @@ def run_cloud_only(
         timing.completion_s = max(timing.upload_s, link_drain)
 
     # The cloud's post-arrival dedup outcome is the reported ratio.
-    return _report(topology, "cloud-only", timings, service.stats, wan_bytes, 0.0)
+    return finish_report(
+        ThroughputReport("cloud-only", timings, service.stats), topology
+    )

@@ -187,8 +187,8 @@ class TestMigrationScenario:
         ]
         assert report.measurements["recovery_time_s"] > 0
         migration = report.measurements["migration"]
-        assert migration["migration.nodes_moved"] == 1.0
-        assert migration["migration.entries_streamed"] > 0
+        assert migration["nodes_moved"] == 1.0
+        assert migration["entries_streamed"] > 0
         doc = report.as_dict()
         assert doc["passed"] is True
         assert doc["scenario"] == "migrate-under-faults"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dedup.cache import LRUCacheIndex, ModelGuidedCacheIndex
 from repro.dedup.index import InMemoryIndex
+from repro.obs import series
 
 
 class TestLRUCacheIndex:
@@ -132,24 +133,24 @@ class TestCacheStatsSnapshot:
         cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
         cache.lookup_and_insert("x")  # miss, admitted
         cache.lookup_and_insert("x")  # hit
-        snap = cache.stats.snapshot()
-        assert snap == {
-            "cache.hits": 1.0,
-            "cache.misses": 1.0,
-            "cache.admissions": 1.0,
-            "cache.rejections": 0.0,
-            "cache.evictions": 0.0,
-            "cache.invalidations": 0.0,
-            "cache.hit_rate": 0.5,
+        assert series(cache.stats) == {
+            "hits": 1,
+            "misses": 1,
+            "admissions": 1,
+            "rejections": 0,
+            "evictions": 0,
+            "invalidations": 0,
         }
+        assert cache.stats.hit_rate == 0.5
 
-    def test_snapshot_values_are_floats(self):
+    def test_series_values_keep_the_field_type(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
-        assert all(isinstance(v, float) for v in cache.stats.snapshot().values())
+        assert all(type(v) is int for v in series(cache.stats).values())
+        assert isinstance(cache.stats.hit_rate, float)
 
     def test_empty_snapshot_has_zero_hit_rate(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
-        assert cache.stats.snapshot()["cache.hit_rate"] == 0.0
+        assert cache.stats.hit_rate == 0.0
 
 
 class _BatchCountingIndex(InMemoryIndex):

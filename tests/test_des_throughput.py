@@ -27,7 +27,7 @@ class TestDESBasics:
         a = run_edge_rings_des(topology, partition, bundle.workloads, config)
         b = run_edge_rings_des(topology, partition, bundle.workloads, config)
         assert a.makespan_s == b.makespan_s
-        assert a.events_executed == b.events_executed
+        assert a.extras["events_executed"] == b.extras["events_executed"]
 
     def test_byte_accounting_matches_analytic(self):
         """Same data through both harnesses: identical dedup outcome."""
@@ -41,11 +41,30 @@ class TestDESBasics:
             analytic.dedup_stats.unique_chunks, rel=0.05
         )
 
+    @pytest.mark.parametrize("algo", ["fixed", "gear", "fastcdc", "ae", "ram"])
+    def test_both_clocks_run_the_agents_chunker(self, algo):
+        """The cross-check is of the clock, not of the chunker: the DES cuts
+        the data exactly as the analytic run (and the agents) do."""
+        topology, bundle, config, partition = setup(n_nodes=4, chunking_algo=algo)
+        des = run_edge_rings_des(topology, partition, bundle.workloads, config)
+        analytic = run_edge_rings(topology, partition, bundle.workloads, config)
+        assert des.dedup_stats.raw_chunks == analytic.dedup_stats.raw_chunks
+        assert des.dedup_stats.raw_bytes == analytic.dedup_stats.raw_bytes
+        for nid, timing in analytic.per_node.items():
+            assert des.per_node[nid].chunks == timing.chunks
+
+    @pytest.mark.parametrize("run", [run_edge_rings, run_edge_rings_des])
+    def test_overlapping_partition_rejected_by_both(self, run):
+        topology, bundle, config, _ = setup()
+        ids = topology.node_ids
+        with pytest.raises(ValueError, match="more than one ring"):
+            run(topology, [ids[:3], ids[2:]], bundle.workloads, config)
+
     def test_all_nodes_finish(self):
         topology, bundle, config, partition = setup()
         des = run_edge_rings_des(topology, partition, bundle.workloads, config)
         for result in des.per_node.values():
-            assert result.finish_time_s > 0
+            assert result.completion_s > 0
             assert result.chunks > 0
 
     def test_missing_ring_rejected(self):
@@ -59,7 +78,7 @@ class TestDESBasics:
         total_chunks = sum(r.chunks for r in des.per_node.values())
         # At least one lookup-completion event per chunk (duplicates chain
         # synchronously; unique chunks add upload polls on top).
-        assert des.events_executed >= total_chunks
+        assert des.extras["events_executed"] >= total_chunks
 
 
 class TestBatchedRoundTrips:

@@ -118,7 +118,7 @@ class TestReplanMigrateLoop:
             )
             assert migrator.report.n_moved > 0
             assert migrator.report.entries_streamed > 0
-            assert migrator.report.migration_cost == pytest.approx(
+            assert migrator.report.cost_estimate == pytest.approx(
                 decision.migration_cost
             )
 
@@ -217,7 +217,14 @@ class TestMigrationMechanics:
         assert snap["migration.state"] == float(MIGRATION_STATES.index("COMMITTED"))
 
     def test_report_metric_names_are_canonical(self):
-        metrics = MigrationReport().as_metrics()
+        _, _, cluster = manual_cluster()
+        cluster.last_migration = MigrationReport()
+        metrics = {
+            k: v
+            for k, v in cluster.metrics_hub().collect().items()
+            if not k.startswith(("ring-", "cloud."))
+        }
+        assert len(metrics) == 12
         assert all(k.startswith("migration.") for k in metrics)
         assert metrics["migration.state"] == 0.0
 

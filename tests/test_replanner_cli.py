@@ -203,3 +203,27 @@ class TestCLI:
         assert "window closed:" in out
         assert "check: PASS" in out
         assert metrics.exists()
+
+    def test_replan_check_fails_when_the_cutover_never_commits(
+        self, capsys, monkeypatch
+    ):
+        from repro.system.migration import LiveMigrator
+
+        monkeypatch.setattr(LiveMigrator, "close_window", lambda self: self.report)
+        rc = cli_main(
+            ["replan", "--restarts", "1", "--fit-iters", "400", "--workers", "2",
+             "--seed", "11", "--check"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "check: FAIL" in err
+        assert "migration ended DUAL_LOOKUP, not COMMITTED" in err
+
+    def test_secure_check_fails_when_the_edge_served_no_lookup(self, capsys):
+        # An empty hot slice commits but can answer nothing from the edge.
+        rc = cli_main(["secure", "--check", "--hot-size", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "secure: FAIL" in err and "edge_hits=0" in err
+        assert "committed=True" in err
+

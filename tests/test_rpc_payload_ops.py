@@ -191,7 +191,10 @@ class TestHostileFramesAtTheServer:
             assert server.node.chunks == {}
             assert on_loop(cluster, self._send(server.address, b"")) == b""  # clean EOF
             assert server.stats.frame_errors == len(hostile)
-            assert cluster.server_stats()["n0"]["server.frame_errors"] == len(hostile)
+            assert cluster.server_stats()["n0"]["frame_errors"] == len(hostile)
+            # The control-plane op answers the same bare names.
+            wire = on_loop(cluster, cluster.client.call("n0", "stats"))
+            assert wire["frame_errors"] == len(hostile) and "by_method" in wire
             assert cluster.store.scatter_put_chunks({"n0": CHUNKS[:1]}) == {"n0": None}
 
     def test_unframeable_reply_is_a_typed_error_not_a_dead_connection(self, monkeypatch):

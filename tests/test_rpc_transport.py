@@ -93,9 +93,8 @@ class TestBasicOperations:
             rtts = cluster.store.ping_all()
             assert set(rtts) == set(NODE_IDS)
             assert all(rtt > 0 for rtt in rtts.values())
-            snap = cluster.store.transport_snapshot()
-            assert snap["rpc.calls"] == 3
-            assert snap["rpc.retries"] == 0
+            assert cluster.client.stats.calls == 3
+            assert cluster.client.stats.retries == 0
 
     def test_membership_change_edge_cases_live(self):
         with live_cluster() as cluster:
@@ -357,4 +356,4 @@ class TestClusterLifecycle:
         with live_cluster() as cluster:
             cluster.store.put_if_absent_many(["a", "b"], "m", coordinator="n0")
             stats = cluster.server_stats()
-            assert sum(s["server.requests"] for s in stats.values()) > 0
+            assert sum(s["requests"] for s in stats.values()) > 0

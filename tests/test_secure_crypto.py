@@ -189,8 +189,12 @@ class TestSecureTier:
         assert tier.claim(fp, data) is False  # key gone -> no hit
 
     def test_metrics_names(self):
+        from repro.obs import MetricsHub
+
         tier = SecureTier(hot_index_size=4)
-        metrics = tier.metrics()
+        hub = MetricsHub()
+        hub.register("secure", tier.metrics)
+        metrics = hub.collect()
         for key in (
             "sealed_chunks",
             "claims",
@@ -201,4 +205,4 @@ class TestSecureTier:
             "hotindex.state",
             "hotindex.edge_hits",
         ):
-            assert key in metrics
+            assert f"secure.{key}" in metrics

@@ -288,11 +288,14 @@ class TestExportCacheStats:
         assert registry.counters["edge-1.cache.hits"].value == 1.0
 
     def test_live_and_simulated_runs_share_metric_names(self):
-        """The contract the satellite asks for: `CacheStats.snapshot()` (what
-        live runs print) and the registry export (what simulations collect)
-        agree on names and values."""
+        """The contract the satellite asks for: the same `CacheStats` mounted
+        as ``cache`` on a hub (what live runs export) and the registry
+        export (what simulations collect) agree on names and values."""
+        from repro.obs import MetricsHub, series
         from repro.sim.metrics import export_cache_stats
 
         registry = MetricsRegistry()
         stats = self._stats()
-        assert export_cache_stats(registry, stats) == stats.snapshot()
+        hub = MetricsHub()
+        hub.register("cache", lambda: {**series(stats), "hit_rate": stats.hit_rate})
+        assert export_cache_stats(registry, stats) == hub.collect()

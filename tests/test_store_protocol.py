@@ -22,6 +22,7 @@ from repro.kvstore.errors import NoSuchNodeError, UnavailableError
 from repro.kvstore.repair import ReplicaRepairer
 from repro.kvstore.store import DistributedKVStore
 from repro.kvstore.transport import ReplicaTransport
+from repro.obs import series
 from repro.rpc import LiveKVCluster
 
 ONE, QUORUM = ConsistencyLevel.ONE, ConsistencyLevel.QUORUM
@@ -228,11 +229,11 @@ class TestRepair:
         store.put_if_absent_many(keys, "", coordinator="n0")
         bound = store.clock_now()
         store.put("late", "x")  # after the cutover: must not leak
-        before = store.stats.snapshot()
+        before = series(store.stats)
         assert store.contains_many(keys + ["late"], coordinator="n0", ts_bound=bound) == (
             [True] * 12 + [False]
         )
-        after = store.stats.snapshot()
+        after = series(store.stats)
         assert after["reads"] - before["reads"] == 13
         assert after["local_reads"] + after["remote_reads"] - (
             before["local_reads"] + before["remote_reads"]
@@ -424,7 +425,7 @@ def test_same_sequence_same_everything_on_both_transports(seed):
     direct, live = make_ring("direct"), make_ring("asyncio")
     try:
         assert run_mixed_sequence(direct.store, seed) == run_mixed_sequence(live.store, seed)
-        assert direct.store.stats.snapshot() == live.store.stats.snapshot()
+        assert series(direct.store.stats) == series(live.store.stats)
         assert direct.store.stats.per_pair_contacts == live.store.stats.per_pair_contacts
         assert direct.store.unique_keys() == live.store.unique_keys()
         assert direct.store.hints.total_pending == live.store.hints.total_pending == 0
