@@ -47,7 +47,7 @@ from repro.kvstore.node import Row, VersionedValue, merge_newest
 from repro.kvstore.replication import SimpleReplicationStrategy
 from repro.kvstore.transport import ReplicaTransport
 from repro.obs.histogram import Histogram
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 
 # Hints replayed per multi_put during recovery: bounded so one failed
 # message forfeits at most this much progress (the rest is re-buffered).
@@ -386,16 +386,16 @@ class QuorumCoordinator:
         return level.required_acks(self.strategy.effective_factor(self.ring))
 
     def _route(
-        self, key: str, consistency: Optional[ConsistencyLevel], coordinator: Optional[str]
+        self, key: str, required: int, coordinator: Optional[str]
     ) -> tuple[list[str], list[str], list[str]]:
-        """(replicas, alive, consulted) for one key; raises UnavailableError.
+        """(replicas, alive, consulted) for one key at ``required`` acks
+        (:meth:`_required_acks`, once per operation); raises UnavailableError.
 
         Reads prefer the coordinator's own replica, then ring order: at
         level ONE a coordinator that holds a replica is served locally —
         the γ/|P| fast path of Eq. 2.
         """
         replicas = self.replicas_for(key)
-        required = self._required_acks(consistency)
         alive = replicas
         if self._down:
             alive = [r for r in replicas if r not in self._down]
@@ -460,17 +460,18 @@ class QuorumCoordinator:
         tombstone: bool,
         consistency: Optional[ConsistencyLevel],
         coordinator: Optional[str],
-    ) -> None:
+    ) -> Iterable[str]:
         """The write half of every client operation: send each stamped
         key (key → timestamp) to the alive members of its replica set, one
-        message per member, and count acks per key. A key below its level
+        message per member, and count acks per key; returns the members
+        written to. A key below its level
         raises :class:`UnavailableError` with **no hint buffered for any
         key** — the routing check passed but the transport lost acks, and
         an unacknowledged write must not be handed off, so the caller can
         retry the whole call without double-buffering. Only once every key
         met its level do down replicas and missed acks get their hints."""
         if not stamped:
-            return  # an all-duplicates batch writes nothing
+            return ()  # an all-duplicates batch writes nothing
         groups: dict[str, list[Row]] = {}
         for key, ts in stamped.items():
             for replica in routes[key][1]:
@@ -491,6 +492,7 @@ class QuorumCoordinator:
                 for replica in routes[key][0]:
                     if replica in self._down or replica in missed:
                         self._hint(replica, key, value, ts, tombstone)
+        return groups
 
     # ------------------------------------------------------------------ #
     # chunk payloads (content plane)
@@ -572,7 +574,7 @@ class QuorumCoordinator:
             UnavailableError: if fewer replicas than the level requires are
                 alive, or acknowledged.
         """
-        route = self._route(key, consistency, coordinator)
+        route = self._route(key, self._required_acks(consistency), coordinator)
         self.stats.writes += 1
         if coordinator is not None:
             for replica in route[1]:
@@ -591,7 +593,7 @@ class QuorumCoordinator:
         """Read ``key``; returns the newest value among the consulted
         replicas, or None if unset. A read that consulted several replicas
         and saw them diverge repairs the stale ones (read repair)."""
-        _, _, consulted = self._route(key, consistency, coordinator)
+        _, _, consulted = self._route(key, self._required_acks(consistency), coordinator)
         self._count_read(coordinator, consulted)
         if coordinator is not None:
             for replica in consulted:
@@ -655,7 +657,8 @@ class QuorumCoordinator:
         happens if any is unavailable), send one ``multi_get`` per
         consulted node, count one read per requested key. Returns (routes,
         key → present, contacts)."""
-        routes = {key: self._route(key, consistency, coordinator) for key in dict.fromkeys(keys)}
+        required = self._required_acks(consistency)
+        routes = {key: self._route(key, required, coordinator) for key in dict.fromkeys(keys)}
         if ts_bound is not None:
             # Exactness over the fast path: consult every alive replica.
             routes = {
@@ -670,12 +673,10 @@ class QuorumCoordinator:
         for key, (_, _, consulted) in routes.items():
             best = _newest_of(by_node, consulted, key, ts_bound)
             present[key] = best is not None and not best.tombstone
-        contacts: set[tuple[str, str]] = set()
         for key in keys:
-            consulted = routes[key][2]
-            self._count_read(coordinator, consulted)
-            if coordinator is not None:
-                contacts.update((coordinator, node_id) for node_id in consulted)
+            self._count_read(coordinator, routes[key][2])
+        # Every consulted node heads a read group, whichever key put it there.
+        contacts = {(coordinator, n) for n in read_groups} if coordinator is not None else set()
         return routes, present, contacts
 
     @driven
@@ -752,7 +753,9 @@ class QuorumCoordinator:
         started = time.perf_counter()
         # The transport's per-call spans nest under this one: a scatter
         # creates its tasks while the context points here.
-        with self.tracer.span("store.put_if_absent_many", node=coordinator, keys=len(keys)):
+        with self.tracer.span(
+            "store.put_if_absent_many", node=coordinator, keys=len(keys)
+        ) if self.tracer.enabled else NO_SPAN:
             try:
                 routes, present, contacts = await self._read_round(
                     keys, consistency, coordinator
@@ -766,9 +769,11 @@ class QuorumCoordinator:
                     if new:
                         inserted[key] = next(self._timestamps)
                         self.stats.writes += 1
-                        if coordinator is not None:
-                            contacts.update((coordinator, r) for r in routes[key][1])
-                await self._write(routes, inserted, value, False, consistency, coordinator)
+                written = await self._write(
+                    routes, inserted, value, False, consistency, coordinator
+                )
+                if coordinator is not None:
+                    contacts.update((coordinator, n) for n in written)
                 self._record_contacts(contacts)
                 return results
             finally:
@@ -791,7 +796,7 @@ class QuorumCoordinator:
         not the tombstone scatter or its contacts.
         """
         was_live = await self._get(key, consistency, coordinator) is not None
-        route = self._route(key, consistency, coordinator)
+        route = self._route(key, self._required_acks(consistency), coordinator)
         await self._write(
             {key: route}, {key: next(self._timestamps)}, "", True, consistency, coordinator
         )

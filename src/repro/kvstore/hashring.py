@@ -13,7 +13,7 @@ per-node load imbalance shrinks roughly as 1/sqrt(v).
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.kvstore.errors import NoSuchNodeError, RingEmptyError
 from repro.kvstore.tokens import key_token, node_token
@@ -24,7 +24,8 @@ class ConsistentHashRing:
 
     Node membership changes (add/remove) rebuild the sorted token list; the
     clusters in this reproduction have at most hundreds of nodes, so the
-    O(N·v log(N·v)) rebuild is negligible.
+    O(N·v log(N·v)) rebuild is negligible; the :meth:`placement` table
+    empties with it and refills one vnode slot at a time.
     """
 
     def __init__(self, vnodes: int = 16) -> None:
@@ -34,6 +35,8 @@ class ConsistentHashRing:
         self._nodes: set[str] = set()
         self._tokens: list[int] = []
         self._token_owner: dict[int, str] = {}
+        # select → vnode slot → what select() chose; a slot's keys walk alike.
+        self._placements: dict[Callable, dict[int, list[str]]] = {}
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -65,6 +68,7 @@ class ConsistentHashRing:
                 )
             self._token_owner[token] = node_id
         self._tokens = sorted(self._token_owner)
+        self._placements.clear()
 
     def remove_node(self, node_id: str) -> None:
         """Remove ``node_id`` and all its vnode positions."""
@@ -75,6 +79,7 @@ class ConsistentHashRing:
             t: owner for t, owner in self._token_owner.items() if owner != node_id
         }
         self._tokens = sorted(self._token_owner)
+        self._placements.clear()
 
     def primary_for_token(self, token: int) -> str:
         """Physical node owning ``token`` (first node token clockwise)."""
@@ -111,6 +116,17 @@ class ConsistentHashRing:
     def walk_from_key(self, key: str) -> Iterator[str]:
         """Yield physical nodes clockwise from ``key``'s token."""
         return self.walk_from_token(key_token(key))
+
+    def placement(self, key: str, select: Callable[[list[str]], list[str]]) -> list[str]:
+        """``select(walk)`` over ``key``'s full distinct-owner walk, kept per
+        (``select``, vnode slot) until membership changes: one hash, one
+        bisect and a list copy. ``select`` may depend on the walk only."""
+        token = key_token(key)
+        slots = self._placements.setdefault(select, {})
+        slot = bisect.bisect_right(self._tokens, token)
+        if slot not in slots:
+            slots[slot] = select(list(self.walk_from_token(token)))
+        return list(slots[slot])
 
     def primary_token_ranges(self, node_id: str) -> list[tuple[int, int]]:
         """Half-open ``[lo, hi)`` token intervals primarily owned by

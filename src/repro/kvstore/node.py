@@ -93,15 +93,15 @@ class StorageNode:
         (tombstones included — a newer delete must shadow older writes)."""
         self._check_up()
         existing = self._data.get(key)
-        incoming = VersionedValue(value=value, timestamp=timestamp, tombstone=tombstone)
-        if incoming.newer_than(existing):
-            if self.wal is not None:
+        if existing is None or timestamp > existing.timestamp:  # newer_than
+            wal = self.wal
+            if wal is not None:
                 # Log before apply: a crash after the append replays the
                 # record, a crash before it never claimed the write.
-                self.wal.append(key, value, timestamp, tombstone)
-            self._data[key] = incoming
-            if self.wal is not None:
-                self.wal.maybe_snapshot(self._data)
+                wal.append(key, value, timestamp, tombstone)
+            self._data[key] = VersionedValue(value, timestamp, tombstone)
+            if wal is not None:
+                wal.maybe_snapshot(self._data)
 
     def local_get(self, key: str) -> Optional[VersionedValue]:
         """Read ``key`` from the local shard (None if absent)."""

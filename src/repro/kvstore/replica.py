@@ -18,6 +18,7 @@ whose handlers are wire decode/encode around these methods.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -52,9 +53,11 @@ class Replica(StorageNode):
         return {key: self.local_get(key) for key in keys}
 
     def multi_put(self, rows: Iterable[Row]) -> None:
-        """Apply rows at their own timestamps (newest write per key wins)."""
-        for key, value, timestamp, tombstone in rows:
-            self.local_put(key, value, timestamp, tombstone)
+        """Apply rows at their own timestamps (newest write per key wins);
+        their WAL records share one flush, before anyone acknowledges them."""
+        with self.wal.batch() if self.wal is not None else nullcontext():
+            for key, value, timestamp, tombstone in rows:
+                self.local_put(key, value, timestamp, tombstone)
 
     def put_chunks(self, entries: Iterable[tuple[str, bytes]]) -> tuple[int, int]:
         """Shelve (fingerprint, payload) pairs; returns (new fingerprints,

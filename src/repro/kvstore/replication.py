@@ -32,12 +32,10 @@ class SimpleReplicationStrategy:
 
     def replicas_for_key(self, ring: ConsistentHashRing, key: str) -> list[str]:
         """Ordered replica list for ``key`` (primary first)."""
-        replicas: list[str] = []
-        for node in ring.walk_from_key(key):
-            replicas.append(node)
-            if len(replicas) == self.replication_factor:
-                break
-        return replicas
+        return ring.placement(key, self._select)
+
+    def _select(self, walk: list[str]) -> list[str]:
+        return walk[: self.replication_factor]
 
     def effective_factor(self, ring: ConsistentHashRing) -> int:
         """The replica count actually achievable on ``ring``."""

@@ -43,13 +43,14 @@ class CloudAwareReplicationStrategy:
 
     def replicas_for_key(self, ring: ConsistentHashRing, key: str) -> list[str]:
         """Ordered replica list: distinct clouds first, then ring order."""
-        walk = []
-        for node in ring.walk_from_key(key):
+        return ring.placement(key, self._select)
+
+    def _select(self, walk: list[str]) -> list[str]:
+        for node in walk:
             if node not in self.cloud_of_node:
                 raise ReplicationError(
                     f"node {node!r} is on the ring but has no edge cloud assigned"
                 )
-            walk.append(node)
         chosen: list[str] = []
         used_clouds: set[str] = set()
         # Pass 1: one replica per edge cloud, in ring order.

@@ -7,13 +7,14 @@ hints and anti-entropy to rebuild. Cassandra solves this with a commit log
 plus SSTable flushes; we reproduce the same shape at our scale:
 
 - every accepted ``local_put`` appends one record to an append-only JSONL
-  log **before** the write is considered durable;
+  log **before** the write is considered durable (the records of one
+  replica message share a flush, :meth:`WriteAheadLog.batch`);
 - every ``snapshot_every`` appends, the full shard is written to a
   snapshot file (atomic ``os.replace``) and the log is truncated, bounding
   replay time;
 - on restart, :meth:`WriteAheadLog.load` reads the snapshot and replays
-  the log on top. A torn final line (the classic mid-append crash) is
-  detected and dropped, never propagated.
+  the log on top. A torn or bit-damaged final line (the classic
+  mid-append crash) is detected and dropped, never propagated.
 
 Records are ``[key, value, timestamp, tombstone]`` JSON arrays — the same
 tuple the wire protocol ships — so the log is greppable and codec-free.
@@ -23,9 +24,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Union
 
 from repro.kvstore.node import VersionedValue
 
@@ -38,6 +41,8 @@ class WalStats:
     """Durability accounting for one node's log."""
 
     appends: int = 0
+    flushes: int = 0  # commits: appends / flushes is records per commit
+    fsyncs: int = 0
     snapshots: int = 0
     snapshot_entries_loaded: int = 0
     log_entries_replayed: int = 0
@@ -54,10 +59,11 @@ class WriteAheadLog:
             rewrites the full shard and truncates the log. ``0`` disables
             automatic snapshots (the log grows until :meth:`write_snapshot`
             is called explicitly).
-        fsync: when True, every append is fsync'd — crash-proof against
+        fsync: when True, every commit is fsync'd — crash-proof against
             power loss, slow. The default (False) flushes to the OS on each
-            append, which survives *process* crashes (the failure mode the
-            chaos harness injects) without the per-write fsync cost.
+            commit (one append, or one :meth:`batch` of them), which
+            survives *process* crashes (the failure mode the chaos harness
+            injects) without the per-write fsync cost.
     """
 
     def __init__(
@@ -82,6 +88,8 @@ class WriteAheadLog:
         self._fh = None
         self._appends_since_snapshot = 0
         self._closed = False
+        self._batching = False
+        self._uncommitted = False
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -91,8 +99,9 @@ class WriteAheadLog:
         """Rebuild the shard: snapshot first, then replay the log on top.
 
         Last-write-wins per key, exactly as live ``local_put`` applies
-        records, so replaying is idempotent. A torn trailing log line is
-        dropped (and counted), not raised.
+        records, so replaying is idempotent. A damaged log line — torn
+        by a crash mid-append, or with flipped bits — is dropped (and
+        counted), not raised; the records before it always load.
         """
         data: dict[str, VersionedValue] = {}
         if self.snap_path.exists():
@@ -104,23 +113,25 @@ class WriteAheadLog:
                 )
             self.stats.snapshot_entries_loaded += len(data)
         if self.log_path.exists():
-            with open(self.log_path, encoding="utf-8") as fh:
+            # Bytes, not text: a flipped high bit must fail this record's
+            # decode inside the ``try``, not the file iterator outside it.
+            with open(self.log_path, "rb") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        key, value, ts, tombstone = json.loads(line)
-                    except (json.JSONDecodeError, ValueError, TypeError):
+                        key, value, ts, tombstone = json.loads(line.decode("utf-8"))
+                        incoming = VersionedValue(
+                            value=value, timestamp=int(ts), tombstone=bool(tombstone)
+                        )
+                        if incoming.newer_than(data.get(key)):
+                            data[key] = incoming
+                    except (ValueError, TypeError):
                         # torn append: a crash mid-write leaves a partial
                         # final record; everything before it is intact.
                         self.stats.torn_records_dropped += 1
                         continue
-                    incoming = VersionedValue(
-                        value=value, timestamp=int(ts), tombstone=bool(tombstone)
-                    )
-                    if incoming.newer_than(data.get(key)):
-                        data[key] = incoming
                     self.stats.log_entries_replayed += 1
         return data
 
@@ -138,14 +149,42 @@ class WriteAheadLog:
     def append(self, key: str, value: str, timestamp: int, tombstone: bool) -> None:
         """Record one accepted write. Called *by* the node on every accepted
         ``local_put``; returns after the record reaches the OS (or the disk,
-        with ``fsync=True``)."""
-        fh = self._handle()
-        fh.write(json.dumps([key, value, timestamp, tombstone]) + "\n")
-        fh.flush()
-        if self.fsync:
-            os.fsync(fh.fileno())
+        with ``fsync=True``) — inside a :meth:`batch`, the batch's exit does."""
+        if type(key) is type(value) is str and type(timestamp) is int and type(tombstone) is bool:
+            # What json.dumps writes for these types, without building an encoder.
+            flag = "true" if tombstone else "false"
+            line = f"[{_quote(key)}, {_quote(value)}, {timestamp}, {flag}]\n"
+        else:
+            line = json.dumps([key, value, timestamp, tombstone]) + "\n"
+        (self._fh or self._handle()).write(line)
+        self._uncommitted = True
+        if not self._batching:
+            self._commit()
         self.stats.appends += 1
         self._appends_since_snapshot += 1
+
+    def _commit(self) -> None:
+        # A snapshot since the last append closed the handle, which flushed it.
+        if self._uncommitted and self._fh is not None:
+            self._fh.flush()
+            self.stats.flushes += 1
+            if self.fsync:
+                os.fsync(self._fh.fileno())
+                self.stats.fsyncs += 1
+        self._uncommitted = False
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Group commit: appends inside the scope share one flush (and one
+        fsync) at exit — also when the scope raises, so whatever was applied
+        is logged. The caller acknowledges nothing before the scope closes:
+        a crash inside it loses only records nobody was told are durable."""
+        self._batching = True
+        try:
+            yield
+        finally:
+            self._batching = False
+            self._commit()
 
     @property
     def appends_since_snapshot(self) -> int:

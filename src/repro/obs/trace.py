@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -189,3 +189,6 @@ class Tracer:
 # Shared no-op: components default to this so tracing costs one boolean
 # check per span site unless a real tracer is installed.
 NULL_TRACER = Tracer(enabled=False)
+
+# Entered instead of a span where ``tracer.enabled`` is false: no name, no allocation.
+NO_SPAN = nullcontext()

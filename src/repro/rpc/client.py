@@ -11,7 +11,7 @@ Call semantics are **at-least-once with server-side replay suppression**:
 - each attempt (re)sends the same id, waits ``timeout_s``, and on silence
   backs off per the :class:`~repro.rpc.retry.RetryPolicy` before retrying;
 - a late response from an earlier attempt still completes the call (the
-  pending future is keyed by the correlation id, not the attempt);
+  pending slot is keyed by the correlation id, not the attempt);
 - the server's idempotency cache answers a re-delivered id with the
   original result, so retries never double-apply an operation;
 - when the budget runs dry the caller gets a typed
@@ -47,7 +47,7 @@ from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.overload import CONTROL_METHODS, BreakerBoard, Deadline, RetryBudget
 from repro.rpc.retry import RetryPolicy
 from repro.obs.histogram import Histogram
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 
 _NO_FAULTS = SendPlan()
 
@@ -91,11 +91,18 @@ class ClientStats:
 
 
 class _Pending:
+    # One logical call's slot on a connection; ``future`` is the current attempt's.
     __slots__ = ("future", "src")
 
     def __init__(self, future: asyncio.Future, src: Optional[str]) -> None:
         self.future = future
         self.src = src
+
+
+def _expire(future: asyncio.Future) -> None:
+    """The per-attempt timer: fail that attempt's future, nothing else."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
 
 
 class _Connection:
@@ -114,28 +121,19 @@ class _Connection:
         self._injector = injector
         self.pending: dict[str, _Pending] = {}
         self.closed = False
-        self._send_tasks: set[asyncio.Task] = set()
         self._reader_task = asyncio.create_task(self._read_loop())
 
     # -- sending -------------------------------------------------------- #
 
-    def send_soon(self, frame: list, delay_s: float = 0.0, duplicate: bool = False) -> None:
-        """Schedule the write of a frame (its ``frame_parts`` buffers) without
-        blocking the caller's attempt — a delayed frame races the
-        per-attempt timeout, as on a real wire."""
-        task = asyncio.create_task(self._send(frame, delay_s, duplicate))
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
-
-    async def _send(self, frame: list, delay_s: float, duplicate: bool) -> None:
+    def send(self, frame: list) -> None:
+        """Hand a frame (its ``frame_parts`` buffers) to the transport now;
+        the caller waits for the reply, nobody for the drain. An injected
+        delay calls this (or :meth:`_deliver`) from a timer, racing the
+        attempt's timeout as on a real wire; closed, both do nothing."""
         try:
-            if delay_s:
-                await asyncio.sleep(delay_s)
-            if self.closed:
-                return
-            self._writer.writelines(frame if not duplicate else frame + frame)
-            await self._writer.drain()
-        except (OSError, asyncio.CancelledError):
+            if not self.closed:
+                self._writer.writelines(frame)
+        except OSError:
             # A failed write surfaces as a timeout/connection error on the
             # waiting call; the reader loop tears the connection down.
             pass
@@ -159,29 +157,21 @@ class _Connection:
                         continue  # the network ate the reply; the call will retry
                     delay_s = self._injector.response_delay(pending.src, self.node_id)
                     if delay_s > 0:
-                        # The reply crawls back: it races the per-attempt
-                        # timeout exactly like a delayed request would.
-                        self._deliver_later(pending.future, response, delay_s)
+                        asyncio.get_running_loop().call_later(
+                            delay_s, self._deliver, pending, response
+                        )
                         continue
-                if not pending.future.done():
-                    pending.future.set_result(response)
+                self._deliver(pending, response)
         except (OSError, FrameError) as exc:
             error = RpcConnectionError(self.node_id, str(exc))
         except asyncio.CancelledError:
             error = RpcConnectionError(self.node_id, "client closed")
         self._fail_all(error)
+        self._writer.close()  # a dead connection is replaced, never closed by its owner
 
-    def _deliver_later(
-        self, future: asyncio.Future, response: Response, delay_s: float
-    ) -> None:
-        async def _deliver() -> None:
-            await asyncio.sleep(delay_s)
-            if not self.closed and not future.done():
-                future.set_result(response)
-
-        task = asyncio.create_task(_deliver())
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
+    def _deliver(self, pending: _Pending, response: Response) -> None:
+        if not self.closed and not pending.future.done():
+            pending.future.set_result(response)
 
     def _fail_all(self, error: RpcError) -> None:
         self.closed = True
@@ -194,10 +184,8 @@ class _Connection:
 
     async def close(self) -> None:
         self.closed = True
-        for task in list(self._send_tasks):
-            task.cancel()
         self._reader_task.cancel()
-        await asyncio.gather(self._reader_task, *self._send_tasks, return_exceptions=True)
+        await asyncio.gather(self._reader_task, return_exceptions=True)
         self._writer.close()
         try:
             await self._writer.wait_closed()
@@ -335,9 +323,9 @@ class RpcClient:
         frame = frame_parts(request.to_wire(), self.codec, blobs) if deadline is None else []
         self.stats.calls += 1
         self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
-        backoffs = self.retry.backoff_delays(self._rng)
+        backoffs = None  # built on the first retry
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        pending = _Pending(loop.create_future(), src)
         last_conn: Optional[_Connection] = None
         last_error: Optional[RpcError] = None
         attempts_made = 0
@@ -347,7 +335,7 @@ class RpcClient:
         # across processes without any wire-format change.
         with self.tracer.span(
             f"rpc.client.{method}", node=src, span_id=msg_id, dst=dst
-        ) as rec:
+        ) if self.tracer.enabled else NO_SPAN as rec:
             try:
                 for attempt in range(self.retry.attempts):
                     if attempt:
@@ -355,19 +343,19 @@ class RpcClient:
                             self.stats.retry_budget_denied += 1
                             break  # storm guard: no token, no retry
                         self.stats.retries += 1
+                        if backoffs is None:
+                            backoffs = self.retry.backoff_delays(self._rng)
                         await asyncio.sleep(next(backoffs))
                     if deadline is not None and deadline.remaining() <= 0:
                         break  # the budget, not the attempt count, ran out
                     self.stats.attempts += 1
                     attempts_made += 1
-                    if future.done():
-                        future.exception()  # retrieve, to silence the loop's warning
-                        future = loop.create_future()
-                    plan = (
-                        self.fault_injector.plan_send(src, dst)
-                        if self.fault_injector is not None
-                        else _NO_FAULTS
-                    )
+                    if pending.future.done():
+                        pending.future.exception()  # retrieve, to silence the loop's warning
+                        pending.future = loop.create_future()
+                    future = pending.future
+                    injector = self.fault_injector
+                    plan = _NO_FAULTS if injector is None else injector.plan_send(src, dst)
                     if not plan.drop:
                         try:
                             conn = await self._connection(dst)
@@ -377,7 +365,7 @@ class RpcClient:
                                 breaker.record_failure()
                             last_error = exc
                             continue
-                        conn.pending[msg_id] = _Pending(future, src)
+                        conn.pending[msg_id] = pending
                         last_conn = conn
                         if deadline is not None:
                             frame = frame_parts(
@@ -388,16 +376,20 @@ class RpcClient:
                                 self.codec,
                                 blobs,
                             )
-                        conn.send_soon(frame, delay_s=plan.delay_s, duplicate=plan.duplicate)
+                        parts = frame + frame if plan.duplicate else frame
+                        if plan.delay_s:
+                            loop.call_later(plan.delay_s, conn.send, parts)
+                        else:
+                            conn.send(parts)
                     attempt_timeout = timeout
                     if deadline is not None:
                         attempt_timeout = min(
                             timeout, max(deadline.remaining(), _MIN_ATTEMPT_TIMEOUT_S)
                         )
+                    # One timer, on this attempt's own future.
+                    timer = loop.call_later(attempt_timeout, _expire, future)
                     try:
-                        response = await asyncio.wait_for(
-                            asyncio.shield(future), attempt_timeout
-                        )
+                        response = await future
                     except asyncio.TimeoutError:
                         self.stats.timeouts += 1
                         if breaker is not None:
@@ -414,6 +406,8 @@ class RpcClient:
                             breaker.record_failure()
                         last_error = exc
                         continue
+                    finally:
+                        timer.cancel()
                     self.rtt.observe(time.perf_counter() - started)
                     if rec is not None:
                         rec.attrs["attempts"] = attempt + 1
@@ -451,8 +445,8 @@ class RpcClient:
             finally:
                 if last_conn is not None and last_conn.pending.get(msg_id, None) is not None:
                     del last_conn.pending[msg_id]
-                if future.done() and not future.cancelled():
-                    future.exception()
+                if pending.future.done() and not pending.future.cancelled():
+                    pending.future.exception()
             self.stats.failed_calls += 1
             if rec is not None:
                 rec.attrs["failed"] = True

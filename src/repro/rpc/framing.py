@@ -68,14 +68,16 @@ class JsonCodec:
 
     name = "json"
     wire_id = 0
+    # One encoder for every frame: ``json.dumps(separators=...)`` builds one per call.
+    _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
     @staticmethod
     def encode(obj: Any) -> bytes:
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        return JsonCodec._dumps(obj).encode("utf-8")
 
     @staticmethod
-    def decode(payload: bytes) -> Any:
-        return json.loads(payload.decode("utf-8"))
+    def decode(payload) -> Any:  # any bytes-like object: a frame's memoryview
+        return json.loads(str(payload, "utf-8"))
 
 
 class MsgpackCodec:
@@ -164,7 +166,7 @@ def encode_frame(obj: Any, codec=JsonCodec, blobs=()) -> bytes:
     return b"".join(frame_parts(obj, codec, blobs))
 
 
-def _decode_payload(codec, payload: bytes) -> Any:
+def _decode_payload(codec, payload: memoryview) -> Any:
     try:
         return codec.decode(payload)
     except Exception as exc:  # whatever the codec raises on garbage
@@ -177,13 +179,13 @@ def _decode_body(body: memoryview) -> Any:
     if codec is None:
         raise FrameError(f"unknown codec id {body[0] & ~BLOB_FLAG} in frame")
     if not body[0] & BLOB_FLAG:
-        return _decode_payload(codec, bytes(body[1:]))
+        return _decode_payload(codec, body[1:])
     if len(body) < 1 + _LEN.size:
         raise FrameError("blob frame is too short for its header length")
     start = 1 + _LEN.size + _LEN.unpack_from(body, 1)[0]
     if start > len(body):
         raise FrameError("blob frame header overruns the frame")
-    message = _decode_payload(codec, bytes(body[1 + _LEN.size : start]))
+    message = _decode_payload(codec, body[1 + _LEN.size : start])
     lengths = message.get("blobs") if isinstance(message, dict) else None
     if (
         not isinstance(lengths, list)

@@ -12,13 +12,14 @@ last-write-wins merges) stays client-side in the
 
 Two server-side behaviors make retries safe:
 
-- **Idempotency cache.** Responses are remembered per correlation id
-  (bounded LRU). A retried or duplicated delivery of a request the server
-  already executed returns the *original* response instead of re-executing,
-  so a non-idempotent claim is never applied twice. Reads of the chunk
-  shelf (``get_chunks``, ``chunk_dump``, ``chunk_keys``) are the exception:
-  they mutate nothing, so a duplicate simply re-executes and their replies
-  — payloads, or the key list of a whole shelf — are never retained.
+- **Idempotency cache.** The responses of the verbs that change the
+  replica (``multi_put``, ``put_chunks``, ``delete_chunks``, ``set_down``)
+  are remembered per correlation id (bounded LRU). A retried or duplicated
+  delivery of one the server already executed returns the *original*
+  response instead of re-executing, so a write is never applied twice.
+  Every other verb mutates nothing, so a duplicate simply re-executes and
+  its reply — payloads, a whole-shard ``dump``, a Merkle tree — is never
+  retained.
 - **Down-state.** ``set_down(True)`` makes data operations fail with
   ``NodeDownError`` (the process answers, the replica refuses — a crashed
   replica is modeled client-side by the coordinator's aliveness set).
@@ -69,10 +70,12 @@ from repro.kvstore.errors import KVStoreError
 from repro.kvstore.replica import Replica
 from repro.obs.histogram import Histogram
 from repro.obs.hub import series
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import BLOB_BUDGET_BYTES, get_codec, read_frame, write_frame
+from repro.rpc.framing import (
+    BLOB_BUDGET_BYTES, default_codec_name, get_codec, read_frame, write_frame,
+)
 from repro.rpc.messages import Request, Response
 from repro.rpc.overload import CONTROL_METHODS, AdmissionController
 
@@ -82,11 +85,11 @@ DEFAULT_IDEMPOTENCY_CAPACITY = 4096
 # Handlers that take the request's blobs and return ``(result, blobs)``.
 _BLOB_METHODS = frozenset({"put_chunks", "get_chunks", "chunk_dump"})
 
-# Reads of the chunk shelf. Their responses are not remembered: a replayed
-# read re-executes (it changes nothing, so the answer is as good), whereas
-# retaining it would pin up to a cache-full of payload batches or key
-# lists — more memory than the shelf that served them.
-_SHELF_READS = frozenset({"get_chunks", "chunk_dump", "chunk_keys"})
+# The verbs whose replay must not re-execute. Every other verb changes
+# nothing, so a duplicate re-executes (the answer is as good), whereas
+# retaining its reply would pin up to a cache-full of payload batches,
+# whole-shard dumps or key lists — more memory than the node that served them.
+_REMEMBERED = frozenset({"multi_put", "put_chunks", "delete_chunks", "set_down"})
 
 
 @dataclass
@@ -156,8 +159,6 @@ class NodeServer:
                 f"idempotency_capacity must be >= 1, got {idempotency_capacity!r}"
             )
         self.node = node
-        from repro.rpc.framing import default_codec_name
-
         self.codec = get_codec(codec if codec is not None else default_codec_name())
         self.stats = ServerStats()
         self.handle_latency = Histogram("server.handle_s")
@@ -358,19 +359,16 @@ class NodeServer:
         # parent_id is the correlation id == the client call's span id, so
         # this hop nests under the client span in the merged trace.
         with self.tracer.span(
-            f"rpc.server.{request.method}",
-            node=self.node_id,
-            parent_id=request.msg_id,
-        ) as rec:
+            f"rpc.server.{request.method}", node=self.node_id, parent_id=request.msg_id
+        ) if self.tracer.enabled else NO_SPAN as rec:
             response = self._dispatch_inner(request, rec)
         self.handle_latency.observe(time.perf_counter() - started)
         return response
 
     def _dispatch_inner(self, request: Request, rec) -> Response:
+        method = request.method
         self.stats.requests += 1
-        self.stats.by_method[request.method] = (
-            self.stats.by_method.get(request.method, 0) + 1
-        )
+        self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
         cached = self._seen.get(request.msg_id)
         if cached is not None:
             self._seen.move_to_end(request.msg_id)
@@ -378,11 +376,11 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["replay"] = True
             return cached
-        handler = self._HANDLERS.get(request.method)
+        handler = self._HANDLERS.get(method)
         try:
             if handler is None:
-                raise FrameError(f"unknown method {request.method!r}")
-            if request.method in _BLOB_METHODS:
+                raise FrameError(f"unknown method {method!r}")
+            if method in _BLOB_METHODS:
                 result, blobs = handler(self, request.params, request.blobs)
             else:
                 result, blobs = handler(self, request.params), ()
@@ -392,7 +390,7 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
             response = Response.failure(request.msg_id, exc)
-        if request.method not in _SHELF_READS:
+        if method in _REMEMBERED:
             self._seen[request.msg_id] = response
             while len(self._seen) > self._idempotency_capacity:
                 self._seen.popitem(last=False)

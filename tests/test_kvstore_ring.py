@@ -216,3 +216,96 @@ class TestReplication:
         expected = n_keys * 2 / 4
         for node, count in holds.items():
             assert 0.5 * expected < count < 1.6 * expected, (node, count)
+
+
+class TestPlacementTable:
+    """``replicas_for_key`` is a table lookup; the generator walk it
+    replaced stays as the reference it must equal."""
+
+    @staticmethod
+    def walked_simple(ring, key, factor):
+        out = []
+        for node in ring.walk_from_key(key):
+            out.append(node)
+            if len(out) == factor:
+                break
+        return out
+
+    @staticmethod
+    def walked_cloud_aware(ring, key, factor, cloud_of):
+        walk = list(ring.walk_from_key(key))
+        chosen, used = [], set()
+        for node in walk:
+            if len(chosen) < factor and cloud_of[node] not in used:
+                chosen.append(node)
+                used.add(cloud_of[node])
+        for node in walk:
+            if len(chosen) < factor and node not in chosen:
+                chosen.append(node)
+        return chosen
+
+    def test_equals_the_walk_for_10_000_keys_across_membership_changes(self):
+        import random
+
+        from repro.kvstore.topology_strategy import CloudAwareReplicationStrategy
+
+        rng = random.Random(24)
+        members = [f"n{i}" for i in range(7)]
+        cloud_of = {n: f"cloud-{i % 3}" for i, n in enumerate(members + ["n7", "n8"])}
+        ring = ConsistentHashRing(vnodes=8)
+        for node in members:
+            ring.add_node(node)
+        simple = {f: SimpleReplicationStrategy(f) for f in (1, 2, 3)}
+        aware = {f: CloudAwareReplicationStrategy(f, cloud_of) for f in (2, 4)}
+        steps = [None, ("add", "n7"), ("remove", "n2"), ("add", "n8"), ("remove", "n0")]
+        for step in steps:
+            if step is not None:
+                getattr(ring, f"{step[0]}_node")(step[1])
+            for _ in range(2000):
+                key = f"{rng.getrandbits(160):040x}"
+                for factor, strategy in simple.items():
+                    assert strategy.replicas_for_key(ring, key) == self.walked_simple(
+                        ring, key, factor
+                    )
+                for factor, strategy in aware.items():
+                    assert strategy.replicas_for_key(ring, key) == self.walked_cloud_aware(
+                        ring, key, factor, cloud_of
+                    )
+
+    def test_store_and_ring_agree_after_add_and_remove(self):
+        from repro.kvstore.store import DistributedKVStore
+
+        store = DistributedKVStore(["a", "b", "c"], replication_factor=2)
+        keys = [f"fp-{i}" for i in range(500)]
+
+        def check():
+            for key in keys:
+                assert store.replicas_for(key) == self.walked_simple(store.ring, key, 2)
+
+        check()
+        store.add_node("d")
+        check()
+        store.remove_node("a")
+        check()
+
+    def test_answers_are_copies(self):
+        ring = ConsistentHashRing()
+        for node in ("a", "b", "c"):
+            ring.add_node(node)
+        strategy = SimpleReplicationStrategy(2)
+        first = strategy.replicas_for_key(ring, "k")
+        first.append("mutated")
+        assert strategy.replicas_for_key(ring, "k") == first[:2]
+
+    def test_empty_ring_still_raises(self):
+        with pytest.raises(RingEmptyError):
+            SimpleReplicationStrategy(2).replicas_for_key(ConsistentHashRing(), "k")
+
+    def test_unassigned_cloud_is_still_rejected(self):
+        from repro.kvstore.topology_strategy import CloudAwareReplicationStrategy
+
+        ring = ConsistentHashRing()
+        for node in ("a", "b"):
+            ring.add_node(node)
+        with pytest.raises(ReplicationError, match="no edge cloud"):
+            CloudAwareReplicationStrategy(2, {"a": "east"}).replicas_for_key(ring, "k")

@@ -1,6 +1,7 @@
 """Tests for the per-node write-ahead log + snapshot durability layer."""
 
 import io
+import os
 import json
 
 import pytest
@@ -158,3 +159,211 @@ class TestNodeIntegration:
         # Most entries came from snapshots, only the tail from the log.
         assert fresh.stats.snapshot_entries_loaded == 8
         assert fresh.stats.log_entries_replayed == 2
+
+
+# --------------------------------------------------------------------- #
+# damaged tails
+# --------------------------------------------------------------------- #
+
+
+def _fp(i: int) -> str:
+    """Fingerprint-like keys many bits apart, so one flipped bit can damage
+    a record but never turn it into another record's key."""
+    import hashlib
+
+    return hashlib.sha1(str(i).encode()).hexdigest()
+
+
+def _five_records(directory, name="n0"):
+    wal = WriteAheadLog(directory, name)
+    for i in range(5):
+        wal.append(_fp(i), f"meta-{i}", i + 1, i == 3)
+    wal.close()
+    return wal.log_path.read_bytes()
+
+
+def test_single_bit_flips_of_the_final_record_never_stop_a_restart(tmp_path):
+    """3 000 seeded single-bit flips of the last log line: ``load`` never
+    raises, the four records before it always come back, and the damaged
+    one is either dropped (and counted) or — when the flip left valid JSON
+    of the right shape, e.g. in a key character — replayed as written."""
+    import random
+
+    intact = _five_records(tmp_path)
+    lines = intact.splitlines(keepends=True)
+    head, last = b"".join(lines[:4]), lines[4]
+    before = {_fp(i): VersionedValue(f"meta-{i}", i + 1, i == 3) for i in range(4)}
+    rng = random.Random(24)
+    dropped = undecodable = 0
+    for trial in range(3000):
+        bit = rng.randrange(len(last) * 8)
+        damaged = bytearray(last)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        wal = WriteAheadLog(tmp_path, f"flip{trial % 4}")
+        wal.log_path.write_bytes(head + bytes(damaged))
+        restored = wal.load()
+        for key, stored in before.items():
+            assert restored[key] == stored
+        assert wal.stats.torn_records_dropped + wal.stats.log_entries_replayed == 5
+        assert wal.stats.torn_records_dropped in (0, 1)
+        dropped += wal.stats.torn_records_dropped
+        try:
+            bytes(damaged).decode("utf-8")
+        except UnicodeDecodeError:
+            undecodable += 1
+            assert wal.stats.torn_records_dropped == 1
+    assert undecodable > 300  # the flips that used to kill the file iterator
+    assert dropped > undecodable  # plus the ones that broke the JSON
+
+
+def test_flipped_record_in_the_middle_costs_only_itself(tmp_path):
+    intact = _five_records(tmp_path)
+    lines = intact.splitlines(keepends=True)
+    lines[2] = bytes([lines[2][0], lines[2][1] | 0x80]) + lines[2][2:]
+    wal = WriteAheadLog(tmp_path, "mid")
+    wal.log_path.write_bytes(b"".join(lines))
+    restored = wal.load()
+    assert sorted(restored) == sorted(_fp(i) for i in (0, 1, 3, 4))
+    assert wal.stats.torn_records_dropped == 1
+
+
+def test_wrong_shaped_records_are_dropped_not_raised(tmp_path):
+    wal = WriteAheadLog(tmp_path, "n0")
+    wal.log_path.write_text(
+        '["k", "v", 1, false]\n'
+        '["short", 2]\n'
+        '7\n'
+        '["k2", "v", "not-a-number", false]\n'
+        '[["unhashable"], "v", 3, false]\n'
+        '["k3", "v", 4, false]\n'
+    )
+    assert sorted(wal.load()) == ["k", "k3"]
+    assert wal.stats.torn_records_dropped == 4
+    assert wal.stats.log_entries_replayed == 2
+
+
+# --------------------------------------------------------------------- #
+# group commit
+# --------------------------------------------------------------------- #
+
+
+class TestBatchScope:
+    def _counting_flushes(self, wal):
+        """Wrap the open handle so real ``flush()`` calls are counted."""
+        fh = wal._handle()
+        calls = []
+        real = fh.flush
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
+            def flush(self):
+                calls.append(1)
+                return real()
+
+        wal._fh = Counted()
+        return calls
+
+    def test_log_bytes_are_what_json_dumps_writes(self, tmp_path):
+        rows = [
+            ("plain", "", 1, False),
+            ('quo"te\\back', "tab\there", 2, True),
+            ("snow☃man", "\x00\x1f\x7f", 2**70, False),
+            ("\ud800lone-surrogate", "é" * 40, 0, True),
+            ("neg", "v", -5, False),
+        ]
+        odd = [("k", None, 1, False), ("k", "v", 1.5, False), ("k", "v", True, 0)]
+        wal = WriteAheadLog(tmp_path, "n0")
+        with wal.batch():
+            for row in rows + odd:
+                wal.append(*row)
+        wal.close()
+        expected = "".join(json.dumps(list(row)) + "\n" for row in rows + odd)
+        assert wal.log_path.read_text() == expected
+
+    def test_one_message_is_k_appends_and_one_flush(self, tmp_path):
+        from repro.kvstore.replica import Replica
+
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=0)
+        replica = Replica("n0", wal=wal)
+        flushes = self._counting_flushes(wal)
+        rows = [(f"k{i}", "v", i + 1, False) for i in range(43)]
+        replica.multi_put(rows)
+        assert (wal.stats.appends, wal.stats.flushes, wal.stats.fsyncs) == (43, 1, 0)
+        assert len(flushes) == 1
+        # On the OS side before multi_put returned: a second handle sees all.
+        assert len(wal.log_path.read_text().splitlines()) == 43
+        replica.multi_put(rows)  # nothing newer: nothing logged, nothing flushed
+        assert (wal.stats.appends, wal.stats.flushes) == (43, 1)
+        replica.local_put("solo", "v", 99)  # outside a batch: its own commit
+        assert (wal.stats.appends, wal.stats.flushes) == (44, 2)
+        assert len(flushes) == 2
+
+    def test_fsync_deployment_gets_group_commit(self, tmp_path, monkeypatch):
+        from repro.kvstore.replica import Replica
+
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=0, fsync=True)
+        Replica("n0", wal=wal).multi_put([(f"k{i}", "v", i + 1, False) for i in range(9)])
+        assert (wal.stats.appends, wal.stats.flushes, wal.stats.fsyncs) == (9, 1, 1)
+        assert len(synced) == 1
+
+    def test_exception_mid_batch_still_commits_what_was_applied(self, tmp_path):
+        from repro.kvstore.replica import Replica
+
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=0)
+        replica = Replica("n0", wal=wal)
+
+        def rows():
+            yield ("a", "v", 1, False)
+            yield ("b", "v", 2, False)
+            raise RuntimeError("sender died mid-message")
+
+        with pytest.raises(RuntimeError):
+            replica.multi_put(rows())
+        assert (wal.stats.appends, wal.stats.flushes) == (2, 1)
+        # Applied in memory and already readable through a second handle.
+        assert sorted(replica.dump()) == ["a", "b"]
+        assert sorted(WriteAheadLog(tmp_path, "n0").load()) == ["a", "b"]
+        replica.local_put("c", "v", 3)  # the scope is closed again
+        assert wal.stats.flushes == 2
+
+    def test_snapshot_inside_a_batch_loses_nothing(self, tmp_path):
+        from repro.kvstore.replica import Replica
+
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
+        replica = Replica("n0", wal=wal)
+        replica.multi_put([(f"k{i}", "v", i + 1, False) for i in range(10)])
+        assert wal.stats.snapshots == 2
+        assert wal.stats.flushes == 1  # the two records after the last snapshot
+        fresh = WriteAheadLog(tmp_path, "n0")
+        assert len(fresh.load()) == 10
+        assert (fresh.stats.snapshot_entries_loaded, fresh.stats.log_entries_replayed) == (8, 2)
+        # A batch that ends exactly on a snapshot has nothing left to flush.
+        replica.multi_put([(f"j{i}", "v", 20 + i, False) for i in range(2)])
+        assert wal.stats.snapshots == 3 and wal.stats.flushes == 1
+
+    def test_torn_tail_inside_a_group_committed_batch(self, tmp_path):
+        """A crash mid-batch after the io layer spilled part of its buffer:
+        whole records before the tear load, the torn one is dropped, and
+        nothing of the batch was ever acknowledged."""
+        from repro.kvstore.replica import Replica
+
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=0)
+        replica = Replica("n0", wal=wal)
+        replica.multi_put([(f"old{i}", "v", i + 1, False) for i in range(3)])
+        committed = wal.log_path.read_bytes()
+        replica.multi_put([(f"new{i:03d}", "x" * 64, 10 + i, False) for i in range(200)])
+        wal.close()
+        batch = wal.log_path.read_bytes()[len(committed):]
+        for cut in (1, len(batch) // 3, 8192, len(batch) - 2):
+            crashed = WriteAheadLog(tmp_path, f"crash{cut}")
+            crashed.log_path.write_bytes(committed + batch[:cut])
+            restored = crashed.load()
+            whole = batch[:cut].count(b"\n")
+            assert sorted(k for k in restored if k.startswith("old")) == ["old0", "old1", "old2"]
+            assert len(restored) == 3 + whole
+            assert crashed.stats.torn_records_dropped == 1
