@@ -50,7 +50,7 @@ class ContentStats:
     misses: int = 0
     deletes: int = 0
     deleted_bytes: int = 0
-    batch_flushes: int = 0
+    batch_flushes: int = 0  # put_chunks messages sent
     rehomed_chunks: int = 0
 
 

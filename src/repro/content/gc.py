@@ -14,8 +14,10 @@ classic answer (Data Domain, ZFS dedup) is reference counting:
 Counts are journaled through the same
 :class:`~repro.kvstore.wal.WriteAheadLog` machinery that makes node
 shards crash-survivable: every mutation appends ``[fingerprint, count,
-seq, tombstone]`` before it is considered applied, snapshots bound
-replay, and a restart replays snapshot+log with last-write-wins — so a
+seq, tombstone]`` before it is considered applied (inside
+:meth:`RefcountGC.batch` the records share one flush — ingest commits a
+lookup batch's references together), snapshots bound replay, and a
+restart replays snapshot+log with last-write-wins — so a
 crash between a recipe delete and its sweep never orphans a chunk (the
 zero count is on disk) and never double-frees one (counts are absolute,
 not deltas, so replay is idempotent).
@@ -36,8 +38,9 @@ ring lifecycle.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Union
+from typing import ContextManager, Optional, Union
 
 from repro.kvstore.node import VersionedValue
 from repro.kvstore.wal import WriteAheadLog
@@ -97,6 +100,12 @@ class RefcountGC:
             for fingerprint, count in self.counts.items()
         }
 
+    def batch(self) -> ContextManager[None]:
+        """Group commit: the journal records of the mutations inside the
+        scope share one flush at its exit (the WAL's :meth:`~repro.kvstore.
+        wal.WriteAheadLog.batch`); records and bytes are unchanged."""
+        return nullcontext() if self.wal is None else self.wal.batch()
+
     def incr(self, fingerprint: str, n: int = 1) -> int:
         """Add ``n`` references; returns the new count."""
         count = self.counts.get(fingerprint, 0) + n
@@ -146,6 +155,7 @@ class RefcountGC:
             "zero": float(len(self.counts) - live),
             "underflows": float(self.underflows),
             "journal_appends": float(self.wal.stats.appends) if self.wal else 0.0,
+            "journal_flushes": float(self.wal.stats.flushes) if self.wal else 0.0,
             "journal_snapshots": float(self.wal.stats.snapshots) if self.wal else 0.0,
         }
 

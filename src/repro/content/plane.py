@@ -10,8 +10,9 @@ Ties the three payload layers together above the ring lifecycle:
 - **ledger**: a :class:`~repro.content.gc.RefcountGC` deciding when bytes
   may be reclaimed.
 
-Write path: the dedup engine's ``unique_sink`` lands the payload on the
-ring store, then *spills* it to the cloud tier — synchronously, or on a
+Write path: the dedup engine's ``unique_sink`` (once per lookup batch)
+lands the payloads on the ring store, then *spills* each to the cloud
+tier — synchronously, or on a
 background thread (``spill_mode="async"``) so the WAN stripe write is
 off the ingest hot path. A spill that finds too few zones up is
 deferred, not lost, and retried on :meth:`ContentPlane.flush`.

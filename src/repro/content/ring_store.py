@@ -9,8 +9,9 @@ the edge shelf is the *fast* tier; durability belongs to the
 erasure-coded cloud tier behind
 :class:`~repro.content.plane.ContentPlane`.
 
-Writes are buffered and flushed as **one batched message per target
-node** (the payload sibling of ``put_if_absent_many``). Reads scatter one
+Writes are buffered and flushed as **batched messages per target node**,
+at most ``batch_size`` payloads each and all in flight in one scatter (the
+payload sibling of ``put_if_absent_many``). Reads scatter one
 batched ``get_chunks`` to every alive member and take the first copy
 found. Down or unreachable members are misses, never errors.
 
@@ -39,7 +40,7 @@ class RingContentStore:
         store: the ring's fingerprint-index store; provides placement
             (``replicas_for``), membership (``nodes``, ``is_up``) and the
             chunk scatters.
-        batch_size: buffered puts per automatic flush.
+        batch_size: most payloads per ``put_chunks`` message.
     """
 
     def __init__(self, ring_id: str, store, batch_size: int = 16) -> None:
@@ -94,35 +95,40 @@ class RingContentStore:
     # ------------------------------------------------------------------ #
 
     def put_chunk(self, fingerprint: str, data: bytes) -> bool:
-        """Buffer one payload; flushed in batches. Placement is decided at
+        """Buffer one payload until :meth:`flush`. Placement is decided at
         flush time, so membership changes between put and flush are safe."""
         self._pending.setdefault(fingerprint, bytes(data))
-        if len(self._pending) >= self.batch_size:
-            self.flush()
         return True
 
     def flush(self) -> int:
-        """Push buffered payloads, one batched message per target node.
+        """Push buffered payloads: each target member's share as messages
+        of at most ``batch_size`` payloads, every message in flight in one
+        scatter.
 
         Chunks whose replica set is entirely down are dropped (counted in
         ``dropped_puts``) — the cloud tier holds the durable copy and a
-        later orphan sweep or re-ingest restores edge locality.
+        later orphan sweep or re-ingest restores edge locality. So are the
+        payloads of a message that fails, and only those.
         """
         if not self._pending:
             return 0
         pending, self._pending = self._pending, {}
-        groups = self._by_target(pending)
+        step = self.batch_size
+        messages = [
+            (node_id, entries[start : start + step])
+            for node_id, entries in self._by_target(pending).items()
+            for start in range(0, len(entries), step)
+        ]
         flushed = 0
-        failures = self.store.scatter_put_chunks(groups)
-        for node_id, entries in groups.items():
-            if failures.get(node_id) is None:
-                for _, data in entries:
-                    self.stats.puts += 1
-                    self.stats.put_bytes += len(data)
-                    flushed += 1
+        failures = self.store.scatter_put_chunks(messages)
+        for (_, entries), failure in zip(messages, failures):
+            if failure is None:
+                self.stats.puts += len(entries)
+                self.stats.put_bytes += sum(len(data) for _, data in entries)
+                flushed += len(entries)
             else:
                 self.stats.dropped_puts += len(entries)
-        self.stats.batch_flushes += len(groups)
+        self.stats.batch_flushes += len(messages)
         return flushed
 
     # ------------------------------------------------------------------ #

@@ -34,9 +34,11 @@ from repro.dedup.index import DedupIndex, InMemoryIndex
 from repro.dedup.stats import DedupStats
 from repro.obs.histogram import Histogram
 
-# Called for every unique chunk, e.g. to upload it to the central cloud.
-# The chunk's payload is materialized ``bytes`` (sinks may store it).
-UniqueChunkSink = Callable[[Chunk, str], None]
+# Called once per lookup batch with the batch's unique chunks as
+# (chunk, fingerprint) pairs in stream order, after the batch's accounting —
+# e.g. to upload them to the central cloud. A batch with no unique chunk
+# makes no call. Payloads are materialized ``bytes`` (sinks may store them).
+UniqueChunkSink = Callable[[list[tuple[Chunk, str]]], None]
 
 # Called once per lookup batch with (fingerprints, chunks), in stream order,
 # *before* the batch's index round trip — so before any of its chunks can
@@ -76,8 +78,9 @@ class DedupEngine:
             oracle speed.
         fingerprint: chunk fingerprint function (receives ``bytes`` or
             ``memoryview`` payloads).
-        unique_sink: optional callback invoked with every unique chunk (used
-            by agents to forward unique data to the central cloud).
+        unique_sink: optional callback invoked once per lookup batch with
+            its unique chunks (used by agents to forward unique data to the
+            central cloud); see :data:`UniqueChunkSink`.
         batch_size: fingerprints per batched index round trip. ``1`` keeps
             the legacy one-lookup-per-chunk behavior (each chunk goes
             through :meth:`DedupIndex.lookup_and_insert` individually);
@@ -176,7 +179,7 @@ class DedupEngine:
                 started = time.perf_counter()
                 is_new = self.index.lookup_and_insert(fp, metadata=source)
                 self.lookup_latency.observe(time.perf_counter() - started)
-                self._account(chunk, fp, is_new, call_stats, unique)
+                self._account([chunk], [fp], [is_new], call_stats, unique)
             return DedupResult(stats=call_stats, unique_fingerprints=tuple(unique))
         pending: list[Chunk] = []
         if self.hash_workers > 0:
@@ -228,29 +231,34 @@ class DedupEngine:
         started = time.perf_counter()
         results = self.index.lookup_and_insert_many(fps, metadata=source)
         self.lookup_latency.observe(time.perf_counter() - started)
-        for chunk, fp, is_new in zip(pending, fps, results):
-            self._account(chunk, fp, is_new, call_stats, unique)
+        self._account(pending, fps, results, call_stats, unique)
 
     def _account(
         self,
-        chunk: Chunk,
-        fp: str,
-        is_new: bool,
+        chunks: list[Chunk],
+        fps: list[str],
+        verdicts: list[bool],
         call_stats: DedupStats,
         unique: list[str],
     ) -> None:
-        call_stats.record_chunk(chunk.length, is_new)
-        self.stats.record_chunk(chunk.length, is_new)
-        if is_new:
-            unique.append(fp)
-            if self.unique_sink is not None:
-                # Unique chunks are the cold path: materialize bytes here so
-                # sinks can store the payload without pinning the input
-                # buffer through a view.
-                if isinstance(chunk.data, bytes):
-                    self.unique_sink(chunk, fp)
-                else:
-                    self.unique_sink(Chunk(data=chunk.tobytes(), offset=chunk.offset), fp)
+        """Record one lookup batch, then hand its unique chunks to the sink."""
+        new: list[tuple[Chunk, str]] = []
+        for chunk, fp, is_new in zip(chunks, fps, verdicts):
+            call_stats.record_chunk(chunk.length, is_new)
+            self.stats.record_chunk(chunk.length, is_new)
+            if is_new:
+                unique.append(fp)
+                new.append((chunk, fp))
+        if new and self.unique_sink is not None:
+            # Unique chunks are the cold path: materialize bytes here so
+            # sinks can store the payload without pinning the input buffer
+            # through a view.
+            self.unique_sink(
+                [
+                    (c if isinstance(c.data, bytes) else Chunk(c.tobytes(), c.offset), fp)
+                    for c, fp in new
+                ]
+            )
 
     def close(self) -> None:
         """Shut down the optional hashing pool (no-op when unused)."""

@@ -76,6 +76,9 @@ def restore_file(
 ) -> bytes:
     """Reassemble a file from its recipe.
 
+    Each distinct fingerprint is fetched and verified once per call, at its
+    first entry; a chunk the file repeats reuses those verified bytes.
+
     Args:
         fetch: chunk source; must raise ``KeyError`` for unknown prints.
         verify: re-fingerprint every fetched chunk (catches corruption).
@@ -85,24 +88,30 @@ def restore_file(
             fingerprint verification.
     """
     parts: list[bytes] = []
+    verified: dict[str, bytes] = {}
     for i, entry in enumerate(recipe.entries):
-        try:
-            data = fetch(entry.fingerprint)
-        except KeyError:
-            raise RecipeError(
-                f"file {recipe.file_id!r}: chunk {i} ({entry.fingerprint[:12]}…) "
-                "is missing from the chunk store"
-            ) from None
+        data = verified.get(entry.fingerprint)
+        first = data is None
+        if first:
+            try:
+                data = fetch(entry.fingerprint)
+            except KeyError:
+                raise RecipeError(
+                    f"file {recipe.file_id!r}: chunk {i} ({entry.fingerprint[:12]}…) "
+                    "is missing from the chunk store"
+                ) from None
         if len(data) != entry.length:
             raise RecipeError(
                 f"file {recipe.file_id!r}: chunk {i} has {len(data)} bytes, "
                 f"recipe says {entry.length}"
             )
-        if verify and fingerprint(data) != entry.fingerprint:
-            raise RecipeError(
-                f"file {recipe.file_id!r}: chunk {i} failed fingerprint "
-                "verification (corrupt or substituted data)"
-            )
+        if first:
+            if verify and fingerprint(data) != entry.fingerprint:
+                raise RecipeError(
+                    f"file {recipe.file_id!r}: chunk {i} failed fingerprint "
+                    "verification (corrupt or substituted data)"
+                )
+            verified[entry.fingerprint] = data
         parts.append(data)
     return b"".join(parts)
 

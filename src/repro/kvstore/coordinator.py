@@ -53,6 +53,9 @@ from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 # message forfeits at most this much progress (the rest is re-buffered).
 _HINT_REPLAY_BATCH = 256
 
+# One put_chunks message's (fingerprint, payload) entries.
+Payloads = list[tuple[str, bytes]]
+
 
 @dataclass
 class StoreStats:
@@ -504,14 +507,20 @@ class QuorumCoordinator:
 
     @driven
     async def scatter_put_chunks(
-        self, groups: dict[str, list[tuple[str, bytes]]]
-    ) -> dict[str, Optional[Exception]]:
-        """One batched ``put_chunks`` message per target node (the payload
-        sibling of the ``put_if_absent_many`` scatter); returns node id →
-        error-or-None."""
-        return await self.transport.gather_outcomes(
-            {n: self.transport.put_chunks(n, entries) for n, entries in groups.items()}
+        self,
+        groups: dict[str, Payloads] | list[tuple[str, Payloads]],
+    ) -> dict[str, Optional[Exception]] | list[Optional[Exception]]:
+        """Batched ``put_chunks`` messages, all in flight together (the
+        payload sibling of the ``put_if_absent_many`` scatter). A dict is
+        one message per node and is answered node id → error-or-None; a
+        list of ``(node_id, entries)`` messages may name a node more than
+        once and is answered with error-or-None per message, in order."""
+        messages = list(groups.items()) if isinstance(groups, dict) else groups
+        outcomes = await self.transport.gather_outcomes(
+            {i: self.transport.put_chunks(n, entries) for i, (n, entries) in enumerate(messages)}
         )
+        failures = list(outcomes.values())
+        return dict(zip(groups, failures)) if isinstance(groups, dict) else failures
 
     @driven
     async def scatter_get_chunks(

@@ -42,9 +42,10 @@ class ReplicaTransport(ABC):
         """Run ``calls`` and return their results in order
         (``asyncio.gather`` semantics for ``return_exceptions``)."""
 
-    async def gather_outcomes(self, calls: dict[str, Awaitable]) -> dict[str, Any]:
-        """One call per node: node id → its result, or the exception when
-        the call was a missed ack. Any other exception propagates."""
+    async def gather_outcomes(self, calls: dict[Any, Awaitable]) -> dict[Any, Any]:
+        """Calls by key (a node id, or a message's position): key → its
+        result, or the exception when the call was a missed ack. Any other
+        exception propagates."""
         outcomes = await self.gather(*calls.values(), return_exceptions=True)
         for outcome in outcomes:
             if isinstance(outcome, BaseException) and not isinstance(

@@ -163,8 +163,10 @@ class DedupAgent:
         index: the ring's index (a :class:`RingIndex`, or any DedupIndex for
             the cloud-based strategies).
         config: system tunables (chunk size etc.).
-        unique_sink: invoked with each unique chunk — wired to the central
-            cloud's ``receive_chunk`` by the deployment strategies.
+        unique_sink: invoked once per lookup batch with its unique chunks
+            (:data:`~repro.dedup.engine.UniqueChunkSink`) — the ring wires
+            it to the central cloud and, with a content plane, the shelves
+            and the erasure tier.
         chunker: override the chunker (defaults to the algorithm selected
             by ``config.chunking_algo`` at ``config.chunk_size``, via
             :meth:`~repro.system.config.EFDedupConfig.make_chunker`).

@@ -13,7 +13,7 @@ Two roles, mirroring the paper's comparison points:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.chunking.base import Chunk
 from repro.dedup.index import InMemoryIndex
@@ -53,6 +53,12 @@ class CentralCloudStore:
         if self.keep_payloads:
             self._payloads[fingerprint] = chunk.data
         return True
+
+    def receive_chunks(self, batch: Iterable[tuple[Chunk, str]]) -> None:
+        """Accept a lookup batch's unique chunks, one upload each — the
+        accounting-only :data:`~repro.dedup.engine.UniqueChunkSink`."""
+        for chunk, fingerprint in batch:
+            self.receive_chunk(chunk, fingerprint)
 
     @property
     def stored_chunks(self) -> int:

@@ -85,7 +85,8 @@ class EFDedupConfig:
             on a background thread (``ContentPlane.flush()`` joins it).
         content_batch: content plane — buffered payload writes per batched
             ``put_chunks`` message to a ring member (the payload analogue
-            of ``lookup_batch``).
+            of ``lookup_batch``). A lookup batch's unique payloads are
+            shelved in one scatter of such messages.
         rpc_deadline_s: live transport only — end-to-end deadline budget
             per data-plane call (None = unbounded). Retries stop when the
             budget runs out; servers drop work whose budget expired while

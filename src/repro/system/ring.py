@@ -23,6 +23,7 @@ into hints), and the member catches up on recovery.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 from repro.dedup.cache import LRUCacheIndex
@@ -163,11 +164,12 @@ class D2Ring:
         for node_id in self.members:
             self._make_agent(node_id)
 
-    def _store_unique_chunk(self, chunk, fingerprint: str) -> None:
-        """Content-plane unique sink: account the WAN upload on the cloud
-        (the chaos invariants compare unique claims against its counters),
-        shelf the payload on the owning ring member, and spill it to the
-        erasure-coded tier for durability.
+    def _store_unique_chunks(self, batch) -> None:
+        """Content-plane unique sink, once per lookup batch: per chunk,
+        account the WAN upload on the cloud (the chaos invariants compare
+        unique claims against its counters), buffer the payload for the
+        owning ring member and spill it to the erasure-coded tier; then
+        shelve the batch in one scatter.
 
         With a secure tier, a *ring*-unique chunk first claims against
         the deployment-wide key index: a proven hit means another ring
@@ -177,19 +179,18 @@ class D2Ring:
         plaintexts still produce identical stored bytes — and its key is
         published for later claimants.
         """
-        if self.secure is not None:
-            data = bytes(chunk.data)
-            if self.secure.claim(fingerprint, data):
-                return
-            sealed = self.secure.seal(fingerprint, data)
+        for chunk, fingerprint in batch:
+            data = chunk.data
+            if self.secure is not None:
+                if self.secure.claim(fingerprint, data):
+                    continue
+                data = self.secure.seal(fingerprint, data)
             self.cloud.receive_chunk(chunk, fingerprint)
-            self.content.put_chunk(fingerprint, sealed)
-            self._content_plane.spill(fingerprint, sealed)
-            self.secure.register(fingerprint)
-            return
-        self.cloud.receive_chunk(chunk, fingerprint)
-        self.content.put_chunk(fingerprint, chunk.data)
-        self._content_plane.spill(fingerprint, chunk.data)
+            self.content.put_chunk(fingerprint, data)
+            self._content_plane.spill(fingerprint, data)
+            if self.secure is not None:
+                self.secure.register(fingerprint)
+        self.content.flush()
 
     def _make_agent(self, node_id: str) -> None:
         ring_index = RingIndex(
@@ -197,8 +198,11 @@ class D2Ring:
         )
         self.ring_indexes[node_id] = ring_index
         index = ring_index
+        # The accounting sink is the cloud's own method: a sink bound to the
+        # ring would make every ring a reference cycle, which outlives its
+        # shutdown until the cyclic collector runs.
         sink = (
-            self.cloud.receive_chunk if self.content is None else self._store_unique_chunk
+            self.cloud.receive_chunks if self.content is None else self._store_unique_chunks
         )
         if self.config.brownout:
             # Brownout wraps the *ring* index (the trippable hop); the LRU
@@ -239,26 +243,26 @@ class D2Ring:
                 # missed a partially-acked write under overload. Repair
                 # the engine's accounting on the spot; the journal replay
                 # then only has to repair the *index*.
-                def sink_with_lengths(
-                    chunk, fingerprint, _sink=sink, _b=brownout, _nid=node_id
-                ):
-                    _b.note_length(fingerprint, chunk.length)
-                    if _sink(chunk, fingerprint) is False:
-                        stats = self.agents[_nid].engine.stats
-                        stats.unique_chunks -= 1
-                        stats.unique_bytes -= chunk.length
-                        stats.duplicate_chunks += 1
-                        _b.stats.corrected_chunks += 1
-                        _b.stats.corrected_bytes += chunk.length
+                def sink_with_lengths(batch, _b=brownout, _nid=node_id):
+                    for chunk, fingerprint in batch:
+                        _b.note_length(fingerprint, chunk.length)
+                        if self.cloud.receive_chunk(chunk, fingerprint) is False:
+                            stats = self.agents[_nid].engine.stats
+                            stats.unique_chunks -= 1
+                            stats.unique_bytes -= chunk.length
+                            stats.duplicate_chunks += 1
+                            _b.stats.corrected_chunks += 1
+                            _b.stats.corrected_bytes += chunk.length
             else:
                 # Content-plane sinks have no authoritative duplicate
                 # signal; accounting repair waits for the journal replay.
-                def sink_with_lengths(chunk, fingerprint, _sink=sink, _b=brownout):
+                def sink_with_lengths(batch, _sink=sink, _b=brownout):
                     # Lengths captured at the sink repair the accounting
                     # later: identical fingerprint ⇒ identical content ⇒
                     # one length.
-                    _b.note_length(fingerprint, chunk.length)
-                    _sink(chunk, fingerprint)
+                    for chunk, fingerprint in batch:
+                        _b.note_length(fingerprint, chunk.length)
+                    _sink(batch)
 
             sink = sink_with_lengths
         if self.config.cache_capacity > 0:
@@ -313,10 +317,7 @@ class D2Ring:
 
     def ingest(self, node_id: str, data: bytes):
         """Deduplicate ``data`` at ``node_id`` against the ring's index."""
-        report = self.agent(node_id).ingest(data)
-        if self.content is not None:
-            self.content.flush()
-        return report
+        return self.agent(node_id).ingest(data)
 
     def ingest_file(
         self,
@@ -330,8 +331,9 @@ class D2Ring:
         lookup batches of the dedup run itself, so the file is chunked and
         hashed once.
 
-        Each batch's references are journaled before the batch reaches the
-        index, hence before any of its chunks is stored (count before
+        Each batch's references are journaled — one group commit per batch
+        — before the batch reaches the index, hence before any of its
+        chunks is stored (count before
         store: a crash leaves counted-but-unstored references, which a
         sweep forgets, never stored-but-uncounted chunks, which it would
         reclaim under a live file). The call is all-or-nothing for the
@@ -360,18 +362,18 @@ class D2Ring:
         if file_id in recipes:
             raise RecipeError(f"recipe for {file_id!r} already stored")
         gc = self._content_plane.gc if self._content_plane is not None else None
+        journal = gc.batch if gc is not None else nullcontext
         entries: list[RecipeEntry] = []
 
         def record(fingerprints, chunks) -> None:
-            for fingerprint, chunk in zip(fingerprints, chunks):
-                if gc is not None:
-                    gc.incr(fingerprint)
-                entries.append(RecipeEntry(fingerprint, chunk.length))
+            with journal():
+                for fingerprint, chunk in zip(fingerprints, chunks):
+                    if gc is not None:
+                        gc.incr(fingerprint)
+                    entries.append(RecipeEntry(fingerprint, chunk.length))
 
         try:
             report = self.agent(node_id).ingest(data, label=file_id, observer=record)
-            if self.content is not None:
-                self.content.flush()
         except BaseException:
             if gc is not None:
                 taken = Counter(entry.fingerprint for entry in entries)
@@ -416,8 +418,6 @@ class D2Ring:
                     self.agent(nid).ingest(data)
             for nid in finished:
                 del iters[nid]
-        if self.content is not None:
-            self.content.flush()
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -178,7 +178,7 @@ class TestEngineBatching:
         engine = DedupEngine(
             chunker=FixedSizeChunker(4096),
             batch_size=16,
-            unique_sink=lambda chunk, fp: seen.append(fp),
+            unique_sink=lambda batch: seen.extend(fp for _, fp in batch),
         )
         result = engine.dedup_bytes(data)
         assert seen == list(result.unique_fingerprints)
@@ -203,3 +203,62 @@ class TestEngineBatching:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             DedupEngine(batch_size=0)
+
+
+class TestUniqueSinkIsPerLookupBatch:
+    """The sink is called once per lookup batch that has unique chunks, with
+    those chunks in stream order as ``(bytes chunk, fingerprint)`` pairs."""
+
+    BLOCK = 4096
+
+    def _blocks(self, seed: int, n: int) -> list[bytes]:
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, 256, self.BLOCK, dtype=np.uint8).tobytes() for _ in range(n)]
+
+    def _sunk(self, data: bytes, **engine_kwargs):
+        calls: list[list] = []
+        engine = DedupEngine(
+            chunker=FixedSizeChunker(self.BLOCK), unique_sink=calls.append, **engine_kwargs
+        )
+        try:
+            result = engine.dedup_bytes(memoryview(data))
+        finally:
+            engine.close()
+        return calls, result
+
+    def test_one_call_per_batch_in_stream_order_unique_only(self):
+        first, third = self._blocks(1, 16), self._blocks(2, 16)
+        # batch 0: 16 new; batch 1: all duplicates of batch 0; batch 2: 14
+        # new with a repeat inside the batch and one of batch 0's chunks.
+        stream = first + first + third[:14] + [third[0], first[5]]
+        calls, result = self._sunk(b"".join(stream), batch_size=16)
+        assert [len(call) for call in calls] == [16, 14]  # none for batch 1
+        assert [c.offset // (16 * self.BLOCK) for c, _ in calls[0]] == [0] * 16
+        assert [c.offset // (16 * self.BLOCK) for c, _ in calls[1]] == [2] * 14
+        flat = [pair for call in calls for pair in call]
+        assert [fp for _, fp in flat] == list(result.unique_fingerprints)
+        assert [c.data for c, _ in flat] == first + third[:14]
+        assert all(type(c.data) is bytes for c, _ in flat)
+
+    def test_an_all_duplicate_input_makes_no_call(self):
+        data = b"".join(self._blocks(3, 8))
+        engine = DedupEngine(chunker=FixedSizeChunker(self.BLOCK), batch_size=4)
+        engine.dedup_bytes(data)
+        calls: list[list] = []
+        engine.unique_sink = calls.append
+        engine.dedup_bytes(data)
+        assert calls == []
+
+    def test_batch_size_one_and_hash_workers_sink_the_same_sequence(self):
+        blocks = self._blocks(4, 12)
+        data = b"".join(blocks + blocks[3:9] + self._blocks(5, 5))
+
+        def flat(calls):
+            return [(c.data, c.offset, fp) for call in calls for c, fp in call]
+
+        batched, _ = self._sunk(data, batch_size=8)
+        single, _ = self._sunk(data, batch_size=1)
+        pooled, _ = self._sunk(data, batch_size=8, hash_workers=2)
+        assert all(len(call) == 1 for call in single)  # a batch of one chunk
+        assert flat(single) == flat(batched) == flat(pooled)
+        assert [len(c) for c in pooled] == [len(c) for c in batched]

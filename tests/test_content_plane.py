@@ -61,13 +61,16 @@ class TestContentStoreProtocol:
 
 class TestRingContentStore:
     def test_put_buffers_until_batch(self):
-        ring = make_ring(batch=3)
-        ring.content.put_chunk("a", b"1")
-        ring.content.put_chunk("b", b"2")
+        """``put_chunk`` only buffers — past ``batch_size`` too; the batch
+        size bounds each message of the flush instead."""
+        ring = make_ring(n=1, rf=1, batch=3)
+        for i in range(7):
+            ring.content.put_chunk(f"fp{i}", bytes([i]))
         assert ring.content.stats.batch_flushes == 0
-        ring.content.put_chunk("c", b"3")  # hits batch_size -> auto flush
-        assert ring.content.stats.batch_flushes >= 1
-        assert ring.content.stats.puts == 3
+        assert ring.content.snapshot()["pending"] == 7
+        assert ring.content.flush() == 7
+        assert ring.content.stats.batch_flushes == 3  # 3 + 3 + 1 to the one member
+        assert ring.content.stats.puts == 7
 
     def test_get_after_flush(self):
         ring = make_ring()
@@ -181,6 +184,26 @@ class TestRefcountGC:
             reborn.incr("fp")
         with RefcountGC(journal_dir=tmp_path) as again:
             assert again.count("fp") == 4
+
+    def test_batch_commits_k_appends_with_one_flush(self, tmp_path):
+        with RefcountGC(journal_dir=tmp_path) as gc:
+            with gc.batch():
+                for fp in ("a", "b", "a", "c"):
+                    gc.incr(fp)
+            assert (gc.wal.stats.appends, gc.wal.stats.flushes) == (4, 1)
+            gc.incr("d")  # outside a batch: its own flush, as ever
+            assert (gc.wal.stats.appends, gc.wal.stats.flushes) == (5, 2)
+            metrics = gc.metrics()
+            assert (metrics["journal_appends"], metrics["journal_flushes"]) == (5, 2)
+        with RefcountGC(journal_dir=tmp_path) as reborn:
+            assert reborn.counts == {"a": 2, "b": 1, "c": 1, "d": 1}
+
+    def test_batch_without_a_journal_only_counts(self):
+        gc = RefcountGC()
+        with gc.batch():
+            gc.incr("a")
+        assert gc.count("a") == 1
+        assert gc.metrics()["journal_flushes"] == 0.0
 
     def test_snapshot_compaction_survives_restart(self, tmp_path):
         with RefcountGC(journal_dir=tmp_path, snapshot_every=8) as gc:

@@ -148,7 +148,7 @@ class TestDedupEngine:
         seen = []
         engine = DedupEngine(
             chunker=FixedSizeChunker(4),
-            unique_sink=lambda chunk, fp: seen.append(fp),
+            unique_sink=lambda batch: seen.extend(fp for _, fp in batch),
         )
         engine.dedup_bytes(b"aaaabbbbaaaa")
         assert len(seen) == 2

@@ -8,12 +8,16 @@ references are journaled before any of its chunks is stored; a duplicate
 they were.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.chaos import check_invariants
 from repro.chunking.fastcdc import FastCDCChunker
+from repro.dedup.engine import DedupEngine
 from repro.dedup.recipes import RecipeError, make_recipe
-from repro.kvstore.errors import UnavailableError
+from repro.kvstore.errors import NodeDownError, UnavailableError
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
@@ -166,6 +170,127 @@ class TestRecipeComesFromTheDedupPass:
                 )
                 assert incrs >= batch_end, (fingerprint, incrs, batch_end)
             assert stores > 0
+        finally:
+            cluster.shutdown()
+
+
+def unique_payload(seed: int, chunks: int) -> bytes:
+    """``chunks`` distinct 4 KiB fixed-size chunks."""
+    return np.random.default_rng(seed).integers(
+        0, 256, chunks * 4096, dtype=np.uint8
+    ).tobytes()
+
+
+class TestTheLookupBatchIsTheWriteUnit:
+    """A lookup round shelves its payloads in one scatter of messages of at
+    most ``content_batch`` payloads and commits its references with one
+    journal flush — on both transports, counted the same."""
+
+    @staticmethod
+    def three_member_cluster(tmp_path, transport):
+        return durable(
+            tmp_path, transport, nodes=3, lookup_batch=64, content_batch=4
+        )
+
+    @pytest.mark.parametrize("transport", ["inproc", "asyncio"])
+    def test_one_lookup_round_is_one_scatter_of_bounded_messages(
+        self, tmp_path, monkeypatch, transport
+    ):
+        cluster = self.three_member_cluster(tmp_path, transport)
+        try:
+            ring = cluster.ring_for("edge-0")
+            scatters: list[list[tuple[str, int]]] = []
+            real = ring.store.scatter_put_chunks
+
+            def spy(messages):
+                scatters.append([(node, len(entries)) for node, entries in messages])
+                return real(messages)
+
+            monkeypatch.setattr(ring.store, "scatter_put_chunks", spy)
+            cluster.ingest_file("edge-0", "f", unique_payload(21, 2 * 64))
+            assert len(scatters) == 2  # two lookup rounds, two scatters
+            for scatter in scatters:
+                assert max(size for _, size in scatter) <= 4
+                shares = Counter()
+                for node, size in scatter:
+                    shares[node] += size
+                assert len(shares) == 3 and sum(shares.values()) == 64
+                # each member's share goes in ceil(share / 4) messages
+                assert len(scatter) == sum(-(-share // 4) for share in shares.values())
+            stats = ring.content.stats
+            assert stats.batch_flushes == sum(len(s) for s in scatters)
+            assert (stats.puts, stats.dropped_puts) == (128, 0)
+            assert cluster.restore_file("f") == unique_payload(21, 2 * 64)
+        finally:
+            cluster.shutdown()
+
+    @pytest.mark.parametrize("transport", ["inproc", "asyncio"])
+    def test_a_failed_message_drops_only_its_own_payloads(
+        self, tmp_path, monkeypatch, transport
+    ):
+        cluster = self.three_member_cluster(tmp_path, transport)
+        try:
+            ring = cluster.ring_for("edge-0")
+            real = ring.store.transport.put_chunks
+            sent: list[list[tuple[str, bytes]]] = []
+
+            async def second_message_lost(node_id, entries):
+                sent.append(entries)
+                if len(sent) == 2:
+                    raise NodeDownError(node_id)
+                return await real(node_id, entries)
+
+            monkeypatch.setattr(ring.store.transport, "put_chunks", second_message_lost)
+            data = unique_payload(22, 64)
+            cluster.ingest_file("edge-0", "f", data)
+            lost = {fp for fp, _ in sent[1]}
+            assert 1 <= len(lost) <= 4
+            stats = ring.content.stats
+            assert stats.dropped_puts == len(lost)
+            assert stats.puts == 64 - len(lost)
+            assert stats.batch_flushes == len(sent)
+            stored = {entry.fingerprint for entry in cluster.recipes.get("f").entries}
+            assert ring.content.fingerprints() == stored - lost
+            assert cluster.restore_file("f") == data  # the tier holds every chunk
+        finally:
+            cluster.shutdown()
+
+    def test_a_batchs_references_are_k_appends_and_one_flush(self, tmp_path):
+        cluster = durable(tmp_path)  # fixed 4 KiB chunks, lookup_batch 16
+        try:
+            wal = cluster.gc.wal
+            appends, flushes = wal.stats.appends, wal.stats.flushes
+            data = payload(23)  # 24 chunks, each repeated once: 2 lookup rounds
+            cluster.ingest_file("edge-0", "f", data)
+            entries = cluster.recipes.get("f").entries
+            assert len(entries) == 24
+            assert wal.stats.appends - appends == 24
+            assert wal.stats.flushes - flushes == 2
+            assert cluster.gc.metrics()["journal_flushes"] == wal.stats.flushes
+        finally:
+            cluster.shutdown()
+
+    @pytest.mark.parametrize(
+        "transport,extra",
+        [("inproc", {}), ("inproc", {"secure": True}), ("asyncio", {"brownout": True})],
+        ids=["plain", "secure", "brownout"],
+    )
+    def test_ratio_restores_and_index_match_through_the_batch_sink(
+        self, tmp_path, transport, extra
+    ):
+        cluster = durable(tmp_path, transport, nodes=3, chunking_algo="fastcdc", **extra)
+        try:
+            ring = cluster.ring_for("edge-0")
+            files = {f"f{i}": payload(30 + i % 3) + payload(40 + i) for i in range(5)}
+            reference = DedupEngine(chunker=cluster.config.make_chunker())
+            for i, (file_id, data) in enumerate(files.items()):
+                cluster.ingest_file(ring.members[i % 3], file_id, data)
+                reference.dedup_bytes(data)
+            assert ring.dedup_ratio == reference.stats.dedup_ratio
+            for file_id, data in files.items():
+                assert cluster.restore_file(file_id) == data
+            report = check_invariants(ring)
+            assert report.passed, report.violations
         finally:
             cluster.shutdown()
 

@@ -87,6 +87,46 @@ class TestRestoreFile:
         out = restore_file(recipe, substituted.__getitem__, verify=False)
         assert out == b"z" * 4096  # caller opted out of safety
 
+    def test_each_distinct_chunk_is_fetched_and_verified_once(self):
+        from repro.chunking import hashing
+
+        a, b, c = b"a" * 4096, b"b" * 4096, b"c" * 4096
+        data = a + b + a + c + b + a
+        recipe = make_recipe("f", data, chunker=FixedSizeChunker(4096))
+        chunks = self._chunk_map(data)
+        fetched, hashed = [], []
+
+        def fetch(fp):
+            fetched.append(fp)
+            return chunks[fp]
+
+        def fingerprint(payload):
+            hashed.append(bytes(payload))
+            return hashing.default_fingerprint(payload)
+
+        assert restore_file(recipe, fetch, fingerprint=fingerprint) == data
+        assert len(recipe.entries) == 6
+        assert fetched == list(dict.fromkeys(e.fingerprint for e in recipe.entries))
+        assert hashed == [a, b, c]
+
+    def test_corrupt_repeated_chunk_names_its_first_index(self):
+        good, repeated = b"g" * 4096, b"r" * 4096
+        recipe = make_recipe(
+            "f", good + repeated + good + repeated, chunker=FixedSizeChunker(4096)
+        )
+        chunks = self._chunk_map(good + repeated)
+        chunks[recipe.entries[1].fingerprint] = b"x" * 4096
+        with pytest.raises(RecipeError, match="chunk 1 failed fingerprint"):
+            restore_file(recipe, chunks.__getitem__)
+
+    def test_repeated_entry_still_gets_its_length_checked(self):
+        data = b"y" * 8192
+        recipe = make_recipe("f", data, chunker=FixedSizeChunker(4096))
+        fp = recipe.entries[0].fingerprint
+        lying = FileRecipe("f", (recipe.entries[0], RecipeEntry(fp, 100)))
+        with pytest.raises(RecipeError, match="chunk 1 has 4096 bytes"):
+            restore_file(lying, {fp: b"y" * 4096}.__getitem__)
+
     @given(data=st.binary(min_size=1, max_size=5000))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, data):

@@ -155,7 +155,7 @@ class TestDedupAgent:
             node_id="n0",
             index=RingIndex(store, "n0"),
             config=EFDedupConfig(chunk_size=4),
-            unique_sink=lambda chunk, fp: received.append(fp),
+            unique_sink=lambda batch: received.extend(fp for _, fp in batch),
         )
         agent.ingest(b"aaaabbbbaaaa")
         assert len(received) == 2

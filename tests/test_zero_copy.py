@@ -135,7 +135,7 @@ class TestEngineZeroCopy:
         sunk: list[Chunk] = []
         engine = DedupEngine(
             chunker=FixedSizeChunker(4096),
-            unique_sink=lambda c, fp: sunk.append(c),
+            unique_sink=lambda batch: sunk.extend(c for c, _ in batch),
         )
         engine.dedup_bytes(data + data)  # second half is all duplicates
         assert len(sunk) == 10
