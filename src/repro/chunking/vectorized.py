@@ -26,16 +26,21 @@ vector passes instead of O(window).
   shift-only reductions (2^61 ≡ 1, 2^64 ≡ 8 mod M61) so everything stays
   inside uint64.
 
-Two implementation rules keep the kernels fast on large buffers:
+Three implementation rules keep the kernels fast on large buffers:
 
 1. **No allocation in the hot loop.** Every pass writes into preallocated
    scratch with ``out=`` — page-faulting a fresh tens-of-MB array per op
    costs several times the arithmetic itself.
-2. **Blocked processing.** Buffers are scanned in ~1M-position blocks
+2. **Blocked processing.** Buffers are scanned in 256K-position blocks
    (overlapping by ``window - 1`` bytes so every window is complete), which
    keeps the working set cache-resident and bounds scratch memory
    regardless of buffer size. Candidates are position-independent, so the
    per-block hit lists concatenate exactly.
+3. **No 8-bit shift ufuncs.** numpy has no SIMD loop for shifts of uint8:
+   ``np.left_shift`` costs ~275 µs per MiB, against ~38 µs for the equal
+   ``np.add(x, x)`` or ``np.multiply(x, 4)`` (numpy 2.4, 2-vCPU Xeon).
+   Every doubling step therefore multiplies by ``2**p`` instead of
+   shifting, which wraps identically in every unsigned dtype.
 
 Intermediate Rabin values are kept *semi-canonical* (``<= 2^61``, where
 ``M61`` itself represents zero) and only canonicalized once at the end; the
@@ -55,9 +60,13 @@ _M61 = (1 << 61) - 1  # the Rabin modulus (Mersenne prime)
 _LOW32 = (1 << 32) - 1
 _LOW29 = (1 << 29) - 1
 
-# Positions scanned per block. 1M positions keeps the scratch working set
-# (a handful of 8 MB arrays) comfortably inside L3 on current hardware.
-_BLOCK = 1 << 20
+# Positions scanned per block, chosen for the split-gear kernel: its
+# working set is the block's input bytes plus three one-byte-per-position
+# scratch arrays (S4 lane, temp, predicate), ~1 MiB, which stays in a
+# core's L2. Measured on a 2-vCPU Xeon with 2 MiB L2 per core, 1 << 18 beat
+# 1 << 17 and 1 << 19 on 4 and 32 MiB buffers; the uint32 gear and uint64
+# Rabin kernels would prefer smaller blocks still.
+_BLOCK = 1 << 18
 
 
 def _blocks(n: int, window: int):
@@ -79,26 +88,32 @@ def _gear_doubling_into(
     """Window hash ``W[i] = sum_{j<window} g[i-j] << j`` by binary doubling.
 
     Works in ``g``'s own integer dtype; overflow wraps, which is exactly the
-    modular arithmetic both the uint32 and uint64 gear paths want. Entries
-    with ``i < window - 1`` are partial-window garbage. ``acc``/``tmp`` are
+    modular arithmetic the uint8, uint32 and uint64 lanes want. Shifts are
+    written as multiplies by ``2**p`` (rule 3): equal under unsigned
+    wraparound, and vectorized for every dtype; ``2**p`` must fit the
+    dtype, so ``window`` is at most its bit width. Entries with
+    ``i < window - 1`` are partial-window garbage. ``acc``/``tmp`` are
     caller-provided scratch of ``g``'s length and dtype; returns ``acc``.
     """
-    np.copyto(acc, g)
-    if window == 1 or len(g) == 0:
+    if window == 1:
+        np.copyto(acc, g)
         return acc
+    acc[:1] = g[:1]
     ty = g.dtype.type
     width = 1
     for bit in bin(window)[3:]:  # binary digits after the leading 1
         q = width
         if q < len(g):
-            # W_{2p}[i] = (W_p[i-p] << p) + W_p[i]
-            np.left_shift(acc[:-q], ty(q), out=tmp[q:])
-            np.add(acc[q:], tmp[q:], out=acc[q:])
+            # W_{2p}[i] = W_p[i-p] * 2^p + W_p[i]. The first step reads
+            # W_1 = g in place, so the lane is never copied into acc.
+            src = g if q == 1 else acc
+            np.multiply(src[:-q], ty(1 << q), out=tmp[q:])
+            np.add(src[q:], tmp[q:], out=acc[q:])
         width *= 2
         if bit == "1":
             if len(g) > 1:
-                # W_{p+1}[i] = (W_p[i-1] << 1) + W_1[i]
-                np.left_shift(acc[:-1], ty(1), out=tmp[1:])
+                # W_{p+1}[i] = 2 W_p[i-1] + W_1[i]
+                np.add(acc[:-1], acc[:-1], out=tmp[1:])
                 np.add(tmp[1:], g[1:], out=acc[1:])
             width += 1
     return acc
@@ -317,18 +332,17 @@ def rabin_boundary_candidates(
 # vectorization economics:
 #
 # - The low byte (S4) needs **no table gather** — it is computed for every
-#   position with four uint8 ufunc passes, and ``S4 & mask & 0xff == 0``
-#   filters the buffer down to ~1/256 of its positions.
+#   position with four uint8 ufunc passes straight from the input, and
+#   ``S4 & mask & 0xff == 0`` filters the buffer down to ~1/256 of its
+#   positions.
 # - The table-gear lane (W8) is only evaluated **at the survivors**, as
-#   per-j gathers from 8 pre-shifted copies of the table — O(survivors)
-#   instead of O(n) gather traffic, which is what the pure-gear kernel
-#   spends most of its time on.
+#   eight Horner steps of table gathers — O(survivors) instead of O(n)
+#   gather traffic, which is what the pure-gear kernel spends most of its
+#   time on.
 #
 # A block whose survivor count explodes (constant runs make S4 degenerate)
 # falls back to evaluating the exact 32-bit hash for the whole block by
-# doubling — bounded ~3x slowdown instead of a survivor blowup. Both
-# windows are powers of two, so the doubling recurrences also produce the
-# exact truncated-window sums for the first ``window-1`` positions.
+# doubling — a bounded slowdown instead of a survivor blowup.
 
 _SPLIT_WINDOW = 8  # bytes of context the boundary value V depends on
 _S4_WINDOW = 4
@@ -338,26 +352,24 @@ _S4_WINDOW = 4
 _DENSE_SHIFT = 5
 
 
-def _s4_lane_into(b: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The positional lane ``S4[i] = sum_{j<4} b[i-j] << j`` mod 256."""
-    return _gear_doubling_into(b, _S4_WINDOW, acc, tmp)
-
-
 def split_gear_values(buf: np.ndarray, table32: np.ndarray) -> np.ndarray:
     """The split-lane value ``V`` at every position of ``buf`` (uint32).
 
     ``out[i]`` is the value for the cut *end* ``e = i + 1``, with windows
-    truncated at the buffer start — the definition oracle used by tests;
-    the chunkers use the blocked :func:`split_gear_candidates`.
+    truncated at the buffer start — the definition oracle used by tests,
+    summed term by term so it shares no code with the doubling kernel; the
+    chunkers use the blocked :func:`split_gear_candidates`.
     """
-    if len(buf) == 0:
-        return np.empty(0, dtype=_U32)
-    g = table32[buf.astype(np.intp)]
-    w8 = _gear_doubling_into(g, _SPLIT_WINDOW, np.empty_like(g), np.empty_like(g))
-    s4 = _gear_doubling_into(buf, _S4_WINDOW, np.empty_like(buf), np.empty_like(buf))
-    np.bitwise_and(w8, _U32(0xFFFFFF00), out=w8)
-    np.bitwise_or(w8, s4.astype(_U32), out=w8)
-    return w8
+    n = len(buf)
+    g = table32[buf]
+    b = buf.astype(_U32)
+    w8 = np.zeros(n, dtype=_U32)
+    s4 = np.zeros(n, dtype=_U32)
+    for j in range(min(_SPLIT_WINDOW, n)):
+        w8[j:] += g[: n - j] << _U32(j)
+    for j in range(min(_S4_WINDOW, n)):
+        s4[j:] += b[: n - j] << _U32(j)
+    return (w8 & _U32(0xFFFFFF00)) | (s4 & _U32(0xFF))
 
 
 def split_gear_candidates(
@@ -385,14 +397,12 @@ def split_gear_candidates(
     s4 = np.empty(cap, dtype=np.uint8)
     tmp8 = np.empty(cap, dtype=np.uint8)
     pred = np.empty(cap, dtype=bool)
-    shifted = [table32 << _U32(j) for j in range(window)]
     surv_parts: dict[int, list[np.ndarray]] = {fm: [] for fm in groups}
     exact_parts: list[list[np.ndarray]] = [[] for _ in masks]
-    dense_thresh_shift = _DENSE_SHIFT
     for lo, s, e in _blocks(n, window):
         m = e - lo
         b = buf[lo:e]
-        a = _s4_lane_into(b, s4[:m], tmp8[:m])
+        a = _gear_doubling_into(b, _S4_WINDOW, s4[:m], tmp8[:m])
         first = max(s, window - 1)  # emit only full-window positions
         acc32 = None
         for fm, ks in groups.items():
@@ -401,21 +411,19 @@ def split_gear_candidates(
             else:
                 np.bitwise_and(a, np.uint8(fm), out=tmp8[:m])
                 np.equal(tmp8[:m], np.uint8(0), out=pred[:m])
-            if int(np.count_nonzero(pred[:m])) <= m >> dense_thresh_shift:
-                hits = np.flatnonzero(pred[:m])
+            hits = np.flatnonzero(pred[:m])  # at most one block of int64
+            if len(hits) <= m >> _DENSE_SHIFT:
                 hits += lo
                 surv_parts[fm].append(hits[hits >= first])
                 continue
             # Dense block (constant runs): evaluate the exact 32-bit value
             # for the whole block instead of drowning in survivors.
             if acc32 is None:
-                acc32 = table32[b.astype(np.intp)]
-                t32 = np.empty_like(acc32)
-                for q in (1, 2, 4):  # doubling to the 8-byte window
-                    np.left_shift(acc32[:-q], _U32(q), out=t32[q:])
-                    np.add(acc32[q:], t32[q:], out=acc32[q:])
+                g32 = np.take(table32, b)
+                t32 = np.empty_like(g32)
+                acc32 = _gear_doubling_into(g32, window, np.empty_like(g32), t32)
                 np.bitwise_and(acc32, _U32(0xFFFFFF00), out=acc32)
-                np.bitwise_or(acc32, a.astype(_U32), out=acc32)
+                np.bitwise_or(acc32, a, out=acc32)
             for k in ks:
                 np.bitwise_and(acc32, _U32(masks[k]), out=t32)
                 np.equal(t32, _U32(0), out=pred[:m])
@@ -431,10 +439,13 @@ def split_gear_candidates(
             surv = parts[0] if len(parts) == 1 else np.concatenate(parts)
         h = None
         if len(surv) and any(masks[k] > 0xFF for k in ks):
-            # Table-gear lane only at the survivors: 8 shifted-table gathers.
-            h = shifted[0][buf[surv]]
-            for j in range(1, window):
-                h = h + shifted[j][buf[surv - j]]
+            # Table-gear lane only at the survivors, oldest byte first.
+            idx = surv - (window - 1)
+            h = table32[buf[idx]]
+            for _ in range(window - 1):
+                idx += 1
+                h += h
+                h += table32[buf[idx]]
         for k in ks:
             hi = masks[k] & ~0xFF
             cands = surv if (h is None or hi == 0) else surv[(h & _U32(hi)) == 0]

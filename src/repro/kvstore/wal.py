@@ -59,8 +59,10 @@ class WriteAheadLog:
             rewrites the full shard and truncates the log. ``0`` disables
             automatic snapshots (the log grows until :meth:`write_snapshot`
             is called explicitly).
-        fsync: when True, every commit is fsync'd — crash-proof against
-            power loss, slow. The default (False) flushes to the OS on each
+        fsync: when True, every commit is fsync'd and a snapshot fsyncs
+            its file and then the directory before the log is truncated, so
+            acknowledged records survive power loss on a file system that
+            honours fsync; slow. The default (False) flushes to the OS on each
             commit (one append, or one :meth:`batch` of them), which
             survives *process* crashes (the failure mode the chaos harness
             injects) without the per-write fsync cost.
@@ -204,7 +206,9 @@ class WriteAheadLog:
         ``os.replace`` (old snapshot visible until the new one is complete)
         and the log is only truncated *after* the replace — a crash between
         the two replays log records onto the new snapshot, which LWW makes
-        a no-op.
+        a no-op. With ``fsync=True`` the directory is fsync'd between the
+        two: until then the rename may not be on disk, and a power loss
+        could keep the truncate but lose the rename.
         """
         raw = {
             key: [v.value, v.timestamp, v.tombstone] for key, v in data.items()
@@ -216,6 +220,12 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(fh.fileno())
         os.replace(tmp, self.snap_path)
+        if self.fsync:
+            dir_fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
         if self._fh is not None:
             self._fh.close()
             self._fh = None

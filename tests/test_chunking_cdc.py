@@ -5,15 +5,100 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chunking import vectorized
 from repro.chunking.base import validate_chunking
 from repro.chunking.extremum import AEChunker, RAMChunker
 from repro.chunking.fastcdc import FastCDCChunker
-from repro.chunking.gear import GearChunker
-from repro.chunking.rabin import RabinChunker
+from repro.chunking.gear import _GEAR_TABLE_U64, GearChunker
+from repro.chunking.rabin import _BASE, RabinChunker
 
 
 def _random_bytes(n: int, seed: int = 0) -> bytes:
     return np.random.default_rng(seed).integers(0, 256, size=n, dtype=np.uint8).tobytes()
+
+
+# -- buffers spanning many scan blocks ------------------------------------ #
+#
+# The vectorized kernels scan in blocks of ``vectorized._BLOCK`` positions,
+# each reading the last ``window - 1`` bytes of the block before it. The
+# production block is larger than any other test buffer, so these tests
+# shrink it to cross many seams.
+
+SEAM_BLOCK = 4096
+
+
+def seam_payloads() -> list:
+    """A dense all-zero block between sparse random ones, and a low-entropy
+    run straddling a seam (pytest params)."""
+    b = SEAM_BLOCK
+    low = np.random.default_rng(31).integers(0, 2, size=b, dtype=np.uint8).tobytes()
+    return [
+        pytest.param(
+            _random_bytes(b, 1) + bytes(b) + _random_bytes(4 * b + 123, 2),
+            id="zero-block",
+        ),
+        pytest.param(
+            _random_bytes(2 * b + b // 2, 3) + low + _random_bytes(3 * b, 4),
+            id="low-entropy-across-seam",
+        ),
+    ]
+
+
+def seam_blocks(chunker, data: bytes, count: int = 6) -> list[int]:
+    """Block sizes that put content-defined cuts exactly on a seam: each
+    cut's hit position ``cut - 1`` first in block 1 (its window reads the
+    previous block's bytes), then last in block 0."""
+    cuts = chunker.cut_points(data)
+    found = [
+        c for s, c in zip([0, *cuts], cuts)
+        if c - s < chunker.max_size and c < len(data)
+    ]
+    return [block for c in found[:count] for block in (c - 1, c)]
+
+
+SEAM_CHUNKERS = [
+    pytest.param(lambda b: GearChunker(avg_size=256, backend=b), id="gear"),
+    pytest.param(
+        lambda b: RabinChunker(avg_size=64, min_size=16, window_size=16, backend=b),
+        id="rabin",
+    ),
+]
+
+
+@pytest.mark.parametrize("make", SEAM_CHUNKERS)
+class TestMultiBlockKernels:
+    @pytest.mark.parametrize("data", seam_payloads())
+    def test_cut_points_across_seams(self, make, data, monkeypatch):
+        monkeypatch.setattr(vectorized, "_BLOCK", SEAM_BLOCK)
+        assert make("vectorized").cut_points(data) == make("scalar").cut_points(data)
+
+    def test_cut_exactly_at_a_seam(self, make, monkeypatch):
+        data = _random_bytes(6 * SEAM_BLOCK, seed=5)
+        scalar = make("scalar").cut_points(data)
+        for block in seam_blocks(make("scalar"), data):
+            monkeypatch.setattr(vectorized, "_BLOCK", block)
+            assert make("vectorized").cut_points(data) == scalar
+
+
+@pytest.mark.parametrize("data", seam_payloads())
+def test_blocked_candidates_match_unblocked_hashes(data, monkeypatch):
+    """Gear and Rabin candidates scanned block by block equal the ones read
+    off the window hashes of the whole buffer at once."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    monkeypatch.setattr(vectorized, "_BLOCK", SEAM_BLOCK)
+    window, mask = 8, (1 << 8) - 1
+    hashes = vectorized.gear_window_hashes(buf, _GEAR_TABLE_U64, window)
+    expected = np.flatnonzero((hashes & hashes.dtype.type(mask)) == 0)
+    expected = expected[expected >= window - 1] + 1
+    got = vectorized.gear_boundary_candidates(buf, _GEAR_TABLE_U64, mask, window)
+    assert np.array_equal(got, expected)
+
+    window, divisor = 16, 64
+    hashes = vectorized.rabin_window_hashes(buf, window, _BASE)
+    expected = np.flatnonzero(hashes % np.uint64(divisor) == divisor - 1)
+    expected = expected[expected >= window - 1] + 1
+    got = vectorized.rabin_boundary_candidates(buf, window, _BASE, divisor)
+    assert np.array_equal(got, expected)
 
 
 CDC_CLASSES = [

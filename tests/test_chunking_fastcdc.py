@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chunking import vectorized
 from repro.chunking.base import validate_chunking
 from repro.chunking.extremum import AEChunker, RAMChunker
 from repro.chunking.fastcdc import _T32, _T32_U32, FastCDCChunker
@@ -20,6 +21,7 @@ from repro.chunking.gear import GearChunker
 from repro.chunking.vectorized import split_gear_candidates, split_gear_values
 from repro.datasets.accelerometer import AccelerometerSource
 from repro.datasets.trafficvideo import TrafficVideoSource
+from tests.test_chunking_cdc import SEAM_BLOCK, seam_blocks, seam_payloads
 
 
 def _random_bytes(n: int, seed: int = 0) -> bytes:
@@ -178,6 +180,15 @@ def test_extremum_property_equivalence(data: bytes, avg: int):
         assert vectorized.cut_points(data) == scalar.cut_points(data)
 
 
+def _assert_candidates_match_values(data: bytes, masks: tuple[int, ...]) -> None:
+    buf = np.frombuffer(data, dtype=np.uint8)
+    values = split_gear_values(buf, _T32_U32)
+    for mask, cands in zip(masks, split_gear_candidates(buf, _T32_U32, masks)):
+        expected = np.flatnonzero((values & np.uint32(mask)) == 0)
+        expected = expected[expected >= 7] + 1
+        assert np.array_equal(cands, expected)
+
+
 class TestSplitGearKernel:
     """The vectorized kernel against a straight evaluation of the spec."""
 
@@ -195,8 +206,11 @@ class TestSplitGearKernel:
         data = _random_bytes(2000, seed=11)
         buf = np.frombuffer(data, dtype=np.uint8)
         values = split_gear_values(buf, _T32_U32)
-        for i in (0, 3, 7, 8, 517, len(buf) - 1):
+        for i in (*range(40), 517, len(buf) - 1):
             assert int(values[i]) == self._value(data, i + 1)
+        for n in range(8):  # shorter than either window
+            values = split_gear_values(buf[:n], _T32_U32)
+            assert [int(v) for v in values] == [self._value(data, e) for e in range(1, n + 1)]
 
     @pytest.mark.parametrize("payload", [
         pytest.param(lambda: _random_bytes(300_000, seed=13), id="random"),
@@ -204,26 +218,45 @@ class TestSplitGearKernel:
         pytest.param(lambda: _low_entropy_bytes(300_000, seed=14, alphabet=2), id="binary-alphabet"),
     ])
     def test_candidates_match_values(self, payload):
-        data = payload()
-        buf = np.frombuffer(data, dtype=np.uint8)
-        masks = ((1 << 15) - 1, (1 << 11) - 1)
-        values = split_gear_values(buf, _T32_U32)
-        got = split_gear_candidates(buf, _T32_U32, masks)
-        for mask, cands in zip(masks, got):
-            expected = np.flatnonzero((values & np.uint32(mask)) == 0)
-            expected = expected[expected >= 7] + 1
-            assert np.array_equal(cands, expected)
+        _assert_candidates_match_values(payload(), ((1 << 15) - 1, (1 << 11) - 1))
 
     def test_mask_groups_with_distinct_low_bytes(self):
         # maskL below 8 bits exercises the per-group filter path.
-        data = _random_bytes(100_000, seed=15)
-        buf = np.frombuffer(data, dtype=np.uint8)
-        masks = ((1 << 11) - 1, (1 << 6) - 1)
-        values = split_gear_values(buf, _T32_U32)
-        for mask, cands in zip(masks, split_gear_candidates(buf, _T32_U32, masks)):
-            expected = np.flatnonzero((values & np.uint32(mask)) == 0)
-            expected = expected[expected >= 7] + 1
-            assert np.array_equal(cands, expected)
+        _assert_candidates_match_values(
+            _random_bytes(100_000, seed=15), ((1 << 11) - 1, (1 << 6) - 1)
+        )
+
+
+class TestMultiBlockKernel:
+    """The split-gear scan over many blocks: the seams must be invisible,
+    including a dense block that takes the exact fallback between sparse
+    ones and a cut whose window straddles a seam."""
+
+    MASKS = [
+        pytest.param(((1 << 15) - 1, (1 << 11) - 1), id="shared-filter"),
+        pytest.param(((1 << 11) - 1, (1 << 6) - 1), id="per-group-filter"),
+    ]
+
+    @pytest.mark.parametrize("masks", MASKS)
+    @pytest.mark.parametrize("data", seam_payloads())
+    def test_candidates_match_values(self, data, masks, monkeypatch):
+        monkeypatch.setattr(vectorized, "_BLOCK", SEAM_BLOCK)
+        _assert_candidates_match_values(data, masks)
+
+    @pytest.mark.parametrize("avg", [256, 8192])
+    @pytest.mark.parametrize("data", seam_payloads())
+    def test_cut_points_across_seams(self, data, avg, monkeypatch):
+        monkeypatch.setattr(vectorized, "_BLOCK", SEAM_BLOCK)
+        make = lambda b: FastCDCChunker(avg_size=avg, backend=b)
+        _assert_backends_agree(make, data)
+
+    def test_cut_exactly_at_a_seam(self, monkeypatch):
+        data = _random_bytes(6 * SEAM_BLOCK, seed=5)
+        scalar = FastCDCChunker(avg_size=256, backend="scalar")
+        cuts = scalar.cut_points(data)
+        for block in seam_blocks(scalar, data):
+            monkeypatch.setattr(vectorized, "_BLOCK", block)
+            assert FastCDCChunker(avg_size=256, backend="vectorized").cut_points(data) == cuts
 
 
 class TestNormalizedChunking:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.chunking.gear import _GEAR_TABLE, GearChunker
 from repro.chunking.rabin import _BASE, _MOD, RabinChunker
 from repro.chunking.vectorized import (
+    _gear_doubling_into,
     first_candidate_in,
     gear_window_hashes,
     rabin_window_hashes,
@@ -233,6 +234,27 @@ class TestKernels:
                 for b in buf[i - window + 1 : i + 1]:
                     h = (h * _BASE + int(b)) % _MOD
                 assert int(hashes[i]) == h
+
+    @pytest.mark.parametrize("dtype, windows", [
+        pytest.param(np.uint8, [4], id="uint8-s4-lane"),
+        pytest.param(np.uint32, range(1, 33), id="uint32"),
+        pytest.param(np.uint64, range(33, 65), id="uint64"),
+    ])
+    def test_doubling_matches_direct_shifted_sums(self, dtype, windows):
+        """The multiply-for-shift doubling equals ``sum_j g[i-j] << j``
+        summed term by term, in every dtype the kernels run it in, and
+        leaves its input untouched."""
+        g = np.random.default_rng(17).integers(
+            0, np.iinfo(dtype).max, size=500, dtype=dtype, endpoint=True
+        )
+        before = g.copy()
+        for window in windows:
+            direct = np.zeros_like(g)
+            for j in range(window):
+                direct[j:] += g[: len(g) - j] << dtype(j)
+            got = _gear_doubling_into(g, window, np.empty_like(g), np.empty_like(g))
+            assert np.array_equal(got[window - 1 :], direct[window - 1 :]), window
+        assert np.array_equal(g, before)
 
     def test_first_candidate_in(self):
         cands = np.array([5, 9, 40, 41, 100], dtype=np.int64)

@@ -87,6 +87,58 @@ def test_snapshot_file_is_the_json_dump_form(tmp_path):
     assert WriteAheadLog(tmp_path, "empty").load() == {}
 
 
+@pytest.mark.parametrize("fsync", [True, False])
+def test_snapshot_makes_the_rename_durable_before_truncating(tmp_path, monkeypatch, fsync):
+    """Under ``fsync=True`` a power loss must not keep the log truncate and
+    lose the snapshot rename: the directory is fsync'd between the two.
+    Without fsync (the ledger's and every live ring's setting) the snapshot
+    issues exactly the calls it did before."""
+    wal = WriteAheadLog(tmp_path, "n0", snapshot_every=0, fsync=fsync)
+    wal.append("k", "v", 1, False)
+    ops: list[tuple[str, str]] = []
+    dir_fds: set[int] = set()
+    real_open, real_os_open = open, os.open
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        ops.append((f"open:{mode}", os.path.basename(path)))
+        return real_open(path, mode, *args, **kwargs)
+
+    def recording_os_open(path, flags, *args):
+        fd = real_os_open(path, flags, *args)
+        if os.path.isdir(path):
+            dir_fds.add(fd)
+        return fd
+
+    def recording_fsync(fd):
+        ops.append(("fsync", "dir" if fd in dir_fds else "file"))
+        real_fsync(fd)
+
+    def recording_replace(src, dst):
+        ops.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr("repro.kvstore.wal.open", recording_open, raising=False)
+    monkeypatch.setattr(os, "open", recording_os_open)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    wal.write_snapshot({"k": VersionedValue("v", 1, False)})
+    monkeypatch.undo()
+
+    replace = ("replace", "n0.snap.json")
+    truncate = ("open:w", "n0.wal.jsonl")
+    if fsync:
+        assert ops == [
+            ("open:w", "n0.snap.tmp"), ("fsync", "file"),
+            replace, ("fsync", "dir"), truncate,
+        ]
+    else:
+        assert ops == [("open:w", "n0.snap.tmp"), replace, truncate]
+        assert not dir_fds
+    wal.close()
+    assert WriteAheadLog(tmp_path, "n0").load() == {"k": VersionedValue("v", 1, False)}
+
+
 def test_torn_final_record_dropped(tmp_path):
     wal = WriteAheadLog(tmp_path, "n0")
     wal.append("k1", "v1", 10, False)
