@@ -242,13 +242,11 @@ class DedupEngine:
         unique: list[str],
     ) -> None:
         """Record one lookup batch, then hand its unique chunks to the sink."""
-        new: list[tuple[Chunk, str]] = []
-        for chunk, fp, is_new in zip(chunks, fps, verdicts):
-            call_stats.record_chunk(chunk.length, is_new)
-            self.stats.record_chunk(chunk.length, is_new)
-            if is_new:
-                unique.append(fp)
-                new.append((chunk, fp))
+        new = [(chunk, fp) for chunk, fp, is_new in zip(chunks, fps, verdicts) if is_new]
+        unique.extend(fp for _, fp in new)
+        totals = (len(chunks), sum(c.length for c in chunks), len(new), sum(c.length for c, _ in new))
+        call_stats.record_batch(*totals)
+        self.stats.record_batch(*totals)
         if new and self.unique_sink is not None:
             # Unique chunks are the cold path: materialize bytes here so
             # sinks can store the payload without pinning the input buffer

@@ -26,14 +26,17 @@ class DedupStats:
         """Account for one processed chunk of ``nbytes`` bytes."""
         if nbytes < 0:
             raise ValueError(f"chunk size must be non-negative, got {nbytes!r}")
+        self.record_batch(1, nbytes, int(is_unique), nbytes if is_unique else 0)
+
+    def record_batch(self, chunks: int, nbytes: int, unique_chunks: int, unique_bytes: int) -> None:
+        """Account for a lookup batch: ``chunks`` chunks of ``nbytes`` bytes
+        in all, of which ``unique_chunks`` (``unique_bytes``) were new."""
         self.raw_bytes += nbytes
-        self.raw_chunks += 1
-        self.lookups += 1
-        if is_unique:
-            self.unique_bytes += nbytes
-            self.unique_chunks += 1
-        else:
-            self.duplicate_chunks += 1
+        self.raw_chunks += chunks
+        self.lookups += chunks
+        self.unique_bytes += unique_bytes
+        self.unique_chunks += unique_chunks
+        self.duplicate_chunks += chunks - unique_chunks
 
     @property
     def dedup_ratio(self) -> float:

@@ -37,7 +37,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import NoSuchNodeError, UnavailableError
@@ -55,6 +55,10 @@ _HINT_REPLAY_BATCH = 256
 
 # One put_chunks message's (fingerprint, payload) entries.
 Payloads = list[tuple[str, bytes]]
+
+# How one key is served: (replicas, alive, consulted) — its placement, the
+# members of it the coordinator believes up, and those a read asks.
+Route = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 
 @dataclass
@@ -174,6 +178,9 @@ class QuorumCoordinator:
         # dropped or that pre-date this coordinator. Bounded per node by
         # the hint window.
         self._degraded: dict[str, set[str]] = {}
+        # (required acks, coordinator) → placement → its Route: nothing else
+        # but _down decides one, and membership or _down changes empty it.
+        self._route_table: dict[tuple[int, Optional[str]], dict[tuple[str, ...], Route]] = {}
 
     def drive(self, coro):
         """Run one coordinator coroutine to completion from synchronous
@@ -207,6 +214,7 @@ class QuorumCoordinator:
         """
         self._check_member(node_id)
         self._down.add(node_id)
+        self._route_table.clear()
         try:
             await self.transport.set_down(node_id, True)
         except self.transport.missed_ack:
@@ -227,6 +235,7 @@ class QuorumCoordinator:
         self._check_member(node_id)
         await self.transport.set_down(node_id, False)
         self._down.discard(node_id)
+        self._route_table.clear()
         hints = self.hints.take_for(node_id)
         delivered = 0
         try:
@@ -280,6 +289,7 @@ class QuorumCoordinator:
         peers = self.alive_nodes()
         self.ring.add_node(node_id)
         self.nodes[node_id] = handle
+        self._route_table.clear()
         shards = await self.transport.gather(*(self.transport.dump(n) for n in peers))
         rows = [
             stored.row(key)
@@ -308,6 +318,7 @@ class QuorumCoordinator:
         self.ring.remove_node(node_id)
         del self.nodes[node_id]
         self._down.discard(node_id)
+        self._route_table.clear()
         self._degraded.pop(node_id, None)
         self.hints.take_for(node_id)  # hints for a gone member are void
         await self._place(rows, hint_down=False)
@@ -388,45 +399,64 @@ class QuorumCoordinator:
         level = consistency if consistency is not None else self.default_consistency
         return level.required_acks(self.strategy.effective_factor(self.ring))
 
-    def _route(
-        self, key: str, required: int, coordinator: Optional[str]
-    ) -> tuple[list[str], list[str], list[str]]:
-        """(replicas, alive, consulted) for one key at ``required`` acks
-        (:meth:`_required_acks`, once per operation); raises UnavailableError.
+    def _routes(
+        self, keys: list[str], required: int, coordinator: Optional[str], tally=None
+    ) -> dict[str, Route]:
+        """Each distinct key's :data:`Route` at ``required`` acks
+        (:meth:`_required_acks`, once per operation). Every key is placed
+        once, then routed in order; the first key too few replicas serve
+        raises UnavailableError.
 
         Reads prefer the coordinator's own replica, then ring order: at
         level ONE a coordinator that holds a replica is served locally —
-        the γ/|P| fast path of Eq. 2.
+        the γ/|P| fast path of Eq. 2. ``tally`` (any object with int
+        ``local`` and ``remote``) counts each of ``keys`` by whether the
+        coordinator holds one of its replicas, before routing: a batch that
+        raises is counted too.
         """
-        replicas = self.replicas_for(key)
-        alive = replicas
-        if self._down:
-            alive = [r for r in replicas if r not in self._down]
-        if len(alive) < required:
-            self.stats.unavailable_errors += 1
-            raise UnavailableError(required=required, alive=len(alive), key=key)
-        if len(alive) < len(replicas):
-            for replica in replicas:
-                if replica in self._down:
-                    bucket = self._degraded.setdefault(replica, set())
-                    if len(bucket) < self.hints.max_hints_per_node:
-                        bucket.add(key)
-        ordered = alive
-        if coordinator is not None and coordinator in alive:
-            ordered = [coordinator] + [r for r in alive if r != coordinator]
-        return replicas, alive, ordered[:required]
+        distinct = list(dict.fromkeys(keys))
+        placed = dict(zip(distinct, self.ring.placements(distinct, self.strategy.select)))
+        if tally is not None:
+            local = sum(1 for key in keys if coordinator in placed[key])
+            tally.local += local
+            tally.remote += len(keys) - local
+        table = self._route_table.setdefault((required, coordinator), {})
+        routes: dict[str, Route] = {}
+        for key, replicas in placed.items():
+            route = table.get(replicas)
+            if route is None:
+                alive = tuple(r for r in replicas if r not in self._down)
+                consulted = alive
+                if coordinator in alive:
+                    consulted = (coordinator,) + tuple(r for r in alive if r != coordinator)
+                route = table[replicas] = (replicas, alive, consulted[:required])
+            alive = route[1]
+            if len(alive) < required:
+                self.stats.unavailable_errors += 1
+                raise UnavailableError(required=required, alive=len(alive), key=key)
+            if len(alive) < len(replicas):
+                for replica in replicas:
+                    if replica in self._down:
+                        bucket = self._degraded.setdefault(replica, set())
+                        if len(bucket) < self.hints.max_hints_per_node:
+                            bucket.add(key)
+            routes[key] = route
+        return routes
 
     def _hint(self, replica: str, key: str, value: str, timestamp: int, tombstone: bool) -> None:
         if self.hints.add(Hint(replica, key, value, timestamp, tombstone)):
             self.stats.hints_stored += 1
 
-    def _count_read(self, coordinator: Optional[str], consulted: list[str]) -> None:
-        self.stats.reads += 1
+    def _count_reads(
+        self, keys: list[str], routes: dict[str, Route], coordinator: Optional[str]
+    ) -> None:
+        """One read per requested key; local when the coordinator is among
+        the replicas it consulted."""
+        self.stats.reads += len(keys)
         if coordinator is not None:
-            if coordinator in consulted:
-                self.stats.local_reads += 1
-            else:
-                self.stats.remote_reads += 1
+            local = sum(1 for key in keys if coordinator in routes[key][2])
+            self.stats.local_reads += local
+            self.stats.remote_reads += len(keys) - local
 
     def _record_contacts(self, contacts: set[tuple[str, str]]) -> None:
         """Batched accounting: one contact per distinct coordinator→replica
@@ -457,7 +487,7 @@ class QuorumCoordinator:
 
     async def _write(
         self,
-        routes: dict[str, tuple[list[str], list[str], list[str]]],
+        routes: dict[str, Route],
         stamped: dict[str, int],
         value: str,
         tombstone: bool,
@@ -583,13 +613,13 @@ class QuorumCoordinator:
             UnavailableError: if fewer replicas than the level requires are
                 alive, or acknowledged.
         """
-        route = self._route(key, self._required_acks(consistency), coordinator)
+        routes = self._routes([key], self._required_acks(consistency), coordinator)
         self.stats.writes += 1
         if coordinator is not None:
-            for replica in route[1]:
+            for replica in routes[key][1]:
                 self.stats.record_contact(coordinator, replica)
         await self._write(
-            {key: route}, {key: next(self._timestamps)}, value, False, consistency, coordinator
+            routes, {key: next(self._timestamps)}, value, False, consistency, coordinator
         )
 
     @driven
@@ -598,12 +628,15 @@ class QuorumCoordinator:
         key: str,
         consistency: Optional[ConsistencyLevel] = None,
         coordinator: Optional[str] = None,
+        tally=None,
     ) -> Optional[str]:
         """Read ``key``; returns the newest value among the consulted
         replicas, or None if unset. A read that consulted several replicas
-        and saw them diverge repairs the stale ones (read repair)."""
-        _, _, consulted = self._route(key, self._required_acks(consistency), coordinator)
-        self._count_read(coordinator, consulted)
+        and saw them diverge repairs the stale ones (read repair).
+        ``tally`` counts the key's locality (see :meth:`_routes`)."""
+        routes = self._routes([key], self._required_acks(consistency), coordinator, tally)
+        self._count_reads([key], routes, coordinator)
+        consulted = routes[key][2]
         if coordinator is not None:
             for replica in consulted:
                 self.stats.record_contact(coordinator, replica)
@@ -614,7 +647,7 @@ class QuorumCoordinator:
         return best.value
 
     async def read_repairing(
-        self, key: str, consulted: list[str], coordinator: Optional[str]
+        self, key: str, consulted: Sequence[str], coordinator: Optional[str]
     ) -> tuple[Optional[VersionedValue], int]:
         """The newest version of ``key`` among ``consulted`` and how many of
         them were repaired: the winner is pushed to every consulted replica
@@ -641,9 +674,10 @@ class QuorumCoordinator:
         key: str,
         consistency: Optional[ConsistencyLevel] = None,
         coordinator: Optional[str] = None,
+        tally=None,
     ) -> bool:
         """Membership test (a get that discards the value)."""
-        return self.get(key, consistency=consistency, coordinator=coordinator) is not None
+        return self.get(key, consistency, coordinator, tally) is not None
 
     def clock_now(self) -> int:
         """Advance and return the store's logical write clock.
@@ -661,13 +695,13 @@ class QuorumCoordinator:
         consistency: Optional[ConsistencyLevel],
         coordinator: Optional[str],
         ts_bound: Optional[int] = None,
-    ) -> tuple[dict, dict[str, bool], set[tuple[str, str]]]:
+        tally=None,
+    ) -> tuple[dict[str, Route], dict[str, bool], set[tuple[str, str]]]:
         """The read half of a batch: route every distinct key (so nothing
         happens if any is unavailable), send one ``multi_get`` per
         consulted node, count one read per requested key. Returns (routes,
         key → present, contacts)."""
-        required = self._required_acks(consistency)
-        routes = {key: self._route(key, required, coordinator) for key in dict.fromkeys(keys)}
+        routes = self._routes(keys, self._required_acks(consistency), coordinator, tally)
         if ts_bound is not None:
             # Exactness over the fast path: consult every alive replica.
             routes = {
@@ -680,10 +714,12 @@ class QuorumCoordinator:
         by_node = await self._scatter_get(read_groups, coordinator)
         present: dict[str, bool] = {}
         for key, (_, _, consulted) in routes.items():
-            best = _newest_of(by_node, consulted, key, ts_bound)
+            if len(consulted) == 1 and ts_bound is None:
+                best = by_node[consulted[0]].get(key)
+            else:
+                best = _newest_of(by_node, consulted, key, ts_bound)
             present[key] = best is not None and not best.tombstone
-        for key in keys:
-            self._count_read(coordinator, routes[key][2])
+        self._count_reads(keys, routes, coordinator)
         # Every consulted node heads a read group, whichever key put it there.
         contacts = {(coordinator, n) for n in read_groups} if coordinator is not None else set()
         return routes, present, contacts
@@ -722,13 +758,14 @@ class QuorumCoordinator:
         value: str,
         consistency: Optional[ConsistencyLevel] = None,
         coordinator: Optional[str] = None,
+        tally=None,
     ) -> bool:
         """Insert ``key`` unless present; returns True if it was new.
 
         This is the dedup hot path: one logical round covers the lookup and
-        (when new) the insert.
+        (when new) the insert. ``tally`` counts the lookup (see :meth:`_routes`).
         """
-        if await self._get(key, consistency, coordinator) is not None:
+        if await self._get(key, consistency, coordinator, tally) is not None:
             return False
         await self._put(key, value, consistency, coordinator)
         return True
@@ -740,6 +777,7 @@ class QuorumCoordinator:
         value: str,
         consistency: Optional[ConsistencyLevel] = None,
         coordinator: Optional[str] = None,
+        tally=None,
     ) -> list[bool]:
         """Batched :meth:`put_if_absent`: one scatter-gather round trip.
 
@@ -752,7 +790,7 @@ class QuorumCoordinator:
         number of distinct coordinator→replica pairs in the batch — not by
         the number of keys. ``batch_rounds`` counts these calls. Every key
         is routed before any is written: a batch with one unavailable key
-        applies nothing.
+        applies nothing. ``tally`` counts the lookups (see :meth:`_routes`).
 
         Returns:
             One ``True`` (inserted) / ``False`` (already present) per key,
@@ -767,7 +805,7 @@ class QuorumCoordinator:
         ) if self.tracer.enabled else NO_SPAN:
             try:
                 routes, present, contacts = await self._read_round(
-                    keys, consistency, coordinator
+                    keys, consistency, coordinator, tally=tally
                 )
                 # Per-key decisions in input order.
                 inserted: dict[str, int] = {}  # key → timestamp of its write
@@ -777,7 +815,7 @@ class QuorumCoordinator:
                     results.append(new)
                     if new:
                         inserted[key] = next(self._timestamps)
-                        self.stats.writes += 1
+                self.stats.writes += len(inserted)
                 written = await self._write(
                     routes, inserted, value, False, consistency, coordinator
                 )
@@ -805,9 +843,9 @@ class QuorumCoordinator:
         not the tombstone scatter or its contacts.
         """
         was_live = await self._get(key, consistency, coordinator) is not None
-        route = self._route(key, self._required_acks(consistency), coordinator)
+        routes = self._routes([key], self._required_acks(consistency), coordinator)
         await self._write(
-            {key: route}, {key: next(self._timestamps)}, "", True, consistency, coordinator
+            routes, {key: next(self._timestamps)}, "", True, consistency, coordinator
         )
         return was_live
 

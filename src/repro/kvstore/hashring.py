@@ -13,7 +13,7 @@ per-node load imbalance shrinks roughly as 1/sqrt(v).
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.kvstore.errors import NoSuchNodeError, RingEmptyError
 from repro.kvstore.tokens import key_token, node_token
@@ -36,7 +36,7 @@ class ConsistentHashRing:
         self._tokens: list[int] = []
         self._token_owner: dict[int, str] = {}
         # select → vnode slot → what select() chose; a slot's keys walk alike.
-        self._placements: dict[Callable, dict[int, list[str]]] = {}
+        self._placements: dict[Callable, dict[int, tuple[str, ...]]] = {}
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -121,12 +121,25 @@ class ConsistentHashRing:
         """``select(walk)`` over ``key``'s full distinct-owner walk, kept per
         (``select``, vnode slot) until membership changes: one hash, one
         bisect and a list copy. ``select`` may depend on the walk only."""
-        token = key_token(key)
+        return list(self.placements([key], select)[0])
+
+    def placements(
+        self, keys: Iterable[str], select: Callable[[list[str]], list[str]]
+    ) -> list[tuple[str, ...]]:
+        """:meth:`placement` of each key, from the same table: one hash and
+        one bisect per key. The answers are the table's own tuples, shared
+        by a slot's keys: immutable, so no caller can corrupt the table."""
         slots = self._placements.setdefault(select, {})
-        slot = bisect.bisect_right(self._tokens, token)
-        if slot not in slots:
-            slots[slot] = select(list(self.walk_from_token(token)))
-        return list(slots[slot])
+        tokens = self._tokens
+        placed: list[tuple[str, ...]] = []
+        for key in keys:
+            token = key_token(key)
+            slot = bisect.bisect_right(tokens, token)
+            replicas = slots.get(slot)
+            if replicas is None:
+                replicas = slots[slot] = tuple(select(list(self.walk_from_token(token))))
+            placed.append(replicas)
+        return placed
 
     def primary_token_ranges(self, node_id: str) -> list[tuple[int, int]]:
         """Half-open ``[lo, hi)`` token intervals primarily owned by

@@ -92,16 +92,22 @@ class StorageNode:
         """Store ``key`` locally, keeping the newest write per key
         (tombstones included — a newer delete must shadow older writes)."""
         self._check_up()
-        existing = self._data.get(key)
-        if existing is None or timestamp > existing.timestamp:  # newer_than
-            wal = self.wal
-            if wal is not None:
-                # Log before apply: a crash after the append replays the
-                # record, a crash before it never claimed the write.
-                wal.append(key, value, timestamp, tombstone)
-            self._data[key] = VersionedValue(value, timestamp, tombstone)
-            if wal is not None:
-                wal.maybe_snapshot(self._data)
+        self._apply([(key, value, timestamp, tombstone)])
+
+    def _apply(self, rows: Iterable[Row]) -> None:
+        """:meth:`local_put` of each row, past the up check (a batched verb
+        checks once per message)."""
+        data, wal = self._data, self.wal
+        for key, value, timestamp, tombstone in rows:
+            existing = data.get(key)
+            if existing is None or timestamp > existing.timestamp:  # newer_than
+                if wal is not None:
+                    # Log before apply: a crash after the append replays the
+                    # record, a crash before it never claimed the write.
+                    wal.append(key, value, timestamp, tombstone)
+                data[key] = VersionedValue(value, timestamp, tombstone)
+                if wal is not None:
+                    wal.maybe_snapshot(data)
 
     def local_get(self, key: str) -> Optional[VersionedValue]:
         """Read ``key`` from the local shard (None if absent)."""

@@ -50,14 +50,16 @@ class Replica(StorageNode):
 
     def multi_get(self, keys: Iterable[str]) -> dict[str, Optional[VersionedValue]]:
         """Stored version (tombstones included) of each key, None if absent."""
-        return {key: self.local_get(key) for key in keys}
+        self._check_up()
+        data = self._data
+        return {key: data.get(key) for key in keys}
 
     def multi_put(self, rows: Iterable[Row]) -> None:
         """Apply rows at their own timestamps (newest write per key wins);
         their WAL records share one flush, before anyone acknowledges them."""
+        self._check_up()
         with self.wal.batch() if self.wal is not None else nullcontext():
-            for key, value, timestamp, tombstone in rows:
-                self.local_put(key, value, timestamp, tombstone)
+            self._apply(rows)
 
     def put_chunks(self, entries: Iterable[tuple[str, bytes]]) -> tuple[int, int]:
         """Shelve (fingerprint, payload) pairs; returns (new fingerprints,

@@ -32,9 +32,10 @@ class SimpleReplicationStrategy:
 
     def replicas_for_key(self, ring: ConsistentHashRing, key: str) -> list[str]:
         """Ordered replica list for ``key`` (primary first)."""
-        return ring.placement(key, self._select)
+        return ring.placement(key, self.select)
 
-    def _select(self, walk: list[str]) -> list[str]:
+    def select(self, walk: list[str]) -> list[str]:
+        """The replicas of a key whose distinct-owner walk is ``walk``."""
         return walk[: self.replication_factor]
 
     def effective_factor(self, ring: ConsistentHashRing) -> int:

@@ -43,9 +43,10 @@ class CloudAwareReplicationStrategy:
 
     def replicas_for_key(self, ring: ConsistentHashRing, key: str) -> list[str]:
         """Ordered replica list: distinct clouds first, then ring order."""
-        return ring.placement(key, self._select)
+        return ring.placement(key, self.select)
 
-    def _select(self, walk: list[str]) -> list[str]:
+    def select(self, walk: list[str]) -> list[str]:
+        """The replicas of a key whose distinct-owner walk is ``walk``."""
         for node in walk:
             if node not in self.cloud_of_node:
                 raise ReplicationError(

@@ -9,14 +9,14 @@ by patching duperemove to talk to Cassandra; here the agent composes our
 :class:`~repro.kvstore.store.DistributedKVStore`.
 
 The adapter also records, per lookup, whether the coordinator held a replica
-(local, the γ/|P| case of Eq. 2) or had to contact a peer (remote, with the
-peer's identity) — the raw material for network-cost accounting and the
-throughput simulation.
+(local, the γ/|P| case of Eq. 2) or had to contact a peer (remote) — the raw
+material for network-cost accounting and the throughput simulation. The
+store counts them while it places the keys, so each key is placed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.chunking.base import Chunker
@@ -42,35 +42,27 @@ IndexStore = Union[DistributedKVStore, "RemoteKVStore"]
 
 @dataclass
 class LookupRecord:
-    """Counters for one agent's index traffic.
+    """Counters for one agent's index traffic, exported as ``lookups.*``.
 
-    ``local_lookups``/``remote_lookups`` count *keys* (so per-chunk
-    invariants like "lookups == chunks" hold regardless of batching);
-    ``batch_rounds`` counts batched index calls — the unit the network
-    actually charges when lookups are pipelined.
+    ``local``/``remote`` count *keys* (so per-chunk invariants like
+    "lookups == chunks" hold regardless of batching) by whether the agent's
+    node holds a replica; the store fills them as the ``tally`` of each
+    call. ``batch_rounds`` counts batched index calls — the unit the
+    network actually charges when lookups are pipelined.
     """
 
-    local_lookups: int = 0
-    remote_lookups: int = 0
+    local: int = 0
+    remote: int = 0
     batch_rounds: int = 0
-    remote_by_peer: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_lookups(self) -> int:
-        return self.local_lookups + self.remote_lookups
+        return self.local + self.remote
 
     @property
     def remote_fraction(self) -> float:
         total = self.total_lookups
-        return self.remote_lookups / total if total else 0.0
-
-    def record(self, local: bool, peer: Optional[str] = None) -> None:
-        if local:
-            self.local_lookups += 1
-        else:
-            self.remote_lookups += 1
-            if peer is not None:
-                self.remote_by_peer[peer] = self.remote_by_peer.get(peer, 0) + 1
+        return self.remote / total if total else 0.0
 
 
 class RingIndex(DedupIndex):
@@ -97,17 +89,12 @@ class RingIndex(DedupIndex):
         self.consistency = consistency
         self.lookups = LookupRecord()
 
-    def _record(self, fingerprint: str) -> None:
-        replicas = self.store.replicas_for(fingerprint)
-        if self.local_node in replicas:
-            self.lookups.record(local=True)
-        else:
-            self.lookups.record(local=False, peer=replicas[0])
-
     def contains(self, fingerprint: str) -> bool:
-        self._record(fingerprint)
         return self.store.contains(
-            fingerprint, consistency=self.consistency, coordinator=self.local_node
+            fingerprint,
+            consistency=self.consistency,
+            coordinator=self.local_node,
+            tally=self.lookups,
         )
 
     def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
@@ -119,12 +106,12 @@ class RingIndex(DedupIndex):
         )
 
     def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        self._record(fingerprint)
         return self.store.put_if_absent(
             fingerprint,
             metadata if metadata is not None else "",
             consistency=self.consistency,
             coordinator=self.local_node,
+            tally=self.lookups,
         )
 
     def lookup_and_insert_many(
@@ -137,15 +124,13 @@ class RingIndex(DedupIndex):
         distinct coordinator→replica pair (see
         :meth:`~repro.kvstore.store.DistributedKVStore.put_if_absent_many`).
         """
-        fps = list(fingerprints)
-        for fp in fps:
-            self._record(fp)
         self.lookups.batch_rounds += 1
         return self.store.put_if_absent_many(
-            fps,
+            list(fingerprints),
             metadata if metadata is not None else "",
             consistency=self.consistency,
             coordinator=self.local_node,
+            tally=self.lookups,
         )
 
     def __len__(self) -> int:

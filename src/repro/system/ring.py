@@ -540,9 +540,7 @@ class D2Ring:
     def local_lookup_fraction(self) -> float:
         """Observed fraction of lookups served locally — compare with the
         model's γ/|P| (Eq. 2)."""
-        local = sum(idx.lookups.local_lookups for idx in self.ring_indexes.values())
-        total = sum(idx.lookups.total_lookups for idx in self.ring_indexes.values())
-        return local / total if total else 0.0
+        return self.lookup_metrics().get("local_fraction", 0.0)
 
     def cache_metrics(self) -> dict[str, float]:
         """Agent presence-cache counters summed over every cache in the
@@ -559,17 +557,14 @@ class D2Ring:
     # observability
     # ------------------------------------------------------------------ #
 
-    def _lookup_metrics(self) -> dict[str, float]:
-        local = sum(idx.lookups.local_lookups for idx in self.ring_indexes.values())
-        remote = sum(idx.lookups.remote_lookups for idx in self.ring_indexes.values())
-        rounds = sum(idx.lookups.batch_rounds for idx in self.ring_indexes.values())
-        total = local + remote
-        return {
-            "local": float(local),
-            "remote": float(remote),
-            "batch_rounds": float(rounds),
-            "local_fraction": local / total if total else 0.0,
-        }
+    def lookup_metrics(self) -> dict[str, float]:
+        """Agent index-traffic counters summed over the ring, plus the
+        ring-wide ``local_fraction``."""
+        merged = series(*(idx.lookups for idx in self.ring_indexes.values()))
+        if merged:
+            total = merged["local"] + merged["remote"]
+            merged["local_fraction"] = merged["local"] / total if total else 0.0
+        return merged
 
     def _merged_engine_latency(self) -> dict:
         merged = Histogram("engine.lookup_s")
@@ -605,7 +600,7 @@ class D2Ring:
         durability counters, when ``data_dir`` is set).
         """
         hub.register(f"{prefix}dedup", lambda: self.combined_stats().as_dict())
-        hub.register(f"{prefix}lookups", self._lookup_metrics)
+        hub.register(f"{prefix}lookups", self.lookup_metrics)
         hub.register(f"{prefix}cache", self.cache_metrics)
         hub.register(f"{prefix}kvstore", self.store.stats)
         hub.register(f"{prefix}kvstore.batch_s", self.store.batch_latency)

@@ -132,12 +132,27 @@ class TestRingIndexBatching:
             looped_index.lookup_and_insert(fp)
         for lo in range(0, len(fps), 64):
             batched_index.lookup_and_insert_many(fps[lo : lo + 64])
-        assert batched_index.lookups.local_lookups == looped_index.lookups.local_lookups
-        assert batched_index.lookups.remote_lookups == looped_index.lookups.remote_lookups
-        assert batched_index.lookups.remote_by_peer == looped_index.lookups.remote_by_peer
+        assert batched_index.lookups.local == looped_index.lookups.local
+        assert batched_index.lookups.remote == looped_index.lookups.remote
         assert batched_index.lookups.total_lookups == len(fps)
         assert batched_index.lookups.batch_rounds == math.ceil(len(fps) / 64)
         assert looped_index.lookups.batch_rounds == 0
+
+    def test_a_batch_that_raises_is_still_counted(self):
+        """Locality is tallied as the keys are placed, before routing: a
+        batch refused as unavailable counts its keys, as it always has."""
+        from repro.kvstore.errors import UnavailableError
+
+        store = DistributedKVStore(NODES)
+        index = RingIndex(store, local_node="edge-0", consistency=ConsistencyLevel.ALL)
+        store.mark_down("edge-1")
+        fps = _fingerprints(64, pool=40, seed=9)
+        with pytest.raises(UnavailableError):
+            index.lookup_and_insert_many(fps)
+        local = sum(1 for fp in fps if "edge-0" in store.replicas_for(fp))
+        assert (index.lookups.local, index.lookups.remote) == (local, len(fps) - local)
+        assert index.lookups.batch_rounds == 1
+        assert store.stats.reads == 0  # refused before any replica was read
 
 
 class TestEngineBatching:

@@ -57,11 +57,7 @@ class TestSharedLinkIntrospection:
 
 class TestLookupRecordTotals:
     def test_total_lookups(self):
-        rec = LookupRecord()
-        rec.record(local=True)
-        rec.record(local=False, peer="p")
-        rec.record(local=False, peer="p")
-        assert rec.total_lookups == 3
+        assert LookupRecord(local=1, remote=2).total_lookups == 3
 
 
 class TestSketchFiles:

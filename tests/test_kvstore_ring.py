@@ -19,6 +19,13 @@ class TestTokens:
     def test_different_keys_different_tokens(self):
         assert key_token("a") != key_token("b")
 
+    def test_key_token_is_the_md5_partitioner(self):
+        import hashlib
+
+        for key in ("", "a", "fp:deadbeef", "ü-ключ", "ab" * 32):
+            digest = hashlib.md5(key.encode("utf-8")).digest()
+            assert key_token(key) == int.from_bytes(digest, "big") % TOKEN_SPACE
+
     def test_node_token_varies_with_vnode(self):
         assert node_token("n1", 0) != node_token("n1", 1)
 
@@ -309,3 +316,102 @@ class TestPlacementTable:
             ring.add_node(node)
         with pytest.raises(ReplicationError, match="no edge cloud"):
             CloudAwareReplicationStrategy(2, {"a": "east"}).replicas_for_key(ring, "k")
+
+
+class TestBatchPlacement:
+    """``placements`` is the batch form of ``placement``: same table, same
+    answers, one hash per key; the coordinator's per-placement route table
+    equals routing each key from scratch."""
+
+    @staticmethod
+    def strategies(members):
+        from repro.kvstore.topology_strategy import CloudAwareReplicationStrategy
+
+        cloud_of = {n: f"cloud-{i % 2}" for i, n in enumerate(members)}
+        return [
+            SimpleReplicationStrategy(2),
+            SimpleReplicationStrategy(3),
+            CloudAwareReplicationStrategy(3, cloud_of),
+        ]
+
+    @staticmethod
+    def oracle_route(store, key, required, coordinator):
+        """The per-key definition: placement, the members believed up, and
+        the coordinator's own replica first, then ring order."""
+        replicas = store.replicas_for(key)
+        alive = [r for r in replicas if store.is_up(r)]
+        ordered = alive
+        if coordinator in alive:
+            ordered = [coordinator] + [r for r in alive if r != coordinator]
+        return replicas, alive, ordered[:required]
+
+    def test_batch_equals_per_key_across_membership_and_liveness(self):
+        from repro.kvstore.store import DistributedKVStore
+
+        members = [f"n{i}" for i in range(6)]
+        keys = [f"fp-{i:04x}" for i in range(400)]
+        for strategy in self.strategies(members + ["n6"]):
+            store = DistributedKVStore(members, replication_factor=3, strategy=strategy)
+            steps = [
+                lambda: None,
+                lambda: store.add_node("n6"),
+                lambda: store.mark_down("n2"),
+                lambda: store.remove_node("n0"),
+                lambda: store.mark_up("n2"),
+            ]
+            for step in steps:
+                step()
+                batch = store.ring.placements(keys, strategy.select)
+                assert [list(r) for r in batch] == [store.replicas_for(k) for k in keys]
+                assert all(isinstance(r, tuple) for r in batch)  # immutable answers
+
+    def test_slot_routes_equal_the_per_key_definition(self):
+        from repro.kvstore.consistency import ConsistencyLevel
+        from repro.kvstore.errors import UnavailableError
+        from repro.kvstore.store import DistributedKVStore
+
+        members = [f"n{i}" for i in range(5)]
+        keys = [f"fp-{i:04x}" for i in range(300)]
+        for strategy in self.strategies(members + ["n5"]):
+            store = DistributedKVStore(members, replication_factor=3, strategy=strategy)
+            steps = [
+                lambda: None,
+                lambda: store.mark_down("n1"),
+                lambda: store.mark_down("n3"),
+                lambda: store.add_node("n5"),
+                lambda: store.mark_up("n1"),
+                lambda: store.remove_node("n4"),
+                lambda: store.mark_up("n3"),
+            ]
+            for step in steps:
+                step()
+                for coordinator in [*store.nodes, None]:
+                    for level in ConsistencyLevel:
+                        required = store._required_acks(level)
+                        expected = {
+                            k: self.oracle_route(store, k, required, coordinator) for k in keys
+                        }
+                        unavailable = [k for k in keys if len(expected[k][1]) < required]
+                        if unavailable:
+                            with pytest.raises(UnavailableError) as raised:
+                                store._routes(keys, required, coordinator)
+                            assert raised.value.key == unavailable[0]
+                            continue
+                        routes = store._routes(keys, required, coordinator)
+                        assert {k: tuple(map(list, r)) for k, r in routes.items()} == expected
+
+    def test_one_md5_per_distinct_key_per_batched_lookup(self, monkeypatch):
+        import repro.kvstore.hashring as hashring
+        from repro.kvstore.store import DistributedKVStore
+        from repro.system.agent import RingIndex
+
+        index = RingIndex(DistributedKVStore(["edge-0", "edge-1", "edge-2"]), "edge-0")
+        hashed: list[str] = []
+        real = hashring.key_token
+        monkeypatch.setattr(hashring, "key_token", lambda key: hashed.append(key) or real(key))
+        batch = [f"fp-{i}" for i in range(64)]
+        index.lookup_and_insert_many(batch)  # all new
+        assert sorted(hashed) == sorted(batch)
+        hashed.clear()
+        index.lookup_and_insert_many(batch[:40] + batch[:24])  # repeats, all present
+        assert sorted(hashed) == sorted(batch[:40])

@@ -324,16 +324,16 @@ class TestHintReplayFailureRegression:
         assert pending == len(keys) > 1
 
         node = store.nodes[victim]
-        real_local_put = node.local_put
+        real_multi_put = node.multi_put
         calls = {"n": 0}
 
-        def flaky_local_put(*args, **kwargs):
+        def flaky_multi_put(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("injected replay fault")
-            return real_local_put(*args, **kwargs)
+            return real_multi_put(*args, **kwargs)
 
-        node.local_put = flaky_local_put
+        node.multi_put = flaky_multi_put
         with pytest.raises(RuntimeError, match="injected replay fault"):
             store.mark_up(victim)
         # Nothing delivered before the fault, so nothing may be lost.

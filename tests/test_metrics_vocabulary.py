@@ -104,6 +104,8 @@ def _mounted_stats(cluster):
     for ring in cluster.rings:
         prefix = f"{ring.ring_id}."
         yield f"{prefix}kvstore", ring.store.stats
+        for index in ring.ring_indexes.values():
+            yield f"{prefix}lookups", index.lookups
         for cache in ring._agent_caches():
             yield f"{prefix}cache", cache.stats
         for brownout in ring.brownouts.values():

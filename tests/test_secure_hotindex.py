@@ -205,6 +205,51 @@ class TestSecureClusterIntegration:
         finally:
             cluster.shutdown()
 
+    @staticmethod
+    def _tier_only_file(cluster):
+        """Ingest one file and evict every edge copy, so restore reads the
+        ciphertext back from the tier; returns (data, chunk index, the
+        chunk's fingerprint) for the file's second distinct chunk."""
+        data = seeded_pool_workload(1, 1, 16, seed=13)["edge-0"][0]
+        cluster.ingest_file("edge-0", "victim", data)
+        for ring in cluster.rings:
+            ring.content.clear()
+        entries = cluster.recipes.get("victim").entries
+        firsts = list(dict.fromkeys(entry.fingerprint for entry in entries))
+        fp = firsts[1]
+        index = next(i for i, entry in enumerate(entries) if entry.fingerprint == fp)
+        return data, index, fp
+
+    @pytest.mark.parametrize("shard, offset", [(0, 0), (1, 517), (3, 1023)])
+    def test_corrupted_shard_fails_restore_naming_the_chunk(self, shard, offset):
+        """The XOR stream cipher has no MAC: one flipped ciphertext byte
+        decrypts to one flipped plaintext byte, and only restore's
+        fingerprint check stands between it and the caller."""
+        from repro.dedup.recipes import RecipeError
+
+        cluster = make_secure_cluster()
+        try:
+            data, index, fp = self._tier_only_file(cluster)
+            tier = cluster.tier
+            zone = tier._meta[fp].shard_zone[shard]
+            stored = bytearray(tier._zones[zone][(fp, shard)])
+            stored[offset] ^= 0x40
+            tier._zones[zone][(fp, shard)] = bytes(stored)
+            with pytest.raises(RecipeError, match=rf"chunk {index} failed fingerprint"):
+                cluster.restore_file("victim")
+        finally:
+            cluster.shutdown()
+
+    def test_that_shards_zone_failed_instead_restores_exactly(self):
+        cluster = make_secure_cluster()
+        try:
+            data, _, fp = self._tier_only_file(cluster)
+            cluster.tier.fail_zone(cluster.tier._meta[fp].shard_zone[0])
+            assert cluster.restore_file("victim") == data
+            assert cluster.content_plane.stats.tier_hits > 0
+        finally:
+            cluster.shutdown()
+
     def test_gc_sweep_forgets_keys_and_reingest_recovers(self):
         cluster = make_secure_cluster()
         try:

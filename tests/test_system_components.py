@@ -115,18 +115,18 @@ class TestRingIndex:
         for i in range(100):
             idx.lookup_and_insert(f"fp{i}")
         rec = idx.lookups
-        assert rec.local_lookups + rec.remote_lookups == 100
+        assert rec.local + rec.remote == 100
         # γ/|P| = 2/4: about half the lookups should be local.
-        assert 0.25 < rec.local_lookups / 100 < 0.75
+        assert 0.25 < rec.local / 100 < 0.75
 
     def test_remote_peer_recorded(self):
         store = self._store()
         idx = RingIndex(store, local_node="n0")
         for i in range(50):
             idx.lookup_and_insert(f"fp{i}")
-        if idx.lookups.remote_lookups:
-            assert sum(idx.lookups.remote_by_peer.values()) == idx.lookups.remote_lookups
-            assert "n0" not in idx.lookups.remote_by_peer
+        # Remote means n0 holds no replica of the key.
+        remote = [i for i in range(50) if "n0" not in store.replicas_for(f"fp{i}")]
+        assert remote and idx.lookups.remote == len(remote)
 
     def test_fingerprints_iterates_all(self):
         idx = RingIndex(self._store(), local_node="n0")
@@ -137,11 +137,8 @@ class TestRingIndex:
 
 class TestLookupRecord:
     def test_remote_fraction(self):
-        rec = LookupRecord()
-        rec.record(local=True)
-        rec.record(local=False, peer="n1")
+        rec = LookupRecord(local=1, remote=1)
         assert rec.remote_fraction == pytest.approx(0.5)
-        assert rec.remote_by_peer == {"n1": 1}
 
     def test_empty_fraction(self):
         assert LookupRecord().remote_fraction == 0.0
