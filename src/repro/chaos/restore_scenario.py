@@ -10,7 +10,7 @@ full failure ladder —
    parity), evict every edge shelf, and restore again — every byte now
    comes from k-of-n Reed–Solomon reconstruction;
 3. recover the zones and require the backfill to clear
-   ``under_replicated_stripes`` to zero;
+   ``under_replicated_stripes`` to zero and every stripe to match a fresh encode;
 4. delete half the files, run the refcount GC sweep, and require the
    survivors to still restore byte-exactly (no premature deletion), zero
    orphaned tier chunks, and the post-sweep ring invariants
@@ -111,6 +111,7 @@ def run_restore_scenario(
             cluster.recover_zone(z)
         events.append(f"recover-zones:{down}")
         under_replicated = cluster.tier.under_replicated_stripes
+        inconsistent = cluster.tier.inconsistent_stripes()
 
         # 4. Delete half, sweep, and the survivors must be untouched.
         doomed = sorted(files)[: len(files) // 2]
@@ -164,6 +165,12 @@ def run_restore_scenario(
             f"zones {down} recovered",
         )
         report.record(
+            "stripes_match_fresh_encode",
+            not inconsistent,
+            f"{len(inconsistent)} stripe(s) differ from a fresh encode or "
+            f"share a zone, first {inconsistent[:3]}",
+        )
+        report.record(
             "no_orphans_adopted",
             sweep.orphans_adopted == 0,
             f"the sweep found {sweep.orphans_adopted} tier chunk(s) no "
@@ -176,6 +183,7 @@ def run_restore_scenario(
             post_sweep_mismatches=post_sweep_mismatches,
             premature_deletions=premature,
             under_replicated_after_recover=under_replicated,
+            inconsistent_stripes=len(inconsistent),
             degraded_stripes_seen=degraded_stripes_seen,
             files_deleted=len(doomed),
             chunks_swept=sweep.swept,

@@ -896,13 +896,15 @@ def _cmd_restore(args: argparse.Namespace) -> int:
                 print(f"recovery: rebuilt {rebuilt} shards, "
                       f"under_replicated_stripes={under_replicated}")
 
+            inconsistent = len(cluster.tier.inconsistent_stripes())
             _write_json(args.metrics_json, cluster.metrics_hub())
 
-            ok = mismatches == 0 and under_replicated == 0 and swept_ok
+            ok = mismatches == under_replicated == inconsistent == 0 and swept_ok
             if args.check and not ok:
                 print("restore: FAIL — "
                       f"mismatches={mismatches} "
                       f"under_replicated={under_replicated} "
+                      f"inconsistent_stripes={inconsistent} "
                       f"sweep_clean={swept_ok}", file=sys.stderr)
                 return 1
             print("restore: PASS — every file restored byte-exactly"

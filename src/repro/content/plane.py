@@ -11,11 +11,11 @@ Ties the three payload layers together above the ring lifecycle:
   may be reclaimed.
 
 Write path: the dedup engine's ``unique_sink`` (once per lookup batch)
-lands the payloads on the ring store, then *spills* each to the cloud
-tier — synchronously, or on a
-background thread (``spill_mode="async"``) so the WAN stripe write is
-off the ingest hot path. A spill that finds too few zones up is
-deferred, not lost, and retried on :meth:`ContentPlane.flush`.
+lands the payloads on the ring store, then *spills* the batch to the cloud
+tier in one encode pass — synchronously, or on a background thread
+(``spill_mode="async"``) so the WAN stripe write is off the ingest hot
+path. A stripe that finds too few zones up is deferred, not lost, and
+the deferred chunks are retried as one batch on :meth:`flush`.
 
 Read path (:meth:`fetch` / :meth:`fetch_many`): edge stores first, cloud
 tier second — the tier reconstructs from any k of n shards, so restores
@@ -96,8 +96,8 @@ class ContentPlane:
     """Cluster-wide payload plane: edge ring stores + erasure tier + GC.
 
     Args:
-        tier: the durable content store (``ErasureCodedChunkStore`` or any
-            :class:`~repro.content.base.ContentStore`).
+        tier: the durable content store, an ``ErasureCodedChunkStore``
+            (the plane calls its batch forms ``put_chunks`` / ``get_chunks``).
         gc: reference ledger; a fresh in-memory one when omitted.
         spill_mode: ``"sync"`` stripes to the tier inside the sink call;
             ``"async"`` hands it to a background thread (``flush()`` joins).
@@ -144,35 +144,39 @@ class ContentPlane:
 
     def spill(self, fingerprint: str, data: bytes) -> None:
         """Stripe one unique chunk to the cloud tier (async mode queues)."""
-        if self._queue is not None:
-            self._queue.put((fingerprint, bytes(data)))
-        else:
-            self._spill_now(fingerprint, bytes(data))
+        self.spill_many([(fingerprint, data)])
 
-    def _spill_now(self, fingerprint: str, data: bytes) -> None:
-        with self._tier_lock:
-            try:
-                new = self.tier.put_chunk(fingerprint, data)
-            except ZoneFailedError:
-                # Too few zones for durability right now: defer, don't drop.
-                self._deferred.append((fingerprint, data))
-                self.stats.deferred_spills += 1
-                return
-        if new:
-            self.stats.spills += 1
-            self.stats.spill_bytes += len(data)
+    def spill_many(self, entries: list[tuple[str, bytes]]) -> None:
+        """Stripe a batch of unique chunks to the cloud tier in one encode
+        pass (async mode queues the batch)."""
+        batch = [(fingerprint, bytes(data)) for fingerprint, data in entries]
+        if self._queue is not None:
+            self._queue.put(batch)
         else:
-            self.stats.spill_dups += 1
+            self._spill_now(batch)
+
+    def _spill_now(self, batch: list[tuple[str, bytes]]) -> None:
+        with self._tier_lock:
+            outcomes = self.tier.put_chunks(batch)
+            for (fingerprint, data), outcome in zip(batch, outcomes):
+                if isinstance(outcome, ZoneFailedError):
+                    # Too few zones for durability right now: defer, don't drop.
+                    self._deferred.append((fingerprint, data))
+                    self.stats.deferred_spills += 1
+                elif outcome:
+                    self.stats.spills += 1
+                    self.stats.spill_bytes += len(data)
+                else:
+                    self.stats.spill_dups += 1
 
     def _spill_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            batch = self._queue.get()
+            if batch is _STOP:
                 self._queue.task_done()
                 return
-            fingerprint, data = item
             try:
-                self._spill_now(fingerprint, data)
+                self._spill_now(batch)
             finally:
                 self._queue.task_done()
 
@@ -186,9 +190,9 @@ class ContentPlane:
         if self._queue is not None:
             self._queue.join()
         deferred, self._deferred = self._deferred, []
-        for fingerprint, data in deferred:
+        if deferred:
             # _spill_now re-defers on ZoneFailedError, so nothing is lost.
-            self._spill_now(fingerprint, data)
+            self._spill_now(deferred)
 
     @property
     def deferred_spills_pending(self) -> int:
@@ -221,16 +225,18 @@ class ContentPlane:
         self.stats.edge_hits += len(found)
         if missing:
             self.flush()  # a queued spill may hold the only durable copy
-        with self._tier_lock:  # one acquisition per batch
-            for fingerprint in missing:
-                try:
-                    found[fingerprint] = self.tier.get_chunk(fingerprint)
-                except KeyError:
-                    self.stats.fetch_misses += 1
-                    raise KeyError(
-                        f"chunk {fingerprint!r} not found in any content layer"
-                    ) from None
-                self.stats.tier_hits += 1
+        with self._tier_lock:  # one acquisition and one decode pass per batch
+            outcomes = self.tier.get_chunks(missing)
+        for fingerprint, outcome in zip(missing, outcomes):
+            if isinstance(outcome, KeyError):
+                self.stats.fetch_misses += 1
+                raise KeyError(
+                    f"chunk {fingerprint!r} not found in any content layer"
+                ) from None
+            if isinstance(outcome, Exception):
+                raise outcome
+            found[fingerprint] = outcome
+            self.stats.tier_hits += 1
         return found
 
     # ------------------------------------------------------------------ #

@@ -12,8 +12,9 @@ erasure-coded cloud tier behind
 Writes are buffered and flushed as **batched messages per target node**,
 at most ``batch_size`` payloads each and all in flight in one scatter (the
 payload sibling of ``put_if_absent_many``). Reads scatter one
-batched ``get_chunks`` to every alive member and take the first copy
-found. Down or unreachable members are misses, never errors.
+batched ``get_chunks`` to every alive member; only a fingerprint several
+members returned is placed, so the primary's copy wins. Down or
+unreachable members are misses, never errors.
 
 This class only routes. The shelves belong to the members' replicas
 (:class:`~repro.kvstore.replica.Replica`) and are reached through the
@@ -153,15 +154,19 @@ class RingContentStore:
         found: dict[str, bytes] = {}
         if alive and wanted:
             by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
-            for fingerprint in wanted:
-                # Placement order first so the primary's copy wins, then
-                # any other alive holder.
-                replicas = self.store.replicas_for(fingerprint)
-                for node_id in chain(replicas, (n for n in alive if n not in replicas)):
-                    data = by_node.get(node_id, {}).get(fingerprint)
+            copies: dict[str, dict[str, bytes]] = {}  # fingerprint -> holder -> bytes
+            for node_id in alive:
+                for fingerprint, data in by_node.get(node_id, {}).items():
                     if data is not None:
-                        found[fingerprint] = data
-                        break
+                        copies.setdefault(fingerprint, {})[node_id] = data
+            for fingerprint in wanted:
+                held = copies.get(fingerprint, {})
+                if len(held) > 1:
+                    # Contested: the primary's copy wins, then any alive holder.
+                    replicas = self.store.replicas_for(fingerprint)
+                    held = {n: held[n] for n in chain(replicas, alive) if n in held}
+                if held:
+                    found[fingerprint] = next(iter(held.values()))
         self.stats.hits += len(found)
         self.stats.misses += len(wanted) - len(found)
         return found

@@ -30,6 +30,14 @@ class ZoneFailedError(Exception):
     """An operation needed a failure zone that is currently down."""
 
 
+def _only(outcomes: list):
+    """The one outcome of a batch of one, raised when it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 @dataclass
 class _StripeMeta:
     payload_length: int
@@ -117,37 +125,44 @@ class ErasureCodedChunkStore:
     def put_chunk(self, fingerprint: str, data: bytes) -> bool:
         """Store ``data`` under ``fingerprint`` (dedup: returns False and
         stores nothing when the fingerprint is already present)."""
-        if fingerprint in self._meta:
-            return False
-        shards = self.code.encode(data)
-        # Rotate the zone assignment per stripe so load spreads evenly.
-        offset = self._next_zone
-        self._next_zone = (self._next_zone + 1) % self.n_zones
-        placement: dict[int, int] = {}
-        for shard in shards:
-            zone = (offset + shard.index) % self.n_zones
-            if not self._zone_up[zone]:
-                # Writes during a zone outage skip the zone; the stripe is
-                # still decodable as long as losses stay within m.
+        return _only(self.put_chunks([(fingerprint, data)]))
+
+    def put_chunks(self, entries: list[tuple[str, bytes]]) -> list[bool | ZoneFailedError]:
+        """Store ``(fingerprint, data)`` pairs with one encode pass. Per
+        entry, in order: True (stored), False (already present, or earlier
+        in the batch), or the ``ZoneFailedError`` of a stripe with fewer
+        than k zones up. The zone rotation advances as per-entry puts would."""
+        k, total, n_zones, up = self.code.k, self.code.total_shards, self.n_zones, self._zone_up
+        outcomes: list[bool | ZoneFailedError] = []
+        accepted: dict[str, tuple[bytes, dict[int, int]]] = {}
+        for fingerprint, data in entries:
+            if fingerprint in self._meta or fingerprint in accepted:
+                outcomes.append(False)
                 continue
-            self._zones[zone][(fingerprint, shard.index)] = shard.data
-            placement[shard.index] = zone
-            self.stored_shard_bytes += len(shard.data)
-        if len(placement) < self.code.k:
-            # Not enough live zones to make the chunk durable — undo.
-            for idx, zone in placement.items():
-                shard_data = self._zones[zone].pop((fingerprint, idx))
-                self.stored_shard_bytes -= len(shard_data)
-            raise ZoneFailedError(
-                f"only {len(placement)} zones up; need {self.code.k} to store a chunk"
-            )
-        self._meta[fingerprint] = _StripeMeta(
-            payload_length=len(data), shard_zone=placement
-        )
-        self.payload_bytes += len(data)
-        if len(placement) < self.code.total_shards:
-            self._under_replicated.add(fingerprint)
-        return True
+            # Rotate the zone assignment per stripe so load spreads evenly.
+            offset = self._next_zone
+            self._next_zone = (offset + 1) % n_zones
+            # Writes during a zone outage skip the zone; the stripe is
+            # still decodable as long as losses stay within m.
+            zones = ((offset + index) % n_zones for index in range(total))
+            placement = {index: zone for index, zone in enumerate(zones) if up[zone]}
+            if len(placement) < k:  # not enough live zones to make it durable
+                outcomes.append(
+                    ZoneFailedError(f"only {len(placement)} zones up; need {k} to store a chunk")
+                )
+                continue
+            outcomes.append(True)
+            accepted[fingerprint] = (data, placement)
+        encoded = self.code.encode_many([data for data, _ in accepted.values()])
+        for (fingerprint, (data, placement)), shards in zip(accepted.items(), encoded):
+            for index, zone in placement.items():
+                self._zones[zone][(fingerprint, index)] = shards[index].data
+            self.stored_shard_bytes += len(shards[0].data) * len(placement)
+            self.payload_bytes += len(data)
+            self._meta[fingerprint] = _StripeMeta(payload_length=len(data), shard_zone=placement)
+            if len(placement) < total:
+                self._under_replicated.add(fingerprint)
+        return outcomes
 
     def has_chunk(self, fingerprint: str) -> bool:
         return fingerprint in self._meta
@@ -167,8 +182,23 @@ class ErasureCodedChunkStore:
             KeyError: unknown fingerprint.
             ZoneFailedError: fewer than k shards reachable.
         """
-        meta, available = self._reachable_shards(fingerprint)
-        return self.code.decode(available, meta.payload_length)
+        return _only(self.get_chunks([fingerprint]))
+
+    def get_chunks(self, fingerprints: list[str]) -> list[bytes | KeyError | ZoneFailedError]:
+        """Per fingerprint, in order: its bytes (one decode pass per
+        survivor set), or the error ``get_chunk`` would raise."""
+        outcomes: list = []
+        stripes: list[tuple[list[Shard], int]] = []
+        for fingerprint in fingerprints:
+            try:
+                meta, available = self._reachable_shards(fingerprint)
+            except (KeyError, ZoneFailedError) as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append(None)
+                stripes.append((available, meta.payload_length))
+        decoded = iter(self.code.decode_many(stripes))
+        return [next(decoded) if outcome is None else outcome for outcome in outcomes]
 
     def _reachable_shards(self, fingerprint: str) -> tuple[_StripeMeta, list[Shard]]:
         """A stripe's metadata and its shards in live zones (at least k,
@@ -176,10 +206,11 @@ class ErasureCodedChunkStore:
         meta = self._meta.get(fingerprint)
         if meta is None:
             raise KeyError(f"no chunk {fingerprint!r}")
+        zones, up = self._zones, self._zone_up
         available = [
-            Shard(index=idx, data=self._zones[zone][(fingerprint, idx)])
+            Shard(idx, zones[zone][(fingerprint, idx)])
             for idx, zone in meta.shard_zone.items()
-            if self._zone_up[zone]
+            if up[zone]
         ]
         if len(available) < self.code.k:
             raise ZoneFailedError(
@@ -248,6 +279,25 @@ class ErasureCodedChunkStore:
             self._under_replicated.discard(fingerprint)
         return rebuilt
 
+    def inconsistent_stripes(self) -> list[str]:
+        """Stripes whose held shards (down zones included) differ from a
+        fresh ``encode`` of their decoded payload, or share a zone — one
+        stripe at a time, so a batch pass cannot agree with itself here."""
+        bad = []
+        for fingerprint, meta in sorted(self._meta.items()):
+            held = [
+                Shard(index, self._zones[zone].get((fingerprint, index), b""))
+                for index, zone in meta.shard_zone.items()
+            ]
+            try:
+                fresh = self.code.encode(self.code.decode(held, meta.payload_length))
+                consistent = all(fresh[shard.index] == shard for shard in held)
+            except ValueError:  # a shard missing or cut short
+                consistent = False
+            if not consistent or len(set(meta.shard_zone.values())) < len(held):
+                bad.append(fingerprint)
+        return bad
+
     # ------------------------------------------------------------------ #
     # accounting
     # ------------------------------------------------------------------ #
@@ -278,4 +328,5 @@ class ErasureCodedChunkStore:
             "storage_overhead": float(self.storage_overhead),
             "under_replicated_stripes": float(self.under_replicated_stripes),
             "zones_down": float(len(self.zones_down)),
+            "gf_walk_bytes": float(self.code.walk_bytes),
         }

@@ -167,9 +167,9 @@ class D2Ring:
     def _store_unique_chunks(self, batch) -> None:
         """Content-plane unique sink, once per lookup batch: per chunk,
         account the WAN upload on the cloud (the chaos invariants compare
-        unique claims against its counters), buffer the payload for the
-        owning ring member and spill it to the erasure-coded tier; then
-        shelve the batch in one scatter.
+        unique claims against its counters) and buffer the payload for the
+        owning ring member; then spill the batch to the erasure-coded tier
+        in one encode pass and shelve it in one scatter.
 
         With a secure tier, a *ring*-unique chunk first claims against
         the deployment-wide key index: a proven hit means another ring
@@ -177,8 +177,9 @@ class D2Ring:
         skipped (cross-ring dedup instead of redundant WAN bytes). On a
         miss the payload is sealed — convergent encryption, so identical
         plaintexts still produce identical stored bytes — and its key is
-        published for later claimants.
+        published for later claimants once the batch is stored.
         """
+        stored = []
         for chunk, fingerprint in batch:
             data = chunk.data
             if self.secure is not None:
@@ -187,8 +188,10 @@ class D2Ring:
                 data = self.secure.seal(fingerprint, data)
             self.cloud.receive_chunk(chunk, fingerprint)
             self.content.put_chunk(fingerprint, data)
-            self._content_plane.spill(fingerprint, data)
-            if self.secure is not None:
+            stored.append((fingerprint, data))
+        self._content_plane.spill_many(stored)
+        if self.secure is not None:
+            for fingerprint, _ in stored:
                 self.secure.register(fingerprint)
         self.content.flush()
 

@@ -435,21 +435,107 @@ class TestContentPlane:
             ContentPlane(ErasureCodedChunkStore(2, 1), spill_mode="maybe")
 
 
+COUNTERS = ("spills", "spill_bytes", "spill_dups", "deferred_spills", "tier_hits", "fetch_misses")
+
+
+class TestBatchedPlane:
+    """The batch spill and fetch against a per-chunk replay of the same
+    calls: same counters, same tier, same errors."""
+
+    def _planes(self, spill_mode="sync"):
+        planes = []
+        for _ in range(2):
+            tier = ErasureCodedChunkStore(3, 2, n_zones=7)
+            for zone in (0, 1, 2):  # some stripes of a batch fail, some store
+                tier.fail_zone(zone)
+            planes.append(ContentPlane(tier, spill_mode=spill_mode))
+        return planes
+
+    def _batches(self):
+        batches = [
+            [(f"fp{b}-{i}", bytes([b, i]) * (50 + 31 * i)) for i in range(9)] for b in range(3)
+        ]
+        batches[1].append(batches[1][0])  # repeated inside a batch
+        batches[2].append(batches[0][3])  # already stored (or deferred) earlier
+        return batches
+
+    def test_spill_and_fetch_counters_equal_a_per_chunk_replay(self):
+        batched, single = self._planes()
+        for batch in self._batches():
+            batched.spill_many(batch)
+            for fingerprint, data in batch:
+                single.spill(fingerprint, data)
+        assert batched.stats.deferred_spills > 0 and batched.stats.spills > 0
+        for plane in (batched, single):
+            for zone in (0, 1, 2):
+                plane.tier.recover_zone(zone)
+            plane.flush()  # the deferred chunks, retried as one batch
+        assert batched.tier._zones == single.tier._zones
+        wanted = sorted(batched.tier.fingerprints())
+        assert batched.fetch_many(wanted) == {fp: single.fetch(fp) for fp in wanted}
+        with pytest.raises(KeyError, match="ghost"):
+            batched.fetch_many([wanted[0], "ghost", wanted[1]])
+        single.fetch(wanted[0])
+        with pytest.raises(KeyError, match="ghost"):
+            single.fetch("ghost")
+        for name in COUNTERS:
+            assert getattr(batched.stats, name) == getattr(single.stats, name), name
+        for plane in (batched, single):
+            plane.close()
+
+    def test_async_mode_queues_one_batch_per_call_and_drains(self):
+        with ContentPlane(ErasureCodedChunkStore(2, 1), spill_mode="async") as plane:
+            seen = []
+            put_chunks = plane.tier.put_chunks
+            plane.tier.put_chunks = lambda batch: seen.append(len(batch)) or put_chunks(batch)
+            batches = self._batches()
+            for batch in batches:
+                plane.spill_many(batch)
+            plane.flush()
+            assert seen == [len(batch) for batch in batches]
+            assert plane.tier.stored_chunks == plane.stats.spills == 27
+            assert plane.stats.spill_dups == 2
+
+
 class TestGetManyPlacement:
     def test_placement_resolved_once_per_wanted_fingerprint(self):
         """``get_many`` used to ask ``replicas_for`` twice per fingerprint
-        (22 % of a healthy restore after the payload frames went raw)."""
+        (22 % of a healthy restore after the payload frames went raw), then
+        once per fingerprint (all of them misses on a degraded restore).
+        Now only a fingerprint two members returned is placed, once."""
         ring = make_ring(n=3, rf=2, batch=64)
         for i in range(20):
             ring.content.put_chunk(f"fp{i}", bytes([i]) * 3)
         ring.content.flush()
+        contested = ["fp3", "fp7"]
+        for fingerprint in contested:
+            (holder,) = [
+                n for n in ring.store.nodes
+                if fingerprint in ring.store.node_chunk_keys(n)
+            ]
+            other = next(n for n in ring.store.nodes if n != holder)
+            ring.store.scatter_put_chunks(
+                {other: [(fingerprint, ring.content.get_chunk(fingerprint))]}
+            )
         calls = []
         real = ring.store.replicas_for
         ring.store.replicas_for = lambda key: calls.append(key) or real(key)
         wanted = [f"fp{i}" for i in range(20)] + ["absent", "fp3", "fp3"]
         found = ring.content.get_many(wanted)
         assert found == {f"fp{i}": bytes([i]) * 3 for i in range(20)}
-        assert sorted(calls) == sorted(set(wanted))  # once each, repeats folded
+        assert list(found) == list(dict.fromkeys(wanted))[:20]  # request order
+        assert sorted(calls) == contested  # once each, repeats folded
+        calls.clear()
+        assert ring.content.get_many(["absent", "ghost"]) == {}
+        assert calls == []  # an all-miss scatter places nothing
+
+    def test_contested_fingerprint_returns_the_primary_copy(self):
+        ring = make_ring(n=3, rf=2)
+        primary, secondary = ring.store.replicas_for("fp")
+        shelve = ring.store.scatter_put_chunks
+        shelve({secondary: [("fp", b"secondary")], primary: [("fp", b"primary")]})
+        assert ring.content.get_many(["fp"]) == {"fp": b"primary"}
+        assert ring.content.stats.hits == 1
 
     def test_primary_copy_wins_then_any_alive_holder(self):
         ring = make_ring(n=3, rf=2)

@@ -481,18 +481,18 @@ class TestSurvivorSets:
 def _assert_stripes_match_fresh_encode(store, payloads):
     """Every stripe holds all k+m shards, one per zone, byte-identical to a
     fresh ``encode`` of its payload — and the zones hold nothing else."""
+    assert store.inconsistent_stripes() == []
     held = {}
     for zone in store._zones:
         held.update(zone)
     assert sum(len(zone) for zone in store._zones) == len(held)
     expected = {}
     for fingerprint, payload in payloads.items():
+        assert store.get_chunk(fingerprint) == payload
         placement = store._meta[fingerprint].shard_zone
         assert sorted(placement) == list(range(store.code.total_shards))
-        assert len(set(placement.values())) == store.code.total_shards
-        for shard in store.code.encode(payload):
-            assert (fingerprint, shard.index) in store._zones[placement[shard.index]]
-            expected[(fingerprint, shard.index)] = shard.data
+        for index, zone in placement.items():
+            expected[(fingerprint, index)] = store._zones[zone][(fingerprint, index)]
     assert held == expected
     assert store.stored_shard_bytes == sum(len(data) for data in held.values())
     assert store.payload_bytes == sum(len(payload) for payload in payloads.values())
@@ -746,3 +746,184 @@ class TestDeleteChunkAccounting:
         assert store.chunk_length("fp") == 77
         with pytest.raises(KeyError):
             store.chunk_length("ghost")
+
+
+def _mixed_payloads(k, seed):
+    """Payload lengths a batch must mix: 0, 1, k - 1, k + 1 and chunk-sized."""
+    rng = np.random.default_rng(seed)
+    lengths = [0, 1, k - 1, k + 1, int(rng.integers(8192, 16385)), 8192, 16384]
+    return [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in lengths]
+
+
+def _loss_patterns(k, m):
+    return [
+        lost
+        for n_lost in range(m + 1)
+        for lost in itertools.combinations(range(k + m), n_lost)
+    ]
+
+
+class TestBatchMatchesSingle:
+    """``encode_many`` / ``decode_many`` against per-stripe ``encode`` /
+    ``decode`` and the oracle, byte for byte, over every (k, m) that
+    TestKernelMatchesOracle draws from."""
+
+    @pytest.mark.parametrize("k,m", list(itertools.product(range(1, 6), range(4))))
+    def test_batch_encode_and_decode_match_single_and_oracle(self, k, m):
+        code = ReedSolomonCode(k, m)
+        payloads = _mixed_payloads(k, seed=10 * k + m)
+        batch = code.encode_many(payloads)
+        assert batch == [code.encode(p) for p in payloads]
+        assert batch == [gf256_oracle.encode(code, p) for p in payloads]
+        # One call mixing every loss pattern of <= m shards.
+        patterns = _loss_patterns(k, m)
+        stripes = [
+            ([s for s in shards if s.index not in patterns[i % len(patterns)]], len(p))
+            for i, (shards, p) in enumerate(
+                (shards, p) for shards, p in zip(batch * len(patterns), payloads * len(patterns))
+            )
+        ]
+        decoded = code.decode_many(stripes)
+        assert decoded == [code.decode(s, n) for s, n in stripes]
+        assert decoded == [gf256_oracle.decode(code, s, n) for s, n in stripes]
+        assert decoded == payloads * len(patterns)
+
+    def test_empty_batches(self):
+        code = ReedSolomonCode(3, 2)
+        assert code.encode_many([]) == [] and code.decode_many([]) == []
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (2, 2), (3, 2), (4, 2), (5, 3), (10, 4)])
+    def test_every_planned_row_equals_its_direct_row(self, k, m):
+        code = ReedSolomonCode(k, m)
+        rng = np.random.default_rng(k * m)
+        columns = [rng.integers(0, 256, 257, dtype=np.uint8).tobytes() for _ in range(k)]
+        parity_rows = code.encode_matrix[k:].tolist()
+        plans = [(code._encode_plan, parity_rows)]
+        for survivors in itertools.islice(_survivor_sets(code), 40):
+            rows, plan, layout = code._solve(survivors)
+            missing = [i for i in range(k) if i not in survivors]
+            plans.append((plan, [rows[i] for i in missing]))
+            assert [layout[i] < k for i in range(k)] == [i in survivors for i in range(k)]
+        for plan, direct in plans:
+            assert code._run(plan, list(columns))[k:] == [gf_dot(r, columns) for r in direct]
+            assert plan.walks <= sum(sum(c > 1 for c in r) for r in direct)
+
+    @pytest.mark.parametrize("k,m,direct,planned", [(3, 2, 6, 3), (4, 2, 8, 8), (10, 4, 40, 39)])
+    def test_shared_parity_rows_cut_table_walks(self, k, m, direct, planned):
+        code = ReedSolomonCode(k, m)
+        assert sum(sum(c > 1 for c in row) for row in code.encode_matrix[k:].tolist()) == direct
+        assert code._encode_plan.walks == planned
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (lambda shards: [*shards[:2], Shard(9, shards[0].data)], "out of range"),
+            (lambda shards: [shards[0], shards[0], shards[1]], "duplicate"),
+            (lambda shards: shards[:2], "at least k"),
+            (lambda shards: [shards[0], shards[1], Shard(4, shards[4].data + b"x")], "lengths"),
+        ],
+    )
+    def test_bad_stripe_mid_batch_raises_what_decode_raises(self, bad, match):
+        code = ReedSolomonCode(3, 2)
+        payloads = _mixed_payloads(3, seed=5)
+        good = [(shards[1:4], len(p)) for shards, p in zip(code.encode_many(payloads), payloads)]
+        broken = (bad(code.encode(b"broken stripe")), 13)
+        with pytest.raises(ValueError, match=match) as single:
+            code.decode(*broken)
+        walked = code.walk_bytes
+        with pytest.raises(ValueError, match=match) as batch:
+            code.decode_many(good[:3] + [broken] + good[3:])
+        assert str(batch.value) == str(single.value)
+        assert code.walk_bytes == walked  # validated before any arithmetic
+
+    def test_payload_length_beyond_capacity_mid_batch(self):
+        code = ReedSolomonCode(3, 2)
+        shards = code.encode(b"x" * 10)
+        stripes = [(shards[2:], 10), (shards[2:], 13), (shards[2:], 10)]
+        with pytest.raises(ValueError, match="payload_length 13 exceeds the 12 bytes"):
+            code.decode_many(stripes)
+
+
+class TestBatchedTier:
+    def _twins(self, n_zones, down):
+        stores = [ErasureCodedChunkStore(3, 2, n_zones=n_zones) for _ in range(2)]
+        for store in stores:
+            for zone in down:
+                store.fail_zone(zone)
+        return stores
+
+    def test_put_chunks_splits_a_batch_into_stored_and_failed_stripes(self):
+        batched, single = self._twins(7, down=(0, 1, 2))
+        rng = np.random.default_rng(3)
+        entries = [
+            (f"fp{i}", rng.integers(0, 256, int(rng.integers(0, 9000)), dtype=np.uint8).tobytes())
+            for i in range(16)
+        ]
+        entries.insert(5, entries[2])  # repeated inside the batch
+        outcomes = batched.put_chunks(entries)
+        replay = []
+        for fingerprint, data in entries:
+            try:
+                replay.append(single.put_chunk(fingerprint, data))
+            except ZoneFailedError as exc:
+                replay.append(exc)
+        assert [type(o) for o in outcomes] == [type(o) for o in replay]
+        assert [str(o) for o in outcomes] == [str(o) for o in replay]
+        failed = [o for o in outcomes if isinstance(o, ZoneFailedError)]
+        assert failed and True in outcomes and outcomes[5] is False
+        assert str(failed[0]) == "only 2 zones up; need 3 to store a chunk"
+        assert batched._zones == single._zones
+        assert batched._next_zone == single._next_zone == (len(entries) - 1) % 7
+        for attr in ("stored_shard_bytes", "payload_bytes", "_under_replicated"):
+            assert getattr(batched, attr) == getattr(single, attr)
+        stored = [fp for (fp, _), o in zip(entries, outcomes) if o is True]
+        assert batched.get_chunks(stored) == [dict(entries)[fp] for fp in stored]
+        assert batched.inconsistent_stripes() == []
+
+    def test_get_chunks_returns_errors_per_fingerprint(self):
+        store = ErasureCodedChunkStore(3, 2, n_zones=7)
+        store.put_chunks([("a", b"a" * 100), ("b", b"b" * 200)])  # zones 0-4, 1-5
+        for zone in (1, 2, 5):  # a keeps 3 shards, b only 2
+            store.fail_zone(zone)
+        out = store.get_chunks(["a", "ghost", "b"])
+        assert out[0] == b"a" * 100
+        assert isinstance(out[1], KeyError) and "ghost" in str(out[1])
+        assert isinstance(out[2], ZoneFailedError)
+        with pytest.raises(ZoneFailedError):
+            store.get_chunk("b")
+
+    def test_gf_walk_bytes_closed_form(self):
+        store = ErasureCodedChunkStore(3, 2)
+        code = store.code
+        payloads = {f"fp{i}": bytes([i]) * (1000 + 37 * i) for i in range(10)}
+        store.put_chunks(list(payloads.items()))
+        sizes = {fp: -(-len(p) // 3) for fp, p in payloads.items()}
+        # k·s per stripe; direct parity rows would walk 2·k·s.
+        assert store.metrics()["gf_walk_bytes"] == sum(3 * s for s in sizes.values())
+        written = store.metrics()["gf_walk_bytes"]
+        store.fail_zone(0)
+        store.fail_zone(3)
+        assert [store.get_chunk(fp) for fp in payloads] == list(payloads.values())
+        # A degraded read walks only the planned rows of its survivor set.
+        expected = 0
+        for fp in payloads:
+            placement = store._meta[fp].shard_zone
+            survivors = tuple(sorted(i for i, z in placement.items() if z not in (0, 3))[:3])
+            if survivors[-1] >= 3:
+                expected += code._solve(survivors)[1].walks * sizes[fp]
+        assert expected > 0
+        assert store.metrics()["gf_walk_bytes"] - written == expected
+
+    def test_inconsistent_stripes_names_corrupt_and_colocated_stripes(self):
+        store = ErasureCodedChunkStore(3, 2, n_zones=6)
+        store.put_chunks([(f"fp{i}", bytes([i]) * 500) for i in range(6)])
+        assert store.inconsistent_stripes() == []
+        zone = store._meta["fp1"].shard_zone[4]
+        parity = bytearray(store._zones[zone][("fp1", 4)])
+        parity[0] ^= 1
+        store._zones[zone][("fp1", 4)] = bytes(parity)
+        meta = store._meta["fp3"]
+        store._zones[meta.shard_zone[0]][("fp3", 1)] = store._zones[meta.shard_zone[1]].pop(("fp3", 1))
+        meta.shard_zone[1] = meta.shard_zone[0]  # two shards in one zone
+        del store._zones[store._meta["fp5"].shard_zone[2]][("fp5", 2)]  # a shard gone
+        assert store.inconsistent_stripes() == ["fp1", "fp3", "fp5"]

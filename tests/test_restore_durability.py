@@ -302,5 +302,9 @@ class TestRestoreChaosScenario:
         report = run_restore_scenario(nodes=3, files_per_node=2, file_kb=8)
         assert report.passed, report.violations
         assert report.checks["ingested_degraded"]
+        names = list(report.checks)
+        assert names.index("stripes_match_fresh_encode") == names.index("backfill_complete") + 1
+        assert report.checks["stripes_match_fresh_encode"]
+        assert report.measurements["inconsistent_stripes"] == 0
         assert report.measurements["degraded_stripes_seen"] > 0
         assert report.measurements["chunks_swept"] > 0
