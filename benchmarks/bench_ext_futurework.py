@@ -102,9 +102,8 @@ def test_ext_model_guided_cache(benchmark):
             scorer=lambda fp: 1.0 if fp.startswith("hot") else 0.0,
             capacity=64,
         )
-        for fp in trace:
-            lru.lookup_and_insert(fp)
-            guided.lookup_and_insert(fp)
+        lru.lookup_and_insert_many(trace)
+        guided.lookup_and_insert_many(trace)
         result = FigureResult(
             figure="Ext E2",
             title="dedup cache hit rate: LRU vs model-guided admission",

@@ -132,24 +132,6 @@ class BrownoutIndex(DedupIndex):
         self.active = False  # the probe (or a healthy call) succeeded
         return results
 
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self.lookup_and_insert_many([fingerprint], metadata=metadata)[0]
-
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self.lookup_and_insert(fingerprint, metadata=metadata)
-
-    def contains(self, fingerprint: str) -> bool:
-        # During brownout we cannot know; "not seen" is the safe answer
-        # (it can only cause an extra store, never a lost chunk). No
-        # journaling — contains() claims nothing.
-        if self.active and not self._should_probe():
-            return False
-        try:
-            return self.inner.contains(fingerprint)
-        except self.trip_on:
-            self._trip()
-            return False
-
     def __len__(self) -> int:
         return len(self.inner)
 

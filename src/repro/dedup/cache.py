@@ -114,62 +114,31 @@ class LRUCacheIndex(DedupIndex):
 
     # -- DedupIndex API --------------------------------------------------#
 
-    def contains(self, fingerprint: str) -> bool:
-        if self._cache_hit(fingerprint):
-            return True
-        present = self.backing.contains(fingerprint)
-        if present:
-            self._admit(fingerprint)
-        return present
-
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        is_new = self.backing.insert(fingerprint, metadata)
-        self._admit(fingerprint)
-        return is_new
-
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        if self._cache_hit(fingerprint):
-            return False  # cached presence: definitely a duplicate
-        is_new = self.backing.lookup_and_insert(fingerprint, metadata)
-        self._admit(fingerprint)
-        return is_new
-
     def lookup_and_insert_many(self, fingerprints, metadata: Optional[str] = None) -> list[bool]:
         """Batched check-and-set that keeps the backing batch intact.
 
         Cache hits are answered locally; only misses travel to the backing
-        index, in one ``lookup_and_insert_many`` call — so a remote backing
-        (a D2-ring store) still pays one round trip per contacted node, not
-        one per key. Results, stats, and cache state all match the per-key
-        loop exactly, including intra-batch repeats: a repeat whose first
-        occurrence was admitted is a cache *hit* (the old upfront probe
-        miscounted it as a miss), while a repeat whose first occurrence was
+        index, in one ``lookup_and_insert_many`` call (none when every key
+        hit) — so a remote backing (a D2-ring store) still pays one round
+        trip per contacted node, not one per key. Results, stats, and cache
+        state match claiming the keys one batch of one at a time, including
+        intra-batch repeats: a repeat whose first occurrence was admitted
+        is a cache *hit*, while a repeat whose first occurrence was
         rejected by admission — or already evicted within the batch — is a
-        miss, just as the loop would see it.
+        miss.
 
         Requires a deterministic admission decision (``_would_admit``): the
-        keys the loop would send to the backing are predicted by simulating
-        its cache evolution on a copy, and the real cache and stats are only
-        touched after the backing batch returns — so a failed remote round
-        cannot leave phantom cached presence behind (a false "cached
-        present" would mark a never-stored chunk as duplicate).
+        keys that miss are predicted first, and the real cache and stats
+        are only touched after the backing batch returns — so a failed
+        remote round cannot leave phantom cached presence behind (a false
+        "cached present" would mark a never-stored chunk as duplicate).
         """
         fps = list(fingerprints)
-        sim = self._cache.copy()
-        misses: list[str] = []
-        for fp in fps:
-            if fp in sim:
-                sim.move_to_end(fp)
-            else:
-                misses.append(fp)
-                if self._would_admit(fp):
-                    sim[fp] = None
-                    while len(sim) > self.capacity:
-                        sim.popitem(last=False)
-        backed = iter(self.backing.lookup_and_insert_many(misses, metadata=metadata))
-        # Replay is literally the per-key loop with backing answers
-        # pre-fetched; the simulation above guarantees the iterator yields
-        # in exactly the order the misses occur here.
+        misses = self._predict_misses(fps)
+        # No backing call when every key hit: an empty batch is not a round.
+        backed = iter(self.backing.lookup_and_insert_many(misses, metadata) if misses else ())
+        # Replay the per-key cache walk with the backing answers pre-fetched;
+        # the prediction guarantees they are consumed in order.
         results: list[bool] = []
         for fp in fps:
             if self._cache_hit(fp):
@@ -178,6 +147,41 @@ class LRUCacheIndex(DedupIndex):
                 results.append(next(backed))
                 self._admit(fp)
         return results
+
+    def _predict_misses(self, fps: list[str]) -> list[str]:
+        """The keys of ``fps`` the replay will miss, in order, without
+        mutating the cache or copying it.
+
+        Keys the batch touches (hits and admissions) live in an overlay in
+        recency order; the cache's untouched entries keep their order and
+        are all older than the overlay, so evictions take them first, then
+        the overlay's oldest. O(len(fps)), not O(capacity).
+        """
+        cache = self._cache
+        touched: OrderedDict[str, None] = OrderedDict()
+        gone: set[str] = set()  # cached keys this batch has evicted
+        untouched = iter(cache)
+        size = len(cache)
+        misses: list[str] = []
+        for fp in fps:
+            if fp in touched:
+                touched.move_to_end(fp)
+                continue
+            if fp in cache and fp not in gone:
+                touched[fp] = None
+                continue
+            misses.append(fp)
+            if not self._would_admit(fp):
+                continue
+            touched[fp] = None
+            size += 1
+            while size > self.capacity:
+                oldest = next((k for k in untouched if k not in touched and k not in gone), None)
+                if oldest is None:
+                    oldest, _ = touched.popitem(last=False)
+                gone.add(oldest)
+                size -= 1
+        return misses
 
     def __len__(self) -> int:
         return len(self.backing)

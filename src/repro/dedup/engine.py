@@ -12,18 +12,11 @@ fingerprint hashes the view directly (hashlib accepts any buffer), and chunk
 payloads are only materialized as ``bytes`` for *unique* chunks handed to
 the ``unique_sink``. Streams are chunked incrementally with a carry bounded
 by the chunker's ``max_size`` instead of being joined into one buffer.
-
-Fingerprinting can optionally be released to a thread pool
-(``hash_workers > 0``): hashlib drops the GIL for buffers over ~2 KiB, so on
-multi-core hosts the SHA-256 of a lookup batch runs in parallel with the
-chunk scan. The results are identical either way; the engine's accounting
-and index traffic do not change.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -81,16 +74,11 @@ class DedupEngine:
         unique_sink: optional callback invoked once per lookup batch with
             its unique chunks (used by agents to forward unique data to the
             central cloud); see :data:`UniqueChunkSink`.
-        batch_size: fingerprints per batched index round trip. ``1`` keeps
-            the legacy one-lookup-per-chunk behavior (each chunk goes
-            through :meth:`DedupIndex.lookup_and_insert` individually);
-            larger values accumulate chunks and call
-            :meth:`DedupIndex.lookup_and_insert_many` — the results are
-            identical, only the index call granularity (and, for remote
+        batch_size: chunks per :meth:`DedupIndex.lookup_and_insert_many`
+            call. ``1`` claims each chunk as a batch of one (duperemove's
+            serial per-block queries); the verdicts are identical at any
+            size, only the index call granularity (and, for remote
             indexes, the round-trip count) changes.
-        hash_workers: when > 0, fingerprint each lookup batch on a thread
-            pool of this size instead of inline (hashlib releases the GIL).
-            Identical results; a throughput knob for multi-core hosts.
         allow_oracle_chunkers: accept ``oracle_only`` chunkers (analysis /
             test use only).
     """
@@ -102,13 +90,10 @@ class DedupEngine:
         fingerprint: Fingerprinter = default_fingerprint,
         unique_sink: Optional[UniqueChunkSink] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        hash_workers: int = 0,
         allow_oracle_chunkers: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-        if hash_workers < 0:
-            raise ValueError(f"hash_workers must be >= 0, got {hash_workers!r}")
         self.index = index if index is not None else InMemoryIndex()
         self.chunker = chunker if chunker is not None else FixedSizeChunker()
         if self.chunker.oracle_only and not allow_oracle_chunkers:
@@ -120,11 +105,8 @@ class DedupEngine:
         self.fingerprint = fingerprint
         self.unique_sink = unique_sink
         self.batch_size = batch_size
-        self.hash_workers = hash_workers
-        self._hash_pool: Optional[ThreadPoolExecutor] = None
         self.stats = DedupStats()
-        # Wall time of index lookup rounds (one observation per
-        # lookup_and_insert call, or per batched flush).
+        # Wall time of index lookup rounds (one observation per batch).
         self.lookup_latency = Histogram("engine.lookup_s")
 
     def dedup_bytes(
@@ -171,51 +153,18 @@ class DedupEngine:
     ) -> DedupResult:
         call_stats = DedupStats()
         unique: list[str] = []
-        if self.batch_size == 1:
-            for chunk in chunks:
-                fp = self.fingerprint(chunk.data)
-                if observer is not None:
-                    observer([fp], [chunk])
-                started = time.perf_counter()
-                is_new = self.index.lookup_and_insert(fp, metadata=source)
-                self.lookup_latency.observe(time.perf_counter() - started)
-                self._account([chunk], [fp], [is_new], call_stats, unique)
-            return DedupResult(stats=call_stats, unique_fingerprints=tuple(unique))
         pending: list[Chunk] = []
-        if self.hash_workers > 0:
-            # Deferred hashing: collect the batch, fan the digests out to
-            # the pool at flush (order-preserving map).
-            for chunk in chunks:
-                pending.append(chunk)
-                if len(pending) >= self.batch_size:
-                    self._flush(
-                        pending, self._hash_batch(pending), source, call_stats, unique, observer
-                    )
-                    pending.clear()
-            if pending:
-                self._flush(
-                    pending, self._hash_batch(pending), source, call_stats, unique, observer
-                )
-        else:
-            fps: list[str] = []
-            for chunk in chunks:
-                pending.append(chunk)
-                fps.append(self.fingerprint(chunk.data))
-                if len(pending) >= self.batch_size:
-                    self._flush(pending, fps, source, call_stats, unique, observer)
-                    pending.clear()
-                    fps.clear()
-            if pending:
+        fps: list[str] = []
+        for chunk in chunks:
+            pending.append(chunk)
+            fps.append(self.fingerprint(chunk.data))
+            if len(pending) >= self.batch_size:
                 self._flush(pending, fps, source, call_stats, unique, observer)
+                pending.clear()
+                fps.clear()
+        if pending:
+            self._flush(pending, fps, source, call_stats, unique, observer)
         return DedupResult(stats=call_stats, unique_fingerprints=tuple(unique))
-
-    def _hash_batch(self, chunks: list[Chunk]) -> list[str]:
-        if self._hash_pool is None:
-            self._hash_pool = ThreadPoolExecutor(
-                max_workers=self.hash_workers,
-                thread_name_prefix="dedup-hash",
-            )
-        return list(self._hash_pool.map(self.fingerprint, (c.data for c in chunks)))
 
     def _flush(
         self,
@@ -226,25 +175,16 @@ class DedupEngine:
         unique: list[str],
         observer: Optional[BatchObserver],
     ) -> None:
+        """Claim one lookup batch, record it, then hand its unique chunks
+        to the sink."""
         if observer is not None:
             observer(fps, pending)
         started = time.perf_counter()
-        results = self.index.lookup_and_insert_many(fps, metadata=source)
+        verdicts = self.index.lookup_and_insert_many(fps, metadata=source)
         self.lookup_latency.observe(time.perf_counter() - started)
-        self._account(pending, fps, results, call_stats, unique)
-
-    def _account(
-        self,
-        chunks: list[Chunk],
-        fps: list[str],
-        verdicts: list[bool],
-        call_stats: DedupStats,
-        unique: list[str],
-    ) -> None:
-        """Record one lookup batch, then hand its unique chunks to the sink."""
-        new = [(chunk, fp) for chunk, fp, is_new in zip(chunks, fps, verdicts) if is_new]
+        new = [(chunk, fp) for chunk, fp, is_new in zip(pending, fps, verdicts) if is_new]
         unique.extend(fp for _, fp in new)
-        totals = (len(chunks), sum(c.length for c in chunks), len(new), sum(c.length for c, _ in new))
+        totals = (len(pending), sum(c.length for c in pending), len(new), sum(c.length for c, _ in new))
         call_stats.record_batch(*totals)
         self.stats.record_batch(*totals)
         if new and self.unique_sink is not None:
@@ -257,12 +197,6 @@ class DedupEngine:
                     for c, fp in new
                 ]
             )
-
-    def close(self) -> None:
-        """Shut down the optional hashing pool (no-op when unused)."""
-        if self._hash_pool is not None:
-            self._hash_pool.shutdown(wait=True)
-            self._hash_pool = None
 
     def reset_stats(self) -> None:
         """Zero the cumulative stats without touching the index."""

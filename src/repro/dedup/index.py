@@ -17,44 +17,23 @@ class DedupIndex(ABC):
     """Set-like index of chunk fingerprints with optional per-key metadata."""
 
     @abstractmethod
-    def contains(self, fingerprint: str) -> bool:
-        """True if ``fingerprint`` is already indexed."""
-
-    @abstractmethod
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        """Index ``fingerprint``.
-
-        Returns:
-            True if the fingerprint was new (inserted), False if it was
-            already present (a duplicate).
-        """
-
-    @abstractmethod
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        """Atomic check-and-insert.
-
-        Returns:
-            True if the fingerprint was new. This is the hot-path operation:
-            one round trip instead of a contains() + insert() pair.
-        """
-
     def lookup_and_insert_many(
         self, fingerprints: Iterable[str], metadata: Optional[str] = None
     ) -> list[bool]:
-        """Batched :meth:`lookup_and_insert`.
+        """Atomic check-and-insert of a batch of fingerprints.
 
-        Semantically identical to calling ``lookup_and_insert`` once per
-        fingerprint in order (so a fingerprint repeated within one batch is
-        new the first time and a duplicate after), but backends may serve
-        the whole batch with far fewer round trips — the distributed ring
-        index groups keys by replica node and pays one network round trip
-        per contacted node instead of one per key.
+        Each fingerprint is new the first time it is claimed and a
+        duplicate after, in input order (so a fingerprint repeated within
+        one batch is new once), and new ones are indexed with
+        ``metadata``. A single key is a batch of one. Backends serve the
+        whole batch at once — the distributed ring index groups keys by
+        replica node and pays one network round trip per contacted node
+        instead of one per key.
 
         Returns:
             One ``True`` (new) / ``False`` (duplicate) per fingerprint, in
             input order.
         """
-        return [self.lookup_and_insert(fp, metadata=metadata) for fp in fingerprints]
 
     @abstractmethod
     def __len__(self) -> int:
@@ -76,22 +55,12 @@ class InMemoryIndex(DedupIndex):
         self._entries: dict[str, Optional[str]] = {}
 
     def contains(self, fingerprint: str) -> bool:
+        """True if ``fingerprint`` is indexed (a read; claims nothing)."""
         return fingerprint in self._entries
-
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        if fingerprint in self._entries:
-            return False
-        self._entries[fingerprint] = metadata
-        return True
-
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self.insert(fingerprint, metadata)
 
     def lookup_and_insert_many(
         self, fingerprints: Iterable[str], metadata: Optional[str] = None
     ) -> list[bool]:
-        # Same loop the base class would run, inlined against the dict to
-        # skip the per-key double dispatch on the hot path.
         entries = self._entries
         results: list[bool] = []
         for fp in fingerprints:

@@ -89,31 +89,6 @@ class RingIndex(DedupIndex):
         self.consistency = consistency
         self.lookups = LookupRecord()
 
-    def contains(self, fingerprint: str) -> bool:
-        return self.store.contains(
-            fingerprint,
-            consistency=self.consistency,
-            coordinator=self.local_node,
-            tally=self.lookups,
-        )
-
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self.store.put_if_absent(
-            fingerprint,
-            metadata if metadata is not None else "",
-            consistency=self.consistency,
-            coordinator=self.local_node,
-        )
-
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self.store.put_if_absent(
-            fingerprint,
-            metadata if metadata is not None else "",
-            consistency=self.consistency,
-            coordinator=self.local_node,
-            tally=self.lookups,
-        )
-
     def lookup_and_insert_many(
         self, fingerprints: Iterable[str], metadata: Optional[str] = None
     ) -> list[bool]:
@@ -171,8 +146,8 @@ class DedupAgent:
             index=index,
             chunker=chunker if chunker is not None else self.config.make_chunker(),
             unique_sink=unique_sink,
-            # lookup_batch is the agent's pipeline depth: 1 keeps the legacy
-            # per-chunk round trip, >1 batches fingerprints per index call.
+            # lookup_batch is the agent's pipeline depth: chunks per index
+            # round trip (1 = duperemove's serial per-chunk queries).
             batch_size=self.config.lookup_batch,
         )
 

@@ -123,7 +123,7 @@ class CloudDedupService:
 
         Returns True if the chunk was unique (kept).
         """
-        is_new = self.index.lookup_and_insert(fingerprint)
+        [is_new] = self.index.lookup_and_insert_many([fingerprint])
         self.stats.record_chunk(chunk.length, is_new)
         if is_new:
             self.store.receive_chunk(chunk, fingerprint)
@@ -140,7 +140,7 @@ class CloudDedupService:
         Returns True if the chunk was actually new (False indicates a race
         or stale edge view — the chunk is dropped, bytes were still spent).
         """
-        is_new = self.index.lookup_and_insert(fingerprint)
+        [is_new] = self.index.lookup_and_insert_many([fingerprint])
         self.stats.record_chunk(chunk.length, is_new)
         self.store.receive_chunk(chunk, fingerprint)
         return is_new

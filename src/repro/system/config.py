@@ -41,9 +41,10 @@ class EFDedupConfig:
             this many chunks and issues one ``lookup_and_insert_many`` call,
             and the throughput simulations charge one RTT per batch (so
             per-chunk remote latency is RTT/batch). The default of 1 models
-            duperemove's serial per-block queries; the scaled-down
-            experiments (4 KiB chunks instead of 128 KiB) raise it to 80 to
-            keep the latency-per-byte of the prototype.
+            duperemove's serial per-block queries, each chunk claimed as a
+            batch of one; the scaled-down experiments (4 KiB chunks instead
+            of 128 KiB) raise it to 80 to keep the latency-per-byte of the
+            prototype.
         upload_rtts: WAN round trips per synchronous unique-chunk upload
             (request + acknowledged data transfer).
         tcp_window_bytes: per-stream TCP window for Cloud-only raw

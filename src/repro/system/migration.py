@@ -265,25 +265,6 @@ class DualLookupIndex(DedupIndex):
             for fp, is_new in zip(fingerprints, verdicts)
         ]
 
-    def contains(self, fingerprint: str) -> bool:
-        if self.primary.contains(fingerprint):
-            return True
-        self.report.dual_lookup_probes += 1
-        present = self.fallback([fingerprint])[0]
-        if present:
-            self.report.dual_lookup_hits += 1
-        return present
-
-    def insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self._confirm_fresh(
-            [fingerprint], [self.primary.insert(fingerprint, metadata)]
-        )[0]
-
-    def lookup_and_insert(self, fingerprint: str, metadata: Optional[str] = None) -> bool:
-        return self._confirm_fresh(
-            [fingerprint], [self.primary.lookup_and_insert(fingerprint, metadata)]
-        )[0]
-
     def lookup_and_insert_many(
         self, fingerprints: Iterable[str], metadata: Optional[str] = None
     ) -> list[bool]:

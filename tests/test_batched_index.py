@@ -1,24 +1,28 @@
 """Tests for batched fingerprint lookups (``lookup_and_insert_many``).
 
-The batched call must be semantically identical to looping
-``lookup_and_insert`` on every index backend — same results, same index
-contents, same per-key counters — while collapsing the *network* accounting
-to one round trip per batch (distinct coordinator→replica contacts instead
-of per-key contacts).
+A stream claimed in batches of any size must be semantically identical to
+the same stream claimed in batches of one on every index backend — same
+results, same index contents, same per-key counters — while collapsing the
+*network* accounting to one round trip per batch (distinct
+coordinator→replica contacts instead of per-key contacts).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from repro.dedup.brownout import BrownoutIndex
 from repro.dedup.cache import LRUCacheIndex, ModelGuidedCacheIndex
 from repro.dedup.engine import DedupEngine
 from repro.dedup.index import InMemoryIndex
 from repro.chunking.fixed import FixedSizeChunker
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.store import DistributedKVStore
+from repro.obs import series
 from repro.system.agent import RingIndex
+from repro.system.migration import DualLookupIndex, MigrationReport
 
 
 def _fingerprints(n: int, pool: int, seed: int = 0) -> list[str]:
@@ -44,22 +48,61 @@ def _index_factories():
             ),
             id="model-cache",
         ),
+        pytest.param(
+            lambda: BrownoutIndex(InMemoryIndex(), trip_on=(ConnectionError,)),
+            id="brownout",
+        ),
+        pytest.param(_dual_lookup, id="dual-lookup"),
     ]
+
+
+def _dual_lookup() -> DualLookupIndex:
+    """A cutover window whose source ring already holds a third of the pool."""
+    source = InMemoryIndex()
+    source.lookup_and_insert_many(_fingerprints(60, pool=120, seed=11))
+    return DualLookupIndex(
+        InMemoryIndex(),
+        fallback=lambda fps: [source.contains(fp) for fp in fps],
+        report=MigrationReport(),
+    )
+
+
+def _counters(index) -> tuple:
+    """Every per-key counter an index keeps (round counts excluded)."""
+    if isinstance(index, RingIndex):
+        stats = index.store.stats
+        return (
+            index.lookups.local, index.lookups.remote,
+            stats.reads, stats.writes, stats.local_reads, stats.remote_reads,
+        )
+    if isinstance(index, LRUCacheIndex):
+        return series(index.stats), list(index._cache)
+    if isinstance(index, BrownoutIndex):
+        return series(index.stats), index.active, index.journal
+    if isinstance(index, DualLookupIndex):
+        return index.report.dual_lookup_probes, index.report.dual_lookup_hits
+    return ()
 
 
 @pytest.mark.parametrize("make_index", _index_factories())
 class TestBatchedMatchesLooped:
     def test_same_results_and_contents(self, make_index):
+        """A stream split into random batches ≡ the stream in batches of one."""
         fps = _fingerprints(500, pool=120)
-        looped_index = make_index()
+        one_by_one = make_index()
         batched_index = make_index()
-        looped = [looped_index.lookup_and_insert(fp, metadata="src") for fp in fps]
-        for lo in range(0, len(fps), 37):  # ragged batches, incl. a partial tail
-            batch = fps[lo : lo + 37]
-            got = batched_index.lookup_and_insert_many(batch, metadata="src")
-            assert got == looped[lo : lo + 37]
-        assert len(batched_index) == len(looped_index)
-        assert set(batched_index.fingerprints()) == set(looped_index.fingerprints())
+        looped = [one_by_one.lookup_and_insert_many([fp], metadata="src")[0] for fp in fps]
+        rng = random.Random(5)
+        lo = 0
+        while lo < len(fps):  # ragged batches, incl. a partial tail
+            size = rng.randrange(1, 50)
+            got = batched_index.lookup_and_insert_many(fps[lo : lo + size], metadata="src")
+            assert got == looped[lo : lo + size]
+            lo += size
+        assert len(batched_index) == len(one_by_one)
+        assert set(batched_index.fingerprints()) == set(one_by_one.fingerprints())
+        assert _counters(batched_index) == _counters(one_by_one)
+        assert any(looped) and not all(looped)
 
     def test_intra_batch_duplicates(self, make_index):
         """A fingerprint repeated inside one batch: first occurrence is new,
@@ -129,14 +172,14 @@ class TestRingIndexBatching:
         looped_index = RingIndex(DistributedKVStore(NODES), local_node="edge-3")
         batched_index = RingIndex(DistributedKVStore(NODES), local_node="edge-3")
         for fp in fps:
-            looped_index.lookup_and_insert(fp)
+            looped_index.lookup_and_insert_many([fp])
         for lo in range(0, len(fps), 64):
             batched_index.lookup_and_insert_many(fps[lo : lo + 64])
         assert batched_index.lookups.local == looped_index.lookups.local
         assert batched_index.lookups.remote == looped_index.lookups.remote
         assert batched_index.lookups.total_lookups == len(fps)
         assert batched_index.lookups.batch_rounds == math.ceil(len(fps) / 64)
-        assert looped_index.lookups.batch_rounds == 0
+        assert looped_index.lookups.batch_rounds == len(fps)
 
     def test_a_batch_that_raises_is_still_counted(self):
         """Locality is tallied as the keys are placed, before routing: a
@@ -209,11 +252,8 @@ class TestEngineBatching:
             )
             engine.dedup_bytes(data)
             chunks = engine.stats.raw_chunks
-            if batch_size == 1:
-                assert index.lookups.batch_rounds == 0  # legacy per-key path
-            else:
-                assert index.lookups.batch_rounds <= math.ceil(chunks / batch_size)
-                assert index.store.stats.batch_rounds == index.lookups.batch_rounds
+            assert index.lookups.batch_rounds == math.ceil(chunks / batch_size)
+            assert index.store.stats.batch_rounds == index.lookups.batch_rounds
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -235,11 +275,7 @@ class TestUniqueSinkIsPerLookupBatch:
         engine = DedupEngine(
             chunker=FixedSizeChunker(self.BLOCK), unique_sink=calls.append, **engine_kwargs
         )
-        try:
-            result = engine.dedup_bytes(memoryview(data))
-        finally:
-            engine.close()
-        return calls, result
+        return calls, engine.dedup_bytes(memoryview(data))
 
     def test_one_call_per_batch_in_stream_order_unique_only(self):
         first, third = self._blocks(1, 16), self._blocks(2, 16)
@@ -264,7 +300,7 @@ class TestUniqueSinkIsPerLookupBatch:
         engine.dedup_bytes(data)
         assert calls == []
 
-    def test_batch_size_one_and_hash_workers_sink_the_same_sequence(self):
+    def test_batch_size_one_sinks_the_same_sequence(self):
         blocks = self._blocks(4, 12)
         data = b"".join(blocks + blocks[3:9] + self._blocks(5, 5))
 
@@ -273,7 +309,5 @@ class TestUniqueSinkIsPerLookupBatch:
 
         batched, _ = self._sunk(data, batch_size=8)
         single, _ = self._sunk(data, batch_size=1)
-        pooled, _ = self._sunk(data, batch_size=8, hash_workers=2)
         assert all(len(call) == 1 for call in single)  # a batch of one chunk
-        assert flat(single) == flat(batched) == flat(pooled)
-        assert [len(c) for c in pooled] == [len(c) for c in batched]
+        assert flat(single) == flat(batched)

@@ -1,10 +1,25 @@
 """Tests for the dedup cache layers (LRU and model-guided admission)."""
 
+import random
+from collections import OrderedDict
+
 import pytest
 
 from repro.dedup.cache import LRUCacheIndex, ModelGuidedCacheIndex
 from repro.dedup.index import InMemoryIndex
+from repro.kvstore.store import DistributedKVStore
 from repro.obs import series
+from repro.system.agent import RingIndex
+from tests.lru_oracle import (
+    OracleLRUCacheIndex,
+    OracleModelGuidedCacheIndex,
+    copy_predicted_misses,
+)
+
+
+def claim(index, fp: str) -> bool:
+    """Claim one fingerprint as a batch of one."""
+    return index.lookup_and_insert_many([fp])[0]
 
 
 class TestLRUCacheIndex:
@@ -18,14 +33,14 @@ class TestLRUCacheIndex:
         cached = LRUCacheIndex(InMemoryIndex(), capacity=8)
         sequence = ["a", "b", "a", "c", "a", "b", "d", "d", "e", "a"]
         for fp in sequence:
-            assert plain.lookup_and_insert(fp) == cached.lookup_and_insert(fp)
+            assert claim(plain, fp) == claim(cached, fp)
         assert len(plain) == len(cached)
 
     def test_hit_counts(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=8)
-        cache.lookup_and_insert("x")  # miss, admitted
-        cache.lookup_and_insert("x")  # hit
-        cache.lookup_and_insert("x")  # hit
+        claim(cache, "x")  # miss, admitted
+        claim(cache, "x")  # hit
+        claim(cache, "x")  # hit
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
@@ -33,50 +48,31 @@ class TestLRUCacheIndex:
     def test_eviction_at_capacity(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=2)
         for fp in ("a", "b", "c"):
-            cache.lookup_and_insert(fp)
+            claim(cache, fp)
         assert cache.cached_entries == 2
         assert cache.stats.evictions == 1
 
     def test_lru_order(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=2)
-        cache.lookup_and_insert("a")
-        cache.lookup_and_insert("b")
-        cache.lookup_and_insert("a")  # refresh a
-        cache.lookup_and_insert("c")  # evicts b, not a
+        claim(cache, "a")
+        claim(cache, "b")
+        claim(cache, "a")  # refresh a
+        claim(cache, "c")  # evicts b, not a
         cache.stats.hits = cache.stats.misses = 0
-        cache.lookup_and_insert("a")
+        claim(cache, "a")
         assert cache.stats.hits == 1  # a stayed cached
-        cache.lookup_and_insert("b")
+        claim(cache, "b")
         assert cache.stats.misses == 1  # b was evicted (but still a dup!)
 
     def test_evicted_entry_still_duplicate_via_backing(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=1)
-        cache.lookup_and_insert("a")
-        cache.lookup_and_insert("b")  # evicts a from cache
-        assert cache.lookup_and_insert("a") is False  # backing remembers
-
-    def test_contains_populates_cache(self):
-        backing = InMemoryIndex()
-        backing.insert("warm")
-        cache = LRUCacheIndex(backing, capacity=4)
-        assert cache.contains("warm")  # miss -> backing -> admitted
-        assert cache.contains("warm")  # now a cache hit
-        assert cache.stats.hits == 1
-
-    def test_contains_absent_not_cached(self):
-        cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
-        assert cache.contains("nope") is False
-        assert cache.cached_entries == 0
-
-    def test_insert_passthrough(self):
-        cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
-        assert cache.insert("a") is True
-        assert cache.insert("a") is False
+        claim(cache, "a")
+        claim(cache, "b")  # evicts a from cache
+        assert claim(cache, "a") is False  # backing remembers
 
     def test_len_and_fingerprints_from_backing(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=1)
-        for fp in ("a", "b", "c"):
-            cache.lookup_and_insert(fp)
+        cache.lookup_and_insert_many(["a", "b", "c"])
         assert len(cache) == 3
         assert set(cache.fingerprints()) == {"a", "b", "c"}
 
@@ -93,12 +89,12 @@ class TestModelGuidedCacheIndex:
             capacity=8,
             admit_threshold=0.5,
         )
-        cache.lookup_and_insert("hot-1")
-        cache.lookup_and_insert("cold-1")
+        claim(cache, "hot-1")
+        claim(cache, "cold-1")
         assert cache.cached_entries == 1
         assert cache.stats.rejections == 1
         # Cold entries still dedup correctly through the backing index.
-        assert cache.lookup_and_insert("cold-1") is False
+        assert claim(cache, "cold-1") is False
 
     def test_hot_entries_survive_cold_churn(self):
         """Under one-hit-wonder churn the guided cache keeps its hot set;
@@ -110,12 +106,12 @@ class TestModelGuidedCacheIndex:
         lru = LRUCacheIndex(InMemoryIndex(), capacity=4)
         for cache in (guided, lru):
             for i in range(4):
-                cache.lookup_and_insert(f"hot-{i}")
+                claim(cache, f"hot-{i}")
             for i in range(100):  # churn
-                cache.lookup_and_insert(f"cold-{i}")
+                claim(cache, f"cold-{i}")
             cache.stats.hits = cache.stats.misses = 0
             for i in range(4):
-                cache.lookup_and_insert(f"hot-{i}")
+                claim(cache, f"hot-{i}")
         assert guided.stats.hits == 4  # all hot entries still cached
         assert lru.stats.hits == 0  # churned out
 
@@ -125,14 +121,14 @@ class TestModelGuidedCacheIndex:
             InMemoryIndex(), scorer=lambda fp: 0.0, capacity=4
         )
         for fp in ["a", "b", "a", "c", "a"]:
-            assert plain.lookup_and_insert(fp) == guided.lookup_and_insert(fp)
+            assert claim(plain, fp) == claim(guided, fp)
 
 
 class TestCacheStatsSnapshot:
     def test_snapshot_uses_canonical_metric_names(self):
         cache = LRUCacheIndex(InMemoryIndex(), capacity=4)
-        cache.lookup_and_insert("x")  # miss, admitted
-        cache.lookup_and_insert("x")  # hit
+        claim(cache, "x")  # miss, admitted
+        claim(cache, "x")  # hit
         assert series(cache.stats) == {
             "hits": 1,
             "misses": 1,
@@ -173,7 +169,7 @@ class TestBatchedCacheLookups:
         plain = InMemoryIndex()
         cached = LRUCacheIndex(InMemoryIndex(), capacity=8)
         batch = ["a", "b", "a", "c", "b", "d"]
-        expected = [plain.lookup_and_insert(fp) for fp in batch]
+        expected = [claim(plain, fp) for fp in batch]
         assert cached.lookup_and_insert_many(batch) == expected
 
     def test_misses_travel_in_one_backing_batch(self):
@@ -193,12 +189,22 @@ class TestBatchedCacheLookups:
         assert backing.batch_sizes == [2, 1]  # only "c" crossed over
         assert cached.stats.hits == 2
 
-    def test_all_hits_send_an_empty_batch_downstream(self):
+    def test_all_hits_make_no_backing_call(self):
         backing = _BatchCountingIndex()
         cached = LRUCacheIndex(backing, capacity=8)
         cached.lookup_and_insert_many(["a", "b"])
         assert cached.lookup_and_insert_many(["b", "a"]) == [False, False]
-        assert backing.batch_sizes[-1] == 0
+        assert cached.lookup_and_insert_many([]) == []
+        assert backing.batch_sizes == [2]
+
+    def test_an_all_hit_batch_is_not_a_ring_round(self):
+        """A batch answered wholly by the cache sends nothing, so neither
+        the agent nor the store counts a round for it."""
+        ring = RingIndex(DistributedKVStore(["a", "b", "c"]), local_node="a")
+        cached = LRUCacheIndex(ring, capacity=8)
+        for _ in range(2):
+            cached.lookup_and_insert_many(["x", "y"])
+        assert ring.lookups.batch_rounds == ring.store.stats.batch_rounds == 1
 
     def test_intra_batch_repeat_is_new_once_then_duplicate(self):
         cached = LRUCacheIndex(InMemoryIndex(), capacity=8)
@@ -218,7 +224,7 @@ class TestBatchedCacheLookups:
         # 'b' is cached, but 'a' (a miss, admitted first) evicts it before
         # its probe — so 'b' must count as a miss, not a hit.
         cached = LRUCacheIndex(InMemoryIndex(), capacity=1)
-        cached.lookup_and_insert("b")
+        claim(cached, "b")
         assert cached.lookup_and_insert_many(["a", "b"]) == [True, False]
         assert cached.stats.hits == 0
         assert list(cached._cache) == ["b"]
@@ -252,40 +258,37 @@ class TestBatchedCacheLookups:
 
 
 class TestBatchedMatchesLoopedProperty:
-    """Seeded-random equivalence check: for any batch sequence (repeats,
-    tiny capacities, admission rejections), the batched path must produce
-    byte-identical results, stats, and cache state to the per-key loop."""
+    """Seeded-random equivalence checks over batch sequences with repeats,
+    tiny capacities and admission rejections: the batched path must leave
+    identical results, stats and cache state (contents *and* recency
+    order) to the same stream claimed in batches of one, and must predict
+    exactly the misses of the retired copy-based simulation."""
 
-    def _stats_tuple(self, cache):
-        s = cache.stats
-        return (s.hits, s.misses, s.admissions, s.rejections, s.evictions)
-
-    def _pair(self, capacity, guided, seed):
-        import random
-
+    def _make(self, capacity, guided, oracle=False):
         if guided:
             # Deterministic scorer keyed on the fingerprint text, ~40% cold.
+            cls = OracleModelGuidedCacheIndex if oracle else ModelGuidedCacheIndex
             scorer = lambda fp: 1.0 if (int(fp[1:]) % 5) < 3 else 0.0
-            make = lambda: ModelGuidedCacheIndex(
-                InMemoryIndex(), scorer=scorer, capacity=capacity
-            )
-        else:
-            make = lambda: LRUCacheIndex(InMemoryIndex(), capacity=capacity)
-        return make(), make(), random.Random(seed)
+            return cls(InMemoryIndex(), scorer=scorer, capacity=capacity)
+        cls = OracleLRUCacheIndex if oracle else LRUCacheIndex
+        return cls(InMemoryIndex(), capacity=capacity)
+
+    def _state(self, cache):
+        return series(cache.stats), list(cache._cache)
 
     def _check(self, capacity, guided, seed, rounds=30):
-        batched, looped, rng = self._pair(capacity, guided, seed)
+        batched = self._make(capacity, guided)
+        one_by_one = self._make(capacity, guided)
+        oracle = self._make(capacity, guided, oracle=True)
+        rng = random.Random(seed)
         universe = [f"f{i}" for i in range(12)]  # small -> lots of repeats
         for _ in range(rounds):
             batch = [rng.choice(universe) for _ in range(rng.randrange(1, 9))]
+            assert batched._predict_misses(batch) == copy_predicted_misses(batched, batch)
             got = batched.lookup_and_insert_many(list(batch))
-            want = [looped.lookup_and_insert(fp) for fp in batch]
-            assert got == want, (capacity, guided, seed, batch)
-            assert self._stats_tuple(batched) == self._stats_tuple(looped), (
-                capacity, guided, seed, batch,
-            )
-            # Cache contents AND recency order must agree.
-            assert list(batched._cache) == list(looped._cache), (
+            assert got == [claim(one_by_one, fp) for fp in batch], (capacity, seed, batch)
+            assert got == oracle.lookup_and_insert_many(batch)
+            assert self._state(batched) == self._state(one_by_one) == self._state(oracle), (
                 capacity, guided, seed, batch,
             )
 
@@ -298,3 +301,32 @@ class TestBatchedMatchesLoopedProperty:
         for capacity in (1, 2, 3, 8):
             for seed in range(8):
                 self._check(capacity, guided=True, seed=seed)
+
+    def test_overlay_matches_the_copy_oracle_on_long_traces(self):
+        rng = random.Random(31)
+        for trial in range(300):
+            capacity = rng.choice((1, 2, 5, 16, 64))
+            cache = self._make(capacity, guided=trial % 2 == 1)
+            oracle = self._make(capacity, guided=trial % 2 == 1, oracle=True)
+            universe = [f"f{i}" for i in range(rng.choice((4, 40, 200)))]
+            for _ in range(10):
+                batch = [rng.choice(universe) for _ in range(rng.randrange(0, 40))]
+                assert cache.lookup_and_insert_many(batch) == oracle.lookup_and_insert_many(batch)
+                assert self._state(cache) == self._state(oracle)
+
+    def test_a_batch_never_copies_the_cache(self):
+        """A full 4 096-entry cache: the prediction must not walk or copy
+        the whole cache to serve a batch of one."""
+
+        class _NoCopy(OrderedDict):
+            def copy(self):
+                raise AssertionError("the cache was copied to serve a batch")
+
+        cache = LRUCacheIndex(InMemoryIndex(), capacity=4096)
+        cache.lookup_and_insert_many([f"f{i}" for i in range(4096)])
+        cache._cache = _NoCopy(cache._cache)
+        assert cache.lookup_and_insert_many(["f0"]) == [False]
+        assert cache.lookup_and_insert_many(["new"]) == [True]
+        # "new" evicted f1, so f1 misses and is re-admitted after g.
+        assert cache.lookup_and_insert_many(["f0", "g", "f1", "g"]) == [False, True, False, False]
+        assert (cache.stats.evictions, list(cache._cache)[-3:]) == (3, ["f0", "f1", "g"])

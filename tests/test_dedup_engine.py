@@ -13,46 +13,43 @@ from repro.dedup.stats import DedupStats
 class TestInMemoryIndex:
     def test_insert_new_returns_true(self):
         idx = InMemoryIndex()
-        assert idx.insert("fp1") is True
+        assert idx.lookup_and_insert_many(["fp1"]) == [True]
 
     def test_insert_duplicate_returns_false(self):
         idx = InMemoryIndex()
-        idx.insert("fp1")
-        assert idx.insert("fp1") is False
+        idx.lookup_and_insert_many(["fp1"])
+        assert idx.lookup_and_insert_many(["fp1"]) == [False]
 
     def test_contains(self):
         idx = InMemoryIndex()
         assert not idx.contains("fp")
-        idx.insert("fp")
+        idx.lookup_and_insert_many(["fp"])
         assert idx.contains("fp")
 
     def test_lookup_and_insert_semantics(self):
         idx = InMemoryIndex()
-        assert idx.lookup_and_insert("fp") is True
-        assert idx.lookup_and_insert("fp") is False
+        assert idx.lookup_and_insert_many(["fp", "fp"]) == [True, False]
+        assert idx.lookup_and_insert_many(["fp"]) == [False]
 
     def test_metadata_stored_on_first_insert(self):
         idx = InMemoryIndex()
-        idx.insert("fp", metadata="node-1")
-        idx.insert("fp", metadata="node-2")  # duplicate: ignored
+        idx.lookup_and_insert_many(["fp"], metadata="node-1")
+        idx.lookup_and_insert_many(["fp"], metadata="node-2")  # duplicate: ignored
         assert idx.get_metadata("fp") == "node-1"
 
     def test_len_counts_unique(self):
         idx = InMemoryIndex()
-        idx.insert("a")
-        idx.insert("b")
-        idx.insert("a")
+        idx.lookup_and_insert_many(["a", "b", "a"])
         assert len(idx) == 2
 
     def test_fingerprints_iteration(self):
         idx = InMemoryIndex()
-        for fp in ("a", "b", "c"):
-            idx.insert(fp)
+        idx.lookup_and_insert_many(["a", "b", "c"])
         assert set(idx.fingerprints()) == {"a", "b", "c"}
 
     def test_clear(self):
         idx = InMemoryIndex()
-        idx.insert("a")
+        idx.lookup_and_insert_many(["a"])
         idx.clear()
         assert len(idx) == 0
 

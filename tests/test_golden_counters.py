@@ -1,18 +1,29 @@
-"""Golden counters: one seeded in-process run, recorded once, replayed exactly.
+"""Golden counters: one seeded run, recorded once, replayed exactly.
 
-Two rings of three members at γ = 2; agents ``edge-0`` and ``edge-1``
-ingest from a shared block pool. Mid-run ``edge-2`` is marked down (routes
-degrade, writes become hints), a batch at consistency ALL must raise
+Two rings of three members; agents ``edge-0`` and ``edge-1`` ingest from a
+shared block pool. Mid-run ``edge-2`` is marked down (routes degrade,
+writes become hints), a batch at consistency ALL must raise
 ``UnavailableError`` and apply nothing, and ``edge-2`` is marked up again
-(hint replay, recovery repair). Every ``lookups.*``, ``kvstore.*`` and
-``dedup.*`` series, each agent's per-key verdicts and the hint count must
-equal ``golden_counters.json``, which was recorded before the claim path
-placed, routed and counted keys per batch — so any counter that drifts
-with that change fails here.
+(hint replay, recovery repair).
+
+``golden_counters.json`` pins the in-process run at 16-key lookup batches
+and γ = 2: every ``lookups.*``, ``kvstore.*`` and ``dedup.*`` series, each
+agent's per-key verdicts and the hint count. It was recorded before the
+claim path placed, routed and counted keys per batch.
+
+``golden_counters_batch1.json`` pins the same script at ``lookup_batch =
+1`` (the paper's serial per-chunk queries), at ONE over γ = 2 and at
+QUORUM over γ = 3, with every count-valued ``lookups.*``, ``kvstore.*``,
+``dedup.*`` and ``rpc.*`` series of the asyncio transport. It was recorded
+while a batch of one still went through a per-key claim verb; three
+counters have since taken their batched meaning and are checked by
+identity instead (:data:`BATCH_ONE_MOVED`). The in-process run must equal
+the asyncio run on every series the two share.
 
 Regenerate (only when a counter's meaning changes on purpose)::
 
     PYTHONPATH=src python tests/test_golden_counters.py > tests/golden_counters.json
+    PYTHONPATH=src python tests/test_golden_counters.py batch1 > tests/golden_counters_batch1.json
 """
 
 from __future__ import annotations
@@ -28,32 +39,51 @@ from repro.kvstore.errors import UnavailableError
 from repro.system.reference import reference_cluster, seeded_pool_workload
 
 GOLDEN = Path(__file__).with_name("golden_counters.json")
+GOLDEN_BATCH_ONE = Path(__file__).with_name("golden_counters_batch1.json")
 AGENTS = ("edge-0", "edge-1")
 VICTIM = "edge-2"
 LAYERS = ("lookups", "kvstore", "dedup")
+# Consistency level → replication factor of the lookup_batch = 1 runs.
+# QUORUM needs γ = 3 to keep a quorum while the victim is down.
+BATCH_ONE_LEVELS = {"ONE": 2, "QUORUM": 3}
+# The counters a batch of one moves when it is claimed as a batch: a round
+# per chunk, and remote contacts per round instead of per get and per put.
+BATCH_ONE_MOVED = ("lookups.batch_rounds", "kvstore.batch_rounds", "kvstore.remote_contacts")
 
 
-def run_script() -> dict:
-    """The seeded run; returns everything the golden file pins."""
+def verdicts_of(engine, data: bytes, unique: tuple[str, ...]) -> str:
+    """Per-key verdicts of one ingest: ``n`` for each chunk whose
+    fingerprint is the ingest's next unique one, ``d`` for the rest."""
+    pending = iter(unique)
+    head = next(pending, None)
+    out = []
+    for chunk in engine.chunker.chunk_views(data):
+        if engine.fingerprint(chunk.data) == head:
+            out.append("n")
+            head = next(pending, None)
+        else:
+            out.append("d")
+    return "".join(out)
+
+
+def run_script(layers=LAYERS, counts_only: bool = False, **overrides) -> dict:
+    """The seeded run; returns everything the golden files pin.
+
+    ``overrides`` are :class:`~repro.system.config.EFDedupConfig` fields
+    on top of :func:`reference_cluster`'s. ``counts_only`` drops the
+    histogram series (timings) from the record.
+    """
     workloads = seeded_pool_workload(6, 6, 96, seed=27, pool_blocks=160)
-    verdicts: dict[str, list[bool]] = {agent: [] for agent in AGENTS}
-    with reference_cluster(6, [[0, 1, 2], [3, 4, 5]]) as cluster:
+    verdicts = {agent: "" for agent in AGENTS}
+    with reference_cluster(6, [[0, 1, 2], [3, 4, 5]], **overrides) as cluster:
         ring = cluster.ring_for(AGENTS[0])
-        for agent in AGENTS:
-            index = ring.ring_indexes[agent]
-            claim = index.lookup_and_insert_many
-
-            def recording(fps, metadata=None, _claim=claim, _out=verdicts[agent]):
-                answers = _claim(fps, metadata)
-                _out.extend(answers)
-                return answers
-
-            index.lookup_and_insert_many = recording
 
         def ingest(files: slice) -> None:
             for agent in AGENTS:
                 for data in workloads[agent][files]:
-                    cluster.ingest(agent, data)
+                    result = cluster.ingest(agent, data)
+                    engine = ring.agents[agent].engine
+                    verdicts[agent] += verdicts_of(engine, data, result.unique_fingerprints)
 
         ingest(slice(0, 2))
         ring.store.mark_down(VICTIM)
@@ -71,16 +101,25 @@ def run_script() -> dict:
         series = {
             name: value["count"] if isinstance(value, dict) else value
             for name, value in cluster.metrics_hub().collect().items()
-            if name.split(".")[1] in LAYERS
+            if name.split(".")[1] in layers
+            and not (counts_only and isinstance(value, dict))
         }
     return {
         "series": dict(sorted(series.items())),
-        "verdicts": {
-            agent: "".join("n" if new else "d" for new in answers)
-            for agent, answers in verdicts.items()
-        },
+        "verdicts": verdicts,
         "hints_pending_at_mark_up": hints,
     }
+
+
+def run_batch_one(level: str, transport: str) -> dict:
+    return run_script(
+        layers=LAYERS + ("rpc",),
+        counts_only=True,
+        lookup_batch=1,
+        transport=transport,
+        consistency=ConsistencyLevel[level],
+        replication_factor=BATCH_ONE_LEVELS[level],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +155,48 @@ def test_counter_identities(result, ring):
     )
 
 
+@pytest.fixture(scope="module", params=sorted(BATCH_ONE_LEVELS))
+def batch_one(request) -> dict:
+    return {t: run_batch_one(request.param, t) for t in ("inproc", "asyncio")} | {
+        "golden": json.loads(GOLDEN_BATCH_ONE.read_text())[request.param]
+    }
+
+
+def test_batch_one_transports_agree(batch_one):
+    inproc, live = batch_one["inproc"], batch_one["asyncio"]
+    shared = inproc["series"].keys() & live["series"].keys()
+    assert shared == inproc["series"].keys()
+    assert {n: inproc["series"][n] for n in shared} == {n: live["series"][n] for n in shared}
+    assert inproc["verdicts"] == live["verdicts"]
+
+
+@pytest.mark.parametrize("transport", ["inproc", "asyncio"])
+def test_batch_one_equals_the_golden_file(batch_one, transport):
+    run, golden = batch_one[transport], batch_one["golden"]
+    assert run["verdicts"] == golden["verdicts"]
+    assert run["hints_pending_at_mark_up"] == golden["hints_pending_at_mark_up"] > 0
+    moved = {n for n in run["series"] if n.split(".", 1)[1] in BATCH_ONE_MOVED}
+    assert len(moved) == 2 * len(BATCH_ONE_MOVED)
+    assert {n: v for n, v in run["series"].items() if n not in moved} == {
+        n: golden["series"][n] for n in run["series"] if n not in moved
+    }
+    series = run["series"]
+    for ring in ("ring-0", "ring-1"):
+        # One claim round per chunk, counted once by the agent and once
+        # by the store.
+        assert series[f"{ring}.lookups.batch_rounds"] == (
+            series[f"{ring}.kvstore.batch_rounds"]
+        ) == series[f"{ring}.dedup.lookups"]
+    # A round contacts each replica once for its read and its write.
+    assert 0 < series["ring-0.kvstore.remote_contacts"] < (
+        golden["series"]["ring-0.kvstore.remote_contacts"]
+    )
+
+
 if __name__ == "__main__":
-    json.dump(run_script(), sys.stdout, indent=1)
+    if sys.argv[1:] == ["batch1"]:
+        record = {level: run_batch_one(level, "asyncio") for level in sorted(BATCH_ONE_LEVELS)}
+    else:
+        record = run_script()
+    json.dump(record, sys.stdout, indent=1)
     sys.stdout.write("\n")

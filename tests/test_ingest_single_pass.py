@@ -55,28 +55,23 @@ class TestRecipeComesFromTheDedupPass:
             cluster.shutdown()
 
     @pytest.mark.parametrize(
-        "transport,extra,hash_workers",
+        "transport,extra",
         [
-            ("inproc", {"lookup_batch": 1}, 0),
-            ("inproc", {}, 2),
-            ("inproc", {"secure": True}, 0),
-            ("asyncio", {"brownout": True}, 0),
+            ("inproc", {"lookup_batch": 1}),
+            ("inproc", {"secure": True}),
+            ("asyncio", {"brownout": True}),
         ],
-        ids=["lookup_batch=1", "hash_workers=2", "secure", "brownout"],
+        ids=["lookup_batch=1", "secure", "brownout"],
     )
-    def test_recipe_equals_make_recipe_on_every_engine_path(
-        self, tmp_path, transport, extra, hash_workers
-    ):
+    def test_recipe_equals_make_recipe_on_every_engine_path(self, tmp_path, transport, extra):
         cluster = durable(tmp_path, transport, chunking_algo="fastcdc", **extra)
         try:
             ring = cluster.ring_for("edge-0")
             engine = ring.agent("edge-0").engine
-            engine.hash_workers = hash_workers
             files = {f"f{i}": payload(10 + i) for i in range(2)}
             files["again"] = files["f0"]  # an all-duplicate file
             for file_id, data in files.items():
                 cluster.ingest_file("edge-0", file_id, data)
-            engine.close()
             for file_id, data in files.items():
                 expected = make_recipe(file_id, data, chunker=engine.chunker)
                 assert cluster.recipes.get(file_id) == expected

@@ -520,11 +520,6 @@ class _FlakyIndex(InMemoryIndex):
             raise RpcOverloadError(node_id="n0")
         return super().lookup_and_insert_many(fingerprints, metadata=metadata)
 
-    def contains(self, fingerprint):
-        if self.failing:
-            raise RpcOverloadError(node_id="n0")
-        return super().contains(fingerprint)
-
 
 class _FakeClock:
     def __init__(self):
@@ -561,12 +556,6 @@ class TestBrownoutIndex:
         clock.now = 1.5  # past the cooldown: one probe is spent
         assert wrapper.lookup_and_insert_many(["b"], None) == [True]
         assert not wrapper.active and wrapper.stats.probes == 1
-
-    def test_contains_is_pessimistic_and_never_journals(self):
-        clock, inner, wrapper = self._tripped()
-        wrapper.lookup_and_insert_many(["a"], None)
-        assert wrapper.contains("a") is False  # cannot know during brownout
-        assert wrapper.stats.journaled == 1  # only the claim, not contains
 
     def test_reconcile_repairs_stats_to_exact_ratio(self):
         clock, inner, wrapper = self._tripped()

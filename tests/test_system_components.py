@@ -75,7 +75,7 @@ class TestCloudDedupService:
     def test_lookup_counts(self):
         svc = CloudDedupService()
         assert svc.lookup("fp") is False
-        svc.index.insert("fp")
+        svc.index.lookup_and_insert_many(["fp"])
         assert svc.lookup("fp") is True
         assert svc.lookups_served == 2
 
@@ -104,16 +104,16 @@ class TestRingIndex:
 
     def test_lookup_and_insert(self):
         idx = RingIndex(self._store(), local_node="n0")
-        assert idx.lookup_and_insert("fp") is True
-        assert idx.lookup_and_insert("fp") is False
-        assert idx.contains("fp")
+        assert idx.lookup_and_insert_many(["fp"]) == [True]
+        assert idx.lookup_and_insert_many(["fp"]) == [False]
+        assert idx.store.contains("fp")
         assert len(idx) == 1
 
     def test_locality_accounting(self):
         store = self._store()
         idx = RingIndex(store, local_node="n0")
         for i in range(100):
-            idx.lookup_and_insert(f"fp{i}")
+            idx.lookup_and_insert_many([f"fp{i}"])
         rec = idx.lookups
         assert rec.local + rec.remote == 100
         # γ/|P| = 2/4: about half the lookups should be local.
@@ -123,15 +123,14 @@ class TestRingIndex:
         store = self._store()
         idx = RingIndex(store, local_node="n0")
         for i in range(50):
-            idx.lookup_and_insert(f"fp{i}")
+            idx.lookup_and_insert_many([f"fp{i}"])
         # Remote means n0 holds no replica of the key.
         remote = [i for i in range(50) if "n0" not in store.replicas_for(f"fp{i}")]
         assert remote and idx.lookups.remote == len(remote)
 
     def test_fingerprints_iterates_all(self):
         idx = RingIndex(self._store(), local_node="n0")
-        for fp in ("a", "b"):
-            idx.insert(fp)
+        idx.lookup_and_insert_many(["a", "b"])
         assert set(idx.fingerprints()) == {"a", "b"}
 
 

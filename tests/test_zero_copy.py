@@ -142,18 +142,6 @@ class TestEngineZeroCopy:
         assert all(isinstance(c.data, bytes) for c in sunk)
         assert b"".join(c.data for c in sunk) == data
 
-    def test_hash_workers_produce_identical_results(self):
-        data = _random_bytes(150_000, seed=10)
-        inline = DedupEngine(chunker=FastCDCChunker(avg_size=4096))
-        pooled = DedupEngine(chunker=FastCDCChunker(avg_size=4096), hash_workers=2)
-        try:
-            ri = inline.dedup_bytes(data)
-            rp = pooled.dedup_bytes(data)
-            assert ri.unique_fingerprints == rp.unique_fingerprints
-            assert ri.stats.dedup_ratio == rp.stats.dedup_ratio
-        finally:
-            pooled.close()
-
     def test_oracle_chunker_rejected_for_live_ingest(self):
         with pytest.raises(ValueError, match="oracle"):
             DedupEngine(chunker=RabinChunker(avg_size=256))
