@@ -11,10 +11,18 @@ erasure-coded cloud tier behind
 
 Writes are buffered and flushed as **batched messages per target node**,
 at most ``batch_size`` payloads each and all in flight in one scatter (the
-payload sibling of ``put_if_absent_many``). Reads scatter one
-batched ``get_chunks`` to every alive member; only a fingerprint several
-members returned is placed, so the primary's copy wins. Down or
-unreachable members are misses, never errors.
+payload sibling of ``put_if_absent_many``). Reads go to holders, not to
+every alive member: the index store's coordinator keeps a shelf directory
+(fingerprint → the member a ``put_chunks`` message carried it to), and a
+read sends each alive holder one batched ``get_chunks`` of its own
+fingerprints. The directory lists a *superset* of the members holding a
+copy — a member enters when a message to it is sent, acknowledged or not,
+and leaves only when it acknowledges a delete, crashes (the shelf is in
+memory) or leaves the ring — so a fingerprint it lists nowhere is a miss
+with no message sent, exactly the miss a broadcast would have found. After
+``clear()`` a restore therefore sends no edge RPC at all. Only a
+fingerprint several members returned is placed, so the primary's copy
+wins. Down or unreachable members are misses, never errors.
 
 This class only routes. The shelves belong to the members' replicas
 (:class:`~repro.kvstore.replica.Replica`) and are reached through the
@@ -64,8 +72,8 @@ class RingContentStore:
         """First alive replica in placement order (primary-first), or None
         when the whole replica set is down. When ``exclude`` leaves no
         replica (a departing member was the sole owner), any other alive
-        member serves — reads scatter to every alive member, so the copy
-        stays findable wherever it lands."""
+        member serves — the shelf directory records wherever a copy lands,
+        so it stays findable there."""
         for node_id in self.store.replicas_for(fingerprint):
             if node_id == exclude:
                 continue
@@ -145,17 +153,19 @@ class RingContentStore:
         return found
 
     def get_many(self, fingerprints: list[str]) -> dict[str, bytes]:
-        """Batched fetch: one ``get_chunks`` message per alive member, all
-        in flight concurrently; returns only the fingerprints found."""
+        """Batched fetch: one ``get_chunks`` message per alive member the
+        shelf directory lists as holding some of them, all in flight
+        concurrently; returns only the fingerprints found. A fingerprint no
+        member is listed for is a miss without a message."""
         self.flush()
         wanted = list(dict.fromkeys(fingerprints))
         self.stats.gets += len(wanted)
-        alive = self.store.alive_nodes()
+        groups = self.store.chunk_holders(wanted)
         found: dict[str, bytes] = {}
-        if alive and wanted:
-            by_node = self.store.scatter_get_chunks({n: wanted for n in alive})
+        if groups:
+            by_node = self.store.scatter_get_chunks(groups)
             copies: dict[str, dict[str, bytes]] = {}  # fingerprint -> holder -> bytes
-            for node_id in alive:
+            for node_id in groups:
                 for fingerprint, data in by_node.get(node_id, {}).items():
                     if data is not None:
                         copies.setdefault(fingerprint, {})[node_id] = data
@@ -164,7 +174,7 @@ class RingContentStore:
                 if len(held) > 1:
                     # Contested: the primary's copy wins, then any alive holder.
                     replicas = self.store.replicas_for(fingerprint)
-                    held = {n: held[n] for n in chain(replicas, alive) if n in held}
+                    held = {n: held[n] for n in chain(replicas, groups) if n in held}
                 if held:
                     found[fingerprint] = next(iter(held.values()))
         self.stats.hits += len(found)

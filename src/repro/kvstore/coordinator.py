@@ -181,6 +181,10 @@ class QuorumCoordinator:
         # (required acks, coordinator) → placement → its Route: nothing else
         # but _down decides one, and membership or _down changes empty it.
         self._route_table: dict[tuple[int, Optional[str]], dict[tuple[str, ...], Route]] = {}
+        # The shelf directory: fingerprint → the member a put_chunks message
+        # carried it to, or a set of members for the rare fingerprint shelved
+        # on several. See "chunk payloads" below for why it is a superset.
+        self._shelved: dict[str, str | set[str]] = {}
 
     def drive(self, coro):
         """Run one coordinator coroutine to completion from synchronous
@@ -321,6 +325,7 @@ class QuorumCoordinator:
         self._route_table.clear()
         self._degraded.pop(node_id, None)
         self.hints.take_for(node_id)  # hints for a gone member are void
+        self._unshelve(node_id, list(self._shelved))  # its shelf left with it
         await self._place(rows, hint_down=False)
 
     @driven
@@ -534,6 +539,66 @@ class QuorumCoordinator:
     # Unreachable or down replicas are tolerated — the edge copy is a
     # locality cache and the erasure-coded cloud tier is the durable tier,
     # so a skipped node is a miss, not a failure.
+    #
+    # Every shelf write goes through scatter_put_chunks, so the coordinator
+    # keeps the shelf directory and a read asks only the members it lists
+    # (chunk_holders). The directory lists a superset of the members that
+    # hold a copy: a member is added when a message to it is *sent*, acked
+    # or not (a timed-out message may still have landed), and dropped only
+    # when it *acknowledges* a delete, when its shelf is gone
+    # (forget_shelf: a crash empties the in-memory shelf) or when it leaves
+    # the ring. A fingerprint it does not list is therefore on no member.
+    #
+    # Writes run on the driving thread like all coordinator state; the
+    # caller thread reads it in chunk_holders, as it reads _down in
+    # alive_nodes. That is race-free because the caller that reads is the
+    # one that drives: every write happens while it waits in drive(), whose
+    # completed future orders the write before the read, and no verb run
+    # from elsewhere (heartbeats, open-loop claims) touches the directory.
+
+    def _shelve(self, node_id: str, fingerprints: Iterable[str]) -> None:
+        shelved = self._shelved
+        for fingerprint in fingerprints:
+            held = shelved.setdefault(fingerprint, node_id)
+            if held == node_id:
+                continue
+            if isinstance(held, str):
+                shelved[fingerprint] = {held, node_id}
+            else:
+                held.add(node_id)
+
+    def _unshelve(self, node_id: str, fingerprints: Iterable[str]) -> None:
+        shelved = self._shelved
+        for fingerprint in fingerprints:
+            held = shelved.get(fingerprint)
+            if held == node_id:
+                del shelved[fingerprint]
+            elif isinstance(held, set) and node_id in held:
+                held.discard(node_id)
+                if len(held) == 1:
+                    shelved[fingerprint] = held.pop()
+
+    def chunk_holders(self, fingerprints: Iterable[str]) -> dict[str, list[str]]:
+        """Alive member → the fingerprints the shelf directory lists on it,
+        in request order; members in membership order, none without one.
+        A fingerprint held by several members is asked of each."""
+        groups: dict[str, list[str]] = {n: [] for n in self.nodes if n not in self._down}
+        shelved = self._shelved
+        for fingerprint in fingerprints:
+            held = shelved.get(fingerprint)
+            if held is None:
+                continue
+            for node_id in (held,) if isinstance(held, str) else held:
+                wanted = groups.get(node_id)
+                if wanted is not None:
+                    wanted.append(fingerprint)
+        return {n: wanted for n, wanted in groups.items() if wanted}
+
+    @driven
+    async def forget_shelf(self, node_id: str) -> None:
+        """Drop ``node_id`` from the shelf directory: its shelf is gone (a
+        crashed member restarts with an empty one)."""
+        self._unshelve(node_id, list(self._shelved))
 
     @driven
     async def scatter_put_chunks(
@@ -546,6 +611,8 @@ class QuorumCoordinator:
         list of ``(node_id, entries)`` messages may name a node more than
         once and is answered with error-or-None per message, in order."""
         messages = list(groups.items()) if isinstance(groups, dict) else groups
+        for node_id, entries in messages:
+            self._shelve(node_id, (fingerprint for fingerprint, _ in entries))
         outcomes = await self.transport.gather_outcomes(
             {i: self.transport.put_chunks(n, entries) for i, (n, entries) in enumerate(messages)}
         )
@@ -567,12 +634,21 @@ class QuorumCoordinator:
         self, node_ids: Iterable[str], fingerprints: Iterable[str]
     ) -> tuple[int, int]:
         """Drop fingerprints from every named node; returns (copies
-        deleted, bytes freed) across reachable nodes."""
+        deleted, bytes freed) across the nodes that acknowledged. Only
+        those leave the shelf directory: one that did not answer may still
+        hold its copies."""
         fingerprints = list(fingerprints)
-        done = await self._gather_or(
-            (0, 0), {n: self.transport.delete_chunks(n, fingerprints) for n in node_ids}
+        outcomes = await self.transport.gather_outcomes(
+            {n: self.transport.delete_chunks(n, fingerprints) for n in node_ids}
         )
-        return sum(d for d, _ in done.values()), sum(b for _, b in done.values())
+        copies = freed = 0
+        for node_id, outcome in outcomes.items():
+            if isinstance(outcome, BaseException):
+                continue
+            self._unshelve(node_id, fingerprints)
+            copies += outcome[0]
+            freed += outcome[1]
+        return copies, freed
 
     @driven
     async def node_chunk_keys(self, node_id: str) -> list[str]:

@@ -242,8 +242,9 @@ class LiveKVCluster:
 
     def kill_node(self, node_id: str, mark_down: bool = True) -> None:
         """Crash one member: stop its server and discard its in-memory
-        shard. With ``data_dir`` the durable part (WAL + snapshot) stays
-        on disk; without it the node will restart empty.
+        shard and chunk shelf (the coordinator's shelf directory forgets
+        the member's copies). With ``data_dir`` the durable part (WAL +
+        snapshot) stays on disk; without it the node will restart empty.
 
         By default the coordinator marks the node down immediately (writes
         become hints). Pass ``mark_down=False`` to leave detection to the
@@ -259,6 +260,7 @@ class LiveKVCluster:
         wal = self.wals.pop(node_id, None)
         if wal is not None:
             wal.close()
+        self.store.forget_shelf(node_id)
         if mark_down:
             self.store.mark_down(node_id)
 

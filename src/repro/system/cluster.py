@@ -293,21 +293,11 @@ class DurableEFDedupCluster(EFDedupCluster):
 
     def restore_file(self, file_id: str) -> bytes:
         """Reassemble a file through the content plane (edge shelves, then
-        k-of-n tier reconstruction); verifies every chunk fingerprint."""
-        from repro.dedup.recipes import restore_file
-
-        recipe = self.recipes.get(file_id)
-        prefetched = self.content_plane.fetch_many(
-            [entry.fingerprint for entry in recipe.entries]
-        )
-        if self.secure is not None:
-            # Stored bytes are ciphertext under the secure tier; decrypt
-            # before reassembly so fingerprint verification sees plaintext.
-            prefetched = {
-                fp: self.secure.open(fp, sealed)
-                for fp, sealed in prefetched.items()
-            }
-        return restore_file(recipe, prefetched.__getitem__)
+        k-of-n tier reconstruction); verifies every chunk fingerprint —
+        one body, see :meth:`~repro.system.ring.D2Ring.restore_file`. Every
+        ring shares this cluster's plane and secure tier, so any ring
+        reads the cluster catalog's recipe alike."""
+        return self.rings[0].restore_file(file_id, recipes=self.recipes)
 
     def delete_file(self, file_id: str) -> int:
         """Drop a file's recipe and dereference its chunks; returns how

@@ -27,13 +27,7 @@ from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 from repro.dedup.cache import LRUCacheIndex
-from repro.dedup.recipes import (
-    FileRecipe,
-    RecipeEntry,
-    RecipeError,
-    RecipeStore,
-    restore_file,
-)
+from repro.dedup.recipes import FileRecipe, RecipeEntry, RecipeError, RecipeStore
 from repro.dedup.stats import DedupStats
 from repro.kvstore.store import DistributedKVStore
 from repro.obs.histogram import Histogram
@@ -386,11 +380,21 @@ class D2Ring:
         recipes.put(FileRecipe(file_id=file_id, entries=tuple(entries)))
         return report
 
-    def restore_file(self, file_id: str) -> bytes:
+    def restore_file(self, file_id: str, recipes: Optional[RecipeStore] = None) -> bytes:
         """Reassemble a previously-ingested file; with a content plane the
         chunks come from edge shelves or k-of-n tier reconstruction, else
-        from the payload-keeping cloud."""
-        recipe = self.recipes.get(file_id)
+        from the payload-keeping cloud. Every chunk's fingerprint is
+        verified.
+
+        Args:
+            recipes: the catalog to read the recipe from; the ring's own by
+                default (a durable cluster passes its cluster-scoped one).
+        """
+        # Looked up at call time, so a wrapper installed on the module
+        # (the perf ledger's tracer) sees every restore.
+        from repro.dedup.recipes import restore_file
+
+        recipe = (recipes if recipes is not None else self.recipes).get(file_id)
         if self._content_plane is not None:
             prefetched = self._content_plane.fetch_many(
                 [entry.fingerprint for entry in recipe.entries]

@@ -550,3 +550,166 @@ class TestGetManyPlacement:
         assert ring.content.get_many(["fp"]) == {"fp": b"primary"}
         ring.store.mark_down(primary)
         assert ring.content.get_many(["fp"]) == {"fp": b"secondary"}
+
+
+class _ShelfRig:
+    """One ring's index store and edge shelf on one transport, with the
+    membership verbs the shelf-directory differential drives."""
+
+    def __init__(self, transport: str) -> None:
+        ids = ["n0", "n1", "n2", "n3"]
+        self.cluster = None
+        if transport == "asyncio":
+            from repro.rpc import LiveKVCluster, RetryPolicy
+
+            retry = RetryPolicy(attempts=3, base_delay_s=0.002, max_delay_s=0.005, jitter=0.0)
+            self.cluster = LiveKVCluster(ids, replication_factor=2, timeout_s=0.2, retry=retry)
+            self.store = self.cluster.store
+        else:
+            self.store = DistributedKVStore(ids, replication_factor=2)
+        self.content = RingContentStore("ring-0", self.store, batch_size=3)
+        self.crashed: set[str] = set()
+        self.joined = len(ids)
+
+    def up_members(self) -> list[str]:
+        return [n for n in self.store.alive_nodes() if n not in self.crashed]
+
+    def remove(self, node_id: str) -> None:
+        self.content.rehome_member(node_id)
+        (self.cluster or self.store).remove_node(node_id)
+        newcomer = f"n{self.joined}"
+        self.joined += 1
+        (self.cluster or self.store).add_node(newcomer)
+
+    def lost_ack_flush(self) -> None:
+        """Flush with every put_chunks message landing, then losing its ack."""
+        transport = self.store.transport
+        real = transport.put_chunks
+
+        async def lands_then_fails(node_id, entries):
+            await real(node_id, entries)
+            raise transport.missed_ack[0]("ack lost after the put landed")
+
+        transport.put_chunks = lands_then_fails
+        try:
+            self.content.flush()
+        finally:
+            del transport.put_chunks
+
+    def close(self) -> None:
+        if self.cluster is not None:
+            self.cluster.close()
+
+
+def _broadcast_oracle(store, fingerprints):
+    """What a read that asks every alive member returns: the primary's copy
+    of a fingerprint first, then any alive holder's."""
+    alive = store.alive_nodes()
+    by_node = store.scatter_get_chunks({n: list(fingerprints) for n in alive})
+    found = {}
+    for fingerprint in fingerprints:
+        held = {n: by_node[n].get(fingerprint) for n in alive}
+        for node_id in [*store.replicas_for(fingerprint), *alive]:
+            if held.get(node_id) is not None:
+                found[fingerprint] = held[node_id]
+                break
+    return found
+
+
+class TestShelfDirectory:
+    """Holder-routed reads equal a broadcast to every alive member, after
+    every step of a seeded sequence of puts, lost acks, deletes, evictions,
+    membership changes, outages and crashes, on both transports."""
+
+    @pytest.mark.parametrize("transport", ["direct", "asyncio"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_holder_reads_equal_a_broadcast(self, transport, seed):
+        import random
+
+        rng = random.Random(seed)
+        rig = _ShelfRig(transport)
+        ops = ["put", "put", "put", "lost_ack", "delete", "clear", "remove", "down", "up"]
+        if transport == "asyncio":
+            ops += ["crash", "restart"]
+        schedule = ops * 5
+        rng.shuffle(schedule)
+        shelved: list[str] = []
+        seen_ops = set()
+        try:
+            for step, op in enumerate(schedule):
+                up = rig.up_members()
+                down = sorted(set(rig.store.alive_nodes()) ^ set(rig.store.nodes))
+                if op in ("put", "lost_ack"):
+                    fresh = [f"fp{len(shelved) + i}" for i in range(rng.randint(1, 5))]
+                    again = rng.sample(shelved, min(len(shelved), rng.randint(0, 3)))
+                    shelved += fresh
+                    for fingerprint in fresh + again:
+                        # Copies differ by step, so the choice of copy shows.
+                        rig.content.put_chunk(fingerprint, f"{fingerprint}@{step}".encode())
+                    rig.lost_ack_flush() if op == "lost_ack" else rig.content.flush()
+                elif op == "delete":
+                    rig.content.delete_many(rng.sample(shelved, len(shelved) // 3))
+                elif op == "clear":
+                    rig.content.clear()
+                elif op == "remove" and len(up) >= 2:
+                    rig.remove(rng.choice(up))
+                elif op == "down" and len(up) >= 2:
+                    rig.store.mark_down(rng.choice(up))
+                elif op == "up" and set(down) - rig.crashed:
+                    rig.store.mark_up(rng.choice(sorted(set(down) - rig.crashed)))
+                elif op == "crash" and len(up) >= 2:
+                    victim = rng.choice(up)
+                    rig.cluster.kill_node(victim)
+                    rig.crashed.add(victim)
+                elif op == "restart" and rig.crashed:
+                    victim = rng.choice(sorted(rig.crashed))
+                    rig.cluster.restart_node(victim, repair=False)
+                    rig.crashed.discard(victim)
+                else:
+                    continue
+                seen_ops.add(op)
+                wanted = shelved + ["never-shelved"]
+                expected = _broadcast_oracle(rig.store, wanted)
+                stats = rig.content.stats
+                before = (stats.gets, stats.hits, stats.misses)
+                got = rig.content.get_many(wanted)
+                assert got == expected, (step, op)
+                assert list(got) == list(expected), (step, op)
+                assert (stats.gets, stats.hits, stats.misses) == (
+                    before[0] + len(wanted),
+                    before[1] + len(expected),
+                    before[2] + len(wanted) - len(expected),
+                ), (step, op)
+            assert {"put", "lost_ack", "delete", "clear", "remove"} <= seen_ops
+        finally:
+            rig.close()
+
+    def test_a_fingerprint_nobody_holds_sends_no_message(self):
+        ring = make_ring(n=3, rf=2)
+        ring.content.put_chunk("fp", b"x")
+        ring.content.flush()
+        asked = []
+        real = ring.store.transport.get_chunks
+
+        async def recording(node_id, fingerprints):
+            asked.append((node_id, list(fingerprints)))
+            return await real(node_id, fingerprints)
+
+        ring.store.transport.get_chunks = recording
+        assert ring.content.get_many(["ghost", "fp"]) == {"fp": b"x"}
+        assert asked == [(ring.store.replicas_for("fp")[0], ["fp"])]
+        ring.content.clear()
+        asked.clear()
+        assert ring.content.get_many(["ghost", "fp"]) == {}
+        assert asked == []
+        assert ring.content.stats.misses == 3
+
+    def test_an_unacknowledged_delete_keeps_the_member_listed(self):
+        ring = make_ring(n=3, rf=1)
+        ring.content.put_chunk("fp", b"x")
+        ring.content.flush()
+        (holder,) = ring.store.replicas_for("fp")
+        ring.store.mark_down(holder)  # the replica refuses the delete
+        assert ring.content.delete_many(["fp"]) == (0, 0)
+        ring.store.mark_up(holder)
+        assert ring.content.get_many(["fp"]) == {"fp": b"x"}

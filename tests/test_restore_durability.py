@@ -124,6 +124,41 @@ class TestLiveRestorePath:
         finally:
             cluster.shutdown()
 
+    def test_restore_after_clear_sends_no_edge_rpc(self, tmp_path):
+        """Evicted shelves leave the shelf directory empty, so a restore
+        asks no member for a chunk: not one ``get_chunks`` reaches a server,
+        and every content counter equals an in-process twin's."""
+        from repro.obs.hub import series
+
+        counters = {}
+        for transport in ("asyncio", "inproc"):
+            cluster = make_cluster(tmp_path / transport, transport=transport)
+            try:
+                files = ingest_files(cluster)
+                assert_all_restore(cluster, files)  # healthy: from the shelves
+                for ring in cluster.rings:
+                    ring.content.clear()
+                servers = [
+                    server
+                    for ring in cluster.rings
+                    if ring.live_cluster is not None
+                    for server in ring.live_cluster.servers.values()
+                ]
+                asked = sum(s.stats.by_method.get("get_chunks", 0) for s in servers)
+                assert_all_restore(cluster, files)
+                assert sum(s.stats.by_method.get("get_chunks", 0) for s in servers) == asked
+                assert (transport == "asyncio") == (asked > 0)
+                counters[transport] = (
+                    [series(ring.content.stats) for ring in cluster.rings],
+                    series(cluster.content_plane.stats),
+                )
+            finally:
+                cluster.shutdown()
+        assert counters["asyncio"] == counters["inproc"]
+        rings, plane = counters["asyncio"]
+        assert plane["tier_hits"] > 0
+        assert all(r["gets"] == r["hits"] + r["misses"] for r in rings)
+
     def test_restore_unknown_file_raises(self, tmp_path):
         cluster = make_cluster(tmp_path, transport="inproc")
         try:
