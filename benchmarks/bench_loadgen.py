@@ -30,6 +30,7 @@ from conftest import trial_interval
 from repro.loadgen import SweepConfig, SweepDriver
 from repro.rpc.cluster import LiveKVCluster
 from repro.rpc.retry import RetryPolicy
+from repro.rpc.settings import CallPolicy, NodeSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NODE_IDS = ["edge-0", "edge-1", "edge-2"]
@@ -45,10 +46,8 @@ QUICK_MIN_TRIALS = 2
 
 def _cluster() -> LiveKVCluster:
     return LiveKVCluster(
-        NODE_IDS,
-        replication_factor=2,
-        timeout_s=2.0,
-        retry=RetryPolicy(attempts=3),
+        [NodeSpec(node_id) for node_id in NODE_IDS],
+        CallPolicy(replication_factor=2, timeout_s=2.0, retry=RetryPolicy(attempts=3)),
     )
 
 

@@ -23,13 +23,17 @@ from pathlib import Path
 
 from repro.rpc.cluster import LiveKVCluster
 from repro.rpc.framing import available_codecs
+from repro.rpc.settings import CallPolicy, NodeSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 NODE_IDS = ["edge-0", "edge-1", "edge-2"]
 
 
 def _cluster(codec: str | None = None) -> LiveKVCluster:
-    return LiveKVCluster(NODE_IDS, replication_factor=2, codec=codec, timeout_s=2.0)
+    return LiveKVCluster(
+        [NodeSpec(node_id) for node_id in NODE_IDS],
+        CallPolicy(replication_factor=2, codec=codec, timeout_s=2.0),
+    )
 
 
 def bench_rtt(codec: str, pings: int) -> dict:

@@ -1124,6 +1124,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
     from repro.rpc.cluster import LiveKVCluster
     from repro.rpc.retry import RetryPolicy
+    from repro.rpc.settings import CallPolicy, NodeSpec
 
     try:
         steps = [float(s) for s in args.steps.split(",") if s.strip()]
@@ -1135,6 +1136,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         print("--steps named no offered-load step", file=sys.stderr)
         return 2
     node_ids = [f"edge-{i}" for i in range(args.nodes)]
+    specs = [NodeSpec(node_id) for node_id in node_ids]
+    policy = CallPolicy(
+        replication_factor=args.gamma,
+        codec=args.codec,
+        timeout_s=args.timeout_ms / 1e3,
+        retry=RetryPolicy(attempts=3),
+    )
     config = SweepConfig(
         n_agents=args.agents,
         n_sources=args.sources,
@@ -1187,13 +1195,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
               f"{config.seed}")
         # Gate 2 — live accounting conserves: one short step against a real
         # cluster, every arrival must resolve as completed or failed.
-        with LiveKVCluster(
-            node_ids,
-            replication_factor=args.gamma,
-            codec=args.codec,
-            timeout_s=args.timeout_ms / 1e3,
-            retry=RetryPolicy(attempts=3),
-        ) as cluster:
+        with LiveKVCluster(specs, policy) as cluster:
             driver = SweepDriver(
                 cluster.store.submit_put_if_absent_many, node_ids, config
             )
@@ -1218,13 +1220,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     print(f"loadgen: booting {args.nodes}-node asyncio ring "
           f"(gamma={args.gamma}, batch={args.batch}, "
           f"arrivals={args.arrivals}, {config.trials} trials/step)")
-    with LiveKVCluster(
-        node_ids,
-        replication_factor=args.gamma,
-        codec=args.codec,
-        timeout_s=args.timeout_ms / 1e3,
-        retry=RetryPolicy(attempts=3),
-    ) as cluster:
+    with LiveKVCluster(specs, policy) as cluster:
         driver = SweepDriver(
             cluster.store.submit_put_if_absent_many, node_ids, config
         )

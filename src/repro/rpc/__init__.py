@@ -13,7 +13,9 @@ coordination code, and therefore the same operation surface and
 accounting. :class:`~repro.rpc.faults.FaultInjector` makes drops, delays,
 duplicates, and partitions injectable per node pair, so the robustness
 story is testable from day one. Boot everything with
-:class:`~repro.rpc.cluster.LiveKVCluster`, or set
+:class:`~repro.rpc.cluster.LiveKVCluster` from one
+:class:`~repro.rpc.settings.NodeSpec` per member and a
+:class:`~repro.rpc.settings.CallPolicy`, or set
 ``EFDedupConfig(transport="asyncio")`` and let :class:`~repro.system.ring.D2Ring`
 do it.
 """
@@ -35,8 +37,10 @@ from repro.rpc.remote_store import RemoteKVStore
 from repro.rpc.repair import RemoteReplicaRepairer
 from repro.rpc.retry import RetryPolicy
 from repro.rpc.server import NodeServer, ServerStats
+from repro.rpc.settings import CallPolicy, NodeSpec
 
 __all__ = [
+    "CallPolicy",
     "ClientStats",
     "FaultInjector",
     "FaultRule",
@@ -45,6 +49,7 @@ __all__ = [
     "HeartbeatService",
     "LiveKVCluster",
     "NodeServer",
+    "NodeSpec",
     "RemoteCallError",
     "RemoteKVStore",
     "RemoteReplicaRepairer",

@@ -42,10 +42,10 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, SendPlan
-from repro.rpc.framing import default_codec_name, frame_parts, get_codec, read_frame
+from repro.rpc.framing import default_codec_name, frame_parts, get_codec, read_frame_codec
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.overload import CONTROL_METHODS, BreakerBoard, Deadline, RetryBudget
-from repro.rpc.retry import RetryPolicy
+from repro.rpc.settings import CallPolicy
 from repro.obs.histogram import Histogram
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 
@@ -144,11 +144,11 @@ class _Connection:
         error: RpcError
         try:
             while True:
-                obj = await read_frame(self._reader)
-                if obj is None:
+                frame = await read_frame_codec(self._reader)
+                if frame is None:
                     error = RpcConnectionError(self.node_id, "peer closed the connection")
                     break
-                response = Response.from_wire(obj)
+                response = Response.from_wire(frame[1])
                 pending = self.pending.get(response.msg_id)
                 if pending is None:
                     continue  # duplicate or stale (already-answered) response
@@ -198,23 +198,15 @@ class RpcClient:
 
     Args:
         addresses: node id → (host, port) of each peer's NodeServer.
-        codec: wire codec name (default: msgpack if available, else json).
-        timeout_s: per-attempt response timeout.
-        retry: retry schedule (default :class:`RetryPolicy`()).
+        policy: the :class:`~repro.rpc.settings.CallPolicy` read here: wire
+            codec, per-attempt timeout, retry schedule, default end-to-end
+            deadline per data-plane call (carried on the wire per attempt;
+            retries stop when the budget — not the attempt count — runs
+            out), per (src, dst) circuit breakers and the retry budget.
         fault_injector: optional fault hook for tests/chaos runs.
-        seed: seeds backoff jitter (and nothing else).
         tracer: optional :class:`~repro.obs.trace.Tracer`; each call opens a
             ``rpc.client.<method>`` span whose span id *is* the correlation
             id, so server-side handler spans link to it across the wire.
-        deadline_s: default end-to-end budget per data-plane call (None =
-            unbounded, the legacy behavior). Carried on the wire per
-            attempt; retries stop when the budget — not the attempt
-            count — runs out.
-        breakers: optional :class:`~repro.rpc.overload.BreakerBoard`; per
-            (src, dst) circuit breakers that fail calls fast after
-            repeated transport failures.
-        retry_budget: optional :class:`~repro.rpc.overload.RetryBudget`
-            bounding retry amplification across concurrent calls.
 
     Control methods (:data:`~repro.rpc.overload.CONTROL_METHODS`) bypass
     deadline, breaker, and budget: pings must flow to an overloaded node
@@ -226,34 +218,30 @@ class RpcClient:
     def __init__(
         self,
         addresses: dict[str, tuple[str, int]],
-        codec: Optional[str] = None,
-        timeout_s: float = 0.25,
-        retry: Optional[RetryPolicy] = None,
+        policy: CallPolicy,
         fault_injector: Optional[FaultInjector] = None,
-        seed: int = 0,
         tracer: Optional[Tracer] = None,
-        deadline_s: Optional[float] = None,
-        breakers: Optional[BreakerBoard] = None,
-        retry_budget: Optional[RetryBudget] = None,
     ) -> None:
-        if timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s!r}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s!r}")
         self.addresses = dict(addresses)
-        self.codec = get_codec(codec if codec is not None else default_codec_name())
-        self.timeout_s = timeout_s
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.codec = get_codec(policy.codec or default_codec_name())
+        self.timeout_s = policy.timeout_s
+        self.retry = policy.retry
         self.fault_injector = fault_injector
-        self.deadline_s = deadline_s
-        self.breakers = breakers
-        self.retry_budget = retry_budget
+        self.deadline_s = policy.deadline_s
+        self.breakers = (
+            BreakerBoard(policy.breaker_failures, policy.breaker_cooldown_s)
+            if policy.breaker_failures > 0
+            else None
+        )
+        self.retry_budget = RetryBudget(policy.retry_budget) if policy.retry_budget > 0 else None
         self.stats = ClientStats()
         self.rtt = Histogram("rpc.rtt_s")
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)  # backoff jitter, identical run to run
         self._ids = correlation_ids()
         self._conns: dict[str, _Connection] = {}
+        # A connect in flight per peer: concurrent first calls share it.
+        self._connecting: dict[str, asyncio.Future] = {}
 
     # -- connections ---------------------------------------------------- #
 
@@ -261,17 +249,26 @@ class RpcClient:
         conn = self._conns.get(dst)
         if conn is not None and not conn.closed:
             return conn
+        connecting = self._connecting.get(dst)
+        if connecting is None:
+            connecting = self._connecting[dst] = asyncio.ensure_future(self._connect(dst))
+        # Shielded: one caller giving up must not cancel the others' connect.
+        return await asyncio.shield(connecting)
+
+    async def _connect(self, dst: str) -> _Connection:
         try:
-            host, port = self.addresses[dst]
-        except KeyError:
-            raise RpcConnectionError(dst, "unknown node (no address)") from None
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            raise RpcConnectionError(dst, str(exc)) from None
-        conn = _Connection(dst, reader, writer, self.fault_injector)
-        self._conns[dst] = conn
-        return conn
+            try:
+                host, port = self.addresses[dst]
+            except KeyError:
+                raise RpcConnectionError(dst, "unknown node (no address)") from None
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+            except OSError as exc:
+                raise RpcConnectionError(dst, str(exc)) from None
+            conn = self._conns[dst] = _Connection(dst, reader, writer, self.fault_injector)
+            return conn
+        finally:
+            del self._connecting[dst]
 
     # -- calls ----------------------------------------------------------- #
 
@@ -477,13 +474,19 @@ class RpcClient:
         """Drop a decommissioned peer: forget its address and close any
         pooled connection so no future call can reach it."""
         self.addresses.pop(dst, None)
+        await self._settle_connects()
         conn = self._conns.pop(dst, None)
         if conn is not None:
             await conn.close()
 
     # -- lifecycle ------------------------------------------------------- #
 
+    async def _settle_connects(self) -> None:
+        """Let connects in flight land, so none outlives a close."""
+        await asyncio.gather(*self._connecting.values(), return_exceptions=True)
+
     async def close(self) -> None:
+        await self._settle_connects()
         conns, self._conns = list(self._conns.values()), {}
         for conn in conns:
             await conn.close()

@@ -173,13 +173,13 @@ def _decode_payload(codec, payload: memoryview) -> Any:
         raise FrameError(f"undecodable {codec.name} frame: {exc}") from None
 
 
-def _decode_body(body: memoryview) -> Any:
-    """Decode a frame body (codec byte onward) into its message."""
+def _decode_body(body: memoryview) -> tuple[Any, Any]:
+    """Decode a frame body (codec byte onward) into ``(codec, message)``."""
     codec = _CODECS_BY_ID.get(body[0] & ~BLOB_FLAG)
     if codec is None:
         raise FrameError(f"unknown codec id {body[0] & ~BLOB_FLAG} in frame")
     if not body[0] & BLOB_FLAG:
-        return _decode_payload(codec, body[1:])
+        return codec, _decode_payload(codec, body[1:])
     if len(body) < 1 + _LEN.size:
         raise FrameError("blob frame is too short for its header length")
     start = 1 + _LEN.size + _LEN.unpack_from(body, 1)[0]
@@ -195,7 +195,7 @@ def _decode_body(body: memoryview) -> Any:
         raise FrameError("blob lengths do not match the frame's blob section")
     ends = list(itertools.accumulate(lengths, initial=start))
     message["blobs"] = tuple(bytes(body[a:b]) for a, b in zip(ends, ends[1:]))
-    return message
+    return codec, message
 
 
 def decode_frame(frame: bytes) -> tuple[Any, int]:
@@ -216,7 +216,7 @@ def decode_frame(frame: bytes) -> tuple[Any, int]:
     end = _LEN.size + body_len
     if len(frame) < end:
         raise FrameError(f"truncated frame: need {end} bytes, got {len(frame)}")
-    return _decode_body(memoryview(frame)[_LEN.size : end]), end
+    return _decode_body(memoryview(frame)[_LEN.size : end])[1], end
 
 
 async def write_frame(
@@ -233,6 +233,14 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     Raises:
         FrameError: corrupt header/codec/blob section, or EOF inside a frame.
     """
+    frame = await read_frame_codec(reader)
+    return None if frame is None else frame[1]
+
+
+async def read_frame_codec(reader: asyncio.StreamReader) -> Optional[tuple[Any, Any]]:
+    """:func:`read_frame` that also returns the codec the frame names, as
+    ``(codec, message)`` — the codec a server answers that frame in. The
+    client and server read with this directly: one coroutine per frame."""
     try:
         header = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:

@@ -44,7 +44,7 @@ class HeartbeatService:
     def __init__(
         self,
         store: RemoteKVStore,
-        interval_s: float = 0.2,
+        interval_s: float,
         detector: Optional[PhiAccrualDetector] = None,
     ) -> None:
         if interval_s <= 0:

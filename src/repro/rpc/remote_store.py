@@ -33,6 +33,7 @@ from repro.kvstore.coordinator import QuorumCoordinator
 from repro.kvstore.errors import NoSuchNodeError
 from repro.obs.trace import Tracer
 from repro.rpc.client import RpcClient
+from repro.rpc.settings import CallPolicy
 from repro.rpc.transport import AsyncioTransport
 
 
@@ -44,8 +45,9 @@ class RemoteKVStore(QuorumCoordinator):
             membership).
         loop: the event loop (running in its own thread) the client's
             connections belong to.
-        replication_factor, vnodes, default_consistency, strategy,
-        max_hints_per_node, tracer: as for
+        policy: the :class:`~repro.rpc.settings.CallPolicy` whose γ,
+            vnodes, consistency and hint window the coordinator runs with.
+        strategy, tracer: as for
             :class:`~repro.kvstore.coordinator.QuorumCoordinator`.
 
     ``nodes`` maps each member id to its ``(host, port)`` address.
@@ -55,22 +57,19 @@ class RemoteKVStore(QuorumCoordinator):
         self,
         client: RpcClient,
         loop: asyncio.AbstractEventLoop,
-        replication_factor: int = 2,
-        vnodes: int = 16,
-        default_consistency: ConsistencyLevel = ConsistencyLevel.ONE,
+        policy: CallPolicy,
         strategy=None,
-        max_hints_per_node: int = 100_000,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self._loop = loop
         super().__init__(
             AsyncioTransport(client),
             dict(client.addresses),
-            replication_factor=replication_factor,
-            vnodes=vnodes,
-            default_consistency=default_consistency,
+            replication_factor=policy.replication_factor,
+            vnodes=policy.vnodes,
+            default_consistency=policy.consistency,
             strategy=strategy,
-            max_hints_per_node=max_hints_per_node,
+            max_hints_per_node=policy.max_hints_per_node,
             tracer=tracer,
         )
 

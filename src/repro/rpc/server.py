@@ -26,13 +26,14 @@ Two server-side behaviors make retries safe:
   Control operations (``set_down``, ``dump``, ``stats``) keep working so
   an operator — or a test — can inspect and recover the node.
 
-Overload protection (opt-in via ``admission``): data-plane requests flow
-through a bounded queue drained by worker tasks instead of being executed
-inline on the connection loop. At the queue bound the server *sheds* —
-answers immediately with a typed ``RpcOverloadError`` instead of queueing
-work it cannot serve in time — and work whose end-to-end deadline expired
-while queued is *dropped* (``DeadlineExceededError``), not executed:
-serving it would burn capacity on an answer nobody is still waiting for.
+Overload protection (opt-in via ``NodeSpec.admission_queue``): data-plane
+requests flow through a bounded queue drained by worker tasks instead of
+being executed inline on the connection loop. At the queue bound the server
+*sheds* — answers immediately with a typed ``RpcOverloadError`` instead of
+queueing work it cannot serve in time — and work whose end-to-end deadline
+expired while queued is *dropped* (``DeadlineExceededError``), not
+executed: serving it would burn capacity on an answer nobody is still
+waiting for.
 Three carve-outs keep the semantics honest:
 
 - control methods (:data:`~repro.rpc.overload.CONTROL_METHODS`) bypass
@@ -62,25 +63,26 @@ from __future__ import annotations
 
 import asyncio
 import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.kvstore.errors import KVStoreError
 from repro.kvstore.replica import Replica
+from repro.kvstore.wal import WriteAheadLog
 from repro.obs.histogram import Histogram
 from repro.obs.hub import series
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import (
-    BLOB_BUDGET_BYTES, default_codec_name, get_codec, read_frame, write_frame,
-)
+from repro.rpc.framing import BLOB_BUDGET_BYTES, read_frame_codec, write_frame
 from repro.rpc.messages import Request, Response
 from repro.rpc.overload import CONTROL_METHODS, AdmissionController
+from repro.rpc.settings import NodeSpec
 
 # Correlation ids remembered for retry/duplicate suppression.
-DEFAULT_IDEMPOTENCY_CAPACITY = 4096
+IDEMPOTENCY_CAPACITY = 4096
 
 # Handlers that take the request's blobs and return ``(result, blobs)``.
 _BLOB_METHODS = frozenset({"put_chunks", "get_chunks", "chunk_dump"})
@@ -120,59 +122,48 @@ class NodeServer:
     """One replica's network face.
 
     Args:
-        node: the replica (shard + chunk shelf) this server fronts (created
-            if omitted).
-        node_id: required when ``node`` is omitted.
-        codec: codec name used for *outgoing* frames (incoming frames name
-            their own codec, so mixed-codec clients are fine).
-        idempotency_capacity: correlation ids remembered for replay.
+        spec: what the server, its :class:`~repro.kvstore.replica.Replica`
+            and the replica's write-ahead log are built from
+            (:class:`~repro.rpc.settings.NodeSpec`). With a positive
+            ``admission_queue``, data-plane requests flow through a bounded
+            queue drained by ``service_workers`` tasks and excess load is
+            shed with ``RpcOverloadError``; otherwise they are served inline.
         tracer: optional :class:`~repro.obs.trace.Tracer`; each handled
             request opens a ``rpc.server.<method>`` span parented on the
             request's correlation id, linking it to the client call span.
-        admission: optional :class:`~repro.rpc.overload.AdmissionController`;
-            when given, data-plane requests flow through a bounded queue
-            drained by ``service_workers`` tasks and excess load is shed
-            with ``RpcOverloadError``. ``None`` keeps the legacy inline
-            dispatch (no queue, no shedding).
-        service_workers: queue-draining tasks when admission is on.
         fault_injector: optional injector consulted per admitted request
             for SLOW service-time inflation (gray failures).
+
+    Every reply is encoded in the codec its request arrived in, so
+    mixed-codec clients share one server.
     """
 
     def __init__(
         self,
-        node: Optional[Replica] = None,
-        node_id: Optional[str] = None,
-        codec: Optional[str] = None,
-        idempotency_capacity: int = DEFAULT_IDEMPOTENCY_CAPACITY,
+        spec: NodeSpec,
         tracer: Optional[Tracer] = None,
-        admission: Optional[AdmissionController] = None,
-        service_workers: int = 1,
         fault_injector: Optional[FaultInjector] = None,
     ) -> None:
-        if node is None:
-            if node_id is None:
-                raise ValueError("give either a Replica or a node_id")
-            node = Replica(node_id)
-        if idempotency_capacity < 1:
-            raise ValueError(
-                f"idempotency_capacity must be >= 1, got {idempotency_capacity!r}"
-            )
-        self.node = node
-        self.codec = get_codec(codec if codec is not None else default_codec_name())
+        self.spec = spec
+        wal = None if spec.data_dir is None else WriteAheadLog(spec.data_dir, spec.node_id)
+        self.node = Replica(spec.node_id, wal=wal)
         self.stats = ServerStats()
         self.handle_latency = Histogram("server.handle_s")
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._seen: OrderedDict[str, Response] = OrderedDict()
-        self._idempotency_capacity = idempotency_capacity
         self._server: Optional[asyncio.base_events.Server] = None
         self._conn_tasks: set[asyncio.Task] = set()
         self.address: Optional[tuple[str, int]] = None
-        if service_workers < 1:
-            raise ValueError(f"service_workers must be >= 1, got {service_workers!r}")
-        self.admission = admission
+        # Per-node seed from crc32, not str(hash): stable across processes,
+        # so chaos runs replay identical shedding.
+        self.admission = (
+            AdmissionController(
+                max_queue=spec.admission_queue, seed=zlib.crc32(spec.node_id.encode())
+            )
+            if spec.admission_queue > 0
+            else None
+        )
         self.fault_injector = fault_injector
-        self._service_workers = int(service_workers)
         self._queue: Optional[asyncio.Queue] = None
         self._workers: list[asyncio.Task] = []
         self._depth = 0  # admitted-but-unfinished requests (the queue bound)
@@ -191,35 +182,41 @@ class NodeServer:
     # lifecycle
     # ------------------------------------------------------------------ #
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind and start serving; returns the bound (host, port)."""
+    async def start(self, port: int = 0) -> tuple[str, int]:
+        """Bind the spec's host and start serving; returns the bound
+        (host, port). Port 0 lets the OS pick."""
         if self._server is not None:
             raise RuntimeError(f"server for {self.node_id!r} already started")
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.spec.host, port
+        )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         if self.admission is not None:
             self._queue = asyncio.Queue()
             self._workers = [
-                asyncio.create_task(self._worker()) for _ in range(self._service_workers)
+                asyncio.create_task(self._worker())
+                for _ in range(self.spec.service_workers)
             ]
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting, close live connections, and wait for handlers."""
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        for task in list(self._conn_tasks) + self._workers:
-            task.cancel()
-        pending = list(self._conn_tasks) + self._workers
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._workers = []
-        self._queue = None
-        self._depth = 0
-        self._server = None
+        """Stop accepting, close live connections, wait for handlers, then
+        close the replica's WAL (its files stay for a restart)."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            pending = list(self._conn_tasks) + self._workers
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+            self._workers = []
+            self._queue = None
+            self._depth = 0
+            self._server = None
+        if self.node.wal is not None:
+            self.node.wal.close()
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -240,15 +237,16 @@ class NodeServer:
         try:
             while True:
                 try:
-                    obj = await read_frame(reader)
-                    if obj is None:
+                    frame = await read_frame_codec(reader)
+                    if frame is None:
                         break
+                    codec, obj = frame
                     request = Request.from_wire(obj)
                 except FrameError:
                     self.stats.frame_errors += 1
                     break  # protocol violation: drop the connection
                 received = time.perf_counter()
-                await self._serve(request, writer, write_lock, received)
+                await self._serve(request, codec, writer, write_lock, received)
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
@@ -261,6 +259,7 @@ class NodeServer:
     async def _serve(
         self,
         request: Request,
+        codec,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         received: float,
@@ -272,7 +271,7 @@ class NodeServer:
             or request.method in CONTROL_METHODS
             or request.msg_id in self._seen
         ):
-            await self._execute(request, writer, write_lock, received)
+            await self._execute(request, codec, writer, write_lock, received)
             return
         if not self.admission.decide(self._depth):
             self.stats.shed += 1
@@ -281,18 +280,18 @@ class NodeServer:
             )
             # Deliberately NOT cached: a retry of this id deserves a fresh
             # admission decision, not a replayed "busy".
-            await self._write_response(writer, write_lock, response)
+            await self._write_response(codec, writer, write_lock, response)
             return
         self._depth += 1
         assert self._queue is not None
-        self._queue.put_nowait((request, writer, write_lock, received))
+        self._queue.put_nowait((request, codec, writer, write_lock, received))
 
     async def _worker(self) -> None:
         assert self._queue is not None
         while True:
-            request, writer, write_lock, received = await self._queue.get()
+            request, codec, writer, write_lock, received = await self._queue.get()
             try:
-                await self._execute(request, writer, write_lock, received)
+                await self._execute(request, codec, writer, write_lock, received)
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -305,6 +304,7 @@ class NodeServer:
     async def _execute(
         self,
         request: Request,
+        codec,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         received: float,
@@ -327,17 +327,18 @@ class NodeServer:
                     f"deadline ({request.deadline_s:.3f}s) expired in queue"
                 ),
             )
-            await self._write_response(writer, write_lock, response)
+            await self._write_response(codec, writer, write_lock, response)
             return
         if self.fault_injector is not None and request.method not in CONTROL_METHODS:
             slow_s = self.fault_injector.plan_serve(self.node_id)
             if slow_s > 0:
                 await asyncio.sleep(slow_s)  # gray failure: serve, but late
         response = self._dispatch(request)
-        await self._write_response(writer, write_lock, response)
+        await self._write_response(codec, writer, write_lock, response)
 
     async def _write_response(
         self,
+        codec,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         response: Response,
@@ -345,12 +346,12 @@ class NodeServer:
         try:
             async with write_lock:
                 try:
-                    await write_frame(writer, response.to_wire(), self.codec, response.blobs)
+                    await write_frame(writer, response.to_wire(), codec, response.blobs)
                 except FrameError as exc:
                     # Nothing was written: the reply is over the frame limit.
                     # The caller gets a typed error, not a dead connection.
                     failure = Response.failure(response.msg_id, exc)
-                    await write_frame(writer, failure.to_wire(), self.codec)
+                    await write_frame(writer, failure.to_wire(), codec)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass  # peer went away; its retry will reconnect
 
@@ -392,7 +393,7 @@ class NodeServer:
             response = Response.failure(request.msg_id, exc)
         if method in _REMEMBERED:
             self._seen[request.msg_id] = response
-            while len(self._seen) > self._idempotency_capacity:
+            while len(self._seen) > IDEMPOTENCY_CAPACITY:
                 self._seen.popitem(last=False)
         return response
 

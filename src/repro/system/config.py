@@ -11,8 +11,12 @@ and bandwidths, which come from the topology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.kvstore.consistency import ConsistencyLevel
+
+if TYPE_CHECKING:
+    from repro.rpc.settings import CallPolicy, NodeSpec
 
 _CHUNKING_ALGOS = ("fixed", "gear", "fastcdc", "ae", "ram")
 
@@ -56,27 +60,20 @@ class EFDedupConfig:
             :class:`~repro.rpc.cluster.LiveKVCluster`, one server per
             member). Both expose the same operation surface and produce
             identical dedup decisions; remember to ``close()`` live rings.
-        rpc_timeout_s: live transport only — per-attempt RPC timeout.
+        rpc_timeout_s, rpc_codec: live transport only — the
+            :class:`~repro.rpc.settings.CallPolicy` ``timeout_s`` and
+            ``codec``.
         rpc_attempts: live transport only — total tries per call (1 = no
-            retries); backoff/jitter come from the default
+            retries) of the policy's default
             :class:`~repro.rpc.retry.RetryPolicy` schedule.
-        rpc_codec: live transport only — wire codec name, or None to pick
-            msgpack when installed and JSON otherwise.
         cache_capacity: when > 0, each agent fronts its ring index with an
             LRU presence cache of this many fingerprints
             (:class:`~repro.dedup.cache.LRUCacheIndex`) — hot duplicates
             answer locally instead of hitting the (possibly remote) store.
-        data_dir: live transport only — when set, every ring member keeps
-            a :class:`~repro.kvstore.wal.WriteAheadLog` under this
-            directory, so a crash-restart cycle
-            (:meth:`~repro.rpc.cluster.LiveKVCluster.kill_node` /
-            :meth:`restart_node`) restores the shard from disk instead of
-            restarting empty.
-        heartbeat_interval_s: live transport only — when > 0, a background
-            :class:`~repro.rpc.heartbeat.HeartbeatService` pings every
-            member at this period and drives coordinator up/down state via
-            the phi-accrual failure detector. 0 (default) disables the
-            prober; failures are then injected/marked explicitly.
+        data_dir: live transport only — every member's
+            :class:`~repro.rpc.settings.NodeSpec` ``data_dir``.
+        heartbeat_interval_s: live transport only — the
+            :class:`~repro.rpc.settings.CallPolicy` knob of that name.
         ec_data_shards: content plane — k of the cloud tier's RS(k, m)
             erasure code (data shards per stripe).
         ec_parity_shards: content plane — m of the code; the tier
@@ -88,26 +85,14 @@ class EFDedupConfig:
             ``put_chunks`` message to a ring member (the payload analogue
             of ``lookup_batch``). A lookup batch's unique payloads are
             shelved in one scatter of such messages.
-        rpc_deadline_s: live transport only — end-to-end deadline budget
-            per data-plane call (None = unbounded). Retries stop when the
-            budget runs out; servers drop work whose budget expired while
-            queued.
-        admission_queue: live transport only — bounded request queue per
-            node server; past three quarters of it (the
-            :class:`~repro.rpc.overload.AdmissionController` default)
-            requests are probabilistically shed with a typed
-            ``RpcOverloadError``. 0 (default) disables admission control.
-        service_workers: live transport only — queue-draining tasks per
-            node server when admission control is on.
-        breaker_failures: live transport only — consecutive transport
-            failures per (coordinator, node) pair before the client's
-            circuit breaker opens (fail-fast). 0 (default) disables.
-        breaker_cooldown_s: open-breaker cooldown before one half-open
-            probe re-tests the pair.
-        retry_budget: live transport only — retry-amplification token
-            bucket capacity shared across concurrent calls (first attempts
-            are free; each retry spends a token, each success deposits a
-            fraction). 0 (default) disables.
+        rpc_deadline_s: live transport only — the
+            :class:`~repro.rpc.settings.CallPolicy` ``deadline_s``.
+        admission_queue, service_workers: live transport only — every
+            member's :class:`~repro.rpc.settings.NodeSpec` knobs of those
+            names.
+        breaker_failures, breaker_cooldown_s, retry_budget: live transport
+            only — the :class:`~repro.rpc.settings.CallPolicy` knobs of
+            those names.
         brownout: live transport only — when True, each agent's ring index
             is wrapped in a :class:`~repro.dedup.brownout.BrownoutIndex`:
             if the index ring sheds or breaks, ingest falls back to
@@ -196,19 +181,9 @@ class EFDedupConfig:
             raise ValueError(
                 f"transport must be 'inproc' or 'asyncio', got {self.transport!r}"
             )
-        if self.rpc_timeout_s <= 0:
-            raise ValueError(
-                f"rpc_timeout_s must be positive, got {self.rpc_timeout_s!r}"
-            )
-        if self.rpc_attempts < 1:
-            raise ValueError(f"rpc_attempts must be >= 1, got {self.rpc_attempts!r}")
         if self.cache_capacity < 0:
             raise ValueError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity!r}"
-            )
-        if self.heartbeat_interval_s < 0:
-            raise ValueError(
-                f"heartbeat_interval_s must be >= 0, got {self.heartbeat_interval_s!r}"
             )
         if self.ec_data_shards < 1:
             raise ValueError(
@@ -226,30 +201,6 @@ class EFDedupConfig:
             raise ValueError(
                 f"content_batch must be >= 1, got {self.content_batch!r}"
             )
-        if self.rpc_deadline_s is not None and self.rpc_deadline_s <= 0:
-            raise ValueError(
-                f"rpc_deadline_s must be positive or None, got {self.rpc_deadline_s!r}"
-            )
-        if self.admission_queue < 0:
-            raise ValueError(
-                f"admission_queue must be >= 0, got {self.admission_queue!r}"
-            )
-        if self.service_workers < 1:
-            raise ValueError(
-                f"service_workers must be >= 1, got {self.service_workers!r}"
-            )
-        if self.breaker_failures < 0:
-            raise ValueError(
-                f"breaker_failures must be >= 0, got {self.breaker_failures!r}"
-            )
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError(
-                f"breaker_cooldown_s must be positive, got {self.breaker_cooldown_s!r}"
-            )
-        if self.retry_budget < 0:
-            raise ValueError(
-                f"retry_budget must be >= 0, got {self.retry_budget!r}"
-            )
         if self.hot_index_size < 0:
             raise ValueError(
                 f"hot_index_size must be >= 0, got {self.hot_index_size!r}"
@@ -260,7 +211,12 @@ class EFDedupConfig:
             for knob in ("hot_index_size", "wan_rtt_s"):
                 if getattr(self, knob):
                     raise ValueError(f"{knob} requires secure=True")
-        if self.transport != "asyncio":
+        if self.transport == "asyncio":
+            # Each live knob is checked once, by the value that carries it;
+            # building the values here fails a bad one with the config.
+            self.call_policy()
+            self.node_spec("-")
+        else:
             if self.data_dir is not None:
                 raise ValueError("data_dir requires transport='asyncio'")
             if self.heartbeat_interval_s:
@@ -273,6 +229,38 @@ class EFDedupConfig:
             ):
                 if getattr(self, knob):
                     raise ValueError(f"{knob} requires transport='asyncio'")
+
+    def call_policy(self) -> CallPolicy:
+        """The :class:`~repro.rpc.settings.CallPolicy` a live ring's client
+        and coordinator call with."""
+        from repro.rpc.retry import RetryPolicy
+        from repro.rpc.settings import CallPolicy
+
+        return CallPolicy(
+            replication_factor=self.replication_factor,
+            vnodes=self.vnodes,
+            consistency=self.consistency,
+            codec=self.rpc_codec,
+            timeout_s=self.rpc_timeout_s,
+            retry=RetryPolicy(attempts=self.rpc_attempts),
+            deadline_s=self.rpc_deadline_s,
+            breaker_failures=self.breaker_failures,
+            breaker_cooldown_s=self.breaker_cooldown_s,
+            retry_budget=self.retry_budget,
+            heartbeat_interval_s=self.heartbeat_interval_s,
+        )
+
+    def node_spec(self, node_id: str) -> NodeSpec:
+        """The :class:`~repro.rpc.settings.NodeSpec` live member
+        ``node_id`` serves with."""
+        from repro.rpc.settings import NodeSpec
+
+        return NodeSpec(
+            node_id,
+            data_dir=self.data_dir,
+            admission_queue=self.admission_queue,
+            service_workers=self.service_workers,
+        )
 
     def hash_time_s(self, nbytes: int) -> float:
         """CPU time to chunk + fingerprint ``nbytes`` of input."""

@@ -105,27 +105,13 @@ class D2Ring:
         self._live = None
         if self.config.transport == "asyncio":
             from repro.rpc.cluster import LiveKVCluster
-            from repro.rpc.retry import RetryPolicy
 
             self._live = LiveKVCluster(
-                node_ids=self.members,
-                replication_factor=self.config.replication_factor,
-                vnodes=self.config.vnodes,
-                default_consistency=self.config.consistency,
+                [self.config.node_spec(node_id) for node_id in self.members],
+                self.config.call_policy(),
                 strategy=strategy,
-                codec=self.config.rpc_codec,
-                timeout_s=self.config.rpc_timeout_s,
-                retry=RetryPolicy(attempts=self.config.rpc_attempts),
                 fault_injector=fault_injector,
                 tracer=tracer,
-                data_dir=self.config.data_dir,
-                heartbeat_interval_s=self.config.heartbeat_interval_s,
-                deadline_s=self.config.rpc_deadline_s,
-                admission_queue=self.config.admission_queue,
-                service_workers=self.config.service_workers,
-                breaker_failures=self.config.breaker_failures,
-                breaker_cooldown_s=self.config.breaker_cooldown_s,
-                retry_budget=self.config.retry_budget,
             )
             self.store = self._live.store
         else:
@@ -621,8 +607,8 @@ class D2Ring:
         if self._live is not None:
             live = self._live
             client = live.client
-            if live.breakers is not None:
-                breakers = live.breakers
+            if client.breakers is not None:
+                breakers = client.breakers
                 hub.register(
                     f"{prefix}rpc.breakers",
                     lambda: {"open": float(breakers.open_count)},
@@ -663,7 +649,7 @@ class D2Ring:
         if node_id in self.agents:
             raise ValueError(f"node {node_id!r} is already in ring {self.ring_id!r}")
         if self._live is not None:
-            self._live.add_node(node_id)
+            self._live.add_node(self.config.node_spec(node_id))
         else:
             self.store.add_node(node_id)
         self.members.append(node_id)

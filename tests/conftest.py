@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,30 @@ from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, SourceSpec, grouped_sources
 from repro.network.costmatrix import latency_cost_matrix
 from repro.network.topology import build_testbed
+from repro.rpc import CallPolicy, LiveKVCluster, NodeSpec, RetryPolicy
+
+# Members of the live rings the transport tests boot.
+NODE_IDS = ["n0", "n1", "n2"]
+# Quick, jitter-free retries for tests that drop or delay on purpose.
+FAST_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
+_SPEC_KNOBS = {f.name for f in fields(NodeSpec)} - {"node_id"}
+
+
+def live_cluster(
+    node_ids=NODE_IDS, *, strategy=None, fault_injector=None, tracer=None, **knobs
+) -> LiveKVCluster:
+    """A live ring for tests, γ = 2 with 0.2 s attempts unless ``knobs``
+    say otherwise. A knob names a :class:`NodeSpec` field (every member
+    alike) or a :class:`CallPolicy` field."""
+    spec = {name: knobs.pop(name) for name in list(knobs) if name in _SPEC_KNOBS}
+    policy = CallPolicy(**{"replication_factor": 2, "timeout_s": 0.2, **knobs})
+    return LiveKVCluster(
+        [NodeSpec(node_id, **spec) for node_id in node_ids],
+        policy,
+        strategy=strategy,
+        fault_injector=fault_injector,
+        tracer=tracer,
+    )
 
 
 @pytest.fixture

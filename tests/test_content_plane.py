@@ -15,6 +15,9 @@ from repro.content import (
 )
 from repro.erasure.striped_store import ErasureCodedChunkStore, ZoneFailedError
 from repro.kvstore.store import DistributedKVStore
+from repro.rpc import NodeSpec, RetryPolicy
+
+from tests.conftest import live_cluster
 
 
 def make_index(n=3, rf=2):
@@ -560,10 +563,8 @@ class _ShelfRig:
         ids = ["n0", "n1", "n2", "n3"]
         self.cluster = None
         if transport == "asyncio":
-            from repro.rpc import LiveKVCluster, RetryPolicy
-
             retry = RetryPolicy(attempts=3, base_delay_s=0.002, max_delay_s=0.005, jitter=0.0)
-            self.cluster = LiveKVCluster(ids, replication_factor=2, timeout_s=0.2, retry=retry)
+            self.cluster = live_cluster(ids, retry=retry)
             self.store = self.cluster.store
         else:
             self.store = DistributedKVStore(ids, replication_factor=2)
@@ -579,7 +580,10 @@ class _ShelfRig:
         (self.cluster or self.store).remove_node(node_id)
         newcomer = f"n{self.joined}"
         self.joined += 1
-        (self.cluster or self.store).add_node(newcomer)
+        if self.cluster is not None:
+            self.cluster.add_node(NodeSpec(newcomer))
+        else:
+            self.store.add_node(newcomer)
 
     def lost_ack_flush(self) -> None:
         """Flush with every put_chunks message landing, then losing its ack."""

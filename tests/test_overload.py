@@ -20,7 +20,6 @@ from repro.rpc import (
     FaultInjector,
     FaultRule,
     HeartbeatService,
-    LiveKVCluster,
     Request,
     RetryPolicy,
     RpcTimeoutError,
@@ -43,15 +42,7 @@ from repro.rpc.overload import (
     RetryBudget,
 )
 
-NODE_IDS = ["n0", "n1", "n2"]
-FAST_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
-
-
-def live_cluster(**kwargs) -> LiveKVCluster:
-    kwargs.setdefault("node_ids", NODE_IDS)
-    kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("timeout_s", 0.2)
-    return LiveKVCluster(**kwargs)
+from tests.conftest import FAST_RETRY, live_cluster
 
 
 def gather_calls(cluster, coros):
@@ -403,7 +394,7 @@ class TestClientProtection:
             assert isinstance(second, CircuitOpenError)
             assert time.perf_counter() - t0 < 0.05  # no frames, no timeout
             assert cluster.client.stats.circuit_open == 1
-            assert cluster.breakers.open_count == 1
+            assert cluster.client.breakers.open_count == 1
             # Control traffic ignores the open breaker: the ping is never
             # failed fast (it goes to the wire, where this test's storm
             # happens to eat it — a timeout, not a CircuitOpenError).
@@ -433,7 +424,7 @@ class TestClientProtection:
             stats = cluster.client.stats
             assert stats.attempts <= n_calls + capacity
             assert stats.attempts < n_calls * attempts  # storm was damped
-            assert cluster.retry_budget.granted <= capacity
+            assert cluster.client.retry_budget.granted <= capacity
             assert stats.retry_budget_denied > 0
 
 
@@ -486,7 +477,7 @@ class TestLivenessUnderOverload:
                                             default_interval_s=0.05),
             )
             cluster.store.mark_down("n1")  # operator says: out of rotation
-            breaker = cluster.breakers.for_pair(None, "n1")
+            breaker = cluster.client.breakers.for_pair(None, "n1")
             breaker.record_failure()  # threshold 1: open
             time.sleep(0.06)  # past the cooldown: probe would be allowed
             for _ in range(4):

@@ -12,18 +12,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.rpc import FaultInjector, LiveKVCluster, RetryPolicy, RpcTimeoutError
+from repro.rpc import FaultInjector, RetryPolicy, RpcTimeoutError
 from repro.rpc.faults import SendPlan
 
-NODE_IDS = ["n0", "n1", "n2"]
-FAST_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
-
-
-def live_cluster(**kwargs) -> LiveKVCluster:
-    kwargs.setdefault("node_ids", NODE_IDS)
-    kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("timeout_s", 0.2)
-    return LiveKVCluster(**kwargs)
+from tests.conftest import FAST_RETRY, NODE_IDS, live_cluster
 
 
 def counted(cluster, coro_fn):

@@ -9,7 +9,7 @@ import struct
 import pytest
 
 from repro.content import RingContentStore
-from repro.rpc import FaultInjector, LiveKVCluster, RetryPolicy
+from repro.rpc import FaultInjector, RetryPolicy
 from repro.rpc import client as client_module
 from repro.rpc import framing
 from repro.rpc.errors import FrameError, RemoteCallError, RpcError
@@ -21,19 +21,13 @@ from repro.rpc.framing import (
 )
 from repro.rpc.messages import Request, Response
 
-NODE_IDS = ["n0", "n1", "n2"]
+from tests.conftest import live_cluster
+
 FAST_RETRY = RetryPolicy(attempts=4, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
 CHUNKS = [(f"fp{i}", bytes([i]) * (500 + 37 * i)) for i in range(12)]
 WANTED = [fp for fp, _ in CHUNKS]
 
 codecs = pytest.mark.parametrize("codec", sorted(available_codecs()))
-
-
-def live_cluster(**kwargs) -> LiveKVCluster:
-    kwargs.setdefault("node_ids", NODE_IDS)
-    kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("timeout_s", 0.2)
-    return LiveKVCluster(**kwargs)
 
 
 def on_loop(cluster, coro):

@@ -12,20 +12,10 @@ from repro.kvstore.gossip import PhiAccrualDetector
 from repro.rpc import (
     FaultInjector,
     HeartbeatService,
-    LiveKVCluster,
     RemoteReplicaRepairer,
-    RetryPolicy,
 )
 
-NODE_IDS = ["n0", "n1", "n2"]
-FAST_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
-
-
-def live_cluster(**kwargs) -> LiveKVCluster:
-    kwargs.setdefault("node_ids", NODE_IDS)
-    kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("timeout_s", 0.2)
-    return LiveKVCluster(**kwargs)
+from tests.conftest import FAST_RETRY, NODE_IDS, live_cluster
 
 
 def keys_on(store, node_id: str, n: int = 8) -> list[str]:
@@ -60,7 +50,7 @@ class TestCrashRestartLifecycle:
             assert cluster.servers[victim].node.local_get(keys[0]).value == "v"
 
     def test_restart_with_wal_restores_pre_crash_shard(self, tmp_path):
-        with live_cluster(data_dir=tmp_path) as cluster:
+        with live_cluster(data_dir=str(tmp_path)) as cluster:
             store = cluster.store
             victim = "n1"
             keys = keys_on(store, victim)
@@ -214,7 +204,7 @@ class TestPartialQuorumAudit:
         UnavailableError and leaves the hint buffer untouched — retrying
         must not double-buffer."""
         with live_cluster(
-            default_consistency=ConsistencyLevel.QUORUM
+            consistency=ConsistencyLevel.QUORUM
         ) as cluster:
             store = cluster.store
             victim = "n1"
@@ -236,7 +226,7 @@ class TestPartialQuorumAudit:
             fault_injector=injector,
             timeout_s=0.05,
             retry=FAST_RETRY,
-            default_consistency=ConsistencyLevel.QUORUM,
+            consistency=ConsistencyLevel.QUORUM,
         ) as cluster:
             store = cluster.store
             key = keys_on(store, "n2", n=1)[0]

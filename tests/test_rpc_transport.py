@@ -4,29 +4,30 @@ semantics — exactly like the in-process DistributedKVStore, with transport
 faults (drops, delays, duplicates, partitions) masked by retries or surfaced
 as typed errors."""
 
+import asyncio
+import socket
+
 import pytest
 
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import NoSuchNodeError, UnavailableError
 from repro.kvstore.store import DistributedKVStore
 from repro.rpc import (
+    CallPolicy,
     FaultInjector,
     LiveKVCluster,
+    NodeSpec,
+    Request,
     RetryPolicy,
+    RpcConnectionError,
     RpcTimeoutError,
+    available_codecs,
+    get_codec,
 )
+from repro.rpc.framing import decode_frame, encode_frame
 
-NODE_IDS = ["n0", "n1", "n2"]
+from tests.conftest import FAST_RETRY, NODE_IDS, live_cluster
 
-# Fast schedules so fault tests spend milliseconds, not seconds.
-FAST_RETRY = RetryPolicy(attempts=3, base_delay_s=0.005, max_delay_s=0.02, jitter=0.0)
-
-
-def live_cluster(**kwargs) -> LiveKVCluster:
-    kwargs.setdefault("node_ids", NODE_IDS)
-    kwargs.setdefault("replication_factor", 2)
-    kwargs.setdefault("timeout_s", 0.2)
-    return LiveKVCluster(**kwargs)
 
 
 def key_with_replicas(store, order: list) -> str:
@@ -76,7 +77,7 @@ class TestBasicOperations:
             assert results == [True, True, False, True, False]
 
     def test_quorum_reads_see_quorum_writes(self):
-        with live_cluster(default_consistency=ConsistencyLevel.QUORUM) as cluster:
+        with live_cluster(consistency=ConsistencyLevel.QUORUM) as cluster:
             store = cluster.store
             store.put("k", "v", coordinator="n0")
             assert store.get("k", coordinator="n2") == "v"
@@ -166,7 +167,7 @@ class TestParityWithInProcessStore:
 
 class TestFailureSemantics:
     def test_unavailable_when_too_few_replicas_alive(self):
-        with live_cluster(default_consistency=ConsistencyLevel.ALL) as cluster:
+        with live_cluster(consistency=ConsistencyLevel.ALL) as cluster:
             store = cluster.store
             store.mark_down("n1")
             key = key_with_replicas(store, ["n1", "n2"])
@@ -346,14 +347,63 @@ class TestClusterLifecycle:
 
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(ValueError):
-            LiveKVCluster(["a", "a"])
+            LiveKVCluster([NodeSpec("a"), NodeSpec("a")], CallPolicy())
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            LiveKVCluster([])
+            LiveKVCluster([], CallPolicy())
 
     def test_server_stats_expose_request_counts(self):
         with live_cluster() as cluster:
             cluster.store.put_if_absent_many(["a", "b"], "m", coordinator="n0")
             stats = cluster.server_stats()
             assert sum(s["requests"] for s in stats.values()) > 0
+
+
+class TestConnections:
+    def test_concurrent_first_calls_share_one_connect(self):
+        """Sixteen first calls racing to a fresh peer open one connection;
+        none is orphaned with its reader task still pending after close."""
+
+        async def first_pings(client):
+            await asyncio.gather(*(client.ping("n0") for _ in range(16)))
+
+        async def read_loops_pending():
+            return [
+                task for task in asyncio.all_tasks()
+                if "_read_loop" in task.get_coro().__qualname__
+            ]
+
+        with live_cluster() as cluster:
+            cluster._run(first_pings(cluster.client))
+            assert cluster.servers["n0"].stats.connections == 1
+            assert len(cluster.client._conns) == 1
+            cluster._run(cluster.client.close())
+            assert cluster._run(read_loops_pending()) == []
+
+    def test_a_failed_connect_fails_every_waiter_once(self):
+        async def first_pings(client):
+            return await asyncio.gather(
+                *(client.ping("ghost") for _ in range(4)), return_exceptions=True
+            )
+
+        with live_cluster(retry=RetryPolicy(attempts=1)) as cluster:
+            cluster.client.register_node("ghost", "127.0.0.1", 1)
+            errors = cluster._run(first_pings(cluster.client))
+            assert all(isinstance(e, RpcConnectionError) for e in errors), errors
+            assert cluster.client._connecting == {}
+
+    @pytest.mark.parametrize("codec", sorted(available_codecs()))
+    def test_a_server_answers_in_the_codec_its_request_named(self, codec):
+        with live_cluster() as cluster:
+            request = encode_frame(Request("probe", "ping", {}).to_wire(), get_codec(codec))
+            with socket.create_connection(cluster.servers["n0"].address, timeout=5) as sock:
+                sock.sendall(request)
+                reply = b""
+                while len(reply) < 5 or len(reply) < 4 + int.from_bytes(reply[:4], "big"):
+                    chunk = sock.recv(4096)
+                    assert chunk, "server closed before answering"
+                    reply += chunk
+            assert reply[4] == get_codec(codec).wire_id
+            message, _ = decode_frame(reply)
+            assert message["result"] == {"node": "n0", "up": True}

@@ -23,7 +23,9 @@ from repro.kvstore.repair import ReplicaRepairer
 from repro.kvstore.store import DistributedKVStore
 from repro.kvstore.transport import ReplicaTransport
 from repro.obs import series
-from repro.rpc import LiveKVCluster
+from repro.rpc import NodeSpec
+
+from tests.conftest import live_cluster
 
 ONE, QUORUM = ConsistencyLevel.ONE, ConsistencyLevel.QUORUM
 TRANSPORTS = ["direct", "asyncio"]
@@ -40,13 +42,11 @@ def make_ring(transport: str, n=4, rf=2, consistency=ONE) -> SimpleNamespace:
             remove_node=store.remove_node,
             close=lambda: None,
         )
-    cluster = LiveKVCluster(
-        ids, replication_factor=rf, default_consistency=consistency, timeout_s=0.2
-    )
+    cluster = live_cluster(ids, replication_factor=rf, consistency=consistency)
     return SimpleNamespace(
         store=cluster.store,
         shard=lambda node_id: cluster.servers[node_id].node,
-        add_node=cluster.add_node,
+        add_node=lambda node_id: cluster.add_node(NodeSpec(node_id)),
         remove_node=cluster.remove_node,
         close=cluster.close,
     )
