@@ -38,9 +38,9 @@ class CacheStats:
     """Hit/miss accounting for a cache layer.
 
     The fields are the counter series, bare-named; wherever the object is
-    mounted (``cache.*`` on a ring's hub, in the live CLI's printout, in
-    :func:`repro.sim.metrics.export_cache_stats`) adds the prefix, and
-    :attr:`hit_rate` is the one derived gauge exported beside them.
+    mounted (``cache.*`` on a ring's hub, in the live CLI's printout) adds
+    the prefix, and :attr:`hit_rate` is the one derived gauge exported
+    beside them.
     """
 
     hits: int = 0

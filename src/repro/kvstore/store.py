@@ -6,8 +6,10 @@ The store models a ring's index inside one process: every member's
 routing, ack counting, hints, repair, the ``StoreStats`` the paper's Eq. 2
 split is read from — is
 :class:`~repro.kvstore.coordinator.QuorumCoordinator`'s; this class adds
-construction, membership bootstrap, the simulated-clock failure detector,
-and the drive.
+construction, membership bootstrap and the drive. Heartbeat-driven
+liveness is a :class:`~repro.kvstore.gossip.HeartbeatMonitor` built over
+the store (``HeartbeatMonitor(store, detector)``) and fed on a simulated
+clock.
 
 The drive is a single ``coro.send(None)``: the coordinator's core is
 ``async def`` so it can also run over sockets, but a direct transport never
@@ -58,7 +60,6 @@ class DistributedKVStore(QuorumCoordinator):
             default_consistency=default_consistency,
             strategy=strategy,
         )
-        self.monitor = None  # set by enable_failure_detection()
 
     def drive(self, coro):
         try:
@@ -88,39 +89,3 @@ class DistributedKVStore(QuorumCoordinator):
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} already in the cluster")
         self.drive(self._join(node_id, Replica(node_id)))
-
-    # ------------------------------------------------------------------ #
-    # failure detection on a simulated clock
-    # ------------------------------------------------------------------ #
-
-    def enable_failure_detection(self, detector=None):
-        """Attach a :class:`~repro.kvstore.gossip.HeartbeatMonitor` so node
-        liveness is driven by heartbeats instead of manual ``mark_down``/
-        ``mark_up`` calls.
-
-        Feed it with :meth:`record_heartbeat` whenever a node proves
-        liveness (simulated clock: any monotonic float) and call
-        :meth:`sweep_failures` periodically; suspected nodes are marked
-        down (writes become hints) and recovered nodes are marked up
-        (hints replay). This is the same monitor class the live transport's
-        :class:`~repro.rpc.heartbeat.HeartbeatService` drives from real
-        pings — one consumer, two clocks.
-        """
-        from repro.kvstore.gossip import HeartbeatMonitor
-
-        self.monitor = HeartbeatMonitor(self, detector)
-        return self.monitor
-
-    def record_heartbeat(self, node_id: str, now: float) -> None:
-        """Record one liveness proof for ``node_id`` at time ``now``."""
-        if self.monitor is None:
-            raise RuntimeError("call enable_failure_detection() first")
-        self.monitor.observe(node_id, now)
-
-    def sweep_failures(self, now: float) -> list[tuple[float, str, str]]:
-        """Reconcile liveness with the detector; returns the transitions
-        recorded so far (``(now, node_id, "down"|"up")`` tuples)."""
-        if self.monitor is None:
-            raise RuntimeError("call enable_failure_detection() first")
-        self.monitor.sweep(now)
-        return self.monitor.transitions

@@ -1,5 +1,5 @@
-"""Network substrate: edge/cloud topology, latency models with NetEm-style
-injection, and ν_ij cost matrices."""
+"""Network substrate: edge/cloud topology (its latency setters are the
+evaluation's NetEm knobs) and ν_ij cost matrices."""
 
 from repro.network.costmatrix import (
     bandwidth_cost_matrix,
@@ -7,7 +7,6 @@ from repro.network.costmatrix import (
     normalized_cost_matrix,
     validate_cost_matrix,
 )
-from repro.network.latency import DelayRule, LatencyModel, NetEmInjector
 from repro.network.topology import (
     DEFAULT_INTER_CLOUD_LATENCY_S,
     EDGE_BANDWIDTH_BYTES_PER_S,
@@ -24,12 +23,9 @@ from repro.network.topology import (
 
 __all__ = [
     "DEFAULT_INTER_CLOUD_LATENCY_S",
-    "DelayRule",
     "EDGE_BANDWIDTH_BYTES_PER_S",
     "EdgeNode",
     "INTRA_CLOUD_LATENCY_S",
-    "LatencyModel",
-    "NetEmInjector",
     "Topology",
     "WAN_BANDWIDTH_BYTES_PER_S",
     "WAN_LATENCY_S",

@@ -1,24 +1,16 @@
-"""Discrete-event simulation substrate: clock, event engine, RNG, metrics,
-and shared-bandwidth modeling used by the EF-dedup throughput experiments."""
+"""Discrete-event simulation substrate: clock, event engine, RNG, a
+streaming summary, and shared-bandwidth modeling used by the EF-dedup
+throughput experiments."""
 
 from repro.sim.bandwidth import SharedLink, gbps, mbps
 from repro.sim.clock import SimClock
 from repro.sim.events import EventEngine, EventHandle
-from repro.sim.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Summary,
-    throughput_mb_per_s,
-)
+from repro.sim.metrics import Summary
 from repro.sim.rng import SeedLike, derive_seed, make_rng, spawn_rng, stable_hash_seed
 
 __all__ = [
-    "Counter",
     "EventEngine",
     "EventHandle",
-    "Gauge",
-    "MetricsRegistry",
     "SeedLike",
     "SharedLink",
     "SimClock",
@@ -29,5 +21,4 @@ __all__ = [
     "mbps",
     "spawn_rng",
     "stable_hash_seed",
-    "throughput_mb_per_s",
 ]

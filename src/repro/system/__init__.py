@@ -4,7 +4,7 @@ throughput experiment harness."""
 
 from repro.system.agent import DedupAgent, LookupRecord, RingIndex
 from repro.system.cloud import CentralCloudStore, CloudDedupService
-from repro.system.cluster import EFDedupCluster, RestorableEFDedupCluster
+from repro.system.cluster import EFDedupCluster
 from repro.system.des_throughput import run_edge_rings_des
 from repro.system.config import EFDedupConfig
 from repro.system.migration import (
@@ -35,7 +35,6 @@ __all__ = [
     "LookupRecord",
     "NodeTiming",
     "PlanDiff",
-    "RestorableEFDedupCluster",
     "ReplanDecision",
     "RingReplanner",
     "RingIndex",

@@ -21,19 +21,12 @@ from repro.dedup.stats import DedupStats
 
 
 class CentralCloudStore:
-    """Durable chunk storage in the central cloud.
+    """Durable chunk storage in the central cloud, by accounting only: it
+    keeps each chunk's size, not its bytes (restores read through a
+    :class:`~repro.content.plane.ContentPlane`)."""
 
-    Args:
-        keep_payloads: retain chunk bytes so files can be restored (the
-            read path). Off by default: the throughput experiments only
-            need byte accounting, and dropping payloads keeps large sweeps
-            memory-light.
-    """
-
-    def __init__(self, keep_payloads: bool = False) -> None:
-        self.keep_payloads = keep_payloads
+    def __init__(self) -> None:
         self._chunks: dict[str, int] = {}  # fingerprint -> chunk size
-        self._payloads: dict[str, bytes] = {}
         self.received_bytes = 0
         self.received_chunks = 0
         self.redundant_bytes = 0
@@ -50,8 +43,6 @@ class CentralCloudStore:
             self.redundant_bytes += chunk.length
             return False
         self._chunks[fingerprint] = chunk.length
-        if self.keep_payloads:
-            self._payloads[fingerprint] = chunk.data
         return True
 
     def receive_chunks(self, batch: Iterable[tuple[Chunk, str]]) -> None:
@@ -76,32 +67,13 @@ class CentralCloudStore:
         checker compares this against the ring index's key set)."""
         return frozenset(self._chunks)
 
-    def get_chunk(self, fingerprint: str) -> bytes:
-        """Fetch a stored chunk's bytes (the restore path).
-
-        Raises:
-            KeyError: unknown fingerprint.
-            RuntimeError: the store was built without ``keep_payloads``.
-        """
-        if fingerprint not in self._chunks:
-            raise KeyError(f"no chunk {fingerprint!r} in the cloud")
-        if not self.keep_payloads:
-            raise RuntimeError(
-                "this CentralCloudStore was created with keep_payloads=False; "
-                "chunk bytes were not retained"
-            )
-        return self._payloads[fingerprint]
-
     def drop_chunk(self, fingerprint: str) -> bool:
         """Remove a chunk from storage (the GC reclaim path). Historical
         WAN counters (``received_*``/``redundant_bytes``) are untouched —
         the traffic happened — but ``stored_chunks``/``stored_bytes`` and
         :meth:`fingerprints` reflect the deletion, keeping the chaos
         invariant *index keys == cloud fingerprints* true across sweeps."""
-        if self._chunks.pop(fingerprint, None) is None:
-            return False
-        self._payloads.pop(fingerprint, None)
-        return True
+        return self._chunks.pop(fingerprint, None) is not None
 
 
 class CloudDedupService:

@@ -375,30 +375,3 @@ class DurableEFDedupCluster(EFDedupCluster):
             hub.register("secure", self.secure.metrics)
         return hub
 
-
-class RestorableEFDedupCluster(EFDedupCluster):
-    """An EF-dedup cluster whose cloud keeps chunk payloads, so every
-    ingested file is restorable (the read path).
-
-    Same planning/deployment API as :class:`EFDedupCluster`; ingest with
-    :meth:`ingest_file` (which records the file's recipe) and read back
-    with :meth:`restore_file`. The memory cost is the deduplicated data
-    itself, so use the plain cluster for large throughput sweeps.
-    """
-
-    def __init__(self, topology, problem, config=None) -> None:
-        super().__init__(topology, problem, config=config)
-        self.cloud = CentralCloudStore(keep_payloads=True)
-
-    def ingest_file(self, node_id: str, file_id: str, data: bytes):
-        """Deduplicate ``data`` at ``node_id`` and record its recipe."""
-        return self.ring_for(node_id).ingest_file(node_id, file_id, data)
-
-    def restore_file(self, file_id: str) -> bytes:
-        """Reassemble a file from any ring's recipe catalog."""
-        from repro.dedup.recipes import RecipeError
-
-        for ring in self.rings:
-            if file_id in ring.recipes:
-                return ring.restore_file(file_id)
-        raise RecipeError(f"no recipe for {file_id!r} in any deployed ring")

@@ -49,8 +49,6 @@ class EFDedupConfig:
             batch of one; the scaled-down experiments (4 KiB chunks instead
             of 128 KiB) raise it to 80 to keep the latency-per-byte of the
             prototype.
-        upload_rtts: WAN round trips per synchronous unique-chunk upload
-            (request + acknowledged data transfer).
         tcp_window_bytes: per-stream TCP window for Cloud-only raw
             forwarding; the per-node stream rate is window/RTT capped by the
             link rate.
@@ -90,9 +88,9 @@ class EFDedupConfig:
         admission_queue, service_workers: live transport only — every
             member's :class:`~repro.rpc.settings.NodeSpec` knobs of those
             names.
-        breaker_failures, breaker_cooldown_s, retry_budget: live transport
-            only — the :class:`~repro.rpc.settings.CallPolicy` knobs of
-            those names.
+        breaker_failures, retry_budget: live transport only — the
+            :class:`~repro.rpc.settings.CallPolicy` knobs of those names
+            (the breaker cooldown keeps the policy's default).
         brownout: live transport only — when True, each agent's ring index
             is wrapped in a :class:`~repro.dedup.brownout.BrownoutIndex`:
             if the index ring sheds or breaks, ingest falls back to
@@ -125,7 +123,6 @@ class EFDedupConfig:
     hash_mb_per_s: float = 400.0
     lookup_service_s: float = 20e-6
     lookup_batch: int = 1
-    upload_rtts: float = 2.0
     tcp_window_bytes: int = 128 * 1024
     transport: str = "inproc"
     rpc_timeout_s: float = 0.25
@@ -142,7 +139,6 @@ class EFDedupConfig:
     admission_queue: int = 0
     service_workers: int = 1
     breaker_failures: int = 0
-    breaker_cooldown_s: float = 0.25
     retry_budget: float = 0.0
     brownout: bool = False
     secure: bool = False
@@ -171,8 +167,6 @@ class EFDedupConfig:
             )
         if self.lookup_batch < 1:
             raise ValueError(f"lookup_batch must be >= 1, got {self.lookup_batch!r}")
-        if self.upload_rtts < 0:
-            raise ValueError(f"upload_rtts must be non-negative, got {self.upload_rtts!r}")
         if self.tcp_window_bytes <= 0:
             raise ValueError(
                 f"tcp_window_bytes must be positive, got {self.tcp_window_bytes!r}"
@@ -245,7 +239,6 @@ class EFDedupConfig:
             retry=RetryPolicy(attempts=self.rpc_attempts),
             deadline_s=self.rpc_deadline_s,
             breaker_failures=self.breaker_failures,
-            breaker_cooldown_s=self.breaker_cooldown_s,
             retry_budget=self.retry_budget,
             heartbeat_interval_s=self.heartbeat_interval_s,
         )

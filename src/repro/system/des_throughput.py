@@ -28,6 +28,7 @@ from repro.sim.events import EventEngine
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
 from repro.system.throughput import (
+    UPLOAD_RTTS,
     NodeClaims,
     ThroughputReport,
     Workloads,
@@ -113,7 +114,7 @@ class _NodeProcess:
             return
         chunk, fp = uploads.pop(0)
         self.cloud.receive_chunk(chunk, fp)
-        handshake = self.config.upload_rtts * self.topology.wan_rtt_s() / self.config.lookup_batch
+        handshake = UPLOAD_RTTS * self.topology.wan_rtt_s() / self.config.lookup_batch
         transfer_id = self.wan.start_transfer(self.engine.clock.now, float(chunk.length))
         self.engine.schedule_in(handshake, lambda: self._poll_upload(transfer_id, uploads, final))
 

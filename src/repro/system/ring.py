@@ -23,7 +23,6 @@ into hints), and the member catches up on recovery.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 from repro.dedup.cache import LRUCacheIndex
@@ -59,8 +58,8 @@ class D2Ring:
             ring grows a :class:`~repro.content.ring_store.RingContentStore`
             (unique-chunk payloads land on the member owning the
             fingerprint, then spill to the plane's erasure-coded cloud
-            tier) and restores fetch through the plane instead of the
-            accounting cloud.
+            tier) and files can be ingested with a recipe and restored
+            through the plane (:meth:`ingest_file` / :meth:`restore_file`).
         secure: optional deployment-shared
             :class:`~repro.secure.tier.SecureTier`; when given, unique
             chunks first *claim* against the tier's key index (a proven
@@ -128,7 +127,6 @@ class D2Ring:
                 "need somewhere to live — use DurableEFDedupCluster)"
             )
         self.secure = secure
-        self.recipes = RecipeStore()
         self._content_plane = content_plane
         self.content = None
         if content_plane is not None:
@@ -302,13 +300,14 @@ class D2Ring:
         """Deduplicate ``data`` at ``node_id`` against the ring's index."""
         return self.agent(node_id).ingest(data)
 
-    def ingest_file(
-        self,
-        node_id: str,
-        file_id: str,
-        data: bytes,
-        recipes: Optional[RecipeStore] = None,
-    ):
+    def _require_content_plane(self, verb: str) -> None:
+        if self._content_plane is None:
+            raise RuntimeError(
+                f"{verb} needs a content plane (D2Ring(content_plane=...) or "
+                "DurableEFDedupCluster); this ring's cloud only keeps accounting"
+            )
+
+    def ingest_file(self, node_id: str, file_id: str, data: bytes, recipes: RecipeStore):
         """Deduplicate ``data`` and record its recipe for later restore, in
         one pass: the recipe and the chunk references are taken from the
         lookup batches of the dedup run itself, so the file is chunked and
@@ -326,75 +325,63 @@ class D2Ring:
         chunks and index entries it left behind are then zero-ref and go
         with the next sweep.
 
-        Needs somewhere the payload bytes actually live: a content plane,
-        or a ring cloud that keeps payloads
-        (``CentralCloudStore(keep_payloads=True)``) — otherwise the recipe
-        would point at chunks whose bytes were dropped.
+        Needs a content plane, where the payload bytes live and whose
+        :class:`~repro.content.gc.RefcountGC` counts the references —
+        otherwise the recipe would point at chunks whose bytes were dropped.
 
         Args:
-            recipes: the catalog the recipe goes into; the ring's own by
-                default (a durable cluster passes its cluster-scoped one).
+            recipes: the catalog the recipe goes into (a durable cluster
+                passes its cluster-scoped one).
         """
-        if self.content is None and not self.cloud.keep_payloads:
-            raise RuntimeError(
-                "restore needs a content plane or "
-                "CentralCloudStore(keep_payloads=True); this ring's cloud "
-                "only keeps accounting"
-            )
-        recipes = recipes if recipes is not None else self.recipes
+        self._require_content_plane("ingest_file")
         if file_id in recipes:
             raise RecipeError(f"recipe for {file_id!r} already stored")
-        gc = self._content_plane.gc if self._content_plane is not None else None
-        journal = gc.batch if gc is not None else nullcontext
+        gc = self._content_plane.gc
         entries: list[RecipeEntry] = []
 
         def record(fingerprints, chunks) -> None:
-            with journal():
+            with gc.batch():
                 for fingerprint, chunk in zip(fingerprints, chunks):
-                    if gc is not None:
-                        gc.incr(fingerprint)
+                    gc.incr(fingerprint)
                     entries.append(RecipeEntry(fingerprint, chunk.length))
 
         try:
             report = self.agent(node_id).ingest(data, label=file_id, observer=record)
         except BaseException:
-            if gc is not None:
-                taken = Counter(entry.fingerprint for entry in entries)
-                for fingerprint, refs in taken.items():
-                    gc.decr(fingerprint, refs)
+            taken = Counter(entry.fingerprint for entry in entries)
+            for fingerprint, refs in taken.items():
+                gc.decr(fingerprint, refs)
             raise
         recipes.put(FileRecipe(file_id=file_id, entries=tuple(entries)))
         return report
 
-    def restore_file(self, file_id: str, recipes: Optional[RecipeStore] = None) -> bytes:
-        """Reassemble a previously-ingested file; with a content plane the
-        chunks come from edge shelves or k-of-n tier reconstruction, else
-        from the payload-keeping cloud. Every chunk's fingerprint is
-        verified.
+    def restore_file(self, file_id: str, recipes: RecipeStore) -> bytes:
+        """Reassemble a previously-ingested file through the content plane:
+        the chunks come from edge shelves or k-of-n tier reconstruction,
+        and every chunk's fingerprint is verified.
 
         Args:
-            recipes: the catalog to read the recipe from; the ring's own by
-                default (a durable cluster passes its cluster-scoped one).
+            recipes: the catalog to read the recipe from (a durable cluster
+                passes its cluster-scoped one).
         """
         # Looked up at call time, so a wrapper installed on the module
         # (the perf ledger's tracer) sees every restore.
         from repro.dedup.recipes import restore_file
 
-        recipe = (recipes if recipes is not None else self.recipes).get(file_id)
-        if self._content_plane is not None:
-            prefetched = self._content_plane.fetch_many(
-                [entry.fingerprint for entry in recipe.entries]
-            )
-            if self.secure is not None:
-                # Stored bytes are ciphertext; decrypt before reassembly
-                # so restore_file's fingerprint verification sees the
-                # plaintext the recipe was cut from.
-                prefetched = {
-                    fp: self.secure.open(fp, sealed)
-                    for fp, sealed in prefetched.items()
-                }
-            return restore_file(recipe, prefetched.__getitem__)
-        return restore_file(recipe, self.cloud.get_chunk)
+        self._require_content_plane("restore_file")
+        recipe = recipes.get(file_id)
+        prefetched = self._content_plane.fetch_many(
+            [entry.fingerprint for entry in recipe.entries]
+        )
+        if self.secure is not None:
+            # Stored bytes are ciphertext; decrypt before reassembly
+            # so restore_file's fingerprint verification sees the
+            # plaintext the recipe was cut from.
+            prefetched = {
+                fp: self.secure.open(fp, sealed)
+                for fp, sealed in prefetched.items()
+            }
+        return restore_file(recipe, prefetched.__getitem__)
 
     def ingest_workloads(self, workloads: dict[str, Iterable[bytes]]) -> None:
         """Feed per-node file streams through the ring, interleaved round-

@@ -19,7 +19,7 @@ Timing model (per edge node), mirroring the prototype's data path:
   ``lookup_batch=1`` this degenerates to the classic one-RTT-per-remote-key
   model;
 - unique-chunk upload: a synchronous small-object PUT over the WAN —
-  ``upload_rtts`` round trips, amortized by the same pipelining depth
+  :data:`UPLOAD_RTTS` round trips, amortized by the same pipelining depth
   ``lookup_batch``. This is what makes higher dedup ratios buy throughput
   (fewer uploads), the effect behind Fig. 6(b)'s ring-size sweet spot;
 - Cloud-only forwards raw bytes: each node streams at its TCP-window-limited
@@ -56,6 +56,10 @@ from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 
 Workloads = dict[str, list[bytes]]
+
+# WAN round trips per synchronous unique-chunk upload (request +
+# acknowledged data transfer).
+UPLOAD_RTTS = 2.0
 
 
 @dataclass
@@ -163,7 +167,7 @@ def finish_report(report: ThroughputReport, topology: Topology) -> ThroughputRep
 def _upload_time_s(topology: Topology, config: EFDedupConfig) -> float:
     """Pipeline time charged per unique-chunk synchronous WAN upload."""
     serialization = config.chunk_size / topology.wan_bandwidth_bytes_per_s
-    return (config.upload_rtts * topology.wan_rtt_s() + serialization) / config.lookup_batch
+    return (UPLOAD_RTTS * topology.wan_rtt_s() + serialization) / config.lookup_batch
 
 
 def deploy_rings(

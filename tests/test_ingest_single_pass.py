@@ -16,9 +16,10 @@ import pytest
 from repro.chaos import check_invariants
 from repro.chunking.fastcdc import FastCDCChunker
 from repro.dedup.engine import DedupEngine
-from repro.dedup.recipes import RecipeError, make_recipe
+from repro.content import ContentPlane
+from repro.dedup.recipes import RecipeError, RecipeStore, make_recipe
+from repro.erasure.striped_store import ErasureCodedChunkStore
 from repro.kvstore.errors import NodeDownError, UnavailableError
-from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 from tests.test_restore_durability import make_cluster
@@ -88,22 +89,23 @@ class TestRecipeComesFromTheDedupPass:
             cluster.shutdown()
 
     def test_ring_ingest_file_shares_the_body(self):
-        # The payload-keeping ring (no content plane, no ledger) runs the
-        # same single pass.
+        # A bare ring over a content plane, with a catalog of its own, runs
+        # the same single pass.
         ring = D2Ring(
             "ring-0",
             ["a", "b"],
-            cloud=CentralCloudStore(keep_payloads=True),
             config=EFDedupConfig(chunk_size=4096, chunking_algo="fastcdc", lookup_batch=8),
+            content_plane=ContentPlane(ErasureCodedChunkStore(2, 1)),
         )
+        recipes = RecipeStore()
         data = payload(3)
-        ring.ingest_file("a", "f", data)
-        assert ring.recipes.get("f") == make_recipe(
+        ring.ingest_file("a", "f", data, recipes)
+        assert recipes.get("f") == make_recipe(
             "f", data, chunker=ring.agent("a").engine.chunker
         )
-        assert ring.restore_file("f") == data
+        assert ring.restore_file("f", recipes) == data
         with pytest.raises(RecipeError, match="already stored"):
-            ring.ingest_file("b", "f", data)
+            ring.ingest_file("b", "f", data, recipes)
 
     def test_cut_points_runs_once_per_file(self, tmp_path, monkeypatch):
         calls = []

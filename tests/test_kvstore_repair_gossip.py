@@ -278,16 +278,16 @@ class TestMerkleEdgeCases:
 class TestStoreFailureDetectionWiring:
     def test_detected_crash_turns_writes_into_hints(self):
         store = DistributedKVStore(["a", "b", "c"], replication_factor=2)
-        store.enable_failure_detection(PhiAccrualDetector(threshold=8))
+        monitor = HeartbeatMonitor(store, PhiAccrualDetector(threshold=8))
         for t in range(10):
             for nid in ("a", "b", "c"):
-                store.record_heartbeat(nid, float(t))
+                monitor.observe(nid, float(t))
         # "c" dies silently; the sweep must notice and divert its writes.
         for t in range(10, 60):
-            store.record_heartbeat("a", float(t))
-            store.record_heartbeat("b", float(t))
-        transitions = store.sweep_failures(60.0)
-        assert (60.0, "c", "down") in transitions
+            monitor.observe("a", float(t))
+            monitor.observe("b", float(t))
+        monitor.sweep(60.0)
+        assert (60.0, "c", "down") in monitor.transitions
         keys_on_c = [
             f"k{i}" for i in range(200) if "c" in store.replicas_for(f"k{i}")
         ][:3]
@@ -295,22 +295,15 @@ class TestStoreFailureDetectionWiring:
             store.put(k, "v")
         assert store.hints.pending_for("c") == len(keys_on_c)
         # It comes back: the sweep marks it up, which replays the hints.
-        store.record_heartbeat("c", 61.0)
-        store.sweep_failures(61.5)
+        monitor.observe("c", 61.0)
+        monitor.sweep(61.5)
         assert store.nodes["c"].is_up
         assert store.hints.pending_for("c") == 0
         for k in keys_on_c:
             assert store.nodes["c"].local_contains(k)
 
-    def test_heartbeat_apis_require_enabling(self):
-        store = DistributedKVStore(["a"], replication_factor=1)
-        with pytest.raises(RuntimeError, match="enable_failure_detection"):
-            store.record_heartbeat("a", 0.0)
-        with pytest.raises(RuntimeError, match="enable_failure_detection"):
-            store.sweep_failures(0.0)
-
-    def test_enable_returns_monitor_with_default_detector(self):
+    def test_monitor_default_detector(self):
         store = DistributedKVStore(["a", "b"], replication_factor=2)
-        monitor = store.enable_failure_detection()
-        assert monitor is store.monitor
+        monitor = HeartbeatMonitor(store)
+        assert monitor.store is store
         assert isinstance(monitor.detector, PhiAccrualDetector)

@@ -1,4 +1,4 @@
-"""Tests for topologies, latency models, and cost matrices."""
+"""Tests for topologies and cost matrices."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.network.costmatrix import (
     normalized_cost_matrix,
     validate_cost_matrix,
 )
-from repro.network.latency import DelayRule, LatencyModel, NetEmInjector
 from repro.network.topology import (
     EdgeNode,
     Topology,
@@ -115,69 +114,6 @@ class TestTopology:
     def test_negative_latency_rejected_at_build(self):
         with pytest.raises(ValueError):
             Topology(nodes=[EdgeNode("a", "c")], wan_latency_s=-1.0)
-
-
-class TestNetEmInjector:
-    def test_set_inter_cloud_delay(self):
-        topo = build_testbed(4, 2)
-        netem = NetEmInjector(topo)
-        netem.set_inter_cloud_delay(0.03)
-        assert topo.inter_cloud_latency_s == 0.03
-
-    def test_additive_rule(self):
-        topo = build_testbed(4, 2, inter_cloud_latency_s=5e-3)
-        netem = NetEmInjector(topo)
-        netem.add_rule(DelayRule(scope="inter-cloud", delay_s=10e-3))
-        assert topo.inter_cloud_latency_s == pytest.approx(15e-3)
-
-    def test_pair_rule(self):
-        topo = build_testbed(4, 2)
-        netem = NetEmInjector(topo)
-        pair = frozenset(("edge-0", "edge-1"))
-        base = topo.latency_s("edge-0", "edge-1")
-        netem.add_rule(DelayRule(scope="pair", delay_s=0.1, pair=pair))
-        assert topo.latency_s("edge-0", "edge-1") == pytest.approx(base + 0.1)
-
-    def test_clear_restores_baseline(self):
-        topo = build_testbed(4, 2)
-        baseline_wan = topo.wan_latency_s
-        netem = NetEmInjector(topo)
-        netem.set_wan_delay(0.2)
-        netem.add_rule(DelayRule(scope="pair", delay_s=0.1, pair=frozenset(("edge-0", "edge-1"))))
-        netem.clear()
-        assert topo.wan_latency_s == baseline_wan
-        assert topo.pair_latency_overrides == {}
-
-    def test_invalid_rule_scope(self):
-        with pytest.raises(ValueError):
-            DelayRule(scope="bogus", delay_s=0.1)
-
-    def test_pair_rule_requires_pair(self):
-        with pytest.raises(ValueError):
-            DelayRule(scope="pair", delay_s=0.1)
-
-
-class TestLatencyModel:
-    def test_deterministic_without_jitter(self):
-        topo = build_testbed(4, 2)
-        model = LatencyModel(topo)
-        assert model.sample_edge_rtt("edge-0", "edge-1") == topo.rtt_s("edge-0", "edge-1")
-
-    def test_jitter_varies_samples(self):
-        topo = build_testbed(4, 2)
-        model = LatencyModel(topo, jitter_fraction=0.3, seed=0)
-        samples = {model.sample_wan_rtt() for _ in range(10)}
-        assert len(samples) > 1
-
-    def test_jitter_mean_close_to_nominal(self):
-        topo = build_testbed(4, 2)
-        model = LatencyModel(topo, jitter_fraction=0.2, seed=0)
-        samples = [model.sample_wan_rtt() for _ in range(3000)]
-        assert np.mean(samples) == pytest.approx(topo.wan_rtt_s(), rel=0.05)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(build_testbed(4, 2), jitter_fraction=-0.1)
 
 
 class TestCostMatrix:

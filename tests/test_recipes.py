@@ -14,7 +14,8 @@ from repro.dedup.recipes import (
     make_recipe,
     restore_file,
 )
-from repro.system.cloud import CentralCloudStore
+from repro.content import ContentPlane
+from repro.erasure.striped_store import ErasureCodedChunkStore
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 
@@ -168,42 +169,43 @@ class TestRingRestore:
         return D2Ring(
             "r",
             ["n0", "n1"],
-            cloud=CentralCloudStore(keep_payloads=True),
             config=EFDedupConfig(chunk_size=4096),
+            content_plane=ContentPlane(ErasureCodedChunkStore(2, 1)),
         )
 
     def test_end_to_end_restore(self):
         from repro.datasets.accelerometer import AccelerometerSource
 
-        ring = self._ring()
+        ring, recipes = self._ring(), RecipeStore()
         src = AccelerometerSource(participant=0)
         files = {f"day{i}": src.generate_file(i).data for i in range(3)}
         for i, (fid, data) in enumerate(files.items()):
-            ring.ingest_file(ring.members[i % 2], fid, data)
+            ring.ingest_file(ring.members[i % 2], fid, data, recipes)
         for fid, data in files.items():
-            assert ring.restore_file(fid) == data
+            assert ring.restore_file(fid, recipes) == data
 
     def test_restore_deduplicated_file(self):
         """A file whose chunks were all duplicates (uploaded by an earlier
         file) still restores — the recipe points at shared chunks."""
-        ring = self._ring()
+        ring, recipes = self._ring(), RecipeStore()
         payload = bytes(8192)
-        ring.ingest_file("n0", "first", payload)
-        ring.ingest_file("n1", "second", payload)  # 100% duplicate
+        ring.ingest_file("n0", "first", payload, recipes)
+        ring.ingest_file("n1", "second", payload, recipes)  # 100% duplicate
         assert ring.cloud.stored_chunks == 1
-        assert ring.restore_file("second") == payload
+        assert ring.restore_file("second", recipes) == payload
 
     def test_restore_requires_payloads(self):
         ring = D2Ring("r", ["n0"], config=EFDedupConfig(chunk_size=4096))
-        with pytest.raises(RuntimeError, match="keep_payloads"):
-            ring.ingest_file("n0", "f", b"data")
+        with pytest.raises(RuntimeError, match="content plane"):
+            ring.ingest_file("n0", "f", b"data", RecipeStore())
 
-    def test_cloud_get_chunk_guard(self):
-        cloud = CentralCloudStore()  # accounting-only
-        from repro.chunking.base import Chunk
-
-        cloud.receive_chunk(Chunk(b"abcd", 0), "fp")
-        with pytest.raises(RuntimeError, match="keep_payloads"):
-            cloud.get_chunk("fp")
-        with pytest.raises(KeyError):
-            cloud.get_chunk("ghost")
+    def test_restore_refuses_the_accounting_cloud(self):
+        # The accounting-only cloud keeps no bytes, so a ring without a
+        # content plane refuses to restore instead of reading the cloud.
+        recipes = RecipeStore()
+        recipes.put(make_recipe("f", b"abcd", chunker=FixedSizeChunker(4096)))
+        ring = D2Ring("r", ["n0"], config=EFDedupConfig(chunk_size=4096))
+        with pytest.raises(RuntimeError, match="content plane"):
+            ring.restore_file("f", recipes)
+        with pytest.raises(RecipeError):
+            self._ring().restore_file("ghost", recipes)

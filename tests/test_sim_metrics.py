@@ -2,54 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Summary,
-    throughput_mb_per_s,
-)
-
-
-class TestCounter:
-    def test_starts_at_zero(self):
-        assert Counter("c").value == 0.0
-
-    def test_inc_default(self):
-        c = Counter("c")
-        c.inc()
-        assert c.value == 1.0
-
-    def test_inc_amount(self):
-        c = Counter("c")
-        c.inc(2.5)
-        c.inc(0.5)
-        assert c.value == 3.0
-
-    def test_negative_inc_rejected(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1.0)
-
-    def test_reset(self):
-        c = Counter("c")
-        c.inc(5)
-        c.reset()
-        assert c.value == 0.0
-
-
-class TestGauge:
-    def test_initial_value(self):
-        assert Gauge("g", initial=3.0).value == 3.0
-
-    def test_set(self):
-        g = Gauge("g")
-        g.set(-2.5)
-        assert g.value == -2.5
-
-    def test_add_can_go_negative(self):
-        g = Gauge("g", initial=1.0)
-        g.add(-4.0)
-        assert g.value == -3.0
+from repro.sim.metrics import Summary
 
 
 class TestSummary:
@@ -168,134 +121,3 @@ class TestSummary:
         assert snap["mean"] == 2.0
         assert snap["min"] == 1.0 and snap["max"] == 3.0
         assert "p50" in snap and "p99" in snap
-
-
-class TestMetricsRegistry:
-    def test_counter_reuse_by_name(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-
-    def test_gauge_reuse_by_name(self):
-        reg = MetricsRegistry()
-        assert reg.gauge("x") is reg.gauge("x")
-
-    def test_summary_reuse_by_name(self):
-        reg = MetricsRegistry()
-        assert reg.summary("x") is reg.summary("x")
-
-    def test_snapshot_includes_all_kinds(self):
-        reg = MetricsRegistry()
-        reg.counter("chunks").inc(3)
-        reg.gauge("depth").set(2.0)
-        reg.summary("latency").observe(0.5)
-        snap = reg.snapshot()
-        assert snap["counter.chunks"] == 3.0
-        assert snap["gauge.depth"] == 2.0
-        assert snap["summary.latency.mean"] == 0.5
-        assert snap["summary.latency.count"] == 1.0
-
-    def test_snapshot_skips_empty_summary(self):
-        reg = MetricsRegistry()
-        reg.summary("never")
-        assert "summary.never.mean" not in reg.snapshot()
-
-
-class TestThroughput:
-    def test_basic(self):
-        assert throughput_mb_per_s(2e6, 2.0) == pytest.approx(1.0)
-
-    def test_zero_elapsed_is_zero_throughput(self):
-        # Convention: coarse clocks on tiny benches can measure 0 elapsed;
-        # that means "no measurable throughput", not a crash.
-        assert throughput_mb_per_s(1e6, 0.0) == 0.0
-
-    def test_negative_elapsed_rejected(self):
-        with pytest.raises(ValueError):
-            throughput_mb_per_s(1e6, -0.5)
-
-
-class TestExportCacheStats:
-    def _stats(self):
-        from repro.dedup.cache import CacheStats
-
-        stats = CacheStats()
-        stats.hits = 6
-        stats.misses = 2
-        stats.admissions = 2
-        stats.evictions = 1
-        return stats
-
-    def test_exports_under_canonical_names(self):
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        exported = export_cache_stats(registry, self._stats())
-        assert exported["cache.hits"] == 6.0
-        assert exported["cache.hit_rate"] == pytest.approx(0.75)
-        assert registry.counters["cache.hits"].value == 6.0
-        assert registry.counters["cache.misses"].value == 2.0
-        assert registry.gauges["cache.hit_rate"].value == pytest.approx(0.75)
-        assert "cache.hit_rate" not in registry.counters  # a ratio, not a count
-
-    def test_prefix_namespaces_multi_cache_components(self):
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        export_cache_stats(registry, self._stats(), prefix="edge-3.")
-        assert registry.counters["edge-3.cache.hits"].value == 6.0
-        assert "cache.hits" not in registry.counters
-
-    def test_reexport_overwrites_instead_of_accumulating(self):
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        stats = self._stats()
-        export_cache_stats(registry, stats)
-        stats.hits += 4
-        export_cache_stats(registry, stats)
-        assert registry.counters["cache.hits"].value == 10.0
-
-    def test_two_caches_without_prefixes_collide(self):
-        """The clobber bug this PR fixes: a second cache exporting onto the
-        same names used to silently overwrite the first — now it raises."""
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        export_cache_stats(registry, self._stats())
-        with pytest.raises(ValueError, match="distinct prefix"):
-            export_cache_stats(registry, self._stats())  # a different object
-
-    def test_collision_check_leaves_registry_untouched(self):
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        first = self._stats()
-        export_cache_stats(registry, first)
-        before = registry.snapshot()
-        with pytest.raises(ValueError):
-            export_cache_stats(registry, self._stats())
-        assert registry.snapshot() == before
-
-    def test_two_caches_with_distinct_prefixes_coexist(self):
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        export_cache_stats(registry, self._stats(), prefix="edge-0.")
-        other = self._stats()
-        other.hits = 1
-        export_cache_stats(registry, other, prefix="edge-1.")
-        assert registry.counters["edge-0.cache.hits"].value == 6.0
-        assert registry.counters["edge-1.cache.hits"].value == 1.0
-
-    def test_live_and_simulated_runs_share_metric_names(self):
-        """The contract the satellite asks for: the same `CacheStats` mounted
-        as ``cache`` on a hub (what live runs export) and the registry
-        export (what simulations collect) agree on names and values."""
-        from repro.obs import MetricsHub, series
-        from repro.sim.metrics import export_cache_stats
-
-        registry = MetricsRegistry()
-        stats = self._stats()
-        hub = MetricsHub()
-        hub.register("cache", lambda: {**series(stats), "hit_rate": stats.hit_rate})
-        assert export_cache_stats(registry, stats) == hub.collect()

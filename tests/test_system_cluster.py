@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.workloads import build_workloads, make_problem
 from repro.core.partitioning import SingletonPartitioner, SmartPartitioner
 from repro.network.topology import build_testbed
-from repro.system.cluster import EFDedupCluster
+from repro.system.cluster import DurableEFDedupCluster, EFDedupCluster
 from repro.system.config import EFDedupConfig
 
 
@@ -111,34 +111,37 @@ class TestIngestionAndReport:
 
 class TestRestorableCluster:
     def test_ingest_and_restore_across_rings(self):
-        from repro.system.cluster import RestorableEFDedupCluster
-
         topology = build_testbed(n_nodes=6, n_edge_clouds=3)
         bundle = build_workloads(topology, files_per_node=1, n_groups=3)
         problem = make_problem(topology, bundle, chunk_size=4096)
-        cluster = RestorableEFDedupCluster(
+        cluster = DurableEFDedupCluster(
             topology, problem, config=EFDedupConfig(chunk_size=4096)
         )
         cluster.plan(SmartPartitioner(3))
         cluster.deploy()
-        originals = {}
-        for nid, files in bundle.workloads.items():
-            for i, data in enumerate(files):
-                fid = f"{nid}-file-{i}"
-                originals[fid] = data
-                cluster.ingest_file(nid, fid, data)
-        for fid, data in originals.items():
-            assert cluster.restore_file(fid) == data
+        try:
+            originals = {}
+            for nid, files in bundle.workloads.items():
+                for i, data in enumerate(files):
+                    fid = f"{nid}-file-{i}"
+                    originals[fid] = data
+                    cluster.ingest_file(nid, fid, data)
+            for fid, data in originals.items():
+                assert cluster.restore_file(fid) == data
+        finally:
+            cluster.shutdown()
 
     def test_restore_unknown_file(self):
         from repro.dedup.recipes import RecipeError
-        from repro.system.cluster import RestorableEFDedupCluster
 
         topology = build_testbed(n_nodes=4, n_edge_clouds=2)
         bundle = build_workloads(topology, files_per_node=1, n_groups=2)
         problem = make_problem(topology, bundle, chunk_size=4096)
-        cluster = RestorableEFDedupCluster(topology, problem)
+        cluster = DurableEFDedupCluster(topology, problem)
         cluster.plan(SingletonPartitioner())
         cluster.deploy()
-        with pytest.raises(RecipeError):
-            cluster.restore_file("ghost")
+        try:
+            with pytest.raises(RecipeError):
+                cluster.restore_file("ghost")
+        finally:
+            cluster.shutdown()

@@ -35,7 +35,7 @@ class TestConfig:
             {"hash_mb_per_s": 0.0},
             {"lookup_service_s": -1.0},
             {"lookup_batch": 0},
-            {"upload_rtts": -1.0},
+            {"content_batch": 0},
             {"tcp_window_bytes": 0},
         ],
     )
