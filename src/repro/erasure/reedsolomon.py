@@ -18,14 +18,18 @@ cache, so a degraded read or a repair pays only the byte arithmetic for the
 shards it is actually missing.
 
 The batch is the unit of the arithmetic: one ``gf_dot`` per planned row
-over a batch's concatenated columns (per survivor set, for decode).
+over a batch's concatenated columns (per survivor set, for decode). Every
+decode runs through one core, :meth:`ReedSolomonCode.decode_chosen`, fed
+``(survivor indexes, blocks, payload length)`` per stripe: ``decode_many``
+feeds it caller-supplied shards it has validated, the striped store feeds
+it blocks read straight from its zone maps, with no ``Shard`` in between.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -159,7 +163,8 @@ class ReedSolomonCode:
         self, shards: list[Shard], payload_length: int
     ) -> tuple[tuple[int, ...], list[bytes]]:
         """Validate ``shards`` and pick the k lowest-indexed to solve from:
-        their indexes (ascending) and their bytes, in the same order."""
+        their indexes (ascending) and their bytes, in the same order. Their
+        lengths are :meth:`_fit`'s to check."""
         if payload_length < 0:
             raise ValueError(f"payload_length must be >= 0, got {payload_length!r}")
         k, total = self.k, self.k + self.m
@@ -174,17 +179,21 @@ class ReedSolomonCode:
         if len(seen) < k:
             raise ValueError(f"need at least k={k} shards to decode, got {len(seen)}")
         indexes = tuple(sorted(seen)[:k])
-        blocks = [seen[index] for index in indexes]
-        lengths = {len(block) for block in blocks}
-        if len(lengths) != 1:
-            raise ValueError(f"inconsistent shard lengths: {sorted(lengths)!r}")
-        capacity = k * lengths.pop()
-        if payload_length > capacity:
+        return indexes, [seen[index] for index in indexes]
+
+    def _fit(self, blocks: list[bytes], payload_length: int) -> None:
+        """Check that the chosen ``blocks`` are equally long and together
+        hold ``payload_length`` bytes."""
+        size = len(blocks[0])
+        for block in blocks:
+            if len(block) != size:
+                lengths = sorted({len(block) for block in blocks})
+                raise ValueError(f"inconsistent shard lengths: {lengths!r}")
+        if payload_length > self.k * size:
             raise ValueError(
-                f"payload_length {payload_length!r} exceeds the {capacity} bytes "
+                f"payload_length {payload_length!r} exceeds the {self.k * size} bytes "
                 f"the shards hold"
             )
-        return indexes, blocks
 
     def _solve(self, survivors: tuple[int, ...]) -> tuple[list[list[int]], _Plan, list[int]]:
         """For ``survivors`` (k shard indexes, ascending): rows over them
@@ -221,11 +230,22 @@ class ReedSolomonCode:
     def decode_many(self, stripes: list[tuple[list[Shard], int]]) -> list[bytes]:
         """:meth:`decode` for a batch of ``(shards, payload_length)``: every
         stripe is validated first, then one pass per survivor set."""
+        return self.decode_chosen(
+            (*self._choose(shards, length), length) for shards, length in stripes
+        )
+
+    def decode_chosen(
+        self, stripes: Iterable[tuple[tuple[int, ...], list[bytes], int]]
+    ) -> list[bytes]:
+        """The decode core: per stripe, ``(survivors, blocks, payload_length)``
+        with the k survivor indexes ascending, distinct and in range and
+        ``blocks`` their bytes in the same order. Every stripe's lengths are
+        checked first (:meth:`_fit`), then one pass per survivor set."""
         k = self.k
         out: list[bytes] = []
         groups: dict[tuple[int, ...], list[tuple[int, list[bytes], int]]] = {}
-        for shards, length in stripes:
-            indexes, blocks = self._choose(shards, length)
+        for indexes, blocks, length in stripes:
+            self._fit(blocks, length)
             if indexes[-1] < k:
                 out.append(b"".join(blocks)[:length])  # every data shard survived
             else:
@@ -252,5 +272,6 @@ class ReedSolomonCode:
         if not 0 <= missing_index < self.total_shards:
             raise ValueError(f"shard index {missing_index!r} out of range")
         indexes, blocks = self._choose(shards, payload_length)
+        self._fit(blocks, payload_length)
         row = self._solve(indexes)[0][missing_index]
         return Shard(index=missing_index, data=gf_dot(row, blocks))

@@ -17,6 +17,12 @@ Writes during an outage skip the down zones, leaving the stripe
 missing shards so redundancy is restored without operator action. Deletes
 during an outage are queued as pending drops and applied on recovery, so
 ``stored_shard_bytes`` always equals the bytes actually held in zones.
+
+The batch is the unit of the arithmetic: ``put_chunks`` encodes a batch in
+one pass, and ``get_chunks`` hands each stripe's k lowest-indexed reachable
+shards, as bytes read from the zone maps, to the code's decode core
+(:meth:`~repro.erasure.reedsolomon.ReedSolomonCode.decode_chosen`), one
+pass per survivor set.
 """
 
 from __future__ import annotations
@@ -185,39 +191,49 @@ class ErasureCodedChunkStore:
         return _only(self.get_chunks([fingerprint]))
 
     def get_chunks(self, fingerprints: list[str]) -> list[bytes | KeyError | ZoneFailedError]:
-        """Per fingerprint, in order: its bytes (one decode pass per
-        survivor set), or the error ``get_chunk`` would raise."""
+        """Per fingerprint, in order: its bytes, or the error ``get_chunk``
+        would raise. Each stripe's k lowest-indexed reachable shards go
+        straight from the zone maps to the code's decode core, one pass
+        per survivor set."""
+        k, zones = self.code.k, self._zones
         outcomes: list = []
-        stripes: list[tuple[list[Shard], int]] = []
+        stripes: list[tuple[tuple[int, ...], list[bytes], int]] = []
         for fingerprint in fingerprints:
             try:
-                meta, available = self._reachable_shards(fingerprint)
+                meta, live = self._live_shards(fingerprint)
             except (KeyError, ZoneFailedError) as exc:
                 outcomes.append(exc)
-            else:
-                outcomes.append(None)
-                stripes.append((available, meta.payload_length))
-        decoded = iter(self.code.decode_many(stripes))
+                continue
+            live.sort()  # a backfill appends its indexes out of order
+            survivors = tuple(live[:k])
+            placement = meta.shard_zone
+            blocks = [zones[placement[index]][(fingerprint, index)] for index in survivors]
+            outcomes.append(None)
+            stripes.append((survivors, blocks, meta.payload_length))
+        decoded = iter(self.code.decode_chosen(stripes))
         return [next(decoded) if outcome is None else outcome for outcome in outcomes]
+
+    def _live_shards(self, fingerprint: str) -> tuple[_StripeMeta, list[int]]:
+        """A stripe's metadata and the indexes of its shards in live zones
+        (at least k, or the same errors as :meth:`get_chunk`)."""
+        meta = self._meta.get(fingerprint)
+        if meta is None:
+            raise KeyError(f"no chunk {fingerprint!r}")
+        up = self._zone_up
+        live = [index for index, zone in meta.shard_zone.items() if up[zone]]
+        if len(live) < self.code.k:
+            raise ZoneFailedError(
+                f"chunk {fingerprint!r}: {len(live)} shards reachable, "
+                f"need {self.code.k}"
+            )
+        return meta, live
 
     def _reachable_shards(self, fingerprint: str) -> tuple[_StripeMeta, list[Shard]]:
         """A stripe's metadata and its shards in live zones (at least k,
         or the same errors as :meth:`get_chunk`)."""
-        meta = self._meta.get(fingerprint)
-        if meta is None:
-            raise KeyError(f"no chunk {fingerprint!r}")
-        zones, up = self._zones, self._zone_up
-        available = [
-            Shard(idx, zones[zone][(fingerprint, idx)])
-            for idx, zone in meta.shard_zone.items()
-            if up[zone]
-        ]
-        if len(available) < self.code.k:
-            raise ZoneFailedError(
-                f"chunk {fingerprint!r}: {len(available)} shards reachable, "
-                f"need {self.code.k}"
-            )
-        return meta, available
+        meta, live = self._live_shards(fingerprint)
+        zones = self._zones
+        return meta, [Shard(idx, zones[meta.shard_zone[idx]][(fingerprint, idx)]) for idx in live]
 
     def delete_chunk(self, fingerprint: str) -> bool:
         """Drop a chunk's stripe from every zone. Returns True if it was

@@ -93,6 +93,12 @@ class DeadlineExceededError(RpcError):
     """
 
 
+class InternalError(RpcError):
+    """A handler failed in a way no verb declares (a bug, or a request
+    malformed past the wire checks); the server answers with this, typed,
+    instead of losing the request or its connection."""
+
+
 class CircuitOpenError(RpcError):
     """The client's circuit breaker for this (coordinator, node) pair is
     open: recent calls failed, so this one fails fast without touching the

@@ -74,7 +74,7 @@ from repro.kvstore.wal import WriteAheadLog
 from repro.obs.histogram import Histogram
 from repro.obs.hub import series
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
-from repro.rpc.errors import DeadlineExceededError, FrameError, RpcOverloadError
+from repro.rpc.errors import DeadlineExceededError, FrameError, InternalError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
 from repro.rpc.framing import BLOB_BUDGET_BYTES, read_frame_codec, write_frame
 from repro.rpc.messages import Request, Response
@@ -105,6 +105,7 @@ class ServerStats:
     shed: int = 0  # refused at admission (RpcOverloadError)
     deadline_drops: int = 0  # expired in queue, dropped unexecuted
     frame_errors: int = 0  # malformed frames; each one cost its connection
+    internal_errors: int = 0  # handler failures answered as InternalError
     by_method: dict[str, int] = field(default_factory=dict)
 
 
@@ -391,6 +392,13 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
             response = Response.failure(request.msg_id, exc)
+        except Exception as exc:  # still exactly one reply, never a dead connection
+            self.stats.internal_errors += 1
+            if rec is not None:
+                rec.attrs["error"] = "InternalError"
+            response = Response.failure(
+                request.msg_id, InternalError(f"{method!r} failed: {type(exc).__name__}: {exc}")
+            )
         if method in _REMEMBERED:
             self._seen[request.msg_id] = response
             while len(self._seen) > IDEMPOTENCY_CAPACITY:

@@ -927,3 +927,153 @@ class TestBatchedTier:
         meta.shard_zone[1] = meta.shard_zone[0]  # two shards in one zone
         del store._zones[store._meta["fp5"].shard_zone[2]][("fp5", 2)]  # a shard gone
         assert store.inconsistent_stripes() == ["fp1", "fp3", "fp5"]
+
+
+class TestTierReadDifferential:
+    """Seeded random histories over a striped store; after every step,
+    ``get_chunks`` must agree with ``decode_many`` over
+    ``_reachable_shards`` and with the oracle: the same bytes, the same
+    error types and messages, the same ``gf_walk_bytes`` delta."""
+
+    POOL = [f"fp{i}" for i in range(10)]
+    READ = POOL + ["ghost"]
+
+    @staticmethod
+    def _payload(rng):
+        length = rng.choice([0, 1, 2, 3, 0, 1, 2, 3, int(rng.integers(4, 400))])
+        return rng.integers(0, 256, length, dtype=np.uint8).tobytes()
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return exc
+
+    def _reference(self, store):
+        """Per fingerprint of ``READ``: its ``_reachable_shards`` error, or
+        None and a stripe for one ``decode_many`` batch."""
+        outcomes, stripes = [], []
+        for fingerprint in self.READ:
+            try:
+                meta, available = store._reachable_shards(fingerprint)
+            except (KeyError, ZoneFailedError) as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append(None)
+                stripes.append((available, meta.payload_length))
+        return outcomes, stripes
+
+    def _check(self, store, model):
+        code = store.code
+        before = code.walk_bytes
+        got = self._outcome(lambda: store.get_chunks(self.READ))
+        read_walks = code.walk_bytes - before
+        outcomes, stripes = self._reference(store)
+        before = code.walk_bytes
+        decoded = self._outcome(lambda: code.decode_many(stripes))
+        assert code.walk_bytes - before == read_walks
+        if isinstance(decoded, ValueError):
+            assert type(got) is ValueError and str(got) == str(decoded)
+            return
+        assert not isinstance(got, ValueError), got
+        decoded = iter(decoded)
+        expected = [next(decoded) if outcome is None else outcome for outcome in outcomes]
+        assert len(got) == len(expected)
+        for fingerprint, outcome, reference in zip(self.READ, got, expected):
+            assert type(outcome) is type(reference), fingerprint
+            if fingerprint not in model:
+                assert str(outcome) == str(reference) == str(KeyError(f"no chunk {fingerprint!r}"))
+            elif isinstance(reference, ZoneFailedError):
+                placement = store._meta[fingerprint].shard_zone
+                live = sum(store._zone_up[zone] for zone in placement.values())
+                assert str(outcome) == str(reference) == (
+                    f"chunk {fingerprint!r}: {live} shards reachable, need {code.k}"
+                )
+            else:
+                assert outcome == reference == model[fingerprint]
+                _, available = store._reachable_shards(fingerprint)
+                assert gf256_oracle.decode(code, available, len(outcome)) == outcome
+
+    def _tamper(self, store, model, rng):
+        """Cut one held shard short, or claim a payload longer than its
+        shards hold; both paths must raise the same ValueError. Undone."""
+        fingerprint = sorted(model)[int(rng.integers(len(model)))]
+        meta = store._meta[fingerprint]
+        if rng.random() < 0.5:
+            index, zone = sorted(meta.shard_zone.items())[int(rng.integers(len(meta.shard_zone)))]
+            held = store._zones[zone][(fingerprint, index)]
+            store._zones[zone][(fingerprint, index)] = held[:-1]
+            self._check(store, model)
+            store._zones[zone][(fingerprint, index)] = held
+        else:
+            length = meta.payload_length
+            meta.payload_length = store.code.k * max(1, -(-length // store.code.k)) + 1
+            self._check(store, model)
+            meta.payload_length = length
+
+    @pytest.mark.parametrize("n_zones", [5, 7])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_get_chunks_matches_decode_many_and_oracle(self, n_zones, seed):
+        rng = np.random.default_rng(1000 * n_zones + seed)
+        store = ErasureCodedChunkStore(3, 2, n_zones=n_zones)
+        k, m = store.code.k, store.code.m
+        model: dict[str, bytes] = {}
+        unordered = 0
+        for _ in range(100):
+            step = rng.choice(["put", "put", "fail", "recover", "repair", "delete", "tamper"])
+            down = store.zones_down
+            if step == "put":
+                size = int(rng.integers(1, 7))
+                entries = [(str(rng.choice(self.POOL)), self._payload(rng)) for _ in range(size)]
+                if len(entries) > 1 and rng.random() < 0.5:
+                    entries.append(entries[0])  # a repeat inside the batch
+                for (fingerprint, data), stored in zip(entries, store.put_chunks(entries)):
+                    if stored is True:
+                        model[fingerprint] = data
+            elif step == "fail" and len(down) <= m:
+                up = [z for z in range(n_zones) if z not in down]
+                store.fail_zone(int(rng.choice(up)))
+            elif step == "recover" and down:
+                store.recover_zone(int(rng.choice(down)))
+            elif step == "repair" and model:
+                try:
+                    store.repair_chunk(str(rng.choice(sorted(model))))
+                except ZoneFailedError:
+                    pass
+            elif step == "delete":
+                fingerprint = str(rng.choice(self.POOL))
+                assert store.delete_chunk(fingerprint) == (model.pop(fingerprint, None) is not None)
+            elif step == "tamper" and model:
+                self._tamper(store, model, rng)
+            self._check(store, model)
+            unordered += sum(
+                list(meta.shard_zone) != sorted(meta.shard_zone) for meta in store._meta.values()
+            )
+        for zone in store.zones_down:
+            store.recover_zone(zone)
+        self._check(store, model)
+        for n_lost in range(m + 1):
+            for lost in itertools.combinations(range(n_zones), n_lost):
+                for zone in lost:
+                    store._zone_up[zone] = False  # a read-only outage: no backfill on return
+                self._check(store, model)
+                for zone in lost:
+                    store._zone_up[zone] = True
+        assert store.inconsistent_stripes() == []
+        assert unordered > 0  # a backfill appended a low index after higher ones
+
+    def test_backfilled_stripe_reads_its_lowest_survivors(self):
+        """A backfill appends index 1 after 4; with zone 2 down the read
+        must solve from (0, 1, 3), not from the first three in the map."""
+        store = ErasureCodedChunkStore(3, 2, n_zones=5)
+        store.fail_zone(1)
+        store.put_chunks([("a", b"abcdef")])  # index i on zone i; index 1 not written
+        store.fail_zone(0)
+        store.recover_zone(1)  # index 0 re-homed to zone 1
+        store.recover_zone(0)  # index 1 backfilled onto zone 0
+        assert list(store._meta["a"].shard_zone.items()) == [(0, 1), (2, 2), (3, 3), (4, 4), (1, 0)]
+        store.fail_zone(2)
+        before = store.code.walk_bytes
+        assert store.get_chunks(["a"]) == [b"abcdef"]
+        assert store.code.walk_bytes - before == store.code._solve((0, 1, 3))[1].walks * 2
