@@ -17,6 +17,17 @@ from repro.kvstore.errors import NodeDownError
 Row = tuple[str, str, int, bool]
 
 
+def check_row(row) -> Row:
+    """``row`` as a :data:`Row` — exactly (str, str, int, bool), what a
+    Merkle leaf hashes and the WAL writes back — else ``ValueError``."""
+    if (type(row) is list or type(row) is tuple) and len(row) == 4:
+        key, value, timestamp, tombstone = row
+        if type(key) is str and type(value) is str and type(timestamp) is int:
+            if type(tombstone) is bool:
+                return key, value, timestamp, tombstone
+    raise ValueError(f"a row is [str, str, int, bool], got {row!r:.80}")
+
+
 @dataclass(frozen=True)
 class VersionedValue:
     """A stored value plus its last-write-wins timestamp.

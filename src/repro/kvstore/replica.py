@@ -13,7 +13,7 @@ other members; that is the coordinator's
 (:class:`~repro.kvstore.coordinator.QuorumCoordinator`). It is reached
 through a :class:`~repro.kvstore.transport.ReplicaTransport`: by method
 call in-process, or behind a :class:`~repro.rpc.server.NodeServer` socket,
-whose handlers are wire decode/encode around these methods.
+whose ops (:data:`~repro.rpc.ops.OPS`) check a request and serve it here.
 """
 
 from __future__ import annotations

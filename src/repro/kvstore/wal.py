@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
-from repro.kvstore.node import VersionedValue
+from repro.kvstore.node import VersionedValue, check_row
 
 _SNAP_SUFFIX = ".snap.json"
 _LOG_SUFFIX = ".wal.jsonl"
@@ -101,9 +101,9 @@ class WriteAheadLog:
         """Rebuild the shard: snapshot first, then replay the log on top.
 
         Last-write-wins per key, exactly as live ``local_put`` applies
-        records, so replaying is idempotent. A damaged log line — torn
-        by a crash mid-append, or with flipped bits — is dropped (and
-        counted), not raised; the records before it always load.
+        records, so replaying is idempotent. A damaged line — torn by a
+        crash mid-append, bit-flipped, or no ``check_row`` row — is dropped
+        (and counted), not raised; the records before it always load.
         """
         data: dict[str, VersionedValue] = {}
         if self.snap_path.exists():
@@ -123,13 +123,11 @@ class WriteAheadLog:
                     if not line:
                         continue
                     try:
-                        key, value, ts, tombstone = json.loads(line.decode("utf-8"))
-                        incoming = VersionedValue(
-                            value=value, timestamp=int(ts), tombstone=bool(tombstone)
-                        )
+                        key, value, ts, tombstone = check_row(json.loads(line.decode("utf-8")))
+                        incoming = VersionedValue(value, ts, tombstone)
                         if incoming.newer_than(data.get(key)):
                             data[key] = incoming
-                    except (ValueError, TypeError):
+                    except ValueError:
                         # torn append: a crash mid-write leaves a partial
                         # final record; everything before it is intact.
                         self.stats.torn_records_dropped += 1

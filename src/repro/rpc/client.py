@@ -44,7 +44,8 @@ from repro.rpc.errors import (
 from repro.rpc.faults import FaultInjector, SendPlan
 from repro.rpc.framing import default_codec_name, frame_parts, get_codec, read_frame_codec
 from repro.rpc.messages import Request, Response, correlation_ids
-from repro.rpc.overload import CONTROL_METHODS, BreakerBoard, Deadline, RetryBudget
+from repro.rpc.ops import CONTROL_METHODS
+from repro.rpc.overload import BreakerBoard, Deadline, RetryBudget
 from repro.rpc.settings import CallPolicy
 from repro.obs.histogram import Histogram
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
@@ -208,7 +209,7 @@ class RpcClient:
             ``rpc.client.<method>`` span whose span id *is* the correlation
             id, so server-side handler spans link to it across the wire.
 
-    Control methods (:data:`~repro.rpc.overload.CONTROL_METHODS`) bypass
+    Control methods (:data:`~repro.rpc.ops.CONTROL_METHODS`) bypass
     deadline, breaker, and budget: pings must flow to an overloaded node
     (busy is not dead) and recovery tooling must reach a broken one.
 

@@ -94,8 +94,8 @@ class DeadlineExceededError(RpcError):
 
 
 class InternalError(RpcError):
-    """A handler failed in a way no verb declares (a bug, or a request
-    malformed past the wire checks); the server answers with this, typed,
+    """A handler failed in a way no verb declares (a bug: every request is
+    checked before it is served); the server answers with this, typed,
     instead of losing the request or its connection."""
 
 

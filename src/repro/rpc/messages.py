@@ -68,21 +68,26 @@ class Request:
 
     @staticmethod
     def from_wire(obj: Any) -> "Request":
+        """``FrameError`` unless the envelope is well-typed; the params are
+        the op's to check, and blobs come only from the blob section."""
         try:
             if obj["kind"] != "req":
                 raise FrameError(f"expected a request, got kind {obj['kind']!r}")
-            deadline_s = obj.get("deadline_s")
-            return Request(
-                msg_id=obj["id"],
-                method=obj["method"],
-                params=obj.get("params") or {},
-                src=obj.get("src"),
-                dst=obj.get("dst"),
-                deadline_s=None if deadline_s is None else float(deadline_s),
-                blobs=tuple(obj.get("blobs") or ()),
+            src, dst, deadline_s = obj.get("src"), obj.get("dst"), obj.get("deadline_s")
+            request = Request(
+                obj["id"], obj["method"], obj.get("params") or {}, src, dst,
+                None if deadline_s is None else float(deadline_s), obj.get("blobs", ()),
             )
-        except (KeyError, TypeError) as exc:
-            raise FrameError(f"malformed request frame: {obj!r}") from exc
+            if (
+                type(request.msg_id) is type(request.method) is str
+                and {type(src), type(dst)} <= {str, type(None)}
+                and type(deadline_s) in (float, int, type(None))
+                and type(request.blobs) is tuple
+            ):
+                return request
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FrameError(f"malformed request frame: {obj!r:.200}") from exc
+        raise FrameError(f"malformed request envelope: {obj!r:.200}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ at a latency nobody was still waiting for):
 
 Methods here never sleep and never touch the loop — callers (RpcClient,
 NodeServer) own all timing; these are pure decision kernels, which is what
-makes them unit-testable without a transport.
+makes them unit-testable without a transport. Which methods skip the
+deadline, admission and breaker is declared per op
+(:data:`~repro.rpc.ops.CONTROL_METHODS`).
 """
 
 from __future__ import annotations
@@ -34,27 +36,6 @@ from __future__ import annotations
 import random
 import time
 from typing import Optional
-
-# Operator/control methods bypass overload protection end to end: the
-# client never breaks or deadline-bounds them, the server never sheds
-# them. Two reasons: (a) "busy is not dead" only holds if pings flow while
-# the data plane sheds — the phi-accrual detector must keep seeing
-# heartbeats from an overloaded node; (b) recovery tooling (set_down,
-# dump, repair) must reach a node precisely when it is misbehaving.
-CONTROL_METHODS = frozenset(
-    {
-        "ping",
-        "set_down",
-        "stats",
-        "dump",
-        "key_count",
-        "chunk_keys",
-        "chunk_dump",
-        "merkle_tree",
-        "repair_range",
-        "fetch_range",
-    }
-)
 
 
 class Deadline:

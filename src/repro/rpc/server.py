@@ -4,27 +4,24 @@ Each edge node of a live D2-ring runs one :class:`NodeServer` on
 127.0.0.1 (port assigned by the OS). The server speaks the framed
 request/response protocol of :mod:`repro.rpc.framing` /
 :mod:`repro.rpc.messages` and exposes the *replica-local* operation
-surface: every handler is wire decode/encode around one verb of the
-member's :class:`~repro.kvstore.replica.Replica` (index shard plus chunk
-shelf). Coordination (replica placement, consistency, hint buffering,
-last-write-wins merges) stays client-side in the
-:class:`~repro.kvstore.coordinator.QuorumCoordinator`.
+surface: each method is one :class:`~repro.rpc.ops.Op` of
+:data:`~repro.rpc.ops.OPS`, which checks the request in full and then
+serves it from the member's :class:`~repro.kvstore.replica.Replica`
+(index shard plus chunk shelf). Coordination (replica placement,
+consistency, hint buffering, last-write-wins merges) stays client-side in
+the :class:`~repro.kvstore.coordinator.QuorumCoordinator`.
 
 Two server-side behaviors make retries safe:
 
-- **Idempotency cache.** The responses of the verbs that change the
-  replica (``multi_put``, ``put_chunks``, ``delete_chunks``, ``set_down``)
-  are remembered per correlation id (bounded LRU). A retried or duplicated
-  delivery of one the server already executed returns the *original*
-  response instead of re-executing, so a write is never applied twice.
-  Every other verb mutates nothing, so a duplicate simply re-executes and
-  its reply — payloads, a whole-shard ``dump``, a Merkle tree — is never
-  retained.
+- **Idempotency cache.** A ``remembered`` verb's response is kept per
+  correlation id (bounded LRU): a retried or duplicated delivery gets the
+  *original* response instead of a re-execution, so a write is never
+  applied twice.
 - **Down-state.** ``set_down(True)`` makes data operations fail with
   ``NodeDownError`` (the process answers, the replica refuses — a crashed
   replica is modeled client-side by the coordinator's aliveness set).
-  Control operations (``set_down``, ``dump``, ``stats``) keep working so
-  an operator — or a test — can inspect and recover the node.
+  Control operations keep working so an operator — or a test — can
+  inspect and recover the node.
 
 Overload protection (opt-in via ``NodeSpec.admission_queue``): data-plane
 requests flow through a bounded queue drained by worker tasks instead of
@@ -36,7 +33,7 @@ executed: serving it would burn capacity on an answer nobody is still
 waiting for.
 Three carve-outs keep the semantics honest:
 
-- control methods (:data:`~repro.rpc.overload.CONTROL_METHODS`) bypass
+- control methods (:data:`~repro.rpc.ops.CONTROL_METHODS`) bypass
   admission entirely — a shedding node still answers pings, so the
   phi-accrual detector never confuses *busy* with *dead*;
 - replays bypass admission — the cached response costs nothing to return,
@@ -50,13 +47,10 @@ Responses from workers may complete out of submission order; that is safe
 (the client matches by correlation id) but concurrent frame writes are
 not, so each connection serializes writes behind a lock.
 
-Wire value encoding: a stored entry travels as ``[value, timestamp,
-tombstone]``; ``multi_put`` takes ``[key, value, timestamp, tombstone]``
-rows. Fingerprints and metadata are strings, so both codecs round-trip
-them losslessly. Chunk payloads never enter the codec: ``put_chunks``
-names its fingerprints in the params and carries the bytes in the
-frame's blob section, and ``get_chunks`` / ``chunk_dump`` answer the same
-way (see :mod:`repro.rpc.framing`).
+Every request gets exactly one reply: a bad request is answered as
+``ValueError`` (counted in ``errors``), a failure no verb declares as
+``InternalError`` (counted in ``internal_errors``); only a malformed frame
+or envelope costs its connection (``frame_errors``).
 """
 
 from __future__ import annotations
@@ -72,26 +66,17 @@ from repro.kvstore.errors import KVStoreError
 from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
 from repro.obs.histogram import Histogram
-from repro.obs.hub import series
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, InternalError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import BLOB_BUDGET_BYTES, read_frame_codec, write_frame
+from repro.rpc.framing import read_frame_codec, write_frame
 from repro.rpc.messages import Request, Response
-from repro.rpc.overload import CONTROL_METHODS, AdmissionController
+from repro.rpc.ops import CONTROL_METHODS, OPS
+from repro.rpc.overload import AdmissionController
 from repro.rpc.settings import NodeSpec
 
 # Correlation ids remembered for retry/duplicate suppression.
 IDEMPOTENCY_CAPACITY = 4096
-
-# Handlers that take the request's blobs and return ``(result, blobs)``.
-_BLOB_METHODS = frozenset({"put_chunks", "get_chunks", "chunk_dump"})
-
-# The verbs whose replay must not re-execute. Every other verb changes
-# nothing, so a duplicate re-executes (the answer is as good), whereas
-# retaining its reply would pin up to a cache-full of payload batches,
-# whole-shard dumps or key lists — more memory than the node that served them.
-_REMEMBERED = frozenset({"multi_put", "put_chunks", "delete_chunks", "set_down"})
 
 
 @dataclass
@@ -107,16 +92,6 @@ class ServerStats:
     frame_errors: int = 0  # malformed frames; each one cost its connection
     internal_errors: int = 0  # handler failures answered as InternalError
     by_method: dict[str, int] = field(default_factory=dict)
-
-
-def _entry_to_wire(stored) -> Optional[list]:
-    if stored is None:
-        return None
-    return [stored.value, stored.timestamp, stored.tombstone]
-
-
-def _rows_to_wire(entries) -> dict:
-    return {"entries": [stored.row(key) for key, stored in entries.items()]}
 
 
 class NodeServer:
@@ -378,16 +353,14 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["replay"] = True
             return cached
-        handler = self._HANDLERS.get(method)
+        op = OPS.get(method)
         try:
-            if handler is None:
+            if op is None:
                 raise FrameError(f"unknown method {method!r}")
-            if method in _BLOB_METHODS:
-                result, blobs = handler(self, request.params, request.blobs)
-            else:
-                result, blobs = handler(self, request.params), ()
+            params = op.check(request.params, request.blobs)
+            result, blobs = op.serve(self, request.blobs, **params)
             response = Response.success(request.msg_id, result, blobs)
-        except (KVStoreError, ValueError, TypeError, KeyError) as exc:
+        except (KVStoreError, ValueError) as exc:  # the store's typed errors, a bad request
             self.stats.errors += 1
             if rec is not None:
                 rec.attrs["error"] = type(exc).__name__
@@ -399,96 +372,8 @@ class NodeServer:
             response = Response.failure(
                 request.msg_id, InternalError(f"{method!r} failed: {type(exc).__name__}: {exc}")
             )
-        if method in _REMEMBERED:
+        if op is not None and op.remembered:
             self._seen[request.msg_id] = response
             while len(self._seen) > IDEMPOTENCY_CAPACITY:
                 self._seen.popitem(last=False)
         return response
-
-    # ------------------------------------------------------------------ #
-    # operations — wire decode/encode around the Replica's verbs
-    # ------------------------------------------------------------------ #
-    #
-    # Data-plane verbs (multi_get, multi_put, put_chunks, get_chunks,
-    # delete_chunks) are refused by the replica while it is down; the rest
-    # are operator views that keep working, so a down replica can still be
-    # inspected, compared and drained.
-
-    def _op_ping(self, params: dict) -> dict:
-        return {"node": self.node_id, "up": self.node.is_up}
-
-    def _op_multi_get(self, params: dict) -> dict:
-        found = self.node.multi_get(params["keys"])
-        return {"entries": {key: _entry_to_wire(stored) for key, stored in found.items()}}
-
-    def _op_multi_put(self, params: dict) -> dict:
-        entries = params["entries"]
-        self.node.multi_put(
-            (key, value, int(timestamp), bool(tombstone))
-            for key, value, timestamp, tombstone in entries
-        )
-        return {"stored": len(entries)}
-
-    def _op_put_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        """``fingerprints`` names the request's blobs, in order. A count
-        mismatch stores nothing."""
-        fingerprints = params["fingerprints"]
-        if len(fingerprints) != len(blobs):
-            raise ValueError(
-                f"put_chunks names {len(fingerprints)} fingerprints "
-                f"but carries {len(blobs)} blobs"
-            )
-        stored, stored_bytes = self.node.put_chunks(zip(fingerprints, blobs))
-        return {"stored": stored, "bytes": stored_bytes}, ()
-
-    def _op_get_chunks(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        """``found`` names the reply's blobs, in order. The reply stops
-        filling at ``BLOB_BUDGET_BYTES``; ``scanned`` says how many of the
-        asked fingerprints it covers, and the caller asks again for the rest."""
-        found, scanned = self.node.get_chunks(params["fingerprints"], BLOB_BUDGET_BYTES)
-        return {"found": list(found), "scanned": scanned}, tuple(found.values())
-
-    def _op_chunk_dump(self, params: dict, blobs: tuple) -> tuple[dict, tuple]:
-        found, scanned = self.node.chunk_dump(params["fingerprints"], BLOB_BUDGET_BYTES)
-        return {"found": list(found), "scanned": scanned}, tuple(found.values())
-
-    def _op_delete_chunks(self, params: dict) -> dict:
-        deleted, freed = self.node.delete_chunks(params["fingerprints"])
-        return {"deleted": deleted, "bytes": freed}
-
-    def _op_chunk_keys(self, params: dict) -> dict:
-        return {"fingerprints": self.node.chunk_keys()}
-
-    def _op_set_down(self, params: dict) -> dict:
-        self.node.set_down(bool(params["down"]))
-        return {"node": self.node_id, "up": self.node.is_up}
-
-    def _op_dump(self, params: dict) -> dict:
-        return {
-            "entries": {
-                key: _entry_to_wire(stored) for key, stored in self.node.dump().items()
-            }
-        }
-
-    def _op_key_count(self, params: dict) -> dict:
-        return {"count": self.node.key_count()}
-
-    def _op_stats(self, params: dict) -> dict:
-        return series(self.stats)
-
-    def _op_merkle_tree(self, params: dict) -> dict:
-        tree = self.node.merkle_tree(int(params.get("depth", 6)))
-        return {"depth": tree.depth, "leaves": list(tree.leaves), "root": tree.root}
-
-    def _op_repair_range(self, params: dict) -> dict:
-        return _rows_to_wire(self.node.repair_range(int(params["depth"]), params["buckets"]))
-
-    def _op_fetch_range(self, params: dict) -> dict:
-        # Bounds travel as decimal strings: tokens live in [0, 2**127),
-        # which overflows msgpack's 64-bit integers.
-        return _rows_to_wire(
-            self.node.fetch_range((int(lo), int(hi)) for lo, hi in params["ranges"])
-        )
-
-    # Every ``_op_<method>`` above serves the wire method of that name.
-    _HANDLERS = {name[4:]: op for name, op in vars().items() if name.startswith("_op_")}

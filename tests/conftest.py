@@ -11,7 +11,7 @@ from repro.core.costs import SNOD2Problem
 from repro.core.model import ChunkPoolModel, SourceSpec, grouped_sources
 from repro.network.costmatrix import latency_cost_matrix
 from repro.network.topology import build_testbed
-from repro.rpc import CallPolicy, LiveKVCluster, NodeSpec, RetryPolicy
+from repro.rpc import CallPolicy, LiveKVCluster, NodeServer, NodeSpec, RetryPolicy
 
 # Members of the live rings the transport tests boot.
 NODE_IDS = ["n0", "n1", "n2"]
@@ -35,6 +35,34 @@ def live_cluster(
         fault_injector=fault_injector,
         tracer=tracer,
     )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "expects_internal_errors: the test makes a NodeServer answer InternalError"
+    )
+
+
+@pytest.fixture(autouse=True)
+def no_internal_errors(request):
+    """Fail a test whose started node servers answered any request with
+    ``InternalError``: that reply means a handler failed in a way no verb
+    declares, which is a server bug even when the caller copes."""
+    started = []
+    real_start = NodeServer.start
+
+    async def start(self, *args, **kwargs):
+        started.append(self)
+        return await real_start(self, *args, **kwargs)
+
+    NodeServer.start = start
+    try:
+        yield
+    finally:
+        NodeServer.start = real_start
+    if request.node.get_closest_marker("expects_internal_errors") is None:
+        failed = {s.node_id: s.stats.internal_errors for s in started if s.stats.internal_errors}
+        assert not failed, f"node servers answered InternalError: {failed}"
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.kvstore.node import StorageNode, VersionedValue
+from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
 
 
@@ -292,6 +293,25 @@ def test_wrong_shaped_records_are_dropped_not_raised(tmp_path):
     assert sorted(wal.load()) == ["k", "k3"]
     assert wal.stats.torn_records_dropped == 4
     assert wal.stats.log_entries_replayed == 2
+
+
+def test_ill_typed_records_are_dropped_not_replayed(tmp_path):
+    """A record must be a row a replica could have accepted: an int key
+    used to load and then break every Merkle tree of the shard."""
+    wal = WriteAheadLog(tmp_path, "n0")
+    wal.log_path.write_text(
+        '["a", "v", 1, false]\n'
+        '[123, "v", 2, false]\n'
+        '["b", ["v"], 3, false]\n'
+        '["c", "v", 4.5, false]\n'
+        '["d", "v", 5, 0]\n'
+        '["e", "v", true, false]\n'
+    )
+    node = Replica("n0", wal=wal)
+    assert sorted(node.dump()) == ["a"]
+    assert wal.stats.torn_records_dropped == 5
+    assert wal.stats.log_entries_replayed == 1
+    assert node.merkle_tree(4).root
 
 
 # --------------------------------------------------------------------- #

@@ -30,9 +30,9 @@ from repro.rpc.errors import (
     RpcOverloadError,
 )
 from repro.rpc.faults import DUPLICATE, RESPONSE
+from repro.rpc.ops import CONTROL_METHODS
 from repro.rpc.overload import (
     CLOSED,
-    CONTROL_METHODS,
     HALF_OPEN,
     OPEN,
     AdmissionController,

@@ -34,14 +34,15 @@ def _bad_and_good(cluster, bad_method, bad_params):
     return cluster._run(both())
 
 
-def _assert_one_typed_reply(cluster, bad, good, method, cause):
+def _assert_one_typed_reply(cluster, bad, good, method, cause, error_type="InternalError"):
     server = cluster.servers["n0"]
     assert isinstance(bad, RemoteCallError), bad
-    assert bad.error_type == "InternalError"
+    assert bad.error_type == error_type
     assert cause in bad.remote_message
     assert good == {"entries": {"a": None}}
     assert server.stats.by_method[method] == 1  # executed once, never retried
-    assert server.stats.internal_errors == 1
+    internal = error_type == "InternalError"
+    assert (server.stats.internal_errors, server.stats.errors) == (internal, not internal)
     assert server.stats.connections == 1
     client = cluster.client.stats
     assert client.retries == client.timeouts == client.connection_errors == 0
@@ -51,9 +52,25 @@ def _assert_one_typed_reply(cluster, bad, good, method, cause):
 def test_malformed_request_gets_one_typed_reply(admission_queue):
     with live_cluster(["n0"], codec="json", admission_queue=admission_queue) as cluster:
         bad, good = _bad_and_good(cluster, "merkle_tree", [1])
+        cause = "merkle_tree takes ['depth'], got [1]"
+        _assert_one_typed_reply(cluster, bad, good, "merkle_tree", cause, "ValueError")
+
+
+@pytest.mark.expects_internal_errors
+@ADMISSION
+def test_control_verb_handler_bug_gets_one_typed_reply(admission_queue, monkeypatch):
+    """A control verb is served inline with admission on or off."""
+    with live_cluster(["n0"], codec="json", admission_queue=admission_queue) as cluster:
+
+        def broken(depth):
+            raise AttributeError("'int' object has no attribute 'encode'")
+
+        monkeypatch.setattr(cluster.servers["n0"].node, "merkle_tree", broken)
+        bad, good = _bad_and_good(cluster, "merkle_tree", {"depth": 4})
         _assert_one_typed_reply(cluster, bad, good, "merkle_tree", "AttributeError")
 
 
+@pytest.mark.expects_internal_errors
 @ADMISSION
 def test_data_plane_handler_bug_gets_one_typed_reply(admission_queue, monkeypatch):
     """A data verb goes through the admission queue's workers when admission

@@ -252,9 +252,9 @@ class TestShelvesLargerThanAFrame:
         assert sum(size > blob_bytes for size in frame_sizes) >= 14  # paged both ways
 
     def test_get_chunks_past_the_budget_is_paged_not_refused(self, monkeypatch):
-        from repro.rpc import server as server_module
+        from repro.rpc import ops as ops_module
 
-        monkeypatch.setattr(server_module, "BLOB_BUDGET_BYTES", 4096)
+        monkeypatch.setattr(ops_module, "BLOB_BUDGET_BYTES", 4096)
         with live_cluster() as cluster:
             store = cluster.store
             chunks = [(f"p{i}", bytes([i]) * 1500) for i in range(10)]
