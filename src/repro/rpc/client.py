@@ -42,7 +42,7 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, SendPlan
-from repro.rpc.framing import default_codec_name, frame_parts, get_codec, read_frame_codec
+from repro.rpc.framing import FrameReader, default_codec_name, frame_parts, get_codec
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.ops import CONTROL_METHODS
 from repro.rpc.overload import BreakerBoard, Deadline, RetryBudget
@@ -106,23 +106,18 @@ def _expire(future: asyncio.Future) -> None:
         future.set_exception(asyncio.TimeoutError())
 
 
-class _Connection:
-    """One reused TCP stream to a peer, multiplexing pipelined calls."""
+class _Connection(FrameReader):
+    """One reused TCP connection to a peer, multiplexing pipelined calls:
+    each reply is matched and delivered from the read callback itself."""
 
-    def __init__(
-        self,
-        node_id: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        injector: Optional[FaultInjector],
-    ) -> None:
+    blob_views = True  # a restored byte's only copy is the caller's join
+
+    def __init__(self, node_id: str, injector: Optional[FaultInjector]) -> None:
+        super().__init__()
         self.node_id = node_id
-        self._reader = reader
-        self._writer = writer
         self._injector = injector
         self.pending: dict[str, _Pending] = {}
         self.closed = False
-        self._reader_task = asyncio.create_task(self._read_loop())
 
     # -- sending -------------------------------------------------------- #
 
@@ -131,44 +126,34 @@ class _Connection:
         the caller waits for the reply, nobody for the drain. An injected
         delay calls this (or :meth:`_deliver`) from a timer, racing the
         attempt's timeout as on a real wire; closed, both do nothing."""
-        try:
-            if not self.closed:
-                self._writer.writelines(frame)
-        except OSError:
-            # A failed write surfaces as a timeout/connection error on the
-            # waiting call; the reader loop tears the connection down.
-            pass
+        if not self.closed:
+            self.transport.writelines(frame)
 
     # -- receiving ------------------------------------------------------ #
 
-    async def _read_loop(self) -> None:
-        error: RpcError
-        try:
-            while True:
-                frame = await read_frame_codec(self._reader)
-                if frame is None:
-                    error = RpcConnectionError(self.node_id, "peer closed the connection")
-                    break
-                response = Response.from_wire(frame[1])
-                pending = self.pending.get(response.msg_id)
-                if pending is None:
-                    continue  # duplicate or stale (already-answered) response
-                if self._injector is not None:
-                    if self._injector.should_drop_response(pending.src, self.node_id):
-                        continue  # the network ate the reply; the call will retry
-                    delay_s = self._injector.response_delay(pending.src, self.node_id)
-                    if delay_s > 0:
-                        asyncio.get_running_loop().call_later(
-                            delay_s, self._deliver, pending, response
-                        )
-                        continue
-                self._deliver(pending, response)
-        except (OSError, FrameError) as exc:
-            error = RpcConnectionError(self.node_id, str(exc))
-        except asyncio.CancelledError:
-            error = RpcConnectionError(self.node_id, "client closed")
-        self._fail_all(error)
-        self._writer.close()  # a dead connection is replaced, never closed by its owner
+    def frame_received(self, codec, message) -> None:
+        response = Response.from_wire(message)
+        pending = self.pending.get(response.msg_id)
+        if pending is None:
+            return  # duplicate or stale (already-answered) response
+        if self._injector is not None:
+            if self._injector.should_drop_response(pending.src, self.node_id):
+                return  # the network ate the reply; the call will retry
+            delay_s = self._injector.response_delay(pending.src, self.node_id)
+            if delay_s > 0:
+                asyncio.get_running_loop().call_later(delay_s, self._deliver, pending, response)
+                return
+        self._deliver(pending, response)
+
+    def frame_error(self, exc: FrameError) -> None:
+        # A dead connection is replaced, never closed by its owner.
+        self._fail_all(RpcConnectionError(self.node_id, str(exc)))
+        self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        reason = "peer closed the connection" if exc is None else str(exc)
+        self._fail_all(RpcConnectionError(self.node_id, reason))
 
     def _deliver(self, pending: _Pending, response: Response) -> None:
         if not self.closed and not pending.future.done():
@@ -184,14 +169,9 @@ class _Connection:
     # -- lifecycle ------------------------------------------------------ #
 
     async def close(self) -> None:
-        self.closed = True
-        self._reader_task.cancel()
-        await asyncio.gather(self._reader_task, return_exceptions=True)
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
+        self._fail_all(RpcConnectionError(self.node_id, "client closed"))
+        self.transport.close()
+        await self.lost
 
 
 class RpcClient:
@@ -263,10 +243,12 @@ class RpcClient:
             except KeyError:
                 raise RpcConnectionError(dst, "unknown node (no address)") from None
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                _, conn = await asyncio.get_running_loop().create_connection(
+                    lambda: _Connection(dst, self.fault_injector), host, port
+                )
             except OSError as exc:
                 raise RpcConnectionError(dst, str(exc)) from None
-            conn = self._conns[dst] = _Connection(dst, reader, writer, self.fault_injector)
+            self._conns[dst] = conn
             return conn
         finally:
             del self._connecting[dst]

@@ -128,15 +128,23 @@ class Response:
 
     @staticmethod
     def from_wire(obj: Any) -> "Response":
+        """``FrameError`` unless the envelope is well-typed: a hostile reply
+        costs its connection, never the client's reader."""
         try:
             if obj["kind"] != "resp":
                 raise FrameError(f"expected a response, got kind {obj['kind']!r}")
-            return Response(
-                msg_id=obj["id"],
-                ok=bool(obj["ok"]),
-                result=obj.get("result"),
-                error=obj.get("error"),
-                blobs=tuple(obj.get("blobs") or ()),
+            response = Response(
+                obj["id"], obj["ok"], obj.get("result"), obj.get("error"), obj.get("blobs", ())
             )
         except (KeyError, TypeError) as exc:
-            raise FrameError(f"malformed response frame: {obj!r}") from exc
+            raise FrameError(f"malformed response frame: {obj!r:.200}") from exc
+        error = response.error
+        if (
+            type(response.msg_id) is str
+            and type(response.ok) is bool
+            and (error is None or type(error) is dict and error.keys() == {"type", "message"}
+                 and type(error["type"]) is type(error["message"]) is str)
+            and type(response.blobs) is tuple
+        ):
+            return response
+        raise FrameError(f"malformed response envelope: {obj!r:.200}")

@@ -7,6 +7,8 @@ tombstone]``, a token bound as a decimal string (tokens live in ``[0,
 2**127)``, past msgpack's ints). Payloads ride in the blob section, named
 by ``fingerprints`` going in and ``found`` coming out; a reply stops at
 ``BLOB_BUDGET_BYTES``, and ``scanned`` says how far down the asked list it got.
+A ``get_chunks`` payload may come back as a read-only ``memoryview`` of its
+reply frame (:class:`~repro.rpc.framing.FrameReader`); ``chunk_dump`` copies.
 """
 
 from __future__ import annotations
@@ -121,7 +123,15 @@ def _read_rows(result, blobs) -> dict:
 
 
 def _read_page(result, blobs) -> tuple[dict, int]:
-    return dict(zip(result["found"], blobs)), result["scanned"]
+    scanned = result["scanned"]
+    if type(scanned) is not int:
+        raise TypeError(f"scanned is {scanned!r:.40}")
+    return dict(zip(result["found"], blobs, strict=True)), scanned
+
+
+def _read_dump(result, blobs) -> tuple[dict, int]:
+    # A dumped shelf is re-shelved elsewhere: copies, not views of the reply.
+    return _read_page(result, tuple(map(bytes, blobs)))
 
 
 def _multi_put(server, blobs, entries):
@@ -177,7 +187,7 @@ OPS: dict[str, Op] = {op.name: op for op in (
        lambda s, b: ({"fingerprints": s.node.chunk_keys()}, ()), lambda r, b: r["fingerprints"],
        control=True),
     Op("chunk_dump", (FINGERPRINTS,),
-       lambda s, b, fingerprints: _page(s.node.chunk_dump, fingerprints), _read_page,
+       lambda s, b, fingerprints: _page(s.node.chunk_dump, fingerprints), _read_dump,
        blobs="reply", control=True),
     Op("merkle_tree", (DEPTH,),
        _merkle_tree, lambda r, b: MerkleTree(r["depth"], tuple(r["leaves"]), r["root"]),

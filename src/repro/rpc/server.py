@@ -43,9 +43,14 @@ Three carve-outs keep the semantics honest:
   retry of the same correlation id must get a fresh admission decision,
   not a replayed "busy".
 
-Responses from workers may complete out of submission order; that is safe
-(the client matches by correlation id) but concurrent frame writes are
-not, so each connection serializes writes behind a lock.
+Each connection is a :class:`~repro.rpc.framing.FrameReader`. With no
+admission queue and no fault injector nothing on a request's path awaits,
+so it is served inline, from the read callback, as its frame completes;
+otherwise the connection's frames go, in arrival order, to one task that
+routes them. A reply is one ``writelines``, so replies from workers may
+interleave in any order (the client matches by correlation id) but never
+within a frame. While a connection's write buffer is over the transport's
+high-water mark the server stops reading from it.
 
 Every request gets exactly one reply: a bad request is answered as
 ``ValueError`` (counted in ``errors``), a failure no verb declares as
@@ -69,7 +74,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, InternalError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import read_frame_codec, write_frame
+from repro.rpc.framing import FrameReader, frame_parts
 from repro.rpc.messages import Request, Response
 from repro.rpc.ops import CONTROL_METHODS, OPS
 from repro.rpc.overload import AdmissionController
@@ -128,7 +133,7 @@ class NodeServer:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._seen: OrderedDict[str, Response] = OrderedDict()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._conns: set[_ServerConnection] = set()
         self.address: Optional[tuple[str, int]] = None
         # Per-node seed from crc32, not str(hash): stable across processes,
         # so chaos runs replay identical shedding.
@@ -163,8 +168,8 @@ class NodeServer:
         (host, port). Port 0 lets the OS pick."""
         if self._server is not None:
             raise RuntimeError(f"server for {self.node_id!r} already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.spec.host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), self.spec.host, port
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -181,12 +186,14 @@ class NodeServer:
         close the replica's WAL (its files stay for a restart)."""
         if self._server is not None:
             self._server.close()
+            conns = list(self._conns)
+            for conn in conns:
+                conn.transport.abort()
             await self._server.wait_closed()
-            pending = list(self._conn_tasks) + self._workers
-            for task in pending:
+            tasks = self._workers + [conn._task for conn in conns if conn._task is not None]
+            for task in tasks:
                 task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await asyncio.gather(*tasks, *(conn.lost for conn in conns), return_exceptions=True)
             self._workers = []
             self._queue = None
             self._depth = 0
@@ -195,51 +202,10 @@ class NodeServer:
             self.node.wal.close()
 
     # ------------------------------------------------------------------ #
-    # connection handling
+    # serving
     # ------------------------------------------------------------------ #
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        # Workers interleave responses from many requests on this stream;
-        # the lock keeps each frame write atomic (ordering is irrelevant —
-        # the client matches responses by correlation id).
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    frame = await read_frame_codec(reader)
-                    if frame is None:
-                        break
-                    codec, obj = frame
-                    request = Request.from_wire(obj)
-                except FrameError:
-                    self.stats.frame_errors += 1
-                    break  # protocol violation: drop the connection
-                received = time.perf_counter()
-                await self._serve(request, codec, writer, write_lock, received)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _serve(
-        self,
-        request: Request,
-        codec,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        received: float,
-    ) -> None:
+    async def _serve(self, request: Request, codec, conn, received: float) -> None:
         """Route one frame: replay/control inline, data plane through
         admission + the worker queue (when admission is configured)."""
         if (
@@ -247,7 +213,7 @@ class NodeServer:
             or request.method in CONTROL_METHODS
             or request.msg_id in self._seen
         ):
-            await self._execute(request, codec, writer, write_lock, received)
+            await self._execute(request, codec, conn, received)
             return
         if not self.admission.decide(self._depth):
             self.stats.shed += 1
@@ -256,80 +222,54 @@ class NodeServer:
             )
             # Deliberately NOT cached: a retry of this id deserves a fresh
             # admission decision, not a replayed "busy".
-            await self._write_response(codec, writer, write_lock, response)
+            conn.reply(codec, response)
             return
         self._depth += 1
         assert self._queue is not None
-        self._queue.put_nowait((request, codec, writer, write_lock, received))
+        self._queue.put_nowait((request, codec, conn, received))
 
     async def _worker(self) -> None:
         assert self._queue is not None
         while True:
-            request, codec, writer, write_lock, received = await self._queue.get()
+            request, codec, conn, received = await self._queue.get()
             try:
-                await self._execute(request, codec, writer, write_lock, received)
-            except asyncio.CancelledError:
-                raise
-            except Exception:
-                # A wedged response write must not kill the drain loop.
-                pass
+                await self._execute(request, codec, conn, received)
             finally:
                 self._depth -= 1
                 self._queue.task_done()
 
-    async def _execute(
-        self,
-        request: Request,
-        codec,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        received: float,
-    ) -> None:
-        # Expired-in-queue work is dropped, not executed: the client has
-        # already given up, so serving it only steals capacity from calls
-        # that can still make their deadlines. Replays are exempt (the
-        # answer is free) and the wait is measured locally from the frame's
-        # receipt — deadline_s is a duration, so no clock sync is assumed.
-        if (
-            request.deadline_s is not None
-            and request.msg_id not in self._seen
-            and time.perf_counter() - received >= request.deadline_s
-        ):
-            self.stats.deadline_drops += 1
-            response = Response.failure(
-                request.msg_id,
-                DeadlineExceededError(
-                    f"node {self.node_id!r} dropped {request.method!r}: "
-                    f"deadline ({request.deadline_s:.3f}s) expired in queue"
-                ),
-            )
-            await self._write_response(codec, writer, write_lock, response)
-            return
-        if self.fault_injector is not None and request.method not in CONTROL_METHODS:
-            slow_s = self.fault_injector.plan_serve(self.node_id)
-            if slow_s > 0:
-                await asyncio.sleep(slow_s)  # gray failure: serve, but late
-        response = self._dispatch(request)
-        await self._write_response(codec, writer, write_lock, response)
+    async def _execute(self, request: Request, codec, conn, received: float) -> None:
+        response = self._expired(request, received)
+        if response is None:
+            if self.fault_injector is not None and request.method not in CONTROL_METHODS:
+                slow_s = self.fault_injector.plan_serve(self.node_id)
+                if slow_s > 0:
+                    await asyncio.sleep(slow_s)  # gray failure: serve, but late
+            response = self._dispatch(request)
+        conn.reply(codec, response)
 
-    async def _write_response(
-        self,
-        codec,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: Response,
-    ) -> None:
-        try:
-            async with write_lock:
-                try:
-                    await write_frame(writer, response.to_wire(), codec, response.blobs)
-                except FrameError as exc:
-                    # Nothing was written: the reply is over the frame limit.
-                    # The caller gets a typed error, not a dead connection.
-                    failure = Response.failure(response.msg_id, exc)
-                    await write_frame(writer, failure.to_wire(), codec)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # peer went away; its retry will reconnect
+    def _expired(self, request: Request, received: float) -> Optional[Response]:
+        """The drop reply for work whose deadline expired in queue, else None.
+
+        Expired-in-queue work is dropped, not executed: the client has
+        already given up, so serving it only steals capacity from calls
+        that can still make their deadlines. Replays are exempt (the
+        answer is free) and the wait is measured locally from the frame's
+        receipt — deadline_s is a duration, so no clock sync is assumed."""
+        if (
+            request.deadline_s is None
+            or request.msg_id in self._seen
+            or time.perf_counter() - received < request.deadline_s
+        ):
+            return None
+        self.stats.deadline_drops += 1
+        return Response.failure(
+            request.msg_id,
+            DeadlineExceededError(
+                f"node {self.node_id!r} dropped {request.method!r}: "
+                f"deadline ({request.deadline_s:.3f}s) expired in queue"
+            ),
+        )
 
     def _dispatch(self, request: Request) -> Response:
         started = time.perf_counter()
@@ -345,7 +285,9 @@ class NodeServer:
     def _dispatch_inner(self, request: Request, rec) -> Response:
         method = request.method
         self.stats.requests += 1
-        self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
+        op = OPS.get(method)
+        if op is not None:  # a peer's junk names add no series; they count in errors
+            self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
         cached = self._seen.get(request.msg_id)
         if cached is not None:
             self._seen.move_to_end(request.msg_id)
@@ -353,7 +295,6 @@ class NodeServer:
             if rec is not None:
                 rec.attrs["replay"] = True
             return cached
-        op = OPS.get(method)
         try:
             if op is None:
                 raise FrameError(f"unknown method {method!r}")
@@ -377,3 +318,80 @@ class NodeServer:
             while len(self._seen) > IDEMPOTENCY_CAPACITY:
                 self._seen.popitem(last=False)
         return response
+
+
+class _ServerConnection(FrameReader):
+    """One client's connection to a :class:`NodeServer`."""
+
+    def __init__(self, server: NodeServer) -> None:
+        super().__init__()
+        self.server = server
+        self._backlog: Optional[asyncio.Queue] = None  # frames for the task
+        self._task: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.server._conns.add(self)
+        self.server.stats.connections += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        self.server._conns.discard(self)
+        if self._task is not None:
+            self._task.cancel()
+
+    def frame_received(self, codec, message) -> None:
+        request = Request.from_wire(message)
+        received = time.perf_counter()
+        server = self.server
+        if self._task is None and server.admission is None and server.fault_injector is None:
+            self.reply(codec, server._expired(request, received) or server._dispatch(request))
+            return
+        if self._task is None:
+            self._backlog = asyncio.Queue()
+            self._task = asyncio.get_running_loop().create_task(self._serve_backlog())
+        self._backlog.put_nowait((request, codec, received))
+
+    async def _serve_backlog(self) -> None:
+        while (item := await self._backlog.get()) is not None:
+            request, codec, received = item
+            await self.server._serve(request, codec, self, received)
+        self.transport.close()
+
+    def frame_error(self, exc: FrameError) -> None:
+        self.server.stats.frame_errors += 1  # a protocol violation drops the connection
+        self._finish()
+
+    def eof_received(self) -> bool:
+        super().eof_received()
+        self._finish()
+        return True
+
+    def _finish(self) -> None:
+        """Close once every frame already read is answered."""
+        if self._task is None:
+            self.transport.close()
+        else:
+            self._backlog.put_nowait(None)
+
+    def reply(self, codec, response: Response) -> None:
+        if self.transport.is_closing():
+            return  # peer went away; its retry will reconnect
+        try:
+            parts = frame_parts(response.to_wire(), codec, response.blobs)
+        except FrameError as exc:
+            # The reply is over the frame limit: the caller gets a typed
+            # error, not a dead connection.
+            parts = frame_parts(Response.failure(response.msg_id, exc).to_wire(), codec)
+        self.transport.writelines(parts)
+
+    # Backpressure: a peer that does not read its replies is not read.
+    def pause_writing(self) -> None:
+        self._paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._parse()  # frames read before the pause
+        if not self._paused:
+            self.transport.resume_reading()

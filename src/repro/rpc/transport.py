@@ -18,7 +18,7 @@ from typing import Awaitable, Optional
 from repro.kvstore.errors import NodeDownError
 from repro.kvstore.transport import ReplicaTransport
 from repro.rpc.client import RpcClient
-from repro.rpc.errors import RpcError
+from repro.rpc.errors import FrameError, RpcError
 from repro.rpc.framing import BLOB_BUDGET_BYTES
 from repro.rpc.ops import OPS
 
@@ -42,7 +42,10 @@ class AsyncioTransport(ReplicaTransport):
         """``method(*args)`` on ``node_id``, built and read by its op."""
         op = OPS[method]
         reply = await self.client.request(node_id, method, op.params(*args), src=src, blobs=blobs)
-        return op.read(reply.result, reply.blobs)
+        try:
+            return op.read(reply.result, reply.blobs)
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+            raise FrameError(f"malformed {method} reply from {node_id!r}: {exc}") from None
 
     async def multi_get(self, node_id, keys, src=None):
         return await self._call(node_id, "multi_get", keys, src=src)
@@ -78,6 +81,8 @@ class AsyncioTransport(ReplicaTransport):
         out: dict[str, Optional[bytes]] = dict.fromkeys(fingerprints)
         while fingerprints:
             found, scanned = await self._call(node_id, method, fingerprints)
+            if not 0 < scanned <= len(fingerprints):
+                raise FrameError(f"{method} reply from {node_id!r} scanned {scanned}")
             out.update(found)
             fingerprints = fingerprints[scanned:]
         return out

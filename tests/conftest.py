@@ -12,6 +12,7 @@ from repro.core.model import ChunkPoolModel, SourceSpec, grouped_sources
 from repro.network.costmatrix import latency_cost_matrix
 from repro.network.topology import build_testbed
 from repro.rpc import CallPolicy, LiveKVCluster, NodeServer, NodeSpec, RetryPolicy
+from repro.rpc.framing import FrameReader
 
 # Members of the live rings the transport tests boot.
 NODE_IDS = ["n0", "n1", "n2"]
@@ -35,6 +36,39 @@ def live_cluster(
         fault_injector=fault_injector,
         tracer=tracer,
     )
+
+
+class Frames(FrameReader):
+    """A :class:`FrameReader` that keeps every message it parses; a
+    ``FrameError`` propagates out of :meth:`feed`."""
+
+    def __init__(self, blob_views: bool = False) -> None:
+        super().__init__()
+        self.blob_views = blob_views
+        self.messages: list = []
+
+    def frame_received(self, codec, message) -> None:
+        self.messages.append(message)
+
+    def feed(self, data: bytes, cuts=()) -> None:
+        """Deliver ``data`` as a connection would, in reads ending at
+        ``cuts`` and wherever the reader's buffer fills."""
+        pos = 0
+        for stop in sorted({*(c for c in cuts if 0 < c < len(data)), len(data)}):
+            while pos < stop:
+                buf = self.get_buffer(-1)
+                n = min(len(buf), stop - pos)
+                buf[:n] = data[pos : pos + n]
+                self.buffer_updated(n)
+                pos += n
+
+
+def parse_frames(data: bytes, cuts=(), blob_views: bool = False) -> list:
+    """Every message :class:`Frames` yields from ``data`` followed by EOF."""
+    frames = Frames(blob_views)
+    frames.feed(data, cuts)
+    frames.eof_received()
+    return frames.messages
 
 
 def pytest_configure(config):

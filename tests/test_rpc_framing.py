@@ -1,7 +1,6 @@
 """Tests for the RPC wire layer: codecs, length-prefixed frames, envelopes,
 retry schedules, and the fault injector's rule engine."""
 
-import asyncio
 import random
 import struct
 
@@ -15,6 +14,7 @@ from repro.rpc.framing import (
     BLOB_BUDGET_BYTES,
     BLOB_FLAG,
     MAX_FRAME_BYTES,
+    STAGE_BYTES,
     JsonCodec,
     available_codecs,
     decode_frame,
@@ -22,10 +22,11 @@ from repro.rpc.framing import (
     encode_frame,
     frame_parts,
     get_codec,
-    read_frame,
 )
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.retry import RetryPolicy
+
+from tests.conftest import Frames, parse_frames
 
 
 class TestCodecs:
@@ -86,32 +87,14 @@ class TestFrames:
         assert (first, second) == ({"i": 1}, {"i": 2})
 
 
-class TestAsyncReadFrame:
-    def _reader_with(self, data: bytes) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return reader
-
+class TestFrameReader:
     def test_reads_stream_of_frames(self):
-        async def run():
-            reader = self._reader_with(
-                encode_frame({"i": 1}) + encode_frame({"i": 2})
-            )
-            assert await read_frame(reader) == {"i": 1}
-            assert await read_frame(reader) == {"i": 2}
-            assert await read_frame(reader) is None  # clean EOF
-
-        asyncio.run(run())
+        data = encode_frame({"i": 1}) + encode_frame({"i": 2})
+        assert parse_frames(data) == [{"i": 1}, {"i": 2}]  # then a clean EOF
 
     def test_eof_mid_frame_is_an_error(self):
-        async def run():
-            reader = self._reader_with(encode_frame({"i": 1})[:-2])
-            with pytest.raises(FrameError):
-                await read_frame(reader)
-
-        asyncio.run(run())
-
+        with pytest.raises(FrameError, match="mid-frame"):
+            parse_frames(encode_frame({"i": 1})[:-2])
 
 class TestEnvelopes:
     def test_request_roundtrip(self):
@@ -277,18 +260,11 @@ def blob_frame(header: bytes, section: bytes = b"", codec_byte: int = 0x80) -> b
 
 
 def read_all(data: bytes) -> list:
-    """Every message ``read_frame`` yields from a stream holding ``data``."""
-
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        out = []
-        while (obj := await read_frame(reader)) is not None:
-            out.append(obj)
-        return out
-
-    return asyncio.run(run())
+    """Every message the connection reader yields from a stream holding
+    ``data``, delivered whole and again a byte per read."""
+    messages = parse_frames(data)
+    assert parse_frames(data, cuts=range(len(data))) == messages
+    return messages
 
 
 class TestGoldenBytes:
@@ -433,20 +409,13 @@ class TestBlobFrames:
         assert BLOB_BUDGET_BYTES * 2 <= MAX_FRAME_BYTES
 
     def test_oversize_refused_on_read_before_the_body(self):
-        """The length prefix alone condemns the frame: ``read_frame`` never
-        asks the stream for the body, so nothing is allocated for it."""
-
-        class HeaderOnly:
-            asked: list = []
-
-            async def readexactly(self, n):
-                self.asked.append(n)
-                return struct.pack(">I", MAX_FRAME_BYTES + 1)
-
-        stream = HeaderOnly()
+        """The length prefix alone condemns the frame: the reader never
+        asks the connection for the body, so nothing is allocated for it."""
+        frames = Frames()
+        header = struct.pack(">I", MAX_FRAME_BYTES + 1)
         with pytest.raises(FrameError, match="bad frame body length"):
-            asyncio.run(read_frame(stream))
-        assert stream.asked == [4]
+            frames.feed(header)
+        assert len(frames.get_buffer(-1)) == STAGE_BYTES  # still the stage
         with pytest.raises(FrameError, match="exceeds limit"):
             decode_frame(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"\x80")
 
@@ -460,3 +429,123 @@ class TestBlobFrames:
         assert Response.from_wire(decoded) == Response.success("id-1", {"found": ["a"]}, (b"A",))
         with pytest.raises(FrameError):  # un-flagged frame smuggling a non-sequence
             Request.from_wire({**wire, "kind": "req", "method": "m", "blobs": 5})
+
+
+# --------------------------------------------------------------------- #
+# The connection reader: frames decoded in place from a staging buffer
+# --------------------------------------------------------------------- #
+
+# Whole-frame sizes around the stage: tiny, just under, exactly, just over
+# and twice it (only JSON hits them to the byte).
+FRAME_SIZES = [40, STAGE_BYTES - 1, STAGE_BYTES, STAGE_BYTES + 1, 2 * STAGE_BYTES + 3]
+BLOB_SIZES = [0, 7, 1000, STAGE_BYTES - 300, STAGE_BYTES + 5]
+
+
+def sized_frame(i: int, codec, size: int, blob_sizes: list) -> tuple[dict, bytes]:
+    """Message ``i`` and its frame: padded to ``size`` bytes without blobs,
+    else carrying blobs of ``blob_sizes``."""
+    blobs = [bytes([i % 251]) * n for n in blob_sizes]
+    message = {"id": f"m{i}", "pad": ""}
+    if not blobs:
+        message["pad"] = "x" * max(0, size - len(encode_frame(message, codec)))
+    frame = encode_frame(message, codec, blobs)
+    return ({**message, "blobs": tuple(blobs)} if blobs else message), frame
+
+
+class TestFrameReaderSplits:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sampled_from(CODECS),
+                st.sampled_from(FRAME_SIZES),
+                st.lists(st.sampled_from(BLOB_SIZES), max_size=3),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        data=st.data(),
+    )
+    def test_any_split_yields_exactly_the_encoded_messages(self, specs, data):
+        built = [
+            sized_frame(i, get_codec(codec), size, blob_sizes)
+            for i, (codec, size, blob_sizes) in enumerate(specs)
+        ]
+        stream = b"".join(frame for _, frame in built)
+        cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=12))
+        views = data.draw(st.booleans())
+        assert parse_frames(stream, cuts, blob_views=views) == [m for m, _ in built]
+
+    def test_exact_sizes_cross_the_stage_boundary(self):
+        for size in FRAME_SIZES[1:4]:
+            message, frame = sized_frame(0, JsonCodec, size, [])
+            assert len(frame) == size
+            assert parse_frames(frame + frame, cuts=[3, size - 1, size + 5]) == [message] * 2
+
+    def test_only_a_frame_past_the_stage_hands_out_views(self):
+        small = encode_frame({"id": "s"}, JsonCodec, [b"abc", b"de"])
+        big_blob = bytes(range(256)) * (STAGE_BYTES // 256)
+        big = encode_frame({"id": "b"}, JsonCodec, [b"abc", big_blob])
+        staged, own = parse_frames(small + big, blob_views=True)
+        assert all(type(blob) is bytes for blob in staged["blobs"])
+        assert own["blobs"] == (b"abc", big_blob)
+        assert all(type(blob) is memoryview and blob.readonly for blob in own["blobs"])
+        assert own["blobs"][0].obj is own["blobs"][1].obj  # one buffer, no copies
+        _, own_copied = parse_frames(small + big)
+        assert all(type(blob) is bytes for blob in own_copied["blobs"])
+
+
+def _hostile_frames() -> dict[str, bytes]:
+    put = encode_frame({"id": "h", "method": "put_chunks"}, JsonCodec, [b"abc"])
+    cases = {
+        "zero length": struct.pack(">I", 0),
+        "oversize length": b"\xff\xff\xff\xff" + b"x" * 16,
+        "unknown codec id": encode_frame({"k": "v"})[:4] + b"\xfa" + encode_frame({"k": "v"})[5:],
+        "undecodable payload": struct.pack(">I", 4) + b"\x00{{{",
+        "short header": b"\x00\x00",
+        "truncated": put[:-1],
+        "unknown codec behind the flag": blob_frame(b'{"blobs":[]}', codec_byte=0x80 | 122),
+        "blob header overruns": blob_frame(b'{"blobs":[]}')[:5] + struct.pack(">I", 13)
+        + blob_frame(b'{"blobs":[]}')[9:],
+        "blob frame too short": struct.pack(">I", 3) + b"\x80\x00\x00",
+        "blob lengths do not add up": put.replace(b'"blobs":[3]', b'"blobs":[9]'),
+        "header is not a message": blob_frame(b"[3]", b"abc"),
+        "header has no lengths": blob_frame(b'{"id":"q"}', b"abc"),
+        # The same violations in frames too big for the stage.
+        "big lengths do not add up": blob_frame(
+            b'{"blobs":[%d]}' % (STAGE_BYTES + 1), b"x" * STAGE_BYTES
+        ),
+        "big undecodable": struct.pack(">I", STAGE_BYTES + 1) + b"\x00" + b"{" * STAGE_BYTES,
+        "big truncated": encode_frame({"id": "t"}, JsonCodec, [b"y" * STAGE_BYTES])[:-1],
+    }
+    for lengths in ("[-1, 4]", "[1.5, 1.5]", "[true, 2]", '["3"]', "null", '{"0": 3}'):
+        cases[f"blob lengths {lengths}"] = blob_frame(
+            b'{"id":"q","blobs":%s}' % lengths.encode(), b"abc"
+        )
+    return cases
+
+
+HOSTILE = _hostile_frames()
+
+
+class TestFrameReaderRefuses:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_every_hostile_frame_is_a_frame_error(self, name):
+        hostile = HOSTILE[name]
+        good = encode_frame({"id": "ok"})
+        for cuts in ((), range(0, len(hostile) + len(good), 997), (len(good) + 2,)):
+            with pytest.raises(FrameError):
+                parse_frames(good + hostile, cuts)
+
+    def test_nothing_is_parsed_after_the_error(self):
+        received = []
+
+        class Once(Frames):
+            def frame_error(self, exc):
+                received.append(exc)
+
+        frames = Once()
+        frames.feed(encode_frame({"i": 1}) + HOSTILE["zero length"] + encode_frame({"i": 2}))
+        frames.feed(encode_frame({"i": 3}))
+        frames.eof_received()
+        assert frames.messages == [{"i": 1}] and len(received) == 1

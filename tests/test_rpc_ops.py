@@ -22,14 +22,17 @@ from hypothesis import strategies as st
 from repro.kvstore.errors import KVStoreError
 from repro.kvstore.replica import Replica
 from repro.rpc import ops
-from repro.rpc.errors import FrameError
-from repro.rpc.framing import available_codecs, encode_frame, get_codec, read_frame
-from repro.rpc.messages import Request
+from repro.rpc.client import RpcClient
+from repro.rpc.errors import FrameError, RpcConnectionError, RpcError
+from repro.rpc.framing import available_codecs, decode_frame, encode_frame, get_codec
+from repro.rpc.messages import Request, Response
 from repro.rpc.ops import OPS
+from repro.rpc.retry import RetryPolicy
 from repro.rpc.server import NodeServer
-from repro.rpc.settings import NodeSpec
+from repro.rpc.settings import CallPolicy, NodeSpec
+from repro.rpc.transport import AsyncioTransport
 
-from tests.conftest import live_cluster
+from tests.conftest import Frames, live_cluster
 
 DOC = Path(__file__).resolve().parents[1] / "docs" / "architecture.md"
 ROW = ["k", "v", 1, False]
@@ -262,13 +265,13 @@ async def _exchange(address, frame, codec_name="json"):
         ping = encode_frame(Request("after", "ping").to_wire(), get_codec(codec_name))
         writer.write(frame + ping)
         await writer.drain()
-        replies = []
-        while len(replies) < 2:
-            reply = await asyncio.wait_for(read_frame(reader), 5)
-            if reply is None:
+        replies = Frames()
+        while len(replies.messages) < 2:
+            data = await asyncio.wait_for(reader.read(1 << 16), 5)
+            if not data:
                 break
-            replies.append(reply)
-        return replies
+            replies.feed(data)
+        return replies.messages
     finally:
         writer.close()
         await writer.wait_closed()
@@ -324,6 +327,131 @@ def test_a_hostile_client_gets_one_reply_per_request_and_moves_only_valid_state(
 
         one_request()
         assert server.stats.internal_errors == 0
+
+
+def test_junk_method_names_add_no_by_method_series():
+    """Regression: every distinct unknown name used to add a ``by_method``
+    key, exported by the ``stats`` verb; they count in ``errors`` now."""
+    with live_cluster(["n0"]) as cluster:
+        server = cluster.servers["n0"]
+        before, errors = dict(server.stats.by_method), server.stats.errors
+
+        async def junk():
+            calls = (cluster.client.call("n0", f"junk{i}") for i in range(1000))
+            return await asyncio.gather(*calls, return_exceptions=True)
+
+        replies = cluster._run(junk())
+        assert {type(reply).__name__ for reply in replies} == {"RemoteCallError"}
+        assert server.stats.by_method == before
+        assert server.stats.errors == errors + 1000
+
+
+# -- hostile replies: a malformed one costs its connection, never the peer ---- #
+
+PING_REPLY = {"node": "p", "up": True}
+BAD_REPLIES = {
+    "id is a map": {"id": {}},
+    "ok is a word": {"ok": "yes"},
+    "error is a string": {"ok": False, "error": "boom"},
+    "error type is an int": {"ok": False, "error": {"type": 1, "message": ""}},
+    "error has extra keys": {"ok": False, "error": {"type": "E", "message": "", "x": 1}},
+    "blobs outside the blob section": {"blobs": ["x"]},
+    "a request, not a reply": {"kind": "req"},
+}
+
+
+async def _peer(answers):
+    """A loopback peer that answers each request with the next of
+    ``answers`` — ``(request, reply wire) -> (reply wire, blobs)`` — and,
+    when they run out, as a well-behaved node would answer a ping."""
+    answers = list(answers)
+
+    async def serve(reader, writer):
+        try:
+            while True:
+                head = await reader.readexactly(4)
+                body = await reader.readexactly(int.from_bytes(head, "big"))
+                request, _ = decode_frame(head + body)
+                wire = Response.success(request["id"], PING_REPLY).to_wire()
+                wire, blobs = answers.pop(0)(request, wire) if answers else (wire, ())
+                writer.write(encode_frame(wire, blobs=blobs))
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(serve, "127.0.0.1", 0)
+
+
+def _against_peer(answers, calls):
+    async def run():
+        peer = await _peer(answers)
+        client = RpcClient(
+            {"p": peer.sockets[0].getsockname()[:2]},
+            CallPolicy(timeout_s=1.0, retry=RetryPolicy(attempts=1)),
+        )
+        try:
+            return [await call(client) for call in calls]
+        finally:
+            await client.close()
+            peer.close()
+            await peer.wait_closed()
+
+    return asyncio.run(run())
+
+
+async def _outcome(call):
+    try:
+        return await call
+    except RpcError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPLIES))
+def test_a_hostile_reply_costs_its_connection_and_the_next_call_succeeds(case):
+    """Regression: a reply whose ``id`` was a map killed the client's
+    reader task and left its connection open, so every later call to the
+    peer timed out even after the peer behaved."""
+
+    def hostile(request, wire):
+        return {**wire, **BAD_REPLIES[case]}, ()
+
+    failed, pinged = _against_peer(
+        [hostile],
+        [lambda c: _outcome(c.call("p", "ping")), lambda c: c.call("p", "ping")],
+    )
+    assert type(failed) is RpcConnectionError
+    assert pinged == PING_REPLY
+
+
+BAD_RESULTS = {
+    "key_count without count": ("key_count", {}, ()),
+    "multi_get row of the wrong arity": ("multi_get", {"entries": {"k": [1, 2, False, 3]}}, ()),
+    "repair_range row of the wrong arity": ("repair_range", {"entries": [["k", "v"]]}, ()),
+    "more found than blobs": ("get_chunks", {"found": ["a", "b"], "scanned": 2}, (b"A",)),
+    "fewer found than blobs": ("get_chunks", {"found": ["a"], "scanned": 1}, (b"A", b"B")),
+    "scanned is a word": ("get_chunks", {"found": [], "scanned": "all"}, ()),
+    "scanned nothing": ("get_chunks", {"found": [], "scanned": 0}, ()),
+    "ping result is a list": ("ping", [], ()),
+}
+ARGS = {"key_count": (), "multi_get": (["k"],), "repair_range": (2, [0]),
+        "get_chunks": (["a", "b"],), "ping": ()}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RESULTS))
+def test_a_reply_its_op_cannot_read_is_a_frame_error(case):
+    method, result, blobs = BAD_RESULTS[case]
+
+    def hostile(request, wire):
+        return {**wire, "result": result}, blobs
+
+    async def verb(client):
+        transport = AsyncioTransport(client)
+        return await _outcome(getattr(transport, method)("p", *ARGS[method]))
+
+    failed, pinged = _against_peer([hostile], [verb, lambda c: c.call("p", "ping")])
+    assert type(failed) is FrameError, failed
+    assert pinged == PING_REPLY
 
 
 # -- the doc's op table is generated from OPS -------------------------------- #

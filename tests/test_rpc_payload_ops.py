@@ -12,6 +12,7 @@ from repro.content import RingContentStore
 from repro.rpc import FaultInjector, RetryPolicy
 from repro.rpc import client as client_module
 from repro.rpc import framing
+from repro.rpc import server as server_module
 from repro.rpc.errors import FrameError, RemoteCallError, RpcError
 from repro.rpc.framing import (
     BLOB_BUDGET_BYTES,
@@ -223,6 +224,7 @@ class TestShelvesLargerThanAFrame:
 
         monkeypatch.setattr(framing, "frame_parts", recording_parts)
         monkeypatch.setattr(client_module, "frame_parts", recording_parts)
+        monkeypatch.setattr(server_module, "frame_parts", recording_parts)
         blob_bytes = 10 * 1024 * 1024
         blobs = {f"big{i}": bytes([i + 1]) * blob_bytes for i in range(7)}  # 70 MiB
         with live_cluster(replication_factor=1, timeout_s=10.0) as cluster:

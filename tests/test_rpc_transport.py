@@ -16,6 +16,7 @@ from repro.rpc import (
     CallPolicy,
     FaultInjector,
     LiveKVCluster,
+    NodeServer,
     NodeSpec,
     Request,
     RetryPolicy,
@@ -26,7 +27,7 @@ from repro.rpc import (
 )
 from repro.rpc.framing import decode_frame, encode_frame
 
-from tests.conftest import FAST_RETRY, NODE_IDS, live_cluster
+from tests.conftest import FAST_RETRY, NODE_IDS, Frames, live_cluster
 
 
 
@@ -363,23 +364,57 @@ class TestClusterLifecycle:
 class TestConnections:
     def test_concurrent_first_calls_share_one_connect(self):
         """Sixteen first calls racing to a fresh peer open one connection;
-        none is orphaned with its reader task still pending after close."""
+        none is orphaned with its transport still open after close."""
 
         async def first_pings(client):
             await asyncio.gather(*(client.ping("n0") for _ in range(16)))
 
-        async def read_loops_pending():
-            return [
-                task for task in asyncio.all_tasks()
-                if "_read_loop" in task.get_coro().__qualname__
-            ]
-
         with live_cluster() as cluster:
             cluster._run(first_pings(cluster.client))
             assert cluster.servers["n0"].stats.connections == 1
-            assert len(cluster.client._conns) == 1
+            conns = list(cluster.client._conns.values())
+            assert len(conns) == 1
             cluster._run(cluster.client.close())
-            assert cluster._run(read_loops_pending()) == []
+            assert all(conn.transport.is_closing() and conn.lost.done() for conn in conns)
+
+    def test_a_peer_that_sends_but_never_reads_stops_being_read(self):
+        """Backpressure: once replies pile up past the transport's
+        high-water mark the server stops reading that peer, so its write
+        buffer stays bounded; when the peer reads, every reply arrives."""
+        requests, payload = 400, b"p" * 65536  # 25 MiB of replies, far past socket buffers
+
+        async def run():
+            server = NodeServer(NodeSpec("n0"))
+            address = await server.start()
+            server.node.put_chunks([("fp", payload)])
+            loop = asyncio.get_running_loop()
+            sock = socket.create_connection(address)
+            sock.setblocking(False)
+            try:
+                await loop.sock_sendall(sock, b"".join(
+                    encode_frame(Request(f"b-{i}", "get_chunks", {"fingerprints": ["fp"]}).to_wire())
+                    for i in range(requests)
+                ))
+                for _ in range(500):
+                    conns = list(server._conns)
+                    if conns and not conns[0].transport.is_reading():
+                        break
+                    await asyncio.sleep(0.01)
+                [conn] = conns
+                assert not conn.transport.is_reading()
+                assert conn.transport.get_write_buffer_size() < 1 << 20
+                received = Frames()
+                while len(received.messages) < requests:
+                    received.feed(await asyncio.wait_for(loop.sock_recv(sock, 1 << 20), 5))
+                assert sorted(m["id"] for m in received.messages) == sorted(
+                    f"b-{i}" for i in range(requests)
+                )
+                assert all(m["blobs"] == (payload,) for m in received.messages)
+            finally:
+                sock.close()
+                await server.stop()
+
+        asyncio.run(run())
 
     def test_a_failed_connect_fails_every_waiter_once(self):
         async def first_pings(client):
