@@ -14,7 +14,7 @@ Run:  python examples/wearable_fleet.py
 """
 
 from repro.chunking import FixedSizeChunker
-from repro.core import CharacteristicEstimator, observe_combinations
+from repro.core.estimation import CharacteristicEstimator, observe_combinations
 from repro.datasets import AccelerometerSource
 from repro.dedup import DedupEngine
 from repro.system import D2Ring, EFDedupConfig

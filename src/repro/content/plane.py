@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -110,7 +111,9 @@ class ContentPlane:
         self.gc = gc if gc is not None else RefcountGC()
         self.spill_mode = spill_mode
         self.stats = PlaneStats()
-        self._rings: dict[str, object] = {}  # ring_id -> D2Ring
+        # ring_id -> D2Ring. Weak: each ring holds the plane, so the plane
+        # must not keep a ring alive (and a closed, dropped ring is gone).
+        self._rings = weakref.WeakValueDictionary()
         # The tier is touched from the spill worker and the caller thread.
         self._tier_lock = threading.Lock()
         self._deferred: list[tuple[str, bytes]] = []

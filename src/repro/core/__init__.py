@@ -1,6 +1,11 @@
 """EF-dedup core: the chunk-pool source model, Theorem 1 dedup ratios, the
 SNOD2 cost model, Algorithm 1 estimation, Algorithm 2 partitioning, and the
-Theorem 2 NP-hardness reduction."""
+Theorem 2 NP-hardness reduction.
+
+The package exports what the data path uses and nothing that needs scipy or
+networkx: Algorithm 1's estimator is imported from ``repro.core.estimation``
+and the Theorem 2 reduction from ``repro.core.nphard``.
+"""
 
 from repro.core.costs import Partition, SNOD2Problem, validate_partition
 from repro.core.dedup_ratio import (
@@ -8,12 +13,6 @@ from repro.core.dedup_ratio import (
     expected_ratio_for_draws,
     expected_unique_chunks,
     raw_chunks,
-)
-from repro.core.estimation import (
-    CharacteristicEstimator,
-    EstimationResult,
-    SubsetObservation,
-    observe_combinations,
 )
 from repro.core.model import ChunkPoolModel, SourceSpec, grouped_sources, uniform_sources
 from repro.core.profiling import PoolLibrary, PoolProfile, SourceMatch, profile_sources
@@ -25,41 +24,27 @@ from repro.core.similarity import (
     estimate_union_size,
     similarity_matrix,
 )
-from repro.core.nphard import (
-    ReductionArtifacts,
-    brute_force_min_k_cut,
-    mincut_to_snod2,
-    snod2_objective_for_vertex_partition,
-)
 
 __all__ = [
-    "CharacteristicEstimator",
     "ChunkPoolModel",
-    "EstimationResult",
     "LSHIndex",
     "MinHashSignature",
     "MinHasher",
     "Partition",
     "PoolLibrary",
     "PoolProfile",
-    "ReductionArtifacts",
     "SNOD2Problem",
     "SourceMatch",
     "SourceSpec",
-    "SubsetObservation",
-    "brute_force_min_k_cut",
     "dedup_ratio",
     "estimate_pair_ratio",
     "estimate_union_size",
     "expected_ratio_for_draws",
     "expected_unique_chunks",
     "grouped_sources",
-    "mincut_to_snod2",
-    "observe_combinations",
     "profile_sources",
     "raw_chunks",
     "similarity_matrix",
-    "snod2_objective_for_vertex_partition",
     "uniform_sources",
     "validate_partition",
 ]

@@ -8,12 +8,11 @@ Each round shrinks the number of partitions by up to a factor (1 − θ/2), so
 the algorithm converges in O(log(N/M)) rounds.
 
 We use networkx's ``min_weight_matching`` (blossom algorithm) on the
-complete graph over current partitions.
+complete graph over current partitions. networkx is imported where the graph
+is built, so loading the partitioners does not load it.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.core.costs import Partition, SNOD2Problem
 from repro.core.partitioning.base import Partitioner
@@ -58,6 +57,8 @@ class MatchingPartitioner(Partitioner):
 
     def _merge_round(self, problem: SNOD2Problem, partitions: Partition) -> Partition:
         """One matching round: match, keep the θ-lightest pairs, merge them."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(len(partitions)))
         for i in range(len(partitions)):

@@ -83,6 +83,11 @@ class AsyncioTransport(ReplicaTransport):
             found, scanned = await self._call(node_id, method, fingerprints)
             if not 0 < scanned <= len(fingerprints):
                 raise FrameError(f"{method} reply from {node_id!r} scanned {scanned}")
+            if not found.keys() <= set(fingerprints[:scanned]):
+                raise FrameError(
+                    f"{method} reply from {node_id!r} names a fingerprint "
+                    f"outside the {scanned} it scanned"
+                )
             out.update(found)
             fingerprints = fingerprints[scanned:]
         return out

@@ -13,8 +13,9 @@ ring of a cluster (like the central cloud store):
 - :class:`SecureStats` tying the crypto cost to the ingest hot path.
 
 The ring integration point is :meth:`claim` / :meth:`seal` /
-:meth:`register` inside :meth:`D2Ring._store_unique_chunks`: a chunk the
-*ring* index called unique first claims against the deployment-wide key
+:meth:`register` inside the ring's unique sink,
+:func:`repro.system.ring._store_unique_chunks`: a chunk the *ring* index
+called unique first claims against the deployment-wide key
 index — a proven hit means some other ring already uploaded the identical
 ciphertext, so the WAN upload is skipped entirely (cross-ring dedup the
 accounting cloud would otherwise count as redundant received bytes). A

@@ -33,6 +33,11 @@ from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
 
 
+class ClusterClosedError(RuntimeError):
+    """A durable cluster was asked to deploy after its shutdown closed the
+    refcount journal and content plane its rings would write through."""
+
+
 class EFDedupCluster:
     """A planned-and-deployed EF-dedup system over an edge topology.
 
@@ -130,7 +135,13 @@ class EFDedupCluster:
 
         Required when ``config.transport == "asyncio"`` (live rings hold
         sockets and an event-loop thread); a harmless no-op for in-process
-        rings. The cluster can be re-deployed afterwards.
+        rings. This cluster can be re-deployed afterwards; a durable
+        cluster's shutdown is final (:meth:`DurableEFDedupCluster.shutdown`).
+
+        Nothing the cluster built is left in a reference cycle: once the
+        last outside reference is dropped, reference counting frees the
+        cluster, its rings, their stores, replicas and node servers at
+        once, without waiting for the cyclic collector.
         """
         for ring in self.rings:
             ring.close()
@@ -272,6 +283,7 @@ class DurableEFDedupCluster(EFDedupCluster):
             self.tier, gc=self.gc, spill_mode=cfg.spill_mode
         )
         self.recipes = RecipeStore()
+        self._shut_down = False
         if cfg.secure:
             from repro.secure import SecureTier
 
@@ -361,10 +373,31 @@ class DurableEFDedupCluster(EFDedupCluster):
     # lifecycle and observability
     # ------------------------------------------------------------------ #
 
+    def deploy(self) -> None:
+        if self._shut_down:
+            journal = self.gc.wal
+            where = "in memory" if journal is None else str(journal.log_path)
+            raise ClusterClosedError(
+                f"this durable cluster is shut down and its refcount journal "
+                f"({where}) is closed; build a new DurableEFDedupCluster "
+                "(over the same journal_dir to carry on)"
+            )
+        super().deploy()
+
     def shutdown(self) -> None:
+        """Flush the payload plane, close every ring, then close the plane
+        and its refcount journal.
+
+        Final, unlike the accounting-only cluster's: :meth:`deploy`
+        afterwards raises :class:`ClusterClosedError` naming the closed
+        journal (reopen ``journal_dir`` in a new cluster to carry on). The
+        freeing contract is the base class's: the plane, the tier and the
+        rings go with the last reference to the cluster. Idempotent.
+        """
         self.content_plane.flush()
         super().shutdown()
         self.content_plane.close()
+        self._shut_down = True
 
     def metrics_hub(self) -> MetricsHub:
         hub = super().metrics_hub()

@@ -22,6 +22,7 @@ into hints), and the member catches up on recovery.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
@@ -34,6 +35,38 @@ from repro.obs.hub import MetricsHub, series
 from repro.system.agent import DedupAgent, RingIndex
 from repro.system.cloud import CentralCloudStore
 from repro.system.config import EFDedupConfig
+
+
+def _store_unique_chunks(cloud, content, plane, secure, batch) -> None:
+    """Content-plane unique sink, once per lookup batch: per chunk,
+    account the WAN upload on the cloud (the chaos invariants compare
+    unique claims against its counters) and buffer the payload for the
+    owning ring member; then spill the batch to the erasure-coded tier
+    in one encode pass and shelve it in one scatter.
+
+    With a secure tier, a *ring*-unique chunk first claims against
+    the deployment-wide key index: a proven hit means another ring
+    already uploaded the identical ciphertext, so the whole upload is
+    skipped (cross-ring dedup instead of redundant WAN bytes). On a
+    miss the payload is sealed — convergent encryption, so identical
+    plaintexts still produce identical stored bytes — and its key is
+    published for later claimants once the batch is stored.
+    """
+    stored = []
+    for chunk, fingerprint in batch:
+        data = chunk.data
+        if secure is not None:
+            if secure.claim(fingerprint, data):
+                continue
+            data = secure.seal(fingerprint, data)
+        cloud.receive_chunk(chunk, fingerprint)
+        content.put_chunk(fingerprint, data)
+        stored.append((fingerprint, data))
+    plane.spill_many(stored)
+    if secure is not None:
+        for fingerprint, _ in stored:
+            secure.register(fingerprint)
+    content.flush()
 
 
 class D2Ring:
@@ -142,49 +175,20 @@ class D2Ring:
         for node_id in self.members:
             self._make_agent(node_id)
 
-    def _store_unique_chunks(self, batch) -> None:
-        """Content-plane unique sink, once per lookup batch: per chunk,
-        account the WAN upload on the cloud (the chaos invariants compare
-        unique claims against its counters) and buffer the payload for the
-        owning ring member; then spill the batch to the erasure-coded tier
-        in one encode pass and shelve it in one scatter.
-
-        With a secure tier, a *ring*-unique chunk first claims against
-        the deployment-wide key index: a proven hit means another ring
-        already uploaded the identical ciphertext, so the whole upload is
-        skipped (cross-ring dedup instead of redundant WAN bytes). On a
-        miss the payload is sealed — convergent encryption, so identical
-        plaintexts still produce identical stored bytes — and its key is
-        published for later claimants once the batch is stored.
-        """
-        stored = []
-        for chunk, fingerprint in batch:
-            data = chunk.data
-            if self.secure is not None:
-                if self.secure.claim(fingerprint, data):
-                    continue
-                data = self.secure.seal(fingerprint, data)
-            self.cloud.receive_chunk(chunk, fingerprint)
-            self.content.put_chunk(fingerprint, data)
-            stored.append((fingerprint, data))
-        self._content_plane.spill_many(stored)
-        if self.secure is not None:
-            for fingerprint, _ in stored:
-                self.secure.register(fingerprint)
-        self.content.flush()
-
     def _make_agent(self, node_id: str) -> None:
         ring_index = RingIndex(
             self.store, local_node=node_id, consistency=self.config.consistency
         )
         self.ring_indexes[node_id] = ring_index
         index = ring_index
-        # The accounting sink is the cloud's own method: a sink bound to the
+        # Sinks hold the ring's parts, never the ring: a sink bound to the
         # ring would make every ring a reference cycle, which outlives its
         # shutdown until the cyclic collector runs.
-        sink = (
-            self.cloud.receive_chunks if self.content is None else self._store_unique_chunks
-        )
+        sink = self.cloud.receive_chunks
+        if self.content is not None:
+            sink = functools.partial(
+                _store_unique_chunks, self.cloud, self.content, self._content_plane, self.secure
+            )
         if self.config.brownout:
             # Brownout wraps the *ring* index (the trippable hop); the LRU
             # cache stacks above it, so cached duplicates keep answering
@@ -273,7 +277,10 @@ class D2Ring:
         return self._live
 
     def close(self) -> None:
-        """Shut down the live transport (no-op for in-process rings)."""
+        """Flush the shelves, leave the content plane and shut down the live
+        transport (the rest is a no-op for in-process rings). No reference
+        cycle runs through the ring, so the last reference dropped frees
+        it, its store and its agents at once."""
         if self.content is not None:
             self.content.flush()
         if self._content_plane is not None:

@@ -82,11 +82,11 @@ def no_internal_errors(request):
     """Fail a test whose started node servers answered any request with
     ``InternalError``: that reply means a handler failed in a way no verb
     declares, which is a server bug even when the caller copes."""
-    started = []
+    started = []  # (node id, stats): holding the server would keep it alive
     real_start = NodeServer.start
 
     async def start(self, *args, **kwargs):
-        started.append(self)
+        started.append((self.node_id, self.stats))
         return await real_start(self, *args, **kwargs)
 
     NodeServer.start = start
@@ -95,7 +95,7 @@ def no_internal_errors(request):
     finally:
         NodeServer.start = real_start
     if request.node.get_closest_marker("expects_internal_errors") is None:
-        failed = {s.node_id: s.stats.internal_errors for s in started if s.stats.internal_errors}
+        failed = {nid: stats.internal_errors for nid, stats in started if stats.internal_errors}
         assert not failed, f"node servers answered InternalError: {failed}"
 
 

@@ -432,6 +432,8 @@ BAD_RESULTS = {
     "fewer found than blobs": ("get_chunks", {"found": ["a"], "scanned": 1}, (b"A", b"B")),
     "scanned is a word": ("get_chunks", {"found": [], "scanned": "all"}, ()),
     "scanned nothing": ("get_chunks", {"found": [], "scanned": 0}, ()),
+    "found what it was not asked for": ("get_chunks", {"found": ["c"], "scanned": 2}, (b"C",)),
+    "found past what it scanned": ("get_chunks", {"found": ["b"], "scanned": 1}, (b"B",)),
     "ping result is a list": ("ping", [], ()),
 }
 ARGS = {"key_count": (), "multi_get": (["k"],), "repair_range": (2, [0]),
