@@ -24,7 +24,9 @@ not deltas, so replay is idempotent).
 
 A snapshot rewrites the whole ledger, so it is taken only once the log
 has grown by at least as many records as the ledger holds (and by at
-least ``snapshot_every``): the rewrite is then paid for by the appends
+least ``snapshot_every``) — the WAL's own rule,
+:meth:`~repro.kvstore.wal.WriteAheadLog.due_for_snapshot`, which the
+index shards' logs follow too: the rewrite is then paid for by the appends
 since the last one, journaling stays amortised O(1) per reference at any
 ledger size, and a restart reads at most the snapshot plus a log no longer
 than ``max(snapshot_every, ledger)`` — about twice the ledger.
@@ -88,10 +90,7 @@ class RefcountGC:
             return
         self._seq += 1
         self.wal.append(fingerprint, str(count), self._seq, tombstone)
-        if (
-            self.wal.due_for_snapshot()
-            and self.wal.appends_since_snapshot >= len(self.counts)
-        ):
+        if self.wal.due_for_snapshot(len(self.counts)):
             self.wal.write_snapshot(self._ledger_view())
 
     def _ledger_view(self) -> dict[str, VersionedValue]:

@@ -31,7 +31,10 @@ from repro.obs.histogram import Histogram
 # (chunk, fingerprint) pairs in stream order, after the batch's accounting —
 # e.g. to upload them to the central cloud. A batch with no unique chunk
 # makes no call. Payloads are materialized ``bytes`` (sinks may store them).
-UniqueChunkSink = Callable[[list[tuple[Chunk, str]]], None]
+# A sink may return the pairs its store already held (false uniques, e.g.
+# verdicts written through a brownout); the engine then counts them as
+# duplicates in its cumulative stats. ``None`` means none.
+UniqueChunkSink = Callable[[list[tuple[Chunk, str]]], Optional[list[tuple[Chunk, str]]]]
 
 # Called once per lookup batch with (fingerprints, chunks), in stream order,
 # *before* the batch's index round trip — so before any of its chunks can
@@ -191,12 +194,16 @@ class DedupEngine:
             # Unique chunks are the cold path: materialize bytes here so
             # sinks can store the payload without pinning the input buffer
             # through a view.
-            self.unique_sink(
+            held = self.unique_sink(
                 [
                     (c if isinstance(c.data, bytes) else Chunk(c.tobytes(), c.offset), fp)
                     for c, fp in new
                 ]
             )
+            if held:
+                # Move the false uniques over: no chunk or byte is added,
+                # len(held) unique chunks become duplicates.
+                self.stats.record_batch(0, 0, -len(held), -sum(c.length for c, _ in held))
 
     def reset_stats(self) -> None:
         """Zero the cumulative stats without touching the index."""

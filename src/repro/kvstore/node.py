@@ -103,11 +103,22 @@ class StorageNode:
         """Store ``key`` locally, keeping the newest write per key
         (tombstones included — a newer delete must shadow older writes)."""
         self._check_up()
-        self._apply([(key, value, timestamp, tombstone)])
+        self._write([(key, value, timestamp, tombstone)])
+
+    def _write(self, rows: Iterable[Row]) -> None:
+        """Apply one message's rows, past the up check (a batched verb
+        checks once per message). Their WAL records share one flush, and
+        only after it does the log get its one snapshot check."""
+        wal = self.wal
+        if wal is None:
+            self._apply(rows)
+            return
+        with wal.batch():
+            self._apply(rows)
+        wal.maybe_snapshot(self._data)
 
     def _apply(self, rows: Iterable[Row]) -> None:
-        """:meth:`local_put` of each row, past the up check (a batched verb
-        checks once per message)."""
+        """:meth:`local_put` of each row, keeping the newest write per key."""
         data, wal = self._data, self.wal
         for key, value, timestamp, tombstone in rows:
             existing = data.get(key)
@@ -117,8 +128,6 @@ class StorageNode:
                     # record, a crash before it never claimed the write.
                     wal.append(key, value, timestamp, tombstone)
                 data[key] = VersionedValue(value, timestamp, tombstone)
-                if wal is not None:
-                    wal.maybe_snapshot(data)
 
     def local_get(self, key: str) -> Optional[VersionedValue]:
         """Read ``key`` from the local shard (None if absent)."""

@@ -18,7 +18,6 @@ whose ops (:data:`~repro.rpc.ops.OPS`) check a request and serve it here.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -58,8 +57,7 @@ class Replica(StorageNode):
         """Apply rows at their own timestamps (newest write per key wins);
         their WAL records share one flush, before anyone acknowledges them."""
         self._check_up()
-        with self.wal.batch() if self.wal is not None else nullcontext():
-            self._apply(rows)
+        self._write(rows)
 
     def put_chunks(self, entries: Iterable[tuple[str, bytes]]) -> tuple[int, int]:
         """Shelve (fingerprint, payload) pairs; returns (new fingerprints,

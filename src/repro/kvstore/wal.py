@@ -1,4 +1,4 @@
-"""Per-node durability: append-only write-ahead log + periodic snapshots.
+"""Per-node durability: append-only write-ahead log + amortised snapshots.
 
 A :class:`~repro.kvstore.node.StorageNode` is in-memory; a crashed replica
 of a *live* ring (its :class:`~repro.rpc.server.NodeServer` process dying)
@@ -9,9 +9,14 @@ plus SSTable flushes; we reproduce the same shape at our scale:
 - every accepted ``local_put`` appends one record to an append-only JSONL
   log **before** the write is considered durable (the records of one
   replica message share a flush, :meth:`WriteAheadLog.batch`);
-- every ``snapshot_every`` appends, the full shard is written to a
-  snapshot file (atomic ``os.replace``) and the log is truncated, bounding
-  replay time;
+- once the log has outgrown the shard — the appends since the last
+  snapshot reach ``max(snapshot_every, entries the snapshot would write)``
+  (:meth:`WriteAheadLog.due_for_snapshot`) — the full shard is written to a
+  snapshot file (atomic ``os.replace``) and the log is truncated. The
+  rewrite is paid for by the appends since the last one, so logging stays
+  amortised O(1) per write at any shard size, and a restart reads at most
+  the snapshot plus a log of ``max(snapshot_every, shard)`` records —
+  about twice the shard;
 - on restart, :meth:`WriteAheadLog.load` reads the snapshot and replays
   the log on top. A torn or bit-damaged final line (the classic
   mid-append crash) is detected and dropped, never propagated.
@@ -55,10 +60,11 @@ class WriteAheadLog:
     Args:
         directory: where this node's two files live (created if missing).
         node_id: names the files (``<node_id>.wal.jsonl`` / ``.snap.json``).
-        snapshot_every: accepted writes between snapshots; a snapshot
-            rewrites the full shard and truncates the log. ``0`` disables
-            automatic snapshots (the log grows until :meth:`write_snapshot`
-            is called explicitly).
+        snapshot_every: fewest appends between snapshots; a shard larger
+            than this waits for as many appends as it has entries (see
+            :meth:`due_for_snapshot`). A snapshot rewrites the full shard
+            and truncates the log. ``0`` disables automatic snapshots (the
+            log grows until :meth:`write_snapshot` is called explicitly).
         fsync: when True, every commit is fsync'd and a snapshot fsyncs
             its file and then the directory before the log is truncated, so
             acknowledged records survive power loss on a file system that
@@ -186,15 +192,16 @@ class WriteAheadLog:
             self._batching = False
             self._commit()
 
-    @property
-    def appends_since_snapshot(self) -> int:
-        """Records appended by this instance since its last snapshot."""
-        return self._appends_since_snapshot
-
-    def due_for_snapshot(self) -> bool:
+    def due_for_snapshot(self, size: int) -> bool:
+        """True once the appends since the last snapshot reach
+        ``max(snapshot_every, size)``, where ``size`` is the number of
+        entries the snapshot would write. A snapshot rewrites the whole
+        shard, so it waits until the log has grown by as many records: the
+        rewrite is then paid for by the appends it absorbs, and the log a
+        restart replays is never longer than ``max(snapshot_every, size)``."""
         return (
             self.snapshot_every > 0
-            and self._appends_since_snapshot >= self.snapshot_every
+            and self._appends_since_snapshot >= max(self.snapshot_every, size)
         )
 
     def write_snapshot(self, data: dict[str, VersionedValue]) -> None:
@@ -232,9 +239,9 @@ class WriteAheadLog:
         self._appends_since_snapshot = 0
 
     def maybe_snapshot(self, data: dict[str, VersionedValue]) -> bool:
-        """Snapshot if the append counter says it's time. Returns True if
-        a snapshot was written."""
-        if self.due_for_snapshot():
+        """Snapshot ``data`` if :meth:`due_for_snapshot` says it's time.
+        Returns True if a snapshot was written."""
+        if self.due_for_snapshot(len(data)):
             self.write_snapshot(data)
             return True
         return False

@@ -42,7 +42,7 @@ from repro.rpc.errors import (
     RpcTimeoutError,
 )
 from repro.rpc.faults import FaultInjector, SendPlan
-from repro.rpc.framing import FrameReader, default_codec_name, frame_parts, get_codec
+from repro.rpc.framing import FrameReader, default_codec_name, frame_parts, get_codec, write_parts
 from repro.rpc.messages import Request, Response, correlation_ids
 from repro.rpc.ops import CONTROL_METHODS
 from repro.rpc.overload import BreakerBoard, Deadline, RetryBudget
@@ -127,7 +127,7 @@ class _Connection(FrameReader):
         delay calls this (or :meth:`_deliver`) from a timer, racing the
         attempt's timeout as on a real wire; closed, both do nothing."""
         if not self.closed:
-            self.transport.writelines(frame)
+            write_parts(self.transport, frame)
 
     # -- receiving ------------------------------------------------------ #
 

@@ -47,7 +47,8 @@ Each connection is a :class:`~repro.rpc.framing.FrameReader`. With no
 admission queue and no fault injector nothing on a request's path awaits,
 so it is served inline, from the read callback, as its frame completes;
 otherwise the connection's frames go, in arrival order, to one task that
-routes them. A reply is one ``writelines``, so replies from workers may
+routes them. A reply is written by one call,
+:func:`~repro.rpc.framing.write_parts`, so replies from workers may
 interleave in any order (the client matches by correlation id) but never
 within a frame. While a connection's write buffer is over the transport's
 high-water mark the server stops reading from it.
@@ -74,7 +75,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.trace import NO_SPAN, NULL_TRACER, Tracer
 from repro.rpc.errors import DeadlineExceededError, FrameError, InternalError, RpcOverloadError
 from repro.rpc.faults import FaultInjector
-from repro.rpc.framing import FrameReader, frame_parts
+from repro.rpc.framing import FrameReader, frame_parts, write_parts
 from repro.rpc.messages import Request, Response
 from repro.rpc.ops import CONTROL_METHODS, OPS
 from repro.rpc.overload import AdmissionController
@@ -383,7 +384,7 @@ class _ServerConnection(FrameReader):
             # The reply is over the frame limit: the caller gets a typed
             # error, not a dead connection.
             parts = frame_parts(Response.failure(response.msg_id, exc).to_wire(), codec)
-        self.transport.writelines(parts)
+        write_parts(self.transport, parts)
 
     # Backpressure: a peer that does not read its replies is not read.
     def pause_writing(self) -> None:

@@ -225,19 +225,19 @@ class D2Ring:
                 # synchronously, so receive_chunk returning False means
                 # this occurrence was a false unique — whether from a
                 # write-through verdict or from an index replica that
-                # missed a partially-acked write under overload. Repair
-                # the engine's accounting on the spot; the journal replay
-                # then only has to repair the *index*.
-                def sink_with_lengths(batch, _b=brownout, _nid=node_id):
+                # missed a partially-acked write under overload. The sink
+                # returns those, and the engine repairs its accounting on
+                # the spot; the journal replay then only has to repair the
+                # *index*.
+                def sink_with_lengths(batch, _cloud=self.cloud, _b=brownout):
+                    held = []
                     for chunk, fingerprint in batch:
                         _b.note_length(fingerprint, chunk.length)
-                        if self.cloud.receive_chunk(chunk, fingerprint) is False:
-                            stats = self.agents[_nid].engine.stats
-                            stats.unique_chunks -= 1
-                            stats.unique_bytes -= chunk.length
-                            stats.duplicate_chunks += 1
+                        if _cloud.receive_chunk(chunk, fingerprint) is False:
+                            held.append((chunk, fingerprint))
                             _b.stats.corrected_chunks += 1
                             _b.stats.corrected_bytes += chunk.length
+                    return held
             else:
                 # Content-plane sinks have no authoritative duplicate
                 # signal; accounting repair waits for the journal replay.

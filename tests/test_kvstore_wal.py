@@ -50,7 +50,8 @@ def test_snapshot_truncates_log_and_loads(tmp_path):
     for i in range(3):
         data[f"k{i}"] = VersionedValue(f"v{i}", i + 1, False)
         wal.append(f"k{i}", f"v{i}", i + 1, False)
-    assert wal.due_for_snapshot()
+    assert not wal.due_for_snapshot(len(data) + 1)  # the log has not outgrown it
+    assert wal.due_for_snapshot(len(data))
     assert wal.maybe_snapshot(data)
     assert wal.log_path.read_text() == ""  # truncated after replace
     assert wal.snap_path.exists()
@@ -204,14 +205,18 @@ class TestNodeIntegration:
         node = StorageNode("n0", wal=wal)
         for i in range(10):
             node.local_put(f"k{i}", "v", timestamp=i + 1)
-        assert wal.stats.snapshots == 2
+        # Puts 1-4 reach snapshot_every with a 4-key shard; after that the
+        # shard grows with every put, so the log (6 records) never catches
+        # up with it (10 keys) and no second snapshot is due.
+        assert wal.stats.snapshots == 1
+        assert wal.stats.flushes == 10  # one commit per put, as ever
         node.wal.close()
 
         fresh = WriteAheadLog(tmp_path, "n0")
         assert len(fresh.load()) == 10
-        # Most entries came from snapshots, only the tail from the log.
-        assert fresh.stats.snapshot_entries_loaded == 8
-        assert fresh.stats.log_entries_replayed == 2
+        # The snapshot holds the first four, the log the six since.
+        assert fresh.stats.snapshot_entries_loaded == 4
+        assert fresh.stats.log_entries_replayed == 6
 
 
 # --------------------------------------------------------------------- #
@@ -409,14 +414,20 @@ class TestBatchScope:
         wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
         replica = Replica("n0", wal=wal)
         replica.multi_put([(f"k{i}", "v", i + 1, False) for i in range(10)])
-        assert wal.stats.snapshots == 2
-        assert wal.stats.flushes == 1  # the two records after the last snapshot
+        # The message commits first, then takes the one snapshot it made
+        # due (10 appends, a 10-key shard) — never one in mid-batch.
+        assert wal.stats.snapshots == 1
+        assert wal.stats.flushes == 1
+        assert wal.log_path.read_text() == ""
         fresh = WriteAheadLog(tmp_path, "n0")
         assert len(fresh.load()) == 10
-        assert (fresh.stats.snapshot_entries_loaded, fresh.stats.log_entries_replayed) == (8, 2)
-        # A batch that ends exactly on a snapshot has nothing left to flush.
+        assert (fresh.stats.snapshot_entries_loaded, fresh.stats.log_entries_replayed) == (10, 0)
+        # A batch the 10-key shard still outgrows is logged and flushed once.
         replica.multi_put([(f"j{i}", "v", 20 + i, False) for i in range(2)])
-        assert wal.stats.snapshots == 3 and wal.stats.flushes == 1
+        assert wal.stats.snapshots == 1 and wal.stats.flushes == 2
+        fresh = WriteAheadLog(tmp_path, "n0")
+        assert len(fresh.load()) == 12
+        assert (fresh.stats.snapshot_entries_loaded, fresh.stats.log_entries_replayed) == (10, 2)
 
     def test_torn_tail_inside_a_group_committed_batch(self, tmp_path):
         """A crash mid-batch after the io layer spilled part of its buffer:
@@ -439,3 +450,115 @@ class TestBatchScope:
             assert sorted(k for k in restored if k.startswith("old")) == ["old0", "old1", "old2"]
             assert len(restored) == 3 + whole
             assert crashed.stats.torn_records_dropped == 1
+
+
+# --------------------------------------------------------------------- #
+# the snapshot rule: a snapshot once the log has outgrown the shard
+# --------------------------------------------------------------------- #
+
+
+class TestSnapshotRule:
+    def test_logging_cost_does_not_grow_with_the_shard(self, tmp_path, monkeypatch):
+        # N distinct rows in messages of 16: the snapshots may hold O(N)
+        # entries in total. A snapshot every snapshot_every appends wrote
+        # the whole growing shard each time — O(N^2 / snapshot_every).
+        n, every = 4096, 64
+        snapshot_entries = []
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=every)
+        real_write = wal.write_snapshot
+
+        def counting_write(data):
+            snapshot_entries.append(len(data))
+            real_write(data)
+
+        monkeypatch.setattr(wal, "write_snapshot", counting_write)
+        replica = Replica("n0", wal=wal)
+        for start in range(0, n, 16):
+            replica.multi_put([(f"k{i}", "v", i + 1, False) for i in range(start, start + 16)])
+        wal.close()
+        assert wal.stats.appends == n
+        assert snapshot_entries and sum(snapshot_entries) <= 2 * n
+        reborn = Replica("n0", wal=WriteAheadLog(tmp_path, "n0", snapshot_every=every))
+        assert dict(reborn.dump()) == dict(replica.dump())
+        # snapshot + log read back: at most about twice the shard
+        replayed = (
+            reborn.wal.stats.snapshot_entries_loaded + reborn.wal.stats.log_entries_replayed
+        )
+        assert replayed <= 2 * max(n, every)
+
+    def test_small_shard_still_snapshots_every_snapshot_every(self, tmp_path):
+        # A shard smaller than snapshot_every keeps the fixed cadence, so
+        # the log of a hot, small key set stays bounded.
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=8)
+        node = StorageNode("n0", wal=wal)
+        for i in range(80):
+            node.local_put(f"k{i % 4}", "v", timestamp=i + 1)
+        assert wal.stats.snapshots == 10
+
+    def test_crash_after_every_message_replays_the_acknowledged_shard(self, tmp_path):
+        # Crash after every multi_put (snapshots and log truncations
+        # included): a restart lands on the shard as acknowledged. A crash
+        # tearing the next message's first record loads the same shard.
+        import shutil
+
+        messages = (
+            [[(f"k{(3 * m + j) % 11}", f"v{m}", 10 * m + j, False) for j in range(1 + m % 4)]
+             for m in range(12)]
+            + [[("k1", "stale", 1, False), ("k2", "", 500, True)]]
+            + [[(f"new{m}{j}", "w", 600 + 10 * m + j, j == 2) for j in range(5)] for m in range(6)]
+            + [[("k2", "back", 700, False)]]
+        )
+        live = tmp_path / "live"
+        wal = WriteAheadLog(live, "n0", snapshot_every=5)
+        replica = Replica("n0", wal=wal)
+        history = [{}]
+        log_before = b""
+        torn_checked = 0
+        for step, rows in enumerate(messages, start=1):
+            snapshots = wal.stats.snapshots
+            replica.multi_put(rows)
+            history.append(dict(replica.dump()))
+            crashed = tmp_path / f"crash-{step}"
+            shutil.copytree(live, crashed)
+            reborn = Replica("n0", wal=WriteAheadLog(crashed, "n0"))
+            assert dict(reborn.dump()) == history[step], step
+            log = wal.log_path.read_bytes()
+            if wal.stats.snapshots == snapshots and len(log) > len(log_before):
+                # This message only appended: cut the log inside its first
+                # record, as a crash in mid-append would have left it.
+                first_end = log.index(b"\n", len(log_before))
+                torn = tmp_path / f"torn-{step}"
+                shutil.copytree(live, torn)
+                (torn / wal.log_path.name).write_bytes(log[: (len(log_before) + first_end) // 2])
+                reborn = Replica("n0", wal=WriteAheadLog(torn, "n0"))
+                assert reborn.wal.stats.torn_records_dropped == 1, step
+                assert dict(reborn.dump()) == history[step - 1], step
+                torn_checked += 1
+            log_before = log
+        wal.close()
+        assert wal.stats.snapshots >= 3 and torn_checked >= 10
+
+    # A WAL directory as the fixed every-snapshot_every cadence left it
+    # (snapshot_every=4, ten puts: snapshots at 4 and 8), byte for byte.
+    _FIXED_CADENCE_SNAPSHOT = (
+        '{"k0": ["v0", 1, false], "k1": ["v1", 2, false], "k2": ["v2", 3, false], '
+        '"k3": ["v3", 4, false], "k4": ["v4", 5, false], "k5": ["v5", 6, false], '
+        '"k6": ["v6", 7, true], "k7": ["v7", 8, false]}'
+    )
+    _FIXED_CADENCE_LOG = '["k8", "v8", 9, false]\n["k9", "v9", 10, false]\n'
+
+    def test_fixed_cadence_directory_loads_and_appends_unchanged(self, tmp_path):
+        (tmp_path / "n0.snap.json").write_text(self._FIXED_CADENCE_SNAPSHOT)
+        (tmp_path / "n0.wal.jsonl").write_text(self._FIXED_CADENCE_LOG)
+        wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
+        replica = Replica("n0", wal=wal)
+        assert sorted(replica.dump()) == [f"k{i}" for i in range(10)]
+        assert replica.dump()["k6"] == VersionedValue("v6", 7, True)
+        assert (wal.stats.snapshot_entries_loaded, wal.stats.log_entries_replayed) == (8, 2)
+        replica.multi_put([("k3", "new", 20, False), ("k1", "stale", 1, False), ("k10", "v10", 21, False)])
+        wal.close()
+        assert wal.stats.snapshots == 0
+        assert (tmp_path / "n0.snap.json").read_text() == self._FIXED_CADENCE_SNAPSHOT
+        assert (tmp_path / "n0.wal.jsonl").read_text() == (
+            self._FIXED_CADENCE_LOG + '["k3", "new", 20, false]\n["k10", "v10", 21, false]\n'
+        )

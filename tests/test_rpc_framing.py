@@ -549,3 +549,47 @@ class TestFrameReaderRefuses:
         frames.feed(encode_frame({"i": 3}))
         frames.eof_received()
         assert frames.messages == [{"i": 1}] and len(received) == 1
+
+
+class TestWriteParts:
+    def test_a_socket_that_takes_part_of_a_frame_gets_the_rest_in_order(self):
+        """A small send buffer and a peer that has not read yet: writev
+        takes a prefix (possibly ending inside a blob), the transport queues
+        the tail, and a second frame queues behind it through writelines.
+        The peer then reads both frames byte for byte."""
+        import asyncio
+        import socket
+
+        from repro.rpc import framing
+
+        blobs = [bytes([i % 256]) * (1000 + 7 * i) for i in range(1500)]  # ~9 MiB, 1 501 buffers
+        first = frame_parts({"id": "first"}, JsonCodec, blobs)
+        second = frame_parts({"id": "second"}, JsonCodec, blobs[:3])
+        expected = b"".join(first) + b"".join(second)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            ours, theirs = socket.socketpair()
+            ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 64 * 1024)
+            theirs.setblocking(False)
+            transport, _ = await loop.create_connection(asyncio.Protocol, sock=ours)
+            try:
+                framing.write_parts(transport, first)
+                queued = transport.get_write_buffer_size()
+                framing.write_parts(transport, second)
+                received = bytearray()
+                while len(received) < len(expected):
+                    received += await asyncio.wait_for(loop.sock_recv(theirs, 1 << 20), 5)
+                return queued, bytes(received)
+            finally:
+                transport.close()
+                theirs.close()
+                await asyncio.sleep(0)
+
+        queued, received = asyncio.run(run())
+        assert 0 < queued < len(b"".join(first))  # part went straight out, the rest queued
+        assert received == expected
+        frames = Frames()
+        frames.feed(received)
+        assert [m["id"] for m in frames.messages] == ["first", "second"]
+        assert frames.messages[0]["blobs"] == tuple(blobs)

@@ -304,3 +304,33 @@ def test_request_returns_the_replys_blobs_and_call_its_result():
         assert reply.result == {"found": ["fp1", "fp0"], "scanned": 3}
         assert reply.blobs == (CHUNKS[1][1], CHUNKS[0][1])
         assert on_loop(cluster, cluster.client.call("n0", "get_chunks", params)) == reply.result
+
+
+def test_three_thousand_blobs_cross_the_wire_byte_exact(monkeypatch):
+    """A request and a reply of 3 000 blobs each: more buffers than one
+    writev takes, so each frame goes out in several vectored writes (any
+    tail the socket does not take at once is queued on the transport)
+    and must arrive byte for byte."""
+    import os
+
+    groups = []
+    real_writev = os.writev
+
+    def recording_writev(fd, buffers):
+        groups.append(len(buffers))
+        return real_writev(fd, buffers)
+
+    monkeypatch.setattr(framing.os, "writev", recording_writev)
+    chunks = [(f"b{i:04d}", bytes([i % 251]) * (40 + i % 97) + str(i).encode()) for i in range(3000)]
+    with live_cluster(replication_factor=1, timeout_s=10.0) as cluster:
+        store = cluster.store
+        assert store.scatter_put_chunks({"n0": chunks}) == {"n0": None}
+        assert cluster.servers["n0"].node.chunks == dict(chunks)
+        got = store.scatter_get_chunks({"n0": [fp for fp, _ in chunks]})["n0"]
+        assert got == dict(chunks)
+        assert list(got) == [fp for fp, _ in chunks]
+        assert cluster.client.stats.by_method["put_chunks"] == 1
+        assert cluster.client.stats.by_method["get_chunks"] == 1
+    # Both 3 001-buffer frames were cut into writev-sized groups.
+    assert groups and max(groups) == framing._IOV_MAX
+    assert sum(size == framing._IOV_MAX for size in groups) >= 4

@@ -23,12 +23,15 @@ from repro.system.config import EFDedupConfig
 from repro.system.reference import round_robin, seeded_pool_workload
 
 NODES = 4
-KINDS = ("ring-inproc", "ring-live", "durable-inproc", "durable-live")
+# A brownout ring (live only) without a content plane repairs its
+# accounting from the cloud's duplicate signal, which must not need the ring.
+KINDS = ("ring-inproc", "ring-live", "durable-inproc", "durable-live", "brownout-live")
 
 
 def build(kind, tmp_path):
     """A deployed cluster of ``kind``: two rings of two members, an
-    in-process or loopback index, with or without the payload plane."""
+    in-process or loopback index, with or without the payload plane (and
+    for ``brownout-*``, an accounting-only cluster whose agents brown out)."""
     topology = build_testbed(NODES, NODES)
     problem = SNOD2Problem(
         model=ChunkPoolModel(
@@ -50,6 +53,7 @@ def build(kind, tmp_path):
         data_dir=str(tmp_path / "wal") if live else None,
         ec_data_shards=2,
         ec_parity_shards=1,
+        brownout=kind.startswith("brownout"),
     )
     if kind.startswith("durable"):
         cluster = DurableEFDedupCluster(
