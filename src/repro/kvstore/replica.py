@@ -99,6 +99,9 @@ class Replica(StorageNode):
     # control plane (served while down)
     # ------------------------------------------------------------------ #
 
+    def ping(self) -> bool:
+        return self.is_up
+
     def set_down(self, down: bool) -> None:
         if down:
             self.mark_down()

@@ -3,8 +3,10 @@
 A :class:`ReplicaTransport` carries the verbs of
 :class:`~repro.kvstore.replica.Replica` to a member named by id and hands
 back typed results (:class:`~repro.kvstore.node.VersionedValue`,
-:class:`~repro.kvstore.repair.MerkleTree`, payload bytes). It owns exactly
-two decisions the coordinator must not make:
+:class:`~repro.kvstore.repair.MerkleTree`, payload bytes). A transport
+implements one dispatch, :meth:`ReplicaTransport.call`; the typed verbs are
+one-liners over it on the base, overridden only where a transport does more
+than dispatch. It owns exactly two decisions the coordinator must not make:
 
 - **scatter concurrency** — :meth:`ReplicaTransport.gather` runs a batch of
   per-replica calls: in flight together on a wire, one after another
@@ -15,8 +17,10 @@ two decisions the coordinator must not make:
   a bug and propagates.
 
 There are two implementations and the coordinator cannot tell them apart:
-:class:`DirectTransport` here (method call, no framing, never suspends)
-and :class:`~repro.rpc.transport.AsyncioTransport` (framed RPC).
+:class:`DirectTransport` here (method call by name, no framing, never
+suspends) and :class:`~repro.rpc.transport.AsyncioTransport` (framed RPC).
+Patching ``call`` injects a fault into every verb; patching one typed verb
+injects it into that verb alone.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from repro.kvstore.node import Row, VersionedValue
 from repro.kvstore.merkle import MerkleTree
 from repro.kvstore.replica import Replica
 
+_Shard = dict[str, VersionedValue]
+_Payloads = dict[str, Optional[bytes]]
+
 
 class ReplicaTransport(ABC):
-    """Typed access to replicas by member id. All verbs are coroutines so
+    """Typed access to replicas by member id. All verbs are awaitable so
     one coordinator serves both transports; ``src`` (the coordinating
     member) only matters to transports that model per-pair links."""
 
@@ -54,67 +61,61 @@ class ReplicaTransport(ABC):
                 raise outcome
         return dict(zip(calls, outcomes))
 
-    # -- data plane ------------------------------------------------------ #
+    @abstractmethod
+    async def call(self, node_id: str, method: str, *args, src: Optional[str] = None) -> Any:
+        """``Replica.<method>(*args)`` on ``node_id``, as typed values."""
 
     @abstractmethod
-    async def multi_get(
-        self, node_id: str, keys: list[str], src: Optional[str] = None
-    ) -> dict[str, Optional[VersionedValue]]: ...
-
-    @abstractmethod
-    async def multi_put(
-        self, node_id: str, rows: list[Row], src: Optional[str] = None
-    ) -> None: ...
-
-    @abstractmethod
-    async def put_chunks(self, node_id: str, entries: list[tuple[str, bytes]]) -> None: ...
-
-    @abstractmethod
-    async def get_chunks(
-        self, node_id: str, fingerprints: list[str]
-    ) -> dict[str, Optional[bytes]]:
+    async def get_chunks(self, node_id: str, fingerprints: list[str]) -> _Payloads:
         """Fingerprint → payload, None when the node holds no copy."""
 
     @abstractmethod
-    async def delete_chunks(
-        self, node_id: str, fingerprints: list[str]
-    ) -> tuple[int, int]: ...
+    async def chunk_dump(self, node_id: str, fingerprints: list[str]) -> _Payloads:
+        """:meth:`get_chunks` as an operator read."""
+
+    # -- data plane ------------------------------------------------------ #
+    # A write answers None: callers read any other outcome as a missed ack.
+    # A read returns call's awaitable, so it adds no coroutine of its own.
+
+    def multi_get(
+        self, node_id: str, keys: list[str], src: Optional[str] = None
+    ) -> Awaitable[dict[str, Optional[VersionedValue]]]:
+        return self.call(node_id, "multi_get", keys, src=src)
+
+    async def multi_put(self, node_id: str, rows: list[Row], src: Optional[str] = None) -> None:
+        await self.call(node_id, "multi_put", rows, src=src)
+
+    async def put_chunks(self, node_id: str, entries: list[tuple[str, bytes]]) -> None:
+        await self.call(node_id, "put_chunks", entries)
+
+    def delete_chunks(self, node_id: str, fingerprints: list[str]) -> Awaitable[tuple[int, int]]:
+        return self.call(node_id, "delete_chunks", fingerprints)
 
     # -- control plane (served while the replica is down) ----------------- #
 
-    @abstractmethod
-    async def ping(self, node_id: str) -> bool: ...
+    def ping(self, node_id: str) -> Awaitable[bool]:
+        return self.call(node_id, "ping")
 
-    @abstractmethod
-    async def set_down(self, node_id: str, down: bool) -> None: ...
+    async def set_down(self, node_id: str, down: bool) -> None:
+        await self.call(node_id, "set_down", down)
 
-    @abstractmethod
-    async def dump(self, node_id: str) -> dict[str, VersionedValue]: ...
+    def dump(self, node_id: str) -> Awaitable[_Shard]:
+        return self.call(node_id, "dump")
 
-    @abstractmethod
-    async def key_count(self, node_id: str) -> int: ...
+    def key_count(self, node_id: str) -> Awaitable[int]:
+        return self.call(node_id, "key_count")
 
-    @abstractmethod
-    async def merkle_tree(self, node_id: str, depth: int) -> MerkleTree: ...
+    def merkle_tree(self, node_id: str, depth: int) -> Awaitable[MerkleTree]:
+        return self.call(node_id, "merkle_tree", depth)
 
-    @abstractmethod
-    async def repair_range(
-        self, node_id: str, depth: int, buckets: list[int]
-    ) -> dict[str, VersionedValue]: ...
+    def repair_range(self, node_id: str, depth: int, buckets: list[int]) -> Awaitable[_Shard]:
+        return self.call(node_id, "repair_range", depth, buckets)
 
-    @abstractmethod
-    async def fetch_range(
-        self, node_id: str, ranges: list[tuple[int, int]]
-    ) -> dict[str, VersionedValue]: ...
+    def fetch_range(self, node_id: str, ranges: list[tuple[int, int]]) -> Awaitable[_Shard]:
+        return self.call(node_id, "fetch_range", ranges)
 
-    @abstractmethod
-    async def chunk_keys(self, node_id: str) -> list[str]: ...
-
-    @abstractmethod
-    async def chunk_dump(
-        self, node_id: str, fingerprints: list[str]
-    ) -> dict[str, Optional[bytes]]:
-        """:meth:`get_chunks` as an operator read."""
+    def chunk_keys(self, node_id: str) -> Awaitable[list[str]]:
+        return self.call(node_id, "chunk_keys")
 
 
 class DirectTransport(ReplicaTransport):
@@ -146,46 +147,13 @@ class DirectTransport(ReplicaTransport):
                 results.append(exc)
         return results
 
-    async def multi_get(self, node_id, keys, src=None):
-        return self.replicas[node_id].multi_get(keys)
-
-    async def multi_put(self, node_id, rows, src=None):
-        self.replicas[node_id].multi_put(rows)
-
-    async def put_chunks(self, node_id, entries):
-        self.replicas[node_id].put_chunks(entries)
+    async def call(self, node_id, method, *args, src=None):
+        return getattr(self.replicas[node_id], method)(*args)
 
     async def get_chunks(self, node_id, fingerprints):
-        found, _ = self.replicas[node_id].get_chunks(fingerprints)
+        found, _ = await self.call(node_id, "get_chunks", fingerprints)
         return {fp: found.get(fp) for fp in fingerprints}
 
-    async def delete_chunks(self, node_id, fingerprints):
-        return self.replicas[node_id].delete_chunks(fingerprints)
-
-    async def ping(self, node_id):
-        return self.replicas[node_id].is_up
-
-    async def set_down(self, node_id, down):
-        self.replicas[node_id].set_down(down)
-
-    async def dump(self, node_id):
-        return self.replicas[node_id].dump()
-
-    async def key_count(self, node_id):
-        return self.replicas[node_id].key_count()
-
-    async def merkle_tree(self, node_id, depth):
-        return self.replicas[node_id].merkle_tree(depth)
-
-    async def repair_range(self, node_id, depth, buckets):
-        return self.replicas[node_id].repair_range(depth, buckets)
-
-    async def fetch_range(self, node_id, ranges):
-        return self.replicas[node_id].fetch_range(ranges)
-
-    async def chunk_keys(self, node_id):
-        return self.replicas[node_id].chunk_keys()
-
     async def chunk_dump(self, node_id, fingerprints):
-        found, _ = self.replicas[node_id].chunk_dump(fingerprints)
+        found, _ = await self.call(node_id, "chunk_dump", fingerprints)
         return {fp: found.get(fp) for fp in fingerprints}

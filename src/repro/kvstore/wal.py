@@ -18,8 +18,10 @@ plus SSTable flushes; we reproduce the same shape at our scale:
   the snapshot plus a log of ``max(snapshot_every, shard)`` records —
   about twice the shard;
 - on restart, :meth:`WriteAheadLog.load` reads the snapshot and replays
-  the log on top. A torn or bit-damaged final line (the classic
-  mid-append crash) is detected and dropped, never propagated.
+  the log on top, and compacts the two when the log it replayed had
+  already outgrown the shard by the same rule. A torn or bit-damaged
+  final line (the classic mid-append crash) is detected and dropped, never
+  propagated.
 
 Records are ``[key, value, timestamp, tombstone]`` JSON arrays — the same
 tuple the wire protocol ships — so the log is greppable and codec-free.
@@ -110,8 +112,13 @@ class WriteAheadLog:
         records, so replaying is idempotent. A damaged line — torn by a
         crash mid-append, bit-flipped, or no ``check_row`` row — is dropped
         (and counted), not raised; the records before it always load.
+        A replayed log that has outgrown the shard by the rule of
+        :meth:`due_for_snapshot` is compacted before the shard is returned:
+        appends are counted per instance, so a node restarted more often
+        than it fills a snapshot would otherwise replay an ever longer log.
         """
         data: dict[str, VersionedValue] = {}
+        replayed = 0
         if self.snap_path.exists():
             with open(self.snap_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -138,7 +145,10 @@ class WriteAheadLog:
                         # final record; everything before it is intact.
                         self.stats.torn_records_dropped += 1
                         continue
-                    self.stats.log_entries_replayed += 1
+                    replayed += 1
+            self.stats.log_entries_replayed += replayed
+        if self.snapshot_every and replayed >= max(self.snapshot_every, len(data)):
+            self.write_snapshot(data)
         return data
 
     # ------------------------------------------------------------------ #

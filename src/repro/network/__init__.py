@@ -1,4 +1,4 @@
-"""Network substrate: edge/cloud topology (its latency setters are the
+"""Network substrate: edge/cloud topology (its builders' latencies are the
 evaluation's NetEm knobs) and ν_ij cost matrices."""
 
 from repro.network.costmatrix import (

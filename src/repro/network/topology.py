@@ -126,18 +126,6 @@ class Topology:
         """Round-trip time from an edge node to the central cloud."""
         return 2.0 * self.wan_latency_s
 
-    def set_inter_cloud_latency(self, latency_s: float) -> None:
-        """NetEm-style adjustment of the inter-edge-cloud latency."""
-        if latency_s < 0:
-            raise ValueError(f"latency must be non-negative, got {latency_s!r}")
-        self.inter_cloud_latency_s = latency_s
-
-    def set_wan_latency(self, latency_s: float) -> None:
-        """NetEm-style adjustment of the edge↔cloud latency (Fig. 5b sweep)."""
-        if latency_s < 0:
-            raise ValueError(f"latency must be non-negative, got {latency_s!r}")
-        self.wan_latency_s = latency_s
-
 
 # ---------------------------------------------------------------------- #
 # builders

@@ -150,7 +150,7 @@ def _delete_chunks(server, blobs, fingerprints):
 
 
 def _ping(server, blobs):
-    return {"node": server.node_id, "up": server.node.is_up}, ()
+    return {"node": server.node_id, "up": server.node.ping()}, ()
 
 
 def _set_down(server, blobs, down):

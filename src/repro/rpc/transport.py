@@ -1,13 +1,13 @@
 """The asyncio replica transport: replica verbs as framed RPCs.
 
 :class:`AsyncioTransport` implements
-:class:`~repro.kvstore.transport.ReplicaTransport` over an
-:class:`~repro.rpc.client.RpcClient`: each verb is one call to the member's
-:class:`~repro.rpc.server.NodeServer` (timeouts, retries and replay
-suppression are the client's), built and read by the verb's
+:class:`~repro.kvstore.transport.ReplicaTransport`'s one ``call`` over an
+:class:`~repro.rpc.client.RpcClient`: each verb is one request to the
+member's :class:`~repro.rpc.server.NodeServer` (timeouts, retries and
+replay suppression are the client's), built and read by the verb's
 :class:`~repro.rpc.ops.Op`. Scatters are in flight concurrently
-(``asyncio.gather``); a payload batch or shelf above ``BLOB_BUDGET_BYTES``
-goes as several frames.
+(``asyncio.gather``). Only the payload verbs are overridden: a batch or
+shelf above ``BLOB_BUDGET_BYTES`` goes as several frames.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class AsyncioTransport(ReplicaTransport):
     async def gather(self, *calls: Awaitable, return_exceptions: bool = False) -> list:
         return await asyncio.gather(*calls, return_exceptions=return_exceptions)
 
-    async def _call(self, node_id: str, method: str, *args, src=None, blobs=()):
+    async def call(self, node_id: str, method: str, *args, src=None, blobs=()):
         """``method(*args)`` on ``node_id``, built and read by its op."""
         op = OPS[method]
         reply = await self.client.request(node_id, method, op.params(*args), src=src, blobs=blobs)
@@ -46,12 +46,6 @@ class AsyncioTransport(ReplicaTransport):
             return op.read(reply.result, reply.blobs)
         except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
             raise FrameError(f"malformed {method} reply from {node_id!r}: {exc}") from None
-
-    async def multi_get(self, node_id, keys, src=None):
-        return await self._call(node_id, "multi_get", keys, src=src)
-
-    async def multi_put(self, node_id, rows, src=None):
-        await self._call(node_id, "multi_put", rows, src=src)
 
     async def put_chunks(self, node_id, entries):
         start, size = 0, 0
@@ -64,7 +58,7 @@ class AsyncioTransport(ReplicaTransport):
 
     async def _put_chunks(self, node_id: str, entries: list[tuple[str, bytes]]) -> None:
         blobs = tuple(data for _, data in entries)
-        await self._call(node_id, "put_chunks", [fp for fp, _ in entries], blobs=blobs)
+        await self.call(node_id, "put_chunks", [fp for fp, _ in entries], blobs=blobs)
 
     async def get_chunks(self, node_id, fingerprints):
         return await self._fetch_chunks(node_id, "get_chunks", fingerprints)
@@ -80,7 +74,7 @@ class AsyncioTransport(ReplicaTransport):
         rule and a shelf of any size still arrives."""
         out: dict[str, Optional[bytes]] = dict.fromkeys(fingerprints)
         while fingerprints:
-            found, scanned = await self._call(node_id, method, fingerprints)
+            found, scanned = await self.call(node_id, method, fingerprints)
             if not 0 < scanned <= len(fingerprints):
                 raise FrameError(f"{method} reply from {node_id!r} scanned {scanned}")
             if not found.keys() <= set(fingerprints[:scanned]):
@@ -91,30 +85,3 @@ class AsyncioTransport(ReplicaTransport):
             out.update(found)
             fingerprints = fingerprints[scanned:]
         return out
-
-    async def delete_chunks(self, node_id, fingerprints):
-        return await self._call(node_id, "delete_chunks", fingerprints)
-
-    async def ping(self, node_id):
-        return await self._call(node_id, "ping")
-
-    async def set_down(self, node_id, down):
-        await self._call(node_id, "set_down", down)
-
-    async def dump(self, node_id):
-        return await self._call(node_id, "dump")
-
-    async def key_count(self, node_id):
-        return await self._call(node_id, "key_count")
-
-    async def merkle_tree(self, node_id, depth):
-        return await self._call(node_id, "merkle_tree", depth)
-
-    async def repair_range(self, node_id, depth, buckets):
-        return await self._call(node_id, "repair_range", depth, buckets)
-
-    async def fetch_range(self, node_id, ranges):
-        return await self._call(node_id, "fetch_range", ranges)
-
-    async def chunk_keys(self, node_id):
-        return await self._call(node_id, "chunk_keys")

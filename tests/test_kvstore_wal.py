@@ -3,9 +3,11 @@
 import io
 import os
 import json
+import random
 
 import pytest
 
+from repro.content.gc import RefcountGC
 from repro.kvstore.node import StorageNode, VersionedValue
 from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
@@ -562,3 +564,93 @@ class TestSnapshotRule:
         assert (tmp_path / "n0.wal.jsonl").read_text() == (
             self._FIXED_CADENCE_LOG + '["k3", "new", 20, false]\n["k10", "v10", 21, false]\n'
         )
+
+
+# --------------------------------------------------------------------- #
+# restarts: load compacts a log that already outgrew the shard
+# --------------------------------------------------------------------- #
+
+
+def _log_at_restart(directory, name) -> tuple[int, int]:
+    """(records the log holds, entries in the shard) of a WAL directory,
+    read by a probe that never compacts (``snapshot_every=0``)."""
+    probe = WriteAheadLog(directory, name, snapshot_every=0)
+    shard = probe.load()
+    probe.close()
+    return probe.stats.log_entries_replayed, len(shard)
+
+
+class TestRestartCompaction:
+    def test_a_node_restarted_often_still_snapshots(self, tmp_path):
+        # 40 restarts x 50 puts over 100 keys: no single instance appends
+        # the 100 records a snapshot waits for, so without compaction at
+        # load the log grew to all 2 000 records.
+        every, ts = 64, 0
+        for _ in range(40):
+            wal = WriteAheadLog(tmp_path, "n0", snapshot_every=every)
+            replica = Replica("n0", wal=wal)
+            for _ in range(50):
+                ts += 1
+                replica.multi_put([(f"k{ts % 100}", f"v{ts}", ts, False)])
+            wal.close()
+        records, shard = _log_at_restart(tmp_path, "n0")
+        assert shard == 100
+        assert records <= 2 * max(every, shard)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_log_restarts_stay_within_twice_the_shard(self, tmp_path, seed):
+        rng = random.Random(seed)
+        every = rng.choice([4, 16, 64])
+        model: dict[str, VersionedValue] = {}
+        replica = Replica("n0", wal=WriteAheadLog(tmp_path, "n0", snapshot_every=every))
+        ts = 0
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.1:
+                replica.wal.close()
+                records, shard = _log_at_restart(tmp_path, "n0")
+                assert records <= 2 * max(every, shard)
+                replica = Replica("n0", wal=WriteAheadLog(tmp_path, "n0", snapshot_every=every))
+                assert dict(replica.dump()) == model
+                continue
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                ts += 1
+                if roll < 0.5 or not model:  # insert
+                    key = f"k{len(model) + len(rows)}"
+                else:  # overwrite, sometimes with a tombstone
+                    key = rng.choice(sorted(model))
+                rows.append((key, f"v{ts}", ts, rng.random() < 0.2))
+            replica.multi_put(rows)
+            for key, value, stamp, tombstone in rows:
+                model[key] = VersionedValue(value, stamp, tombstone)
+        replica.wal.close()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refcount_journal_restarts_stay_within_twice_the_ledger(self, tmp_path, seed):
+        rng = random.Random(seed)
+        every = rng.choice([4, 16, 64])
+        model: dict[str, int] = {}
+        gc = RefcountGC(journal_dir=tmp_path, snapshot_every=every)
+        fresh = 0
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.1:
+                gc.close()
+                records, shard = _log_at_restart(tmp_path, "refcounts")
+                assert records <= 2 * max(every, shard)
+                gc = RefcountGC(journal_dir=tmp_path, snapshot_every=every)
+                assert gc.counts == model
+            elif roll < 0.45 or not model:  # insert
+                fresh += 1
+                model[f"fp{fresh}"] = gc.incr(f"fp{fresh}")
+            else:  # overwrite: more or fewer references, or forgotten
+                fingerprint = rng.choice(sorted(model))
+                if roll < 0.7:
+                    model[fingerprint] = gc.incr(fingerprint)
+                elif roll < 0.9:
+                    model[fingerprint] = gc.decr(fingerprint)
+                else:
+                    gc.forget(fingerprint)
+                    del model[fingerprint]
+        gc.close()

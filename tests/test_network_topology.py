@@ -102,15 +102,6 @@ class TestTopology:
         with pytest.raises(KeyError):
             build_testbed(4, 2).node("ghost")
 
-    def test_set_latencies(self):
-        topo = build_testbed(4, 2)
-        topo.set_inter_cloud_latency(0.02)
-        topo.set_wan_latency(0.05)
-        assert topo.inter_cloud_latency_s == 0.02
-        assert topo.wan_latency_s == 0.05
-        with pytest.raises(ValueError):
-            topo.set_wan_latency(-1.0)
-
     def test_negative_latency_rejected_at_build(self):
         with pytest.raises(ValueError):
             Topology(nodes=[EdgeNode("a", "c")], wan_latency_s=-1.0)

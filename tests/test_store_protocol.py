@@ -24,11 +24,19 @@ from repro.kvstore.store import DistributedKVStore
 from repro.kvstore.transport import ReplicaTransport
 from repro.obs import series
 from repro.rpc import NodeSpec
+from repro.rpc.ops import OPS
 
 from tests.conftest import live_cluster
 
 ONE, QUORUM = ConsistencyLevel.ONE, ConsistencyLevel.QUORUM
 TRANSPORTS = ["direct", "asyncio"]
+# Arguments of one call of each seam verb that takes any.
+VERB_ARGS = {
+    "multi_get": (["k"],), "multi_put": ([("k", "v", 1, False)],),
+    "put_chunks": ([("fp", b"x")],), "get_chunks": (["fp"],), "delete_chunks": (["fp"],),
+    "chunk_dump": (["fp"],), "set_down": (False,), "merkle_tree": (2,),
+    "repair_range": (2, [0]), "fetch_range": ([(0, 1)],),
+}
 
 
 def make_ring(transport: str, n=4, rf=2, consistency=ONE) -> SimpleNamespace:
@@ -86,6 +94,44 @@ class TestSeam:
 
         names = sorted(cls.__name__ for cls in ReplicaTransport.__subclasses__())
         assert names == ["AsyncioTransport", "DirectTransport"]
+
+    def test_the_seam_verbs_are_the_ops(self):
+        """Every op but ``stats`` is one typed verb on the base, and nothing
+        else is: a verb added to OPS without a seam verb fails here."""
+        verbs = {
+            name for name, attr in vars(ReplicaTransport).items()
+            if callable(attr) and not name.startswith("_")
+        }
+        assert verbs - {"gather", "gather_outcomes", "call"} == set(OPS) - {"stats"}
+
+    def test_a_write_verb_answers_none(self, ring):
+        """A write's outcome other than None reads as a missed ack, so the
+        replica's own answers ({"stored": n}, (stored, bytes)) must not leak
+        through; delete_chunks is a read of what it freed."""
+        store = ring().store
+        transport, drive = store.transport, store.drive
+        assert drive(transport.multi_put("n0", [("k", "v", 1, False)])) is None
+        assert drive(transport.put_chunks("n0", [("fp", b"abc")])) is None
+        assert drive(transport.set_down("n0", False)) is None
+        assert drive(transport.delete_chunks("n0", ["fp", "ghost"])) == (1, 3)
+
+    def test_a_fault_in_call_reaches_every_verb(self, ring, monkeypatch):
+        store = ring().store
+        transport = store.transport
+        fault = transport.missed_ack[0]("injected")
+        real = transport.call
+
+        async def deaf_n1(node_id, method, *args, **kwargs):
+            if node_id == "n1":
+                raise fault
+            return await real(node_id, method, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "call", deaf_n1)
+        for verb in sorted(set(OPS) - {"stats"}):
+            args = VERB_ARGS.get(verb, ())
+            with pytest.raises(type(fault)):
+                store.drive(getattr(transport, verb)("n1", *args))
+            store.drive(getattr(transport, verb)("n0", *args))
 
     def test_direct_drive_rejects_a_suspension(self):
         import asyncio
