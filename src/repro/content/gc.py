@@ -44,7 +44,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import ContextManager, Optional, Union
 
-from repro.kvstore.node import VersionedValue
+from repro.kvstore.node import Entry
 from repro.kvstore.wal import WriteAheadLog
 
 _JOURNAL_NAME = "refcounts"
@@ -74,12 +74,12 @@ class RefcountGC:
             self.wal = WriteAheadLog(
                 journal_dir, _JOURNAL_NAME, snapshot_every=snapshot_every
             )
-            for fingerprint, stored in self.wal.load().items():
-                self._seq = max(self._seq, stored.timestamp)
-                if not stored.tombstone:
+            for fingerprint, (count, seq, tombstone) in self.wal.load().items():
+                self._seq = max(self._seq, seq)
+                if not tombstone:
                     # Zero counts are kept: they mark chunks whose last
                     # reference died but whose bytes await a sweep.
-                    self.counts[fingerprint] = int(stored.value)
+                    self.counts[fingerprint] = int(count)
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -93,9 +93,9 @@ class RefcountGC:
         if self.wal.due_for_snapshot(len(self.counts)):
             self.wal.write_snapshot(self._ledger_view())
 
-    def _ledger_view(self) -> dict[str, VersionedValue]:
+    def _ledger_view(self) -> dict[str, Entry]:
         return {
-            fingerprint: VersionedValue(str(count), self._seq, False)
+            fingerprint: (str(count), self._seq, False)
             for fingerprint, count in self.counts.items()
         }
 

@@ -21,12 +21,11 @@ from repro.kvstore.errors import (
 from repro.kvstore.gossip import HeartbeatMonitor, PhiAccrualDetector
 from repro.kvstore.hashring import ConsistentHashRing
 from repro.kvstore.hints import Hint, HintBuffer
-from repro.kvstore.node import StorageNode, VersionedValue
+from repro.kvstore.node import Entry
 from repro.kvstore.repair import (
     MerkleTree,
     RepairStats,
     ReplicaRepairer,
-    build_merkle_tree,
     differing_buckets,
     merkle_from_items,
 )
@@ -41,6 +40,7 @@ __all__ = [
     "ConsistencyLevel",
     "ConsistentHashRing",
     "DistributedKVStore",
+    "Entry",
     "HeartbeatMonitor",
     "Hint",
     "HintBuffer",
@@ -54,14 +54,11 @@ __all__ = [
     "ReplicationError",
     "RingEmptyError",
     "SimpleReplicationStrategy",
-    "StorageNode",
     "StoreStats",
     "TOKEN_SPACE",
     "UnavailableError",
-    "VersionedValue",
     "WalStats",
     "WriteAheadLog",
-    "build_merkle_tree",
     "differing_buckets",
     "key_token",
     "merkle_from_items",

@@ -43,7 +43,7 @@ from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import NoSuchNodeError, UnavailableError
 from repro.kvstore.hashring import ConsistentHashRing
 from repro.kvstore.hints import Hint, HintBuffer
-from repro.kvstore.node import Row, VersionedValue, merge_newest
+from repro.kvstore.node import Entry, Row, merge_newest, newer
 from repro.kvstore.replication import SimpleReplicationStrategy
 from repro.kvstore.transport import ReplicaTransport
 from repro.obs.histogram import Histogram
@@ -102,22 +102,20 @@ def driven(coro_fn):
 
 
 def _newest_of(
-    by_node: dict[str, dict[str, Optional[VersionedValue]]],
+    by_node: dict[str, dict[str, Optional[Entry]]],
     nodes: Iterable[str],
     key: str,
     ts_bound: Optional[int] = None,
-) -> Optional[VersionedValue]:
+) -> Optional[Entry]:
     """Last-write-wins among the named nodes' answers for ``key`` (only
     versions stamped at or before ``ts_bound``, when given)."""
-    best: Optional[VersionedValue] = None
+    best: Optional[Entry] = None
     for node_id in nodes:
         found = by_node[node_id].get(key)
-        if (
-            found is not None
-            and found.newer_than(best)
-            and (ts_bound is None or found.timestamp <= ts_bound)
-        ):
-            best = found
+        if found is not None and newer(found, best):
+            _, timestamp, _ = found
+            if ts_bound is None or timestamp <= ts_bound:
+                best = found
     return best
 
 
@@ -279,8 +277,8 @@ class QuorumCoordinator:
         rows: list[Row] = []
         for key in keys:
             best = _newest_of(by_node, by_node, key)
-            if best is not None and best.newer_than(own.get(key)):
-                rows.append(best.row(key))
+            if best is not None and newer(best, own.get(key)):
+                rows.append((key, *best))
         if rows:
             await self.transport.multi_put(node_id, rows)
             self.stats.recovery_repairs += len(rows)
@@ -296,8 +294,8 @@ class QuorumCoordinator:
         self._route_table.clear()
         shards = await self.transport.gather(*(self.transport.dump(n) for n in peers))
         rows = [
-            stored.row(key)
-            for key, stored in sorted(merge_newest(shards).items())
+            (key, *entry)
+            for key, entry in sorted(merge_newest(shards).items())
             if node_id in self.replicas_for(key)
         ]
         if rows:
@@ -312,13 +310,13 @@ class QuorumCoordinator:
         self._check_member(node_id)
         if len(self.nodes) <= 1:
             raise ValueError("cannot remove the last member of the ring")
-        departing: dict[str, VersionedValue] = {}
+        departing: dict[str, Entry] = {}
         if node_id not in self._down:
             try:
                 departing = await self.transport.dump(node_id)
             except self.transport.missed_ack:
                 pass  # crashed mid-decommission: survivors repair later
-        rows = [stored.row(key) for key, stored in sorted(departing.items())]
+        rows = [(key, *entry) for key, entry in sorted(departing.items())]
         self.ring.remove_node(node_id)
         del self.nodes[node_id]
         self._down.discard(node_id)
@@ -356,7 +354,7 @@ class QuorumCoordinator:
         shards = await self._gather_or(
             {}, {n: self.transport.fetch_range(n, ranges) for n in self.alive_nodes()}
         )
-        return [stored.row(key) for key, stored in sorted(merge_newest(shards.values()).items())]
+        return [(key, *entry) for key, entry in sorted(merge_newest(shards.values()).items())]
 
     @driven
     async def ingest_entries(self, entries: Iterable[Row]) -> int:
@@ -394,11 +392,6 @@ class QuorumCoordinator:
     def replicas_for(self, key: str) -> list[str]:
         """Ordered replica list for ``key`` (primary first)."""
         return self.strategy.replicas_for_key(self.ring, key)
-
-    def is_local(self, key: str, node_id: str) -> bool:
-        """True when ``node_id`` holds a replica of ``key`` — i.e. a lookup
-        coordinated from that node needs no network hop."""
-        return node_id in self.replicas_for(key)
 
     def _required_acks(self, consistency: Optional[ConsistencyLevel]) -> int:
         level = consistency if consistency is not None else self.default_consistency
@@ -484,7 +477,7 @@ class QuorumCoordinator:
 
     async def _scatter_get(
         self, groups: dict[str, list[str]], coordinator: Optional[str]
-    ) -> dict[str, dict[str, Optional[VersionedValue]]]:
+    ) -> dict[str, dict[str, Optional[Entry]]]:
         shards = await self.transport.gather(
             *(self.transport.multi_get(n, keys, coordinator) for n, keys in groups.items())
         )
@@ -718,13 +711,12 @@ class QuorumCoordinator:
                 self.stats.record_contact(coordinator, replica)
         best, repaired = await self.read_repairing(key, consulted, coordinator)
         self.stats.read_repairs += repaired
-        if best is None or best.tombstone:
-            return None
-        return best.value
+        value, _, tombstone = best or (None, 0, True)
+        return None if tombstone else value
 
     async def read_repairing(
         self, key: str, consulted: Sequence[str], coordinator: Optional[str]
-    ) -> tuple[Optional[VersionedValue], int]:
+    ) -> tuple[Optional[Entry], int]:
         """The newest version of ``key`` among ``consulted`` and how many of
         them were repaired: the winner is pushed to every consulted replica
         that returned a stale or missing copy. Best-effort — a failed push
@@ -735,9 +727,9 @@ class QuorumCoordinator:
             return best, 0
         outcomes = await self.transport.gather_outcomes(
             {
-                n: self.transport.multi_put(n, [best.row(key)], coordinator)
+                n: self.transport.multi_put(n, [(key, *best)], coordinator)
                 for n in consulted
-                if best.newer_than(by_node[n].get(key))
+                if newer(best, by_node[n].get(key))
             }
         )
         return best, sum(1 for outcome in outcomes.values() if outcome is None)
@@ -794,7 +786,8 @@ class QuorumCoordinator:
                 best = by_node[consulted[0]].get(key)
             else:
                 best = _newest_of(by_node, consulted, key, ts_bound)
-            present[key] = best is not None and not best.tombstone
+            _, _, tombstone = best or (None, 0, True)  # absent reads as deleted
+            present[key] = not tombstone
         self._count_reads(keys, routes, coordinator)
         # Every consulted node heads a read group, whichever key put it there.
         contacts = {(coordinator, n) for n in read_groups} if coordinator is not None else set()
@@ -934,7 +927,7 @@ class QuorumCoordinator:
         """The logical (live) key set: keys whose newest version across all
         members — up or down; this is an operator view — is not a tombstone."""
         shards = await self.transport.gather(*(self.transport.dump(n) for n in self.nodes))
-        return {key for key, stored in merge_newest(shards).items() if not stored.tombstone}
+        return {key for key, (_, _, tombstone) in merge_newest(shards).items() if not tombstone}
 
     @driven
     async def total_stored_entries(self) -> int:

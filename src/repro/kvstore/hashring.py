@@ -171,13 +171,3 @@ class ConsistentHashRing:
                 ranges.append((lo, TOKEN_SPACE))
                 ranges.append((0, hi))
         return ranges
-
-    def load_distribution(self, sample_keys: list[str]) -> dict[str, int]:
-        """Count how many of ``sample_keys`` each node primarily owns.
-
-        Diagnostic used by tests to verify the ring spreads load evenly.
-        """
-        counts = {node: 0 for node in self._nodes}
-        for key in sample_keys:
-            counts[self.primary_for_key(key)] += 1
-        return counts

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.kvstore.node import Row, StorageNode
+from repro.kvstore.node import Row
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,6 @@ def merkle_from_items(
             for i in range(0, len(level), 2)
         ]
     return MerkleTree(depth=depth, leaves=tuple(leaves), root=level[0])
-
-
-def build_merkle_tree(node: StorageNode, depth: int = 6) -> MerkleTree:
-    """Build the Merkle tree of ``node``'s local data (node must be up)."""
-    return merkle_from_items(
-        (
-            stored.row(key)
-            for key in node.local_keys()
-            if (stored := node.local_get(key)) is not None
-        ),
-        depth,
-    )
 
 
 def differing_buckets(a: MerkleTree, b: MerkleTree) -> list[int]:

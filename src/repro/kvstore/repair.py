@@ -41,11 +41,10 @@ from repro.kvstore.errors import NoSuchNodeError
 from repro.kvstore.merkle import (  # noqa: F401  (the tree algebra is re-exported here)
     MerkleTree,
     _bucket_of,
-    build_merkle_tree,
     differing_buckets,
     merkle_from_items,
 )
-from repro.kvstore.node import merge_newest
+from repro.kvstore.node import merge_newest, newer
 
 
 @dataclass
@@ -88,7 +87,8 @@ class ReplicaRepairer:
         alive = [r for r in self.store.replicas_for(key) if self.store.is_up(r)]
         newest, repaired = await self.store.read_repairing(key, alive, coordinator)
         self.stats.read_repairs += repaired
-        return None if newest is None or newest.tombstone else newest.value
+        value, _, tombstone = newest or (None, 0, True)
+        return None if tombstone else value
 
     # ------------------------------------------------------------------ #
     # anti-entropy
@@ -116,9 +116,9 @@ class ReplicaRepairer:
             (entries_b, a, entries_a),
         ):
             rows = [
-                stored.row(key)
-                for key, stored in sorted(src_entries.items())
-                if stored.newer_than(dst_entries.get(key))
+                (key, *entry)
+                for key, entry in sorted(src_entries.items())
+                if newer(entry, dst_entries.get(key))
                 # Only stream keys this replica is actually responsible for.
                 and dst in self.store.replicas_for(key)
             ]
@@ -155,12 +155,12 @@ class ReplicaRepairer:
             zip(members, await transport.gather(*(transport.dump(n) for n in members)))
         )
         missing: list[str] = []
-        for key, stored in sorted(merge_newest(shards.values()).items()):
-            if stored.tombstone:
+        for key, (_, _, tombstone) in sorted(merge_newest(shards.values()).items()):
+            if tombstone:
                 continue
             for replica in self.store.replicas_for(key):
-                found = shards[replica].get(key)
-                if self.store.is_up(replica) and (found is None or found.tombstone):
+                _, _, gone = shards[replica].get(key, (None, 0, True))  # absent or deleted
+                if self.store.is_up(replica) and gone:
                     missing.append(key)
                     break
         return missing

@@ -2,11 +2,12 @@
 
 :class:`Replica` is the whole *replica-local* operation surface — every
 verb a coordinator may ask of one member — as typed method calls: batched
-index reads and writes against the member's
-:class:`~repro.kvstore.node.StorageNode` shard, the chunk-payload shelf
-(PM-Dedup's locality argument: the node answering "is this chunk new?"
-also holds the bytes), and the operator views (dump, Merkle tree, range
-scans) that keep working while the replica refuses data traffic.
+index reads and writes against the member's shard (key →
+:data:`~repro.kvstore.node.Entry`, rebuilt from its write-ahead log on
+construction), the chunk-payload shelf (PM-Dedup's locality argument: the
+node answering "is this chunk new?" also holds the bytes), and the
+operator views (dump, Merkle tree, range scans) that keep working while
+the replica refuses data traffic.
 
 A replica knows nothing about placement, consistency levels, hints or
 other members; that is the coordinator's
@@ -21,21 +22,34 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from repro.kvstore.node import Row, StorageNode, VersionedValue
+from repro.kvstore.errors import NodeDownError
 from repro.kvstore.merkle import MerkleTree, _bucket_of, merkle_from_items
+from repro.kvstore.node import Entry, Row
 from repro.kvstore.tokens import key_token
 
 
-class Replica(StorageNode):
-    """A storage node plus its chunk shelf, with the batched verbs.
+class Replica:
+    """One member of a KV cluster: its index shard and chunk shelf behind
+    an availability flag, with the batched verbs.
 
     Data-plane verbs are refused (``NodeDownError``) while the node is
     down. Operator views read the shard directly, so a replica that is
     marked down can still be inspected, compared and drained.
+
+    Args:
+        node_id: this member's id.
+        wal: optional :class:`~repro.kvstore.wal.WriteAheadLog`. When given,
+            the shard is rebuilt from it on construction (the crash-restart
+            path) and every accepted write is logged before it is applied —
+            so a replica that dies with the process comes back with its
+            pre-crash keys.
     """
 
     def __init__(self, node_id: str, wal=None) -> None:
-        super().__init__(node_id, wal)
+        self.node_id = node_id
+        self.wal = wal
+        self._data: dict[str, Entry] = wal.load() if wal is not None else {}
+        self._up = True
         # Chunk-payload shelf for the content plane: fingerprint → raw
         # bytes. In-memory on purpose — the edge copy is a locality cache;
         # the erasure-coded cloud tier is the durable tier, so a crashed
@@ -43,11 +57,32 @@ class Replica(StorageNode):
         self.chunks: dict[str, bytes] = {}
         self.chunk_bytes = 0
 
+    @property
+    def is_up(self) -> bool:
+        return self._up
+
+    def _check_up(self) -> None:
+        if not self._up:
+            raise NodeDownError(f"node {self.node_id!r} is down")
+
+    def _apply(self, rows: Iterable[Row]) -> None:
+        """Keep the newest write per key (tombstones included — a newer
+        delete must shadow older writes), logging each accepted one."""
+        data, wal = self._data, self.wal
+        for key, value, timestamp, tombstone in rows:
+            existing = data.get(key)
+            if existing is None or timestamp > existing[1]:  # newer()
+                if wal is not None:
+                    # Log before apply: a crash after the append replays the
+                    # record, a crash before it never claimed the write.
+                    wal.append(key, value, timestamp, tombstone)
+                data[key] = (value, timestamp, tombstone)
+
     # ------------------------------------------------------------------ #
     # data plane
     # ------------------------------------------------------------------ #
 
-    def multi_get(self, keys: Iterable[str]) -> dict[str, Optional[VersionedValue]]:
+    def multi_get(self, keys: Iterable[str]) -> dict[str, Optional[Entry]]:
         """Stored version (tombstones included) of each key, None if absent."""
         self._check_up()
         data = self._data
@@ -55,9 +90,16 @@ class Replica(StorageNode):
 
     def multi_put(self, rows: Iterable[Row]) -> None:
         """Apply rows at their own timestamps (newest write per key wins);
-        their WAL records share one flush, before anyone acknowledges them."""
+        their WAL records share one flush, before anyone acknowledges them,
+        and only after it does the log get its one snapshot check."""
         self._check_up()
-        self._write(rows)
+        wal = self.wal
+        if wal is None:
+            self._apply(rows)
+            return
+        with wal.batch():
+            self._apply(rows)
+        wal.maybe_snapshot(self._data)
 
     def put_chunks(self, entries: Iterable[tuple[str, bytes]]) -> tuple[int, int]:
         """Shelve (fingerprint, payload) pairs; returns (new fingerprints,
@@ -100,41 +142,44 @@ class Replica(StorageNode):
     # ------------------------------------------------------------------ #
 
     def ping(self) -> bool:
-        return self.is_up
+        return self._up
 
     def set_down(self, down: bool) -> None:
-        if down:
-            self.mark_down()
-        else:
-            self.mark_up()
+        """Crash or partition the node (it stops serving data verbs), or
+        bring it back with its shard intact (a crash, not a wipe)."""
+        self._up = not down
 
-    def dump(self) -> Mapping[str, VersionedValue]:
+    def key_count(self) -> int:
+        """Number of keys stored locally (an operator view)."""
+        return len(self._data)
+
+    def dump(self) -> Mapping[str, Entry]:
         """The whole shard: a read-only view, not a snapshot."""
         return MappingProxyType(self._data)
 
     def merkle_tree(self, depth: int) -> MerkleTree:
         return merkle_from_items(
-            (stored.row(key) for key, stored in self._data.items()), depth
+            ((key, *entry) for key, entry in self._data.items()), depth
         )
 
-    def repair_range(self, depth: int, buckets: Iterable[int]) -> dict[str, VersionedValue]:
+    def repair_range(self, depth: int, buckets: Iterable[int]) -> dict[str, Entry]:
         """Entries under the given Merkle buckets (anti-entropy streaming)."""
         wanted = set(buckets)
         return {
-            key: stored
-            for key, stored in self._data.items()
+            key: entry
+            for key, entry in self._data.items()
             if _bucket_of(key, depth) in wanted
         }
 
-    def fetch_range(self, ranges: Iterable[tuple[int, int]]) -> dict[str, VersionedValue]:
+    def fetch_range(self, ranges: Iterable[tuple[int, int]]) -> dict[str, Entry]:
         """Entries whose key token falls in the half-open ``[lo, hi)``
         ``ranges`` — the ring-migration sibling of :meth:`repair_range`."""
         bounds = list(ranges)
-        out: dict[str, VersionedValue] = {}
-        for key, stored in self._data.items():
+        out: dict[str, Entry] = {}
+        for key, entry in self._data.items():
             token = key_token(key)
             if any(lo <= token < hi for lo, hi in bounds):
-                out[key] = stored
+                out[key] = entry
         return out
 
     def chunk_keys(self) -> list[str]:
@@ -163,3 +208,7 @@ class Replica(StorageNode):
                 found[fingerprint] = data
             scanned += 1
         return found, scanned
+
+    def __repr__(self) -> str:
+        state = "up" if self._up else "down"
+        return f"Replica({self.node_id!r}, {state}, keys={len(self._data)})"

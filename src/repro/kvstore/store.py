@@ -37,7 +37,7 @@ class DistributedKVStore(QuorumCoordinator):
             :class:`~repro.kvstore.coordinator.QuorumCoordinator`.
 
     ``nodes`` maps each member id to its
-    :class:`~repro.kvstore.replica.Replica` (a ``StorageNode``).
+    :class:`~repro.kvstore.replica.Replica` (index shard plus chunk shelf).
     """
 
     def __init__(

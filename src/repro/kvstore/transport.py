@@ -2,7 +2,7 @@
 
 A :class:`ReplicaTransport` carries the verbs of
 :class:`~repro.kvstore.replica.Replica` to a member named by id and hands
-back typed results (:class:`~repro.kvstore.node.VersionedValue`,
+back typed results (:data:`~repro.kvstore.node.Entry` tuples,
 :class:`~repro.kvstore.repair.MerkleTree`, payload bytes). A transport
 implements one dispatch, :meth:`ReplicaTransport.call`; the typed verbs are
 one-liners over it on the base, overridden only where a transport does more
@@ -28,11 +28,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Awaitable, Optional
 
-from repro.kvstore.node import Row, VersionedValue
+from repro.kvstore.node import Entry, Row
 from repro.kvstore.merkle import MerkleTree
 from repro.kvstore.replica import Replica
 
-_Shard = dict[str, VersionedValue]
+_Shard = dict[str, Entry]
 _Payloads = dict[str, Optional[bytes]]
 
 
@@ -79,7 +79,7 @@ class ReplicaTransport(ABC):
 
     def multi_get(
         self, node_id: str, keys: list[str], src: Optional[str] = None
-    ) -> Awaitable[dict[str, Optional[VersionedValue]]]:
+    ) -> Awaitable[dict[str, Optional[Entry]]]:
         return self.call(node_id, "multi_get", keys, src=src)
 
     async def multi_put(self, node_id: str, rows: list[Row], src: Optional[str] = None) -> None:

@@ -1,12 +1,12 @@
 """Per-node durability: append-only write-ahead log + amortised snapshots.
 
-A :class:`~repro.kvstore.node.StorageNode` is in-memory; a crashed replica
-of a *live* ring (its :class:`~repro.rpc.server.NodeServer` process dying)
-would otherwise lose its shard and come back empty, leaning entirely on
-hints and anti-entropy to rebuild. Cassandra solves this with a commit log
-plus SSTable flushes; we reproduce the same shape at our scale:
+A :class:`~repro.kvstore.replica.Replica`'s shard is in-memory; a crashed
+replica of a *live* ring (its :class:`~repro.rpc.server.NodeServer` process
+dying) would otherwise lose its shard and come back empty, leaning entirely
+on hints and anti-entropy to rebuild. Cassandra solves this with a commit
+log plus SSTable flushes; we reproduce the same shape at our scale:
 
-- every accepted ``local_put`` appends one record to an append-only JSONL
+- every write a replica accepts appends one record to an append-only JSONL
   log **before** the write is considered durable (the records of one
   replica message share a flush, :meth:`WriteAheadLog.batch`);
 - once the log has outgrown the shard — the appends since the last
@@ -19,12 +19,15 @@ plus SSTable flushes; we reproduce the same shape at our scale:
   about twice the shard;
 - on restart, :meth:`WriteAheadLog.load` reads the snapshot and replays
   the log on top, and compacts the two when the log it replayed had
-  already outgrown the shard by the same rule. A torn or bit-damaged
-  final line (the classic mid-append crash) is detected and dropped, never
-  propagated.
+  already outgrown the shard by the same rule. A record is a
+  newline-terminated line: an unterminated tail (the classic mid-append
+  crash) was never acknowledged, so it is dropped and cut off the file
+  before anything is appended after it; a bit-damaged line is dropped,
+  never propagated.
 
 Records are ``[key, value, timestamp, tombstone]`` JSON arrays — the same
-tuple the wire protocol ships — so the log is greppable and codec-free.
+row the wire protocol ships — so the log is greppable and codec-free; the
+snapshot maps each key to its ``[value, timestamp, tombstone]`` entry.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
-from repro.kvstore.node import VersionedValue, check_row
+from repro.kvstore.node import Entry, check_row, newer
 
 _SNAP_SUFFIX = ".snap.json"
 _LOG_SUFFIX = ".wal.jsonl"
@@ -105,46 +108,54 @@ class WriteAheadLog:
     # recovery
     # ------------------------------------------------------------------ #
 
-    def load(self) -> dict[str, VersionedValue]:
+    def load(self) -> dict[str, Entry]:
         """Rebuild the shard: snapshot first, then replay the log on top.
 
-        Last-write-wins per key, exactly as live ``local_put`` applies
-        records, so replaying is idempotent. A damaged line — torn by a
-        crash mid-append, bit-flipped, or no ``check_row`` row — is dropped
-        (and counted), not raised; the records before it always load.
+        Last-write-wins per key, exactly as a live replica applies records,
+        so replaying is idempotent. A damaged line — bit-flipped, or no
+        ``check_row`` row — is dropped (and counted), not raised; the
+        records before it always load. An unterminated final line, torn by
+        a crash mid-append, is dropped too and cut off the file (fsync'd
+        with ``fsync=True``), so the next append starts on a fresh line.
         A replayed log that has outgrown the shard by the rule of
         :meth:`due_for_snapshot` is compacted before the shard is returned:
         appends are counted per instance, so a node restarted more often
         than it fills a snapshot would otherwise replay an ever longer log.
         """
-        data: dict[str, VersionedValue] = {}
+        data: dict[str, Entry] = {}
         replayed = 0
         if self.snap_path.exists():
             with open(self.snap_path, encoding="utf-8") as fh:
                 raw = json.load(fh)
             for key, (value, ts, tombstone) in raw.items():
-                data[key] = VersionedValue(
-                    value=value, timestamp=int(ts), tombstone=bool(tombstone)
-                )
+                data[key] = (value, int(ts), bool(tombstone))
             self.stats.snapshot_entries_loaded += len(data)
         if self.log_path.exists():
             # Bytes, not text: a flipped high bit must fail this record's
             # decode inside the ``try``, not the file iterator outside it.
-            with open(self.log_path, "rb") as fh:
+            with open(self.log_path, "r+b") as fh:
+                whole = 0  # bytes through the last newline
                 for line in fh:
+                    if not line.endswith(b"\n"):
+                        # Torn append: never acknowledged. Cut it, or the
+                        # next append would be glued onto it and lost too.
+                        self.stats.torn_records_dropped += 1
+                        fh.truncate(whole)
+                        if self.fsync:
+                            os.fsync(fh.fileno())
+                        break
+                    whole += len(line)
                     line = line.strip()
                     if not line:
                         continue
                     try:
                         key, value, ts, tombstone = check_row(json.loads(line.decode("utf-8")))
-                        incoming = VersionedValue(value, ts, tombstone)
-                        if incoming.newer_than(data.get(key)):
-                            data[key] = incoming
                     except ValueError:
-                        # torn append: a crash mid-write leaves a partial
-                        # final record; everything before it is intact.
-                        self.stats.torn_records_dropped += 1
+                        self.stats.torn_records_dropped += 1  # damaged in place
                         continue
+                    entry = (value, ts, tombstone)
+                    if newer(entry, data.get(key)):
+                        data[key] = entry
                     replayed += 1
             self.stats.log_entries_replayed += replayed
         if self.snapshot_every and replayed >= max(self.snapshot_every, len(data)):
@@ -163,8 +174,8 @@ class WriteAheadLog:
         return self._fh
 
     def append(self, key: str, value: str, timestamp: int, tombstone: bool) -> None:
-        """Record one accepted write. Called *by* the node on every accepted
-        ``local_put``; returns after the record reaches the OS (or the disk,
+        """Record one accepted write. Called *by* the replica on every write
+        it accepts; returns after the record reaches the OS (or the disk,
         with ``fsync=True``) — inside a :meth:`batch`, the batch's exit does."""
         if type(key) is type(value) is str and type(timestamp) is int and type(tombstone) is bool:
             # What json.dumps writes for these types, without building an encoder.
@@ -214,7 +225,7 @@ class WriteAheadLog:
             and self._appends_since_snapshot >= max(self.snapshot_every, size)
         )
 
-    def write_snapshot(self, data: dict[str, VersionedValue]) -> None:
+    def write_snapshot(self, data: dict[str, Entry]) -> None:
         """Write the full shard atomically, then truncate the log.
 
         Crash ordering is safe at every point: the snapshot lands via
@@ -225,12 +236,11 @@ class WriteAheadLog:
         two: until then the rename may not be on disk, and a power loss
         could keep the truncate but lose the rename.
         """
-        raw = {
-            key: [v.value, v.timestamp, v.tombstone] for key, v in data.items()
-        }
         tmp = self.snap_path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(raw))  # one C-encoder call; json.dump streams in Python
+            # One C-encoder call (json.dump streams in Python); an entry
+            # tuple encodes as its JSON array.
+            fh.write(json.dumps(data))
             fh.flush()
             if self.fsync:
                 os.fsync(fh.fileno())
@@ -248,7 +258,7 @@ class WriteAheadLog:
         self.stats.snapshots += 1
         self._appends_since_snapshot = 0
 
-    def maybe_snapshot(self, data: dict[str, VersionedValue]) -> bool:
+    def maybe_snapshot(self, data: dict[str, Entry]) -> bool:
         """Snapshot ``data`` if :meth:`due_for_snapshot` says it's time.
         Returns True if a snapshot was written."""
         if self.due_for_snapshot(len(data)):

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.kvstore.merkle import MerkleTree
-from repro.kvstore.node import VersionedValue, check_row
+from repro.kvstore.node import check_row
 from repro.obs.hub import series
 from repro.rpc.framing import BLOB_BUDGET_BYTES
 
@@ -100,13 +100,12 @@ class Op:
 
 
 def _entries(found) -> tuple[dict, tuple]:
-    return {"entries": {
-        key: None if v is None else [v.value, v.timestamp, v.tombstone] for key, v in found.items()
-    }}, ()
+    # A copy: ``dump`` is a read-only view, which no codec encodes.
+    return {"entries": dict(found)}, ()
 
 
 def _rows(found) -> tuple[dict, tuple]:
-    return {"entries": [stored.row(key) for key, stored in found.items()]}, ()
+    return {"entries": [(key, *entry) for key, entry in found.items()]}, ()
 
 
 def _page(fetch, fingerprints) -> tuple[dict, tuple]:
@@ -115,11 +114,15 @@ def _page(fetch, fingerprints) -> tuple[dict, tuple]:
 
 
 def _read_entries(result, blobs) -> dict:
-    return {key: None if w is None else VersionedValue(*w) for key, w in result["entries"].items()}
+    return {
+        key: None if wire is None else check_row([key, *wire])[1:]
+        for key, wire in result["entries"].items()
+    }
 
 
 def _read_rows(result, blobs) -> dict:
-    return {key: VersionedValue(*wire) for key, *wire in result["entries"]}
+    rows = map(check_row, result["entries"])
+    return {key: (value, ts, tombstone) for key, value, ts, tombstone in rows}
 
 
 def _read_page(result, blobs) -> tuple[dict, int]:

@@ -54,11 +54,3 @@ class RetryPolicy:
             if self.jitter:
                 delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             yield delay
-
-    def worst_case_s(self, per_attempt_timeout_s: float) -> float:
-        """Upper bound on how long one call can take before it fails."""
-        backoff = sum(
-            min(self.base_delay_s * self.multiplier**r, self.max_delay_s) * (1 + self.jitter)
-            for r in range(self.attempts - 1)
-        )
-        return self.attempts * per_attempt_timeout_s + backoff

@@ -1,4 +1,4 @@
-"""Per-node RPC server: a StorageNode replica behind a real TCP socket.
+"""Per-node RPC server: one member's replica behind a real TCP socket.
 
 Each edge node of a live D2-ring runs one :class:`NodeServer` on
 127.0.0.1 (port assigned by the OS). The server speaks the framed

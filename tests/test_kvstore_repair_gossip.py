@@ -6,14 +6,13 @@ import math
 import pytest
 
 from repro.kvstore.gossip import HeartbeatMonitor, PhiAccrualDetector
-from repro.kvstore.node import StorageNode
 from repro.kvstore.repair import (
     ReplicaRepairer,
     _bucket_of,
-    build_merkle_tree,
     differing_buckets,
     merkle_from_items,
 )
+from repro.kvstore.replica import Replica
 from repro.kvstore.store import DistributedKVStore
 
 
@@ -30,51 +29,48 @@ def desynced_store(n=4, rf=2, lost_range=(0, 50)) -> tuple[DistributedKVStore, s
 
 class TestMerkleTree:
     def test_equal_nodes_equal_roots(self):
-        a, b = StorageNode("a"), StorageNode("b")
-        for i in range(50):
-            a.local_put(f"k{i}", "v", i)
-            b.local_put(f"k{i}", "v", i)
-        assert build_merkle_tree(a).root == build_merkle_tree(b).root
+        a, b = Replica("a"), Replica("b")
+        rows = [(f"k{i}", "v", i, False) for i in range(50)]
+        a.multi_put(rows)
+        b.multi_put(rows)
+        assert a.merkle_tree(6).root == b.merkle_tree(6).root
 
     def test_different_value_changes_root(self):
-        a, b = StorageNode("a"), StorageNode("b")
-        a.local_put("k", "v1", 1)
-        b.local_put("k", "v2", 1)
-        assert build_merkle_tree(a).root != build_merkle_tree(b).root
+        a, b = Replica("a"), Replica("b")
+        a.multi_put([("k", "v1", 1, False)])
+        b.multi_put([("k", "v2", 1, False)])
+        assert a.merkle_tree(6).root != b.merkle_tree(6).root
 
     def test_different_timestamp_changes_root(self):
-        a, b = StorageNode("a"), StorageNode("b")
-        a.local_put("k", "v", 1)
-        b.local_put("k", "v", 2)
-        assert build_merkle_tree(a).root != build_merkle_tree(b).root
+        a, b = Replica("a"), Replica("b")
+        a.multi_put([("k", "v", 1, False)])
+        b.multi_put([("k", "v", 2, False)])
+        assert a.merkle_tree(6).root != b.merkle_tree(6).root
 
     def test_differing_buckets_localize_change(self):
-        a, b = StorageNode("a"), StorageNode("b")
-        for i in range(200):
-            a.local_put(f"k{i}", "v", i)
-            b.local_put(f"k{i}", "v", i)
-        b.local_put("k7", "changed", 999)
-        dirty = differing_buckets(build_merkle_tree(a), build_merkle_tree(b))
+        a, b = Replica("a"), Replica("b")
+        rows = [(f"k{i}", "v", i, False) for i in range(200)]
+        a.multi_put(rows)
+        b.multi_put(rows)
+        b.multi_put([("k7", "changed", 999, False)])
+        dirty = differing_buckets(a.merkle_tree(6), b.merkle_tree(6))
         assert len(dirty) == 1  # only the bucket containing k7
 
     def test_empty_trees_equal(self):
-        assert (
-            build_merkle_tree(StorageNode("a")).root
-            == build_merkle_tree(StorageNode("b")).root
-        )
+        assert Replica("a").merkle_tree(6).root == Replica("b").merkle_tree(6).root
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
-            build_merkle_tree(StorageNode("a"), depth=0)
+            Replica("a").merkle_tree(0)
 
     def test_mismatched_depths_rejected(self):
-        a = build_merkle_tree(StorageNode("a"), depth=4)
-        b = build_merkle_tree(StorageNode("b"), depth=5)
+        a = Replica("a").merkle_tree(4)
+        b = Replica("b").merkle_tree(5)
         with pytest.raises(ValueError, match="depth"):
             differing_buckets(a, b)
 
     def test_leaf_count(self):
-        tree = build_merkle_tree(StorageNode("a"), depth=5)
+        tree = Replica("a").merkle_tree(5)
         assert tree.n_buckets == 32
 
 
@@ -87,11 +83,11 @@ class TestReadRepair:
             k
             for k in store.unique_keys()
             if victim in store.replicas_for(k)
-            and not store.nodes[victim].local_contains(k)
+            and k not in store.nodes[victim].dump()
         )
         value = repairer.read_with_repair(missing_key)
         assert value is not None
-        assert store.nodes[victim].local_contains(missing_key)
+        assert missing_key in store.nodes[victim].dump()
         assert repairer.stats.read_repairs >= 1
 
     def test_read_missing_key_returns_none(self):
@@ -129,7 +125,7 @@ class TestAntiEntropy:
         ReplicaRepairer(store).repair_all()
         for key in store.unique_keys():
             holders = [
-                nid for nid, node in store.nodes.items() if node.local_contains(key)
+                nid for nid, node in store.nodes.items() if key in node.dump()
             ]
             assert sorted(holders) == sorted(store.replicas_for(key))
 
@@ -137,9 +133,9 @@ class TestAntiEntropy:
         store = DistributedKVStore(["a", "b"], replication_factor=2)
         store.put("k", "old")
         # b diverges with a NEWER write a missed.
-        store.nodes["b"].local_put("k", "newer", timestamp=10_000)
+        store.nodes["b"].multi_put([("k", "newer", 10_000, False)])
         ReplicaRepairer(store).repair_all()
-        assert store.nodes["a"].local_get("k").value == "newer"
+        assert store.nodes["a"].multi_get(["k"])["k"] == ("newer", 10_000, False)
 
 
 class TestPhiAccrual:
@@ -251,7 +247,7 @@ class TestMerkleEdgeCases:
         store.nodes["b"]._data.pop("k", None)  # one replica loses its only key
         stats = ReplicaRepairer(store).repair_all()
         assert stats.synced_keys == 1
-        assert store.nodes["b"].local_contains("k")
+        assert "k" in store.nodes["b"].dump()
 
     def test_merkle_from_items_depth_bounds(self):
         with pytest.raises(ValueError):
@@ -300,7 +296,7 @@ class TestStoreFailureDetectionWiring:
         assert store.nodes["c"].is_up
         assert store.hints.pending_for("c") == 0
         for k in keys_on_c:
-            assert store.nodes["c"].local_contains(k)
+            assert k in store.nodes["c"].dump()
 
     def test_monitor_default_detector(self):
         store = DistributedKVStore(["a", "b"], replication_factor=2)

@@ -6,7 +6,7 @@ import pytest
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import NodeDownError, NoSuchNodeError, UnavailableError
 from repro.kvstore.hints import Hint, HintBuffer
-from repro.kvstore.node import StorageNode, VersionedValue
+from repro.kvstore.replica import Replica
 from repro.kvstore.store import DistributedKVStore
 
 
@@ -33,44 +33,49 @@ class TestConsistencyLevels:
 
 
 class TestStorageNode:
+    """One replica's shard, through its batched verbs."""
+
     def test_put_get_roundtrip(self):
-        node = StorageNode("n")
-        node.local_put("k", "v", timestamp=1)
-        stored = node.local_get("k")
-        assert stored == VersionedValue("v", 1)
+        node = Replica("n")
+        node.multi_put([("k", "v", 1, False)])
+        assert node.multi_get(["k", "absent"]) == {"k": ("v", 1, False), "absent": None}
 
     def test_last_write_wins(self):
-        node = StorageNode("n")
-        node.local_put("k", "old", timestamp=2)
-        node.local_put("k", "stale", timestamp=1)  # older: ignored
-        node.local_put("k", "new", timestamp=3)
-        assert node.local_get("k").value == "new"
+        node = Replica("n")
+        node.multi_put([("k", "old", 2, False)])
+        node.multi_put([("k", "stale", 1, False)])  # older: ignored
+        node.multi_put([("k", "new", 3, False)])
+        assert node.multi_get(["k"])["k"] == ("new", 3, False)
 
     def test_down_node_rejects_requests(self):
-        node = StorageNode("n")
-        node.mark_down()
+        node = Replica("n")
+        node.set_down(True)
         with pytest.raises(NodeDownError):
-            node.local_get("k")
+            node.multi_get(["k"])
         with pytest.raises(NodeDownError):
-            node.local_put("k", "v", 1)
+            node.multi_put([("k", "v", 1, False)])
 
     def test_recovery_preserves_data(self):
-        node = StorageNode("n")
-        node.local_put("k", "v", 1)
-        node.mark_down()
-        node.mark_up()
-        assert node.local_get("k").value == "v"
+        node = Replica("n")
+        node.multi_put([("k", "v", 1, False)])
+        node.set_down(True)
+        node.set_down(False)
+        assert node.multi_get(["k"])["k"] == ("v", 1, False)
 
     def test_delete(self):
-        node = StorageNode("n")
-        node.local_put("k", "v", 1)
-        assert node.local_delete("k") is True
-        assert node.local_delete("k") is False
+        # A delete is a newer tombstone: it stays in the shard (so it can
+        # win last-write-wins elsewhere) and shadows the value.
+        node = Replica("n")
+        node.multi_put([("k", "v", 1, False)])
+        node.multi_put([("k", "", 2, True)])
+        assert node.multi_get(["k"])["k"] == ("", 2, True)
+        node.multi_put([("k", "v", 1, False)])  # the older write stays shadowed
+        assert node.dump() == {"k": ("", 2, True)}
 
     def test_key_count_allowed_while_down(self):
-        node = StorageNode("n")
-        node.local_put("k", "v", 1)
-        node.mark_down()
+        node = Replica("n")
+        node.multi_put([("k", "v", 1, False)])
+        node.set_down(True)
         assert node.key_count() == 1
 
 
@@ -129,14 +134,6 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             DistributedKVStore([])
 
-    def test_is_local_matches_replicas(self):
-        store = make_store()
-        for i in range(20):
-            key = f"k{i}"
-            replicas = store.replicas_for(key)
-            for nid in store.nodes:
-                assert store.is_local(key, nid) == (nid in replicas)
-
 
 class TestFailures:
     def test_read_survives_one_replica_down(self):
@@ -179,7 +176,7 @@ class TestFailures:
         assert store.hints.pending_for(down) == 1
         store.mark_up(down)
         assert store.hints.pending_for(down) == 0
-        assert store.nodes[down].local_get("k").value == "v"
+        assert store.nodes[down].multi_get(["k"])["k"][0] == "v"
         assert store.stats.hints_replayed == 1
 
     def test_full_replica_count_restored_after_recovery(self):
@@ -189,7 +186,7 @@ class TestFailures:
         store.put("k", "v")
         store.mark_up(down)
         holders = [
-            nid for nid, node in store.nodes.items() if node.local_contains("k")
+            nid for nid, node in store.nodes.items() if "k" in node.dump()
         ]
         assert sorted(holders) == sorted(store.replicas_for("k"))
 
@@ -344,7 +341,7 @@ class TestHintReplayFailureRegression:
         assert store.hints.pending_for(victim) == 0
         assert store.stats.hints_replayed == pending
         for key in keys:
-            assert node.local_get(key).value == "v"
+            assert node.multi_get([key])[key][0] == "v"
 
 
 class TestTombstones:
@@ -368,7 +365,7 @@ class TestTombstones:
         store = make_store(n=4, rf=2)
         store.put("k", "v")
         victim = store.replicas_for("k")[0]
-        stale = store.nodes[victim].local_get("k")
+        stale = store.nodes[victim].dump()["k"]
         store.delete("k")
         # The victim silently missed the tombstone: it still holds the
         # live value, and no hint or degraded-key record knows.

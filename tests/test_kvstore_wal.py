@@ -4,11 +4,11 @@ import io
 import os
 import json
 import random
+from gc import collect, is_tracked
 
 import pytest
 
 from repro.content.gc import RefcountGC
-from repro.kvstore.node import StorageNode, VersionedValue
 from repro.kvstore.replica import Replica
 from repro.kvstore.wal import WriteAheadLog
 
@@ -20,8 +20,8 @@ def test_append_load_roundtrip(tmp_path):
     wal.close()
 
     restored = WriteAheadLog(tmp_path, "n0").load()
-    assert restored["k1"] == VersionedValue("v1", 10, False)
-    assert restored["k2"] == VersionedValue("v2", 20, False)
+    assert restored["k1"] == ("v1", 10, False)
+    assert restored["k2"] == ("v2", 20, False)
 
 
 def test_replay_is_last_write_wins(tmp_path):
@@ -32,8 +32,7 @@ def test_replay_is_last_write_wins(tmp_path):
     wal.close()
 
     restored = WriteAheadLog(tmp_path, "n0").load()
-    assert restored["k"].value == "new"
-    assert restored["k"].timestamp == 20
+    assert restored["k"] == ("new", 20, False)
 
 
 def test_tombstone_survives_restart(tmp_path):
@@ -43,14 +42,14 @@ def test_tombstone_survives_restart(tmp_path):
     wal.close()
 
     restored = WriteAheadLog(tmp_path, "n0").load()
-    assert restored["k"].tombstone
+    assert restored["k"] == ("", 20, True)
 
 
 def test_snapshot_truncates_log_and_loads(tmp_path):
     wal = WriteAheadLog(tmp_path, "n0", snapshot_every=3)
     data = {}
     for i in range(3):
-        data[f"k{i}"] = VersionedValue(f"v{i}", i + 1, False)
+        data[f"k{i}"] = (f"v{i}", i + 1, False)
         wal.append(f"k{i}", f"v{i}", i + 1, False)
     assert not wal.due_for_snapshot(len(data) + 1)  # the log has not outgrown it
     assert wal.due_for_snapshot(len(data))
@@ -71,16 +70,16 @@ def test_snapshot_file_is_the_json_dump_form(tmp_path):
     """write_snapshot encodes in one C-encoder call; the file must stay
     byte-identical to what ``json.dump`` streamed, and load() reads it back."""
     data = {
-        "plain": VersionedValue("v", 1, False),
-        "gone": VersionedValue("", 2**40, True),
-        'quote"\\back\nslash': VersionedValue("ünï\u2603cödé \U0001f600", 3, False),
-        "": VersionedValue("empty key", 0, False),
+        "plain": ("v", 1, False),
+        "gone": ("", 2**40, True),
+        'quote"\\back\nslash': ("ünï\u2603cödé \U0001f600", 3, False),
+        "": ("empty key", 0, False),
     }
     wal = WriteAheadLog(tmp_path, "n0")
     wal.write_snapshot(data)
     wal.close()
     expected = io.StringIO()
-    json.dump({k: [v.value, v.timestamp, v.tombstone] for k, v in data.items()}, expected)
+    json.dump({k: list(entry) for k, entry in data.items()}, expected)
     assert wal.snap_path.read_bytes() == expected.getvalue().encode("utf-8")
     assert WriteAheadLog(tmp_path, "n0").load() == data
 
@@ -126,7 +125,7 @@ def test_snapshot_makes_the_rename_durable_before_truncating(tmp_path, monkeypat
     monkeypatch.setattr(os, "open", recording_os_open)
     monkeypatch.setattr(os, "fsync", recording_fsync)
     monkeypatch.setattr(os, "replace", recording_replace)
-    wal.write_snapshot({"k": VersionedValue("v", 1, False)})
+    wal.write_snapshot({"k": ("v", 1, False)})
     monkeypatch.undo()
 
     replace = ("replace", "n0.snap.json")
@@ -140,7 +139,7 @@ def test_snapshot_makes_the_rename_durable_before_truncating(tmp_path, monkeypat
         assert ops == [("open:w", "n0.snap.tmp"), replace, truncate]
         assert not dir_fds
     wal.close()
-    assert WriteAheadLog(tmp_path, "n0").load() == {"k": VersionedValue("v", 1, False)}
+    assert WriteAheadLog(tmp_path, "n0").load() == {"k": ("v", 1, False)}
 
 
 def test_torn_final_record_dropped(tmp_path):
@@ -153,8 +152,67 @@ def test_torn_final_record_dropped(tmp_path):
 
     fresh = WriteAheadLog(tmp_path, "n0")
     restored = fresh.load()
-    assert restored == {"k1": VersionedValue("v1", 10, False)}
+    assert restored == {"k1": ("v1", 10, False)}
     assert fresh.stats.torn_records_dropped == 1
+
+
+# A record is a newline-terminated line: an unterminated tail was never
+# acknowledged, and load() cuts it off so the next append starts clean.
+# ``cut`` 8 tears the last record; ``cut`` 1 loses only its newline.
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_a_torn_tail_never_swallows_the_next_acknowledged_write(tmp_path, cut):
+    wal = WriteAheadLog(tmp_path, "n0")
+    replica = Replica("n0", wal=wal)
+    replica.multi_put([("a", "1", 1, False)])
+    replica.multi_put([("b", "2", 2, False)])
+    wal.close()
+    log = wal.log_path.read_bytes()
+    wal.log_path.write_bytes(log[:-cut])
+
+    wal = WriteAheadLog(tmp_path, "n0")
+    replica = Replica("n0", wal=wal)
+    assert dict(replica.dump()) == {"a": ("1", 1, False)}
+    assert wal.stats.torn_records_dropped == 1
+    assert wal.log_path.read_bytes() == log[: log.index(b"\n") + 1]
+    replica.multi_put([("c", "3", 3, False)])
+    wal.close()
+
+    reborn = Replica("n0", wal=WriteAheadLog(tmp_path, "n0"))
+    assert dict(reborn.dump()) == {"a": ("1", 1, False), "c": ("3", 3, False)}
+    assert reborn.wal.stats.torn_records_dropped == 0
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_a_torn_journal_tail_never_swallows_the_next_reference(tmp_path, cut):
+    with RefcountGC(journal_dir=tmp_path) as ledger:
+        ledger.incr("a")
+        ledger.incr("b")
+    log_path = ledger.wal.log_path
+    log = log_path.read_bytes()
+    log_path.write_bytes(log[:-cut])
+
+    with RefcountGC(journal_dir=tmp_path) as ledger:
+        assert ledger.counts == {"a": 1}
+        assert ledger.wal.stats.torn_records_dropped == 1
+        ledger.incr("c")
+    with RefcountGC(journal_dir=tmp_path) as ledger:
+        assert ledger.counts == {"a": 1, "c": 1}
+        assert ledger.wal.stats.torn_records_dropped == 0
+
+
+def test_a_torn_tail_is_cut_durably_under_fsync(tmp_path, monkeypatch):
+    wal = WriteAheadLog(tmp_path, "n0")
+    wal.append("a", "1", 1, False)
+    wal.close()
+    wal.log_path.write_bytes(wal.log_path.read_bytes() + b'["b", "2"')
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
+    assert WriteAheadLog(tmp_path, "n0", fsync=True).load() == {"a": ("1", 1, False)}
+    assert len(synced) == 1
+    assert wal.log_path.read_bytes() == b'["a", "1", 1, false]\n'
 
 
 def test_log_records_are_greppable_json(tmp_path):
@@ -172,7 +230,24 @@ def test_closed_wal_rejects_appends_but_reopens(tmp_path):
     wal.close()  # idempotent
     with pytest.raises(ValueError, match="closed"):
         wal.append("k2", "v2", 2, False)
-    assert WriteAheadLog(tmp_path, "n0").load()["k"].value == "v"
+    assert WriteAheadLog(tmp_path, "n0").load()["k"] == ("v", 1, False)
+
+
+def test_a_loaded_shard_is_untracked_exact_tuples(tmp_path):
+    """Entries rebuilt from the snapshot and from the log are exact tuples
+    of atoms, which the cyclic collector untracks."""
+    wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
+    Replica("n0", wal=wal).multi_put([(f"k{i}", "v", i + 1, i == 2) for i in range(6)])
+    wal.append("k1", "new", 10, False)
+    wal.append("k9", "v", 11, True)
+    wal.close()
+    reborn = Replica("n0", wal=WriteAheadLog(tmp_path, "n0", snapshot_every=0))
+    loaded = (reborn.wal.stats.snapshot_entries_loaded, reborn.wal.stats.log_entries_replayed)
+    assert loaded == (6, 2)
+    collect()
+    assert len(reborn.dump()) == 7
+    for entry in reborn.dump().values():
+        assert type(entry) is tuple and not is_tracked(entry), entry
 
 
 def test_param_validation(tmp_path):
@@ -186,27 +261,27 @@ def test_param_validation(tmp_path):
 
 class TestNodeIntegration:
     def test_node_writes_reach_wal_and_restore(self, tmp_path):
-        node = StorageNode("n0", wal=WriteAheadLog(tmp_path, "n0"))
+        node = Replica("n0", wal=WriteAheadLog(tmp_path, "n0"))
         for i in range(5):
-            node.local_put(f"k{i}", f"v{i}", timestamp=i + 1)
+            node.multi_put([(f"k{i}", f"v{i}", i + 1, False)])
         node.wal.close()
 
-        reborn = StorageNode("n0", wal=WriteAheadLog(tmp_path, "n0"))
-        assert reborn.local_get("k3").value == "v3"
+        reborn = Replica("n0", wal=WriteAheadLog(tmp_path, "n0"))
+        assert reborn.multi_get(["k3"]) == {"k3": ("v3", 4, False)}
         assert len(reborn._data) == 5
 
     def test_rejected_stale_write_not_logged(self, tmp_path):
         wal = WriteAheadLog(tmp_path, "n0")
-        node = StorageNode("n0", wal=wal)
-        node.local_put("k", "new", timestamp=10)
-        node.local_put("k", "stale", timestamp=5)  # LWW rejects
+        node = Replica("n0", wal=wal)
+        node.multi_put([("k", "new", 10, False)])
+        node.multi_put([("k", "stale", 5, False)])  # LWW rejects
         assert wal.stats.appends == 1
 
     def test_periodic_snapshot_via_node(self, tmp_path):
         wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
-        node = StorageNode("n0", wal=wal)
+        node = Replica("n0", wal=wal)
         for i in range(10):
-            node.local_put(f"k{i}", "v", timestamp=i + 1)
+            node.multi_put([(f"k{i}", "v", i + 1, False)])
         # Puts 1-4 reach snapshot_every with a 4-key shard; after that the
         # shard grows with every put, so the log (6 records) never catches
         # up with it (10 keys) and no second snapshot is due.
@@ -252,7 +327,7 @@ def test_single_bit_flips_of_the_final_record_never_stop_a_restart(tmp_path):
     intact = _five_records(tmp_path)
     lines = intact.splitlines(keepends=True)
     head, last = b"".join(lines[:4]), lines[4]
-    before = {_fp(i): VersionedValue(f"meta-{i}", i + 1, i == 3) for i in range(4)}
+    before = {_fp(i): (f"meta-{i}", i + 1, i == 3) for i in range(4)}
     rng = random.Random(24)
     dropped = undecodable = 0
     for trial in range(3000):
@@ -375,7 +450,7 @@ class TestBatchScope:
         assert len(wal.log_path.read_text().splitlines()) == 43
         replica.multi_put(rows)  # nothing newer: nothing logged, nothing flushed
         assert (wal.stats.appends, wal.stats.flushes) == (43, 1)
-        replica.local_put("solo", "v", 99)  # outside a batch: its own commit
+        replica.multi_put([("solo", "v", 99, False)])  # a message of one: its own commit
         assert (wal.stats.appends, wal.stats.flushes) == (44, 2)
         assert len(flushes) == 2
 
@@ -407,7 +482,7 @@ class TestBatchScope:
         # Applied in memory and already readable through a second handle.
         assert sorted(replica.dump()) == ["a", "b"]
         assert sorted(WriteAheadLog(tmp_path, "n0").load()) == ["a", "b"]
-        replica.local_put("c", "v", 3)  # the scope is closed again
+        wal.append("c", "v", 3, False)  # the scope is closed again: its own commit
         assert wal.stats.flushes == 2
 
     def test_snapshot_inside_a_batch_loses_nothing(self, tmp_path):
@@ -492,9 +567,9 @@ class TestSnapshotRule:
         # A shard smaller than snapshot_every keeps the fixed cadence, so
         # the log of a hot, small key set stays bounded.
         wal = WriteAheadLog(tmp_path, "n0", snapshot_every=8)
-        node = StorageNode("n0", wal=wal)
+        node = Replica("n0", wal=wal)
         for i in range(80):
-            node.local_put(f"k{i % 4}", "v", timestamp=i + 1)
+            node.multi_put([(f"k{i % 4}", "v", i + 1, False)])
         assert wal.stats.snapshots == 10
 
     def test_crash_after_every_message_replays_the_acknowledged_shard(self, tmp_path):
@@ -555,7 +630,7 @@ class TestSnapshotRule:
         wal = WriteAheadLog(tmp_path, "n0", snapshot_every=4)
         replica = Replica("n0", wal=wal)
         assert sorted(replica.dump()) == [f"k{i}" for i in range(10)]
-        assert replica.dump()["k6"] == VersionedValue("v6", 7, True)
+        assert replica.dump()["k6"] == ("v6", 7, True)
         assert (wal.stats.snapshot_entries_loaded, wal.stats.log_entries_replayed) == (8, 2)
         replica.multi_put([("k3", "new", 20, False), ("k1", "stale", 1, False), ("k10", "v10", 21, False)])
         wal.close()
@@ -601,7 +676,7 @@ class TestRestartCompaction:
     def test_index_log_restarts_stay_within_twice_the_shard(self, tmp_path, seed):
         rng = random.Random(seed)
         every = rng.choice([4, 16, 64])
-        model: dict[str, VersionedValue] = {}
+        model: dict[str, tuple] = {}
         replica = Replica("n0", wal=WriteAheadLog(tmp_path, "n0", snapshot_every=every))
         ts = 0
         for _ in range(400):
@@ -623,7 +698,7 @@ class TestRestartCompaction:
                 rows.append((key, f"v{ts}", ts, rng.random() < 0.2))
             replica.multi_put(rows)
             for key, value, stamp, tombstone in rows:
-                model[key] = VersionedValue(value, stamp, tombstone)
+                model[key] = (value, stamp, tombstone)
         replica.wal.close()
 
     @pytest.mark.parametrize("seed", range(4))

@@ -150,11 +150,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(base_delay_s=1.0, max_delay_s=0.5)
 
-    def test_worst_case_bounds_the_schedule(self):
-        policy = RetryPolicy(attempts=3, base_delay_s=0.1, multiplier=2.0,
-                             max_delay_s=1.0, jitter=0.5)
-        assert policy.worst_case_s(0.25) == pytest.approx(3 * 0.25 + (0.1 + 0.2) * 1.5)
-
 
 class TestFaultInjector:
     def test_no_rules_is_a_noop(self):

@@ -100,7 +100,7 @@ class TestFaultedCallsCreateNoTaskEither:
         cluster, _ = self.faulted(lambda inj: inj.duplicate_requests(times=1))
         server = cluster.servers["n0"]
         assert server.stats.replays == 1
-        assert server.node._data["k"].timestamp == 7
+        assert server.node.dump()["k"] == ("v", 7, False)
 
     def test_dropped_request_is_resent(self):
         cluster, _ = self.faulted(lambda inj: inj.drop_requests(times=1))

@@ -427,7 +427,12 @@ def test_a_hostile_reply_costs_its_connection_and_the_next_call_succeeds(case):
 BAD_RESULTS = {
     "key_count without count": ("key_count", {}, ()),
     "multi_get row of the wrong arity": ("multi_get", {"entries": {"k": [1, 2, False, 3]}}, ()),
+    "multi_get entry with a string timestamp": ("multi_get", {"entries": {"k": ["v", "7", 0]}}, ()),
     "repair_range row of the wrong arity": ("repair_range", {"entries": [["k", "v"]]}, ()),
+    "repair_range row with a string timestamp":
+        ("repair_range", {"entries": [["k", "v", "7", False]]}, ()),
+    "fetch_range row with a string timestamp":
+        ("fetch_range", {"entries": [["k", "v", "7", False]]}, ()),
     "more found than blobs": ("get_chunks", {"found": ["a", "b"], "scanned": 2}, (b"A",)),
     "fewer found than blobs": ("get_chunks", {"found": ["a"], "scanned": 1}, (b"A", b"B")),
     "scanned is a word": ("get_chunks", {"found": [], "scanned": "all"}, ()),
@@ -437,7 +442,7 @@ BAD_RESULTS = {
     "ping result is a list": ("ping", [], ()),
 }
 ARGS = {"key_count": (), "multi_get": (["k"],), "repair_range": (2, [0]),
-        "get_chunks": (["a", "b"],), "ping": ()}
+        "fetch_range": ([(0, 1)],), "get_chunks": (["a", "b"],), "ping": ()}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RESULTS))

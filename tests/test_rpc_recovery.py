@@ -47,7 +47,7 @@ class TestCrashRestartLifecycle:
             assert repairer.verify_replication()
             repairer.repair_node(victim)
             assert repairer.verify_replication() == []
-            assert cluster.servers[victim].node.local_get(keys[0]).value == "v"
+            assert cluster.servers[victim].node.dump()[keys[0]][0] == "v"
 
     def test_restart_with_wal_restores_pre_crash_shard(self, tmp_path):
         with live_cluster(data_dir=str(tmp_path)) as cluster:
@@ -83,7 +83,7 @@ class TestCrashRestartLifecycle:
             assert store.hints.pending_for(victim) == 0
             assert store.stats.hints_replayed == len(keys)
             for k in keys:
-                assert cluster.servers[victim].node.local_get(k).value == "while-down"
+                assert cluster.servers[victim].node.dump()[k][0] == "while-down"
 
     def test_kill_is_idempotent_and_restart_requires_killed(self):
         with live_cluster() as cluster:
@@ -120,10 +120,10 @@ class TestRemoteAntiEntropy:
                 nid for nid in NODE_IDS
                 if "k" in cluster.servers[nid].node._data
             ]
-            cluster.servers[holders[0]].node.local_put("k", "newer", 10**15)
+            cluster.servers[holders[0]].node.multi_put([("k", "newer", 10**15, False)])
             RemoteReplicaRepairer(store).repair_all()
             for nid in holders:
-                assert cluster.servers[nid].node.local_get("k").value == "newer"
+                assert cluster.servers[nid].node.dump()["k"][0] == "newer"
 
     def test_repair_skips_down_replicas(self):
         with live_cluster() as cluster:

@@ -5,7 +5,7 @@ Everything here is a property of the quorum coordinator
 transport (``DistributedKVStore``, replicas as objects) and over the asyncio
 transport (``RemoteKVStore``, replicas behind TCP node servers). The
 ``ring`` fixture hides the difference; ``ring.shard(node_id)`` is the back
-door to a member's ``StorageNode`` for planting and inspecting divergence.
+door to a member's ``Replica`` for planting and inspecting divergence.
 
 Faults are injected at the seam — a ``ReplicaTransport`` method that raises
 one of the transport's own ``missed_ack`` exceptions — so a regression in
@@ -13,6 +13,7 @@ the one coordinator fails on both parametrisations.
 """
 
 import random
+from gc import collect, is_tracked
 from types import SimpleNamespace
 
 import pytest
@@ -133,6 +134,24 @@ class TestSeam:
                 store.drive(getattr(transport, verb)("n1", *args))
             store.drive(getattr(transport, verb)("n0", *args))
 
+    def test_an_entry_is_an_untracked_exact_tuple(self, ring):
+        """What ``multi_put`` stores and what ``multi_get`` hands back are
+        exact tuples of atoms, which the cyclic collector untracks: a full
+        collection never walks the index."""
+        r = ring()
+        store = r.store
+        keys = [f"k{i}" for i in range(40)]
+        for key in keys:
+            store.put(key, "v")
+        store.delete(keys[0])
+        read = [store.drive(store.transport.multi_get(n, keys)) for n in store.nodes]
+        collect()
+        entries = [entry for n in store.nodes for entry in r.shard(n).dump().values()]
+        entries += [entry for found in read for entry in found.values() if entry is not None]
+        assert len(entries) == 4 * len(keys)  # γ = 2 copies, each stored and read
+        for entry in entries:
+            assert type(entry) is tuple and not is_tracked(entry), entry
+
     def test_direct_drive_rejects_a_suspension(self):
         import asyncio
 
@@ -175,7 +194,7 @@ class TestHintReplay:
         assert store.hints.pending_for(victim) == 0
         assert store.stats.hints_replayed == len(keys)
         for k in keys:
-            assert r.shard(victim).local_get(k).value == "while-down"
+            assert r.shard(victim).dump()[k][0] == "while-down"
 
     def test_delete_survives_hint_replay(self, ring):
         store = ring().store
@@ -239,17 +258,17 @@ class TestRepair:
         assert store.stats.hints_replayed == 0
         assert store.stats.recovery_repairs == len(keys)
         for k in keys:
-            assert r.shard(victim).local_get(k).value == "while-down"
+            assert r.shard(victim).dump()[k][0] == "while-down"
 
     def test_quorum_get_repairs_stale_replica(self, ring):
         r = ring(n=3, consistency=QUORUM)
         store = r.store
         store.put("k", "old")
         fresh, stale = store.replicas_for("k")
-        r.shard(fresh).local_put("k", "newer", 10**15)
+        r.shard(fresh).multi_put([("k", "newer", 10**15, False)])
         assert store.get("k") == "newer"
         assert store.stats.read_repairs >= 1
-        assert r.shard(stale).local_get("k").value == "newer"
+        assert r.shard(stale).dump()["k"][0] == "newer"
 
     def test_contains_many_never_writes(self, ring):
         """The migration dual-lookup probe must not mutate the ring it
@@ -267,7 +286,7 @@ class TestRepair:
         assert shards(r) == before
         assert store.get("k") == "v"
         assert store.stats.read_repairs == 1
-        assert r.shard(lossy).local_contains("k")
+        assert "k" in r.shard(lossy).dump()
 
     def test_ts_bound_probe_is_accounted_too(self, ring):
         store = ring().store
@@ -389,22 +408,22 @@ class TestAntiEntropy:
         r = ring(n=3)
         r.store.put("k", "old")
         holders = r.store.replicas_for("k")
-        r.shard(holders[0]).local_put("k", "newer", 10**15)
+        r.shard(holders[0]).multi_put([("k", "newer", 10**15, False)])
         ReplicaRepairer(r.store).repair_all()
         for node_id in holders:
-            assert r.shard(node_id).local_get("k").value == "newer"
+            assert r.shard(node_id).dump()["k"][0] == "newer"
 
     def test_tombstone_wins_the_sync(self, ring):
         r = ring()
         store = r.store
         store.put("k", "v")
         victim = store.replicas_for("k")[0]
-        stale = r.shard(victim).local_get("k")
+        stale = r.shard(victim).dump()["k"]
         store.delete("k")
         r.shard(victim)._data["k"] = stale  # silently missed the tombstone
         ReplicaRepairer(store).repair_all()
         assert store.get("k") is None
-        assert r.shard(victim).local_get("k").tombstone
+        assert r.shard(victim).dump()["k"][2]
 
     def test_repair_skips_down_replicas(self, ring):
         r = ring(n=3)
