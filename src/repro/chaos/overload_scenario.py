@@ -271,7 +271,9 @@ def run_overload_scenario(
             and overload_step.p99_s <= LATENCY_BOUND_FACTOR * reference_p99,
             f"p99-of-admitted {overload_step.p99_s * 1e3:.1f}ms at "
             f"{overload_rps:.0f} req/s exceeds {LATENCY_BOUND_FACTOR:g}x "
-            f"the at-knee reference {reference_p99 * 1e3:.1f}ms"
+            f"the at-knee reference {reference_p99 * 1e3:.1f}ms (largest gc "
+            f"pause {overload_step.max_gc_pause_s * 1e3:.1f}ms, dispatch lag "
+            f"{overload_step.max_dispatch_lag_s * 1e3:.1f}ms)"
             if overload_step.completed
             else f"no admitted request completed at {overload_rps:.0f} req/s "
             f"({overload_step.shed} shed, {overload_step.failed} failed of "

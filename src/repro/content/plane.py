@@ -291,6 +291,14 @@ class ContentPlane:
             copies, freed = store.delete_many(ordered)
             report.edge_copies_deleted += copies
             report.edge_bytes_deleted += freed
+        for ring in self._rings.values():
+            try:
+                report.index_tombstones += ring.store.delete_many(ordered)
+            except (KVStoreError, RpcError):
+                # Index unreachable (too few replicas up): best-effort;
+                # anti-entropy spreads the tombstone once written, and a
+                # sweep during a full outage is an operator error.
+                continue
         for fingerprint in ordered:
             with self._tier_lock:
                 before = getattr(self.tier, "payload_bytes", 0)
@@ -299,16 +307,6 @@ class ContentPlane:
             if deleted:
                 report.swept += 1
                 report.reclaimed_payload_bytes += max(0, before - after)
-            for ring in self._rings.values():
-                try:
-                    if ring.store.contains(fingerprint):
-                        ring.store.delete(fingerprint)
-                        report.index_tombstones += 1
-                except (KVStoreError, RpcError):
-                    # Index unreachable (too few replicas up): best-effort;
-                    # anti-entropy spreads the tombstone once written, and a
-                    # sweep during a full outage is an operator error.
-                    continue
             if cloud is not None:
                 cloud.drop_chunk(fingerprint)
             self.gc.forget(fingerprint)

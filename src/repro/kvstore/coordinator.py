@@ -6,6 +6,14 @@ request (as in Cassandra); the EF-dedup agent on node X always coordinates
 from X, which is what makes the local/remote lookup split of Eq. 2
 observable in :class:`StoreStats`.
 
+The client surface is the batch: :meth:`~QuorumCoordinator.put_if_absent_many`
+(the dedup claim), :meth:`~QuorumCoordinator.contains_many` and
+:meth:`~QuorumCoordinator.delete_many` (the GC sweep's tombstones), each one
+read round and at most one write round however many keys it carries.
+``contains`` and ``delete`` are those batches at one key. Replicas converge
+through hinted handoff, the recovery repair of :meth:`~QuorumCoordinator.mark_up`
+and Merkle anti-entropy (:mod:`repro.kvstore.repair`); a read never writes.
+
 The coordinator reaches replicas only through a
 :class:`~repro.kvstore.transport.ReplicaTransport`, so the same code — and
 therefore the same counters — runs whether a replica is an object in this
@@ -23,12 +31,12 @@ Failure semantics:
   acknowledged it; replicas that are down, or whose ack was missed, receive
   hints — buffered only once the level is met, so a failed write can be
   retried without double-buffering — replayed when they recover.
-- A read succeeds under the same aliveness rule and returns the
-  newest-timestamp value among the replicas consulted (last-write-wins).
+- A read succeeds under the same aliveness rule and answers from the
+  newest-timestamp version among the replicas consulted (last-write-wins).
 - If too few replicas are alive, :class:`UnavailableError` is raised —
-  callers see an explicit failure, never silent data loss. A batched
-  check-and-set routes every key before it writes any: a batch with one
-  unavailable key applies nothing.
+  callers see an explicit failure, never silent data loss. A batch routes
+  every key before it writes any: a batch with one unavailable key applies
+  nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from repro.kvstore.consistency import ConsistencyLevel
 from repro.kvstore.errors import NoSuchNodeError, UnavailableError
@@ -75,7 +83,7 @@ class StoreStats:
     unavailable_errors: int = 0
     remote_contacts: int = 0
     batch_rounds: int = 0
-    read_repairs: int = 0
+    read_repairs: int = 0  # no verb read-repairs; kept as an exported series
     recovery_repairs: int = 0
     per_pair_contacts: dict[tuple[str, str], int] = field(default_factory=dict)
 
@@ -668,85 +676,6 @@ class QuorumCoordinator:
     # client operations
     # ------------------------------------------------------------------ #
 
-    @driven
-    async def put(
-        self,
-        key: str,
-        value: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-    ) -> None:
-        """Write ``key`` to its replica set (hints for down replicas).
-
-        Raises:
-            UnavailableError: if fewer replicas than the level requires are
-                alive, or acknowledged.
-        """
-        routes = self._routes([key], self._required_acks(consistency), coordinator)
-        self.stats.writes += 1
-        if coordinator is not None:
-            for replica in routes[key][1]:
-                self.stats.record_contact(coordinator, replica)
-        await self._write(
-            routes, {key: next(self._timestamps)}, value, False, consistency, coordinator
-        )
-
-    @driven
-    async def get(
-        self,
-        key: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        tally=None,
-    ) -> Optional[str]:
-        """Read ``key``; returns the newest value among the consulted
-        replicas, or None if unset. A read that consulted several replicas
-        and saw them diverge repairs the stale ones (read repair).
-        ``tally`` counts the key's locality (see :meth:`_routes`)."""
-        routes = self._routes([key], self._required_acks(consistency), coordinator, tally)
-        self._count_reads([key], routes, coordinator)
-        consulted = routes[key][2]
-        if coordinator is not None:
-            for replica in consulted:
-                self.stats.record_contact(coordinator, replica)
-        best, repaired = await self.read_repairing(key, consulted, coordinator)
-        self.stats.read_repairs += repaired
-        value, _, tombstone = best or (None, 0, True)
-        return None if tombstone else value
-
-    async def read_repairing(
-        self, key: str, consulted: Sequence[str], coordinator: Optional[str]
-    ) -> tuple[Optional[Entry], int]:
-        """The newest version of ``key`` among ``consulted`` and how many of
-        them were repaired: the winner is pushed to every consulted replica
-        that returned a stale or missing copy. Best-effort — a failed push
-        is not counted and does not fail the read."""
-        by_node = await self._scatter_get({n: [key] for n in consulted}, coordinator)
-        best = _newest_of(by_node, consulted, key)
-        if best is None or len(consulted) == 1:
-            return best, 0
-        outcomes = await self.transport.gather_outcomes(
-            {
-                n: self.transport.multi_put(n, [(key, *best)], coordinator)
-                for n in consulted
-                if newer(best, by_node[n].get(key))
-            }
-        )
-        return best, sum(1 for outcome in outcomes.values() if outcome is None)
-
-    # For verbs that read or write from inside their own coroutine.
-    _get, _put = get.coro, put.coro
-
-    def contains(
-        self,
-        key: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        tally=None,
-    ) -> bool:
-        """Membership test (a get that discards the value)."""
-        return self.get(key, consistency, coordinator, tally) is not None
-
     def clock_now(self) -> int:
         """Advance and return the store's logical write clock.
 
@@ -802,7 +731,7 @@ class QuorumCoordinator:
         ts_bound: Optional[int] = None,
     ) -> list[bool]:
         """Batched membership check: one ``multi_get`` per consulted node,
-        no writes, no read repair. The read-only sibling of
+        no writes. The read-only sibling of
         :meth:`put_if_absent_many` (the migration dual-lookup window uses it
         to probe the old ring without mutating it); contacts are recorded
         once per distinct coordinator→replica pair and ``batch_rounds``
@@ -821,25 +750,6 @@ class QuorumCoordinator:
         return [present[key] for key in keys]
 
     @driven
-    async def put_if_absent(
-        self,
-        key: str,
-        value: str,
-        consistency: Optional[ConsistencyLevel] = None,
-        coordinator: Optional[str] = None,
-        tally=None,
-    ) -> bool:
-        """Insert ``key`` unless present; returns True if it was new.
-
-        This is the dedup hot path: one logical round covers the lookup and
-        (when new) the insert. ``tally`` counts the lookup (see :meth:`_routes`).
-        """
-        if await self._get(key, consistency, coordinator, tally) is not None:
-            return False
-        await self._put(key, value, consistency, coordinator)
-        return True
-
-    @driven
     async def put_if_absent_many(
         self,
         keys: Iterable[str],
@@ -848,11 +758,12 @@ class QuorumCoordinator:
         coordinator: Optional[str] = None,
         tally=None,
     ) -> list[bool]:
-        """Batched :meth:`put_if_absent`: one scatter-gather round trip.
+        """Insert each key unless present: the dedup hot path, one
+        scatter-gather round trip for the lookups and the inserts.
 
-        Key-level results are identical to calling ``put_if_absent`` once
-        per key in order (intra-batch repeats and per-key read/write
-        counters included), but the *network* accounting is per round trip,
+        Key-level results are those of claiming the keys one at a time in
+        order (an intra-batch repeat is a duplicate; reads and writes are
+        counted per key), but the *network* accounting is per round trip,
         not per key: each contacted node gets one ``multi_get`` for every
         key it is consulted for and one ``multi_put`` for every new key it
         owns, so ``remote_contacts``/``per_pair_contacts`` grow by the
@@ -896,27 +807,39 @@ class QuorumCoordinator:
                 self.batch_latency.observe(time.perf_counter() - started)
 
     @driven
-    async def delete(
+    async def delete_many(
         self,
-        key: str,
+        keys: Iterable[str],
         consistency: Optional[ConsistencyLevel] = None,
         coordinator: Optional[str] = None,
-    ) -> bool:
-        """Delete ``key`` by writing a tombstone to its replica set.
+    ) -> int:
+        """Tombstone every live key of ``keys`` in one round trip: the read
+        half of :meth:`put_if_absent_many`, then one ``multi_put`` of
+        tombstones per replica of a live key. Returns how many keys were
+        live.
 
-        The tombstone's timestamp supersedes earlier writes everywhere —
-        including replicas that are down right now, which receive the
-        tombstone as a hint — so a delete can never be undone by a stale
-        hint replay or anti-entropy sync. Returns True if the key was live
-        before the delete. Only the embedded read is counted in the stats,
-        not the tombstone scatter or its contacts.
+        A tombstone's timestamp supersedes earlier writes everywhere —
+        including replicas that are down right now, which receive it as a
+        hint — so a delete can never be undone by a stale hint replay or
+        anti-entropy sync. Every key is routed before any is written: a
+        batch with one unavailable key applies nothing.
         """
-        was_live = await self._get(key, consistency, coordinator) is not None
-        routes = self._routes([key], self._required_acks(consistency), coordinator)
-        await self._write(
-            routes, {key: next(self._timestamps)}, "", True, consistency, coordinator
-        )
-        return was_live
+        keys = list(keys)
+        routes, present, contacts = await self._read_round(keys, consistency, coordinator)
+        live = {key: next(self._timestamps) for key in dict.fromkeys(keys) if present[key]}
+        self.stats.writes += len(live)
+        written = await self._write(routes, live, "", True, consistency, coordinator)
+        if coordinator is not None:
+            contacts.update((coordinator, n) for n in written)
+        self._record_contacts(contacts)
+        return len(live)
+
+    # Batches of one, for callers that name the single-key verbs.
+    def contains(self, key: str, consistency: Optional[ConsistencyLevel] = None) -> bool:
+        return self.contains_many([key], consistency)[0]
+
+    def delete(self, key: str, consistency: Optional[ConsistencyLevel] = None) -> bool:
+        return self.delete_many([key], consistency) == 1
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -1,14 +1,12 @@
-"""Replica repair: read repair and Merkle-tree anti-entropy.
+"""Replica repair: Merkle-tree anti-entropy.
 
 Hinted handoff (``repro.kvstore.hints``) covers failures the coordinator
 *sees*; entropy still creeps in when hints overflow or a node misses writes
-silently. Cassandra closes the gap with two mechanisms reproduced here:
-
-- **read repair** — after a read consults multiple replicas, stale replicas
-  are updated with the newest value in the background;
-- **anti-entropy repair** — replicas exchange Merkle trees over their key
-  ranges and stream only the keys under mismatching subtrees, instead of
-  diffing entire datasets.
+silently. Cassandra closes the gap with anti-entropy repair, reproduced
+here: replicas exchange Merkle trees over their key ranges and stream only
+the keys under mismatching subtrees, instead of diffing entire datasets.
+(A client read never repairs: the index is read by the batch, which only
+reads.)
 
 A D2-ring that has been through failures runs ``repair_all`` to restore the
 γ-copies invariant before, e.g., decommissioning a node; a member that
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.kvstore.coordinator import driven
 from repro.kvstore.errors import NoSuchNodeError
@@ -51,7 +48,6 @@ from repro.kvstore.node import merge_newest, newer
 class RepairStats:
     """Outcome accounting for repair operations."""
 
-    read_repairs: int = 0
     synced_keys: int = 0
     buckets_compared: int = 0
     buckets_streamed: int = 0
@@ -59,8 +55,8 @@ class RepairStats:
 
 
 class ReplicaRepairer:
-    """Read repair and pairwise Merkle anti-entropy over a coordinator's
-    replicas, on whichever transport it runs.
+    """Pairwise Merkle anti-entropy over a coordinator's replicas, on
+    whichever transport it runs.
 
     Args:
         store: the :class:`~repro.kvstore.coordinator.QuorumCoordinator`
@@ -75,20 +71,6 @@ class ReplicaRepairer:
         self.drive = store.drive
         self.merkle_depth = merkle_depth
         self.stats = RepairStats()
-
-    # ------------------------------------------------------------------ #
-    # read repair
-    # ------------------------------------------------------------------ #
-
-    @driven
-    async def read_with_repair(self, key: str, coordinator: Optional[str] = None) -> Optional[str]:
-        """Read ``key`` from all alive replicas, repair stale ones, return
-        the newest value."""
-        alive = [r for r in self.store.replicas_for(key) if self.store.is_up(r)]
-        newest, repaired = await self.store.read_repairing(key, alive, coordinator)
-        self.stats.read_repairs += repaired
-        value, _, tombstone = newest or (None, 0, True)
-        return None if tombstone else value
 
     # ------------------------------------------------------------------ #
     # anti-entropy

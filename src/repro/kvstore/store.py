@@ -3,8 +3,8 @@
 The store models a ring's index inside one process: every member's
 :class:`~repro.kvstore.replica.Replica` is an object, reached through a
 :class:`~repro.kvstore.transport.DirectTransport`. All coordination —
-routing, ack counting, hints, repair, the ``StoreStats`` the paper's Eq. 2
-split is read from — is
+routing, ack counting, hints, recovery repair, the batched client verbs
+and the ``StoreStats`` the paper's Eq. 2 split is read from — is
 :class:`~repro.kvstore.coordinator.QuorumCoordinator`'s; this class adds
 construction, membership bootstrap and the drive. Heartbeat-driven
 liveness is a :class:`~repro.kvstore.gossip.HeartbeatMonitor` built over

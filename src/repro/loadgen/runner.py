@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.loadgen.workload import LoadRequest
+from repro.obs.gcpause import GcPauses
 from repro.obs.histogram import Histogram
 
 # submit(keys, value, *, coordinator=...) -> Future, matching
@@ -64,6 +65,7 @@ class StepResult:
     p99_s: float
     p999_s: float
     max_dispatch_lag_s: float
+    max_gc_pause_s: float
     per_node: dict[str, int] = field(default_factory=dict)
     hotspot_skew: float = 1.0
 
@@ -90,6 +92,7 @@ class StepResult:
             "latency_p99_s": self.p99_s,
             "latency_p999_s": self.p999_s,
             "max_dispatch_lag_s": self.max_dispatch_lag_s,
+            "max_gc_pause_s": self.max_gc_pause_s,
             "per_node": dict(sorted(self.per_node.items())),
             "hotspot_skew": self.hotspot_skew,
         }
@@ -148,44 +151,47 @@ class OpenLoopRunner:
         futures: list[Future] = []
         per_node: dict[str, int] = {}
         max_lag = 0.0
-        base = time.perf_counter()
+        # Collections during the step are timed, so a latency tail can be
+        # told apart from a collector pause.
+        with GcPauses() as pauses:
+            base = time.perf_counter()
 
-        for t_arr, req in zip(schedule, requests):
-            target = base + t_arr
-            delay = target - time.perf_counter()
-            if delay > 0.0:
-                time.sleep(delay)
-            else:
-                max_lag = max(max_lag, -delay)
-            fut = self._submit(req.keys, req.agent_id, coordinator=req.coordinator)
-            per_node[req.coordinator] = per_node.get(req.coordinator, 0) + 1
-
-            def _done(f: Future, sched: float = target, nkeys: int = len(req.keys)):
-                end = time.perf_counter()
-                if f.cancelled():
-                    completions.append((end - sched, end, None, nkeys, False))
-                    return
-                exc = f.exception()
-                if exc is not None:
-                    shed = self._shed_types and isinstance(exc, self._shed_types)
-                    completions.append((end - sched, end, None, nkeys, bool(shed)))
+            for t_arr, req in zip(schedule, requests):
+                target = base + t_arr
+                delay = target - time.perf_counter()
+                if delay > 0.0:
+                    time.sleep(delay)
                 else:
-                    completions.append((end - sched, end, sum(f.result()), nkeys, False))
+                    max_lag = max(max_lag, -delay)
+                fut = self._submit(req.keys, req.agent_id, coordinator=req.coordinator)
+                per_node[req.coordinator] = per_node.get(req.coordinator, 0) + 1
 
-            fut.add_done_callback(_done)
-            futures.append(fut)
+                def _done(f: Future, sched: float = target, nkeys: int = len(req.keys)):
+                    end = time.perf_counter()
+                    if f.cancelled():
+                        completions.append((end - sched, end, None, nkeys, False))
+                        return
+                    exc = f.exception()
+                    if exc is not None:
+                        shed = self._shed_types and isinstance(exc, self._shed_types)
+                        completions.append((end - sched, end, None, nkeys, bool(shed)))
+                    else:
+                        completions.append((end - sched, end, sum(f.result()), nkeys, False))
 
-        arrivals = len(futures)
-        not_done = wait(futures, timeout=self._drain_timeout_s).not_done
-        for fut in not_done:
-            fut.cancel()
-        drain_end = time.perf_counter()
-        # wait() releases its waiter a hair before done-callbacks fire on
-        # the loop thread; settle until every arrival (cancelled included)
-        # has reported, bounded so a wedged coroutine cannot hang the step.
-        settle_deadline = time.perf_counter() + 2.0
-        while len(completions) < arrivals and time.perf_counter() < settle_deadline:
-            time.sleep(0.001)
+                fut.add_done_callback(_done)
+                futures.append(fut)
+
+            arrivals = len(futures)
+            not_done = wait(futures, timeout=self._drain_timeout_s).not_done
+            for fut in not_done:
+                fut.cancel()
+            drain_end = time.perf_counter()
+            # wait() releases its waiter a hair before done-callbacks fire on
+            # the loop thread; settle until every arrival (cancelled included)
+            # has reported, bounded so a wedged coroutine cannot hang the step.
+            settle_deadline = time.perf_counter() + 2.0
+            while len(completions) < arrivals and time.perf_counter() < settle_deadline:
+                time.sleep(0.001)
 
         latency = Histogram("loadgen.latency_s", buckets=LOAD_LATENCY_BUCKETS_S)
         recorded = list(completions)
@@ -231,6 +237,7 @@ class OpenLoopRunner:
             p99_s=latency.percentile(99) if latency.count else 0.0,
             p999_s=latency.percentile(99.9) if latency.count else 0.0,
             max_dispatch_lag_s=max_lag,
+            max_gc_pause_s=pauses.max_pause_s,
             per_node=per_node,
             hotspot_skew=hotspot_skew(per_node, self._node_ids),
         )

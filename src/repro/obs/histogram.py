@@ -1,9 +1,9 @@
 """Fixed-bucket latency histograms.
 
-The hot-path replacement for raw-sample :class:`~repro.sim.metrics.Summary`
-objects: a histogram holds one counter per bucket, so memory stays O(number
-of buckets) no matter how long a live cluster runs, and ``observe`` is one
-bisect plus a few additions. Percentiles are estimated by linear
+The one latency summary, from the live transport's hot paths to the
+throughput model's lookups: a histogram holds one counter per bucket, so
+memory stays O(number of buckets) no matter how long a live cluster runs,
+and ``observe`` is one bisect plus a few additions. Percentiles are estimated by linear
 interpolation inside the covering bucket (exact min/max are tracked
 separately, so the estimate is always clamped to the observed range).
 

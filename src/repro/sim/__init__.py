@@ -1,11 +1,9 @@
-"""Discrete-event simulation substrate: clock, event engine, RNG, a
-streaming summary, and shared-bandwidth modeling used by the EF-dedup
-throughput experiments."""
+"""Discrete-event simulation substrate: clock, event engine, RNG and
+shared-bandwidth modeling used by the EF-dedup throughput experiments."""
 
 from repro.sim.bandwidth import SharedLink, gbps, mbps
 from repro.sim.clock import SimClock
 from repro.sim.events import EventEngine, EventHandle
-from repro.sim.metrics import Summary
 from repro.sim.rng import SeedLike, derive_seed, make_rng, spawn_rng, stable_hash_seed
 
 __all__ = [
@@ -14,7 +12,6 @@ __all__ = [
     "SeedLike",
     "SharedLink",
     "SimClock",
-    "Summary",
     "derive_seed",
     "gbps",
     "make_rng",

@@ -172,6 +172,11 @@ class D2Ring:
         self.agents: dict[str, DedupAgent] = {}
         self.ring_indexes: dict[str, RingIndex] = {}
         self.brownouts: dict[str, "BrownoutIndex"] = {}
+        # The fingerprints this ring's brownout sinks uploaded to the
+        # accounting cloud, shared by its agents (see _make_agent).
+        self._uploaded: Optional[set[str]] = (
+            set() if self.config.brownout and self.content is None else None
+        )
         for node_id in self.members:
             self._make_agent(node_id)
 
@@ -220,23 +225,30 @@ class D2Ring:
             index = brownout
 
             if self.content is None:
-                # The shared cloud store is ground truth for uniqueness:
+                # The ring's own uploads are ground truth for uniqueness:
                 # ingest is serial and every "unique" verdict uploads
-                # synchronously, so receive_chunk returning False means
-                # this occurrence was a false unique — whether from a
-                # write-through verdict or from an index replica that
-                # missed a partially-acked write under overload. The sink
-                # returns those, and the engine repairs its accounting on
-                # the spot; the journal replay then only has to repair the
-                # *index*.
-                def sink_with_lengths(batch, _cloud=self.cloud, _b=brownout):
+                # synchronously, so a fingerprint this ring already
+                # uploaded means this occurrence was a false unique —
+                # whether from a write-through verdict or from an index
+                # replica that missed a partially-acked write under
+                # overload. (The cloud is shared by every ring, so its own
+                # "already held" would count another ring's upload here.)
+                # The sink returns those, and the engine repairs its
+                # accounting on the spot; the journal replay then only has
+                # to repair the *index*.
+                def sink_with_lengths(
+                    batch, _cloud=self.cloud, _b=brownout, _uploaded=self._uploaded
+                ):
                     held = []
                     for chunk, fingerprint in batch:
                         _b.note_length(fingerprint, chunk.length)
-                        if _cloud.receive_chunk(chunk, fingerprint) is False:
+                        _cloud.receive_chunk(chunk, fingerprint)
+                        if fingerprint in _uploaded:
                             held.append((chunk, fingerprint))
                             _b.stats.corrected_chunks += 1
                             _b.stats.corrected_bytes += chunk.length
+                        else:
+                            _uploaded.add(fingerprint)
                     return held
             else:
                 # Content-plane sinks have no authoritative duplicate

@@ -50,7 +50,7 @@ from repro.chunking.base import Chunk
 from repro.chunking.hashing import default_fingerprint
 from repro.dedup.stats import DedupStats
 from repro.network.topology import Topology
-from repro.sim.metrics import Summary
+from repro.obs.histogram import Histogram
 from repro.system.cloud import CentralCloudStore, CloudDedupService
 from repro.system.config import EFDedupConfig
 from repro.system.ring import D2Ring
@@ -109,7 +109,7 @@ class ThroughputReport:
     wan_drain_s: float = 0.0
     makespan_s: float = 0.0
     network_cost_s: float = 0.0  # Σ RTT over remote index lookups (empirical V)
-    lookup_latency: Summary = field(default_factory=lambda: Summary("lookup_latency_s"))
+    lookup_latency: Histogram = field(default_factory=lambda: Histogram("lookup_latency_s"))
     extras: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -308,7 +308,7 @@ def ring_member_claims(
 
     return NodeClaims(
         report, nid, ring.agent(nid).engine.chunker, files, locate,
-        lambda fp: ring.store.put_if_absent(fp, nid, coordinator=nid),
+        lambda fp: ring.store.put_if_absent_many([fp], nid, coordinator=nid)[0],
         ring.config,
     )
 

@@ -126,7 +126,7 @@ class TestStoreBatchAccounting:
         fps = _fingerprints(300, pool=90, seed=1)
         seq_store = DistributedKVStore(NODES)
         batch_store = DistributedKVStore(NODES)
-        seq = [seq_store.put_if_absent(fp, "v", coordinator="edge-0") for fp in fps]
+        seq = [seq_store.put_if_absent_many([fp], "v", coordinator="edge-0")[0] for fp in fps]
         got = batch_store.put_if_absent_many(fps, "v", coordinator="edge-0")
         assert got == seq
         assert batch_store.unique_keys() == seq_store.unique_keys()
@@ -148,7 +148,7 @@ class TestStoreBatchAccounting:
 
         sequential = DistributedKVStore(NODES)
         for fp in fps:
-            sequential.put_if_absent(fp, "v", coordinator="edge-0")
+            sequential.put_if_absent_many([fp], "v", coordinator="edge-0")
         assert sequential.stats.remote_contacts > store.stats.remote_contacts
 
     def test_batch_rounds_count_calls(self):

@@ -125,7 +125,7 @@ class TestFailureScenarios:
         from repro.kvstore.errors import UnavailableError
 
         with pytest.raises(UnavailableError):
-            ring.store.get(fp, coordinator="n0")
+            ring.store.contains_many([fp], coordinator="n0")
 
     def test_duplicate_upload_after_failure_is_safe(self):
         """If the index lost a hash (all replicas down at write time would

@@ -1,5 +1,5 @@
-"""Tests for replica repair (read repair + Merkle anti-entropy) and the
-phi-accrual failure detector."""
+"""Tests for replica repair (Merkle anti-entropy) and the phi-accrual
+failure detector."""
 
 import math
 
@@ -21,8 +21,7 @@ def desynced_store(n=4, rf=2, lost_range=(0, 50)) -> tuple[DistributedKVStore, s
     degraded-key record: nothing but anti-entropy can find the gap)."""
     store = DistributedKVStore([f"n{i}" for i in range(n)], replication_factor=rf)
     victim = "n1"
-    for i in range(*lost_range):
-        store.put(f"k{i}", str(i))
+    store.put_if_absent_many([f"k{i}" for i in range(*lost_range)], "v")
     store.nodes[victim]._data.clear()
     return store, victim
 
@@ -74,27 +73,6 @@ class TestMerkleTree:
         assert tree.n_buckets == 32
 
 
-class TestReadRepair:
-    def test_stale_replica_fixed_by_read(self):
-        store, victim = desynced_store()
-        repairer = ReplicaRepairer(store)
-        # Find a key the victim should hold but missed.
-        missing_key = next(
-            k
-            for k in store.unique_keys()
-            if victim in store.replicas_for(k)
-            and k not in store.nodes[victim].dump()
-        )
-        value = repairer.read_with_repair(missing_key)
-        assert value is not None
-        assert missing_key in store.nodes[victim].dump()
-        assert repairer.stats.read_repairs >= 1
-
-    def test_read_missing_key_returns_none(self):
-        store = DistributedKVStore(["a", "b"], replication_factor=2)
-        assert ReplicaRepairer(store).read_with_repair("ghost") is None
-
-
 class TestAntiEntropy:
     def test_repair_all_restores_replication(self):
         store, _ = desynced_store()
@@ -131,7 +109,7 @@ class TestAntiEntropy:
 
     def test_newest_value_wins_in_sync(self):
         store = DistributedKVStore(["a", "b"], replication_factor=2)
-        store.put("k", "old")
+        store.put_if_absent_many(["k"], "old")
         # b diverges with a NEWER write a missed.
         store.nodes["b"].multi_put([("k", "newer", 10_000, False)])
         ReplicaRepairer(store).repair_all()
@@ -243,7 +221,7 @@ class TestMerkleEdgeCases:
 
     def test_single_key_pair_sync(self):
         store = DistributedKVStore(["a", "b"], replication_factor=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         store.nodes["b"]._data.pop("k", None)  # one replica loses its only key
         stats = ReplicaRepairer(store).repair_all()
         assert stats.synced_keys == 1
@@ -287,8 +265,7 @@ class TestStoreFailureDetectionWiring:
         keys_on_c = [
             f"k{i}" for i in range(200) if "c" in store.replicas_for(f"k{i}")
         ][:3]
-        for k in keys_on_c:
-            store.put(k, "v")
+        store.put_if_absent_many(keys_on_c, "v")
         assert store.hints.pending_for("c") == len(keys_on_c)
         # It comes back: the sweep marks it up, which replays the hints.
         monitor.observe("c", 61.0)

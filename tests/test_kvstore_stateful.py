@@ -1,6 +1,6 @@
 """Model-based stateful tests for the distributed KV store.
 
-Hypothesis drives random operation sequences — writes, reads, deletes,
+Hypothesis drives random operation sequences — claims, reads, deletes,
 batched claims and probes, failures, recoveries — against the store and a
 reference model (a plain dict plus an up/down set), checking after every
 step that the store agrees with the model wherever the consistency
@@ -49,57 +49,56 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     # -- operations ------------------------------------------------------ #
 
-    @rule(key=st.sampled_from(KEYS))
-    def write(self, key: str) -> None:
+    def _claim(self, keys: list[str], **kwargs) -> None:
         self.counter += 1
         value = f"v{self.counter}"
         try:
-            self.store.put(key, value, consistency=ConsistencyLevel.ONE)
-            self.model[key] = value
-        except UnavailableError:
-            self._assert_unroutable([key])
-
-    @rule(key=st.sampled_from(KEYS))
-    def read(self, key: str) -> None:
-        try:
-            value = self.store.get(key, consistency=ConsistencyLevel.ONE)
-        except UnavailableError:
-            self._assert_unroutable([key])
-            return
-        if key in self.model:
-            # With hinted handoff active and no lost hints, a ONE read may
-            # not see the newest write only if it hits a down-then-recovered
-            # replica before hints replay — but mark_up replays hints
-            # synchronously here, so the newest value must be visible.
-            assert value == self.model[key], (key, value, self.model[key])
-        else:
-            assert value is None
-
-    @rule(key=st.sampled_from(KEYS))
-    def delete(self, key: str) -> None:
-        try:
-            self.store.delete(key, consistency=ConsistencyLevel.ONE)
-            # Deletes write tombstones (hinted to down replicas), so a
-            # delete is final regardless of failures at delete time.
-            self.model.pop(key, None)
-            self.new_verdicts.pop(key, None)
-            self.claimed.discard(key)
-        except UnavailableError:
-            self._assert_unroutable([key])
-
-    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=6))
-    def claim_many(self, keys: list[str]) -> None:
-        try:
-            verdicts = self.store.put_if_absent_many(keys, "claimed", coordinator=NODES[0])
+            verdicts = self.store.put_if_absent_many(keys, value, **kwargs)
         except UnavailableError:
             self._assert_unroutable(keys)
             return  # routed whole before any write: nothing was applied
         for key, new in zip(keys, verdicts):
             assert new == (key not in self.model), (key, new)
             if new:
-                self.model[key] = "claimed"
+                self.model[key] = value
                 self.claimed.add(key)
                 self.new_verdicts[key] = self.new_verdicts.get(key, 0) + 1
+
+    @rule(key=st.sampled_from(KEYS))
+    def write(self, key: str) -> None:
+        self._claim([key], consistency=ConsistencyLevel.ONE)
+
+    @rule(key=st.sampled_from(KEYS))
+    def read(self, key: str) -> None:
+        try:
+            present = self.store.contains_many([key], consistency=ConsistencyLevel.ONE)
+        except UnavailableError:
+            self._assert_unroutable([key])
+            return
+        # With hinted handoff active and no lost hints, a ONE read may not
+        # see the newest write only if it hits a down-then-recovered
+        # replica before hints replay — but mark_up replays hints
+        # synchronously here, so the newest version must be visible.
+        assert present == [key in self.model], (key, present)
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=4))
+    def delete(self, keys: list[str]) -> None:
+        try:
+            live = self.store.delete_many(keys, consistency=ConsistencyLevel.ONE)
+        except UnavailableError:
+            self._assert_unroutable(keys)
+            return  # routed whole before any write: nothing was applied
+        assert live == len(set(keys) & set(self.model)), (keys, live)
+        # Deletes write tombstones (hinted to down replicas), so a delete
+        # is final regardless of failures at delete time.
+        for key in keys:
+            self.model.pop(key, None)
+            self.new_verdicts.pop(key, None)
+            self.claimed.discard(key)
+
+    @rule(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=6))
+    def claim_many(self, keys: list[str]) -> None:
+        self._claim(keys, coordinator=NODES[0])
 
     @rule(
         keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=6),
@@ -158,8 +157,13 @@ class KVStoreMachine(RuleBasedStateMachine):
     def healthy_cluster_reads_match_model(self) -> None:
         if self.down:
             return
-        for key, expected in self.model.items():
-            assert self.store.get(key) == expected
+        keys = sorted(self.model)
+        assert self.store.contains_many(keys) == [True] * len(keys)
+        held = shards(self.ring)
+        for key in keys:
+            for replica in self.store.replicas_for(key):
+                value, _, tombstone = held[replica][key]
+                assert (value, tombstone) == (self.model[key], False), (key, replica)
 
 
 TestKVStoreStateful = KVStoreMachine.TestCase

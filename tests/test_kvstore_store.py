@@ -14,6 +14,13 @@ def make_store(n: int = 5, rf: int = 2, **kwargs) -> DistributedKVStore:
     return DistributedKVStore([f"n{i}" for i in range(n)], replication_factor=rf, **kwargs)
 
 
+def replica_values(store: DistributedKVStore, key: str) -> set:
+    """The value each of ``key``'s replicas holds (None where absent)."""
+    return {
+        (store.nodes[r].multi_get([key])[key] or (None,))[0] for r in store.replicas_for(key)
+    }
+
+
 class TestConsistencyLevels:
     def test_one(self):
         assert ConsistencyLevel.ONE.required_acks(3) == 1
@@ -82,48 +89,43 @@ class TestStorageNode:
 class TestBasicOps:
     def test_put_get(self):
         store = make_store()
-        store.put("k", "v")
-        assert store.get("k") == "v"
+        assert store.put_if_absent_many(["k"], "v") == [True]
+        assert store.contains_many(["k"]) == [True]
+        assert replica_values(store, "k") == {"v"}
 
     def test_get_missing_returns_none(self):
-        assert make_store().get("missing") is None
+        assert make_store().contains_many(["missing"]) == [False]
 
     def test_contains(self):
         store = make_store()
-        assert not store.contains("k")
-        store.put("k", "v")
-        assert store.contains("k")
+        assert store.contains_many(["k", "j"]) == [False, False]
+        store.put_if_absent_many(["k"], "v")
+        assert store.contains_many(["k", "j", "k"]) == [True, False, True]
 
     def test_put_if_absent(self):
         store = make_store()
-        assert store.put_if_absent("k", "v1") is True
-        assert store.put_if_absent("k", "v2") is False
-        assert store.get("k") == "v1"
-
-    def test_overwrite(self):
-        store = make_store()
-        store.put("k", "v1")
-        store.put("k", "v2")
-        assert store.get("k") == "v2"
+        assert store.put_if_absent_many(["k"], "v1") == [True]
+        assert store.put_if_absent_many(["k"], "v2") == [False]
+        assert replica_values(store, "k") == {"v1"}
+        # An intra-batch repeat is a duplicate of the first occurrence.
+        assert store.put_if_absent_many(["j", "j", "k"], "v") == [True, False, False]
 
     def test_delete(self):
         store = make_store()
-        store.put("k", "v")
-        assert store.delete("k") is True
-        assert store.get("k") is None
-        assert store.delete("k") is False
+        store.put_if_absent_many(["k"], "v")
+        assert store.delete_many(["k"]) == 1
+        assert store.contains_many(["k"]) == [False]
+        assert store.delete_many(["k"]) == 0
 
     def test_replication_factor_copies(self):
         store = make_store(n=5, rf=3)
-        for i in range(100):
-            store.put(f"k{i}", "v")
+        store.put_if_absent_many([f"k{i}" for i in range(100)], "v")
         assert len(store) == 100
         assert store.total_stored_entries() == 300
 
     def test_unique_keys(self):
         store = make_store()
-        store.put("a", "1")
-        store.put("b", "2")
+        store.put_if_absent_many(["a", "b"], "v")
         assert store.unique_keys() == {"a", "b"}
 
     def test_duplicate_node_ids_rejected(self):
@@ -138,17 +140,17 @@ class TestBasicOps:
 class TestFailures:
     def test_read_survives_one_replica_down(self):
         store = make_store(n=5, rf=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         store.mark_down(store.replicas_for("k")[0])
-        assert store.get("k", coordinator="n0") == "v"
+        assert store.contains_many(["k"], coordinator="n0") == [True]
 
     def test_unavailable_when_all_replicas_down(self):
         store = make_store(n=5, rf=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         for replica in store.replicas_for("k"):
             store.mark_down(replica)
         with pytest.raises(UnavailableError):
-            store.get("k")
+            store.contains_many(["k"])
         assert store.stats.unavailable_errors == 1
 
     def test_quorum_write_fails_with_one_of_two_down(self):
@@ -156,13 +158,14 @@ class TestFailures:
         down = store.replicas_for("k")[0]
         store.mark_down(down)
         with pytest.raises(UnavailableError):
-            store.put("k", "v", consistency=ConsistencyLevel.QUORUM)
+            store.put_if_absent_many(["k"], "v", consistency=ConsistencyLevel.QUORUM)
+        assert store.unique_keys() == set()
 
     def test_one_write_succeeds_with_one_of_two_down(self):
         store = make_store(n=5, rf=2)
         store.mark_down(store.replicas_for("k")[0])
-        store.put("k", "v", consistency=ConsistencyLevel.ONE)
-        assert store.get("k") == "v"
+        store.put_if_absent_many(["k"], "v", consistency=ConsistencyLevel.ONE)
+        assert store.contains_many(["k"]) == [True]
 
     def test_mark_down_unknown_node(self):
         with pytest.raises(NoSuchNodeError):
@@ -172,7 +175,7 @@ class TestFailures:
         store = make_store(n=5, rf=2)
         down = store.replicas_for("k")[0]
         store.mark_down(down)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         assert store.hints.pending_for(down) == 1
         store.mark_up(down)
         assert store.hints.pending_for(down) == 0
@@ -183,7 +186,7 @@ class TestFailures:
         store = make_store(n=5, rf=2)
         down = store.replicas_for("k")[0]
         store.mark_down(down)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         store.mark_up(down)
         holders = [
             nid for nid, node in store.nodes.items() if "k" in node.dump()
@@ -194,31 +197,31 @@ class TestFailures:
 class TestCoordinatorAccounting:
     def test_local_read_counted(self):
         store = make_store(n=4, rf=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         coordinator = store.replicas_for("k")[0]
-        store.get("k", coordinator=coordinator)
+        store.contains_many(["k"], coordinator=coordinator)
         assert store.stats.local_reads == 1
         assert store.stats.remote_reads == 0
 
     def test_remote_read_counted(self):
         store = make_store(n=4, rf=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         replicas = store.replicas_for("k")
         outsider = next(nid for nid in store.nodes if nid not in replicas)
-        store.get("k", coordinator=outsider)
+        store.contains_many(["k"], coordinator=outsider)
         assert store.stats.remote_reads == 1
 
     def test_pair_contacts_recorded(self):
         store = make_store(n=4, rf=1)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         replica = store.replicas_for("k")[0]
         outsider = next(nid for nid in store.nodes if nid != replica)
-        store.get("k", coordinator=outsider)
+        store.contains_many(["k"], coordinator=outsider)
         assert store.stats.per_pair_contacts.get((outsider, replica), 0) >= 1
 
     def test_self_contact_not_counted_as_remote(self):
         store = make_store(n=4, rf=2)
-        store.put("k", "v", coordinator=store.replicas_for("k")[0])
+        store.put_if_absent_many(["k"], "v", coordinator=store.replicas_for("k")[0])
         replicas = store.replicas_for("k")
         pair = (replicas[0], replicas[0])
         assert pair not in store.stats.per_pair_contacts
@@ -227,12 +230,11 @@ class TestCoordinatorAccounting:
 class TestMembership:
     def test_add_node_streams_keys(self):
         store = make_store(n=3, rf=2)
-        for i in range(200):
-            store.put(f"k{i}", str(i))
+        keys = [f"k{i}" for i in range(200)]
+        store.put_if_absent_many(keys, "v")
         store.add_node("n3")
         # Every key readable, and the newcomer holds its share.
-        for i in range(200):
-            assert store.get(f"k{i}") == str(i)
+        assert store.contains_many(keys) == [True] * 200
         assert store.nodes["n3"].key_count() > 0
 
     def test_add_existing_node_rejected(self):
@@ -242,11 +244,11 @@ class TestMembership:
 
     def test_remove_node_preserves_data(self):
         store = make_store(n=4, rf=2)
-        for i in range(200):
-            store.put(f"k{i}", str(i))
+        keys = [f"k{i}" for i in range(200)]
+        store.put_if_absent_many(keys, "v")
         store.remove_node("n2")
-        for i in range(200):
-            assert store.get(f"k{i}") == str(i), f"k{i} lost after decommission"
+        lost = [k for k, held in zip(keys, store.contains_many(keys)) if not held]
+        assert lost == [], f"{lost} lost after decommission"
 
     def test_remove_unknown_node_rejected(self):
         with pytest.raises(NoSuchNodeError):
@@ -315,8 +317,7 @@ class TestHintReplayFailureRegression:
         victim = store.replicas_for("k0")[0]
         store.mark_down(victim)
         keys = [f"k{i}" for i in range(6) if victim in store.replicas_for(f"k{i}")]
-        for key in keys:
-            store.put(key, "v")
+        store.put_if_absent_many(keys, "v")
         pending = store.hints.pending_for(victim)
         assert pending == len(keys) > 1
 
@@ -354,50 +355,51 @@ class TestTombstones:
         store = make_store(n=4, rf=2)
         victim = store.replicas_for("k")[0]
         store.mark_down(victim)
-        store.put("k", "v")  # hint buffered for victim
-        store.delete("k")  # tombstone, also hinted
+        store.put_if_absent_many(["k"], "v")  # hint buffered for victim
+        store.delete_many(["k"])  # tombstone, also hinted
         store.mark_up(victim)  # both hints replay, tombstone is newer
-        assert store.get("k") is None
+        assert store.contains_many(["k"]) == [False]
 
     def test_delete_survives_anti_entropy(self):
         from repro.kvstore.repair import ReplicaRepairer
 
         store = make_store(n=4, rf=2)
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         victim = store.replicas_for("k")[0]
         stale = store.nodes[victim].dump()["k"]
-        store.delete("k")
+        store.delete_many(["k"])
         # The victim silently missed the tombstone: it still holds the
         # live value, and no hint or degraded-key record knows.
         store.nodes[victim]._data["k"] = stale
         ReplicaRepairer(store).repair_all()  # tombstone wins the sync
-        assert store.get("k") is None
+        assert store.contains_many(["k"]) == [False]  # read at ONE, from the victim
 
     def test_deleted_key_leaves_unique_keys(self):
         store = make_store()
-        store.put("a", "1")
-        store.put("b", "2")
-        store.delete("a")
+        store.put_if_absent_many(["a", "b"], "v")
+        store.delete_many(["a"])
         assert store.unique_keys() == {"b"}
 
     def test_rewrite_after_delete(self):
         store = make_store()
-        store.put("k", "old")
-        store.delete("k")
-        store.put("k", "new")
-        assert store.get("k") == "new"
+        store.put_if_absent_many(["k"], "old")
+        store.delete_many(["k"])
+        store.put_if_absent_many(["k"], "new")
+        assert replica_values(store, "k") == {"new"}
         assert "k" in store.unique_keys()
 
     def test_put_if_absent_after_delete_is_new(self):
         store = make_store()
-        store.put("k", "old")
-        store.delete("k")
-        assert store.put_if_absent("k", "fresh") is True
-        assert store.get("k") == "fresh"
+        store.put_if_absent_many(["k"], "old")
+        store.delete_many(["k"])
+        assert store.put_if_absent_many(["k"], "fresh") == [True]
+        assert store.contains_many(["k"]) == [True]
 
     def test_delete_returns_liveness(self):
         store = make_store()
-        assert store.delete("never-written") is False
-        store.put("k", "v")
-        assert store.delete("k") is True
-        assert store.delete("k") is False
+        assert store.delete_many(["never-written"]) == 0
+        store.put_if_absent_many(["k", "j"], "v")
+        # Each live key counts once, however often the batch names it.
+        assert store.delete_many(["k", "never-written", "k"]) == 1
+        assert store.delete_many(["k", "j"]) == 1
+        assert store.delete_many(["k", "j"]) == 0

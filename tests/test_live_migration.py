@@ -383,19 +383,19 @@ class TestLiveTransportKillDuringMigration:
 class TestStreamingPrimitives:
     def test_stream_ranges_full_space_round_trip(self):
         src = DistributedKVStore(["a", "b", "c"], replication_factor=2)
-        for i in range(20):
-            src.put(f"key-{i}", f"v{i}")
+        keys = [f"key-{i}" for i in range(20)]
+        for i, key in enumerate(keys):
+            src.put_if_absent_many([key], f"v{i}")
         rows = src.stream_ranges([(0, TOKEN_SPACE)])
         assert len(rows) == 20
         dst = DistributedKVStore(["x", "y"], replication_factor=2)
         assert dst.ingest_entries(rows) == 20
-        for i in range(20):
-            assert dst.get(f"key-{i}") == f"v{i}"
+        assert dst.contains_many(keys) == [True] * 20
+        assert dst.stream_ranges([(0, TOKEN_SPACE)]) == rows  # values and timestamps
 
     def test_stream_ranges_respects_token_bounds(self):
         src = DistributedKVStore(["a", "b", "c"], replication_factor=2)
-        for i in range(50):
-            src.put(f"key-{i}", "v")
+        src.put_if_absent_many([f"key-{i}" for i in range(50)], "v")
         ranges = src.ring.primary_token_ranges("a")
         subset = src.stream_ranges(ranges)
         everything = src.stream_ranges([(0, TOKEN_SPACE)])
@@ -411,9 +411,9 @@ class TestStreamingPrimitives:
     def test_contains_many_ts_bound(self):
         """Only versions stamped at or before the bound count as present."""
         store = DistributedKVStore(["a", "b"], replication_factor=2)
-        store.put("before", "v")
+        store.put_if_absent_many(["before"], "v")
         bound = store.clock_now()
-        store.put("after", "v")
+        store.put_if_absent_many(["after"], "v")
         assert store.contains_many(["before", "after"]) == [True, True]
         assert store.contains_many(["before", "after"], ts_bound=bound) == [
             True,
@@ -423,8 +423,9 @@ class TestStreamingPrimitives:
     def test_ingest_entries_advances_timestamp_clock(self):
         """A local write after ingesting migrated rows must win LWW."""
         src = DistributedKVStore(["a"], replication_factor=1)
-        src.put("k", "old")
+        src.put_if_absent_many(["a", "b", "k"], "old")  # k stamped 3
         dst = DistributedKVStore(["x"], replication_factor=1)
         dst.ingest_entries(src.stream_ranges([(0, TOKEN_SPACE)]))
-        dst.put("k", "new")
-        assert dst.get("k") == "new"
+        assert dst.delete_many(["k"]) == 1  # a fresh clock would stamp it 1
+        assert dst.contains_many(["k"]) == [False]
+        assert dst.put_if_absent_many(["k"], "new") == [True]

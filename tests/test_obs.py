@@ -1,9 +1,12 @@
-"""Tests for the observability layer: histograms, trace spans, MetricsHub."""
+"""Tests for the observability layer: histograms, gc pauses, trace spans,
+MetricsHub."""
 
+import gc
 import json
 
 import pytest
 
+from repro.obs.gcpause import GcPauses
 from repro.obs.histogram import DEFAULT_LATENCY_BUCKETS_S, Histogram
 from repro.obs.hub import SCHEMA, MetricsHub, prometheus_name, render_prometheus
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -149,6 +152,28 @@ class TestHistogram:
         h = Histogram("h", buckets=(1.0,))
         h.observe_many([0.5] * 10_000)
         assert len(h.counts) == 2  # no per-sample storage
+
+
+class TestGcPauses:
+    def test_a_full_collection_lands_in_generation_two(self):
+        before = list(gc.callbacks)
+        with GcPauses() as pauses:
+            assert len(gc.callbacks) == len(before) + 1
+            gc.collect(2)
+        assert gc.callbacks == before
+        assert pauses.by_generation[2].count >= 1
+        assert pauses.max_pause_s == max(
+            h.maximum for h in pauses.by_generation if h.count
+        ) > 0.0
+
+    def test_nothing_is_recorded_outside_the_block(self):
+        pauses = GcPauses()
+        gc.collect(2)
+        with pauses:
+            pass
+        gc.collect(2)
+        assert [h.count for h in pauses.by_generation] == [0, 0, 0]
+        assert pauses.max_pause_s == 0.0
 
 
 class TestTracer:

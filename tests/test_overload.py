@@ -589,6 +589,28 @@ class TestBrownoutIndex:
         assert wrapper.active  # re-tripped, ready for a later sweep
 
 
+def test_an_untripped_brownout_ring_reports_its_plain_stats():
+    """Every ring shares one cloud, so a chunk another ring uploaded first
+    must not count as a duplicate here: a brownout that never trips
+    changes no ring's verdicts."""
+    from repro.system.reference import reference_cluster, round_robin, seeded_pool_workload
+
+    schedule = round_robin(seeded_pool_workload(6, 3, 48, seed=27, pool_blocks=160))
+    unique = {}
+    for brownout in (False, True):
+        with reference_cluster(
+            6, [[0, 1, 2], [3, 4, 5]], transport="asyncio", brownout=brownout
+        ) as cluster:
+            for node_id, data in schedule:
+                cluster.ring_for(node_id).agent(node_id).ingest(data)
+            unique[brownout] = [r.combined_stats().unique_chunks for r in cluster.rings]
+            if brownout:
+                for ring in cluster.rings:
+                    metrics = ring.brownout_metrics()
+                    assert (metrics["active"], metrics["corrected_chunks"]) == (0, 0)
+    assert unique[True] == unique[False] == [79, 80]
+
+
 # --------------------------------------------------------------------- #
 # Loadgen: shed is not failed
 # --------------------------------------------------------------------- #

@@ -244,6 +244,37 @@ class TestRefcountDurability:
         finally:
             cluster.shutdown()
 
+    def test_a_sweep_costs_rpc_calls_per_ring_not_per_fingerprint(self, tmp_path):
+        """A sweep tombstones each ring's index in one batch, so sweeping
+        twice the fingerprints sends exactly as many RPC calls."""
+        import random
+
+        cluster = make_cluster(tmp_path)
+        try:
+            rng = random.Random(5)
+            members = [n for ring in cluster.rings for n in ring.members]
+
+            def sweep_of(tag, files_per_node):
+                fids = []
+                for i in range(files_per_node):
+                    for nid in members:
+                        fids.append(f"{tag}-{nid}-{i}")
+                        cluster.ingest_file(nid, fids[-1], rng.randbytes(16 * 1024))
+                for fid in fids:
+                    cluster.delete_file(fid)
+                before = sum(r.live_cluster.client.stats.calls for r in cluster.rings)
+                report = cluster.gc_sweep()
+                after = sum(r.live_cluster.client.stats.calls for r in cluster.rings)
+                assert report.index_tombstones == report.swept == report.candidates
+                return report.swept, after - before
+
+            swept, calls = sweep_of("small", 1)
+            swept_twice, calls_twice = sweep_of("large", 2)
+            assert swept_twice >= 2 * swept > 0
+            assert calls_twice == calls
+        finally:
+            cluster.shutdown()
+
     def test_refcounts_count_occurrences_not_files(self, tmp_path):
         cluster = make_cluster(tmp_path, transport="inproc")
         try:

@@ -233,9 +233,9 @@ class TestDisabledTracer:
             assert store.put_if_absent_many(["a", "b", "a"], "m", coordinator="n0") == [
                 True, True, False,
             ]
-            store.put("k", "v", coordinator="n1")
-            assert store.get("k", coordinator="n2") == "v"
-            assert store.delete("k") is True
+            assert store.put_if_absent_many(["k"], "v", coordinator="n1") == [True]
+            assert store.contains_many(["k"], coordinator="n2") == [True]
+            assert store.delete_many(["k"]) == 1
             assert sum(s.stats.errors for s in cluster.servers.values()) == 0
             assert cluster.client.stats.failed_calls == 0
 

@@ -197,7 +197,7 @@ class TestHostileFramesAtTheServer:
         connection task: the client burned every attempt on silence."""
         with live_cluster(timeout_s=5.0) as cluster:
             store = cluster.store
-            store.put("k", "v" * 4096)
+            store.put_if_absent_many(["k"], "v" * 4096)
             monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 2048)
             for node_id in store.replicas_for("k"):
                 with pytest.raises(RemoteCallError, match="exceeds limit") as excinfo:
@@ -206,7 +206,7 @@ class TestHostileFramesAtTheServer:
             monkeypatch.undo()
             assert cluster.client.stats.retries == 0
             assert cluster.client.stats.connection_errors == 0
-            assert store.get("k") == "v" * 4096  # same connections, still serving
+            assert store.unique_keys() == {"k"}  # same connections, still serving
 
 
 class TestShelvesLargerThanAFrame:

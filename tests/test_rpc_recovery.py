@@ -1,7 +1,7 @@
 """Tests for live-ring crash recovery: kill/restart lifecycle, WAL-backed
 durability, wire-level heartbeat detection, and Merkle anti-entropy under
 its live-ring import name. The coordinator's own recovery protocol (hint
-replay, degraded-key repair, read repair) is transport-independent and
+replay, degraded-key repair) is transport-independent and
 lives in ``test_store_protocol.py``, which runs it over this transport too."""
 
 import pytest
@@ -14,6 +14,7 @@ from repro.rpc import (
     HeartbeatService,
     RemoteReplicaRepairer,
 )
+from repro.rpc.errors import RpcTimeoutError
 
 from tests.conftest import FAST_RETRY, NODE_IDS, live_cluster
 
@@ -36,8 +37,7 @@ class TestCrashRestartLifecycle:
             store = cluster.store
             victim = "n1"
             keys = keys_on(store, victim)
-            for k in keys:
-                store.put(k, "v")
+            store.put_if_absent_many(keys, "v")
             cluster.kill_node(victim)
             cluster.restart_node(victim, repair=False)
             # No WAL, no hints (writes predate the crash): the shard is empty
@@ -54,8 +54,7 @@ class TestCrashRestartLifecycle:
             store = cluster.store
             victim = "n1"
             keys = keys_on(store, victim)
-            for k in keys:
-                store.put(k, "v")
+            store.put_if_absent_many(keys, "v")
             held_before = {
                 k for k in keys if k in cluster.servers[victim].node._data
             }
@@ -76,8 +75,7 @@ class TestCrashRestartLifecycle:
             victim = "n2"
             cluster.kill_node(victim)
             keys = keys_on(store, victim, n=4)
-            for k in keys:
-                store.put(k, "while-down")
+            store.put_if_absent_many(keys, "while-down")
             assert store.hints.pending_for(victim) == len(keys)
             cluster.restart_node(victim)
             assert store.hints.pending_for(victim) == 0
@@ -99,8 +97,7 @@ class TestRemoteAntiEntropy:
     def test_repair_all_converges_and_is_idempotent(self):
         with live_cluster() as cluster:
             store = cluster.store
-            for i in range(30):
-                store.put(f"k{i}", str(i))
+            store.put_if_absent_many([f"k{i}" for i in range(30)], "v")
             # One replica silently loses part of its shard.
             shard = cluster.servers["n0"].node._data
             for k in list(shard)[:5]:
@@ -115,7 +112,7 @@ class TestRemoteAntiEntropy:
     def test_newest_value_wins_across_the_wire(self):
         with live_cluster() as cluster:
             store = cluster.store
-            store.put("k", "old")
+            store.put_if_absent_many(["k"], "old")
             holders = [
                 nid for nid in NODE_IDS
                 if "k" in cluster.servers[nid].node._data
@@ -128,8 +125,7 @@ class TestRemoteAntiEntropy:
     def test_repair_skips_down_replicas(self):
         with live_cluster() as cluster:
             store = cluster.store
-            for i in range(10):
-                store.put(f"k{i}", "v")
+            store.put_if_absent_many([f"k{i}" for i in range(10)], "v")
             store.mark_down("n1")
             stats = RemoteReplicaRepairer(store).repair_all()
             assert stats.pairs_checked > 0  # alive pairs still compared
@@ -212,15 +208,16 @@ class TestPartialQuorumAudit:
             store.mark_down(victim)
             for _ in range(2):  # the retry is the regression
                 with pytest.raises(UnavailableError):
-                    store.put(key, "v")
+                    store.put_if_absent_many([key], "v")
             assert store.stats.unavailable_errors == 2
             assert store.hints.total_pending == 0
 
     def test_silent_replica_fails_quorum_without_hints(self):
-        """The replica is *believed* alive but every reply is lost: the
-        write fails the level after the scatter, and still must not hint
-        (the failed write is not acknowledged, so there is nothing to
-        hand off)."""
+        """The replica is *believed* alive but every reply is lost: a
+        QUORUM batch reads it before writing, so the batch fails as a typed
+        timeout, applies nothing and hints nothing, however often it is
+        retried. (A lost *write* ack below the level is the seam case of
+        ``test_store_protocol``.)"""
         injector = FaultInjector()
         with live_cluster(
             fault_injector=injector,
@@ -232,7 +229,7 @@ class TestPartialQuorumAudit:
             key = keys_on(store, "n2", n=1)[0]
             injector.drop_responses(dst="n2")
             for _ in range(2):
-                with pytest.raises(UnavailableError):
-                    store.put(key, "v", coordinator="n0")
+                with pytest.raises(RpcTimeoutError):
+                    store.put_if_absent_many([key], "v", coordinator="n0")
             assert store.hints.total_pending == 0
-            assert store.stats.unavailable_errors == 2
+            assert all(key not in s.node._data for s in cluster.servers.values())

@@ -46,28 +46,29 @@ class TestBasicOperations:
     def test_put_get_roundtrip_crosses_the_wire(self):
         with live_cluster() as cluster:
             store = cluster.store
-            store.put("k", "v", coordinator="n0")
-            assert store.get("k", coordinator="n1") == "v"
-            assert store.contains("k", coordinator="n2")
-            assert store.get("missing") is None
+            store.put_if_absent_many(["k"], "v", coordinator="n0")
+            assert store.contains_many(["k"], coordinator="n1") == [True]
+            assert store.contains_many(["k", "missing"], coordinator="n2") == [True, False]
             # the data really lives on server shards, not in the client
             holders = [s for s in cluster.servers.values() if "k" in s.node._data]
             assert len(holders) == 2  # γ replicas
+            assert {s.node._data["k"][0] for s in holders} == {"v"}
 
     def test_put_if_absent_semantics(self):
         with live_cluster() as cluster:
             store = cluster.store
-            assert store.put_if_absent("fp", "a", coordinator="n0") is True
-            assert store.put_if_absent("fp", "b", coordinator="n1") is False
-            assert store.get("fp") == "a"
+            assert store.put_if_absent_many(["fp"], "a", coordinator="n0") == [True]
+            assert store.put_if_absent_many(["fp"], "b", coordinator="n1") == [False]
+            values = {s.node._data["fp"][0] for s in cluster.servers.values() if "fp" in s.node._data}
+            assert values == {"a"}
 
     def test_delete_tombstones_the_key(self):
         with live_cluster() as cluster:
             store = cluster.store
-            store.put("k", "v")
-            assert store.delete("k") is True
-            assert store.get("k") is None
-            assert store.delete("k") is False
+            store.put_if_absent_many(["k"], "v")
+            assert store.delete_many(["k"]) == 1
+            assert store.contains_many(["k"]) == [False]
+            assert store.delete_many(["k"]) == 0
             assert "k" not in store.unique_keys()
 
     def test_batched_put_if_absent_handles_intra_batch_repeats(self):
@@ -80,8 +81,8 @@ class TestBasicOperations:
     def test_quorum_reads_see_quorum_writes(self):
         with live_cluster(consistency=ConsistencyLevel.QUORUM) as cluster:
             store = cluster.store
-            store.put("k", "v", coordinator="n0")
-            assert store.get("k", coordinator="n2") == "v"
+            store.put_if_absent_many(["k"], "v", coordinator="n0")
+            assert store.contains_many(["k"], coordinator="n2") == [True]
 
     def test_unique_keys_is_an_operator_view_including_down_nodes(self):
         with live_cluster() as cluster:
@@ -120,7 +121,7 @@ class TestParityWithInProcessStore:
 
     def run_sequence(self, store):
         outcomes = []
-        outcomes.append(store.put_if_absent("fp0", "m", coordinator="n0"))
+        outcomes.append(store.put_if_absent_many(["fp0"], "m", coordinator="n0"))
         outcomes.append(
             store.put_if_absent_many(
                 ["fp1", "fp2", "fp1", "fp3"], "m", coordinator="n0"
@@ -129,9 +130,8 @@ class TestParityWithInProcessStore:
         outcomes.append(
             store.put_if_absent_many(["fp2", "fp4"], "m", coordinator="n1")
         )
-        outcomes.append(store.get("fp4", coordinator="n2"))
-        store.put("fp5", "x", coordinator="n1")
-        outcomes.append(store.delete("fp0", coordinator="n2"))
+        outcomes.append(store.contains_many(["fp4", "fp5"], coordinator="n2"))
+        outcomes.append(store.delete_many(["fp0", "fp5"], coordinator="n2"))
         return outcomes
 
     def test_results_stats_and_keys_match(self):
@@ -173,7 +173,7 @@ class TestFailureSemantics:
             store.mark_down("n1")
             key = key_with_replicas(store, ["n1", "n2"])
             with pytest.raises(UnavailableError):
-                store.put(key, "v")
+                store.put_if_absent_many([key], "v")
             assert store.stats.unavailable_errors == 1
 
     def test_hinted_handoff_converges_after_recovery(self):
@@ -233,7 +233,7 @@ class TestRetriesAndFaults:
         injector = FaultInjector()
         injector.delay_requests(0.01)
         with live_cluster(fault_injector=injector, timeout_s=0.5) as cluster:
-            assert cluster.store.put_if_absent("k", "m", coordinator="n0")
+            assert cluster.store.put_if_absent_many(["k"], "m", coordinator="n0") == [True]
             assert cluster.client.stats.retries == 0
             assert injector.stats.delayed_requests > 0
 
@@ -286,12 +286,12 @@ class TestRetriesAndFaults:
             key = key_with_replicas(store, ["n1", "n2"])
             injector.partition("n0", "n1")
             with pytest.raises(RpcTimeoutError) as excinfo:
-                store.get(key, coordinator="n0")
+                store.contains_many([key], coordinator="n0")
             assert excinfo.value.node_id == "n1"
             assert excinfo.value.attempts == FAST_RETRY.attempts
             injector.heal("n0", "n1")
-            store.put(key, "v", coordinator="n0")
-            assert store.get(key, coordinator="n0") == "v"
+            assert store.put_if_absent_many([key], "v", coordinator="n0") == [True]
+            assert store.contains_many([key], coordinator="n0") == [True]
 
     def test_dropped_response_retry_never_double_applies_the_claim(self):
         """The server applies a write, the network eats the reply, the client
@@ -307,7 +307,7 @@ class TestRetriesAndFaults:
             # response drop at n2 so only the non-idempotent write retries.
             key = key_with_replicas(store, ["n1", "n2"])
             injector.drop_responses(dst="n2", times=1)
-            assert store.put_if_absent(key, "m", coordinator="n0") is True
+            assert store.put_if_absent_many([key], "m", coordinator="n0") == [True]
             server = cluster.servers["n2"]
             executed = server.stats.by_method["multi_put"] - server.stats.replays
             assert executed == 1  # delivered twice, applied once
@@ -330,7 +330,7 @@ class TestRetriesAndFaults:
             store = cluster.store
             key = key_with_replicas(store, ["n1", "n2"])
             injector.drop_responses(dst="n2")
-            assert store.put_if_absent(key, "m", coordinator="n0") is True
+            assert store.put_if_absent_many([key], "m", coordinator="n0") == [True]
             assert store.stats.hints_stored == 1
             assert store.hints.pending_for("n2") == 1
             server = cluster.servers["n2"]
@@ -342,7 +342,7 @@ class TestRetriesAndFaults:
 class TestClusterLifecycle:
     def test_close_is_idempotent(self):
         cluster = live_cluster()
-        cluster.store.put("k", "v")
+        cluster.store.put_if_absent_many(["k"], "v")
         cluster.close()
         cluster.close()
 

@@ -141,9 +141,8 @@ class TestSeam:
         r = ring()
         store = r.store
         keys = [f"k{i}" for i in range(40)]
-        for key in keys:
-            store.put(key, "v")
-        store.delete(keys[0])
+        store.put_if_absent_many(keys, "v")
+        store.delete_many(keys[:1])
         read = [store.drive(store.transport.multi_get(n, keys)) for n in store.nodes]
         collect()
         entries = [entry for n in store.nodes for entry in r.shard(n).dump().values()]
@@ -169,8 +168,7 @@ class TestHintReplay:
         store, victim = r.store, "n2"
         store.mark_down(victim)
         keys = keys_on(store, victim)
-        for k in keys:
-            store.put(k, "while-down")
+        store.put_if_absent_many(keys, "while-down")
         assert store.hints.pending_for(victim) == len(keys)
 
         fault = store.transport.missed_ack[0]("injected replay fault")
@@ -200,10 +198,10 @@ class TestHintReplay:
         store = ring().store
         victim = store.replicas_for("k")[0]
         store.mark_down(victim)
-        store.put("k", "v")  # hint buffered for victim
-        store.delete("k")  # tombstone, also hinted
+        store.put_if_absent_many(["k"], "v")  # hint buffered for victim
+        store.delete_many(["k"])  # tombstone, also hinted
         store.mark_up(victim)  # both hints replay, tombstone is newer
-        assert store.get("k") is None
+        assert store.contains_many(["k"]) == [False]
 
     def test_quorum_miss_buffers_no_hints_even_on_retry(self, ring):
         store = ring(n=3, consistency=QUORUM).store
@@ -212,7 +210,7 @@ class TestHintReplay:
         store.mark_down(victim)
         for _ in range(2):  # the retry is the regression
             with pytest.raises(UnavailableError):
-                store.put(key, "v")
+                store.put_if_absent_many([key], "v")
         assert store.stats.unavailable_errors == 2
         assert store.hints.total_pending == 0
 
@@ -229,13 +227,11 @@ class TestHintReplay:
             return await real(node_id, rows, src)
 
         monkeypatch.setattr(store.transport, "multi_put", deaf_n2)
-        single, *batched = keys_on(store, "n2", n=3)
-        for _ in range(2):
-            with pytest.raises(UnavailableError):
-                store.put(single, "v", coordinator="n0")
-        for key in batched:
+        for key in keys_on(store, "n2", n=3):
             with pytest.raises(UnavailableError):
                 store.put_if_absent_many([key], "v", coordinator="n0")
+        with pytest.raises(UnavailableError):
+            store.delete_many(keys_on(store, "n2", n=3), coordinator="n0")
         assert store.hints.total_pending == 0
         assert store.stats.unavailable_errors == 4
 
@@ -248,35 +244,23 @@ class TestRepair:
         r = ring(n=3)
         store, victim = r.store, "n1"
         keys = keys_on(store, victim)
-        for k in keys:
-            store.put(k, "pre")
+        store.put_if_absent_many(keys, "pre")
         store.mark_down(victim)
-        for k in keys:
-            store.put(k, "while-down")  # hinted AND recorded as degraded
+        store.delete_many(keys)  # hinted AND recorded as degraded
         store.hints.take_for(victim)  # simulate hint loss
         store.mark_up(victim)
         assert store.stats.hints_replayed == 0
         assert store.stats.recovery_repairs == len(keys)
         for k in keys:
-            assert r.shard(victim).dump()[k][0] == "while-down"
-
-    def test_quorum_get_repairs_stale_replica(self, ring):
-        r = ring(n=3, consistency=QUORUM)
-        store = r.store
-        store.put("k", "old")
-        fresh, stale = store.replicas_for("k")
-        r.shard(fresh).multi_put([("k", "newer", 10**15, False)])
-        assert store.get("k") == "newer"
-        assert store.stats.read_repairs >= 1
-        assert r.shard(stale).dump()["k"][0] == "newer"
+            assert r.shard(victim).dump()[k][2]  # the tombstone reached it
 
     def test_contains_many_never_writes(self, ring):
         """The migration dual-lookup probe must not mutate the ring it
         probes: a QUORUM probe over a replica that silently lost a row
-        leaves the row lost. Only ``get`` repairs."""
+        leaves the row lost (anti-entropy is what restores it)."""
         r = ring(n=3, consistency=QUORUM)
         store = r.store
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         lossy = store.replicas_for("k")[1]
         del r.shard(lossy)._data["k"]
         before = shards(r)
@@ -284,16 +268,13 @@ class TestRepair:
         assert store.contains_many(["k"], ts_bound=store.clock_now()) == [True]
         assert store.stats.read_repairs == 0
         assert shards(r) == before
-        assert store.get("k") == "v"
-        assert store.stats.read_repairs == 1
-        assert "k" in r.shard(lossy).dump()
 
     def test_ts_bound_probe_is_accounted_too(self, ring):
         store = ring().store
         keys = [f"k{i}" for i in range(12)]
         store.put_if_absent_many(keys, "", coordinator="n0")
         bound = store.clock_now()
-        store.put("late", "x")  # after the cutover: must not leak
+        store.put_if_absent_many(["late"], "x")  # after the cutover: must not leak
         before = series(store.stats)
         assert store.contains_many(keys + ["late"], coordinator="n0", ts_bound=bound) == (
             [True] * 12 + [False]
@@ -312,17 +293,18 @@ class TestBatch:
     def test_batched_equals_sequential_with_repeats(self, ring):
         keys = ["fp1", "fp2", "fp1", "fp3", "fp2", "fp4"]
         batched, sequential = ring().store, ring().store
-        sequential.put_if_absent("fp3", "m", coordinator="n1")
-        batched.put_if_absent("fp3", "m", coordinator="n1")
+        sequential.put_if_absent_many(["fp3"], "m", coordinator="n1")
+        batched.put_if_absent_many(["fp3"], "m", coordinator="n1")
         got = batched.put_if_absent_many(keys, "m", coordinator="n0")
-        want = [sequential.put_if_absent(k, "m", coordinator="n0") for k in keys]
+        want = [sequential.put_if_absent_many([k], "m", coordinator="n0")[0] for k in keys]
         assert got == want == [True, True, False, False, False, True]
         assert batched.unique_keys() == sequential.unique_keys()
         for field in ("reads", "writes", "local_reads", "remote_reads"):
             assert getattr(batched.stats, field) == getattr(sequential.stats, field)
         # The round trip is per contacted node, not per key.
         assert batched.stats.remote_contacts <= sequential.stats.remote_contacts
-        assert batched.stats.batch_rounds == 1
+        assert batched.stats.batch_rounds == 2
+        assert sequential.stats.batch_rounds == 1 + len(keys)
 
     def test_unroutable_key_applies_nothing(self, ring):
         """A batch is routed whole before any write: one unavailable key
@@ -342,33 +324,79 @@ class TestBatch:
         assert store.put_if_absent_many(batch, "m", coordinator="n0") == [True] * 24
 
 
+class TestDeleteMany:
+    def test_tombstones_only_live_keys_and_counts_them(self, ring):
+        r = ring()
+        store = r.store
+        store.put_if_absent_many(["a", "b", "c"], "v")
+        store.delete_many(["c"])
+        before = shards(r)
+        assert store.delete_many(["a", "ghost", "c", "a", "b"], coordinator="n0") == 2
+        assert store.contains_many(["a", "b", "c", "ghost"]) == [False] * 4
+        after = shards(r)
+        # Only the live keys got new (tombstone) entries; the absent key and
+        # the already-deleted one were left as they were.
+        changed = {k for n in after for k in after[n] if after[n][k] != before[n].get(k)}
+        assert changed == {"a", "b"}
+        for key in ("a", "b"):
+            for node_id in store.replicas_for(key):
+                assert after[node_id][key][2]
+        assert "ghost" not in {k for shard in after.values() for k in shard}
+        assert store.stats.batch_rounds == 4  # claim, delete, delete, probe: a round each
+
+    def test_a_down_replica_receives_a_hint(self, ring):
+        r = ring()
+        store, victim = r.store, "n2"
+        keys = keys_on(store, victim)
+        store.put_if_absent_many(keys, "v")
+        store.mark_down(victim)
+        assert store.delete_many(keys) == len(keys)
+        assert store.hints.pending_for(victim) == len(keys)
+        assert all(not r.shard(victim).dump()[k][2] for k in keys)  # still live there
+        store.mark_up(victim)
+        assert all(r.shard(victim).dump()[k][2] for k in keys)
+
+    def test_an_unavailable_key_applies_nothing(self, ring):
+        r = ring(rf=1)
+        store, victim = r.store, "n2"
+        batch = [f"k{i}" for i in range(24)]
+        assert any(store.replicas_for(k) == [victim] for k in batch[1:])
+        store.put_if_absent_many(batch, "v")
+        store.mark_down(victim)
+        before = shards(r)
+        with pytest.raises(UnavailableError):
+            store.delete_many(batch, coordinator="n0")
+        assert shards(r) == before
+        assert store.hints.total_pending == 0
+        store.mark_up(victim)
+        assert store.delete_many(batch) == 24
+
+
 class TestMembership:
     def test_add_node_streams_keys(self, ring):
         r = ring(n=3)
-        for i in range(60):
-            r.store.put(f"k{i}", str(i))
+        keys = [f"k{i}" for i in range(60)]
+        r.store.put_if_absent_many(keys, "v")
         r.add_node("n3")
         assert r.store.is_up("n3")
-        for i in range(60):
-            assert r.store.get(f"k{i}") == str(i)
+        assert r.store.contains_many(keys) == [True] * 60
         assert r.shard("n3").key_count() > 0
         assert ReplicaRepairer(r.store).verify_replication() == []
 
     def test_remove_node_preserves_data(self, ring):
         r = ring()
-        for i in range(60):
-            r.store.put(f"k{i}", str(i))
+        keys = [f"k{i}" for i in range(60)]
+        r.store.put_if_absent_many(keys, "v")
         r.remove_node("n2")
         assert "n2" not in r.store.nodes
-        for i in range(60):
-            assert r.store.get(f"k{i}") == str(i), f"k{i} lost after decommission"
+        lost = [k for k, held in zip(keys, r.store.contains_many(keys)) if not held]
+        assert lost == [], f"{lost} lost after decommission"
 
     def test_remove_node_voids_the_members_hints(self, ring):
         r = ring()
         store = r.store
         store.mark_down("n2")
-        for k in keys_on(store, "n2", n=8):
-            store.put(k, "v")
+        store.put_if_absent_many(keys_on(store, "n2", n=8), "v")
         assert store.hints.pending_for("n2") == 8
         r.remove_node("n2")
         assert store.hints.total_pending == 0
@@ -379,16 +407,15 @@ class TestMembership:
         r = ring(n=1, rf=1)
         with pytest.raises(ValueError, match="last member"):
             r.store.remove_node("n0")
-        r.store.put("k", "v")  # the ring still routes
-        assert r.store.get("k") == "v"
+        assert r.store.put_if_absent_many(["k"], "v") == [True]  # the ring still routes
+        assert r.store.contains_many(["k"]) == [True]
 
 
 class TestAntiEntropy:
     def test_repair_converges_and_is_idempotent(self, ring):
         r = ring(n=3)
         store = r.store
-        for i in range(30):
-            store.put(f"k{i}", str(i))
+        store.put_if_absent_many([f"k{i}" for i in range(30)], "v")
         lost = list(r.shard("n0")._data)[:5]  # silently loses part of its shard
         for k in lost:
             del r.shard("n0")._data[k]
@@ -406,7 +433,7 @@ class TestAntiEntropy:
 
     def test_newest_value_wins(self, ring):
         r = ring(n=3)
-        r.store.put("k", "old")
+        r.store.put_if_absent_many(["k"], "old")
         holders = r.store.replicas_for("k")
         r.shard(holders[0]).multi_put([("k", "newer", 10**15, False)])
         ReplicaRepairer(r.store).repair_all()
@@ -416,20 +443,19 @@ class TestAntiEntropy:
     def test_tombstone_wins_the_sync(self, ring):
         r = ring()
         store = r.store
-        store.put("k", "v")
+        store.put_if_absent_many(["k"], "v")
         victim = store.replicas_for("k")[0]
         stale = r.shard(victim).dump()["k"]
-        store.delete("k")
+        store.delete_many(["k"])
         r.shard(victim)._data["k"] = stale  # silently missed the tombstone
         ReplicaRepairer(store).repair_all()
-        assert store.get("k") is None
+        assert store.contains_many(["k"]) == [False]  # read at ONE, from the victim
         assert r.shard(victim).dump()["k"][2]
 
     def test_repair_skips_down_replicas(self, ring):
         r = ring(n=3)
         store = r.store
-        for i in range(10):
-            store.put(f"k{i}", "v")
+        store.put_if_absent_many([f"k{i}" for i in range(10)], "v")
         store.mark_down("n1")
         held = dict(r.shard("n1")._data)
         stats = ReplicaRepairer(store).repair_all()
@@ -443,7 +469,7 @@ class TestAntiEntropy:
 
 def run_mixed_sequence(store, seed: int, ops: int = 500) -> list:
     """A seeded mix of every client verb plus failures and recoveries;
-    returns each operation's outcome (value, verdicts or error type)."""
+    returns each operation's outcome (verdicts, live count or error type)."""
     rng = random.Random(seed)
     nodes = list(store.nodes)
     keys = [f"key-{i}" for i in range(40)]
@@ -451,20 +477,18 @@ def run_mixed_sequence(store, seed: int, ops: int = 500) -> list:
     outcomes = []
     for _ in range(ops):
         op = rng.choice(
-            ["put", "get", "delete", "claim", "claim", "probe", "mark_down", "mark_up"]
+            ["delete", "delete", "claim", "claim", "claim", "probe", "mark_down", "mark_up"]
         )
         coordinator = rng.choice(nodes)
         level = rng.choice([ONE, QUORUM])
         try:
-            if op == "put":
-                outcomes.append(store.put(rng.choice(keys), str(rng.random()), level, coordinator))
-            elif op == "get":
-                outcomes.append(store.get(rng.choice(keys), level, coordinator))
-            elif op == "delete":
-                outcomes.append(store.delete(rng.choice(keys), level, coordinator))
+            if op == "delete":
+                batch = rng.choices(keys, k=rng.randint(1, 4))
+                outcomes.append(store.delete_many(batch, level, coordinator))
             elif op == "claim":
                 batch = rng.choices(keys, k=rng.randint(1, 12))
-                outcomes.append(store.put_if_absent_many(batch, "m", level, coordinator))
+                value = str(rng.random())
+                outcomes.append(store.put_if_absent_many(batch, value, level, coordinator))
             elif op == "probe":
                 batch = rng.choices(keys, k=rng.randint(1, 12))
                 bound = rng.choice([None, store.clock_now()])

@@ -106,7 +106,7 @@ class TestRingIndex:
         idx = RingIndex(self._store(), local_node="n0")
         assert idx.lookup_and_insert_many(["fp"]) == [True]
         assert idx.lookup_and_insert_many(["fp"]) == [False]
-        assert idx.store.contains("fp")
+        assert idx.store.contains_many(["fp"]) == [True]
         assert len(idx) == 1
 
     def test_locality_accounting(self):
